@@ -322,7 +322,7 @@ def _parse_state(text: str, dim: int):
     return vals
 
 
-def _resolve_cli_method(args, need_rule: bool):
+def _resolve_cli_method(args):
     if args.method == "avf":
         return "avf"
     if args.method == "midpoint":
@@ -335,12 +335,13 @@ def _resolve_cli_method(args, need_rule: bool):
 def cmd_integrate(args) -> int:
     sys_ = _load_system(args.hamiltonian)
     y0 = _parse_state(args.y0, sys_.dim)
-    method = _resolve_cli_method(args, need_rule=args.method == "rk")
+    method = _resolve_cli_method(args)
     cfg = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
     try:
         run = integrate(sys_, method, y0, args.h, args.steps, cfg)
     except SolverError as e:
-        return _fail(f"solver failed at step {e.step_index}: {e}", EXIT_SOLVER)
+        # integrate() starts the message with "step k: "
+        return _fail(f"solver failed at {e}", EXIT_SOLVER)
     stats = run.solver_stats
     summary = {
         "method": args.method,
@@ -368,13 +369,13 @@ def cmd_integrate(args) -> int:
 def cmd_order(args) -> int:
     sys_ = _load_system(args.hamiltonian)
     y0 = _parse_state(args.y0, sys_.dim)
-    method = _resolve_cli_method(args, need_rule=args.method == "rk")
+    method = _resolve_cli_method(args)
     hs = [float(x) for x in args.hs.split(",")]
     cfg = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
     try:
         pts = convergence_errors(sys_, method, y0, args.t_end, hs, cfg)
     except SolverError as e:
-        return _fail(f"solver failed: {e}", EXIT_SOLVER)
+        return _fail(f"solver failed at {e}", EXIT_SOLVER)
     xs = np.log([h for h, _ in pts])
     ys = np.log([max(err, 1e-300) for _, err in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])

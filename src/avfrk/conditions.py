@@ -103,7 +103,7 @@ def _avf_matrix(rule):
 
 
 def _require_zero_at_origin(P, name):
-    if P.coeffs[0] != 0:
+    if not P.is_zero() and P.coeffs[0] != 0:
         raise ValueError(f"{name}(0) must vanish")
 
 

@@ -1,9 +1,10 @@
 """Exact polynomial Hamiltonian systems.
 
 Multivariate polynomials with rational coefficients, canonical Hamiltonian
-vector fields f = J^(-1) grad H, and the exact chord average of f used by
-the averaged-vector-field step.  Everything in this module is exact; floats
-only appear after an explicit conversion at the integrator boundary.
+vector fields f = J^(-1) grad H, and the exact chord average of f that the
+averaged-vector-field step computes in floats.  Everything in this module
+is exact; floats only appear after an explicit conversion at the
+integrator boundary.
 
 Variable ordering is fixed as (q_1..q_d, p_1..p_d) so that
 

@@ -4,21 +4,23 @@ The chord-averaged step
 
     y' = y + h * integral_0^1 f((1-xi) y + xi y') dxi
 
-is implemented two ways: exactly, by expanding the averaged field once per
-system as a polynomial in (y, y'-y) with rational coefficients and then
-evaluating that expansion in float64, and as an implicit Runge-Kutta step
-for an arbitrary tableau (the rank-one tableau A = c b^T reproduces the
-averaged step whenever the quadrature order covers deg H).
+and every rank-one Runge-Kutta step A = c b^T are one computation: the
+stages lie on the chord, Y_j = y + c_j (y' - y), so the s*d stage system
+reduces to the d unknowns of y' = y + h sum_j b_j f(Y_j).  The averaged
+step is that reduction with the Gauss rule of ceil(deg H / 2) nodes, which
+integrates the chord average exactly.  A tableau without a rank-one rule
+(a user tableau, explicit Euler) solves the full stage system.
 
 Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
-stepping is float64; the expansion coefficients are exact until the single
-float conversion at compile time.
+stepping is float64, in plain Python floats through evaluators generated
+once per system from the exact polynomials.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +30,7 @@ import numpy as np
 from mpmath import mp
 
 from .hamiltonian import HamiltonianSystem, MultiPoly
-from .quadrature import QuadRule
+from .quadrature import QuadRule, quad_rule
 from .trees import ButcherTableau
 
 __all__ = [
@@ -87,122 +89,63 @@ class StepStats(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# compiled float64 evaluation
+# float64 evaluation
 
 
-class _Compiled:
-    """Batch evaluator for a fixed tuple of polynomials in the same variables.
+def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
+    """Plain-float evaluator of a tuple of polynomials, one point per call.
 
-    Exponents and coefficients are flattened into arrays once; every call is
-    a handful of vectorized operations.  Components are delimited by
-    `starts` for np.add.reduceat, so empty polynomials get one zero term.
+    Generated as Python source once: component k of evaluate(x0, x1, ...)
+    is the sum of its monomials x_j**e_j * ... * coeff in sorted term order.
+    Arrays of a few entries cost more in numpy dispatch than this does in
+    arithmetic.  float ** int raises OverflowError where numpy returns inf.
     """
-
-    __slots__ = ("nv", "ncomp", "E", "coeffs", "starts")
-
-    def __init__(self, polys: Sequence[MultiPoly], nv: int):
-        rows: list[tuple] = []
-        coeffs: list[float] = []
-        starts: list[int] = []
-        for p in polys:
-            starts.append(len(rows))
-            items = sorted(p.terms.items()) or [((0,) * nv, Fraction(0))]
-            for exps, c in items:
-                rows.append(exps)
-                coeffs.append(float(c))
-        self.nv = nv
-        self.ncomp = len(polys)
-        self.E = np.array(rows, dtype=np.float64)
-        self.coeffs = np.array(coeffs, dtype=np.float64)
-        self.starts = np.array(starts, dtype=np.intp)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        vals = np.prod(x[None, :] ** self.E, axis=1)
-        vals *= self.coeffs
-        return np.add.reduceat(vals, self.starts)
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at many points; X is (npoints, nv), result (npoints, ncomp)."""
-        acc = np.ones((X.shape[0], self.E.shape[0]))
-        for j in range(self.nv):
-            acc *= X[:, j : j + 1] ** self.E[None, :, j]
-        acc *= self.coeffs
-        return np.add.reduceat(acc, self.starts, axis=1)
-
-
-def _averaged_field_polys(sys: HamiltonianSystem) -> tuple:
-    """The chord average of f as exact polynomials in (u, v) = (y, y'-y).
-
-    Substitutes the segment u_j + xi v_j into each component, expands in the
-    auxiliary variable xi, and integrates termwise (xi^k contributes 1/(k+1)).
-    Done once per system; the result feeds the float compiler.
-    """
-    n = sys.dim
-    nv = 2 * n + 1  # u_0..u_{n-1}, v_0..v_{n-1}, xi
-    xi = MultiPoly.variable(nv, 2 * n)
-    seg = [
-        MultiPoly.variable(nv, j) + xi * MultiPoly.variable(nv, n + j)
-        for j in range(n)
-    ]
-    pow_cache: dict = {}
-
-    def seg_pow(j, e):
-        key = (j, e)
-        if key not in pow_cache:
-            pow_cache[key] = seg[j] if e == 1 else seg_pow(j, e - 1) * seg[j]
-        return pow_cache[key]
-
-    out = []
-    for comp in sys.vector_field():
-        acc: dict[tuple, Fraction] = {}
-        for exps, coeff in comp.terms.items():
-            term = MultiPoly.constant(nv, coeff)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * seg_pow(j, e)
-            for texps, tc in term.terms.items():
-                acc[texps] = acc.get(texps, Fraction(0)) + tc
-        integrated = {
-            texps[:-1]: tc / (texps[-1] + 1) for texps, tc in acc.items()
-        }
-        out.append(MultiPoly(2 * n, integrated))
-    return tuple(out)
+    names = [f"x{j}" for j in range(nv)]
+    comps = []
+    for p in polys:
+        terms = []
+        for exps, coeff in sorted(p.terms.items()):
+            factors = [names[j] if e == 1 else f"{names[j]}**{e}" for j, e in enumerate(exps) if e]
+            if coeff != 1 or not factors:
+                factors.append(repr(float(coeff)))
+            terms.append("*".join(factors))
+        comps.append(" + ".join(terms) or "0.0")
+    src = f"def evaluate({', '.join(names)}):\n    return ({', '.join(comps)},)\n"
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["evaluate"]
 
 
 @lru_cache(maxsize=64)
-def _field(sys: HamiltonianSystem) -> _Compiled:
-    return _Compiled(sys.vector_field(), sys.dim)
-
-
-@lru_cache(maxsize=64)
-def _field_jac(sys: HamiltonianSystem) -> _Compiled:
+def _scalar_field(sys: HamiltonianSystem) -> tuple:
+    """(f, J_f) as plain-float functions of the state; J_f is flat, row-major."""
     n = sys.dim
     f = sys.vector_field()
-    return _Compiled([f[a].partial(b) for a in range(n) for b in range(n)], n)
+    jac = [f[a].partial(b) for a in range(n) for b in range(n)]
+    return _scalar_function(f, n), _scalar_function(jac, n)
 
 
 @lru_cache(maxsize=64)
-def _averaged(sys: HamiltonianSystem) -> _Compiled:
-    return _Compiled(_averaged_field_polys(sys), 2 * sys.dim)
-
-
-@lru_cache(maxsize=64)
-def _averaged_jac(sys: HamiltonianSystem) -> _Compiled:
-    # partials with respect to the v block only: d(step)/dy' at fixed y
-    n = sys.dim
-    avg = _averaged_field_polys(sys)
-    return _Compiled(
-        [avg[a].partial(n + b) for a in range(n) for b in range(n)], 2 * n
-    )
-
-
-@lru_cache(maxsize=64)
-def _energy(sys: HamiltonianSystem) -> _Compiled:
-    return _Compiled((sys.H,), sys.dim)
+def _energy_terms(sys: HamiltonianSystem) -> tuple:
+    """Exponent matrix and float coefficients of H, for batches of states."""
+    items = sorted(sys.H.terms.items()) or [((0,) * sys.dim, Fraction(0))]
+    E = np.array([exps for exps, _ in items], dtype=np.float64)
+    return E, np.array([float(c) for _, c in items])
 
 
 # ---------------------------------------------------------------------------
 # tableaux
+
+
+@lru_cache(maxsize=64)
+def _gauss_rule(s: int) -> QuadRule:
+    return quad_rule(s, 0)
+
+
+@lru_cache(maxsize=64)
+def _float_nodes(rule: QuadRule) -> tuple:
+    """((c_j, b_j), ...) as floats, converted once per rule."""
+    return tuple((float(cj), float(bj)) for cj, bj in zip(rule.c, rule.b))
 
 
 def avf_tableau(rule: QuadRule) -> ButcherTableau:
@@ -212,51 +155,64 @@ def avf_tableau(rule: QuadRule) -> ButcherTableau:
     """
     with mp.workdps(rule.precision_digits + 10):
         A = [[ci * bj for bj in rule.b] for ci in rule.c]
-        return ButcherTableau(A, rule.b, rule.c, rule.precision_digits)
+        return ButcherTableau(A, rule.b, rule.c, rule.precision_digits, rule=rule)
 
 
 def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
     """Implicit midpoint: the one-stage Gauss tableau, used as a control."""
     half = mp.mpf(1) / 2
-    return ButcherTableau([[half]], [mp.mpf(1)], [half], precision_digits)
+    return ButcherTableau(
+        [[half]], [mp.mpf(1)], [half], precision_digits, rule=_gauss_rule(1)
+    )
 
 
 # ---------------------------------------------------------------------------
 # implicit solve driver
 
 
-def _implicit_solve(x0, phi, phi_jac, cfg: SolverConfig):
-    """Solve x = phi(x) to cfg.tolerance in the max norm.
+def _implicit_solve(x, phi, phi_jac, cfg: SolverConfig, scale: float = 1.0):
+    """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
-    Fixed-point sweeps while the residual shrinks by _STALL_FACTOR per
-    iteration; otherwise Newton on F(x) = phi(x) - x with J_F = Jphi - I.
+    x is the start of the step for every unknown; phi(x) is then the Euler
+    predictor.  Fixed-point sweeps run while the residual shrinks by
+    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x with
+    J_F = Jphi - I.  An overflowing field, a non-finite iterate and a
+    singular Newton matrix end the solve with SolverError.
     Returns (solution, StepStats).
     """
-    x = np.array(x0, dtype=np.float64)
     use_newton = cfg.strategy == "newton"
     allow_newton = cfg.strategy != "fixed-point"
-    prev_res = np.inf
+    prev_res = res = math.inf
     newton_iters = 0
-    res = np.inf
-    eye = np.eye(len(x))
-    for it in range(1, cfg.max_iterations + 1):
-        fx = phi(x)
-        r = fx - x
-        res = float(np.max(np.abs(r)))
-        if res <= cfg.tolerance:
-            return fx, StepStats(it, newton_iters, res)
-        if use_newton:
-            x = x - np.linalg.solve(phi_jac(x) - eye, r)
-            newton_iters += 1
-        else:
-            x = fx
-            if allow_newton and res > _STALL_FACTOR * prev_res:
-                use_newton = True
-        prev_res = res
+    try:
+        x = phi(x)
+        for it in range(1, cfg.max_iterations + 1):
+            fx = phi(x)
+            if not all(map(math.isfinite, fx)):
+                raise SolverError(
+                    f"non-finite iterate at iteration {it}", iterate=np.array(x), residual=math.inf
+                )
+            res = scale * max(abs(a - b) for a, b in zip(fx, x))
+            if res <= cfg.tolerance:
+                return fx, StepStats(it, newton_iters, res)
+            if use_newton:
+                m = len(x)
+                J = np.reshape(phi_jac(x), (m, m)) - np.eye(m)
+                x = (np.asarray(x) - np.linalg.solve(J, np.subtract(fx, x))).tolist()
+                newton_iters += 1
+            else:
+                x = fx
+                if allow_newton and res > _STALL_FACTOR * prev_res:
+                    use_newton = True
+            prev_res = res
+    except OverflowError as e:
+        raise SolverError(f"field evaluation overflowed: {e}", iterate=np.array(x), residual=res) from e
+    except np.linalg.LinAlgError as e:
+        raise SolverError(f"Newton matrix is singular: {e}", iterate=np.array(x), residual=res) from e
     raise SolverError(
         f"no convergence after {cfg.max_iterations} iterations "
         f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
-        iterate=x,
+        iterate=np.array(x),
         residual=res,
     )
 
@@ -265,71 +221,116 @@ def _implicit_solve(x0, phi, phi_jac, cfg: SolverConfig):
 # steps
 
 
-def _avf_step_stats(sys, y, h, cfg):
-    avg = _averaged(sys)
+def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Callable:
+    """Rank-one step on the chord: every stage is Y_j = y + c_j (z - y).
+
+    The s*d stage system collapses to the d unknowns of the endpoint
+    z = y + h sum_j b_j f(Y_j); its Newton matrix is h sum_j b_j c_j J_f(Y_j).
+    scale = max|c_j| makes the residual the stage system's max over stages.
+    """
+    nodes = _float_nodes(rule)
+    f, jac = _scalar_field(sys)
     n = sys.dim
+
+    def step(y, h, cfg):
+        weighted = [(cj, h * bj) for cj, bj in nodes]
+
+        def phi(z):
+            d = [zk - yk for zk, yk in zip(z, y)]
+            acc = [0.0] * n
+            for cj, hbj in weighted:
+                F = f(*[yk + cj * dk for yk, dk in zip(y, d)])
+                acc = [a + hbj * v for a, v in zip(acc, F)]
+            return [yk + a for yk, a in zip(y, acc)]
+
+        def phi_jac(z):
+            d = [zk - yk for zk, yk in zip(z, y)]
+            acc = [0.0] * (n * n)
+            for cj, hbj in weighted:
+                Jf = jac(*[yk + cj * dk for yk, dk in zip(y, d)])
+                acc = [a + hbj * cj * v for a, v in zip(acc, Jf)]
+            return acc
+
+        z, stats = _implicit_solve(y, phi, phi_jac, cfg, scale)
+        # the update y + h b^T f(Y) at the converged stages, as the stage path
+        return phi(z), stats
+
+    return step
+
+
+def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
+    """Any other tableau: the s*d stage system, stages solved simultaneously."""
+    n, s = sys.dim, tab.s
+    A = np.array([[float(x) for x in row] for row in tab.A])
+    b = np.array([float(x) for x in tab.b])
+    f, jac = _scalar_field(sys)
+
+    def at_stages(g, x):
+        return np.array([g(*x[j * n : (j + 1) * n]) for j in range(s)])
+
+    def step(y, h, cfg):
+        y = np.asarray(y)
+
+        def phi(x):
+            return (y + h * (A @ at_stages(f, x))).ravel().tolist()
+
+        def phi_jac(x):
+            big = h * A[:, :, None, None] * at_stages(jac, x).reshape(1, s, n, n)
+            return big.transpose(0, 2, 1, 3).reshape(s * n, s * n)
+
+        sol, stats = _implicit_solve(np.tile(y, s).tolist(), phi, phi_jac, cfg)
+        return (y + h * (b @ at_stages(f, sol))).tolist(), stats
+
+    return step
+
+
+def _resolve_stepper(sys, method) -> Callable:
+    """stepper(y, h, cfg) -> (state list, StepStats) for a method."""
+    if isinstance(method, str):
+        if method == "avf":
+            # Gauss with s nodes integrates the degree deg H - 1 chord exactly
+            s = max(1, math.ceil(sys.H.degree() / 2))
+            return _chord_stepper(sys, _gauss_rule(s), 1.0)
+        if method == "midpoint":
+            return _resolve_stepper(sys, midpoint_tableau())
+        raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
+    if isinstance(method, ButcherTableau):
+        if method.rule is not None:
+            return _chord_stepper(sys, method.rule, max(abs(float(ci)) for ci in method.c))
+        return _stage_stepper(sys, method)
+    if isinstance(method, QuadRule):
+        raise TypeError("pass avf_tableau(rule), not the rule itself")
+    raise TypeError(f"cannot interpret {type(method).__name__} as a method")
+
+
+def _checked_start(sys: HamiltonianSystem, y, h) -> tuple:
+    """(state as a list of floats, h as a float), rejecting bad input."""
+    if h == 0:
+        raise ValueError("step size must be nonzero")
+    if not math.isfinite(h):
+        raise ValueError("step size must be finite")
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError(f"state must have length {n}")
-    buf = np.empty(2 * n)
-    buf[:n] = y
+    if y.shape != (sys.dim,):
+        raise ValueError(f"state must have length {sys.dim}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("state must be finite")
+    return y.tolist(), float(h)
 
-    def phi(x):
-        buf[n:] = x - y
-        return y + h * avg(buf)
 
-    def phi_jac(x):
-        buf[n:] = x - y
-        return h * _averaged_jac(sys)(buf).reshape(n, n)
-
-    buf[n:] = 0.0
-    x0 = y + h * avg(buf)  # Euler predictor: average over the trivial chord
-    return _implicit_solve(x0, phi, phi_jac, cfg)
+def _single_step(sys, method, y, h, cfg):
+    y, h = _checked_start(sys, y, h)
+    state, _ = _resolve_stepper(sys, method)(y, h, cfg or SolverConfig())
+    return np.array(state)
 
 
 def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = None):
     """One chord-averaged step; exact energy preservation up to solver tolerance.
 
-    For quadratic H the averaged field is f evaluated at the chord midpoint,
-    so this coincides with the implicit midpoint step.
+    The chord average is taken by the Gauss rule of ceil(deg H / 2) nodes,
+    which is exact for it.  For quadratic H that is the one-node rule, so
+    this coincides with the implicit midpoint step.
     """
-    if h == 0:
-        raise ValueError("step size must be nonzero")
-    state, _ = _avf_step_stats(sys, y, h, cfg or SolverConfig())
-    return state
-
-
-def _tableau_arrays(tab: ButcherTableau):
-    A = np.array([[float(x) for x in row] for row in tab.A])
-    b = np.array([float(x) for x in tab.b])
-    c = np.array([float(x) for x in tab.c])
-    return A, b, c
-
-
-def _rk_step_stats(sys, tab, y, h, cfg):
-    n = sys.dim
-    s = tab.s
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError(f"state must have length {n}")
-    A, b, _ = _tableau_arrays(tab)
-    field = _field(sys)
-    jac = _field_jac(sys)
-
-    def phi(x):
-        F = field.batch(x.reshape(s, n))
-        return (y[None, :] + h * (A @ F)).ravel()
-
-    def phi_jac(x):
-        Jf = jac.batch(x.reshape(s, n)).reshape(s, n, n)
-        big = h * A[:, :, None, None] * Jf[None, :, :, :]
-        return big.transpose(0, 2, 1, 3).reshape(s * n, s * n)
-
-    fy = field(y)
-    x0 = (y[None, :] + h * np.outer(A.sum(axis=1), fy)).ravel()
-    sol, stats = _implicit_solve(x0, phi, phi_jac, cfg)
-    F = field.batch(sol.reshape(s, n))
-    return y + h * (b @ F), stats
+    return _single_step(sys, "avf", y, h, cfg)
 
 
 def rk_step(
@@ -339,11 +340,8 @@ def rk_step(
     h: float,
     cfg: SolverConfig | None = None,
 ):
-    """One implicit Runge-Kutta step, stages solved simultaneously."""
-    if h == 0:
-        raise ValueError("step size must be nonzero")
-    state, _ = _rk_step_stats(sys, tab, y, h, cfg or SolverConfig())
-    return state
+    """One implicit Runge-Kutta step; rank-one tableaux solve on the chord."""
+    return _single_step(sys, tab, y, h, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +367,13 @@ class IntegrationRun:
 
     @property
     def energies(self) -> np.ndarray:
-        return _energy(self.system).batch(np.stack(self.states))[:, 0]
+        E, coeffs = _energy_terms(self.system)
+        X = np.stack(self.states)
+        return np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ coeffs
 
     def max_energy_drift(self) -> float:
         e = self.energies
         return float(np.max(np.abs(e - e[0])))
-
-
-def _resolve_stepper(sys, method) -> Callable:
-    if isinstance(method, str):
-        if method == "avf":
-            return lambda y, h, cfg: _avf_step_stats(sys, y, h, cfg)
-        if method == "midpoint":
-            tab = midpoint_tableau()
-            return lambda y, h, cfg: _rk_step_stats(sys, tab, y, h, cfg)
-        raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
-    if isinstance(method, ButcherTableau):
-        return lambda y, h, cfg: _rk_step_stats(sys, method, y, h, cfg)
-    if isinstance(method, QuadRule):
-        raise TypeError("pass avf_tableau(rule), not the rule itself")
-    raise TypeError(f"cannot interpret {type(method).__name__} as a method")
 
 
 def integrate(
@@ -402,13 +387,11 @@ def integrate(
     """Repeated stepping from y0; method is 'avf', 'midpoint', or a tableau."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if h == 0:
-        raise ValueError("step size must be nonzero")
+    y, h = _checked_start(sys, y0, h)
     cfg = cfg or SolverConfig()
     stepper = _resolve_stepper(sys, method)
-    y = np.asarray(y0, dtype=np.float64)
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     stats = []
     for k in range(n_steps):
         try:

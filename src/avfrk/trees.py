@@ -280,11 +280,17 @@ class Forest(tuple):
 
 
 class ButcherTableau:
-    """Runge-Kutta coefficients (A, b, c) in high-precision floats."""
+    """Runge-Kutta coefficients (A, b, c) in high-precision floats.
 
-    __slots__ = ("s", "A", "b", "c", "precision_digits")
+    `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
+    the constructors of rank-one tableaux; None for any other tableau.
+    """
 
-    def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50):
+    __slots__ = ("s", "A", "b", "c", "precision_digits", "rule")
+
+    def __init__(
+        self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50, rule=None
+    ):
         s = len(b)
         if len(c) != s or len(A) != s or any(len(row) != s for row in A):
             raise ValueError("inconsistent tableau dimensions")
@@ -294,6 +300,7 @@ class ButcherTableau:
         object.__setattr__(self, "b", tuple(conv(x) for x in b))
         object.__setattr__(self, "c", tuple(conv(x) for x in c))
         object.__setattr__(self, "precision_digits", precision_digits)
+        object.__setattr__(self, "rule", rule)
 
     def __setattr__(self, *a):
         raise AttributeError("ButcherTableau is immutable")

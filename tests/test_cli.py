@@ -244,7 +244,29 @@ class TestIntegrate:
         )
         err = capsys.readouterr().err
         assert code == 5
-        assert "solver failed at step 0" in err
+        assert "solver failed at step 0: no convergence" in err
+
+    def test_singular_newton_is_solver_failure(self, capsys, tmp_path):
+        # H = (p^2 - q^2)/2 at h = 2: the sweep stalls and h/2 J_f - I is singular
+        saddle = {
+            "half_dim": 1,
+            "terms": [
+                {"exponents": [0, 2], "coeff": "1/2"},
+                {"exponents": [2, 0], "coeff": "-1/2"},
+            ],
+        }
+        path = tmp_path / "saddle.json"
+        path.write_text(json.dumps(saddle))
+        code = main(["integrate", str(path), "--y0", "1,0", "--h", "2", "--steps", "3"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "solver failed at step 0: Newton matrix is singular" in err
+
+    def test_non_finite_state_is_input_error(self, capsys, quartic_file):
+        code = main(["integrate", quartic_file, "--y0", "nan,0.5", "--h", "0.1", "--steps", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "finite" in err
 
     def test_y0_required(self, quartic_file):
         with pytest.raises(SystemExit) as exc_info:

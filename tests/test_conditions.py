@@ -145,6 +145,14 @@ class TestPolyResidualStructure:
             rhs = rPQ + mpf_of(lam) * double_bush_poly_residual(A, rule, R, Q)
             assert abs(lhs - rhs) < mp.mpf("1e-42")
 
+    def test_zero_polynomial(self):
+        # P + lam R can cancel to the zero polynomial, which vanishes at 0
+        rule = quad_rule(2, Fraction(1, 2))
+        A = [[mp.mpf(1) / 4] * 2] * 2
+        Q = UniPoly([0, 1, 2])
+        assert double_bush_poly_residual(A, rule, UniPoly([]), Q) == 0
+        assert triple_bush_residual(A, rule, UniPoly([]), Q, Q) == 0
+
     def test_diagonal_vanishes(self):
         rng = random.Random(55)
         rule = quad_rule(2, 0)

@@ -1,4 +1,6 @@
 import io
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from avfrk.integrators import (
 )
 from avfrk.quadrature import quad_rule
 from avfrk.trees import ButcherTableau
+from _util import random_system
 
 F = Fraction
 
@@ -82,7 +85,10 @@ class TestSingleSteps:
         y0 = np.array([0.7, -0.3])
         ya = avf_step(HARMONIC, y0, 0.05)
         ym = rk_step(HARMONIC, midpoint_tableau(), y0, 0.05)
+        mid = midpoint_tableau()
+        ys = rk_step(HARMONIC, ButcherTableau(mid.A, mid.b, mid.c), y0, 0.05)
         assert np.max(np.abs(ya - ym)) < 1e-13
+        assert np.max(np.abs(ya - ys)) < 1e-13
 
     def test_explicit_euler_tableau(self):
         euler = ButcherTableau(((mp.mpf(0),),), (mp.mpf(1),), (mp.mpf(0),))
@@ -186,6 +192,28 @@ class TestIntegrate:
         assert all(st.newton_iterations >= 1 for st in run.solver_stats)
 
 
+class TestChordMatchesStages:
+    """Rank-one tableaux solve on the chord; the same A, b, c without the
+    rule take the full stage system, which is the reference here."""
+
+    @pytest.mark.parametrize("strategy", ["fixed-point+newton", "newton"])
+    def test_random_systems(self, strategy):
+        rng = random.Random(3252)
+        cfg = SolverConfig(strategy=strategy)
+        for case, zeta in enumerate([0, 0, F(1, 2), -1, 0, F(1, 2), -1, 0]):
+            degree = 3 + case % 4
+            sys_ = random_system(rng, 1 + case // 4, degree)
+            y0 = [rng.randint(10, 45) / 100 for _ in range(sys_.dim)]
+            tab = avf_tableau(quad_rule(math.ceil(degree / 2), zeta))
+            stages = ButcherTableau(tab.A, tab.b, tab.c, tab.precision_digits)
+            chord = integrate(sys_, tab, y0, 0.05, 60, cfg)
+            full = integrate(sys_, stages, y0, 0.05, 60, cfg)
+            assert np.max(np.abs(chord.states[-1] - full.states[-1])) < 1e-13, case
+            assert [st.iterations for st in chord.solver_stats] == [
+                st.iterations for st in full.solver_stats
+            ], case
+
+
 class TestSolverFailure:
     def test_error_carries_context(self):
         with pytest.raises(SolverError) as exc_info:
@@ -195,6 +223,42 @@ class TestSolverFailure:
         assert err.iterate is not None and len(err.iterate) == 2
         assert err.residual > 0
         assert "1 iteration" in str(err)
+
+    @pytest.mark.parametrize(
+        "sys_, y0, reason",
+        [
+            (QUARTIC, [1e120, 0.0], "overflow"),  # q**3 raises OverflowError
+            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], "non-finite"),  # q**2 * p is inf
+        ],
+    )
+    def test_overflow_is_solver_error(self, sys_, y0, reason):
+        with pytest.raises(SolverError) as exc_info:
+            integrate(sys_, "avf", y0, 0.1, 5)
+        assert exc_info.value.step_index == 0
+        assert reason in str(exc_info.value)
+
+    @pytest.mark.parametrize("method", ["avf", "stages"])
+    def test_singular_newton_is_solver_error(self, method):
+        # f = (p, q) and h = 2 make h/2 J_f - I exactly singular
+        saddle = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2)})
+        if method == "stages":
+            mid = midpoint_tableau()
+            method = ButcherTableau(mid.A, mid.b, mid.c)
+        with pytest.raises(SolverError) as exc_info:
+            integrate(saddle, method, [1.0, 0.0], 2.0, 3, SolverConfig(strategy="newton"))
+        assert exc_info.value.step_index == 0
+        assert "singular" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]
+    )
+    def test_non_finite_input_rejected(self, y0, h):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(QUARTIC, "avf", y0, h, 5)
+        with pytest.raises(ValueError, match="finite"):
+            avf_step(QUARTIC, y0, h)
+        with pytest.raises(ValueError, match="finite"):
+            rk_step(QUARTIC, midpoint_tableau(), y0, h)
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
