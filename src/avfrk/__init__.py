@@ -11,7 +11,6 @@ from .conditions import (
     KernelElement,
     KernelStructureError,
     MOperator,
-    RankAmbiguityError,
     asym_bush_residual,
     build_M,
     build_p_tilde,
@@ -31,7 +30,6 @@ from .hamiltonian import (
     gradient,
     hamiltonian_from_json,
     line_average,
-    vector_field,
 )
 from .integrators import (
     IntegrationRun,

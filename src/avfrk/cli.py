@@ -21,7 +21,6 @@ from mpmath import mp
 
 from .conditions import (
     KernelStructureError,
-    RankAmbiguityError,
     asym_bush_residual,
     build_M,
     double_bush_residual,
@@ -119,7 +118,10 @@ def cmd_quad(args) -> int:
         "c": [_dec(x, args) for x in rule.c],
         "b": [_dec(x, args) for x in rule.b],
         "order": rule.order,
+        "in_unit_interval": rule.in_unit_interval,
     }
+    if not rule.in_unit_interval:
+        print(f"warning: zeta = {args.zeta} puts nodes outside [0, 1]", file=sys.stderr)
     rows = [["i", "c", "b"]] + [
         [i + 1, _dec(rule.c[i], args), _dec(rule.b[i], args)] for i in range(rule.s)
     ]
@@ -468,8 +470,6 @@ def main(argv=None) -> int:
         return _fail("--precision must be at least 10", EXIT_INPUT)
     try:
         return args.func(args)
-    except RankAmbiguityError as e:
-        return _fail(f"{e}", EXIT_PRECISION)
     except KernelStructureError as e:
         return _fail(f"{e} (try a higher --precision)", EXIT_PRECISION)
     except QuadratureError as e:

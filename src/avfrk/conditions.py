@@ -8,12 +8,17 @@ shows that only beta = 0, i.e. the averaged-vector-field matrix c b^T,
 preserves energy for the full polynomial degree.
 
 All discrete inner products that enter the operator are rational numbers and
-are computed exactly; floating work happens at the rule's precision.
+are computed exactly.  The operator's rank, its kernel basis, the check of
+the closed-form kernel factors and the zero-row-sum kernel direction are
+exact as well: fraction-free elimination over Q, with no tolerance.  The
+nonlinear residuals and the sweep's fit are evaluated in floating point at
+the rule's precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp
 
@@ -29,7 +34,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "RankAmbiguityError",
     "KernelStructureError",
     "double_bush_residual",
     "double_bush_poly_residual",
@@ -50,10 +54,6 @@ _ONE = UniPoly([1])
 _MONOMIAL_X = UniPoly([0, 1])
 
 
-class RankAmbiguityError(RuntimeError):
-    """A pivot falls inside the ambiguity band; raise precision and retry."""
-
-
 class KernelStructureError(RuntimeError):
     """The kernel lacks the expected dimension or factor structure."""
 
@@ -71,10 +71,6 @@ def _exact_fraction(x):
     sign, man, exp, _ = x._mpf_
     f = Fraction(-man if sign else man)
     return f * Fraction(2) ** exp if exp >= 0 else f / Fraction(2) ** (-exp)
-
-
-def _max_abs(M):
-    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
 
 
 def _as_matrix(A, s):
@@ -209,22 +205,55 @@ def asym_bush_residual(A, rule, q: int):
 # the double-bush operator in the Legendre tableau basis
 
 
+def _eliminate(rows, ncols):
+    """Exact rank, pivot columns and null space of a rational matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on the rows scaled to
+    integers: every entry of the reduced form is a minor of the scaled
+    matrix, so each division by the previous pivot is exact, and all pivots
+    end equal to the last one, d.  Returns (pivots, null) where null holds
+    one Fraction vector per free column f, with x_f = 1.
+    """
+    A = []
+    for r in rows:
+        den = lcm(*(Fraction(x).denominator for x in r))
+        row = [int(x * den) for x in r]
+        if any(row):
+            A.append(row)
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        top = A[r]
+        piv = top[c]
+        for i, row in enumerate(A):
+            if i != r:
+                f = row[c]
+                A[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        A[r + 1 :] = [row for row in A[r + 1 :] if any(row)]
+        prev = piv
+        pivots.append(c)
+    null = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(A, pivots):
+            x[c] = Fraction(-row[f], prev)
+        null.append(x)
+    return pivots, null
+
+
 def _solve_fraction(rows, rhs):
-    """Exact Gaussian elimination; returns x with rows @ x = rhs or None."""
+    """Exact solution x of the square system rows @ x = rhs, or None if singular."""
     n = len(rows)
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    pivots, null = _eliminate([list(r) + [-v] for r, v in zip(rows, rhs)], n + 1)
+    if pivots != list(range(n)):
+        return None
+    return null[0][:n]
 
 
 def build_p_tilde(rule: QuadRule) -> UniPoly:
@@ -456,90 +485,31 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
                 X[i, k] = legendre(k)(rule.c[i])
             for l in range(s):
                 Yb[i, l] = rule.b[i] * fam[l].derivative()(rule.c[i])
-        op = MOperator(rule, m, kind, rows, matrix, w, matrix_exact, w_exact, fam, X, Yb)
-        defect = _max_abs(op.residual_vector(_avf_matrix(rule)))
-        if defect > mp.mpf(10) ** (-rule.precision_digits + 10):
-            raise KernelStructureError(
-                f"known solution violates the conditions by {mp.nstr(defect, 5)}"
-            )
-    return op
+    # c b^T has coordinates 1/4 in slots (1,1) and (2,1) (avf_coords)
+    for (p, q), row, wv in zip(rows, matrix_exact, w_exact):
+        if (row[0] + row[s]) / 4 != wv:
+            raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
+    return MOperator(rule, m, kind, rows, matrix, w, matrix_exact, w_exact, fam, X, Yb)
 
 
 # ---------------------------------------------------------------------------
 # rank and kernel
 
 
-def _cpqr(A):
-    """Householder triangularization with column pivoting.
-
-    Returns (Qfull, R, perm, pivots) with A[:, perm] = Qfull @ R; pivots are
-    the trailing column norms at selection time, the rank-revealing scale.
-    """
-    n, k = A.rows, A.cols
-    R = A.copy()
-    Qf = mp.eye(n)
-    perm = list(range(k))
-    pivots = []
-    for t in range(min(n, k)):
-        best, bidx = mp.mpf(-1), t
-        for j in range(t, k):
-            nrm = mp.fsum(R[i, j] ** 2 for i in range(t, n))
-            if nrm > best:
-                best, bidx = nrm, j
-        if bidx != t:
-            for i in range(n):
-                R[i, t], R[i, bidx] = R[i, bidx], R[i, t]
-            perm[t], perm[bidx] = perm[bidx], perm[t]
-        normx = mp.sqrt(mp.fsum(R[i, t] ** 2 for i in range(t, n)))
-        pivots.append(normx)
-        if normx == 0:
-            continue
-        v = [R[i, t] for i in range(t, n)]
-        v[0] += normx if v[0] >= 0 else -normx
-        vnorm2 = mp.fsum(vi**2 for vi in v)
-        if vnorm2 == 0:
-            continue
-        for j in range(t, k):
-            dot = mp.fsum(v[i] * R[t + i, j] for i in range(len(v)))
-            f = 2 * dot / vnorm2
-            for i in range(len(v)):
-                R[t + i, j] -= f * v[i]
-        for row in range(n):
-            dot = mp.fsum(Qf[row, t + i] * v[i] for i in range(len(v)))
-            f = 2 * dot / vnorm2
-            for i in range(len(v)):
-                Qf[row, t + i] -= f * v[i]
-    return Qf, R, perm, pivots
-
-
-def _numerical_rank(pivots, tol):
-    """(rank, ambiguous) from pivot ratios against the [tol/100, tol*100] band."""
-    pmax = max(pivots) if pivots else mp.mpf(0)
-    if pmax == 0:
-        return 0, False
-    rank = 0
-    ambiguous = False
-    for p in pivots:
-        ratio = p / pmax
-        if tol / 100 <= ratio <= tol * 100:
-            ambiguous = True
-        if ratio > tol:
-            rank += 1
-    return rank, ambiguous
-
-
 class KernelElement:
     """A kernel direction, optionally with rank-one factor coordinates.
 
-    u holds coefficients over P_0..P_{s-1} for the left factor and v over
-    P_1'..P_s' for the right one, so the matrix is U(c) b^T V(C); v0 is the
-    dependent constant-slot coefficient -sum(v).
+    coords is the exact operator coordinate vector vec(alpha) of the
+    direction.  u holds coefficients over P_0..P_{s-1} for the left factor
+    and v over P_1'..P_s' for the right one, so the matrix is U(c) b^T V(C);
+    v0 is the dependent constant-slot coefficient -sum(v).
     """
 
-    __slots__ = ("matrix", "u", "v", "structured")
+    __slots__ = ("matrix", "coords", "u", "v", "structured")
 
-    def __init__(self, matrix, u=None, v=None, structured=False):
+    def __init__(self, matrix, coords, u=None, v=None, structured=False):
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "u", None if u is None else tuple(u))
         object.__setattr__(self, "v", None if v is None else tuple(v))
         object.__setattr__(self, "structured", structured)
@@ -557,13 +527,7 @@ class KernelElement:
         """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', or None."""
         if self.u is None or self.v is None:
             return None
-        U = UniPoly([0])
-        for k, uk in enumerate(self.u):
-            U = U + _exact_fraction(uk) * legendre(k)
-        V = UniPoly([0])
-        for l, vl in enumerate(self.v, start=1):
-            V = V + _exact_fraction(vl) * legendre(l).derivative()
-        return U, V
+        return _factor_polys(self.u, self.v)
 
     def __repr__(self):
         tag = "structured" if self.structured else "raw"
@@ -571,13 +535,18 @@ class KernelElement:
 
 
 class KernelBasis:
-    """Basis of ker M: element matrices plus the raw independent set."""
+    """Basis of ker M: element matrices plus the raw independent set.
 
-    __slots__ = ("elements", "raw", "structured")
+    coords holds the raw elements' exact coordinate vectors vec(alpha), one
+    per free column of the eliminated operator, with a 1 in that column.
+    """
 
-    def __init__(self, elements, raw, structured):
+    __slots__ = ("elements", "raw", "coords", "structured")
+
+    def __init__(self, elements, raw, coords, structured):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "raw", tuple(raw))
+        object.__setattr__(self, "coords", tuple(tuple(a) for a in coords))
         object.__setattr__(self, "structured", structured)
 
     def __setattr__(self, *a):
@@ -667,15 +636,21 @@ def _structural_factor_table(rule, kind):
     return [n1, p2, p3]
 
 
+def _factor_polys(u, v):
+    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', exact coefficients."""
+    U = UniPoly([0])
+    for k, uk in enumerate(u):
+        U = U + _exact_fraction(uk) * legendre(k)
+    V = UniPoly([0])
+    for l, vl in enumerate(v, start=1):
+        V = V + _exact_fraction(vl) * legendre(l).derivative()
+    return U, V
+
+
 def _factor_matrix(rule, u, v):
     """U(c) b^T V(C) from factor coordinates (exact polynomials, mpf entries)."""
     s = rule.s
-    U = UniPoly([0])
-    for k, uk in enumerate(u):
-        U = U + uk * legendre(k)
-    Vd = UniPoly([0])
-    for l, vl in enumerate(v, start=1):
-        Vd = Vd + vl * legendre(l).derivative()
+    U, Vd = _factor_polys(u, v)
     with mp.workdps(rule.precision_digits + 15):
         N = mp.matrix(s, s)
         for i in range(s):
@@ -683,6 +658,50 @@ def _factor_matrix(rule, u, v):
             for j in range(s):
                 N[i, j] = ui * rule.b[j] * Vd(rule.c[j])
         return N
+
+
+def _structured_elements(M, nullity):
+    """The closed-form factor table as kernel elements, or None if it is no exact basis.
+
+    V = sum v_l P_l' is rewritten over the right family's derivatives B_l'
+    as exact coordinates w, so vec(u (x) w) are the pair's operator
+    coordinates; the table is a basis of ker M when each of them is
+    annihilated exactly and together they have rank = nullity.
+    """
+    rule = M.rule
+    s = rule.s
+    table = _structural_factor_table(rule, M.basis_kind)
+    if len(table) != nullity:
+        return None
+    derivs = [B.derivative().coeffs for B in M.right_family]
+    fam = [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
+    vecs = []
+    for u, v in table:
+        V = _factor_polys(u, v)[1].coeffs
+        w = _solve_fraction(fam, [V[i] if i < len(V) else 0 for i in range(s)])
+        if w is None:
+            return None
+        vec = [uk * wl for uk in u for wl in w]
+        nz = [(i, x) for i, x in enumerate(vec) if x]
+        if any(sum(row[i] * x for i, x in nz) for row in M.matrix_exact):
+            return None
+        vecs.append(vec)
+    if len(_eliminate(vecs, s * s)[0]) != nullity:
+        return None
+    return [
+        KernelElement(_factor_matrix(rule, u, v), vec, u, v, True)
+        for (u, v), vec in zip(table, vecs)
+    ]
+
+
+def _alpha(vec, s):
+    """The s x s mpf coefficient matrix of an exact coordinate vector."""
+    return mp.matrix([[_to_mpf(vec[k * s + l]) for l in range(s)] for k in range(s)])
+
+
+def _fit_tol(rule):
+    """Relative tolerance of the mpf fits and defect checks: half the working digits."""
+    return mp.mpf(10) ** (-mp.mpf(rule.precision_digits) / 2)
 
 
 def _rank_one_factors(rule, K):
@@ -725,88 +744,31 @@ def _rank_one_factors(rule, K):
         return tuple(u), tuple(vv), relerr
 
 
-def rank_kernel(M: MOperator, tol=None):
-    """Numerical rank and kernel basis of the double-bush operator.
+def rank_kernel(M: MOperator):
+    """Exact rank and kernel basis of the double-bush operator.
 
-    Column-pivoted triangularization of matrix^T at working precision; the
-    relative pivot threshold defaults to 10^(-precision/2).  A pivot inside
-    [tol/100, tol*100] raises RankAmbiguityError.  The kernel is returned
-    with the closed-form factored elements whenever they reproduce the
-    computed null space; otherwise raw elements with attempted rank-one
-    factors are flagged unstructured.
+    Rank and null space come from fraction-free elimination of matrix_exact,
+    so no tolerance enters.  The kernel is returned with the closed-form
+    factored elements when they form an exact basis of it; otherwise raw
+    elements with attempted rank-one factors are flagged unstructured.
     """
     rule = M.rule
     s = rule.s
-    prec = rule.precision_digits
-    with mp.workdps(prec + 15):
-        if tol is None:
-            tol = mp.mpf(10) ** (-mp.mpf(prec) / 2)
-        else:
-            tol = mp.mpf(tol)
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        Qf, R, perm, pivots = _cpqr(M.matrix.T)
-        rank, ambiguous = _numerical_rank(pivots, tol)
-        if ambiguous:
-            pmax = max(pivots)
-            band = sorted(mp.nstr(p / pmax, 5) for p in pivots if tol / 100 <= p / pmax <= tol * 100)
-            raise RankAmbiguityError(
-                f"pivot ratios {band} fall inside the ambiguity band around "
-                f"tol = {mp.nstr(tol, 5)}; raise precision_digits"
-            )
-        nullity = s * s - rank
-        alpha_null = [Qf[:, j] for j in range(rank, s * s)]
-        scale = _max_abs(M.matrix)
-        for a in alpha_null:
-            resid = _max_abs(M.matrix * a)
-            if resid > scale * tol * 100:
-                raise KernelStructureError(
-                    f"null vector residual {mp.nstr(resid, 5)} above tolerance"
-                )
-        raw_mats = []
-        for a in alpha_null:
-            alpha = mp.matrix(s, s)
-            for k in range(s):
-                for l in range(s):
-                    alpha[k, l] = a[k * s + l]
-            raw_mats.append(M.coeffs_to_matrix(alpha))
-        table = _structural_factor_table(rule, M.basis_kind)
-        structured_ok = len(table) == nullity
-        elements = []
-        if structured_ok:
-            proj = mp.matrix(s * s, nullity)
-            for j, a in enumerate(alpha_null):
-                for i in range(s * s):
-                    proj[i, j] = a[i]
-            coords_in_null = []
-            for u, v in table:
-                Nmat = _factor_matrix(rule, u, v)
-                avec = M.coords_vec(M.coords_of(Nmat))
-                coeffs = proj.T * avec
-                resid = avec - proj * coeffs
-                if _max_abs(resid) > tol * 100 * _max_abs(avec):
-                    structured_ok = False
-                    break
-                coords_in_null.append(coeffs)
-                elements.append(KernelElement(Nmat, u, v, True))
-            if structured_ok and nullity > 0:
-                G = mp.matrix(nullity, nullity)
-                for j, cvec in enumerate(coords_in_null):
-                    for i in range(nullity):
-                        G[i, j] = cvec[i]
-                _, _, _, piv = _cpqr(G)
-                if min(piv) <= tol * max(piv):
-                    structured_ok = False
-                    elements = []
-        if not structured_ok:
+    pivots, null = _eliminate(M.matrix_exact, s * s)
+    with mp.workdps(rule.precision_digits + 15):
+        raw_mats = [M.coeffs_to_matrix(_alpha(a, s)) for a in null]
+        elements = _structured_elements(M, len(null))
+        structured = elements is not None
+        if not structured:
+            tol = _fit_tol(rule)
             elements = []
-            for Nmat in raw_mats:
+            for Nmat, a in zip(raw_mats, null):
                 u, v, relerr = _rank_one_factors(rule, Nmat)
                 good = u is not None and relerr < tol
                 elements.append(
-                    KernelElement(Nmat, u if good else None, v if good else None, False)
+                    KernelElement(Nmat, a, u if good else None, v if good else None, False)
                 )
-        return rank, KernelBasis(elements, raw_mats, structured_ok)
+    return len(pivots), KernelBasis(elements, raw_mats, null, structured)
 
 
 def expected_rank(s: int, m: int, zeta):
@@ -820,52 +782,38 @@ def expected_rank(s: int, m: int, zeta):
     return None
 
 
-def kernel_rowsum(M: MOperator, tol=None):
+def kernel_rowsum(M: MOperator):
     """The kernel direction with zero row sums, normalized by its largest entry.
 
-    Returns None in the even case, where the intersection is trivial and
-    uniqueness already follows from the linear stage.  A higher-dimensional
-    intersection raises KernelStructureError.
+    The row sums of X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0),
+    since the rule integrates the degree < s derivatives B_l' exactly and X
+    is invertible; the intersection is therefore the exact null space of
+    the s x dim(ker) system alpha_t r.  Returns None in the even case, where
+    the intersection is trivial and uniqueness already follows from the
+    linear stage.  A higher-dimensional intersection raises
+    KernelStructureError.
     """
-    rank, basis = rank_kernel(M, tol)
+    _, basis = rank_kernel(M)
     rule = M.rule
     s = rule.s
-    prec = rule.precision_digits
-    with mp.workdps(prec + 15):
-        if tol is None:
-            tol = mp.mpf(10) ** (-mp.mpf(prec) / 2)
-        else:
-            tol = mp.mpf(tol)
-        kd = len(basis.raw)
-        S = mp.matrix(s, kd)
-        for t, N in enumerate(basis.raw):
-            for i in range(s):
-                S[i, t] = mp.fsum(N[i, j] for j in range(s))
-        Qs, _, _, piv = _cpqr(S.T)
-        r_s, ambiguous = _numerical_rank(piv, tol)
-        if ambiguous:
-            raise RankAmbiguityError(
-                "row-sum intersection rank is ambiguous; raise precision_digits"
-            )
-        null_dim = kd - r_s
-        if null_dim == 0:
-            return None
-        if null_dim != 1:
-            raise KernelStructureError(
-                f"row-sum kernel intersection has dimension {null_dim}, expected 1"
-            )
-        gamma = Qs[:, r_s]
-        N = mp.matrix(s, s)
-        for t in range(kd):
-            for i in range(s):
-                for j in range(s):
-                    N[i, j] += gamma[t] * basis.raw[t][i, j]
+    r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
+    S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
+    _, null = _eliminate(S, len(basis.coords))
+    if not null:
+        return None
+    if len(null) != 1:
+        raise KernelStructureError(
+            f"row-sum kernel intersection has dimension {len(null)}, expected 1"
+        )
+    alpha = [sum(g * a[i] for g, a in zip(null[0], basis.coords)) for i in range(s * s)]
+    with mp.workdps(rule.precision_digits + 15):
+        N = M.coeffs_to_matrix(_alpha(alpha, s))
         top = max(((abs(N[i, j]), i, j) for i in range(s) for j in range(s)))
         if top[0] == 0:
             raise KernelStructureError("row-sum kernel element vanished")
         N = N / N[top[1], top[2]]
         defect = max(abs(mp.fsum(N[i, j] for j in range(s))) for i in range(s))
-        if defect > tol * 100:
+        if defect > _fit_tol(rule) * 100:
             raise KernelStructureError(
                 f"row sums of the computed element do not vanish: {mp.nstr(defect, 5)}"
             )
@@ -940,7 +888,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         )
         return report
     with mp.workdps(prec + 15):
-        tol = mp.mpf(10) ** (-mp.mpf(prec) / 2)
+        tol = _fit_tol(rule)
         N_entry = kernel_rowsum(M)
         if s == 2:
             N_sweep = _s2_rowsum_matrix(rule)

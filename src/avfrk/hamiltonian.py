@@ -22,7 +22,6 @@ __all__ = [
     "HamiltonianSystem",
     "evaluate",
     "gradient",
-    "vector_field",
     "line_average",
     "hamiltonian_from_json",
 ]
@@ -223,10 +222,6 @@ class HamiltonianSystem:
 
     def energy(self, y: Sequence) -> Fraction:
         return evaluate(self.H, y)
-
-
-def vector_field(sys: HamiltonianSystem) -> tuple:
-    return sys.vector_field()
 
 
 def _segment_power(y0: Fraction, d: Fraction, e: int) -> list:

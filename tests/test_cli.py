@@ -47,6 +47,21 @@ class TestQuad:
         assert out[2].startswith("2,0.6666666666666666666")
         assert out[2].endswith(",0.75")
 
+    def test_nodes_outside_unit_interval(self, capsys):
+        code, doc = run_json(capsys, ["quad", "--s", "3", "--zeta", "5"])
+        assert code == 0
+        assert doc["in_unit_interval"] is False
+        assert doc["c"][-1].startswith("2.04")
+        code = main(["quad", "--s", "3", "--zeta", "5", "--format", "csv"])
+        out = capsys.readouterr()
+        assert code == 0
+        assert out.err.startswith("warning:") and out.err.count("\n") == 1
+        assert out.out.splitlines()[0] == "i,c,b" and len(out.out.splitlines()) == 4
+        assert main(["quad", "--s", "3", "--zeta", "0"]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["in_unit_interval"] is True
+        assert out.err == ""
+
     def test_degenerate_zeta(self, capsys):
         code = main(["quad", "--s", "2", "--zeta", "5e9"])
         err = capsys.readouterr().err

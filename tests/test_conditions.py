@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from avfrk import conditions
 from avfrk.conditions import (
     KernelStructureError,
-    RankAmbiguityError,
     _avf_matrix,
     _factor_matrix,
-    _numerical_rank,
     _s2_rowsum_matrix,
     asym_bush_residual,
     build_M,
@@ -25,6 +24,7 @@ from avfrk.conditions import (
     uniqueness_sweep,
 )
 from avfrk.quadrature import (
+    QuadratureError,
     UniPoly,
     discrete_ip_exact,
     f_poly,
@@ -334,6 +334,24 @@ class TestBuildM:
             back = M.coeffs_to_matrix(M.coords_of(A))
             assert max_entry(back - A) < mp.mpf("1e-42")
 
+    @pytest.mark.parametrize(
+        "s,zeta,m",
+        [(3, Fraction(0), 6), (3, Fraction(1, 2), 5), (4, Fraction(0), 7), (4, Fraction(-1), 7)],
+    )
+    def test_avf_coords_match_float_basis(self, s, zeta, m):
+        # the closed form build_M checks exactly is the float basis' view of c b^T
+        M = build_M(quad_rule(s, zeta), m)
+        with mp.workdps(60):
+            assert max_entry(M.coords_of(_avf_matrix(M.rule)) - M.avf_coords()) < mp.mpf("1e-40")
+
+    def test_exact_avf_check(self, monkeypatch):
+        # an operator that c b^T does not solve exactly is refused
+        real = conditions.discrete_ip_exact
+        skewed = lambda u, v, rule: real(u, v, rule) * Fraction(1001, 1000)
+        monkeypatch.setattr(conditions, "discrete_ip_exact", skewed)
+        with pytest.raises(KernelStructureError, match="exactly"):
+            build_M(quad_rule(2, 0), 4)
+
     def test_avf_coords_slots(self):
         M = build_M(quad_rule(2, 0), 4)
         alpha = M.avf_coords()
@@ -471,18 +489,47 @@ class TestRankKernel:
                         want = U(rule.c[i]) * rule.b[j] * Vd(rule.c[j])
                         assert abs(el.matrix[i, j] - want) < mp.mpf("1e-40")
 
-    def test_tol_validation(self):
-        M = build_M(quad_rule(2, 0), 4)
-        with pytest.raises(ValueError):
-            rank_kernel(M, tol=0)
+    @pytest.mark.parametrize(
+        "s,zeta,m",
+        [(s, z, 2 * s - 1) for s in range(2, 9) for z in (Fraction(0), Fraction(1, 2), Fraction(-1))]
+        + [(s, Fraction(0), 2 * s) for s in range(2, 9)],
+    )
+    def test_exact_kernel(self, s, zeta, m):
+        rule = quad_rule(s, zeta)
+        M = build_M(rule, m)
+        rank, basis = rank_kernel(M)
+        assert rank == expected_rank(s, m, zeta)
+        assert basis.structured
+        assert basis.dim == len(basis.coords) == s * s - rank
+        for vec in basis.coords + tuple(el.coords for el in basis.elements):
+            assert any(vec)
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in M.matrix_exact)
+        # the exact coordinates are those of the mpf element matrices
+        with mp.workdps(60):
+            for el in basis.elements:
+                alpha = mp.matrix([[mpf_of(el.coords[k * s + l]) for l in range(s)] for k in range(s)])
+                back = M.coeffs_to_matrix(alpha)
+                assert max_entry(back - el.matrix) < mp.mpf("1e-40") * max_entry(el.matrix)
 
-    def test_ambiguity_detection(self):
-        pivots = [mp.mpf(1), mp.mpf("1e-25")]
-        rank, ambiguous = _numerical_rank(pivots, mp.mpf("1e-24"))
-        assert ambiguous
-        rank, ambiguous = _numerical_rank(pivots, mp.mpf("1e-10"))
-        assert not ambiguous and rank == 1
-        assert _numerical_rank([], mp.mpf("1e-10")) == (0, False)
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            # independent pairs outside the kernel
+            [([1, 0, 0], [0, 0, 1]), ([0, 1, 0], [0, 0, 1]), ([0, 0, 1], [0, 0, 1])],
+            # a kernel element three times: annihilated but of rank one
+            [([1, -1, 0], [1, 0, 0])] * 3,
+        ],
+    )
+    def test_unstructured_fallback(self, monkeypatch, wrong):
+        # a factor table that is no basis of the kernel leaves the raw null space
+        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: wrong)
+        M = build_M(quad_rule(3, Fraction(1, 2)), 5)
+        rank, basis = rank_kernel(M)
+        assert rank == 6 and basis.dim == 3
+        assert not basis.structured
+        assert all(not el.structured for el in basis.elements)
+        assert tuple(el.coords for el in basis.elements) == basis.coords
+        assert kernel_rowsum(M) is not None
 
 
 class TestKernelRowsum:
@@ -606,6 +653,7 @@ class TestUniquenessSweep:
 
 
 def test_error_types_are_distinct():
-    assert issubclass(RankAmbiguityError, RuntimeError)
+    # the CLI maps KernelStructureError to exit 4 and input errors to exit 2
     assert issubclass(KernelStructureError, RuntimeError)
-    assert not issubclass(RankAmbiguityError, KernelStructureError)
+    assert not issubclass(KernelStructureError, ValueError)
+    assert not issubclass(QuadratureError, KernelStructureError)

@@ -13,7 +13,6 @@ from avfrk.hamiltonian import (
     gradient,
     hamiltonian_from_json,
     line_average,
-    vector_field,
 )
 from _util import random_multipoly, rational_point
 
@@ -143,7 +142,7 @@ class TestVectorField:
         assert fp == MultiPoly(2, {(1, 0): -1})  # p' = -q
 
     def test_cubic(self):
-        fq, fp = vector_field(HamiltonianSystem(1, H_CUBIC))
+        fq, fp = HamiltonianSystem(1, H_CUBIC).vector_field()
         assert fq == MultiPoly(2, {(0, 1): 1})
         assert fp == MultiPoly(2, {(2, 0): -3})
 
