@@ -41,6 +41,7 @@ from .integrators import (
     convergence_errors,
     convergence_order,
     integrate,
+    log_log_slope,
     midpoint_tableau,
     rk_step,
     write_run_csv,

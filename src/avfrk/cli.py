@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 from mpmath import mp
 
 from .conditions import (
@@ -36,6 +35,7 @@ from .integrators import (
     avf_tableau,
     convergence_errors,
     integrate,
+    log_log_slope,
     midpoint_tableau,
     write_run_csv,
 )
@@ -378,9 +378,7 @@ def cmd_order(args) -> int:
         pts = convergence_errors(sys_, method, y0, args.t_end, hs, cfg)
     except SolverError as e:
         return _fail(f"solver failed at {e}", EXIT_SOLVER)
-    xs = np.log([h for h, _ in pts])
-    ys = np.log([max(err, 1e-300) for _, err in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = log_log_slope(pts)
     doc = {
         "method": args.method,
         "t_end": args.t_end,

@@ -8,11 +8,13 @@ shows that only beta = 0, i.e. the averaged-vector-field matrix c b^T,
 preserves energy for the full polynomial degree.
 
 All discrete inner products that enter the operator are rational numbers and
-are computed exactly.  The operator's rank, its kernel basis, the check of
-the closed-form kernel factors and the zero-row-sum kernel direction are
-exact as well: fraction-free elimination over Q, with no tolerance.  The
-nonlinear residuals and the sweep's fit are evaluated in floating point at
-the rule's precision.
+are computed exactly from the rule's moments, one moment row per polynomial
+(quadrature.discrete_ip_table).  The operator's rank, its kernel basis, the
+check of the closed-form kernel factors, the zero-row-sum kernel direction
+and its rank-one factors are exact as well: fraction-free elimination over
+Q and exact 2x2 minors, with no tolerance.  A uniqueness sweep factors its
+operator once.  The nonlinear residuals and the sweep's fit are evaluated in
+floating point at the rule's precision.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from mpmath import mp
 from .quadrature import (
     QuadRule,
     UniPoly,
+    _exact_fraction,
+    _scaled,
     discrete_ip_exact,
+    discrete_ip_table,
     f_poly,
     g_poly,
     gamma_lead,
@@ -64,15 +69,6 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def _exact_fraction(x):
-    """Lossless conversion to Fraction; mpf is binary man * 2^exp."""
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(-man if sign else man)
-    return f * Fraction(2) ** exp if exp >= 0 else f / Fraction(2) ** (-exp)
-
-
 def _as_matrix(A, s):
     if isinstance(A, mp.matrix):
         if (A.rows, A.cols) != (s, s):
@@ -89,13 +85,8 @@ def _as_matrix(A, s):
 
 
 def _avf_matrix(rule):
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = mp.matrix(s, s)
-        for i in range(s):
-            for j in range(s):
-                A[i, j] = rule.c[i] * rule.b[j]
-        return A
+    """c b^T in mpf."""
+    return _outer_matrix(rule, _MONOMIAL_X, _ONE)
 
 
 def _require_zero_at_origin(P, name):
@@ -214,12 +205,7 @@ def _eliminate(rows, ncols):
     end equal to the last one, d.  Returns (pivots, null) where null holds
     one Fraction vector per free column f, with x_f = 1.
     """
-    A = []
-    for r in rows:
-        den = lcm(*(Fraction(x).denominator for x in r))
-        row = [int(x * den) for x in r]
-        if any(row):
-            A.append(row)
+    A = [row for row, _ in map(_scaled, rows) if any(row)]
     pivots = []
     prev = 1
     for c in range(ncols):
@@ -270,13 +256,9 @@ def build_p_tilde(rule: QuadRule) -> UniPoly:
         raise ValueError("need s >= 2")
     if zx == -1:
         return legendre(s) - legendre(s - 1)
-    gamma = [[Fraction(0)] * s for _ in range(s - 1)]
-    for i in range(1, s - 1):
-        Fq = f_poly(s + i, s, zx)
-        for j in range(1, s + 1):
-            gamma[i - 1][j - 1] = discrete_ip_exact(legendre(j).derivative(), Fq, rule)
-    for j in range(s):
-        gamma[s - 2][j] = Fraction(1)
+    high = [f_poly(s + i, s, zx) for i in range(1, s - 1)]
+    gamma = discrete_ip_table(high, [legendre(j).derivative() for j in range(1, s + 1)], rule)
+    gamma.append([Fraction(1)] * s)
     vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
     if vbar is None:
         raise KernelStructureError(
@@ -287,9 +269,7 @@ def build_p_tilde(rule: QuadRule) -> UniPoly:
     pt = UniPoly([0])
     for l, vl in enumerate(v, start=1):
         pt = pt + vl * legendre(l)
-    ptd = pt.derivative()
-    for r in range(1, s - 1):
-        ip = discrete_ip_exact(ptd, f_poly(s + r, s, zx), rule)
+    for r, ip in enumerate(discrete_ip_table([pt.derivative()], high, rule)[0], start=1):
         if ip != 0:
             raise KernelStructureError(f"orthogonality against F_{s + r} failed: {ip}")
     if sum(v) != 0:
@@ -331,22 +311,22 @@ class MOperator:
         "m",
         "basis_kind",
         "rows",
-        "matrix",
-        "w",
         "matrix_exact",
         "w_exact",
         "right_family",
         "_X",
         "_Yb",
+        "w",
+        "_matrix",
     )
 
-    def __init__(self, rule, m, basis_kind, rows, matrix, w, matrix_exact, w_exact, right_family, X, Yb):
+    def __init__(self, rule, m, basis_kind, rows, w, matrix_exact, w_exact, right_family, X, Yb):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "matrix_exact", tuple(tuple(r) for r in matrix_exact))
         object.__setattr__(self, "w_exact", tuple(w_exact))
         object.__setattr__(self, "right_family", tuple(right_family))
@@ -363,6 +343,19 @@ class MOperator:
         )
 
     @property
+    def matrix(self):
+        """matrix_exact in mpf at the rule's working precision, converted on first use."""
+        if self._matrix is None:
+            s = self.rule.s
+            with mp.workdps(self.rule.precision_digits + 15):
+                matrix = mp.matrix(len(self.rows), s * s)
+                for i, row in enumerate(self.matrix_exact):
+                    for j, x in enumerate(row):
+                        matrix[i, j] = _to_mpf(x)
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
+
+    @property
     def n_conditions(self) -> int:
         return len(self.rows)
 
@@ -376,15 +369,7 @@ class MOperator:
         s = rule.s
         if not (1 <= k <= s and 1 <= l <= s):
             raise ValueError("basis indices out of range")
-        U = legendre(k - 1)
-        Vd = self.right_family[l - 1].derivative()
-        with mp.workdps(rule.precision_digits + 15):
-            N = mp.matrix(s, s)
-            for i in range(s):
-                ui = U(rule.c[i])
-                for j in range(s):
-                    N[i, j] = ui * rule.b[j] * Vd(rule.c[j])
-            return N
+        return _outer_matrix(rule, legendre(k - 1), self.right_family[l - 1].derivative())
 
     def coords_vec(self, alpha):
         s = self.rule.s
@@ -450,46 +435,39 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     else:
         raise ValueError(f"m must be {2 * s} or {2 * s - 1} for s = {s}")
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
-    lip = {}
-    rip = {}
-    for p in range(1, m):
-        for k in range(1, s + 1):
-            lip[p, k] = discrete_ip_exact(left[p - 1], legendre(k - 1), rule)
-        for l in range(1, s + 1):
-            rip[p, l] = discrete_ip_exact(fam[l - 1].derivative(), integ[p - 1], rule)
+    # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
+    # as integers over the common denominators dl and dr
+    lip, dl = _over_common_den(discrete_ip_table(left, [legendre(k) for k in range(s)], rule))
+    rip, dr = _over_common_den(discrete_ip_table(integ, [B.derivative() for B in fam], rule))
+    one = Fraction(1)
+    ends = [(P(one), P.integral()(one)) for P in integ]  # P(1) and int_0^1 P
     matrix_exact = []
     w_exact = []
-    one = Fraction(1)
     for p, q in rows:
+        lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
         matrix_exact.append(
-            [
-                lip[p, k] * rip[q, l] - lip[q, k] * rip[p, l]
-                for k in range(1, s + 1)
-                for l in range(1, s + 1)
-            ]
+            [Fraction(lp[k] * rq[l] - lq[k] * rp[l], dl * dr) for k in range(s) for l in range(s)]
         )
-        Pp, Qq = integ[p - 1], integ[q - 1]
-        w_exact.append(
-            Pp(one) * Qq.integral()(one) - Qq(one) * Pp.integral()(one)
-        )
+        (p1, pint), (q1, qint) = ends[p - 1], ends[q - 1]
+        w_exact.append(p1 * qint - q1 * pint)
     with mp.workdps(rule.precision_digits + 15):
-        matrix = mp.matrix(len(rows), s * s)
-        for i, row in enumerate(matrix_exact):
-            for j, x in enumerate(row):
-                matrix[i, j] = _to_mpf(x)
         w = mp.matrix([_to_mpf(x) for x in w_exact])
-        X = mp.matrix(s, s)
+        X = mp.matrix([legendre(k).values(rule.c) for k in range(s)]).T
         Yb = mp.matrix(s, s)
-        for i in range(s):
-            for k in range(s):
-                X[i, k] = legendre(k)(rule.c[i])
-            for l in range(s):
-                Yb[i, l] = rule.b[i] * fam[l].derivative()(rule.c[i])
+        for l, B in enumerate(fam):
+            for i, v in enumerate(B.derivative().values(rule.c)):
+                Yb[i, l] = rule.b[i] * v
     # c b^T has coordinates 1/4 in slots (1,1) and (2,1) (avf_coords)
     for (p, q), row, wv in zip(rows, matrix_exact, w_exact):
         if (row[0] + row[s]) / 4 != wv:
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-    return MOperator(rule, m, kind, rows, matrix, w, matrix_exact, w_exact, fam, X, Yb)
+    return MOperator(rule, m, kind, rows, w, matrix_exact, w_exact, fam, X, Yb)
+
+
+def _over_common_den(table):
+    """(integer rows, d) with table = integer rows / d, for rows of Fractions."""
+    d = lcm(*(x.denominator for row in table for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in table], d
 
 
 # ---------------------------------------------------------------------------
@@ -649,15 +627,25 @@ def _factor_polys(u, v):
 
 def _factor_matrix(rule, u, v):
     """U(c) b^T V(C) from factor coordinates (exact polynomials, mpf entries)."""
+    return _outer_matrix(rule, *_factor_polys(u, v))
+
+
+def _outer_matrix(rule, U, Vd):
+    """U(c) b^T Vd(C) in mpf."""
     s = rule.s
-    U, Vd = _factor_polys(u, v)
     with mp.workdps(rule.precision_digits + 15):
+        uc, vc = U.values(rule.c), Vd.values(rule.c)
         N = mp.matrix(s, s)
         for i in range(s):
-            ui = U(rule.c[i])
             for j in range(s):
-                N[i, j] = ui * rule.b[j] * Vd(rule.c[j])
+                N[i, j] = uc[i] * rule.b[j] * vc[j]
         return N
+
+
+def _derivative_columns(polys, s):
+    """The s x len(polys) matrix whose column l holds the coefficients of polys[l]'."""
+    derivs = [B.derivative().coeffs for B in polys]
+    return [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
 
 
 def _structured_elements(M, nullity):
@@ -673,8 +661,7 @@ def _structured_elements(M, nullity):
     table = _structural_factor_table(rule, M.basis_kind)
     if len(table) != nullity:
         return None
-    derivs = [B.derivative().coeffs for B in M.right_family]
-    fam = [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
+    fam = _derivative_columns(M.right_family, s)
     vecs = []
     for u, v in table:
         V = _factor_polys(u, v)[1].coeffs
@@ -704,44 +691,26 @@ def _fit_tol(rule):
     return mp.mpf(10) ** (-mp.mpf(rule.precision_digits) / 2)
 
 
-def _rank_one_factors(rule, K):
-    """(u, v, relerr) of the best rank-one fit K ~ U(c) b^T V(C)."""
-    s = K.rows
-    with mp.workdps(rule.precision_digits + 15):
-        x = mp.matrix([mp.mpf(1)] * s)
-        sigma = mp.mpf(0)
-        for _ in range(120):
-            y = K.T * x
-            ny = mp.norm(y)
-            if ny == 0:
-                return None, None, mp.mpf(1)
-            y = y / ny
-            x = K * y
-            sigma = mp.norm(x)
-            if sigma == 0:
-                return None, None, mp.mpf(1)
-            x = x / sigma
-        y = K.T * x
-        sigma = mp.norm(y)
-        y = y / sigma
-        err = mp.mpf(0)
-        nrm = mp.mpf(0)
-        for i in range(s):
-            for j in range(s):
-                err += (K[i, j] - sigma * x[i] * y[j]) ** 2
-                nrm += K[i, j] ** 2
-        relerr = mp.sqrt(err / nrm) if nrm > 0 else mp.mpf(1)
-        Xmat = mp.matrix(s, s)
-        Ymat = mp.matrix(s, s)
-        for i in range(s):
-            for k in range(s):
-                Xmat[i, k] = legendre(k)(rule.c[i])
-                Ymat[i, k] = legendre(k + 1).derivative()(rule.c[i])
-        uvals = mp.matrix([sigma * x[i] for i in range(s)])
-        vvals = mp.matrix([y[j] / rule.b[j] for j in range(s)])
-        u = mp.lu_solve(Xmat, uvals)
-        vv = mp.lu_solve(Ymat, vvals)
-        return tuple(u), tuple(vv), relerr
+def _exact_factors(M, alpha):
+    """Exact (u, v) with X alpha Yb^T = U(c) b^T V(C), or None if alpha is not rank one.
+
+    The s x s coordinates alpha are u (x) w exactly when every 2x2 minor
+    vanishes: u is read off a nonzero column and w off the matching row.
+    w is over the right family's derivatives B_l'; V = sum w_l B_l' is
+    solved into v over P_1'..P_s'.
+    """
+    s = M.rule.s
+    a = [alpha[k * s : (k + 1) * s] for k in range(s)]
+    piv = next(((k, l) for k in range(s) for l in range(s) if a[k][l]), None)
+    if piv is None:
+        return None
+    k0, l0 = piv
+    u = [row[l0] for row in a]
+    w = [x / a[k0][l0] for x in a[k0]]
+    if any(a[k][l] != u[k] * w[l] for k in range(s) for l in range(s)):
+        return None
+    V = [sum(f * wl for f, wl in zip(row, w)) for row in _derivative_columns(M.right_family, s)]
+    return u, _solve_fraction(_derivative_columns([legendre(l) for l in range(1, s + 1)], s), V)
 
 
 def rank_kernel(M: MOperator):
@@ -749,25 +718,22 @@ def rank_kernel(M: MOperator):
 
     Rank and null space come from fraction-free elimination of matrix_exact,
     so no tolerance enters.  The kernel is returned with the closed-form
-    factored elements when they form an exact basis of it; otherwise raw
-    elements with attempted rank-one factors are flagged unstructured.
+    factored elements when they form an exact basis of it; otherwise the raw
+    null vectors, with exact factors where they are rank one, are flagged
+    unstructured.
     """
     rule = M.rule
     s = rule.s
     pivots, null = _eliminate(M.matrix_exact, s * s)
     with mp.workdps(rule.precision_digits + 15):
         raw_mats = [M.coeffs_to_matrix(_alpha(a, s)) for a in null]
-        elements = _structured_elements(M, len(null))
-        structured = elements is not None
-        if not structured:
-            tol = _fit_tol(rule)
-            elements = []
-            for Nmat, a in zip(raw_mats, null):
-                u, v, relerr = _rank_one_factors(rule, Nmat)
-                good = u is not None and relerr < tol
-                elements.append(
-                    KernelElement(Nmat, a, u if good else None, v if good else None, False)
-                )
+    elements = _structured_elements(M, len(null))
+    structured = elements is not None
+    if not structured:
+        elements = [
+            KernelElement(Nmat, a, *(_exact_factors(M, a) or (None, None)))
+            for Nmat, a in zip(raw_mats, null)
+        ]
     return len(pivots), KernelBasis(elements, raw_mats, null, structured)
 
 
@@ -782,18 +748,17 @@ def expected_rank(s: int, m: int, zeta):
     return None
 
 
-def kernel_rowsum(M: MOperator):
-    """The kernel direction with zero row sums, normalized by its largest entry.
+def _rowsum_element(M, basis):
+    """(alpha, N, lam) for the zero-row-sum direction of ker M, or None if there is none.
 
-    The row sums of X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0),
-    since the rule integrates the degree < s derivatives B_l' exactly and X
-    is invertible; the intersection is therefore the exact null space of
-    the s x dim(ker) system alpha_t r.  Returns None in the even case, where
-    the intersection is trivial and uniqueness already follows from the
-    linear stage.  A higher-dimensional intersection raises
-    KernelStructureError.
+    alpha is its exact coordinate vector and N = X alpha Yb^T / lam the mpf
+    matrix normalized by its largest entry lam.  The row sums of
+    X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0), since the rule
+    integrates the degree < s derivatives B_l' exactly and X is invertible;
+    the intersection is therefore the exact null space of the s x dim(ker)
+    system alpha_t r over the basis' coordinate vectors.  A
+    higher-dimensional intersection raises KernelStructureError.
     """
-    _, basis = rank_kernel(M)
     rule = M.rule
     s = rule.s
     r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
@@ -811,13 +776,24 @@ def kernel_rowsum(M: MOperator):
         top = max(((abs(N[i, j]), i, j) for i in range(s) for j in range(s)))
         if top[0] == 0:
             raise KernelStructureError("row-sum kernel element vanished")
-        N = N / N[top[1], top[2]]
+        lam = N[top[1], top[2]]
+        N = N / lam
         defect = max(abs(mp.fsum(N[i, j] for j in range(s))) for i in range(s))
         if defect > _fit_tol(rule) * 100:
             raise KernelStructureError(
                 f"row sums of the computed element do not vanish: {mp.nstr(defect, 5)}"
             )
-        return N
+        return alpha, N, lam
+
+
+def kernel_rowsum(M: MOperator):
+    """The kernel direction with zero row sums, normalized by its largest entry.
+
+    Returns None in the even case, where the intersection is trivial and
+    uniqueness already follows from the linear stage; see _rowsum_element.
+    """
+    found = _rowsum_element(M, rank_kernel(M)[1])
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +806,7 @@ _DEFAULT_BETAS = (Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), Fraction
 def _s2_rowsum_matrix(rule):
     """((zeta-1) 1 - 2 zeta c) b^T (I - 2C), the two-stage row-sum direction."""
     zx = rule.zeta_exact
-    with mp.workdps(rule.precision_digits + 15):
-        N = mp.matrix(2, 2)
-        for i in range(2):
-            ui = _to_mpf(zx - 1) - 2 * _to_mpf(zx) * rule.c[i]
-            for j in range(2):
-                N[i, j] = ui * rule.b[j] * (1 - 2 * rule.c[j])
-        return N
+    return _outer_matrix(rule, UniPoly([zx - 1, -2 * zx]), UniPoly([1, -2]))
 
 
 def _collinearity_defect(N_canon, N_entry, s):
@@ -879,17 +849,20 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         "expected_rank": expected_rank(s, m, zx),
         "kernel_dim": len(basis),
     }
+    rowsum = _rowsum_element(M, basis)
     if M.basis_kind == "even":
-        if kernel_rowsum(M) is not None:
+        if rowsum is not None:
             raise KernelStructureError("even case must have a trivial row-sum intersection")
         report["residual_fit"] = None
         report["note"] = (
             "row-sum constraint eliminates the kernel; uniqueness holds at the linear stage"
         )
         return report
+    if rowsum is None:
+        raise KernelStructureError("odd case must have a row-sum kernel direction")
+    alpha, N_entry, lam = rowsum
     with mp.workdps(prec + 15):
         tol = _fit_tol(rule)
-        N_entry = kernel_rowsum(M)
         if s == 2:
             N_sweep = _s2_rowsum_matrix(rule)
             if zx != 0:
@@ -924,17 +897,17 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
             exp_slope = 2
         else:
             N_sweep = N_entry
-            u, v, relerr = _rank_one_factors(rule, N_entry)
-            if u is None or relerr > tol:
-                raise KernelStructureError(
-                    f"row-sum kernel element is not rank one (relative error {mp.nstr(relerr, 5)})"
-                )
+            factors = _exact_factors(M, alpha)
+            if factors is None:
+                raise KernelStructureError("row-sum kernel element is not rank one")
+            u, v = factors
             p = 1 if abs(u[0]) >= abs(u[1]) else 2
-            if abs(u[p - 1]) < tol:
+            if u[p - 1] == 0:
                 raise KernelStructureError("both leading factor coefficients vanish")
             Gp = g_poly(p)
             cond = lambda A: triple_bush_residual(A, rule, Gp, Gp, _MONOMIAL_X)
-            expected = (u[p - 1] * v[s - 1] * _to_mpf(1 + zx)) ** 2 / (2 * p - 1) ** 2
+            # N_entry is the factored element divided by lam
+            expected = _to_mpf((u[p - 1] * v[s - 1] * (1 + zx)) ** 2 / (2 * p - 1) ** 2) / lam**2
             name = f"triple-bush P=Q=G_{p}, R=x"
             exp_slope = 2
         if s == 2 or zx in (0, -1):

@@ -45,6 +45,7 @@ __all__ = [
     "integrate",
     "convergence_errors",
     "convergence_order",
+    "log_log_slope",
     "write_run_csv",
 ]
 
@@ -468,8 +469,11 @@ def convergence_order(
     ref_factor: int = 20,
 ) -> float:
     """Least-squares slope of log error versus log h."""
-    pts = convergence_errors(sys, method, y0, t_end, h_list, cfg, ref_factor)
+    return log_log_slope(convergence_errors(sys, method, y0, t_end, h_list, cfg, ref_factor))
+
+
+def log_log_slope(pts) -> float:
+    """Least-squares slope of log error versus log h over (h, error) pairs."""
     xs = np.log([h for h, _ in pts])
     ys = np.log([max(err, 1e-300) for _, err in pts])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return float(np.polyfit(xs, ys, 1)[0])

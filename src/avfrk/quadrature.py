@@ -6,8 +6,12 @@ families (order 2s-1), any other real zeta still gives order 2s-1.
 Weights come from the Vandermonde system sum_i b_i c_i^(k-1) = 1/k.
 
 All polynomial families (P_q, G_q, R_l, F_q) carry exact rational
-coefficients; only node finding and inner products at the nodes use
-high-precision floats.
+coefficients.  The discrete inner product sum_i b_i u(c_i) v(c_i) of two
+such polynomials is rational too: each rule holds its exact moments
+mu_k = sum_i b_i c_i^k, and discrete_ip_exact is the bilinear form
+sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
+high-precision floats: roots are isolated exactly (Sturm) and polished by a
+float-seeded Newton iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm, ulp
 from typing import Sequence
 
 import mpmath as mp
@@ -31,6 +35,8 @@ __all__ = [
     "f_poly",
     "quad_rule",
     "discrete_ip",
+    "discrete_ip_exact",
+    "discrete_ip_table",
     "continuous_ip",
     "check_discip_lemma",
 ]
@@ -53,6 +59,14 @@ def _rat(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)  # exact binary expansion
     raise TypeError(f"cannot convert {x!r} to an exact rational; pass str or Fraction")
+
+
+def _exact_fraction(x) -> Fraction:
+    """Lossless conversion to Fraction; mpf is binary man * 2^exp."""
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 class UniPoly:
@@ -129,10 +143,18 @@ class UniPoly:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + mp.mpf(c.numerator) / c.denominator
-        return acc
+        return self.values((x,))[0]
+
+    def values(self, xs) -> list:
+        """[p(x) for x in xs] at mpf points, each coefficient converted once."""
+        cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(self.coeffs)]
+        out = []
+        for x in xs:
+            acc = mp.mpf(0)
+            for c in cs:
+                acc = acc * x + c
+            out.append(acc)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -255,40 +277,70 @@ def _isolate_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> list:
     return brackets
 
 
+def _horner(cs, x):
+    """(p(x), p'(x)) for ascending coefficients cs, in the arithmetic of x."""
+    f = df = 0 * x
+    for c in reversed(cs):
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
 def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
-    """Bisect to a narrow bracket, then Newton to 10^(-dps+2)."""
-    dp = p.derivative()
-    flo = p(lo)
-    for _ in range(80):  # exact bisection until the bracket is tiny
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            lo = hi = mid
+    """The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
+
+    A safeguarded Newton iteration in floats runs first: the bracket shrinks
+    by the sign of p, and a step leaving it is replaced by bisection.  Its
+    result seeds Newton at dps + 15 digits.  A polished root outside
+    [lo, hi] raises QuadratureError.
+    """
+    rising = p(lo) < 0
+    fcs = [float(c) for c in p.coeffs]
+    a, b = float(lo), float(hi)
+    x = (a + b) / 2
+    for _ in range(100):
+        f, df = _horner(fcs, x)
+        if f == 0:
             break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if (f > 0) == rising:
+            b = x
         else:
-            hi = mid
-        if hi - lo < Fraction(1, 10**20):
+            a = x
+        last = x
+        x = x - f / df if df else a  # a zero slope falls back to bisection
+        if not a < x < b:
+            x = (a + b) / 2
+        if abs(x - last) <= ulp(last):
             break
     with mp.workdps(dps + 15):
-        x = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
+        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        x = mp.mpf(x)
         tol = mp.mpf(10) ** (-dps + 2)
-        for _ in range(200):
-            fx = p(x)
-            if abs(fx) == 0:
+        where = f"the isolating bracket [{float(lo)}, {float(hi)}]"
+        for _ in range(50):
+            f, df = _horner(cs, x)
+            if f == 0:
                 break
-            step = fx / dp(x)
+            if df == 0:
+                raise QuadratureError(f"Newton met a critical point in {where}")
+            step = f / df
             x = x - step
             if abs(step) < tol * max(1, abs(x)):
                 break
+        else:
+            raise QuadratureError(f"Newton did not converge in {where}")
+        if not lo <= _exact_fraction(x) <= hi:
+            raise QuadratureError(f"Newton left {where}")
         return +x
 
 
 class QuadRule:
     """Quadrature rule: abscissae c, weights b, stages s, parameter zeta."""
 
-    __slots__ = ("s", "zeta", "zeta_exact", "c", "b", "order", "precision_digits", "in_unit_interval")
+    __slots__ = (
+        "s", "zeta", "zeta_exact", "c", "b", "order", "precision_digits", "in_unit_interval",
+        "_mu", "_rem",
+    )
 
     def __init__(self, s, zeta, zeta_exact, c, b, order, precision_digits, in_unit_interval):
         object.__setattr__(self, "s", s)
@@ -299,6 +351,8 @@ class QuadRule:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
+        object.__setattr__(self, "_mu", ())
+        object.__setattr__(self, "_rem", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadRule is immutable")
@@ -310,6 +364,27 @@ class QuadRule:
         """Monic node polynomial rho_s = prod (x - c_i), exact coefficients."""
         rho = legendre(self.s) - self.zeta_exact * legendre(self.s - 1)
         return rho * Fraction(1, gamma_lead(self.s))
+
+    def moments(self, n: int) -> tuple:
+        """Exact discrete moments mu_k = sum_i b_i c_i^k for k < n.
+
+        With rho the monic node polynomial, x^(k+1) mod rho =
+        x (x^k mod rho) - lead * rho, and the rule integrates that remainder
+        of degree < s exactly: mu_k = int_0^1 (x^k mod rho).  The moments are
+        held on the rule and extended on demand.
+        """
+        if len(self._mu) >= n:
+            return self._mu
+        x0 = [Fraction(1)] + [Fraction(0)] * (self.s - 1)  # x^0 mod rho
+        rho, rem = self._rem or (self.node_poly().coeffs, x0)
+        mu = list(self._mu)
+        while len(mu) < n:
+            mu.append(sum(c / (j + 1) for j, c in enumerate(rem)))
+            lead = rem[-1]
+            rem = [-lead * rho[0]] + [rem[j - 1] - lead * rho[j] for j in range(1, self.s)]
+        object.__setattr__(self, "_rem", (rho, rem))
+        object.__setattr__(self, "_mu", tuple(mu))
+        return self._mu
 
     def to_json(self) -> str:
         d = self.precision_digits
@@ -405,31 +480,39 @@ def continuous_ip(u: UniPoly, v: UniPoly) -> Fraction:
     return sum((c / (k + 1) for k, c in enumerate(prod.coeffs)), Fraction(0))
 
 
-def _poly_mod(p: UniPoly, d: UniPoly) -> UniPoly:
-    """Exact remainder of p modulo the monic divisor d."""
-    n = d.degree
-    dc = d.coeffs
-    rem = list(p.coeffs)
-    for k in range(len(rem) - 1, n - 1, -1):
-        f = rem[k]
-        if f == 0:
-            continue
-        rem[k] = Fraction(0)
-        for i in range(n):
-            rem[k - n + i] -= f * dc[i]
-    return UniPoly(rem[:n] or [Fraction(0)])
+def _scaled(coeffs):
+    """(ints, d) with coeffs = ints / d for a sequence of Fractions."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def discrete_ip_table(us, vs, rule: QuadRule) -> list:
+    """[[<u, v>_D for v in vs] for u in us] as exact rationals.
+
+    <u, v>_D = sum_(i, j) u_i v_j mu_(i+j) over the rule's moments.  Each u
+    gives one moment row h_j = sum_i u_i mu_(i+j), the discrete functional
+    g -> <u, g>_D on x^j, and each entry is that row's dot product with v;
+    the sums run over integers scaled by common denominators.
+    """
+    n = max((len(v.coeffs) for v in vs), default=0)
+    mu, dm = _scaled(rule.moments(max((len(u.coeffs) for u in us), default=0) + n - 1))
+    vs = [_scaled(v.coeffs) for v in vs]
+    out = []
+    for u in us:
+        uc, du = _scaled(u.coeffs)
+        h = [sum(a * mu[i + j] for i, a in enumerate(uc) if a) for j in range(n)]
+        out.append([Fraction(sum(x * y for x, y in zip(h, vc)), dm * du * dv) for vc, dv in vs])
+    return out
 
 
 def discrete_ip_exact(u: UniPoly, v: UniPoly, rule: QuadRule) -> Fraction:
-    """<u, v>_D as an exact rational number.
+    """<u, v>_D as an exact rational number: sum_(i, j) u_i v_j mu_(i+j).
 
-    sum_i b_i g(c_i) is unchanged by subtracting any multiple of the node
-    polynomial from g, and the remainder has degree < s, where the rule is
-    exact.  The discrete product of rational-coefficient polynomials is
-    therefore rational even when it differs from the continuous integral.
+    The moments mu_k of the rule are rational (QuadRule.moments), so the
+    discrete product of rational-coefficient polynomials is rational even
+    when it differs from the continuous integral.
     """
-    rem = _poly_mod(u * v, rule.node_poly())
-    return continuous_ip(rem, UniPoly([1]))
+    return discrete_ip_table([u], [v], rule)[0][0]
 
 
 def check_discip_lemma(rule: QuadRule, pi_m: UniPoly, theta: UniPoly):

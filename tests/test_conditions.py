@@ -10,6 +10,7 @@ from avfrk import conditions
 from avfrk.conditions import (
     KernelStructureError,
     _avf_matrix,
+    _exact_factors,
     _factor_matrix,
     _s2_rowsum_matrix,
     asym_bush_residual,
@@ -346,9 +347,9 @@ class TestBuildM:
 
     def test_exact_avf_check(self, monkeypatch):
         # an operator that c b^T does not solve exactly is refused
-        real = conditions.discrete_ip_exact
-        skewed = lambda u, v, rule: real(u, v, rule) * Fraction(1001, 1000)
-        monkeypatch.setattr(conditions, "discrete_ip_exact", skewed)
+        real = conditions.discrete_ip_table
+        skewed = lambda us, vs, rule: [[x * Fraction(1001, 1000) for x in row] for row in real(us, vs, rule)]
+        monkeypatch.setattr(conditions, "discrete_ip_table", skewed)
         with pytest.raises(KernelStructureError, match="exactly"):
             build_M(quad_rule(2, 0), 4)
 
@@ -531,6 +532,22 @@ class TestRankKernel:
         assert tuple(el.coords for el in basis.elements) == basis.coords
         assert kernel_rowsum(M) is not None
 
+    @pytest.mark.parametrize(
+        "s,zeta",
+        [(s, z) for s in range(2, 7) for z in (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3))],
+    )
+    def test_exact_factors_of_structured_elements(self, s, zeta):
+        # the factors read off the exact coordinates reproduce each closed-form pair
+        M = build_M(quad_rule(s, zeta), 2 * s - 1)
+        _, basis = rank_kernel(M)
+        assert basis.structured
+        for el in basis.elements:
+            u, v = _exact_factors(M, el.coords)
+            assert [a * b for a in u for b in v] == [a * b for a in el.u for b in el.v]
+        two = [a + b for a, b in zip(basis.elements[0].coords, basis.elements[1].coords)]
+        assert _exact_factors(M, two) is None  # a sum of two independent rank-one elements
+        assert _exact_factors(M, [Fraction(0)] * (s * s)) is None
+
 
 class TestKernelRowsum:
     def test_even_case_trivial(self):
@@ -646,6 +663,30 @@ class TestUniquenessSweep:
         report = uniqueness_sweep(quad_rule(2, Fraction(1, 2)), 3, betas=betas)
         assert report["betas"] == [0.125, 0.25, 0.5]
         assert len(report["residuals"]) == 3
+
+    @pytest.mark.parametrize("s,zeta", [(3, Fraction(1, 2)), (4, Fraction(2, 3)), (4, Fraction(-1, 3))])
+    def test_generic_zeta_fit(self, s, zeta):
+        # the exact rank-one factors give the leading coefficient the fit finds
+        fit = uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)["residual_fit"]
+        assert fit["expected_slope"] == 2
+        assert abs(fit["slope"] - 2) < 1e-6
+        assert abs(fit["coeff"] - fit["expected_coeff"]) <= 1e-9 * abs(fit["expected_coeff"])
+
+    @pytest.mark.parametrize(
+        "s,zeta,m",
+        [(2, Fraction(0), 3), (3, Fraction(1, 2), 5), (3, Fraction(-1), 5), (3, Fraction(0), 6)],
+    )
+    def test_one_factorization_per_sweep(self, monkeypatch, s, zeta, m):
+        calls = []
+        real = conditions.rank_kernel
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(conditions, "rank_kernel", counted)
+        uniqueness_sweep(quad_rule(s, zeta), m)
+        assert len(calls) == 1
 
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError):

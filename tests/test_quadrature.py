@@ -1,19 +1,25 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from avfrk.quadrature import (
+    _WINDOW,
     QuadratureError,
     QuadRule,
     UniPoly,
+    _exact_fraction,
+    _isolate_roots,
+    _polish_root,
     check_discip_lemma,
     continuous_ip,
     discrete_ip,
     discrete_ip_exact,
+    discrete_ip_table,
     f_poly,
     g_poly,
     gamma_lead,
@@ -24,11 +30,31 @@ from avfrk.quadrature import (
 from _util import random_unipoly
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
+POLISH_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2)]
 X = UniPoly([0, 1])
 
 
 def mpf_of(fr):
     return mp.mpf(fr.numerator) / fr.denominator
+
+
+@lru_cache(maxsize=None)
+def cached_rule(s, zeta):
+    return quad_rule(s, zeta)
+
+
+def remainder_ip(u, v, rule):
+    """Reference <u, v>_D: integrate u v reduced modulo the monic node polynomial."""
+    rho = rule.node_poly().coeffs
+    n = len(rho) - 1
+    rem = list((u * v).coeffs)
+    for k in range(len(rem) - 1, n - 1, -1):
+        f = rem[k]
+        rem[k] = Fraction(0)
+        for i in range(n):
+            rem[k - n + i] -= f * rho[i]
+    return sum((c / (k + 1) for k, c in enumerate(rem[:n])), Fraction(0))
 
 
 class TestUniPoly:
@@ -214,7 +240,86 @@ class TestQuadRule:
             rule.order = 7
 
 
+class TestNodePolish:
+    @pytest.mark.parametrize("dps", [20, 50, 80])
+    def test_nodes_in_brackets_and_match_polyroots(self, dps):
+        for s in range(1, 11):
+            for zeta in POLISH_ZETAS:
+                rule = quad_rule(s, zeta, dps)
+                rho = legendre(s) - zeta * legendre(s - 1)
+                brackets = _isolate_roots(rho, *_WINDOW)
+                with mp.workdps(dps + 30):
+                    coeffs = [mpf_of(c) for c in reversed(rho.coeffs)]
+                    ref = sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=200))
+                    assert len(rule.c) == len(brackets) == len(ref) == s
+                    for c, (lo, hi), r in zip(rule.c, brackets, ref):
+                        assert lo <= _exact_fraction(c) <= hi, (s, zeta, dps)
+                        assert abs(c - r) < mp.mpf(10) ** -(dps + 5), (s, zeta, dps)
+
+    @pytest.mark.parametrize("dps", [20, 50, 80])
+    def test_radau_endpoint_nodes(self, dps):
+        tol = mp.mpf(10) ** (-dps + 5)  # the tolerance _validate_rule applies
+        for s in range(1, 11):
+            assert abs(quad_rule(s, -1, dps).c[0]) <= tol
+            assert abs(quad_rule(s, 1, dps).c[-1] - 1) <= tol
+
+    def test_root_outside_bracket_is_refused(self):
+        p = UniPoly([3, -4, 1])  # (x - 1)(x - 3): Newton from [0, 1/2] converges to 1
+        with pytest.raises(QuadratureError, match="left the isolating bracket"):
+            _polish_root(p, Fraction(0), Fraction(1, 2), 30)
+        with pytest.raises(QuadratureError, match="bracket"):
+            _polish_root(p, Fraction(3, 2), Fraction(2), 30)  # no root, p' = 0 at 2
+
+
+class TestMoments:
+    def test_exact_below_order(self):
+        for s, zeta in [(1, Fraction(0)), (3, Fraction(1, 2)), (4, Fraction(-1)), (5, Fraction(0))]:
+            rule = quad_rule(s, zeta)
+            assert rule.moments(rule.order) == tuple(Fraction(1, k + 1) for k in range(rule.order))
+
+    def test_extension_matches_fresh_rule(self):
+        rule = quad_rule(4, Fraction(2, 3))
+        short = rule.moments(3)
+        long = rule.moments(20)
+        assert long[:3] == short and len(long) == 20
+        assert quad_rule(4, Fraction(2, 3)).moments(20) == long
+
+    def test_match_weighted_node_powers(self):
+        rule = quad_rule(5, Fraction(-1, 3))
+        with mp.workdps(70):
+            for k, m in enumerate(rule.moments(16)):
+                num = mp.fsum(b * c**k for b, c in zip(rule.b, rule.c))
+                assert abs(num - mpf_of(m)) < mp.mpf("1e-45")
+
+
 class TestDiscreteInnerProduct:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.integers(1, 8),
+        zeta=st.sampled_from(MOMENT_ZETAS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_moments_match_remainder_definition(self, s, zeta, seed):
+        rng = random.Random(seed)
+        rule = cached_rule(s, zeta)
+        u = random_unipoly(rng, rng.randint(0, 2 * s + 3))
+        v = random_unipoly(rng, rng.randint(0, 2 * s + 3))
+        want = remainder_ip(u, v, rule)
+        assert discrete_ip_exact(u, v, rule) == want
+        one = UniPoly([1])
+        assert discrete_ip_table([u, v], [v, one], rule) == [
+            [want, remainder_ip(u, one, rule)],
+            [remainder_ip(v, v, rule), remainder_ip(v, one, rule)],
+        ]
+
+    def test_zero_polynomials(self):
+        rule = quad_rule(3, Fraction(1, 2))
+        zero = UniPoly([])
+        assert discrete_ip_exact(zero, legendre(4), rule) == 0
+        assert discrete_ip_exact(zero, zero, rule) == 0
+        assert discrete_ip_table([], [legendre(2)], rule) == []
+        assert discrete_ip_table([legendre(2)], [], rule) == [[]]
+
     def test_matches_continuous_below_order(self):
         rng = random.Random(77)
         for s, z in [(2, Fraction(0)), (3, Fraction(1)), (4, Fraction(-1, 2))]:
