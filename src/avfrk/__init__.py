@@ -4,7 +4,12 @@ Constructs AVF (averaged vector field) tableaux A = c b^T from Gauss/Radau
 type quadrature rules, evaluates the rooted-tree energy-preservation
 conditions, analyzes the double-bush linear operator's rank and kernel, and
 runs the nonlinear residual sweeps that single out the AVF method.
+
+The package logs to the standard `avfrk` logger and adds only a
+NullHandler; configure logging to see its DEBUG records.
 """
+
+import logging
 
 from .conditions import (
     KernelBasis,
@@ -77,3 +82,5 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

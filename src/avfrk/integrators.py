@@ -13,17 +13,23 @@ integrates the chord average exactly.  A tableau without a rank-one rule
 
 Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
-stepping is float64, in plain Python floats through evaluators generated
-once per system from the exact polynomials.
+stepping is float64, in plain Python floats through code generated from
+the exact polynomials.  For the chord, the whole map
+z -> y + sum_j h b_j f(y + c_j (z - y)) is one straight-line function per
+system and float node set; its Newton matrix h sum_j b_j c_j J_f(Y_j) - I
+is generated the first time a step switches to Newton.  The stage path
+evaluates f and J_f one point at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +54,8 @@ __all__ = [
     "log_log_slope",
     "write_run_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 _STRATEGIES = ("fixed-point+newton", "fixed-point", "newton")
 
@@ -93,28 +101,39 @@ class StepStats(NamedTuple):
 # float64 evaluation
 
 
+def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
+    """p as a Python expression in the variables `names`.
+
+    The sum of its monomials x_j**e_j * ... * coeff in sorted term order;
+    "0.0" for the zero polynomial.  float ** int raises OverflowError where
+    numpy returns inf.
+    """
+    terms = []
+    for exps, coeff in sorted(p.terms.items()):
+        factors = [names[j] if e == 1 else f"{names[j]}**{e}" for j, e in enumerate(exps) if e]
+        if coeff != 1 or not factors:
+            factors.append(repr(float(coeff)))
+        terms.append("*".join(factors))
+    return " + ".join(terms) or "0.0"
+
+
+def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
+    """Execute generated source and return its function `name`."""
+    namespace: dict = {}
+    exec("\n".join(lines) + "\n", namespace)
+    logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
+    return namespace[name]
+
+
 def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     """Plain-float evaluator of a tuple of polynomials, one point per call.
 
-    Generated as Python source once: component k of evaluate(x0, x1, ...)
-    is the sum of its monomials x_j**e_j * ... * coeff in sorted term order.
     Arrays of a few entries cost more in numpy dispatch than this does in
-    arithmetic.  float ** int raises OverflowError where numpy returns inf.
+    arithmetic.
     """
     names = [f"x{j}" for j in range(nv)]
-    comps = []
-    for p in polys:
-        terms = []
-        for exps, coeff in sorted(p.terms.items()):
-            factors = [names[j] if e == 1 else f"{names[j]}**{e}" for j, e in enumerate(exps) if e]
-            if coeff != 1 or not factors:
-                factors.append(repr(float(coeff)))
-            terms.append("*".join(factors))
-        comps.append(" + ".join(terms) or "0.0")
-    src = f"def evaluate({', '.join(names)}):\n    return ({', '.join(comps)},)\n"
-    namespace: dict = {}
-    exec(src, namespace)
-    return namespace["evaluate"]
+    comps = ", ".join(_poly_source(p, names) for p in polys)
+    return _generate([f"def evaluate({', '.join(names)}):", f"    return ({comps},)"], "evaluate", nv, 1)
 
 
 @lru_cache(maxsize=64)
@@ -124,6 +143,59 @@ def _scalar_field(sys: HamiltonianSystem) -> tuple:
     f = sys.vector_field()
     jac = [f[a].partial(b) for a in range(n) for b in range(n)]
     return _scalar_function(f, n), _scalar_function(jac, n)
+
+
+def _chord_source(name: str, n: int, nodes: tuple, weights: list, updates: list) -> list:
+    """Source of name(y, h) -> g(z), a sum over the nodes of the chord.
+
+    name(y, h) sets v_j to weights[j], an expression in h.  g(z) sets
+    d = z - y, then per node x = y + c_j * d and, for each (variable, term)
+    of updates, variable = variable + v_j * (term), starting from 0.0.
+    The caller appends g's return line.
+    """
+    lines = [f"def {name}(y, h):", f"    {', '.join(f'y{k}' for k in range(n))}, = y"]
+    lines += [f"    v{j} = {w}" for j, w in enumerate(weights)]
+    lines += ["    def g(z):", f"        {', '.join(f'z{k}' for k in range(n))}, = z"]
+    lines += [f"        d{k} = z{k} - y{k}" for k in range(n)]
+    for j, (cj, _) in enumerate(nodes):
+        lines += [f"        x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
+        lines += [f"        {a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
+    return lines
+
+
+@lru_cache(maxsize=64)
+def _chord_map(sys: HamiltonianSystem, nodes: tuple) -> Callable:
+    """chord(y, h) -> phi, phi(z) = y + sum_j (h b_j) f(y + c_j (z - y)).
+
+    Straight-line source generated once per system and float node set, in
+    the float operations of a loop over the nodes: w_j = h * b_j, then per
+    node x = y + c_j * (z - y) and a = a + w_j * f(x) from a = 0.0; y + a.
+    """
+    n = sys.dim
+    x = [f"x{k}" for k in range(n)]
+    f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
+    lines = _chord_source("chord", n, nodes, [f"h * {bj!r}" for _, bj in nodes], f)
+    lines += [f"        return [{', '.join(f'y{k} + a{k}' for k in range(n))}]", "    return g"]
+    return _generate(lines, "chord", n, len(nodes))
+
+
+@lru_cache(maxsize=64)
+def _newton_matrix(sys: HamiltonianSystem, nodes: tuple) -> Callable:
+    """newton(y, h) -> N, N(z) = sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I as rows.
+
+    Generated on the first switch to Newton for the system and node set, in
+    the operations of a loop over the nodes accumulating (h * b_j * c_j) * J_f
+    from 0.0, minus 1.0 on the diagonal.
+    """
+    n = sys.dim
+    x = [f"x{k}" for k in range(n)]
+    f = sys.vector_field()
+    jac = [(f"m{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
+    weights = [f"h * {bj!r} * {cj!r}" for cj, bj in nodes]
+    lines = _chord_source("newton", n, nodes, weights, jac)
+    rows = (", ".join(f"m{a}_{b}" + " - 1.0" * (a == b) for b in range(n)) for a in range(n))
+    lines += [f"        return [{', '.join(f'[{r}]' for r in rows)}]", "    return g"]
+    return _generate(lines, "newton", n, len(nodes))
 
 
 @lru_cache(maxsize=64)
@@ -171,14 +243,15 @@ def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
 # implicit solve driver
 
 
-def _implicit_solve(x, phi, phi_jac, cfg: SolverConfig, scale: float = 1.0):
+def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
     x is the start of the step for every unknown; phi(x) is then the Euler
     predictor.  Fixed-point sweeps run while the residual shrinks by
-    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x with
-    J_F = Jphi - I.  An overflowing field, a non-finite iterate and a
-    singular Newton matrix end the solve with SolverError.
+    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
+    where newton(x) is its matrix Jphi(x) - I with the identity already
+    subtracted, solved by LAPACK.  An overflowing field, a non-finite
+    iterate and a singular Newton matrix end the solve with SolverError.
     Returns (solution, StepStats).
     """
     use_newton = cfg.strategy == "newton"
@@ -193,13 +266,12 @@ def _implicit_solve(x, phi, phi_jac, cfg: SolverConfig, scale: float = 1.0):
                 raise SolverError(
                     f"non-finite iterate at iteration {it}", iterate=np.array(x), residual=math.inf
                 )
-            res = scale * max(abs(a - b) for a, b in zip(fx, x))
+            res = scale * max(map(abs, map(sub, fx, x)))
             if res <= cfg.tolerance:
                 return fx, StepStats(it, newton_iters, res)
             if use_newton:
-                m = len(x)
-                J = np.reshape(phi_jac(x), (m, m)) - np.eye(m)
-                x = (np.asarray(x) - np.linalg.solve(J, np.subtract(fx, x))).tolist()
+                dx = np.linalg.solve(newton(x), list(map(sub, fx, x))).tolist()
+                x = list(map(sub, x, dx))
                 newton_iters += 1
             else:
                 x = fx
@@ -226,33 +298,17 @@ def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Call
     """Rank-one step on the chord: every stage is Y_j = y + c_j (z - y).
 
     The s*d stage system collapses to the d unknowns of the endpoint
-    z = y + h sum_j b_j f(Y_j); its Newton matrix is h sum_j b_j c_j J_f(Y_j).
+    z = y + h sum_j b_j f(Y_j), whose Newton matrix is
+    h sum_j b_j c_j J_f(Y_j) - I.  Both maps are generated per system and
+    float node set, so "avf" and avf_tableau of the same rule share them.
     scale = max|c_j| makes the residual the stage system's max over stages.
     """
     nodes = _float_nodes(rule)
-    f, jac = _scalar_field(sys)
-    n = sys.dim
+    chord = _chord_map(sys, nodes)
 
     def step(y, h, cfg):
-        weighted = [(cj, h * bj) for cj, bj in nodes]
-
-        def phi(z):
-            d = [zk - yk for zk, yk in zip(z, y)]
-            acc = [0.0] * n
-            for cj, hbj in weighted:
-                F = f(*[yk + cj * dk for yk, dk in zip(y, d)])
-                acc = [a + hbj * v for a, v in zip(acc, F)]
-            return [yk + a for yk, a in zip(y, acc)]
-
-        def phi_jac(z):
-            d = [zk - yk for zk, yk in zip(z, y)]
-            acc = [0.0] * (n * n)
-            for cj, hbj in weighted:
-                Jf = jac(*[yk + cj * dk for yk, dk in zip(y, d)])
-                acc = [a + hbj * cj * v for a, v in zip(acc, Jf)]
-            return acc
-
-        z, stats = _implicit_solve(y, phi, phi_jac, cfg, scale)
+        phi = chord(y, h)
+        z, stats = _implicit_solve(y, phi, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
         # the update y + h b^T f(Y) at the converged stages, as the stage path
         return phi(z), stats
 
@@ -265,6 +321,7 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
     A = np.array([[float(x) for x in row] for row in tab.A])
     b = np.array([float(x) for x in tab.b])
     f, jac = _scalar_field(sys)
+    eye = np.eye(s * n)
 
     def at_stages(g, x):
         return np.array([g(*x[j * n : (j + 1) * n]) for j in range(s)])
@@ -275,11 +332,11 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
         def phi(x):
             return (y + h * (A @ at_stages(f, x))).ravel().tolist()
 
-        def phi_jac(x):
+        def newton(x):
             big = h * A[:, :, None, None] * at_stages(jac, x).reshape(1, s, n, n)
-            return big.transpose(0, 2, 1, 3).reshape(s * n, s * n)
+            return big.transpose(0, 2, 1, 3).reshape(s * n, s * n) - eye
 
-        sol, stats = _implicit_solve(np.tile(y, s).tolist(), phi, phi_jac, cfg)
+        sol, stats = _implicit_solve(np.tile(y, s).tolist(), phi, newton, cfg)
         return (y + h * (b @ at_stages(f, sol))).tolist(), stats
 
     return step

@@ -261,10 +261,12 @@ def free_class(t: RootedTree) -> FreeTree:
 def enumerate_free(n: int) -> tuple:
     """All free trees on n vertices (including superfluous ones)."""
     seen = {}
+    members = set()  # every rooted tree of a class found so far
     for t in enumerate_rooted(n):
-        if all(t not in ft.parity for ft in seen.values()):
+        if t not in members:
             ft = free_class(t)
             seen[ft.representative] = ft
+            members.update(ft.members)
     return tuple(seen[k] for k in sorted(seen, key=lambda r: r.key))
 
 

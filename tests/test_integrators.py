@@ -1,10 +1,13 @@
 import io
+import logging
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
@@ -13,7 +16,11 @@ from avfrk.integrators import (
     SolverConfig,
     SolverError,
     StepStats,
+    _chord_map,
+    _float_nodes,
+    _newton_matrix,
     _resolve_stepper,
+    _scalar_field,
     avf_step,
     avf_tableau,
     convergence_errors,
@@ -212,6 +219,123 @@ class TestChordMatchesStages:
             assert [st.iterations for st in chord.solver_stats] == [
                 st.iterations for st in full.solver_stats
             ], case
+
+
+@lru_cache(maxsize=None)
+def _rule(s, zeta):
+    return quad_rule(s, zeta)
+
+
+def _node_loop(sys_, rule, y, h):
+    """The per-node loops the generated maps replace: (phi, Newton matrix)."""
+    nodes = _float_nodes(rule)
+    f, jac = _scalar_field(sys_)
+    n = sys_.dim
+    weighted = [(cj, h * bj) for cj, bj in nodes]
+
+    def phi(z):
+        d = [zk - yk for zk, yk in zip(z, y)]
+        acc = [0.0] * n
+        for cj, hbj in weighted:
+            F = f(*[yk + cj * dk for yk, dk in zip(y, d)])
+            acc = [a + hbj * v for a, v in zip(acc, F)]
+        return [yk + a for yk, a in zip(y, acc)]
+
+    def newton(z):
+        d = [zk - yk for zk, yk in zip(z, y)]
+        acc = [0.0] * (n * n)
+        for cj, hbj in weighted:
+            Jf = jac(*[yk + cj * dk for yk, dk in zip(y, d)])
+            acc = [a + hbj * cj * v for a, v in zip(acc, Jf)]
+        return np.reshape(acc, (n, n)) - np.eye(n)
+
+    return phi, newton
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _perturbed_well(rng, half_dim, degree):
+    """Criterion-7 style: harmonic well plus two terms of degree <= degree, +-k/40."""
+    nv = 2 * half_dim
+    terms = {tuple(2 * (i == k) for i in range(nv)): F(1, 2) for k in range(nv)}
+    for deg_t in (degree, rng.randint(2, degree)):
+        exps = [0] * nv
+        for _ in range(deg_t):
+            exps[rng.randrange(nv)] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), F(0)) + F(rng.choice([-1, 1]) * rng.randint(1, 4), 40)
+    return HamiltonianSystem(half_dim, MultiPoly(nv, terms))
+
+
+def _fresh_system(seed, half_dim=1, degree=4):
+    return _perturbed_well(random.Random(seed), half_dim, degree)
+
+
+class TestGeneratedChord:
+    """The chord map and Newton matrix are generated per system and float
+    node set; they must do the float operations of the per-node loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        half_dim=st.integers(1, 2),
+        degree=st.integers(2, 6),
+        s=st.integers(1, 4),
+        zeta=st.sampled_from([F(0), F(1, 2), F(-1)]),
+        size=st.sampled_from([1e-2, 1.0, 1e2]),
+        h=st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
+    )
+    def test_bit_identical_to_node_loop(self, seed, half_dim, degree, s, zeta, size, h):
+        rng = random.Random(seed)
+        sys_ = _perturbed_well(rng, half_dim, degree)
+        rule = _rule(s, zeta)
+        y = [size * rng.uniform(-1, 1) for _ in range(sys_.dim)]
+        z = [yk + size * rng.uniform(-0.1, 0.1) for yk in y]
+        phi, newton = _node_loop(sys_, rule, y, h)
+        nodes = _float_nodes(rule)
+        assert _bits(_chord_map(sys_, nodes)(y, h)(z)) == _bits(phi(z))
+        assert _bits(_newton_matrix(sys_, nodes)(y, h)(z)) == _bits(newton(z))
+
+    def test_avf_and_tableau_share_one_chord_map(self):
+        sys_ = _fresh_system(11)
+        before = _chord_map.cache_info().misses
+        integrate(sys_, "avf", [0.3, 0.2], 0.05, 5)
+        integrate(sys_, avf_tableau(quad_rule(2, 0)), [0.3, 0.2], 0.05, 5)
+        assert _chord_map.cache_info().misses == before + 1
+
+    def test_newton_matrix_generated_only_for_newton(self):
+        sys_ = _fresh_system(12)
+        before = _newton_matrix.cache_info()
+        run = integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="fixed-point"))
+        assert sum(st.newton_iterations for st in run.solver_stats) == 0
+        assert _newton_matrix.cache_info() == before
+        integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="newton"))
+        assert _newton_matrix.cache_info().misses == before.misses + 1
+
+    def test_results_survive_eviction(self):
+        size = _chord_map.cache_info().maxsize
+        systems = [_fresh_system(100 + k, 1 + k % 2, 3 + k % 4) for k in range(size + 6)]
+        y0s = [[0.1 + 0.01 * j for j in range(sys_.dim)] for sys_ in systems]
+        cfg = SolverConfig(strategy="newton")
+        first = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
+        assert _chord_map.cache_info().currsize == size
+        misses = _chord_map.cache_info().misses
+        again = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
+        assert _chord_map.cache_info().misses > misses  # the early systems were evicted
+        for a, b in zip(first, again):
+            assert _bits(a) == _bits(b)
+
+    def test_generation_logged(self, caplog):
+        sys_ = _fresh_system(13, half_dim=2, degree=5)
+        with caplog.at_level(logging.DEBUG, logger="avfrk"):
+            integrate(sys_, "avf", [0.2, 0.1, 0.3, 0.1], 0.05, 2, SolverConfig(strategy="newton"))
+        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
+        assert len(got) == 2
+        assert got[0].startswith("generated chord: dim 4, 3 nodes, ")
+        assert got[1].startswith("generated newton: dim 4, 3 nodes, ")
+        assert all(m.endswith(" source lines") for m in got)
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
 
 
 class TestSolverFailure:

@@ -174,6 +174,20 @@ class TestFreeClass:
             for ft in enumerate_free(n):
                 assert {u.order for u in ft.members} == {n}
 
+    def test_classes_partition_rooted_trees(self):
+        # reference: a linear scan over the classes found so far
+        for n in range(1, 11):
+            seen = {}
+            for t in enumerate_rooted(n):
+                if all(t not in ft.parity for ft in seen.values()):
+                    ft = free_class(t)
+                    seen[ft.representative] = ft
+            want = tuple(seen[k] for k in sorted(seen, key=lambda r: r.key))
+            got = enumerate_free(n)
+            assert got == want
+            members = [u for ft in got for u in ft.members]
+            assert sorted(members, key=lambda u: u.key) == sorted(enumerate_rooted(n), key=lambda u: u.key)
+
 
 class TestRkWeight:
     def setup_method(self):
