@@ -13,8 +13,11 @@ are computed exactly from the rule's moments, one moment row per polynomial
 check of the closed-form kernel factors, the zero-row-sum kernel direction
 and its rank-one factors are exact as well: fraction-free elimination over
 Q and exact 2x2 minors, with no tolerance.  A uniqueness sweep factors its
-operator once.  The nonlinear residuals and the sweep's fit are evaluated in
-floating point at the rule's precision.
+operator once and computes its discriminating residual exactly: along
+A = c b^T + beta U(c) b^T V(C) every node vector is a polynomial in c, so
+the residual is an exact polynomial in beta.  The public residual functions
+take arbitrary tableaux and evaluate in floating point at the rule's
+precision.
 """
 
 from __future__ import annotations
@@ -82,11 +85,6 @@ def _as_matrix(A, s):
         for j, x in enumerate(r):
             M[i, j] = _to_mpf(x)
     return M
-
-
-def _avf_matrix(rule):
-    """c b^T in mpf."""
-    return _outer_matrix(rule, _MONOMIAL_X, _ONE)
 
 
 def _require_zero_at_origin(P, name):
@@ -513,17 +511,16 @@ class KernelElement:
 
 
 class KernelBasis:
-    """Basis of ker M: element matrices plus the raw independent set.
+    """Basis of ker M: the elements plus the raw independent set's coordinates.
 
-    coords holds the raw elements' exact coordinate vectors vec(alpha), one
-    per free column of the eliminated operator, with a 1 in that column.
+    coords holds the raw null vectors vec(alpha), one per free column of the
+    eliminated operator, with a 1 in that column.
     """
 
-    __slots__ = ("elements", "raw", "coords", "structured")
+    __slots__ = ("elements", "coords", "structured")
 
-    def __init__(self, elements, raw, coords, structured):
+    def __init__(self, elements, coords, structured):
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "raw", tuple(raw))
         object.__setattr__(self, "coords", tuple(tuple(a) for a in coords))
         object.__setattr__(self, "structured", structured)
 
@@ -625,11 +622,6 @@ def _factor_polys(u, v):
     return U, V
 
 
-def _factor_matrix(rule, u, v):
-    """U(c) b^T V(C) from factor coordinates (exact polynomials, mpf entries)."""
-    return _outer_matrix(rule, *_factor_polys(u, v))
-
-
 def _outer_matrix(rule, U, Vd):
     """U(c) b^T Vd(C) in mpf."""
     s = rule.s
@@ -662,33 +654,32 @@ def _structured_elements(M, nullity):
     if len(table) != nullity:
         return None
     fam = _derivative_columns(M.right_family, s)
-    vecs = []
+    polys, vecs = [], []
     for u, v in table:
-        V = _factor_polys(u, v)[1].coeffs
-        w = _solve_fraction(fam, [V[i] if i < len(V) else 0 for i in range(s)])
+        U, V = _factor_polys(u, v)
+        w = _solve_fraction(fam, [V.coeffs[i] if i < len(V.coeffs) else 0 for i in range(s)])
         if w is None:
             return None
         vec = [uk * wl for uk in u for wl in w]
         nz = [(i, x) for i, x in enumerate(vec) if x]
         if any(sum(row[i] * x for i, x in nz) for row in M.matrix_exact):
             return None
+        polys.append((U, V))
         vecs.append(vec)
     if len(_eliminate(vecs, s * s)[0]) != nullity:
         return None
     return [
-        KernelElement(_factor_matrix(rule, u, v), vec, u, v, True)
-        for (u, v), vec in zip(table, vecs)
+        KernelElement(_outer_matrix(rule, U, V), vec, u, v, True)
+        for (u, v), (U, V), vec in zip(table, polys, vecs)
     ]
 
 
-def _alpha(vec, s):
-    """The s x s mpf coefficient matrix of an exact coordinate vector."""
-    return mp.matrix([[_to_mpf(vec[k * s + l]) for l in range(s)] for k in range(s)])
-
-
-def _fit_tol(rule):
-    """Relative tolerance of the mpf fits and defect checks: half the working digits."""
-    return mp.mpf(10) ** (-mp.mpf(rule.precision_digits) / 2)
+def _coords_matrix(M, vec):
+    """X alpha Yb^T in mpf for an exact coordinate vector vec(alpha)."""
+    s = M.rule.s
+    with mp.workdps(M.rule.precision_digits + 15):
+        alpha = mp.matrix([[_to_mpf(vec[k * s + l]) for l in range(s)] for k in range(s)])
+        return M.coeffs_to_matrix(alpha)
 
 
 def _exact_factors(M, alpha):
@@ -722,19 +713,16 @@ def rank_kernel(M: MOperator):
     null vectors, with exact factors where they are rank one, are flagged
     unstructured.
     """
-    rule = M.rule
-    s = rule.s
+    s = M.rule.s
     pivots, null = _eliminate(M.matrix_exact, s * s)
-    with mp.workdps(rule.precision_digits + 15):
-        raw_mats = [M.coeffs_to_matrix(_alpha(a, s)) for a in null]
     elements = _structured_elements(M, len(null))
     structured = elements is not None
     if not structured:
         elements = [
-            KernelElement(Nmat, a, *(_exact_factors(M, a) or (None, None)))
-            for Nmat, a in zip(raw_mats, null)
+            KernelElement(_coords_matrix(M, a), a, *(_exact_factors(M, a) or (None, None)))
+            for a in null
         ]
-    return len(pivots), KernelBasis(elements, raw_mats, null, structured)
+    return len(pivots), KernelBasis(elements, null, structured)
 
 
 def expected_rank(s: int, m: int, zeta):
@@ -749,18 +737,16 @@ def expected_rank(s: int, m: int, zeta):
 
 
 def _rowsum_element(M, basis):
-    """(alpha, N, lam) for the zero-row-sum direction of ker M, or None if there is none.
+    """Exact coordinates vec(alpha) of the zero-row-sum direction of ker M, or None.
 
-    alpha is its exact coordinate vector and N = X alpha Yb^T / lam the mpf
-    matrix normalized by its largest entry lam.  The row sums of
-    X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0), since the rule
-    integrates the degree < s derivatives B_l' exactly and X is invertible;
-    the intersection is therefore the exact null space of the s x dim(ker)
-    system alpha_t r over the basis' coordinate vectors.  A
-    higher-dimensional intersection raises KernelStructureError.
+    The row sums of X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0),
+    since the rule integrates the degree < s derivatives B_l' exactly and X
+    is invertible; the intersection is therefore the exact null space of the
+    s x dim(ker) system alpha_t r over the basis' coordinate vectors, and
+    its element has alpha r = 0 over Q.  A higher-dimensional intersection
+    raises KernelStructureError.
     """
-    rule = M.rule
-    s = rule.s
+    s = M.rule.s
     r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
     S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
     _, null = _eliminate(S, len(basis.coords))
@@ -770,30 +756,22 @@ def _rowsum_element(M, basis):
         raise KernelStructureError(
             f"row-sum kernel intersection has dimension {len(null)}, expected 1"
         )
-    alpha = [sum(g * a[i] for g, a in zip(null[0], basis.coords)) for i in range(s * s)]
-    with mp.workdps(rule.precision_digits + 15):
-        N = M.coeffs_to_matrix(_alpha(alpha, s))
-        top = max(((abs(N[i, j]), i, j) for i in range(s) for j in range(s)))
-        if top[0] == 0:
-            raise KernelStructureError("row-sum kernel element vanished")
-        lam = N[top[1], top[2]]
-        N = N / lam
-        defect = max(abs(mp.fsum(N[i, j] for j in range(s))) for i in range(s))
-        if defect > _fit_tol(rule) * 100:
-            raise KernelStructureError(
-                f"row sums of the computed element do not vanish: {mp.nstr(defect, 5)}"
-            )
-        return alpha, N, lam
+    return [sum(g * a[i] for g, a in zip(null[0], basis.coords)) for i in range(s * s)]
 
 
 def kernel_rowsum(M: MOperator):
-    """The kernel direction with zero row sums, normalized by its largest entry.
+    """The kernel direction with zero row sums in mpf, normalized by its largest entry.
 
     Returns None in the even case, where the intersection is trivial and
     uniqueness already follows from the linear stage; see _rowsum_element.
     """
-    found = _rowsum_element(M, rank_kernel(M)[1])
-    return None if found is None else found[1]
+    alpha = _rowsum_element(M, rank_kernel(M)[1])
+    if alpha is None:
+        return None
+    N = _coords_matrix(M, alpha)
+    s = M.rule.s
+    with mp.workdps(M.rule.precision_digits + 15):
+        return N / max((N[i, j] for i in range(s) for j in range(s)), key=abs)
 
 
 # ---------------------------------------------------------------------------
@@ -803,40 +781,78 @@ def kernel_rowsum(M: MOperator):
 _DEFAULT_BETAS = (Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), Fraction(1))
 
 
-def _s2_rowsum_matrix(rule):
-    """((zeta-1) 1 - 2 zeta c) b^T (I - 2C), the two-stage row-sum direction."""
-    zx = rule.zeta_exact
-    return _outer_matrix(rule, UniPoly([zx - 1, -2 * zx]), UniPoly([1, -2]))
+def _proportional(f, g):
+    """Whether factor pairs f and g give the same u (x) v up to one nonzero rational scalar."""
+    x = [a * b for a in f[0] for b in f[1]]
+    y = [a * b for a in g[0] for b in g[1]]
+    i = next(i for i, b in enumerate(y) if b)
+    return x[i] != 0 and all(a * y[i] == b * x[i] for a, b in zip(x, y))
 
 
-def _collinearity_defect(N_canon, N_entry, s):
-    """Distance from N_entry to the line through N_canon, up to sign.
+def _triple_bush_exact(A, ip, P, Q, R):
+    """triple_bush_residual with node vectors held as polynomials; ip(f, g) = b^T f(C) g(c)."""
+    one = Fraction(1)
+    AQ, AP = A(Q), A(P)
+    return (
+        ip(P.derivative(), A(R * AQ))
+        + ip(Q.derivative(), A(R * AP))
+        - P(one) * ip(R, AQ)
+        - Q(one) * ip(R, AP)
+        - ip(R.derivative(), AQ * AP)
+        + R(one) * P.integral()(one) * Q.integral()(one)
+    )
 
-    Entry normalization can flip sign when two entries tie in magnitude,
-    so the check accepts either orientation.
+
+def _asym_bush_exact(A, ip, q):
+    """asym_bush_residual with node vectors held as polynomials; ip as in _triple_bush_exact."""
+    Ac = A(_MONOMIAL_X)
+    w = _ONE
+    for _ in range(q - 1):
+        w = w * Ac
+    return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
+
+
+def _ray_residual(rule, cond, degree, U, Vd):
+    """The residual cond along A = c b^T + beta U(c) b^T Vd(C) as an exact polynomial in beta.
+
+    A node vector g(c) stays a polynomial g: A g = c <1, g>_D + beta U <Vd, g>_D,
+    componentwise products are polynomial products and b^T h(c) = <1, h>_D,
+    all over the rule's exact moments.  The residual has degree <= degree in
+    beta; its values at beta = 0..degree give the coefficients.
     """
-    top = max(((abs(N_canon[i, j]), i, j) for i in range(s) for j in range(s)))
-    lam = N_canon[top[1], top[2]]
-    plus = max(abs(N_canon[i, j] / lam - N_entry[i, j]) for i in range(s) for j in range(s))
-    minus = max(abs(N_canon[i, j] / lam + N_entry[i, j]) for i in range(s) for j in range(s))
-    return min(plus, minus)
+
+    def ip(f, g):
+        return discrete_ip_exact(f, g, rule)
+
+    def at(beta):
+        A = lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g))
+        return cond(A, ip)
+
+    nodes = [Fraction(k) for k in range(degree + 1)]
+    vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
+    return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))
 
 
 def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
-    """Numerical uniqueness certificate: nonlinear residuals along kernel rays.
+    """Exact uniqueness certificate: the nonlinear residual along the row-sum kernel ray.
 
-    Builds A = c b^T + beta N for the zero-row-sum kernel direction N
-    (normalized as in the closed forms so the fitted coefficients land on
-    the published constants), evaluates the discriminating nonlinear
-    residual for each beta, and fits log|residual| against log|beta|.
-    Even-degree rules skip the sweep: their row-sum intersection is trivial.
+    Perturbs A = c b^T by beta N for the zero-row-sum kernel direction
+    N = U(c) b^T V(C) (in the closed-form normalization where one exists,
+    after checking the computed direction is a rational multiple of it) and
+    computes the discriminating nonlinear residual as an exact polynomial in
+    beta.  The certificate holds when that polynomial is kappa beta^k with
+    the published k and kappa ("match" in the report); "residuals" are its
+    values at the requested betas.  Even-degree rules skip the sweep: their
+    row-sum intersection is trivial.
     """
     s = rule.s
     zx = rule.zeta_exact
-    prec = rule.precision_digits
     if betas is None:
         betas = _DEFAULT_BETAS
-    betas = list(betas)
+    try:
+        betas = [_exact_fraction(b) for b in betas]
+    except OverflowError:
+        raise ValueError("betas must be finite") from None
     if any(b == 0 for b in betas):
         raise ValueError("betas must be nonzero")
     M = build_M(rule, m)
@@ -849,105 +865,74 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         "expected_rank": expected_rank(s, m, zx),
         "kernel_dim": len(basis),
     }
-    rowsum = _rowsum_element(M, basis)
+    alpha = _rowsum_element(M, basis)
     if M.basis_kind == "even":
-        if rowsum is not None:
+        if alpha is not None:
             raise KernelStructureError("even case must have a trivial row-sum intersection")
         report["residual_fit"] = None
         report["note"] = (
             "row-sum constraint eliminates the kernel; uniqueness holds at the linear stage"
         )
         return report
-    if rowsum is None:
+    if alpha is None:
         raise KernelStructureError("odd case must have a row-sum kernel direction")
-    alpha, N_entry, lam = rowsum
-    with mp.workdps(prec + 15):
-        tol = _fit_tol(rule)
-        if s == 2:
-            N_sweep = _s2_rowsum_matrix(rule)
-            if zx != 0:
-                G2 = g_poly(2)
-                cond = lambda A: triple_bush_residual(A, rule, G2, G2, _ONE)
-                expected = Fraction(zx) ** 3 / 81
-                name = "triple-bush P=Q=G_2, R=1"
-            else:
-                cond = lambda A: asym_bush_residual(A, rule, 2)
-                expected = -((1 + Fraction(zx)) ** 2) / 36
-                name = "asym-bush q=2"
-            exp_slope = 2
-        elif zx == 0:
-            u = [Fraction(1), Fraction(0), Fraction(-1)] + [Fraction(0)] * (s - 3)
-            v = [Fraction(0), Fraction(1)] + [Fraction(0)] * (s - 2)
-            N_sweep = _factor_matrix(rule, u, v)
-            cond = lambda A: asym_bush_residual(A, rule, s)
-            expected = Fraction((-1) ** (s - 1) * 6**s, gamma_lead(s) ** 2)
-            name = f"asym-bush q={s}"
-            exp_slope = s
-        elif zx == -1:
-            u = [Fraction(2), Fraction(-2)] + [Fraction(0)] * (s - 2)
-            v = [Fraction(0)] * s
-            v[0] = Fraction((-1) ** s)
-            v[s - 2] += Fraction(-1)
-            v[s - 1] = Fraction(1)
-            N_sweep = _factor_matrix(rule, u, v)
-            P = _MONOMIAL_X * g_poly(2)
-            cond = lambda A: triple_bush_residual(A, rule, P, P, _ONE)
-            expected = Fraction(-4, 9)
-            name = "triple-bush P=Q=x G_2, R=1"
-            exp_slope = 2
+    factors = _exact_factors(M, alpha)
+    if factors is None:
+        raise KernelStructureError("row-sum kernel element is not rank one")
+    one, zero = Fraction(1), Fraction(0)
+    G2 = g_poly(2)
+    if s == 2:
+        closed = ([one, zx], [zero, Fraction(1, 6)])  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
+        if zx != 0:
+            cond = lambda A, ip: _triple_bush_exact(A, ip, G2, G2, _ONE)
+            k, expected, name = 2, zx**3 / 81, "triple-bush P=Q=G_2, R=1"
         else:
-            N_sweep = N_entry
-            factors = _exact_factors(M, alpha)
-            if factors is None:
-                raise KernelStructureError("row-sum kernel element is not rank one")
-            u, v = factors
-            p = 1 if abs(u[0]) >= abs(u[1]) else 2
-            if u[p - 1] == 0:
-                raise KernelStructureError("both leading factor coefficients vanish")
-            Gp = g_poly(p)
-            cond = lambda A: triple_bush_residual(A, rule, Gp, Gp, _MONOMIAL_X)
-            # N_entry is the factored element divided by lam
-            expected = _to_mpf((u[p - 1] * v[s - 1] * (1 + zx)) ** 2 / (2 * p - 1) ** 2) / lam**2
-            name = f"triple-bush P=Q=G_{p}, R=x"
-            exp_slope = 2
-        if s == 2 or zx in (0, -1):
-            defect = _collinearity_defect(N_sweep, N_entry, s)
-            if defect > tol * 100:
-                raise KernelStructureError(
-                    f"row-sum element deviates from the closed form by {mp.nstr(defect, 5)}"
-                )
-        avf = _avf_matrix(rule)
-        bvals = [_to_mpf(b) for b in betas]
-        residuals = []
-        for bv in bvals:
-            A = avf + bv * N_sweep
-            residuals.append(cond(A))
-        floor = mp.mpf(10) ** (-prec + 20)
-        pts = [
-            (mp.log10(abs(bv)), mp.log10(abs(r)), r)
-            for bv, r in zip(bvals, residuals)
-            if abs(r) > floor
-        ]
-        if len(pts) < 2:
-            raise KernelStructureError(
-                "nonlinear residuals vanished across the sweep; nothing to fit"
-            )
-        n = len(pts)
-        mx = mp.fsum(p[0] for p in pts) / n
-        my = mp.fsum(p[1] for p in pts) / n
-        sxx = mp.fsum((p[0] - mx) ** 2 for p in pts)
-        sxy = mp.fsum((p[0] - mx) * (p[1] - my) for p in pts)
-        slope = sxy / sxx
-        intercept = my - slope * mx
-        sign = 1 if max(pts, key=lambda p: p[0])[2] > 0 else -1
-        coeff = sign * mp.mpf(10) ** intercept
-        report["condition"] = name
-        report["betas"] = [float(bv) for bv in bvals]
-        report["residuals"] = [float(r) for r in residuals]
-        report["residual_fit"] = {
-            "slope": float(slope),
-            "coeff": float(coeff),
-            "expected_coeff": float(_to_mpf(expected)),
-            "expected_slope": exp_slope,
-        }
+            cond = lambda A, ip: _asym_bush_exact(A, ip, 2)
+            k, expected, name = 2, Fraction(-1, 36), "asym-bush q=2"
+    elif zx == 0:
+        closed = ([one, zero, -one] + [zero] * (s - 3), [zero, one] + [zero] * (s - 2))
+        cond = lambda A, ip: _asym_bush_exact(A, ip, s)
+        k, expected = s, Fraction((-1) ** (s - 1) * 6**s, gamma_lead(s) ** 2)
+        name = f"asym-bush q={s}"
+    elif zx == -1:
+        v = [zero] * s
+        v[0] = Fraction((-1) ** s)
+        v[s - 2] -= 1
+        v[s - 1] = one
+        closed = ([Fraction(2), Fraction(-2)] + [zero] * (s - 2), v)
+        P = _MONOMIAL_X * G2
+        cond = lambda A, ip: _triple_bush_exact(A, ip, P, P, _ONE)
+        k, expected, name = 2, Fraction(-4, 9), "triple-bush P=Q=x G_2, R=1"
+    else:
+        closed = None
+        u, v = factors
+        p = 1 if abs(u[0]) >= abs(u[1]) else 2
+        if u[p - 1] == 0:
+            raise KernelStructureError("both leading factor coefficients vanish")
+        Gp = g_poly(p)
+        cond = lambda A, ip: _triple_bush_exact(A, ip, Gp, Gp, _MONOMIAL_X)
+        k, expected = 2, (u[p - 1] * v[s - 1] * (1 + zx)) ** 2 / (2 * p - 1) ** 2
+        name = f"triple-bush P=Q=G_{p}, R=x"
+    if closed is not None:
+        if not _proportional(factors, closed):
+            raise KernelStructureError("row-sum kernel element is no multiple of the closed form")
+        factors = closed
+    poly = _ray_residual(rule, cond, k, *_factor_polys(*factors))
+    if poly.is_zero():
+        raise KernelStructureError("the residual vanishes identically along the kernel ray")
+    low = next(i for i, x in enumerate(poly.coeffs) if x)
+    kappa = poly.coeffs[low]
+    report["condition"] = name
+    report["betas"] = [float(b) for b in betas]
+    report["residuals"] = [float(poly(b)) for b in betas]
+    report["residual_fit"] = {
+        "slope": low,
+        "coeff": float(kappa),
+        "expected_coeff": float(expected),
+        "expected_slope": k,
+        "polynomial": [str(x) for x in poly.coeffs],
+        "kappa": str(kappa),
+        "expected_kappa": str(expected),
+        "match": list(poly.coeffs) == [0] * k + [expected],
+    }
     return report

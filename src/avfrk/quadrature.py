@@ -62,8 +62,8 @@ def _rat(x) -> Fraction:
 
 
 def _exact_fraction(x) -> Fraction:
-    """Lossless conversion to Fraction; mpf is binary man * 2^exp."""
-    if isinstance(x, (Fraction, int)):
+    """Lossless conversion to Fraction; float and mpf are binary man * 2^exp."""
+    if isinstance(x, (Fraction, int, float)):
         return Fraction(x)
     sign, man, exp, _ = x._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp

@@ -256,7 +256,7 @@ def test_criterion_05_reduced_degree_rank(emit):
 
 def test_criterion_06_kernel_ray_obstructions(emit):
     cases = [
-        # (s, zeta, expected slope, expected leading coefficient)
+        # (s, zeta, lowest power k, published kappa): the residual is exactly kappa beta^k
         (2, F(1, 2), 2, F(1, 648)),
         (2, F(1), 2, F(1, 81)),
         (2, F(-1, 2), 2, F(-1, 648)),
@@ -264,26 +264,28 @@ def test_criterion_06_kernel_ray_obstructions(emit):
         (3, F(-1), 2, F(-4, 9)),
         (3, F(0), 3, F(216, 400)),
         (4, F(0), 4, F(-1296, 4900)),
+        (5, F(0), 5, F(6, 49)),
+        (6, F(0), 6, F(-324, 5929)),
+        (5, F(-1), 2, F(-4, 9)),
+        (8, F(-1), 2, F(-4, 9)),
     ]
-    ok = True
-    worst_rel = 0.0
-    worst_slope = 0.0
-    for s, zeta, slope, coeff in cases:
-        report = uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)
-        fit = report["residual_fit"]
-        cf = float(coeff)
-        rel = abs(fit["coeff"] - cf) / abs(cf)
-        ds = abs(fit["slope"] - slope)
-        worst_rel = max(worst_rel, rel)
-        worst_slope = max(worst_slope, ds)
-        ok = ok and rel <= 1e-12 and ds <= 1e-6
-        ok = ok and abs(fit["expected_coeff"] - cf) <= 1e-15 * abs(cf)
+    off = []
+    for s, zeta, k, kappa in cases:
+        if zeta == 0 and s > 2:
+            assert kappa == F((-1) ** (s - 1) * 6**s, gamma(s) ** 2)
+        fit = uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)["residual_fit"]
+        ok = [F(x) for x in fit["polynomial"]] == [0] * k + [kappa]
+        ok = ok and fit["match"] and fit["slope"] == fit["expected_slope"] == k
+        ok = ok and F(fit["kappa"]) == F(fit["expected_kappa"]) == kappa
+        ok = ok and fit["coeff"] == fit["expected_coeff"] == float(kappa)
+        if not ok:
+            off.append((s, str(zeta), fit["polynomial"]))
     assert emit(
         6,
-        ok,
-        f"{len(cases)} kernel-ray sweeps: coefficients within {worst_rel:.2e}, "
-        f"slopes within {worst_slope:.2e}",
-    ), (worst_rel, worst_slope)
+        not off,
+        f"{len(cases)} kernel-ray sweeps, s = 2..8: each residual is exactly kappa beta^k "
+        f"with the published kappa" + (f"; off: {off}" if off else ""),
+    ), off
 
 
 def test_criterion_07_long_run_energy_drift(emit):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from avfrk import conditions
 from avfrk.cli import main
 from avfrk.conditions import build_M, rank_kernel
 from avfrk.quadrature import quad_rule
@@ -172,11 +173,21 @@ class TestRank:
         assert code == 2
         assert "m must be" in err
 
-    def test_precision_floor(self, capsys):
-        code = main(["rank", "--s", "2", "--precision", "20"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--precision >= 30" in err
+    def test_low_precision(self, capsys):
+        # rank, kernel factors and the uniqueness verdict are exact, so the
+        # working precision does not change them
+        rank, sweep = {}, {}
+        for prec in ("15", "50"):
+            argv = ["--s", "5", "--zeta", "1/3", "--precision", prec]
+            code, rank[prec] = run_json(capsys, ["rank"] + argv)
+            assert code == 0
+            code, sweep[prec] = run_json(capsys, ["uniqueness"] + argv)
+            assert code == 0
+        assert rank["15"]["kernel"] == rank["50"]["kernel"]
+        assert rank["15"]["verdict"] == "match"
+        fit = sweep["15"]["residual_fit"]
+        assert fit == sweep["50"]["residual_fit"]
+        assert fit["match"] and fit["kappa"] == fit["expected_kappa"]
 
 
 class TestUniqueness:
@@ -185,7 +196,9 @@ class TestUniqueness:
         assert code == 0
         fit = doc["residual_fit"]
         assert abs(fit["slope"] - 2.0) < 1e-6
-        assert fit["coeff_relative_error"] <= 1e-12
+        assert fit["match"]
+        assert fit["polynomial"] == ["0", "0", "1/648"]
+        assert fit["kappa"] == fit["expected_kappa"] == "1/648"
         assert abs(fit["expected_coeff"] - (1 / 2) ** 3 / 81) < 1e-15
 
     def test_even_degree_degenerates(self, capsys):
@@ -199,6 +212,28 @@ class TestUniqueness:
         err = capsys.readouterr().err
         assert code == 2
         assert "nonzero" in err
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta(self, capsys, beta):
+        code = main(["uniqueness", "--s", "2", "--zeta", "0.5", "--betas", f"{beta},0.1"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_csv_states_the_exact_polynomial(self, capsys):
+        code = main(["uniqueness", "--s", "3", "--zeta", "0", "--format", "csv"])
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert rows["polynomial"] == "0 0 0 27/50"
+        assert rows["kappa"] == rows["expected_kappa"] == "27/50"
+        assert rows["match"] == "True"
+
+    def test_structure_failure_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(conditions, "_exact_factors", lambda M, alpha: None)
+        code = main(["uniqueness", "--s", "3", "--zeta", "1/2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "not rank one" in err
+        assert "--precision" not in err
 
 
 class TestIntegrate:

@@ -9,10 +9,9 @@ from mpmath import mp
 from avfrk import conditions
 from avfrk.conditions import (
     KernelStructureError,
-    _avf_matrix,
     _exact_factors,
-    _factor_matrix,
-    _s2_rowsum_matrix,
+    _factor_polys,
+    _outer_matrix,
     asym_bush_residual,
     build_M,
     build_p_tilde,
@@ -46,6 +45,22 @@ def mpf_of(fr):
 
 def max_entry(M):
     return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
+
+
+def _avf_matrix(rule):
+    """c b^T in mpf."""
+    return _outer_matrix(rule, UniPoly([0, 1]), ONE)
+
+
+def _factor_matrix(rule, u, v):
+    """U(c) b^T V(C) from factor coordinates."""
+    return _outer_matrix(rule, *_factor_polys(u, v))
+
+
+def _s2_rowsum_matrix(rule):
+    """((zeta-1) 1 - 2 zeta c) b^T (I - 2C), the two-stage row-sum direction."""
+    zx = rule.zeta_exact
+    return _outer_matrix(rule, UniPoly([zx - 1, -2 * zx]), UniPoly([1, -2]))
 
 
 def collinear_defect(A, B):
@@ -625,14 +640,55 @@ class TestPerturbedResiduals:
                 assert abs(r - want) < mp.mpf("1e-20") * abs(want)
 
 
+X = UniPoly([0, 1])
+G2 = g_poly(2)
+
+
+def _gauss_ray(rule):
+    s = rule.s
+    return _factor_matrix(rule, [1, 0, -1] + [0] * (s - 3), [0, 1] + [0] * (s - 2))
+
+
+def _left_ray(rule):
+    s = rule.s
+    v = [0] * s
+    v[0] = (-1) ** s
+    v[s - 2] -= 1
+    v[s - 1] = 1
+    return _factor_matrix(rule, [2, -2] + [0] * (s - 2), v)
+
+
+def _factored_rowsum_ray(rule):
+    M = build_M(rule, 2 * rule.s - 1)
+    alpha = conditions._rowsum_element(M, rank_kernel(M)[1])
+    return _factor_matrix(rule, *_exact_factors(M, alpha))
+
+
+# one case per sweep branch: (s, zeta, the ray's direction, the residual)
+SWEEP_BRANCHES = [
+    (2, Fraction(1, 2), _s2_rowsum_matrix, lambda A, r: triple_bush_residual(A, r, G2, G2, ONE)),
+    (2, Fraction(0), _s2_rowsum_matrix, lambda A, r: asym_bush_residual(A, r, 2)),
+    (4, Fraction(0), _gauss_ray, lambda A, r: asym_bush_residual(A, r, 4)),
+    (3, Fraction(-1), _left_ray, lambda A, r: triple_bush_residual(A, r, X * G2, X * G2, ONE)),
+    (
+        4,
+        Fraction(2, 3),
+        _factored_rowsum_ray,
+        lambda A, r: triple_bush_residual(A, r, g_poly(1), g_poly(1), X),
+    ),
+]
+
+
 class TestUniquenessSweep:
     def test_two_stage_generic(self):
         report = uniqueness_sweep(quad_rule(2, Fraction(1, 2)), 3)
         assert report["rank"] == 1
         assert report["kernel_dim"] == 3
         fit = report["residual_fit"]
-        assert fit["expected_slope"] == 2
-        assert abs(fit["slope"] - 2) < 1e-6
+        assert fit["expected_slope"] == fit["slope"] == 2
+        assert fit["polynomial"] == ["0", "0", "1/648"]
+        assert fit["kappa"] == fit["expected_kappa"] == "1/648"
+        assert fit["match"]
         want = (1 / 2) ** 3 / 81
         assert abs(fit["expected_coeff"] - want) < 1e-15
         assert abs(fit["coeff"] - want) <= 1e-12 * abs(want)
@@ -642,8 +698,8 @@ class TestUniquenessSweep:
         report = uniqueness_sweep(quad_rule(2, 0), 3)
         fit = report["residual_fit"]
         assert abs(fit["expected_coeff"] + 1 / 36) < 1e-15
-        assert abs(fit["slope"] - 2) < 1e-6
-        assert abs(fit["coeff"] - fit["expected_coeff"]) <= 1e-12 / 36
+        assert fit["slope"] == 2
+        assert fit["polynomial"] == ["0", "0", "-1/36"] and fit["match"]
         assert "asym-bush" in report["condition"]
 
     def test_even_case_degenerates(self):
@@ -662,15 +718,74 @@ class TestUniquenessSweep:
         betas = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]
         report = uniqueness_sweep(quad_rule(2, Fraction(1, 2)), 3, betas=betas)
         assert report["betas"] == [0.125, 0.25, 0.5]
-        assert len(report["residuals"]) == 3
+        # the residuals are the exact polynomial's values
+        assert report["residuals"] == [float(b**2 / 648) for b in betas]
 
-    @pytest.mark.parametrize("s,zeta", [(3, Fraction(1, 2)), (4, Fraction(2, 3)), (4, Fraction(-1, 3))])
+    @pytest.mark.parametrize(
+        "s,zeta",
+        [
+            (3, Fraction(1, 2)),
+            (4, Fraction(2, 3)),
+            (4, Fraction(-1, 3)),
+            (5, Fraction(1, 3)),
+            (5, Fraction(2)),
+        ],
+    )
     def test_generic_zeta_fit(self, s, zeta):
-        # the exact rank-one factors give the leading coefficient the fit finds
+        # the residual along the exactly factored ray is kappa beta^2, with
+        # kappa from the exact rank-one factors
         fit = uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)["residual_fit"]
-        assert fit["expected_slope"] == 2
-        assert abs(fit["slope"] - 2) < 1e-6
-        assert abs(fit["coeff"] - fit["expected_coeff"]) <= 1e-9 * abs(fit["expected_coeff"])
+        assert fit["expected_slope"] == fit["slope"] == 2
+        kappa = Fraction(fit["expected_kappa"])
+        assert [Fraction(x) for x in fit["polynomial"]] == [0, 0, kappa] and kappa != 0
+        assert fit["match"] and fit["coeff"] == fit["expected_coeff"] == float(kappa)
+
+    @pytest.mark.parametrize(
+        "s,zeta,direction,residual",
+        SWEEP_BRANCHES,
+        ids=["s2", "s2-gauss", "gauss", "left", "generic"],
+    )
+    def test_exact_polynomial_is_the_mpf_residual(self, s, zeta, direction, residual):
+        rule = quad_rule(s, zeta)
+        fit = uniqueness_sweep(rule, 2 * s - 1)["residual_fit"]
+        assert fit["match"]
+        poly = UniPoly([Fraction(x) for x in fit["polynomial"]])
+        N = direction(rule)
+        A0 = _avf_matrix(rule)
+        with mp.workdps(60):
+            for beta in (Fraction(1, 10), Fraction(1)):
+                r = residual(A0 + mpf_of(beta) * N, rule)
+                assert abs(r - mpf_of(poly(beta))) < TINY
+
+    @pytest.mark.parametrize("s,zeta", [(2, Fraction(1, 2)), (3, Fraction(0)), (4, Fraction(-1))])
+    def test_closed_form_checked_against_the_kernel(self, monkeypatch, s, zeta):
+        real = conditions._exact_factors
+
+        def scaled(M, alpha):
+            u, v = real(M, alpha)
+            return [-3 * x for x in u], [x / 7 for x in v]
+
+        # a rational multiple of the computed direction passes ...
+        monkeypatch.setattr(conditions, "_exact_factors", scaled)
+        assert uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)["residual_fit"]["match"]
+        # ... another rank-one direction does not
+        other = lambda M, alpha: ([1] + [0] * (s - 1), [0] * (s - 1) + [1])
+        monkeypatch.setattr(conditions, "_exact_factors", other)
+        with pytest.raises(KernelStructureError, match="closed form"):
+            uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)
+
+    def test_mismatch_is_reported(self, monkeypatch):
+        # a ray twice as long multiplies the cubic's kappa by 8
+        real = conditions._factor_polys
+
+        def doubled(u, v):
+            U, V = real(u, v)
+            return 2 * U, V
+
+        monkeypatch.setattr(conditions, "_factor_polys", doubled)
+        fit = uniqueness_sweep(quad_rule(3, 0), 5)["residual_fit"]
+        assert fit["polynomial"] == ["0", "0", "0", "108/25"] and fit["expected_kappa"] == "27/50"
+        assert not fit["match"]
 
     @pytest.mark.parametrize(
         "s,zeta,m",
