@@ -56,11 +56,12 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _parse_zeta(text: str) -> Fraction:
+def _parse_fraction(name: str, text: str) -> Fraction:
+    """An exact rational from "num/den" or a decimal; inf, nan and garbage are input errors."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise QuadratureError(f"cannot parse zeta {text!r}: {e}") from e
+        raise ValueError(f"cannot parse {name} {text!r}: {e}") from e
 
 
 def _dec(x, args) -> str:
@@ -88,7 +89,7 @@ def _emit(args, doc: dict, rows: list) -> None:
 
 
 def _rule_from_args(args):
-    return quad_rule(args.s, zeta=_parse_zeta(args.zeta), precision_digits=args.precision)
+    return quad_rule(args.s, zeta=_parse_fraction("zeta", args.zeta), precision_digits=args.precision)
 
 
 def _mpf_entry(x, dps):
@@ -280,7 +281,7 @@ def cmd_uniqueness(args) -> int:
     m = args.m if args.m is not None else 2 * rule.s - 1
     betas = None
     if args.betas:
-        betas = [float(x) for x in args.betas.split(",")]
+        betas = [_parse_fraction("beta", x) for x in args.betas.split(",")]
     report = uniqueness_sweep(rule, m, betas)
     fit = report["residual_fit"]
     code = EXIT_OK
@@ -425,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("uniqueness", parents=[common], help="nonlinear residual sweep along the kernel")
     rule_args(sp)
     sp.add_argument("--m", type=int, default=None, help="degree (default 2s-1)")
-    sp.add_argument("--betas", default=None, help="comma-separated perturbation sizes")
+    sp.add_argument("--betas", default=None, help="comma-separated perturbation sizes (rational or decimal)")
     sp.set_defaults(func=cmd_uniqueness)
 
     def run_args(sp):

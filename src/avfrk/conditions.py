@@ -7,23 +7,24 @@ along A = c b^T + beta N for kernel directions N, and their growth in beta
 shows that only beta = 0, i.e. the averaged-vector-field matrix c b^T,
 preserves energy for the full polynomial degree.
 
-All discrete inner products that enter the operator are rational numbers and
-are computed exactly from the rule's moments, one moment row per polynomial
-(quadrature.discrete_ip_table).  The operator's rank, its kernel basis, the
-check of the closed-form kernel factors, the zero-row-sum kernel direction
-and its rank-one factors are exact as well: fraction-free elimination over
-Q and exact 2x2 minors, with no tolerance.  A uniqueness sweep factors its
-operator once and computes its discriminating residual exactly: along
+The certificate path is exact over Q.  All discrete inner products that
+enter the operator are rational and come from the rule's moments, one
+moment row per polynomial (quadrature.discrete_ip_table).  The operator,
+its rank, its kernel basis with the check of the closed-form kernel
+factors, and the zero-row-sum kernel direction with its rank-one factors
+are rational as well: fraction-free elimination over Q and exact 2x2
+minors, with no tolerance.  A uniqueness sweep factors its operator once
+and computes its discriminating residual exactly: along
 A = c b^T + beta U(c) b^T V(C) every node vector is a polynomial in c, so
-the residual is an exact polynomial in beta.  The public residual functions
-take arbitrary tableaux and evaluate in floating point at the rule's
-precision.
+the residual is an exact polynomial in beta.  Floating point (mp) is used
+only by the public residual functions, which take arbitrary tableaux and
+evaluate at the rule's precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from mpmath import mp
 
@@ -294,42 +295,26 @@ def _odd_right_family(rule):
 
 
 class MOperator:
-    """The double-bush conditions as a linear system on tableau coordinates.
+    """The double-bush conditions as an exact linear system on tableau coordinates.
 
     Coordinates alpha_{k,l} expand A = sum alpha_{k,l} P_{k-1}(c) b^T B_l'(C)
     over the right family B_l; rows are pairs (p, q) with 1 <= p < q <= m-1,
-    columns follow (k-1)*s + (l-1).  matrix @ vec(alpha) = w characterizes
-    energy preservation at this level; w is kept separate so the matrix
-    itself is the homogeneous part.  Exact rational copies of both sit in
-    matrix_exact / w_exact.
+    columns follow (k-1)*s + (l-1).  matrix_exact @ vec(alpha) = w_exact
+    characterizes energy preservation at this level; w_exact is kept
+    separate so matrix_exact itself is the homogeneous part.  Both hold
+    Fractions.
     """
 
-    __slots__ = (
-        "rule",
-        "m",
-        "basis_kind",
-        "rows",
-        "matrix_exact",
-        "w_exact",
-        "right_family",
-        "_X",
-        "_Yb",
-        "w",
-        "_matrix",
-    )
+    __slots__ = ("rule", "m", "basis_kind", "rows", "matrix_exact", "w_exact", "right_family")
 
-    def __init__(self, rule, m, basis_kind, rows, w, matrix_exact, w_exact, right_family, X, Yb):
+    def __init__(self, rule, m, basis_kind, rows, matrix_exact, w_exact, right_family):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "matrix_exact", tuple(tuple(r) for r in matrix_exact))
         object.__setattr__(self, "w_exact", tuple(w_exact))
         object.__setattr__(self, "right_family", tuple(right_family))
-        object.__setattr__(self, "_X", X)
-        object.__setattr__(self, "_Yb", Yb)
 
     def __setattr__(self, *a):
         raise AttributeError("MOperator is immutable")
@@ -341,72 +326,12 @@ class MOperator:
         )
 
     @property
-    def matrix(self):
-        """matrix_exact in mpf at the rule's working precision, converted on first use."""
-        if self._matrix is None:
-            s = self.rule.s
-            with mp.workdps(self.rule.precision_digits + 15):
-                matrix = mp.matrix(len(self.rows), s * s)
-                for i, row in enumerate(self.matrix_exact):
-                    for j, x in enumerate(row):
-                        matrix[i, j] = _to_mpf(x)
-            object.__setattr__(self, "_matrix", matrix)
-        return self._matrix
-
-    @property
     def n_conditions(self) -> int:
         return len(self.rows)
 
     @property
     def n_coeffs(self) -> int:
         return self.rule.s**2
-
-    def basis_matrix(self, k: int, l: int):
-        """P_{k-1}(c) b^T B_l'(C) for 1-based slot indices."""
-        rule = self.rule
-        s = rule.s
-        if not (1 <= k <= s and 1 <= l <= s):
-            raise ValueError("basis indices out of range")
-        return _outer_matrix(rule, legendre(k - 1), self.right_family[l - 1].derivative())
-
-    def coords_vec(self, alpha):
-        s = self.rule.s
-        if isinstance(alpha, mp.matrix) and alpha.cols == 1:
-            return alpha
-        vec = mp.matrix(s * s, 1)
-        for k in range(s):
-            for l in range(s):
-                vec[k * s + l] = _to_mpf(alpha[k, l])
-        return vec
-
-    def coords_of(self, A):
-        """Coefficient matrix alpha with A = sum alpha_{k,l} basis_matrix(k, l)."""
-        s = self.rule.s
-        with mp.workdps(self.rule.precision_digits + 15):
-            A = _as_matrix(A, s)
-            return (self._X**-1) * A * (self._Yb.T) ** -1
-
-    def coeffs_to_matrix(self, alpha):
-        with mp.workdps(self.rule.precision_digits + 15):
-            return self._X * alpha * self._Yb.T
-
-    def avf_coords(self):
-        """Coordinates of c b^T: 1/4 in the (1,1) and (2,1) slots."""
-        s = self.rule.s
-        alpha = mp.matrix(s, s)
-        alpha[0, 0] = mp.mpf(1) / 4
-        alpha[1, 0] = mp.mpf(1) / 4
-        return alpha
-
-    def apply(self, alpha):
-        """Homogeneous image matrix @ vec(alpha)."""
-        with mp.workdps(self.rule.precision_digits + 15):
-            return self.matrix * self.coords_vec(alpha)
-
-    def residual_vector(self, A):
-        """matrix @ coords(A) - w; zero exactly when A passes every condition."""
-        with mp.workdps(self.rule.precision_digits + 15):
-            return self.apply(self.coords_of(A)) - self.w
 
 
 def build_M(rule: QuadRule, m: int) -> MOperator:
@@ -448,18 +373,11 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         )
         (p1, pint), (q1, qint) = ends[p - 1], ends[q - 1]
         w_exact.append(p1 * qint - q1 * pint)
-    with mp.workdps(rule.precision_digits + 15):
-        w = mp.matrix([_to_mpf(x) for x in w_exact])
-        X = mp.matrix([legendre(k).values(rule.c) for k in range(s)]).T
-        Yb = mp.matrix(s, s)
-        for l, B in enumerate(fam):
-            for i, v in enumerate(B.derivative().values(rule.c)):
-                Yb[i, l] = rule.b[i] * v
-    # c b^T has coordinates 1/4 in slots (1,1) and (2,1) (avf_coords)
+    # c b^T has coordinates 1/4 in slots (1,1) and (2,1): c = (P_0 + P_1)/2 and B_1' = 2
     for (p, q), row, wv in zip(rows, matrix_exact, w_exact):
         if (row[0] + row[s]) / 4 != wv:
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-    return MOperator(rule, m, kind, rows, w, matrix_exact, w_exact, fam, X, Yb)
+    return MOperator(rule, m, kind, rows, matrix_exact, w_exact, fam)
 
 
 def _over_common_den(table):
@@ -476,15 +394,15 @@ class KernelElement:
     """A kernel direction, optionally with rank-one factor coordinates.
 
     coords is the exact operator coordinate vector vec(alpha) of the
-    direction.  u holds coefficients over P_0..P_{s-1} for the left factor
-    and v over P_1'..P_s' for the right one, so the matrix is U(c) b^T V(C);
-    v0 is the dependent constant-slot coefficient -sum(v).
+    direction.  u holds exact coefficients over P_0..P_{s-1} for the left
+    factor and v over P_1'..P_s' for the right one, so the direction is
+    U(c) b^T V(C); v0 is the dependent constant-slot coefficient -sum(v).
+    structured marks an element of the closed-form factor table.
     """
 
-    __slots__ = ("matrix", "coords", "u", "v", "structured")
+    __slots__ = ("coords", "u", "v", "structured")
 
-    def __init__(self, matrix, coords, u=None, v=None, structured=False):
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, coords, u=None, v=None, structured=False):
         object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "u", None if u is None else tuple(u))
         object.__setattr__(self, "v", None if v is None else tuple(v))
@@ -507,7 +425,7 @@ class KernelElement:
 
     def __repr__(self):
         tag = "structured" if self.structured else "raw"
-        return f"KernelElement({tag}, {self.matrix.rows}x{self.matrix.cols})"
+        return f"KernelElement({tag}, s={isqrt(len(self.coords))})"
 
 
 class KernelBasis:
@@ -615,23 +533,11 @@ def _factor_polys(u, v):
     """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', exact coefficients."""
     U = UniPoly([0])
     for k, uk in enumerate(u):
-        U = U + _exact_fraction(uk) * legendre(k)
+        U = U + uk * legendre(k)
     V = UniPoly([0])
     for l, vl in enumerate(v, start=1):
-        V = V + _exact_fraction(vl) * legendre(l).derivative()
+        V = V + vl * legendre(l).derivative()
     return U, V
-
-
-def _outer_matrix(rule, U, Vd):
-    """U(c) b^T Vd(C) in mpf."""
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        uc, vc = U.values(rule.c), Vd.values(rule.c)
-        N = mp.matrix(s, s)
-        for i in range(s):
-            for j in range(s):
-                N[i, j] = uc[i] * rule.b[j] * vc[j]
-        return N
 
 
 def _derivative_columns(polys, s):
@@ -654,9 +560,9 @@ def _structured_elements(M, nullity):
     if len(table) != nullity:
         return None
     fam = _derivative_columns(M.right_family, s)
-    polys, vecs = [], []
+    vecs = []
     for u, v in table:
-        U, V = _factor_polys(u, v)
+        _, V = _factor_polys(u, v)
         w = _solve_fraction(fam, [V.coeffs[i] if i < len(V.coeffs) else 0 for i in range(s)])
         if w is None:
             return None
@@ -664,26 +570,16 @@ def _structured_elements(M, nullity):
         nz = [(i, x) for i, x in enumerate(vec) if x]
         if any(sum(row[i] * x for i, x in nz) for row in M.matrix_exact):
             return None
-        polys.append((U, V))
         vecs.append(vec)
     if len(_eliminate(vecs, s * s)[0]) != nullity:
         return None
-    return [
-        KernelElement(_outer_matrix(rule, U, V), vec, u, v, True)
-        for (u, v), (U, V), vec in zip(table, polys, vecs)
-    ]
-
-
-def _coords_matrix(M, vec):
-    """X alpha Yb^T in mpf for an exact coordinate vector vec(alpha)."""
-    s = M.rule.s
-    with mp.workdps(M.rule.precision_digits + 15):
-        alpha = mp.matrix([[_to_mpf(vec[k * s + l]) for l in range(s)] for k in range(s)])
-        return M.coeffs_to_matrix(alpha)
+    return [KernelElement(vec, u, v, True) for (u, v), vec in zip(table, vecs)]
 
 
 def _exact_factors(M, alpha):
-    """Exact (u, v) with X alpha Yb^T = U(c) b^T V(C), or None if alpha is not rank one.
+    """Exact (u, v) with sum alpha_{k,l} P_{k-1}(c) b^T B_l'(C) = U(c) b^T V(C), or None.
+
+    None means alpha is not rank one.
 
     The s x s coordinates alpha are u (x) w exactly when every 2x2 minor
     vanishes: u is read off a nonzero column and w off the matching row.
@@ -718,10 +614,7 @@ def rank_kernel(M: MOperator):
     elements = _structured_elements(M, len(null))
     structured = elements is not None
     if not structured:
-        elements = [
-            KernelElement(_coords_matrix(M, a), a, *(_exact_factors(M, a) or (None, None)))
-            for a in null
-        ]
+        elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
     return len(pivots), KernelBasis(elements, null, structured)
 
 
@@ -739,12 +632,13 @@ def expected_rank(s: int, m: int, zeta):
 def _rowsum_element(M, basis):
     """Exact coordinates vec(alpha) of the zero-row-sum direction of ker M, or None.
 
-    The row sums of X alpha Yb^T are X (alpha r) with r_l = B_l(1) - B_l(0),
-    since the rule integrates the degree < s derivatives B_l' exactly and X
-    is invertible; the intersection is therefore the exact null space of the
-    s x dim(ker) system alpha_t r over the basis' coordinate vectors, and
-    its element has alpha r = 0 over Q.  A higher-dimensional intersection
-    raises KernelStructureError.
+    The direction is X alpha Yb^T with X_ik = P_{k-1}(c_i) and
+    Yb_jl = b_j B_l'(c_j).  Its row sums are X (alpha r) with
+    r_l = B_l(1) - B_l(0), since the rule integrates the degree < s
+    derivatives B_l' exactly, and X is invertible; the intersection is
+    therefore the exact null space of the s x dim(ker) system alpha_t r over
+    the basis' coordinate vectors, and its element has alpha r = 0 over Q.
+    A higher-dimensional intersection raises KernelStructureError.
     """
     s = M.rule.s
     r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
@@ -760,18 +654,17 @@ def _rowsum_element(M, basis):
 
 
 def kernel_rowsum(M: MOperator):
-    """The kernel direction with zero row sums in mpf, normalized by its largest entry.
+    """The exact zero-row-sum kernel direction as a KernelElement, or None.
 
-    Returns None in the even case, where the intersection is trivial and
-    uniqueness already follows from the linear stage; see _rowsum_element.
+    coords come from _rowsum_element and u, v are its exact rank-one factors
+    (None if it is not rank one).  Returns None in the even case, where the
+    intersection is trivial and uniqueness already follows from the linear
+    stage.
     """
     alpha = _rowsum_element(M, rank_kernel(M)[1])
     if alpha is None:
         return None
-    N = _coords_matrix(M, alpha)
-    s = M.rule.s
-    with mp.workdps(M.rule.precision_digits + 15):
-        return N / max((N[i, j] for i in range(s) for j in range(s)), key=abs)
+    return KernelElement(alpha, *(_exact_factors(M, alpha) or (None, None)))
 
 
 # ---------------------------------------------------------------------------

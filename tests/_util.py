@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
 from avfrk.quadrature import UniPoly
 from avfrk.trees import ButcherTableau
@@ -82,3 +83,44 @@ def t_pq(p: int, q: int):
 def sigma_multiset(p: int, q: int) -> list:
     f = math.factorial
     return sorted([f(p - 1) * f(q), f(p) * f(q), f(p) * f(q), f(p) * f(q - 1)])
+
+
+def annihilated(M, vec):
+    """vec is a nonzero exact null vector of the operator M."""
+    return any(vec) and all(sum(a * x for a, x in zip(row, vec)) == 0 for row in M.matrix_exact)
+
+
+def max_entry(M):
+    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
+
+
+def outer_matrix(rule, U, V):
+    """U(c) b^T V(C) in mpf at the rule's working precision, for exact polynomials U and V."""
+    s = rule.s
+    with mp.workdps(rule.precision_digits + 15):
+        uc, vc = [U(x) for x in rule.c], [V(x) for x in rule.c]
+        return mp.matrix([[uc[i] * rule.b[j] * vc[j] for j in range(s)] for i in range(s)])
+
+
+def avf_matrix(rule):
+    """c b^T in mpf."""
+    return outer_matrix(rule, UniPoly([0, 1]), UniPoly([1]))
+
+
+def factor_matrix(rule, u, v):
+    """U(c) b^T V(C) in mpf from exact factor coordinates (u, v)."""
+    return outer_matrix(rule, *_factor_polys(u, v))
+
+
+def kernel_ray_residual(M, u, v):
+    """Worst |double_bush_residual| of c b^T + N/max|N| over the rows (p, q) of M.
+
+    N = U(c) b^T V(C) is built in mpf from the exact factors (u, v) of a
+    kernel element, independently of the operator's coordinates, so this
+    checks the exact kernel through the public floating-point residuals.
+    """
+    rule = M.rule
+    with mp.workdps(rule.precision_digits + 15):
+        N = factor_matrix(rule, u, v)
+        A = avf_matrix(rule) + N / max_entry(N)
+        return max(abs(double_bush_residual(A, rule, p, q)) for p, q in M.rows)

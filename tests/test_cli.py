@@ -219,6 +219,15 @@ class TestUniqueness:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exact_betas(self, capsys):
+        # each beta is parsed as an exact rational, so 1/10 is not the double nearest 0.1
+        code, doc = run_json(capsys, ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"])
+        assert code == 0
+        kappa = Fraction(doc["residual_fit"]["kappa"])
+        betas = [Fraction(1, 3), Fraction(1, 10)]
+        assert doc["betas"] == [float(b) for b in betas]
+        assert doc["residuals"] == [float(kappa * b**2) for b in betas]
+
     def test_csv_states_the_exact_polynomial(self, capsys):
         code = main(["uniqueness", "--s", "3", "--zeta", "0", "--format", "csv"])
         rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())

@@ -9,9 +9,9 @@ from mpmath import mp
 from avfrk import conditions
 from avfrk.conditions import (
     KernelStructureError,
+    _derivative_columns,
+    _eliminate,
     _exact_factors,
-    _factor_polys,
-    _outer_matrix,
     asym_bush_residual,
     build_M,
     build_p_tilde,
@@ -32,9 +32,18 @@ from avfrk.quadrature import (
     legendre,
     quad_rule,
 )
-from _util import random_unipoly
+from _util import (
+    annihilated,
+    avf_matrix,
+    factor_matrix,
+    kernel_ray_residual,
+    max_entry,
+    outer_matrix,
+    random_unipoly,
+)
 
 ONE = UniPoly([1])
+X = UniPoly([0, 1])
 TINY = mp.mpf("1e-40")
 
 
@@ -43,34 +52,28 @@ def mpf_of(fr):
     return mp.mpf(fr.numerator) / fr.denominator
 
 
-def max_entry(M):
-    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
-
-
-def _avf_matrix(rule):
-    """c b^T in mpf."""
-    return _outer_matrix(rule, UniPoly([0, 1]), ONE)
-
-
-def _factor_matrix(rule, u, v):
-    """U(c) b^T V(C) from factor coordinates."""
-    return _outer_matrix(rule, *_factor_polys(u, v))
-
-
 def _s2_rowsum_matrix(rule):
     """((zeta-1) 1 - 2 zeta c) b^T (I - 2C), the two-stage row-sum direction."""
     zx = rule.zeta_exact
-    return _outer_matrix(rule, UniPoly([zx - 1, -2 * zx]), UniPoly([1, -2]))
+    return outer_matrix(rule, UniPoly([zx - 1, -2 * zx]), UniPoly([1, -2]))
 
 
-def collinear_defect(A, B):
-    """Distance between the lines spanned by two matrices, sign-agnostic."""
-    s = A.rows
-    na = max_entry(A)
-    nb = max_entry(B)
-    d1 = max(abs(A[i, j] / na - B[i, j] / nb) for i in range(s) for j in range(s))
-    d2 = max(abs(A[i, j] / na + B[i, j] / nb) for i in range(s) for j in range(s))
-    return min(d1, d2)
+def parallel(P, Q):
+    """Whether the nonzero polynomials P and Q are exact rational multiples of each other."""
+    return len(P.coeffs) == len(Q.coeffs) and (Q.coeffs[-1] * P).coeffs == (P.coeffs[-1] * Q).coeffs
+
+
+def slot_vector(s, slots):
+    """Coordinate vector vec(alpha) with alpha_{k,l} = x for ((k, l), x) in slots, 1-based."""
+    vec = [Fraction(0)] * (s * s)
+    for (k, l), x in slots.items():
+        vec[(k - 1) * s + (l - 1)] = Fraction(x)
+    return vec
+
+
+# c b^T and (1 - c) b^T in slot coordinates: c = (P_0 + P_1)/2 and B_1' = P_1' = 2
+AVF_SLOTS = {(1, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)}
+SHIFTED_SLOTS = {(1, 1): Fraction(1, 4), (2, 1): Fraction(-1, 4)}
 
 
 class TestBushResidualsOnAvf:
@@ -79,7 +82,7 @@ class TestBushResidualsOnAvf:
     @pytest.mark.parametrize("s,zeta", [(2, Fraction(0)), (2, Fraction(1, 2)), (3, Fraction(0))])
     def test_double_bush(self, s, zeta):
         rule = quad_rule(s, zeta)
-        A = _avf_matrix(rule)
+        A = avf_matrix(rule)
         for p in range(1, rule.order):
             for q in range(p + 1, rule.order):
                 assert abs(double_bush_residual(A, rule, p, q)) < TINY
@@ -87,7 +90,7 @@ class TestBushResidualsOnAvf:
     @pytest.mark.parametrize("s,zeta", [(2, Fraction(0)), (3, Fraction(1, 2))])
     def test_poly_form_on_g_pairs(self, s, zeta):
         rule = quad_rule(s, zeta)
-        A = _avf_matrix(rule)
+        A = avf_matrix(rule)
         for p in range(1, rule.order):
             for q in range(p + 1, rule.order):
                 r = double_bush_poly_residual(A, rule, g_poly(p), g_poly(q))
@@ -95,7 +98,7 @@ class TestBushResidualsOnAvf:
 
     def test_triple_bush(self):
         rule = quad_rule(2, 0)
-        A = _avf_matrix(rule)
+        A = avf_matrix(rule)
         for P, Q, R in [
             (g_poly(1), g_poly(2), ONE),
             (g_poly(1), g_poly(2), g_poly(1)),
@@ -106,7 +109,7 @@ class TestBushResidualsOnAvf:
     def test_asym_bush(self):
         for s, zeta in [(2, Fraction(0)), (2, Fraction(1)), (3, Fraction(0))]:
             rule = quad_rule(s, zeta)
-            A = _avf_matrix(rule)
+            A = avf_matrix(rule)
             for q in range(1, rule.order):
                 assert abs(asym_bush_residual(A, rule, q)) < TINY
 
@@ -114,7 +117,7 @@ class TestBushResidualsOnAvf:
 class TestBushValidation:
     def setup_method(self):
         self.rule = quad_rule(2, 0)
-        self.A = _avf_matrix(self.rule)
+        self.A = avf_matrix(self.rule)
 
     def test_double_bush_index_order(self):
         with pytest.raises(ValueError):
@@ -236,15 +239,13 @@ class TestS2BasisExpansion:
             assert abs(r0 - mp.mpf(1) / 6) < mp.mpf("1e-42")
             for k in range(2):
                 for l in range(2):
-                    alpha = mp.matrix(2, 2)
-                    alpha[k, l] = 1
-                    A = M.coeffs_to_matrix(alpha)
+                    V = M.right_family[l].derivative()
+                    A = outer_matrix(rule, legendre(k), V)  # the (k+1, l+1) basis slot
                     probed = double_bush_residual(A, rule, 1, 2) - r0
-                    want = self.exact_gamma(
-                        rule, legendre(k), M.right_family[l].derivative()
-                    )
+                    want = self.exact_gamma(rule, legendre(k), V)
                     assert abs(probed - mpf_of(want)) < mp.mpf("1e-42")
-            A = M.coeffs_to_matrix(M.avf_coords())
+            # c b^T through its slot coordinates
+            A = outer_matrix(rule, (legendre(0) + legendre(1)) * Fraction(1, 4), legendre(1).derivative())
             assert abs(double_bush_residual(A, rule, 1, 2)) < TINY
 
 
@@ -291,7 +292,8 @@ class TestBuildM:
         assert M.n_coeffs == 9
         assert M.rows[0] == (1, 2)
         assert M.rows[-1] == (4, 5)
-        assert M.matrix.rows == 10 and M.matrix.cols == 9
+        assert len(M.matrix_exact) == len(M.w_exact) == 10
+        assert all(len(row) == 9 for row in M.matrix_exact)
 
     def test_inhomogeneous_side(self):
         assert build_M(quad_rule(2, Fraction(1, 2)), 3).w_exact == (Fraction(-1, 6),)
@@ -303,21 +305,17 @@ class TestBuildM:
 
     def test_avf_solves_system(self):
         for s, m, zeta in [(2, 4, 0), (3, 6, 0), (3, 5, Fraction(1, 2)), (4, 7, Fraction(-1))]:
-            rule = quad_rule(s, zeta)
-            M = build_M(rule, m)
-            assert max_entry(M.residual_vector(_avf_matrix(rule))) < mp.mpf("1e-38")
+            M = build_M(quad_rule(s, zeta), m)
+            x = slot_vector(s, AVF_SLOTS)
+            assert [sum(a * b for a, b in zip(row, x)) for row in M.matrix_exact] == list(M.w_exact)
+            assert any(M.w_exact)
 
     def test_shifted_weight_matrix_in_kernel(self):
         # (1 - c) b^T is annihilated by the homogeneous part
         for s, m, zeta in [(2, 4, 0), (3, 6, 0), (3, 5, Fraction(1))]:
-            rule = quad_rule(s, zeta)
-            M = build_M(rule, m)
-            with mp.workdps(60):
-                N1 = mp.matrix(s, s)
-                for i in range(s):
-                    for j in range(s):
-                        N1[i, j] = (1 - rule.c[i]) * rule.b[j]
-                assert max_entry(M.apply(M.coords_of(N1))) < mp.mpf("1e-38")
+            M = build_M(quad_rule(s, zeta), m)
+            assert (legendre(0) - legendre(1)) * Fraction(1, 4) * M.right_family[0].derivative() == ONE - X
+            assert annihilated(M, slot_vector(s, SHIFTED_SLOTS))
 
     def test_odd_high_index_rows_vanish(self):
         # for p >= s+1 both polynomial factors are multiples of the node
@@ -339,26 +337,27 @@ class TestBuildM:
             build_M(quad_rule(2, 0), 6)  # m must be 2s or 2s-1
 
     def test_coordinate_roundtrip(self):
-        rng = random.Random(57)
-        rule = quad_rule(3, 0)
-        M = build_M(rule, 6)
-        with mp.workdps(60):
-            A = mp.matrix(3, 3)
-            for i in range(3):
-                for j in range(3):
-                    A[i, j] = mp.mpf(rng.randint(-8, 8)) / 4
-            back = M.coeffs_to_matrix(M.coords_of(A))
-            assert max_entry(back - A) < mp.mpf("1e-42")
+        # coordinates and tableaux correspond one to one: P_0..P_{s-1} and the
+        # right family's derivatives B_l' are both bases of degree < s (for
+        # m = 2s-1 at zeta = 0 only because slot 2 holds P_s in place of P_2)
+        for s, zeta, m in [(3, 0, 6), (3, 0, 5), (4, 0, 7), (4, Fraction(1, 2), 7), (4, -1, 7)]:
+            M = build_M(quad_rule(s, zeta), m)
+            assert len(_eliminate(_derivative_columns(M.right_family, s), s)[0]) == s
 
     @pytest.mark.parametrize(
         "s,zeta,m",
         [(3, Fraction(0), 6), (3, Fraction(1, 2), 5), (4, Fraction(0), 7), (4, Fraction(-1), 7)],
     )
     def test_avf_coords_match_float_basis(self, s, zeta, m):
-        # the closed form build_M checks exactly is the float basis' view of c b^T
+        # the slots build_M checks exactly, mapped through the float basis matrices, are c b^T
         M = build_M(quad_rule(s, zeta), m)
         with mp.workdps(60):
-            assert max_entry(M.coords_of(_avf_matrix(M.rule)) - M.avf_coords()) < mp.mpf("1e-40")
+            A = sum(
+                (x * outer_matrix(M.rule, legendre(k - 1), M.right_family[l - 1].derivative())
+                 for (k, l), x in AVF_SLOTS.items()),
+                mp.zeros(s, s),
+            )
+            assert max_entry(A - avf_matrix(M.rule)) < mp.mpf("1e-40")
 
     def test_exact_avf_check(self, monkeypatch):
         # an operator that c b^T does not solve exactly is refused
@@ -369,21 +368,11 @@ class TestBuildM:
             build_M(quad_rule(2, 0), 4)
 
     def test_avf_coords_slots(self):
-        M = build_M(quad_rule(2, 0), 4)
-        alpha = M.avf_coords()
-        assert abs(alpha[0, 0] - mp.mpf(1) / 4) < TINY
-        assert abs(alpha[1, 0] - mp.mpf(1) / 4) < TINY
-        assert abs(alpha[0, 1]) < TINY and abs(alpha[1, 1]) < TINY
-        with mp.workdps(60):
-            A = M.coeffs_to_matrix(alpha)
-            assert max_entry(A - _avf_matrix(M.rule)) < mp.mpf("1e-42")
-
-    def test_basis_matrix_bounds(self):
-        M = build_M(quad_rule(2, 0), 4)
-        with pytest.raises(ValueError):
-            M.basis_matrix(0, 1)
-        with pytest.raises(ValueError):
-            M.basis_matrix(1, 3)
+        # c b^T = (P_0 + P_1)/4 b^T B_1'(C): B_1 = P_1 in every right family
+        for s, zeta, m in [(2, 0, 4), (2, 0, 3), (3, Fraction(1, 2), 5), (4, -1, 7)]:
+            B1 = build_M(quad_rule(s, zeta), m).right_family[0]
+            assert B1 == legendre(1)
+            assert (legendre(0) + legendre(1)) * Fraction(1, 4) * B1.derivative() == X
 
     def test_immutable(self):
         M = build_M(quad_rule(2, 0), 4)
@@ -415,12 +404,9 @@ class TestRankKernel:
         el = basis.elements[0]
         assert el.structured
         assert el.u == (1, -1) and el.v == (1, 0)
-        with mp.workdps(60):
-            N1 = mp.matrix(2, 2)
-            for i in range(2):
-                for j in range(2):
-                    N1[i, j] = (1 - rule.c[i]) * rule.b[j]
-            assert collinear_defect(el.matrix, N1) < mp.mpf("1e-38")
+        # a nonzero multiple of (1 - c) b^T
+        x = slot_vector(2, SHIFTED_SLOTS)
+        assert el.coords[0] and [a * x[0] for a in el.coords] == [el.coords[0] * a for a in x]
 
     def test_odd_two_stage(self):
         rank, basis = rank_kernel(build_M(quad_rule(2, Fraction(1, 2)), 3))
@@ -474,36 +460,36 @@ class TestRankKernel:
         ]
 
     def test_kernel_elements_annihilated(self):
-        for s, m, zeta in [(2, 4, 0), (3, 5, Fraction(1, 2)), (3, 5, Fraction(-1))]:
-            rule = quad_rule(s, zeta)
-            M = build_M(rule, m)
-            _, basis = rank_kernel(M)
-            scale = max_entry(M.matrix)
-            for el in basis.elements:
-                resid = max_entry(M.apply(M.coords_of(el.matrix)))
-                assert resid < scale * mp.mpf("1e-35")
+        # independent of the operator's coordinates: c b^T + N/|N|, with N in
+        # mpf from each element's exact factors, passes every double-bush condition
+        zetas = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(1, 3))
+        cases = [(s, z, 2 * s - 1) for s in range(2, 7) for z in zetas]
+        for s, zeta, m in cases + [(s, Fraction(0), 2 * s) for s in range(2, 7)]:
+            M = build_M(quad_rule(s, zeta), m)
+            for el in rank_kernel(M)[1].elements:
+                assert annihilated(M, el.coords)
+                assert kernel_ray_residual(M, el.u, el.v) < mp.mpf("1e-35"), (s, zeta, m)
 
     def test_kernel_matrix_rank_at_most_two(self):
-        rule = quad_rule(4, Fraction(1))
-        M = build_M(rule, 7)
+        s = 4
+        M = build_M(quad_rule(s, Fraction(1)), 7)
         _, basis = rank_kernel(M)
-        with mp.workdps(60):
-            for el in basis.elements:
-                sv = mp.svd_r(mp.matrix(el.matrix), compute_uv=False)
-                assert sv[2] < mp.mpf("1e-35") * sv[0]
+        for el in basis.elements:
+            alpha = [el.coords[k * s : (k + 1) * s] for k in range(s)]
+            assert len(_eliminate(alpha, s)[0]) == 1
 
     def test_factor_polys_reproduce_matrix(self):
-        rule = quad_rule(3, Fraction(1, 2))
-        M = build_M(rule, 5)
+        # coords = u (x) w with V = sum w_l B_l', for the V of factor_polys
+        s = 3
+        M = build_M(quad_rule(s, Fraction(1, 2)), 5)
         _, basis = rank_kernel(M)
-        with mp.workdps(60):
-            for el in basis.elements:
-                U, V = el.factor_polys()
-                Vd = V
-                for i in range(3):
-                    for j in range(3):
-                        want = U(rule.c[i]) * rule.b[j] * Vd(rule.c[j])
-                        assert abs(el.matrix[i, j] - want) < mp.mpf("1e-40")
+        for el in basis.elements:
+            U, V = el.factor_polys()
+            assert U == sum((uk * legendre(k) for k, uk in enumerate(el.u)), UniPoly([]))
+            k0 = next(k for k, uk in enumerate(el.u) if uk)
+            w = [x / el.u[k0] for x in el.coords[k0 * s : (k0 + 1) * s]]
+            assert list(el.coords) == [uk * wl for uk in el.u for wl in w]
+            assert sum((wl * B.derivative() for wl, B in zip(w, M.right_family)), UniPoly([])) == V
 
     @pytest.mark.parametrize(
         "s,zeta,m",
@@ -518,14 +504,7 @@ class TestRankKernel:
         assert basis.structured
         assert basis.dim == len(basis.coords) == s * s - rank
         for vec in basis.coords + tuple(el.coords for el in basis.elements):
-            assert any(vec)
-            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in M.matrix_exact)
-        # the exact coordinates are those of the mpf element matrices
-        with mp.workdps(60):
-            for el in basis.elements:
-                alpha = mp.matrix([[mpf_of(el.coords[k * s + l]) for l in range(s)] for k in range(s)])
-                back = M.coeffs_to_matrix(alpha)
-                assert max_entry(back - el.matrix) < mp.mpf("1e-40") * max_entry(el.matrix)
+            assert annihilated(M, vec)
 
     @pytest.mark.parametrize(
         "wrong",
@@ -571,32 +550,34 @@ class TestKernelRowsum:
 
     @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 2)])
     def test_two_stage_closed_form(self, zeta):
-        rule = quad_rule(2, zeta)
-        N = kernel_rowsum(build_M(rule, 3))
-        with mp.workdps(60):
-            assert collinear_defect(N, _s2_rowsum_matrix(rule)) < mp.mpf("1e-38")
+        # ((zeta-1) - 2 zeta c) b^T (I - 2C)
+        M = build_M(quad_rule(2, zeta), 3)
+        N = kernel_rowsum(M)
+        U, V = N.factor_polys()
+        assert parallel(U, UniPoly([zeta - 1, -2 * zeta])) and parallel(V, UniPoly([1, -2]))
+        assert annihilated(M, N.coords)
 
     def test_gauss_three_stage_closed_form(self):
-        rule = quad_rule(3, 0)
-        N = kernel_rowsum(build_M(rule, 5))
-        E = _factor_matrix(
-            rule,
-            [Fraction(1), Fraction(0), Fraction(-1)],
-            [Fraction(0), Fraction(1), Fraction(0)],
-        )
-        with mp.workdps(60):
-            assert collinear_defect(N, E) < mp.mpf("1e-38")
+        # (P_0 - P_2)(c) b^T P_2'(C)
+        M = build_M(quad_rule(3, 0), 5)
+        U, V = kernel_rowsum(M).factor_polys()
+        assert parallel(U, legendre(0) - legendre(2)) and parallel(V, legendre(2).derivative())
 
     def test_row_sums_vanish(self):
-        for s, zeta in [(2, Fraction(1, 2)), (3, Fraction(1)), (3, Fraction(-1))]:
+        # the row sums of U(c) b^T V(C) are U(c) <1, V>_D
+        for s, zeta in [(2, Fraction(1, 2)), (3, Fraction(1)), (3, Fraction(-1)), (4, Fraction(2, 3))]:
             rule = quad_rule(s, zeta)
             M = build_M(rule, 2 * s - 1)
             N = kernel_rowsum(M)
+            assert not N.structured
+            U, V = N.factor_polys()
+            assert not U.is_zero() and discrete_ip_exact(ONE, V, rule) == 0
+            assert annihilated(M, N.coords)
+            assert kernel_ray_residual(M, N.u, N.v) < mp.mpf("1e-35")
             with mp.workdps(60):
+                A = factor_matrix(rule, N.u, N.v)
                 for i in range(s):
-                    assert abs(mp.fsum(N[i, j] for j in range(s))) < mp.mpf("1e-38")
-                assert max_entry(M.apply(M.coords_of(N))) < mp.mpf("1e-35") * max_entry(M.matrix)
-            assert max_entry(N) == 1  # normalized by the largest entry
+                    assert abs(mp.fsum(A[i, j] for j in range(s))) < mp.mpf("1e-38") * max_entry(A)
 
 
 class TestPerturbedResiduals:
@@ -606,7 +587,7 @@ class TestPerturbedResiduals:
     def test_two_stage_triple_bush(self, zeta):
         rule = quad_rule(2, zeta)
         N = _s2_rowsum_matrix(rule)
-        A0 = _avf_matrix(rule)
+        A0 = avf_matrix(rule)
         G2 = g_poly(2)
         with mp.workdps(60):
             for beta in (mp.mpf(1) / 1000, mp.mpf(1) / 10, mp.mpf(1)):
@@ -618,7 +599,7 @@ class TestPerturbedResiduals:
     def test_two_stage_asym_bush(self, zeta):
         rule = quad_rule(2, zeta)
         N = _s2_rowsum_matrix(rule)
-        A0 = _avf_matrix(rule)
+        A0 = avf_matrix(rule)
         with mp.workdps(60):
             for beta in (mp.mpf(1) / 100, mp.mpf(1)):
                 r = asym_bush_residual(A0 + beta * N, rule, 2)
@@ -627,12 +608,12 @@ class TestPerturbedResiduals:
 
     def test_gauss_asym_bush_cubic_growth(self):
         rule = quad_rule(3, 0)
-        N = _factor_matrix(
+        N = factor_matrix(
             rule,
             [Fraction(1), Fraction(0), Fraction(-1)],
             [Fraction(0), Fraction(1), Fraction(0)],
         )
-        A0 = _avf_matrix(rule)
+        A0 = avf_matrix(rule)
         with mp.workdps(60):
             for beta in (mp.mpf(1) / 10, mp.mpf(1)):
                 r = asym_bush_residual(A0 + beta * N, rule, 3)
@@ -640,13 +621,12 @@ class TestPerturbedResiduals:
                 assert abs(r - want) < mp.mpf("1e-20") * abs(want)
 
 
-X = UniPoly([0, 1])
 G2 = g_poly(2)
 
 
 def _gauss_ray(rule):
     s = rule.s
-    return _factor_matrix(rule, [1, 0, -1] + [0] * (s - 3), [0, 1] + [0] * (s - 2))
+    return factor_matrix(rule, [1, 0, -1] + [0] * (s - 3), [0, 1] + [0] * (s - 2))
 
 
 def _left_ray(rule):
@@ -655,13 +635,12 @@ def _left_ray(rule):
     v[0] = (-1) ** s
     v[s - 2] -= 1
     v[s - 1] = 1
-    return _factor_matrix(rule, [2, -2] + [0] * (s - 2), v)
+    return factor_matrix(rule, [2, -2] + [0] * (s - 2), v)
 
 
 def _factored_rowsum_ray(rule):
-    M = build_M(rule, 2 * rule.s - 1)
-    alpha = conditions._rowsum_element(M, rank_kernel(M)[1])
-    return _factor_matrix(rule, *_exact_factors(M, alpha))
+    N = kernel_rowsum(build_M(rule, 2 * rule.s - 1))
+    return factor_matrix(rule, N.u, N.v)
 
 
 # one case per sweep branch: (s, zeta, the ray's direction, the residual)
@@ -751,7 +730,7 @@ class TestUniquenessSweep:
         assert fit["match"]
         poly = UniPoly([Fraction(x) for x in fit["polynomial"]])
         N = direction(rule)
-        A0 = _avf_matrix(rule)
+        A0 = avf_matrix(rule)
         with mp.workdps(60):
             for beta in (Fraction(1, 10), Fraction(1)):
                 r = residual(A0 + mpf_of(beta) * N, rule)
