@@ -339,10 +339,12 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
 
     m = 2s needs the zeta = 0 rule (order 2s); m = 2s-1 admits any rule in
     the family and uses the transformed conditions with the R/F polynomial
-    pairs plus the substituted right family.
+    pairs plus the substituted right family, so it needs s >= 2.
     """
     s = rule.s
     zx = rule.zeta_exact
+    if m == 2 * s - 1 and s < 2:
+        raise ValueError("m = 2s-1 needs s >= 2: a one-stage rule has no odd-degree conditions")
     if m == 2 * s:
         if zx != 0:
             raise ValueError("m = 2s requires the zeta = 0 rule")

@@ -493,12 +493,16 @@ def convergence_errors(
     """Final-time max-norm errors against a reference run at much smaller h.
 
     Step counts are rounded so every run lands exactly on t_end; returns a
-    list of (effective h, error) pairs.
+    list of (effective h, error) pairs.  Every h and t_end must be positive
+    and finite (ValueError).
     """
     if len(h_list) < 3:
         raise ValueError("need at least 3 step sizes for a slope fit")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    for h in h_list:
+        if not 0 < h < math.inf:
+            raise ValueError(f"step sizes must be positive and finite, got {h}")
     cfg = cfg or SolverConfig()
     pairs = []
     finals = []

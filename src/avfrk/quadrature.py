@@ -3,15 +3,16 @@
 The abscissae of an s-stage rule are the zeros of P_s - zeta*P_{s-1}:
 zeta = 0 gives Gauss (order 2s), zeta = -1 and 1 give the two Radau
 families (order 2s-1), any other real zeta still gives order 2s-1.
-Weights come from the Vandermonde system sum_i b_i c_i^(k-1) = 1/k.
+The Legendre three-term recurrence builds P_q, gives the Sturm sequence of
+rho = P_s - zeta*P_{s-1} and the weights b_i = 2/(s rho'(c_i) P_{s-1}(c_i)).
 
 All polynomial families (P_q, G_q, R_l, F_q) carry exact rational
 coefficients.  The discrete inner product sum_i b_i u(c_i) v(c_i) of two
 such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k, and discrete_ip_exact is the bilinear form
 sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
-high-precision floats: roots are isolated exactly (Sturm) and polished by a
-float-seeded Newton iteration.
+high-precision floats: roots are isolated by exact integer Sturm counts
+and polished by a float-seeded Newton iteration.
 """
 
 from __future__ import annotations
@@ -157,26 +158,22 @@ class UniPoly:
         return out
 
 
-@lru_cache(maxsize=None)
-def legendre(q: int) -> UniPoly:
-    """Shifted Legendre P_q on [0,1] by the Rodrigues formula.
+_LEGENDRE = [UniPoly([1]), UniPoly([-1, 2])]
 
-    P_q(x) = (1/q!) d^q/dx^q [x^q (x-1)^q], so P_q(1) = 1 and the leading
-    coefficient is gamma_q = (2q)!/(q!)^2.
+
+def legendre(q: int) -> UniPoly:
+    """Shifted Legendre P_q on [0,1]: (k+1) P_(k+1) = (2k+1)(2x-1) P_k - k P_(k-1).
+
+    Each member is built once, in a loop from the cached lower ones.
+    P_q(1) = 1 and the leading coefficient is gamma_q = (2q)!/(q!)^2.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
-    # x^q (x-1)^q expanded by the binomial theorem
-    base = [Fraction(0)] * (2 * q + 1)
-    for k in range(q + 1):
-        base[q + k] = Fraction(comb(q, k) * (-1) ** (q - k))
-    p = UniPoly(base)
-    for _ in range(q):
-        p = p.derivative()
-    fact = 1
-    for i in range(2, q + 1):
-        fact *= i
-    return p * Fraction(1, fact)
+    while len(_LEGENDRE) <= q:
+        k = len(_LEGENDRE) - 1
+        nxt = _LEGENDRE[1] * _LEGENDRE[k] * (2 * k + 1) - _LEGENDRE[k - 1] * k
+        _LEGENDRE.append(nxt * Fraction(1, k + 1))
+    return _LEGENDRE[q]
 
 
 def gamma_lead(q: int) -> int:
@@ -218,63 +215,46 @@ def f_poly(q: int, s: int, zeta) -> UniPoly:
 # root isolation on the exact polynomial
 
 
-def _sturm_chain(p: UniPoly) -> list:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        # polynomial remainder a mod b, negated
-        ra = list(a.coeffs)
-        bc = b.coeffs
-        while len(ra) >= len(bc) and any(c != 0 for c in ra):
-            if ra[-1] == 0:
-                ra.pop()
-                continue
-            f = ra[-1] / bc[-1]
-            shift = len(ra) - len(bc)
-            for i, c in enumerate(bc):
-                ra[shift + i] -= f * c
-            ra.pop()
-        rem = UniPoly(ra)
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return chain
+def _sturm_values(s: int, z: Fraction, x: Fraction) -> list:
+    """(rho, P_(s-1), ..., P_0) at x for rho = P_s - z P_(s-1), in integers.
+
+    With 2x - 1 = m/D each member is scaled by k! D^k > 0, so the Legendre
+    recurrence reads p_(k+1) = (2k+1) m p_k - k^2 D^2 p_(k-1), and rho maps
+    to z_den p_s - z_num s D p_(s-1).  The signs are those of the members.
+    """
+    m, d = 2 * x.numerator - x.denominator, x.denominator
+    p = [1, m]
+    for k in range(1, s):
+        p.append((2 * k + 1) * m * p[k] - k * k * d * d * p[k - 1])
+    p[s] = z.denominator * p[s] - z.numerator * s * d * p[s - 1]
+    return p[::-1]
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _isolate_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> list:
-    """Disjoint rational brackets each containing exactly one real root."""
-    chain = _sturm_chain(p)
+def _isolate_roots(s: int, z: Fraction, lo: Fraction, hi: Fraction) -> list:
+    """Disjoint rational brackets each containing exactly one root of rho = P_s - z P_(s-1).
 
-    def count(a, b):
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-    total = count(lo, hi)
-    brackets = []
-    stack = [(lo, hi, total)]
+    (rho, P_(s-1), ..., P_0) is a Sturm sequence: rho' P_(s-1) - rho P_(s-1)' =
+    P_s' P_(s-1) - P_s P_(s-1)' > 0 by Christoffel-Darboux, and at a zero of a
+    member its neighbours have opposite signs by the recurrence.
+    """
+    va, vb = (_sign_changes(_sturm_values(s, z, x)) for x in (lo, hi))
+    brackets, stack = [], [(lo, va, hi, vb)]  # (a, V(a), b, V(b)): V(a) - V(b) roots in (a, b]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
             brackets.append((a, b))
-            continue
-        mid = (a + b) / 2
-        while p(mid) == 0:  # nudge off an exact rational root
-            mid = (a + 2 * mid) / 3
-        nl = count(a, mid)
-        stack.append((a, mid, nl))
-        stack.append((mid, b, n - nl))
-    brackets.sort()
-    return brackets
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            while (values := _sturm_values(s, z, mid))[0] == 0:  # nudge off an exact rational root
+                mid = (a + 2 * mid) / 3
+            vm = _sign_changes(values)
+            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+    return sorted(brackets)
 
 
 def _horner(cs, x):
@@ -402,25 +382,26 @@ class QuadRule:
 def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     """Construct the s-stage rule with abscissae at the zeros of P_s - zeta*P_{s-1}.
 
-    Roots are isolated by Sturm bracketing on the exact polynomial and
-    polished by Newton at working precision; weights solve the Vandermonde
-    system.  Raises QuadratureError when s distinct real roots cannot be
-    found inside the admissible window (complex or runaway roots), and
-    flags rules whose nodes leave [0,1] via in_unit_interval.
+    Roots are isolated by integer Sturm counts and polished by Newton at
+    working precision; the weights are 2/(s rho'(c_i) P_{s-1}(c_i)), checked
+    against all `order` quadrature conditions.  Raises QuadratureError when
+    s distinct real roots cannot be found inside the admissible window
+    (complex or runaway roots), and flags rules whose nodes leave [0,1] via
+    in_unit_interval.
     """
     if s < 1:
         raise ValueError("s must be positive")
     if precision_digits < 15:
         raise ValueError("precision_digits too small")
     z = _rat(zeta)
-    rho = legendre(s) - z * legendre(s - 1)
     lo, hi = _WINDOW
-    brackets = _isolate_roots(rho, lo, hi)
+    brackets = _isolate_roots(s, z, lo, hi)
     if len(brackets) != s:
         raise QuadratureError(
             f"P_{s} - zeta*P_{s-1} with zeta={z} has {len(brackets)} real roots "
             f"in {float(lo), float(hi)}; need {s} distinct real roots"
         )
+    rho = legendre(s) - z * legendre(s - 1)
     with mp.workdps(precision_digits + 15):
         c = [_polish_root(rho, a, b, precision_digits) for a, b in brackets]
         c.sort()
@@ -428,23 +409,14 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
         for x, y in zip(c, c[1:]):
             if abs(y - x) < mp.mpf(10) ** (-precision_digits + 5):
                 raise QuadratureError("repeated abscissae at working precision")
-        V = mp.matrix(s, s)
-        rhs = mp.matrix(s, 1)
-        for k in range(1, s + 1):
-            for i in range(s):
-                V[k - 1, i] = c[i] ** (k - 1)
-            rhs[k - 1] = mp.mpf(1) / k
-        try:
-            b = mp.lu_solve(V, rhs)
-        except ZeroDivisionError as e:
-            raise QuadratureError(f"singular Vandermonde system: {e}") from e
+        b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
         order = 2 * s if z == 0 else 2 * s - 1
         rule = QuadRule(
             s=s,
             zeta=mp.mpf(z.numerator) / z.denominator,
             zeta_exact=z,
             c=c,
-            b=[b[i] for i in range(s)],
+            b=b,
             order=order,
             precision_digits=precision_digits,
             in_unit_interval=all(0 <= x <= 1 for x in c),

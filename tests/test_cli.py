@@ -207,6 +207,13 @@ class TestUniqueness:
         assert doc["residual_fit"] is None
         assert "linear stage" in doc["note"]
 
+    @pytest.mark.parametrize("argv", [["uniqueness", "--s", "1"], ["rank", "--s", "1", "--m", "1"]])
+    def test_one_stage_odd_degree(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "s >= 2" in err
+
     def test_zero_beta(self, capsys):
         code = main(["uniqueness", "--s", "2", "--zeta", "0.5", "--betas", "0,0.1"])
         err = capsys.readouterr().err
@@ -353,6 +360,19 @@ class TestOrder:
         err = capsys.readouterr().err
         assert code == 2
         assert "3" in err
+
+    @pytest.mark.parametrize("bad", ["0", "-0.1", "inf", "nan"])
+    def test_impossible_step_sizes(self, capsys, quartic_file, bad):
+        base = ["order", quartic_file, "--y0", "1.0,0.5"]
+        for argv in (
+            base + ["--t-end", "2.0", f"--hs={bad},0.05,0.025"],
+            base + [f"--t-end={bad}", "--hs", "0.1,0.05,0.025"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "positive and finite" in captured.err
 
 
 def test_unknown_subcommand():

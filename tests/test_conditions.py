@@ -336,6 +336,15 @@ class TestBuildM:
         with pytest.raises(ValueError):
             build_M(quad_rule(2, 0), 6)  # m must be 2s or 2s-1
 
+    @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2)])
+    def test_one_stage_odd_degree_rejected(self, zeta):
+        # m = 2s - 1 = 1 has no conditions and no substituted right slot
+        rule = quad_rule(1, zeta)
+        with pytest.raises(ValueError, match="s >= 2"):
+            build_M(rule, 1)
+        with pytest.raises(ValueError, match="s >= 2"):
+            uniqueness_sweep(rule, 1)
+
     def test_coordinate_roundtrip(self):
         # coordinates and tableaux correspond one to one: P_0..P_{s-1} and the
         # right family's derivatives B_l' are both bases of degree < s (for

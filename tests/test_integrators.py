@@ -463,3 +463,10 @@ class TestConvergence:
             convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [0.1, 0.05])
         with pytest.raises(ValueError):
             convergence_order(QUARTIC, "avf", [1.0, 0.5], 0.0, [0.1, 0.05, 0.025])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_impossible_step_sizes(self, bad):
+        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [bad, 0.05, 0.025])
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], bad, [0.1, 0.05, 0.025])

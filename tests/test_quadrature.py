@@ -2,9 +2,10 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from avfrk.quadrature import (
@@ -15,6 +16,8 @@ from avfrk.quadrature import (
     _exact_fraction,
     _isolate_roots,
     _polish_root,
+    _sign_changes,
+    _sturm_values,
     check_discip_lemma,
     continuous_ip,
     discrete_ip,
@@ -32,6 +35,8 @@ from _util import random_unipoly
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
 POLISH_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2)]
+# 7 puts a node outside [0, 1], 40 a root outside _WINDOW
+STURM_ZETAS = POLISH_ZETAS + [Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(7), Fraction(40)]
 X = UniPoly([0, 1])
 
 
@@ -100,7 +105,7 @@ class TestLegendreFamily:
         assert legendre(2) == UniPoly([1, -6, 6])
 
     def test_normalization_and_leading_coefficient(self):
-        for q in range(9):
+        for q in range(21):
             P = legendre(q)
             assert P(Fraction(1)) == 1
             assert P.coeffs[-1] == gamma_lead(q)
@@ -113,8 +118,8 @@ class TestLegendreFamily:
             assert gamma_lead(q) == math.factorial(2 * q) // math.factorial(q) ** 2
 
     def test_orthogonality(self):
-        for k in range(9):
-            for l in range(9):
+        for k in range(21):
+            for l in range(21):
                 want = Fraction(1, 2 * k + 1) if k == l else Fraction(0)
                 assert continuous_ip(legendre(k), legendre(l)) == want
 
@@ -240,21 +245,38 @@ class TestQuadRule:
             rule.order = 7
 
 
+def vandermonde_weights(c):
+    """Reference weights: solve sum_i b_i c_i^(k-1) = 1/k, k = 1..s, at the current precision."""
+    s = len(c)
+    V = mp.matrix([[x ** k for x in c] for k in range(s)])
+    return mp.lu_solve(V, mp.matrix([mp.mpf(1) / (k + 1) for k in range(s)]))
+
+
+@lru_cache(maxsize=None)
+def reference_roots(s, zeta):
+    """All s roots of P_s - zeta P_(s-1), sorted, at 120 digits."""
+    rho = legendre(s) - zeta * legendre(s - 1)
+    with mp.workdps(120):
+        coeffs = [mpf_of(c) for c in reversed(rho.coeffs)]
+        return tuple(sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=300)))
+
+
 class TestNodePolish:
     @pytest.mark.parametrize("dps", [20, 50, 80])
     def test_nodes_in_brackets_and_match_polyroots(self, dps):
         for s in range(1, 11):
             for zeta in POLISH_ZETAS:
                 rule = quad_rule(s, zeta, dps)
-                rho = legendre(s) - zeta * legendre(s - 1)
-                brackets = _isolate_roots(rho, *_WINDOW)
+                brackets = _isolate_roots(s, zeta, *_WINDOW)
+                ref = reference_roots(s, zeta)
                 with mp.workdps(dps + 30):
-                    coeffs = [mpf_of(c) for c in reversed(rho.coeffs)]
-                    ref = sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=200))
                     assert len(rule.c) == len(brackets) == len(ref) == s
                     for c, (lo, hi), r in zip(rule.c, brackets, ref):
                         assert lo <= _exact_fraction(c) <= hi, (s, zeta, dps)
                         assert abs(c - r) < mp.mpf(10) ** -(dps + 5), (s, zeta, dps)
+                    # the Christoffel weights against a Vandermonde solve on the reference nodes
+                    for b, r in zip(rule.b, vandermonde_weights(ref)):
+                        assert abs(b - r) < mp.mpf(10) ** -(dps + 5), (s, zeta, dps)
 
     @pytest.mark.parametrize("dps", [20, 50, 80])
     def test_radau_endpoint_nodes(self, dps):
@@ -262,6 +284,36 @@ class TestNodePolish:
         for s in range(1, 11):
             assert abs(quad_rule(s, -1, dps).c[0]) <= tol
             assert abs(quad_rule(s, 1, dps).c[-1] - 1) <= tol
+
+    @settings(max_examples=150, deadline=None)
+    @example(s=3, zeta=Fraction(0), ends=[1024, 2048])  # the node 1/2 at b counts
+    @example(s=3, zeta=Fraction(0), ends=[2048, 3000])  # and at a does not
+    @given(
+        s=st.integers(1, 10),
+        zeta=st.sampled_from(STURM_ZETAS),
+        ends=st.lists(st.integers(0, 2**12), min_size=2, max_size=2, unique=True),
+    )
+    def test_sturm_count_matches_polyroots(self, s, zeta, ends):
+        # V(a) - V(b) counts the roots in (a, b] for dyadic a < b inside the window
+        lo, hi = _WINDOW
+        a, b = (lo + (hi - lo) * Fraction(i, 2**12) for i in sorted(ends))
+        got = _sign_changes(_sturm_values(s, zeta, a)) - _sign_changes(_sturm_values(s, zeta, b))
+        rho = legendre(s) - zeta * legendre(s - 1)
+        tol = mp.mpf(10) ** -60  # roots on a dyadic end point are decided exactly below
+        with mp.workdps(120):
+            want = sum(1 for r in reference_roots(s, zeta) if mpf_of(a) + tol < r < mpf_of(b) - tol)
+        assert got == want + (rho(b) == 0)
+
+    def test_sturm_values_are_scaled_members(self):
+        # with x = n/d, P_k(x) is scaled by k! d^k and rho by s! d^s zeta_den
+        for s in (1, 4, 9):
+            for zeta in STURM_ZETAS:
+                members = [legendre(s) - zeta * legendre(s - 1)] + [legendre(k) for k in range(s)][::-1]
+                for x in (Fraction(-7, 2), Fraction(1, 3), Fraction(1, 2), Fraction(9, 7)):
+                    d = x.denominator
+                    scales = [factorial(s) * d**s * zeta.denominator]
+                    scales += [factorial(k) * d**k for k in range(s)][::-1]
+                    assert _sturm_values(s, zeta, x) == [f * P(x) for f, P in zip(scales, members)]
 
     def test_root_outside_bracket_is_refused(self):
         p = UniPoly([3, -4, 1])  # (x - 1)(x - 3): Newton from [0, 1/2] converges to 1
