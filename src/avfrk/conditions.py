@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from mpmath import mp
 
@@ -302,12 +303,16 @@ class MOperator:
     columns follow (k-1)*s + (l-1).  matrix_exact @ vec(alpha) = w_exact
     characterizes energy preservation at this level; w_exact is kept
     separate so matrix_exact itself is the homogeneous part.  Both hold
-    Fractions.
+    Fractions.  ip_tables = (lip, rip) are the integer inner-product tables
+    the rows are formed from: row (p, q) is
+    (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d for one d > 0.
     """
 
-    __slots__ = ("rule", "m", "basis_kind", "rows", "matrix_exact", "w_exact", "right_family")
+    __slots__ = (
+        "rule", "m", "basis_kind", "rows", "matrix_exact", "w_exact", "right_family", "ip_tables"
+    )
 
-    def __init__(self, rule, m, basis_kind, rows, matrix_exact, w_exact, right_family):
+    def __init__(self, rule, m, basis_kind, rows, matrix_exact, w_exact, right_family, ip_tables):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
@@ -315,6 +320,7 @@ class MOperator:
         object.__setattr__(self, "matrix_exact", tuple(tuple(r) for r in matrix_exact))
         object.__setattr__(self, "w_exact", tuple(w_exact))
         object.__setattr__(self, "right_family", tuple(right_family))
+        object.__setattr__(self, "ip_tables", tuple(tuple(map(tuple, t)) for t in ip_tables))
 
     def __setattr__(self, *a):
         raise AttributeError("MOperator is immutable")
@@ -379,7 +385,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     for (p, q), row, wv in zip(rows, matrix_exact, w_exact):
         if (row[0] + row[s]) / 4 != wv:
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-    return MOperator(rule, m, kind, rows, matrix_exact, w_exact, fam)
+    return MOperator(rule, m, kind, rows, matrix_exact, w_exact, fam, (lip, rip))
 
 
 def _over_common_den(table):
@@ -562,17 +568,21 @@ def _structured_elements(M, nullity):
     if len(table) != nullity:
         return None
     fam = _derivative_columns(M.right_family, s)
+    lip, rip = M.ip_tables
     vecs = []
     for u, v in table:
         _, V = _factor_polys(u, v)
         w = _solve_fraction(fam, [V.coeffs[i] if i < len(V.coeffs) else 0 for i in range(s)])
         if w is None:
             return None
-        vec = [uk * wl for uk in u for wl in w]
-        nz = [(i, x) for i, x in enumerate(vec) if x]
-        if any(sum(row[i] * x for i, x in nz) for row in M.matrix_exact):
+        # row (p, q) applied to u (x) w is (lu_p rw_q - lu_q rw_p) / d, with
+        # lu = lip u and rw = rip w in integers over u's and w's denominators
+        uz, wz = _scaled(u)[0], _scaled(w)[0]
+        lu = [sum(map(mul, row, uz)) for row in lip]
+        rw = [sum(map(mul, row, wz)) for row in rip]
+        if any(lu[p - 1] * rw[q - 1] - lu[q - 1] * rw[p - 1] for p, q in M.rows):
             return None
-        vecs.append(vec)
+        vecs.append([uk * wl for uk in u for wl in w])
     if len(_eliminate(vecs, s * s)[0]) != nullity:
         return None
     return [KernelElement(vec, u, v, True) for (u, v), vec in zip(table, vecs)]

@@ -14,11 +14,15 @@ integrates the chord average exactly.  A tableau without a rank-one rule
 Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
-the exact polynomials.  For the chord, the whole map
-z -> y + sum_j h b_j f(y + c_j (z - y)) is one straight-line function per
-system and float node set; its Newton matrix h sum_j b_j c_j J_f(Y_j) - I
-is generated the first time a step switches to Newton.  The stage path
-evaluates f and J_f one point at a time.
+the exact polynomials, and every state is a tuple of floats.  For the
+chord, the whole map z -> y + sum_j h b_j f(y + c_j (z - y)) is one
+straight-line function per system and float node set; its Newton matrix
+h sum_j b_j c_j J_f(Y_j) - I is generated the first time a step switches
+to Newton.  The stage path evaluates f and J_f one point at a time.
+
+numpy is imported only where it is used: by a Newton iteration, whose
+linear solve is LAPACK's, and by IntegrationRun.energies, which returns an
+array.  Importing the module, and stepping without Newton, loads none.
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
 from mpmath import mp
 
 from .hamiltonian import HamiltonianSystem, MultiPoly
@@ -81,7 +83,8 @@ class SolverConfig:
 class SolverError(RuntimeError):
     """Implicit solve failed to converge.
 
-    Carries the last iterate and residual; integrate() adds the step index.
+    Carries the last iterate (a tuple of floats) and residual; integrate()
+    adds the step index.
     """
 
     def __init__(self, message, iterate=None, residual=None, step_index=None):
@@ -175,7 +178,7 @@ def _chord_map(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     x = [f"x{k}" for k in range(n)]
     f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
     lines = _chord_source("chord", n, nodes, [f"h * {bj!r}" for _, bj in nodes], f)
-    lines += [f"        return [{', '.join(f'y{k} + a{k}' for k in range(n))}]", "    return g"]
+    lines += [f"        return ({', '.join(f'y{k} + a{k}' for k in range(n))},)", "    return g"]
     return _generate(lines, "chord", n, len(nodes))
 
 
@@ -199,11 +202,9 @@ def _newton_matrix(sys: HamiltonianSystem, nodes: tuple) -> Callable:
 
 
 @lru_cache(maxsize=64)
-def _energy_terms(sys: HamiltonianSystem) -> tuple:
-    """Exponent matrix and float coefficients of H, for batches of states."""
-    items = sorted(sys.H.terms.items()) or [((0,) * sys.dim, Fraction(0))]
-    E = np.array([exps for exps, _ in items], dtype=np.float64)
-    return E, np.array([float(c) for _, c in items])
+def _energy(sys: HamiltonianSystem) -> Callable:
+    """H as a plain-float function of the state, returning a 1-tuple."""
+    return _scalar_function([sys.H], sys.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,21 @@ def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
 # implicit solve driver
 
 
+def _newton_update(matrix, x, fx, res) -> list:
+    """x - dx with matrix @ dx = fx - x, the Newton iterate, solved by LAPACK.
+
+    numpy is imported here, on the first Newton iteration of the process.
+    A singular matrix ends the solve with SolverError at iterate x.
+    """
+    import numpy as np
+
+    try:
+        dx = np.linalg.solve(matrix, list(map(sub, fx, x))).tolist()
+    except np.linalg.LinAlgError as e:
+        raise SolverError(f"Newton matrix is singular: {e}", iterate=tuple(x), residual=res) from e
+    return list(map(sub, x, dx))
+
+
 def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
@@ -250,9 +266,9 @@ def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     predictor.  Fixed-point sweeps run while the residual shrinks by
     _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
     where newton(x) is its matrix Jphi(x) - I with the identity already
-    subtracted, solved by LAPACK.  An overflowing field, a non-finite
-    iterate and a singular Newton matrix end the solve with SolverError.
-    Returns (solution, StepStats).
+    subtracted.  An overflowing field, a non-finite iterate and a singular
+    Newton matrix end the solve with SolverError.  Returns (solution,
+    StepStats).
     """
     use_newton = cfg.strategy == "newton"
     allow_newton = cfg.strategy != "fixed-point"
@@ -264,14 +280,13 @@ def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
             fx = phi(x)
             if not all(map(math.isfinite, fx)):
                 raise SolverError(
-                    f"non-finite iterate at iteration {it}", iterate=np.array(x), residual=math.inf
+                    f"non-finite iterate at iteration {it}", iterate=tuple(x), residual=math.inf
                 )
             res = scale * max(map(abs, map(sub, fx, x)))
             if res <= cfg.tolerance:
                 return fx, StepStats(it, newton_iters, res)
             if use_newton:
-                dx = np.linalg.solve(newton(x), list(map(sub, fx, x))).tolist()
-                x = list(map(sub, x, dx))
+                x = _newton_update(newton(x), x, fx, res)
                 newton_iters += 1
             else:
                 x = fx
@@ -279,13 +294,11 @@ def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
                     use_newton = True
             prev_res = res
     except OverflowError as e:
-        raise SolverError(f"field evaluation overflowed: {e}", iterate=np.array(x), residual=res) from e
-    except np.linalg.LinAlgError as e:
-        raise SolverError(f"Newton matrix is singular: {e}", iterate=np.array(x), residual=res) from e
+        raise SolverError(f"field evaluation overflowed: {e}", iterate=tuple(x), residual=res) from e
     raise SolverError(
         f"no convergence after {cfg.max_iterations} iterations "
         f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
-        iterate=np.array(x),
+        iterate=tuple(x),
         residual=res,
     )
 
@@ -318,32 +331,39 @@ def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Call
 def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
     """Any other tableau: the s*d stage system, stages solved simultaneously."""
     n, s = sys.dim, tab.s
-    A = np.array([[float(x) for x in row] for row in tab.A])
-    b = np.array([float(x) for x in tab.b])
+    A = [[float(x) for x in row] for row in tab.A]
+    b = [float(x) for x in tab.b]
     f, jac = _scalar_field(sys)
-    eye = np.eye(s * n)
 
     def at_stages(g, x):
-        return np.array([g(*x[j * n : (j + 1) * n]) for j in range(s)])
+        return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
+
+    def update(y, h, w, vals):
+        """y + h * sum_j w_j vals_j, componentwise."""
+        return [yk + h * sum(wj * v[k] for wj, v in zip(w, vals)) for k, yk in enumerate(y)]
 
     def step(y, h, cfg):
-        y = np.asarray(y)
-
         def phi(x):
-            return (y + h * (A @ at_stages(f, x))).ravel().tolist()
+            fs = at_stages(f, x)
+            return [z for row in A for z in update(y, h, row, fs)]
 
         def newton(x):
-            big = h * A[:, :, None, None] * at_stages(jac, x).reshape(1, s, n, n)
-            return big.transpose(0, 2, 1, 3).reshape(s * n, s * n) - eye
+            # row (i, a), column (j, c): h A_ij J_f(Y_j)_ac - delta
+            js = at_stages(jac, x)
+            return [
+                [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
+                for i in range(s)
+                for a in range(n)
+            ]
 
-        sol, stats = _implicit_solve(np.tile(y, s).tolist(), phi, newton, cfg)
-        return (y + h * (b @ at_stages(f, sol))).tolist(), stats
+        sol, stats = _implicit_solve(list(y) * s, phi, newton, cfg)
+        return tuple(update(y, h, b, at_stages(f, sol))), stats
 
     return step
 
 
 def _resolve_stepper(sys, method) -> Callable:
-    """stepper(y, h, cfg) -> (state list, StepStats) for a method."""
+    """stepper(y, h, cfg) -> (state tuple, StepStats) for a method."""
     if isinstance(method, str):
         if method == "avf":
             # Gauss with s nodes integrates the degree deg H - 1 chord exactly
@@ -362,31 +382,35 @@ def _resolve_stepper(sys, method) -> Callable:
 
 
 def _checked_start(sys: HamiltonianSystem, y, h) -> tuple:
-    """(state as a list of floats, h as a float), rejecting bad input."""
+    """(state as a tuple of floats, h as a float), rejecting bad input."""
     if h == 0:
         raise ValueError("step size must be nonzero")
     if not math.isfinite(h):
         raise ValueError("step size must be finite")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sys.dim,):
+    try:
+        y = tuple(map(float, y))
+    except TypeError:
+        raise ValueError(f"state must be a sequence of {sys.dim} numbers") from None
+    if len(y) != sys.dim:
         raise ValueError(f"state must have length {sys.dim}")
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise ValueError("state must be finite")
-    return y.tolist(), float(h)
+    return y, float(h)
 
 
 def _single_step(sys, method, y, h, cfg):
     y, h = _checked_start(sys, y, h)
     state, _ = _resolve_stepper(sys, method)(y, h, cfg or SolverConfig())
-    return np.array(state)
+    return state
 
 
 def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = None):
     """One chord-averaged step; exact energy preservation up to solver tolerance.
 
-    The chord average is taken by the Gauss rule of ceil(deg H / 2) nodes,
-    which is exact for it.  For quadratic H that is the one-node rule, so
-    this coincides with the implicit midpoint step.
+    Returns the new state as a tuple of floats.  The chord average is taken
+    by the Gauss rule of ceil(deg H / 2) nodes, which is exact for it.  For
+    quadratic H that is the one-node rule, so this coincides with the
+    implicit midpoint step.
     """
     return _single_step(sys, "avf", y, h, cfg)
 
@@ -398,7 +422,7 @@ def rk_step(
     h: float,
     cfg: SolverConfig | None = None,
 ):
-    """One implicit Runge-Kutta step; rank-one tableaux solve on the chord."""
+    """One implicit Runge-Kutta step, as a tuple of floats; rank-one tableaux solve on the chord."""
     return _single_step(sys, tab, y, h, cfg)
 
 
@@ -409,8 +433,9 @@ def rk_step(
 class IntegrationRun:
     """Trajectory record: times, states, per-step solver stats.
 
-    energies is recomputed from the stored states on access, never carried
-    through the solve.
+    Each state is a tuple of floats.  Energies are recomputed from the
+    stored states on access, never carried through the solve; an H that
+    overflows a float reads inf.
     """
 
     __slots__ = ("system", "times", "states", "solver_stats")
@@ -420,18 +445,29 @@ class IntegrationRun:
             raise ValueError("inconsistent run lengths")
         self.system = system
         self.times = tuple(times)
-        self.states = tuple(np.array(s, dtype=np.float64) for s in states)
+        self.states = tuple(tuple(map(float, s)) for s in states)
         self.solver_stats = tuple(solver_stats)
 
+    def _energy_list(self) -> list:
+        H = _energy(self.system)
+        out = []
+        for y in self.states:
+            try:
+                out.append(H(*y)[0])
+            except OverflowError:
+                out.append(math.inf)
+        return out
+
     @property
-    def energies(self) -> np.ndarray:
-        E, coeffs = _energy_terms(self.system)
-        X = np.stack(self.states)
-        return np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ coeffs
+    def energies(self):
+        """H at every state as a float64 numpy.ndarray; numpy is imported here."""
+        import numpy as np
+
+        return np.array(self._energy_list())
 
     def max_energy_drift(self) -> float:
-        e = self.energies
-        return float(np.max(np.abs(e - e[0])))
+        e = self._energy_list()
+        return max(abs(x - e[0]) for x in e)
 
 
 def integrate(
@@ -469,12 +505,10 @@ def write_run_csv(run: IntegrationRun, fileobj) -> None:
     n = run.system.dim
     writer = csv.writer(fileobj)
     writer.writerow(["t"] + [f"y_{i + 1}" for i in range(n)] + ["H", "newton_iters"])
-    energies = run.energies
+    energies = run._energy_list()
     for k, (t, y) in enumerate(zip(run.times, run.states)):
         iters = run.solver_stats[k - 1].newton_iterations if k else 0
-        writer.writerow(
-            [repr(t)] + [repr(float(v)) for v in y] + [repr(float(energies[k])), iters]
-        )
+        writer.writerow([repr(t)] + [repr(v) for v in y] + [repr(energies[k]), iters])
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +528,34 @@ def convergence_errors(
 
     Step counts are rounded so every run lands exactly on t_end; returns a
     list of (effective h, error) pairs.  Every h and t_end must be positive
-    and finite (ValueError).
+    and finite, every step count t_end / h and the reference count finite,
+    and at least 3 effective step sizes distinct (ValueError); all of this
+    is checked before the first run.
     """
-    if len(h_list) < 3:
-        raise ValueError("need at least 3 step sizes for a slope fit")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    counts = []
     for h in h_list:
         if not 0 < h < math.inf:
             raise ValueError(f"step sizes must be positive and finite, got {h}")
+        q = t_end / h
+        if not math.isfinite(q):
+            raise ValueError(f"step count t_end / h is not finite for h = {h!r}")
+        counts.append(max(1, round(q)))
+    pairs = [t_end / n for n in counts]
+    if len(set(pairs)) < 3:
+        raise ValueError(
+            f"need at least 3 distinct step sizes for a slope fit, got {len(set(pairs))}"
+        )
+    q_ref = t_end / min(pairs)
+    if not math.isfinite(ref_factor * q_ref):
+        raise ValueError(f"reference step count is not finite for h = {min(pairs)!r}")
     cfg = cfg or SolverConfig()
-    pairs = []
-    finals = []
-    for h in h_list:
-        n = max(1, round(t_end / h))
-        h_eff = t_end / n
-        run = integrate(sys, method, y0, h_eff, n, cfg)
-        pairs.append(h_eff)
-        finals.append(run.states[-1])
-    n_ref = ref_factor * max(1, round(t_end / min(pairs)))
+    finals = [integrate(sys, method, y0, h_eff, n, cfg).states[-1] for h_eff, n in zip(pairs, counts)]
+    n_ref = ref_factor * max(1, round(q_ref))
     ref = integrate(sys, method, y0, t_end / n_ref, n_ref, cfg).states[-1]
     return [
-        (h_eff, float(np.max(np.abs(yf - ref))))
+        (h_eff, max(abs(a - r) for a, r in zip(yf, ref)))
         for h_eff, yf in zip(pairs, finals)
     ]
 
@@ -534,7 +574,16 @@ def convergence_order(
 
 
 def log_log_slope(pts) -> float:
-    """Least-squares slope of log error versus log h over (h, error) pairs."""
-    xs = np.log([h for h, _ in pts])
-    ys = np.log([max(err, 1e-300) for _, err in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log error versus log h over (h, error) pairs.
+
+    The closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2; the
+    log h must not all be equal (ValueError).
+    """
+    xs = [math.log(h) for h, _ in pts]
+    ys = [math.log(max(err, 1e-300)) for _, err in pts]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError("need at least 2 distinct step sizes for a slope")
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx

@@ -354,7 +354,7 @@ def test_criterion_09_chord_average_equals_rank_one_tableau(emit):
     y = np.array([2.0, 0.5])
     ya = avf_step(quintic, y, 0.2, cfg)
     worst = max(worst, defect(quintic, y, ya, 0.2))
-    sep = float(np.max(np.abs(ya - rk_step(quintic, tab, y, 0.2, cfg))))
+    sep = float(np.max(np.abs(np.subtract(ya, rk_step(quintic, tab, y, 0.2, cfg)))))
     ok = worst <= 1e-13 and sep > 1e-8
     assert emit(
         9,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +377,86 @@ class TestOrder:
             assert code == 2
             assert captured.out == ""
             assert captured.err.startswith("error:") and "positive and finite" in captured.err
+
+    def test_subnormal_step_size(self, capsys, quartic_file):
+        # t_end / h overflows to inf: an input error before any run, not a traceback
+        code = main(
+            ["order", quartic_file, "--y0", "1.0,0.5", "--t-end", "2.0", "--hs", "1e-320,0.05,0.025"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("hs", ["0.1,0.1,0.1", "0.1,0.1000001,0.05"])
+    def test_degenerate_step_sizes(self, capsys, quartic_file, hs):
+        # equal effective step sizes leave no slope to fit
+        code = main(["order", quartic_file, "--y0", "1.0,0.5", "--t-end", "2.0", "--hs", hs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "distinct" in captured.err
+
+
+# Runs in a fresh interpreter: numpy stays unloaded by the import and by every
+# command that takes no Newton step, and the first Newton step loads it.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import avfrk
+assert "numpy" not in sys.modules, "import avfrk"
+from avfrk.cli import main
+
+ham, saddle = sys.argv[1], sys.argv[2]
+fixed_point = ["integrate", ham, "--y0", "0.3,0.2", "--h", "0.05", "--steps", "200"]
+for argv in (
+    ["quad", "--s", "3", "--zeta", "1/2"],
+    ["rank", "--s", "4"],
+    ["uniqueness", "--s", "3"],
+    fixed_point,
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert json.loads(out.getvalue())["newton_iterations_total"] == 0
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["integrate", saddle, "--y0", "1,0", "--h", "2", "--steps", "3"])
+assert code == 5, code
+assert "solver failed at step 0: Newton matrix is singular" in err.getvalue()
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_loaded_only_by_a_newton_step(tmp_path):
+    # the cli workload's kind of system: a harmonic well with a quartic perturbation
+    ham = {
+        "half_dim": 1,
+        "terms": [
+            {"exponents": [2, 0], "coeff": "1/2"},
+            {"exponents": [0, 2], "coeff": "1/2"},
+            {"exponents": [3, 1], "coeff": "-1/20"},
+            {"exponents": [1, 1], "coeff": "3/40"},
+        ],
+    }
+    saddle = {
+        "half_dim": 1,
+        "terms": [
+            {"exponents": [0, 2], "coeff": "1/2"},
+            {"exponents": [2, 0], "coeff": "-1/2"},
+        ],
+    }
+    paths = []
+    for name, doc in (("ham.json", ham), ("saddle.json", saddle)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, *paths],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def test_unknown_subcommand():

@@ -317,6 +317,23 @@ class TestBuildM:
             assert (legendre(0) - legendre(1)) * Fraction(1, 4) * M.right_family[0].derivative() == ONE - X
             assert annihilated(M, slot_vector(s, SHIFTED_SLOTS))
 
+    @pytest.mark.parametrize(
+        "s,m,zeta", [(2, 4, 0), (3, 6, 0), (3, 5, Fraction(1, 2)), (4, 7, Fraction(-1)), (5, 9, Fraction(2, 3))]
+    )
+    def test_rows_from_ip_tables(self, s, m, zeta):
+        # the kernel check works on these integer tables, so they must give every row
+        M = build_M(quad_rule(s, zeta), m)
+        lip, rip = M.ip_tables
+        ints = [
+            [lip[p - 1][k] * rip[q - 1][l] - lip[q - 1][k] * rip[p - 1][l] for k in range(s) for l in range(s)]
+            for p, q in M.rows
+        ]
+        assert all(isinstance(x, int) for row in ints for x in row)
+        i, j = next((i, j) for i, row in enumerate(ints) for j, x in enumerate(row) if x)
+        d = Fraction(ints[i][j]) / M.matrix_exact[i][j]
+        assert d > 0
+        assert [[Fraction(x) / d for x in row] for row in ints] == [list(r) for r in M.matrix_exact]
+
     def test_odd_high_index_rows_vanish(self):
         # for p >= s+1 both polynomial factors are multiples of the node
         # polynomial, so the transformed conditions are identically zero

@@ -26,6 +26,7 @@ from avfrk.integrators import (
     convergence_errors,
     convergence_order,
     integrate,
+    log_log_slope,
     midpoint_tableau,
     rk_step,
     write_run_csv,
@@ -94,15 +95,16 @@ class TestSingleSteps:
         ym = rk_step(HARMONIC, midpoint_tableau(), y0, 0.05)
         mid = midpoint_tableau()
         ys = rk_step(HARMONIC, ButcherTableau(mid.A, mid.b, mid.c), y0, 0.05)
-        assert np.max(np.abs(ya - ym)) < 1e-13
-        assert np.max(np.abs(ya - ys)) < 1e-13
+        assert all(type(y) is tuple and all(type(v) is float for v in y) for y in (ya, ym, ys))
+        assert np.max(np.abs(np.subtract(ya, ym))) < 1e-13
+        assert np.max(np.abs(np.subtract(ya, ys))) < 1e-13
 
     def test_explicit_euler_tableau(self):
         euler = ButcherTableau(((mp.mpf(0),),), (mp.mpf(1),), (mp.mpf(0),))
         y0 = np.array([0.7, -0.3])
         y1 = rk_step(CUBIC, euler, y0, 0.05)
         fy = np.array([y0[1], -3 * y0[0] ** 2])
-        assert np.max(np.abs(y1 - (y0 + 0.05 * fy))) < 1e-14
+        assert np.max(np.abs(np.subtract(y1, y0 + 0.05 * fy))) < 1e-14
 
     def test_energy_preserved_in_one_step(self):
         y0 = np.array([1.0, 0.0])
@@ -116,21 +118,21 @@ class TestSingleSteps:
             y = avf_step(CUBIC, y, 0.01)
         for _ in range(10):
             y = avf_step(CUBIC, y, -0.01)
-        assert np.max(np.abs(y - [0.8, 0.2])) < 1e-10
+        assert np.max(np.abs(np.subtract(y, [0.8, 0.2]))) < 1e-10
 
     def test_matches_rank_one_tableau_below_degree_bound(self):
         tab = avf_tableau(quad_rule(2, 0))  # order 4
         y0 = np.array([1.1, -0.4])
         ya = avf_step(QUARTIC, y0, 0.1)
         yr = rk_step(QUARTIC, tab, y0, 0.1)
-        assert np.max(np.abs(ya - yr)) < 1e-13
+        assert np.max(np.abs(np.subtract(ya, yr))) < 1e-13
 
     def test_separates_above_degree_bound(self):
         tab = avf_tableau(quad_rule(2, 0))
         y0 = np.array([2.0, 0.5])
         ya = avf_step(QUINTIC, y0, 0.2)
         yr = rk_step(QUINTIC, tab, y0, 0.2)
-        assert np.max(np.abs(ya - yr)) > 1e-8
+        assert np.max(np.abs(np.subtract(ya, yr))) > 1e-8
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
@@ -155,13 +157,20 @@ class TestIntegrate:
         assert len(run.solver_stats) == 3
         assert run.times[0] == 0.0
         assert abs(run.times[-1] - 0.3) < 1e-15
+        assert all(type(y) is tuple and all(type(v) is float for v in y) for y in run.states)
         e = run.energies
+        assert isinstance(e, np.ndarray) and e.dtype == np.float64
         assert len(e) == 4
         assert abs(e[0] - 0.5) < 1e-15
         st = run.solver_stats[0]
         assert isinstance(st, StepStats)
         assert st.iterations >= 1
         assert st.residual <= 1e-14
+
+    def test_overflowing_energy_reads_inf(self):
+        # the states are finite but H = q^4 / 4 at q = 1e80 is not
+        run = integrate(QUARTIC, "avf", [1e80, 0.0], 1e-200, 2)
+        assert list(run.energies) == [math.inf] * 3
 
     def test_drift_separation_from_symplectic_midpoint(self):
         # both conserve quadratic invariants; on the cubic well only the
@@ -190,7 +199,7 @@ class TestIntegrate:
         }
         base = runs["fixed-point+newton"].states[-1]
         for strat, run in runs.items():
-            assert np.max(np.abs(run.states[-1] - base)) < 1e-12, strat
+            assert np.max(np.abs(np.subtract(run.states[-1], base))) < 1e-12, strat
 
     def test_newton_counted(self):
         run = integrate(
@@ -215,7 +224,7 @@ class TestChordMatchesStages:
             stages = ButcherTableau(tab.A, tab.b, tab.c, tab.precision_digits)
             chord = integrate(sys_, tab, y0, 0.05, 60, cfg)
             full = integrate(sys_, stages, y0, 0.05, 60, cfg)
-            assert np.max(np.abs(chord.states[-1] - full.states[-1])) < 1e-13, case
+            assert np.max(np.abs(np.subtract(chord.states[-1], full.states[-1]))) < 1e-13, case
             assert [st.iterations for st in chord.solver_stats] == [
                 st.iterations for st in full.solver_stats
             ], case
@@ -344,7 +353,7 @@ class TestSolverFailure:
             integrate(QUARTIC, "avf", [1.0, 0.5], 50.0, 5, SolverConfig(max_iterations=1))
         err = exc_info.value
         assert err.step_index == 0
-        assert err.iterate is not None and len(err.iterate) == 2
+        assert type(err.iterate) is tuple and len(err.iterate) == 2
         assert err.residual > 0
         assert "1 iteration" in str(err)
 
@@ -470,3 +479,26 @@ class TestConvergence:
             convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [bad, 0.05, 0.025])
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             convergence_errors(QUARTIC, "avf", [1.0, 0.5], bad, [0.1, 0.05, 0.025])
+
+    def test_rejects_non_finite_step_counts(self):
+        # 2 / 1e-320 overflows; 2 / 1e-307 is finite but 20 times it is not
+        with pytest.raises(ValueError, match="step count t_end / h is not finite"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [1e-320, 0.05, 0.025])
+        with pytest.raises(ValueError, match="reference step count is not finite"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [1e-307, 0.05, 0.025])
+
+    @pytest.mark.parametrize("hs", [[0.1, 0.1, 0.1], [0.1, 0.1000001, 0.05], [0.1, 0.05, 0.05, 0.1]])
+    def test_needs_three_distinct_effective_step_sizes(self, hs):
+        with pytest.raises(ValueError, match="at least 3 distinct step sizes"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, hs)
+
+    def test_slope_matches_polyfit(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            pts = [(rng.uniform(1e-3, 1.0), rng.uniform(1e-12, 1.0)) for _ in range(rng.randint(2, 6))]
+            ref = np.polyfit(np.log([h for h, _ in pts]), np.log([e for _, e in pts]), 1)[0]
+            assert abs(log_log_slope(pts) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_slope_needs_distinct_step_sizes(self):
+        with pytest.raises(ValueError, match="distinct"):
+            log_log_slope([(0.1, 1e-3), (0.1, 1e-4)])
