@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,9 +73,14 @@ def _dec(x, args) -> str:
         return mp.nstr(mp.mpf(x), digits)
 
 
+def _json(doc: dict) -> str:
+    # strict JSON: a NaN or infinity raises ValueError (exit 2) instead of printing
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(args, doc: dict, rows: list) -> None:
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json(doc)
     else:
         buf = io.StringIO()
         import csv as _csv
@@ -337,6 +343,13 @@ def cmd_integrate(args) -> int:
     except SolverError as e:
         # integrate() starts the message with "step k: "
         return _fail(f"solver failed at {e}", EXIT_SOLVER)
+    energies = run._energy_list()
+    bad = next((k for k, e in enumerate(energies) if not math.isfinite(e)), None)
+    if bad == 0:
+        return _fail(f"H(y0) = {energies[0]} is not finite in float64", EXIT_INPUT)
+    if bad is not None:
+        msg = f"step {bad - 1}: H = {energies[bad]} at the new state is not finite in float64"
+        return _fail(msg, EXIT_SOLVER)
     stats = run.solver_stats
     summary = {
         "method": args.method,
@@ -353,11 +366,11 @@ def cmd_integrate(args) -> int:
         with open(args.output, "w", newline="") as fh:
             write_run_csv(run, fh)
         summary["csv"] = str(args.output)
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        sys.stdout.write(_json(summary))
     elif args.format == "csv":
         write_run_csv(run, sys.stdout)
     else:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        sys.stdout.write(_json(summary))
     return EXIT_OK
 
 

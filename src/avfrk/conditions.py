@@ -23,9 +23,11 @@ evaluate at the rule's precision.
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
+from time import perf_counter
 
 from mpmath import mp
 
@@ -59,6 +61,8 @@ __all__ = [
     "expected_rank",
     "uniqueness_sweep",
 ]
+
+_log = logging.getLogger(__name__)
 
 _ONE = UniPoly([1])
 _MONOMIAL_X = UniPoly([0, 1])
@@ -197,46 +201,60 @@ def asym_bush_residual(A, rule, q: int):
 
 
 def _eliminate(rows, ncols):
-    """Exact rank, pivot columns and null space of a rational matrix.
+    """Exact rank, pivot columns and null space of an integer matrix.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on the rows scaled to
-    integers: every entry of the reduced form is a minor of the scaled
-    matrix, so each division by the previous pivot is exact, and all pivots
-    end equal to the last one, d.  Returns (pivots, null) where null holds
-    one Fraction vector per free column f, with x_f = 1.
+    Fraction-free (Bareiss) Gauss-Jordan elimination: every entry of the
+    reduced form is a minor of the matrix, so each division by the previous
+    pivot is exact, and all pivots end equal to the last one, d.  Only live
+    columns are carried: once column c has pivoted, it and the earlier pivot
+    columns hold d on the diagonal and 0 elsewhere, so each row keeps the
+    columns not yet reached followed by the free columns met so far, which
+    the pivot rows carry into the null vectors.  Returns (pivots, null)
+    where null holds one Fraction vector per free column f, with x_f = 1.
+    Rational rows are scaled to integers first (_int_rows).
     """
-    A = [row for row, _ in map(_scaled, rows) if any(row)]
-    pivots = []
+    A = [list(row) for row in rows if any(row)]
+    pivots, free = [], []
     prev = 1
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        p = next((i for i in range(r, len(A)) if A[i][0]), None)
         if p is None:
+            free.append(c)
+            A = [row[1:] + row[:1] for row in A]
             continue
         A[r], A[p] = A[p], A[r]
         top = A[r]
-        piv = top[c]
+        piv = top[0]
         for i, row in enumerate(A):
             if i != r:
-                f = row[c]
-                A[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+                f = row[0]
+                pairs = zip(row, top)
+                next(pairs)
+                A[i] = [(piv * x - f * y) // prev for x, y in pairs]
+        A[r] = top[1:]
         A[r + 1 :] = [row for row in A[r + 1 :] if any(row)]
         prev = piv
         pivots.append(c)
     null = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    for j, f in enumerate(free):
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         for row, c in zip(A, pivots):
-            x[c] = Fraction(-row[f], prev)
+            x[c] = Fraction(-row[j], prev)
         null.append(x)
     return pivots, null
+
+
+def _int_rows(rows):
+    """Each rational row scaled to integers by its common denominator, for _eliminate."""
+    return [_scaled(row)[0] for row in rows]
 
 
 def _solve_fraction(rows, rhs):
     """Exact solution x of the square system rows @ x = rhs, or None if singular."""
     n = len(rows)
-    pivots, null = _eliminate([list(r) + [-v] for r, v in zip(rows, rhs)], n + 1)
+    pivots, null = _eliminate(_int_rows([*r, -v] for r, v in zip(rows, rhs)), n + 1)
     if pivots != list(range(n)):
         return None
     return null[0][:n]
@@ -306,18 +324,20 @@ class MOperator:
     Fractions.  ip_tables = (lip, rip) are the integer inner-product tables
     the rows are formed from: row (p, q) is
     (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d for one d > 0.
+    The operator is held as scaled_rows, one (ints, d) pair per row with
+    gcd(d, *ints) = 1; matrix_exact is built from them on access.
     """
 
     __slots__ = (
-        "rule", "m", "basis_kind", "rows", "matrix_exact", "w_exact", "right_family", "ip_tables"
+        "rule", "m", "basis_kind", "rows", "scaled_rows", "w_exact", "right_family", "ip_tables"
     )
 
-    def __init__(self, rule, m, basis_kind, rows, matrix_exact, w_exact, right_family, ip_tables):
+    def __init__(self, rule, m, basis_kind, rows, scaled_rows, w_exact, right_family, ip_tables):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "matrix_exact", tuple(tuple(r) for r in matrix_exact))
+        object.__setattr__(self, "scaled_rows", tuple((tuple(r), d) for r, d in scaled_rows))
         object.__setattr__(self, "w_exact", tuple(w_exact))
         object.__setattr__(self, "right_family", tuple(right_family))
         object.__setattr__(self, "ip_tables", tuple(tuple(map(tuple, t)) for t in ip_tables))
@@ -330,6 +350,10 @@ class MOperator:
             f"MOperator(s={self.rule.s}, m={self.m}, {self.basis_kind}, "
             f"{len(self.rows)}x{self.rule.s ** 2})"
         )
+
+    @property
+    def matrix_exact(self) -> tuple:
+        return tuple(tuple(Fraction(x, d) for x in r) for r, d in self.scaled_rows)
 
     @property
     def n_conditions(self) -> int:
@@ -372,20 +396,20 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     rip, dr = _over_common_den(discrete_ip_table(integ, [B.derivative() for B in fam], rule))
     one = Fraction(1)
     ends = [(P(one), P.integral()(one)) for P in integ]  # P(1) and int_0^1 P
-    matrix_exact = []
+    scaled_rows = []
     w_exact = []
     for p, q in rows:
         lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
-        matrix_exact.append(
-            [Fraction(lp[k] * rq[l] - lq[k] * rp[l], dl * dr) for k in range(s) for l in range(s)]
-        )
+        row = [a * y - b * x for a, b in zip(lp, lq) for x, y in zip(rp, rq)]
+        g = gcd(dl * dr, *row)
         (p1, pint), (q1, qint) = ends[p - 1], ends[q - 1]
-        w_exact.append(p1 * qint - q1 * pint)
-    # c b^T has coordinates 1/4 in slots (1,1) and (2,1): c = (P_0 + P_1)/2 and B_1' = 2
-    for (p, q), row, wv in zip(rows, matrix_exact, w_exact):
-        if (row[0] + row[s]) / 4 != wv:
+        wv = p1 * qint - q1 * pint
+        # c b^T has coordinates 1/4 in slots (1,1) and (2,1): c = (P_0 + P_1)/2 and B_1' = 2
+        if Fraction(row[0] + row[s], 4 * dl * dr) != wv:
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-    return MOperator(rule, m, kind, rows, matrix_exact, w_exact, fam, (lip, rip))
+        scaled_rows.append(([x // g for x in row], dl * dr // g))
+        w_exact.append(wv)
+    return MOperator(rule, m, kind, rows, scaled_rows, w_exact, fam, (lip, rip))
 
 
 def _over_common_den(table):
@@ -583,7 +607,7 @@ def _structured_elements(M, nullity):
         if any(lu[p - 1] * rw[q - 1] - lu[q - 1] * rw[p - 1] for p, q in M.rows):
             return None
         vecs.append([uk * wl for uk in u for wl in w])
-    if len(_eliminate(vecs, s * s)[0]) != nullity:
+    if len(_eliminate(_int_rows(vecs), s * s)[0]) != nullity:
         return None
     return [KernelElement(vec, u, v, True) for (u, v), vec in zip(table, vecs)]
 
@@ -615,18 +639,24 @@ def _exact_factors(M, alpha):
 def rank_kernel(M: MOperator):
     """Exact rank and kernel basis of the double-bush operator.
 
-    Rank and null space come from fraction-free elimination of matrix_exact,
-    so no tolerance enters.  The kernel is returned with the closed-form
-    factored elements when they form an exact basis of it; otherwise the raw
-    null vectors, with exact factors where they are rank one, are flagged
-    unstructured.
+    Rank and null space come from fraction-free elimination of the integer
+    rows of M, so no tolerance enters.  The kernel is returned with the
+    closed-form factored elements when they form an exact basis of it;
+    otherwise the raw null vectors, with exact factors where they are rank
+    one, are flagged unstructured.
     """
     s = M.rule.s
-    pivots, null = _eliminate(M.matrix_exact, s * s)
+    start = perf_counter()
+    pivots, null = _eliminate([r for r, _ in M.scaled_rows], s * s)
+    elapsed = perf_counter() - start
     elements = _structured_elements(M, len(null))
     structured = elements is not None
     if not structured:
         elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
+    _log.debug(
+        "rank_kernel: s %d, m %d, rank %d, nullity %d, structured %s, elimination %.3f ms",
+        s, M.m, len(pivots), len(null), structured, 1e3 * elapsed,
+    )
     return len(pivots), KernelBasis(elements, null, structured)
 
 
@@ -655,7 +685,7 @@ def _rowsum_element(M, basis):
     s = M.rule.s
     r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
     S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
-    _, null = _eliminate(S, len(basis.coords))
+    _, null = _eliminate(_int_rows(S), len(basis.coords))
     if not null:
         return None
     if len(null) != 1:

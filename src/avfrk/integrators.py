@@ -64,6 +64,10 @@ _STRATEGIES = ("fixed-point+newton", "fixed-point", "newton")
 # residual must shrink by at least this factor per sweep or we switch to Newton
 _STALL_FACTOR = 0.5
 
+# most steps one convergence_errors scan may take, its reference run included;
+# the scans in the tests and the benchmark take a few thousand
+MAX_SCAN_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -529,8 +533,9 @@ def convergence_errors(
     Step counts are rounded so every run lands exactly on t_end; returns a
     list of (effective h, error) pairs.  Every h and t_end must be positive
     and finite, every step count t_end / h and the reference count finite,
-    and at least 3 effective step sizes distinct (ValueError); all of this
-    is checked before the first run.
+    at least 3 effective step sizes distinct, and the scan's total step
+    count, reference run included, at most MAX_SCAN_STEPS (ValueError); all
+    of this is checked before the first run.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -550,9 +555,11 @@ def convergence_errors(
     q_ref = t_end / min(pairs)
     if not math.isfinite(ref_factor * q_ref):
         raise ValueError(f"reference step count is not finite for h = {min(pairs)!r}")
+    n_ref = ref_factor * max(1, round(q_ref))
+    if sum(counts) + n_ref > MAX_SCAN_STEPS:
+        raise ValueError(f"the scan, reference run included, takes more than {MAX_SCAN_STEPS} steps")
     cfg = cfg or SolverConfig()
     finals = [integrate(sys, method, y0, h_eff, n, cfg).states[-1] for h_eff, n in zip(pairs, counts)]
-    n_ref = ref_factor * max(1, round(q_ref))
     ref = integrate(sys, method, y0, t_end / n_ref, n_ref, cfg).states[-1]
     return [
         (h_eff, max(abs(a - r) for a, r in zip(yf, ref)))

@@ -286,9 +286,11 @@ class ButcherTableau:
 
     `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
     the constructors of rank-one tableaux; None for any other tableau.
+    The tableau memoises each subtree's stage vector Psi(t) and elementary
+    weight a(t), both computed at precision_digits + 10, for rk_weight.
     """
 
-    __slots__ = ("s", "A", "b", "c", "precision_digits", "rule")
+    __slots__ = ("s", "A", "b", "c", "precision_digits", "rule", "_psi", "_weight")
 
     def __init__(
         self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50, rule=None
@@ -303,6 +305,8 @@ class ButcherTableau:
         object.__setattr__(self, "c", tuple(conv(x) for x in c))
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "_psi", {})
+        object.__setattr__(self, "_weight", {})
 
     def __setattr__(self, *a):
         raise AttributeError("ButcherTableau is immutable")
@@ -316,23 +320,36 @@ class ButcherTableau:
         return f"ButcherTableau(s={self.s})"
 
 
-def _mat_vec(A, v):
-    return [mp.fsum(aij * vj for aij, vj in zip(row, v)) for row in A]
+def _children_product(t: RootedTree, tab: ButcherTableau) -> list:
+    """Psi(t_1) o ... o Psi(t_q) over the children of t, componentwise."""
+    prod = [mp.mpf(1)] * tab.s
+    for k in t.children:
+        prod = [a * b for a, b in zip(prod, _elementary(k, tab))]
+    return prod
 
 
-def _elementary(t: RootedTree, tab: ButcherTableau, cache: dict):
-    """Stage vector Psi(t): leaves give c, internal nodes apply A."""
-    if t in cache:
-        return cache[t]
-    if not t.children:
-        out = list(tab.c)
-    else:
-        prod = [mp.mpf(1)] * tab.s
-        for k in t.children:
-            pk = _elementary(k, tab, cache)
-            prod = [a * b for a, b in zip(prod, pk)]
-        out = _mat_vec(tab.A, prod)
-    cache[t] = out
+def _elementary(t: RootedTree, tab: ButcherTableau) -> list:
+    """Stage vector Psi(t), memoised on tab: leaves give c, internal nodes apply A.
+
+    The caller holds the working precision precision_digits + 10.
+    """
+    out = tab._psi.get(t)
+    if out is None:
+        if not t.children:
+            out = list(tab.c)
+        else:
+            prod = _children_product(t, tab)
+            out = [mp.fsum(aij * vj for aij, vj in zip(row, prod)) for row in tab.A]
+        tab._psi[t] = out
+    return out
+
+
+def _elementary_weight(t: RootedTree, tab: ButcherTableau):
+    """Elementary weight a(t) = b^T (Psi(t_1) o ... o Psi(t_q)), memoised on tab."""
+    out = tab._weight.get(t)
+    if out is None:
+        out = mp.fsum(bi * pi for bi, pi in zip(tab.b, _children_product(t, tab)))
+        tab._weight[t] = out
     return out
 
 
@@ -346,14 +363,9 @@ def rk_weight(forest: Forest | RootedTree, tab: ButcherTableau):
     if isinstance(forest, RootedTree):
         forest = Forest([forest])
     with mp.workdps(tab.precision_digits + 10):
-        cache: dict = {}
         total = mp.mpf(1)
         for t in forest:
-            prod = [mp.mpf(1)] * tab.s
-            for k in t.children:
-                pk = _elementary(k, tab, cache)
-                prod = [a * b for a, b in zip(prod, pk)]
-            total *= mp.fsum(bi * pi for bi, pi in zip(tab.b, prod))
+            total *= _elementary_weight(t, tab)
         return total
 
 

@@ -124,3 +124,75 @@ def kernel_ray_residual(M, u, v):
         N = factor_matrix(rule, u, v)
         A = avf_matrix(rule) + N / max_entry(N)
         return max(abs(double_bush_residual(A, rule, p, q)) for p, q in M.rows)
+
+
+def fraction_rref(rows, ncols):
+    """(pivots, null) of a rational matrix by plain Gauss-Jordan over Fractions.
+
+    The reference for conditions._eliminate: pivots are the pivot columns,
+    null holds one vector per free column f with x_f = 1.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    null = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(A, pivots):
+            x[c] = -row[f]
+        null.append(x)
+    return pivots, null
+
+
+def memo_free_rk_weight(forest, tab):
+    """rk_weight by the plain recursion with a fresh cache per call, touching no memo of tab."""
+    from avfrk.trees import Forest, RootedTree
+
+    if isinstance(forest, RootedTree):
+        forest = Forest([forest])
+
+    def psi(t, cache):
+        if t not in cache:
+            if not t.children:
+                cache[t] = list(tab.c)
+            else:
+                prod = [mp.mpf(1)] * tab.s
+                for k in t.children:
+                    prod = [a * b for a, b in zip(prod, psi(k, cache))]
+                cache[t] = [mp.fsum(a * v for a, v in zip(row, prod)) for row in tab.A]
+        return cache[t]
+
+    with mp.workdps(tab.precision_digits + 10):
+        cache = {}
+        total = mp.mpf(1)
+        for t in forest:
+            prod = [mp.mpf(1)] * tab.s
+            for k in t.children:
+                prod = [a * b for a, b in zip(prod, psi(k, cache))]
+            total *= mp.fsum(b * p for b, p in zip(tab.b, prod))
+        return total
+
+
+def memo_free_residual(ft, tab):
+    """energy_condition_residual on memo_free_rk_weight."""
+    from avfrk.trees import Forest
+
+    if ft.superfluous:
+        return mp.mpf(0)
+    with mp.workdps(tab.precision_digits + 10):
+        total = mp.mpf(0)
+        for u in ft.members:
+            total += ft.parity[u] * memo_free_rk_weight(Forest(u.children), tab) / u.sigma
+        return total

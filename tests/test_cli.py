@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from avfrk import conditions
-from avfrk.cli import main
+from avfrk.cli import _json, main
 from avfrk.conditions import build_M, rank_kernel
 from avfrk.quadrature import quad_rule
 
@@ -297,6 +298,33 @@ class TestIntegrate:
         # order-4 rule on a quartic Hamiltonian: still energy-preserving
         assert doc["max_energy_drift"] < 1e-12
 
+    def test_overflowing_start_energy(self, capsys, quartic_file):
+        # finite states, but H(y0) = q^4 / 4 at q = 1e80 overflows a float: bad input
+        code = main(["integrate", quartic_file, "--y0", "1e80,0", "--h", "1e-200", "--steps", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: H(y0) = inf is not finite")
+
+    def test_overflowing_later_energy(self, capsys, tmp_path):
+        # H = p^2/2 - q: p grows by h each step, and p^2 overflows at the first new state
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({
+            "half_dim": 1,
+            "terms": [{"exponents": [0, 2], "coeff": "1/2"}, {"exponents": [1, 0], "coeff": "-1"}],
+        }))
+        code = main(["integrate", str(path), "--y0", "0,1.3e154", "--h", "1e153", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("error: step 0: H = inf at the new state is not finite")
+
+    def test_json_is_strict(self):
+        # a NaN or infinity is a ValueError (exit 2), never printed as invalid JSON
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _json({"max_energy_drift": bad})
+
     def test_missing_file(self, capsys, tmp_path):
         code = main(
             ["integrate", str(tmp_path / "nope.json"), "--y0", "1,0", "--h", "0.1", "--steps", "2"]
@@ -387,6 +415,16 @@ class TestOrder:
         assert code == 2
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    def test_absurd_step_count(self, capsys, quartic_file):
+        # 2 / 1e-300 steps is finite but unbounded work: an input error before any run
+        code = main(
+            ["order", quartic_file, "--y0", "1.0,0.5", "--t-end", "2.0", "--hs", "1e-300,0.05,0.025"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "takes more than 1000000 steps" in captured.err
 
     @pytest.mark.parametrize("hs", ["0.1,0.1,0.1", "0.1,0.1000001,0.05"])
     def test_degenerate_step_sizes(self, capsys, quartic_file, hs):

@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from avfrk.conditions import (
     _derivative_columns,
     _eliminate,
     _exact_factors,
+    _int_rows,
     asym_bush_residual,
     build_M,
     build_p_tilde,
@@ -26,16 +28,20 @@ from avfrk.conditions import (
 from avfrk.quadrature import (
     QuadratureError,
     UniPoly,
+    _scaled,
     discrete_ip_exact,
+    discrete_ip_table,
     f_poly,
     g_poly,
     legendre,
     quad_rule,
+    r_poly,
 )
 from _util import (
     annihilated,
     avf_matrix,
     factor_matrix,
+    fraction_rref,
     kernel_ray_residual,
     max_entry,
     outer_matrix,
@@ -334,6 +340,32 @@ class TestBuildM:
         assert d > 0
         assert [[Fraction(x) / d for x in row] for row in ints] == [list(r) for r in M.matrix_exact]
 
+    @pytest.mark.parametrize(
+        "s,m,zeta",
+        [(2, 4, 0), (2, 3, Fraction(1, 2)), (3, 6, 0), (3, 5, Fraction(-1)), (4, 7, 0), (5, 9, Fraction(2, 3))],
+    )
+    def test_matrix_exact_is_the_fraction_formula(self, s, m, zeta):
+        # row (p, q) is L_p (x) R_q - L_q (x) R_p over the Fraction inner-product
+        # tables, and ip_tables are those tables over common denominators
+        rule = quad_rule(s, zeta)
+        M = build_M(rule, m)
+        if M.basis_kind == "even":
+            left, integ = [legendre(p) for p in range(m - 1)], [g_poly(q) for q in range(1, m)]
+        else:
+            left = [r_poly(p, s, rule.zeta_exact) for p in range(m - 1)]
+            integ = [f_poly(q, s, rule.zeta_exact) for q in range(1, m)]
+        L = discrete_ip_table(left, [legendre(k) for k in range(s)], rule)
+        R = discrete_ip_table(integ, [B.derivative() for B in M.right_family], rule)
+        want = tuple(
+            tuple(L[p - 1][k] * R[q - 1][l] - L[q - 1][k] * R[p - 1][l] for k in range(s) for l in range(s))
+            for p, q in M.rows
+        )
+        assert M.matrix_exact == want
+        assert M.scaled_rows == tuple((tuple(r), d) for r, d in map(_scaled, want))
+        for ints, table in zip(M.ip_tables, (L, R)):
+            d = _scaled([x for row in table for x in row])[1]
+            assert [list(r) for r in ints] == [[x * d for x in row] for row in table]
+
     def test_odd_high_index_rows_vanish(self):
         # for p >= s+1 both polynomial factors are multiples of the node
         # polynomial, so the transformed conditions are identically zero
@@ -368,7 +400,7 @@ class TestBuildM:
         # m = 2s-1 at zeta = 0 only because slot 2 holds P_s in place of P_2)
         for s, zeta, m in [(3, 0, 6), (3, 0, 5), (4, 0, 7), (4, Fraction(1, 2), 7), (4, -1, 7)]:
             M = build_M(quad_rule(s, zeta), m)
-            assert len(_eliminate(_derivative_columns(M.right_family, s), s)[0]) == s
+            assert len(_eliminate(_int_rows(_derivative_columns(M.right_family, s)), s)[0]) == s
 
     @pytest.mark.parametrize(
         "s,zeta,m",
@@ -404,6 +436,62 @@ class TestBuildM:
         M = build_M(quad_rule(2, 0), 4)
         with pytest.raises(AttributeError):
             M.m = 5
+
+
+def _rational_matrix(draw, nrows, ncols):
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """(rows, ncols): a random rational matrix with zero rows, zero columns and repeated rows spliced in."""
+    ncols = draw(st.integers(1, 7))
+    rows = _rational_matrix(draw, draw(st.integers(0, 7)), ncols)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows, ncols
+
+
+@st.composite
+def full_rank_matrices(draw):
+    """(rows, ncols): a lower-unitriangular matrix times a random one with nonzero diagonal, rows permuted."""
+    n = draw(st.integers(1, 6))
+    ncols = n + draw(st.integers(0, 2))
+    U = _rational_matrix(draw, n, ncols)
+    for i in range(n):
+        U[i] = [Fraction(0)] * i + [draw(st.sampled_from([Fraction(-2), Fraction(1), Fraction(3, 2)]))] + U[i][i + 1 :]
+    L = _rational_matrix(draw, n, n)
+    rows = [[sum(L[i][k] * U[k][j] for k in range(i)) + U[i][j] for j in range(ncols)] for i in range(n)]
+    return draw(st.permutations(rows)), ncols
+
+
+class TestEliminate:
+    @given(degenerate_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_rref(self, case):
+        rows, ncols = case
+        assert _eliminate(_int_rows(rows), ncols) == fraction_rref(rows, ncols)
+
+    @given(full_rank_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_full_rank(self, case):
+        rows, ncols = case
+        pivots, null = _eliminate(_int_rows(rows), ncols)
+        assert len(pivots) == len(rows)
+        assert (pivots, null) == fraction_rref(rows, ncols)
+
+    @pytest.mark.parametrize("s,zeta,m", [(4, 0, 8), (5, Fraction(1, 2), 9), (6, Fraction(-1), 11)])
+    def test_operator_rows(self, s, zeta, m):
+        # the operator's own integer rows: the same pivots and kernel as the Fraction reference
+        M = build_M(quad_rule(s, zeta), m)
+        assert _eliminate([r for r, _ in M.scaled_rows], s * s) == fraction_rref(M.matrix_exact, s * s)
 
 
 class TestExpectedRank:
@@ -502,7 +590,7 @@ class TestRankKernel:
         _, basis = rank_kernel(M)
         for el in basis.elements:
             alpha = [el.coords[k * s : (k + 1) * s] for k in range(s)]
-            assert len(_eliminate(alpha, s)[0]) == 1
+            assert len(_eliminate(_int_rows(alpha), s)[0]) == 1
 
     def test_factor_polys_reproduce_matrix(self):
         # coords = u (x) w with V = sum w_l B_l', for the V of factor_polys
@@ -567,6 +655,17 @@ class TestRankKernel:
         two = [a + b for a, b in zip(basis.elements[0].coords, basis.elements[1].coords)]
         assert _exact_factors(M, two) is None  # a sum of two independent rank-one elements
         assert _exact_factors(M, [Fraction(0)] * (s * s)) is None
+
+
+    def test_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="avfrk"):
+            rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
+            rank_kernel(build_M(quad_rule(2, 0), 4))
+        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.conditions"]
+        assert len(got) == 2
+        assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, structured True, elimination ")
+        assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, structured True, elimination ")
+        assert all(m.endswith(" ms") for m in got)
 
 
 class TestKernelRowsum:

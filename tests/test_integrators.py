@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from avfrk import integrators
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
 from avfrk.integrators import (
     IntegrationRun,
@@ -486,6 +487,23 @@ class TestConvergence:
             convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [1e-320, 0.05, 0.025])
         with pytest.raises(ValueError, match="reference step count is not finite"):
             convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [1e-307, 0.05, 0.025])
+
+    def test_rejects_absurd_step_counts(self, monkeypatch):
+        # 2 / 1e-300 steps are finite but would never finish; the bound counts
+        # every run of the scan, the reference run included, before any of them
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(integrators, "integrate", no_run)
+        with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [1e-300, 0.05, 0.025])
+        # 20 + 40 + 80 steps and a reference run of 20 * 80 = 1600
+        monkeypatch.setattr(integrators, "MAX_SCAN_STEPS", 1739)
+        with pytest.raises(ValueError, match="takes more than 1739 steps"):
+            convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [0.1, 0.05, 0.025])
+        monkeypatch.undo()
+        monkeypatch.setattr(integrators, "MAX_SCAN_STEPS", 1740)
+        assert len(convergence_errors(QUARTIC, "avf", [1.0, 0.5], 2.0, [0.1, 0.05, 0.025])) == 3
 
     @pytest.mark.parametrize("hs", [[0.1, 0.1, 0.1], [0.1, 0.1000001, 0.05], [0.1, 0.05, 0.05, 0.1]])
     def test_needs_three_distinct_effective_step_sizes(self, hs):

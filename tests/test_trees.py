@@ -22,7 +22,7 @@ from avfrk.trees import (
     rk_weight,
 )
 from avfrk.integrators import avf_tableau
-from _util import random_A_tableau, sigma_multiset, t_pq
+from _util import memo_free_residual, memo_free_rk_weight, random_A_tableau, sigma_multiset, t_pq
 
 # independently tabulated counts of trees on n vertices
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48]
@@ -228,6 +228,70 @@ class TestRkWeight:
             lhs = rk_weight(Forest([t1, t2]), self.tab)
             rhs = rk_weight(t1, self.tab) * rk_weight(t2, self.tab)
             assert abs(lhs - rhs) < mp.mpf("1e-42")
+
+
+def _bits(x):
+    return x._mpf_
+
+
+class TestMemo:
+    """rk_weight's memo on the tableau gives the plain recursion's values bit for bit."""
+
+    TABLEAUX = [
+        ("avf", 3, Fraction(1, 2)),
+        ("avf", 4, Fraction(0)),
+        ("avf", 2, Fraction(-1)),
+        ("random", 3, Fraction(1, 2)),
+        ("random", 4, Fraction(2, 3)),
+    ]
+
+    @staticmethod
+    def _tableau(kind, s, zeta, seed=41):
+        rule = quad_rule(s, zeta)
+        return avf_tableau(rule) if kind == "avf" else random_A_tableau(random.Random(seed), rule)
+
+    @pytest.mark.parametrize("kind,s,zeta", TABLEAUX)
+    def test_weights_match_memo_free_recursion(self, kind, s, zeta):
+        tab = self._tableau(kind, s, zeta)
+        trees = [t for n in range(1, 8) for t in enumerate_rooted(n)]
+        for t in trees + trees:  # the second round reads the memo
+            assert _bits(rk_weight(t, tab)) == _bits(memo_free_rk_weight(t, tab))
+        forest = Forest([parse_tree("[*,[*]]"), parse_tree("[[*,*]]"), leaf])
+        assert _bits(rk_weight(forest, tab)) == _bits(memo_free_rk_weight(forest, tab))
+
+    @pytest.mark.parametrize("kind,s,zeta", TABLEAUX)
+    def test_residuals_match_memo_free_recursion(self, kind, s, zeta):
+        tab = self._tableau(kind, s, zeta)
+        for ft in conditions_up_to(2 * s, 2 * s):
+            assert _bits(energy_condition_residual(ft, tab)) == _bits(memo_free_residual(ft, tab))
+
+    def test_tableaux_never_share_entries(self):
+        # same rule and precision, different A; one after the other and in a
+        # fresh tableau built after the first is gone
+        rule = quad_rule(3, Fraction(1, 2))
+        t = parse_tree("[[*,*],[*]]")
+        a, b = avf_tableau(rule), random_A_tableau(random.Random(7), rule)
+        wa, wb = rk_weight(t, a), rk_weight(t, b)
+        assert wa != wb
+        assert _bits(wa) == _bits(memo_free_rk_weight(t, a))
+        assert _bits(wb) == _bits(memo_free_rk_weight(t, b))
+        assert a._psi is not b._psi and a._weight is not b._weight
+        assert not set(map(id, a._psi.values())) & set(map(id, b._psi.values()))
+        del a
+        for seed in range(8):
+            c = random_A_tableau(random.Random(100 + seed), rule)
+            assert _bits(rk_weight(t, c)) == _bits(memo_free_rk_weight(t, c))
+        assert _bits(rk_weight(t, b)) == _bits(wb)
+
+    def test_memo_is_per_precision(self):
+        # the same coefficients at another working precision keep their own entries
+        rule = quad_rule(3, Fraction(1, 2))
+        low = ButcherTableau(avf_tableau(rule).A, rule.b, rule.c, precision_digits=20)
+        high = avf_tableau(rule)
+        t = parse_tree("[[*],*]")
+        assert _bits(rk_weight(t, low)) == _bits(memo_free_rk_weight(t, low))
+        assert _bits(rk_weight(t, high)) == _bits(memo_free_rk_weight(t, high))
+        assert _bits(rk_weight(t, low)) != _bits(rk_weight(t, high))
 
 
 class TestEnergyConditions:
