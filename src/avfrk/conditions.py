@@ -414,7 +414,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
 
 def _over_common_den(table):
     """(integer rows, d) with table = integer rows / d, for rows of Fractions."""
-    d = lcm(*(x.denominator for row in table for x in row))
+    d = lcm(*[x.denominator for row in table for x in row])
     return [[x.numerator * (d // x.denominator) for x in row] for row in table], d
 
 

@@ -454,7 +454,9 @@ def continuous_ip(u: UniPoly, v: UniPoly) -> Fraction:
 
 def _scaled(coeffs):
     """(ints, d) with coeffs = ints / d for a sequence of Fractions."""
-    d = lcm(*(c.denominator for c in coeffs))
+    # a list, not a generator: CPython sizes a tuple built from a generator at
+    # 10 and shrinks it, which strands one tuple on a free list per call
+    d = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
