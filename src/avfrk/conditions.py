@@ -12,19 +12,21 @@ enter the operator are rational and come from the rule's moments, one
 moment row per polynomial (quadrature.discrete_ip_table).  The operator,
 its rank, its kernel basis with the check of the closed-form kernel
 factors, and the zero-row-sum kernel direction with its rank-one factors
-are rational as well: fraction-free elimination over Q and exact 2x2
-minors, with no tolerance.  A uniqueness sweep factors its operator once
-and computes its discriminating residual exactly: along
-A = c b^T + beta U(c) b^T V(C) every node vector is a polynomial in c, so
-the residual is an exact polynomial in beta.  Floating point (mp) is used
-only by the public residual functions, which take arbitrary tableaux and
-evaluate at the rule's precision.
+are rational as well: the rank mod a prime, closed by the exact check of
+the closed-form kernel, fraction-free elimination over Q where that check
+fails, and exact 2x2 minors, with no tolerance.  A uniqueness sweep
+factors its operator once and computes its discriminating residual
+exactly: along A = c b^T + beta U(c) b^T V(C) every node vector is a
+polynomial in c, so the residual is an exact polynomial in beta.
+Floating point (mp) is used only by the public residual functions, which
+take arbitrary tableaux and evaluate at the rule's precision.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from time import perf_counter
@@ -249,6 +251,56 @@ def _eliminate(rows, ncols):
 def _int_rows(rows):
     """Each rational row scaled to integers by its common denominator, for _eliminate."""
     return [_scaled(row)[0] for row in rows]
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_p(rows):
+    """Rank over GF(_PRIME) of integer rows, at most their rank over Q.
+
+    Each sparse row, as {column: entry mod p}, is reduced against the pivot
+    rows met so far; a row that does not vanish pivots on its lowest column.
+    """
+    p = _PRIME
+    pivots = {}
+    for row in rows:
+        r = {j: x % p for j, x in enumerate(row) if x % p}
+        while r:
+            c = min(r)
+            top = pivots.get(c)
+            if top is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in r.items()}
+                break
+            f = r[c]
+            for j, y in top.items():
+                x = (r.get(j, 0) - f * y) % p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+    return len(pivots)
+
+
+def _null_form(vecs, n):
+    """The null vectors _eliminate gives for an operator whose kernel the integer vecs span.
+
+    That is the reduced row-echelon form of vecs with the columns reversed,
+    unique for the row space (fraction-free Gauss-Jordan as in _eliminate).
+    Fewer rows than vecs means vecs are dependent.
+    """
+    rows, out, prev = [list(v) for v in vecs], [], 1
+    for f in reversed(range(n)):
+        top = next((row for row in rows if row[f]), None)
+        if top is None:
+            continue
+        rows.remove(top)
+        piv = top[f]
+        clear = lambda row: [(piv * x - row[f] * y) // prev for x, y in zip(row, top)]
+        rows, out = [clear(row) for row in rows], [clear(row) for row in out] + [top]
+        prev = piv
+    return [[Fraction(x, prev) for x in row] for row in reversed(out)]
 
 
 def _solve_fraction(rows, rhs):
@@ -497,23 +549,18 @@ def _condforv(rule):
     (u, v) pairs for the two elements beyond (1-c) b^T.
     """
     s, zx = rule.s, rule.zeta_exact
+    dP = [legendre(l).derivative() for l in range(s + 1)]
     v = {s: Fraction(1)}
     for r in range(1, s - 1):
-        Gsr = g_poly(s + r)
-        Psr1 = legendre(s + r - 1)
-        known = -zx * discrete_ip_exact(Psr1, legendre(s - 1), rule)
-        pivot = Fraction(0)
-        for l in range(s - r, s + 1):
-            t = discrete_ip_exact(Gsr, legendre(l).derivative(), rule)
-            if l <= s - 1:
-                t += discrete_ip_exact(Psr1, legendre(l), rule)
-            if l == s - r:
-                pivot = t
-            else:
-                known += v[l] * t
-        if pivot == 0:
-            raise KernelStructureError(f"zero pivot while solving for v_{s - r}")
-        v[s - r] = -known / pivot
+        lo = s - r
+        # t_l = <G_{s+r}, P_l'>_D + <P_{s+r-1}, P_l>_D for l = lo..s, the second term for l < s
+        (gt,) = discrete_ip_table([g_poly(s + r)], dP[lo:], rule)
+        (pt,) = discrete_ip_table([legendre(s + r - 1)], [legendre(l) for l in range(lo, s)], rule)
+        t = [a + b for a, b in zip(gt, pt + [0])]
+        if t[0] == 0:
+            raise KernelStructureError(f"zero pivot while solving for v_{lo}")
+        known = -zx * pt[-1] + sum(v[l] * tl for l, tl in enumerate(t[1:], start=lo + 1))
+        v[lo] = -known / t[0]
     vvec = [v.get(l, Fraction(0)) for l in range(1, s + 1)]
     v2 = [Fraction(0)] + vvec[1:]
     v0 = -sum(v2)
@@ -578,38 +625,53 @@ def _derivative_columns(polys, s):
     return [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
 
 
-def _structured_elements(M, nullity):
-    """The closed-form factor table as kernel elements, or None if it is no exact basis.
+@lru_cache(maxsize=None)
+def _legendre_derivative_columns(s):
+    """_derivative_columns of P_1..P_s: V = sum v_l P_l' has coefficients D @ v."""
+    return tuple(map(tuple, _derivative_columns([legendre(l) for l in range(1, s + 1)], s)))
+
+
+def _structured_basis(M, nullity):
+    """The closed-form factor table as a KernelBasis of ker M, or None if it is no exact basis.
 
     V = sum v_l P_l' is rewritten over the right family's derivatives B_l'
-    as exact coordinates w, so vec(u (x) w) are the pair's operator
-    coordinates; the table is a basis of ker M when each of them is
-    annihilated exactly and together they have rank = nullity.
+    as exact coordinates w = T v, with T = F^-1 D for the coefficient
+    columns F of the B_l' and D of the P_l', so vec(u (x) w) are the pair's
+    operator coordinates; the table is a basis of ker M when each of them
+    is annihilated exactly and together they have rank = nullity.  The
+    basis' coords are their _null_form.
     """
     rule = M.rule
     s = rule.s
     table = _structural_factor_table(rule, M.basis_kind)
     if len(table) != nullity:
         return None
-    fam = _derivative_columns(M.right_family, s)
+    # T from one elimination of [F | -D]: column j of T is the null vector of free column s + j
+    fd = zip(_derivative_columns(M.right_family, s), _legendre_derivative_columns(s))
+    pivots, null = _eliminate(_int_rows([*f, *(-x for x in d)] for f, d in fd), 2 * s)
+    if pivots != list(range(s)):
+        return None
+    T, dt = _over_common_den([[x[l] for x in null] for l in range(s)])
     lip, rip = M.ip_tables
     vecs = []
     for u, v in table:
-        _, V = _factor_polys(u, v)
-        w = _solve_fraction(fam, [V.coeffs[i] if i < len(V.coeffs) else 0 for i in range(s)])
-        if w is None:
-            return None
-        # row (p, q) applied to u (x) w is (lu_p rw_q - lu_q rw_p) / d, with
-        # lu = lip u and rw = rip w in integers over u's and w's denominators
-        uz, wz = _scaled(u)[0], _scaled(w)[0]
+        # in integers: u = uz / du and w = wz / (dt dv); row (p, q) applied to
+        # u (x) w is a multiple of lu_p rw_q - lu_q rw_p with lu = lip uz, rw = rip wz
+        (uz, du), (vz, dv) = _scaled(u), _scaled(v)
+        wz = [sum(map(mul, row, vz)) for row in T]
         lu = [sum(map(mul, row, uz)) for row in lip]
         rw = [sum(map(mul, row, wz)) for row in rip]
         if any(lu[p - 1] * rw[q - 1] - lu[q - 1] * rw[p - 1] for p, q in M.rows):
             return None
-        vecs.append([uk * wl for uk in u for wl in w])
-    if len(_eliminate(_int_rows(vecs), s * s)[0]) != nullity:
+        vecs.append(([uk * wl for uk in uz for wl in wz], du * dt * dv))
+    coords = _null_form([vec for vec, _ in vecs], s * s)
+    if len(coords) != nullity:
         return None
-    return [KernelElement(vec, u, v, True) for (u, v), vec in zip(table, vecs)]
+    elements = [
+        KernelElement([Fraction(x, d) for x in vec], u, v, True)
+        for (u, v), (vec, d) in zip(table, vecs)
+    ]
+    return KernelBasis(elements, coords, True)
 
 
 def _exact_factors(M, alpha):
@@ -633,31 +695,40 @@ def _exact_factors(M, alpha):
     if any(a[k][l] != u[k] * w[l] for k in range(s) for l in range(s)):
         return None
     V = [sum(f * wl for f, wl in zip(row, w)) for row in _derivative_columns(M.right_family, s)]
-    return u, _solve_fraction(_derivative_columns([legendre(l) for l in range(1, s + 1)], s), V)
+    return u, _solve_fraction(_legendre_derivative_columns(s), V)
 
 
 def rank_kernel(M: MOperator):
     """Exact rank and kernel basis of the double-bush operator.
 
-    Rank and null space come from fraction-free elimination of the integer
-    rows of M, so no tolerance enters.  The kernel is returned with the
-    closed-form factored elements when they form an exact basis of it;
-    otherwise the raw null vectors, with exact factors where they are rank
-    one, are flagged unstructured.
+    The rank r of M's integer rows mod a prime is at most the rank over Q.
+    A closed-form table of s^2 - r independent exact kernel elements bounds
+    it from above, so the rank is r and the table is a basis of ker M.
+    Otherwise fraction-free elimination over Q decides; its raw null
+    vectors, with exact factors where they are rank one, are flagged
+    unstructured when the table is no basis.
     """
     s = M.rule.s
     start = perf_counter()
-    pivots, null = _eliminate([r for r, _ in M.scaled_rows], s * s)
+    rows = [r for r, _ in M.scaled_rows]
+    rank = _rank_mod_p(rows)
+    basis = _structured_basis(M, s * s - rank)
+    path = "mod-p"
+    if basis is None:
+        path = "bareiss"
+        pivots, null = _eliminate(rows, s * s)
+        if len(pivots) != rank:
+            rank = len(pivots)
+            basis = _structured_basis(M, len(null))
     elapsed = perf_counter() - start
-    elements = _structured_elements(M, len(null))
-    structured = elements is not None
-    if not structured:
+    if basis is None:
         elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
+        basis = KernelBasis(elements, null, False)
     _log.debug(
-        "rank_kernel: s %d, m %d, rank %d, nullity %d, structured %s, elimination %.3f ms",
-        s, M.m, len(pivots), len(null), structured, 1e3 * elapsed,
+        "rank_kernel: s %d, m %d, rank %d, nullity %d, structured %s, path %s, %.3f ms",
+        s, M.m, rank, len(basis), basis.structured, path, 1e3 * elapsed,
     )
-    return len(pivots), KernelBasis(elements, null, structured)
+    return rank, basis
 
 
 def expected_rank(s: int, m: int, zeta):

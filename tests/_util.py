@@ -2,12 +2,13 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp
 
 from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
-from avfrk.quadrature import UniPoly
+from avfrk.quadrature import UniPoly, _scaled
 from avfrk.trees import ButcherTableau
 
 
@@ -86,8 +87,13 @@ def sigma_multiset(p: int, q: int) -> list:
 
 
 def annihilated(M, vec):
-    """vec is a nonzero exact null vector of the operator M."""
-    return any(vec) and all(sum(a * x for a, x in zip(row, vec)) == 0 for row in M.matrix_exact)
+    """vec is a nonzero exact null vector of the operator M.
+
+    vec scaled to integers against the operator's primitive integer rows:
+    each dot product is zero exactly when the rational one is.
+    """
+    ints = _scaled(vec)[0]
+    return any(ints) and all(sum(map(mul, row, ints)) == 0 for row, _ in M.scaled_rows)
 
 
 def max_entry(M):

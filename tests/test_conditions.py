@@ -9,11 +9,15 @@ from mpmath import mp
 
 from avfrk import conditions
 from avfrk.conditions import (
+    KernelBasis,
+    KernelElement,
     KernelStructureError,
     _derivative_columns,
     _eliminate,
     _exact_factors,
     _int_rows,
+    _rank_mod_p,
+    _structured_basis,
     asym_bush_residual,
     build_M,
     build_p_tilde,
@@ -51,6 +55,12 @@ from _util import (
 ONE = UniPoly([1])
 X = UniPoly([0, 1])
 TINY = mp.mpf("1e-40")
+
+
+def kernel_key(rank, basis):
+    """Everything rank_kernel certifies, as one comparable value."""
+    elements = tuple((el.coords, el.u, el.v, el.structured) for el in basis.elements)
+    return rank, basis.structured, basis.coords, elements
 
 
 def mpf_of(fr):
@@ -472,6 +482,39 @@ def full_rank_matrices(draw):
     return draw(st.permutations(rows)), ncols
 
 
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): small integers, with multiples of the prime, near-multiples and rows that vanish mod it."""
+    p = conditions._PRIME
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.builds(lambda k, e: k * p + e, st.integers(-2, 2), st.integers(-1, 1)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+        rows.insert(draw(st.integers(0, len(rows))), [k * p for k in row])
+    return rows, ncols
+
+
+class TestRankModP:
+    @given(integer_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_lower_bound(self, case):
+        rows, ncols = case
+        rank_p, rank_q = _rank_mod_p(rows), len(_eliminate(rows, ncols)[0])
+        assert rank_p <= rank_q
+        # each minor of a 7 x 7 matrix with entries |x| <= 6 is below p in size
+        if all(abs(x) <= 6 for row in rows for x in row):
+            assert rank_p == rank_q
+
+    def test_vanishing_rows_drop_the_rank(self):
+        p = conditions._PRIME
+        rows = [[p, 0], [0, 1], [2 * p, -3 * p]]
+        assert _rank_mod_p(rows) == 1 and len(_eliminate(rows, 2)[0]) == 2
+
+
 class TestEliminate:
     @given(degenerate_matrices())
     @settings(max_examples=150, deadline=None)
@@ -619,6 +662,11 @@ class TestRankKernel:
         assert basis.dim == len(basis.coords) == s * s - rank
         for vec in basis.coords + tuple(el.coords for el in basis.elements):
             assert annihilated(M, vec)
+        # the certified path gives exactly what Bareiss elimination and the table give
+        pivots, null = _eliminate([r for r, _ in M.scaled_rows], s * s)
+        assert rank == len(pivots)
+        assert kernel_key(rank, basis) == kernel_key(rank, _structured_basis(M, len(null)))
+        assert basis.coords == tuple(map(tuple, null))
 
     @pytest.mark.parametrize(
         "wrong",
@@ -629,16 +677,35 @@ class TestRankKernel:
             [([1, -1, 0], [1, 0, 0])] * 3,
         ],
     )
-    def test_unstructured_fallback(self, monkeypatch, wrong):
-        # a factor table that is no basis of the kernel leaves the raw null space
+    def test_unstructured_fallback(self, monkeypatch, caplog, wrong):
+        # a factor table that is no basis of the kernel leaves Bareiss' raw null space
         monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: wrong)
         M = build_M(quad_rule(3, Fraction(1, 2)), 5)
-        rank, basis = rank_kernel(M)
+        with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
+            rank, basis = rank_kernel(M)
+        assert ", path bareiss, " in caplog.records[-1].getMessage()
         assert rank == 6 and basis.dim == 3
         assert not basis.structured
         assert all(not el.structured for el in basis.elements)
         assert tuple(el.coords for el in basis.elements) == basis.coords
+        pivots, null = _eliminate([r for r, _ in M.scaled_rows], 9)
+        raw = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
+        assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, False))
         assert kernel_rowsum(M) is not None
+
+    @pytest.mark.parametrize(
+        "s,zeta,m", [(3, Fraction(1, 2), 5), (4, Fraction(-1), 7), (4, Fraction(0), 8), (5, Fraction(0), 9)]
+    )
+    def test_unlucky_prime_falls_back(self, monkeypatch, caplog, s, zeta, m):
+        # a prime that drops the rank fails the table's count and ends on Bareiss, with the same result
+        M = build_M(quad_rule(s, zeta), m)
+        want = kernel_key(*rank_kernel(M))
+        monkeypatch.setattr(conditions, "_PRIME", 3)
+        assert _rank_mod_p([r for r, _ in M.scaled_rows]) < want[0]
+        with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
+            got = kernel_key(*rank_kernel(M))
+        assert ", structured True, path bareiss, " in caplog.records[-1].getMessage()
+        assert got == want
 
     @pytest.mark.parametrize(
         "s,zeta",
@@ -663,9 +730,9 @@ class TestRankKernel:
             rank_kernel(build_M(quad_rule(2, 0), 4))
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.conditions"]
         assert len(got) == 2
-        assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, structured True, elimination ")
-        assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, structured True, elimination ")
-        assert all(m.endswith(" ms") for m in got)
+        assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, structured True, path mod-p, ")
+        assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, structured True, path mod-p, ")
+        assert all(m.endswith(" ms") and float(m.split(", ")[-1][:-3]) >= 0 for m in got)
 
 
 class TestKernelRowsum:
