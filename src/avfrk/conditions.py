@@ -44,7 +44,6 @@ from .quadrature import (
     g_poly,
     gamma_lead,
     legendre,
-    r_poly,
 )
 
 __all__ = [
@@ -431,12 +430,14 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         if zx != 0:
             raise ValueError("m = 2s requires the zeta = 0 rule")
         kind = "even"
-        left = [legendre(p - 1) for p in range(1, m)]
+        n_left = m - 1
         integ = [g_poly(q) for q in range(1, m)]
         fam = [legendre(l) for l in range(1, s + 1)]
     elif m == 2 * s - 1:
         kind = "odd"
-        left = [r_poly(p - 1, s, zx) for p in range(1, m)]
+        # the left polynomials R_l are P_l below s; R_l = rho P_(l-s) vanishes
+        # on every node for l >= s, so those rows of lip are exactly zero
+        n_left = s
         integ = [f_poly(q, s, zx) for q in range(1, m)]
         fam = _odd_right_family(rule)
     else:
@@ -444,7 +445,9 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
     # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
     # as integers over the common denominators dl and dr
+    left = [legendre(l) for l in range(n_left)]
     lip, dl = _over_common_den(discrete_ip_table(left, [legendre(k) for k in range(s)], rule))
+    lip += [[0] * s for _ in range(n_left, m - 1)]
     rip, dr = _over_common_den(discrete_ip_table(integ, [B.derivative() for B in fam], rule))
     one = Fraction(1)
     ends = [(P(one), P.integral()(one)) for P in integ]  # P(1) and int_0^1 P

@@ -12,15 +12,20 @@ such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k, and discrete_ip_exact is the bilinear form
 sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
 high-precision floats: roots are isolated by exact integer Sturm counts
-and polished by a float-seeded Newton iteration.
+when the rule is built, and polished by a float-seeded Newton iteration
+on the first access of QuadRule.c or QuadRule.b, which is also when a
+polish or validation QuadratureError is raised.  The exact certificate
+reads only the exact core and never polishes.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, ulp
+from time import perf_counter
 from typing import Sequence
 
 import mpmath as mp
@@ -46,6 +51,8 @@ __all__ = [
 # (zeta = 2 puts one node near 1.3); a root escaping the window means the
 # rule is rejected rather than silently truncated.
 _WINDOW = (Fraction(-4), Fraction(5))
+
+_log = logging.getLogger(__name__)
 
 
 class QuadratureError(ValueError):
@@ -315,22 +322,28 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
 
 
 class QuadRule:
-    """Quadrature rule: abscissae c, weights b, stages s, parameter zeta."""
+    """Quadrature rule: stages s, parameter zeta, abscissae c and weights b.
+
+    The rule is built on its exact core: zeta_exact, the Sturm-certified
+    root brackets, the order, the exact moments and in_unit_interval.  The
+    mpf nodes c and weights b are polished, checked and cached on first
+    access, so the exact certificate never computes them.
+    """
 
     __slots__ = (
-        "s", "zeta", "zeta_exact", "c", "b", "order", "precision_digits", "in_unit_interval",
-        "_mu", "_rem",
+        "s", "zeta", "zeta_exact", "order", "precision_digits", "in_unit_interval",
+        "_brackets", "_nodes", "_mu", "_rem",
     )
 
-    def __init__(self, s, zeta, zeta_exact, c, b, order, precision_digits, in_unit_interval):
+    def __init__(self, s, zeta, zeta_exact, brackets, order, precision_digits, in_unit_interval):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "zeta_exact", zeta_exact)
-        object.__setattr__(self, "c", tuple(c))
-        object.__setattr__(self, "b", tuple(b))
+        object.__setattr__(self, "_brackets", tuple(brackets))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
+        object.__setattr__(self, "_nodes", None)
         object.__setattr__(self, "_mu", ())
         object.__setattr__(self, "_rem", None)
 
@@ -339,6 +352,37 @@ class QuadRule:
 
     def __repr__(self):
         return f"QuadRule(s={self.s}, zeta={mp.nstr(self.zeta, 8)}, order={self.order})"
+
+    @property
+    def c(self) -> tuple:
+        """The abscissae in ascending order, mpf at precision_digits + 15."""
+        return (self._nodes or self._polish())[0]
+
+    @property
+    def b(self) -> tuple:
+        """The weights 2/(s rho'(c_i) P_{s-1}(c_i)), mpf at precision_digits + 15."""
+        return (self._nodes or self._polish())[1]
+
+    def _polish(self) -> tuple:
+        """Polish the roots in their brackets, form the weights, validate and cache (c, b)."""
+        start = perf_counter()
+        s, z, dps = self.s, self.zeta_exact, self.precision_digits
+        rho = legendre(s) - z * legendre(s - 1)
+        with mp.workdps(dps + 15):
+            c = [_polish_root(rho, a, b, dps) for a, b in self._brackets]
+            c.sort()
+            # distinctness at working precision
+            for x, y in zip(c, c[1:]):
+                if abs(y - x) < mp.mpf(10) ** (-dps + 5):
+                    raise QuadratureError("repeated abscissae at working precision")
+            b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
+            _validate_rule(self, c, b)
+        object.__setattr__(self, "_nodes", (tuple(c), tuple(b)))
+        _log.debug(
+            "polish nodes: s %d, zeta %s, precision %d, %.3f ms",
+            s, z, dps, 1e3 * (perf_counter() - start),
+        )
+        return self._nodes
 
     def node_poly(self) -> UniPoly:
         """Monic node polynomial rho_s = prod (x - c_i), exact coefficients."""
@@ -382,12 +426,15 @@ class QuadRule:
 def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     """Construct the s-stage rule with abscissae at the zeros of P_s - zeta*P_{s-1}.
 
-    Roots are isolated by integer Sturm counts and polished by Newton at
-    working precision; the weights are 2/(s rho'(c_i) P_{s-1}(c_i)), checked
-    against all `order` quadrature conditions.  Raises QuadratureError when
-    s distinct real roots cannot be found inside the admissible window
-    (complex or runaway roots), and flags rules whose nodes leave [0,1] via
-    in_unit_interval.
+    Construction is exact: integer Sturm counts isolate the roots in
+    rational brackets and decide in_unit_interval, and the order and the
+    moments follow from s and zeta.  Raises QuadratureError when s distinct
+    real roots cannot be found inside the admissible window (complex or
+    runaway roots).  The nodes c and weights b are polished on first
+    access, by Newton at working precision, and the weights
+    2/(s rho'(c_i) P_{s-1}(c_i)) are checked against all `order`
+    quadrature conditions then; a polish or validation failure raises
+    QuadratureError at that access.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -401,42 +448,34 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
             f"P_{s} - zeta*P_{s-1} with zeta={z} has {len(brackets)} real roots "
             f"in {float(lo), float(hi)}; need {s} distinct real roots"
         )
-    rho = legendre(s) - z * legendre(s - 1)
+    # V(0) - V(1) counts the roots in (0, 1]; a root at 0 is the one more in [0, 1]
+    at0, at1 = _sturm_values(s, z, Fraction(0)), _sturm_values(s, z, Fraction(1))
+    in_unit = _sign_changes(at0) - _sign_changes(at1) + (at0[0] == 0) == s
     with mp.workdps(precision_digits + 15):
-        c = [_polish_root(rho, a, b, precision_digits) for a, b in brackets]
-        c.sort()
-        # distinctness at working precision
-        for x, y in zip(c, c[1:]):
-            if abs(y - x) < mp.mpf(10) ** (-precision_digits + 5):
-                raise QuadratureError("repeated abscissae at working precision")
-        b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
-        order = 2 * s if z == 0 else 2 * s - 1
-        rule = QuadRule(
-            s=s,
-            zeta=mp.mpf(z.numerator) / z.denominator,
-            zeta_exact=z,
-            c=c,
-            b=b,
-            order=order,
-            precision_digits=precision_digits,
-            in_unit_interval=all(0 <= x <= 1 for x in c),
-        )
-        _validate_rule(rule)
-    return rule
+        zeta_mpf = mp.mpf(z.numerator) / z.denominator
+    return QuadRule(
+        s=s,
+        zeta=zeta_mpf,
+        zeta_exact=z,
+        brackets=brackets,
+        order=2 * s if z == 0 else 2 * s - 1,
+        precision_digits=precision_digits,
+        in_unit_interval=in_unit,
+    )
 
 
-def _validate_rule(rule: QuadRule) -> None:
+def _validate_rule(rule: QuadRule, c, b) -> None:
     tol = mp.mpf(10) ** (-rule.precision_digits + 5)
     for k in range(1, rule.order + 1):
-        r = mp.fsum(bi * ci ** (k - 1) for bi, ci in zip(rule.b, rule.c)) - mp.mpf(1) / k
+        r = mp.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) - mp.mpf(1) / k
         if abs(r) > tol:
             raise QuadratureError(
                 f"quadrature condition k={k} violated: residual {mp.nstr(r, 5)}; "
                 "raise precision_digits"
             )
-    if rule.zeta_exact == -1 and abs(rule.c[0]) > tol:
+    if rule.zeta_exact == -1 and abs(c[0]) > tol:
         raise QuadratureError("zeta=-1 must place c_1 = 0")
-    if rule.zeta_exact == 1 and abs(rule.c[-1] - 1) > tol:
+    if rule.zeta_exact == 1 and abs(c[-1] - 1) > tol:
         raise QuadratureError("zeta=1 must place c_s = 1")
 
 

@@ -10,10 +10,14 @@ the corresponding elementary Hamiltonian.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 import mpmath as mp
+
+from .quadrature import _scaled
 
 __all__ = [
     "RootedTree",
@@ -286,7 +290,8 @@ class ButcherTableau:
 
     `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
     the constructors of rank-one tableaux; None for any other tableau.
-    The tableau memoises each subtree's stage vector Psi(t) and elementary
+    energy_condition_residual reads a rule tableau's exact moments.  The
+    tableau memoises each subtree's stage vector Psi(t) and elementary
     weight a(t), both computed at precision_digits + 10, for rk_weight.
     """
 
@@ -369,13 +374,37 @@ def rk_weight(forest: Forest | RootedTree, tab: ButcherTableau):
         return total
 
 
+def _moment_product(t: RootedTree, m) -> int:
+    """The product of m[number of children] over the vertices of t."""
+    w = m[len(t.children)]
+    for k in t.children:
+        w *= _moment_product(k, m)
+    return w
+
+
 def energy_condition_residual(ft: FreeTree, tab: ButcherTableau):
     """Alternating sum over the class: sum (-1)^kappa / sigma(u) * a(B_-(u)).
 
-    Superfluous classes impose no condition and return 0.
+    A tableau that carries its rule (A = c b^T) gives the exact Fraction,
+    each weight a product of the rule's exact moments; any other tableau
+    gives an mpf at precision_digits + 10.  Superfluous classes impose no
+    condition and return 0.
     """
     if ft.superfluous:
-        return mp.mpf(0)
+        return mp.mpf(0) if tab.rule is None else Fraction(0)
+    if tab.rule is not None:
+        # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
+        # mu_(number of children) over the vertices of t; with mu = m / d in
+        # integers, the weight of each member's n - 1 non-root vertices is over d^(n-1)
+        m, d = _scaled(tab.rule.moments(ft.order))
+        sig = lcm(*[u.sigma for u in ft.members])
+        total = 0
+        for u in ft.members:
+            w = ft.parity[u] * (sig // u.sigma)
+            for t in u.children:
+                w *= _moment_product(t, m)
+            total += w
+        return Fraction(total, sig * d ** (ft.order - 1))
     with mp.workdps(tab.precision_digits + 10):
         total = mp.mpf(0)
         for u in ft.members:

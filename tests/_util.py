@@ -202,3 +202,8 @@ def memo_free_residual(ft, tab):
         for u in ft.members:
             total += ft.parity[u] * memo_free_rk_weight(Forest(u.children), tab) / u.sigma
         return total
+
+
+def refuse_polish(*args):
+    """Stand-in for quadrature._polish_root in tests that the exact certificate never polishes."""
+    raise AssertionError("a rule's nodes were polished")

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from avfrk import conditions
+from avfrk import conditions, quadrature
 from avfrk.cli import _json, main
 from avfrk.conditions import build_M, rank_kernel
 from avfrk.quadrature import quad_rule
+from _util import refuse_polish
 
 QUARTIC_DOC = {
     "half_dim": 1,
@@ -501,3 +502,22 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc_info:
         main(["nosuch"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--s", "4", "--zeta", "-1"],
+        ["rank", "--s", "3"],
+        ["rank", "--s", "6", "--zeta", "1/2", "--format", "csv"],
+        ["uniqueness", "--s", "5", "--zeta", "1/3"],
+        ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"],
+    ],
+)
+def test_certificate_commands_never_polish(monkeypatch, capsys, argv):
+    # rank and uniqueness read the rule's exact core only; their output is unchanged
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from avfrk import conditions
+from avfrk import conditions, quadrature
 from avfrk.conditions import (
     KernelBasis,
     KernelElement,
@@ -50,6 +50,7 @@ from _util import (
     max_entry,
     outer_matrix,
     random_unipoly,
+    refuse_polish,
 )
 
 ONE = UniPoly([1])
@@ -388,6 +389,34 @@ class TestBuildM:
                 assert all(x == 0 for x in M.matrix_exact[i])
                 assert M.w_exact[i] == 0
         assert found >= 1
+
+    @pytest.mark.parametrize(
+        "s,zeta",
+        [(s, z) for s in range(2, 9) for z in (Fraction(1, 2), Fraction(-1), Fraction(1, 3), Fraction(1))],
+    )
+    def test_vanishing_left_rows_equal_the_unskipped_construction(self, s, zeta):
+        # build_M sets the lip rows of R_l, l >= s, to zero without forming them;
+        # the construction from every R_l gives the same operator, bit for bit
+        rule = quad_rule(s, zeta)
+        m = 2 * s - 1
+        M = build_M(rule, m)
+        left = [r_poly(p, s, zeta) for p in range(m - 1)]
+        integ = [f_poly(q, s, zeta) for q in range(1, m)]
+        L = discrete_ip_table(left, [legendre(k) for k in range(s)], rule)
+        R = discrete_ip_table(integ, [B.derivative() for B in M.right_family], rule)
+        assert all(x == 0 for row in L[s:] for x in row)
+        rows = [
+            [L[p - 1][k] * R[q - 1][l] - L[q - 1][k] * R[p - 1][l] for k in range(s) for l in range(s)]
+            for p, q in M.rows
+        ]
+        assert M.scaled_rows == tuple((tuple(r), d) for r, d in map(_scaled, rows))
+        ends = [(P(1), P.integral()(1)) for P in integ]
+        assert M.w_exact == tuple(ends[p - 1][0] * ends[q - 1][1] - ends[q - 1][0] * ends[p - 1][1] for p, q in M.rows)
+        tables = []
+        for table in (L, R):
+            d = _scaled([x for row in table for x in row])[1]
+            tables.append(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in table))
+        assert M.ip_tables == tuple(tables)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -984,3 +1013,21 @@ def test_error_types_are_distinct():
     assert issubclass(KernelStructureError, RuntimeError)
     assert not issubclass(KernelStructureError, ValueError)
     assert not issubclass(QuadratureError, KernelStructureError)
+
+
+class TestExactCore:
+    """The certificate reads a rule's exact core only: its mpf nodes are never polished."""
+
+    @staticmethod
+    def _certify(s, zeta):
+        rule = quad_rule(s, zeta)
+        M = build_M(rule, 2 * s if zeta == 0 else 2 * s - 1)
+        return M.scaled_rows, kernel_key(*rank_kernel(M)), uniqueness_sweep(rule, 2 * s - 1)
+
+    @pytest.mark.parametrize("s,zeta", [(s, z) for s in range(2, 9) for z in (Fraction(0), Fraction(1, 2), Fraction(-1))])
+    def test_certificate_never_polishes(self, monkeypatch, s, zeta):
+        want = self._certify(s, zeta)
+        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        assert self._certify(s, zeta) == want
+        with pytest.raises(AssertionError, match="polished"):
+            quad_rule(s, zeta).c

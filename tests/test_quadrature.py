@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,9 @@ from avfrk.quadrature import (
     quad_rule,
     r_poly,
 )
+from avfrk import quadrature
+from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
+from avfrk.integrators import avf_tableau
 from _util import random_unipoly
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -37,6 +41,8 @@ MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction
 POLISH_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2)]
 # 7 puts a node outside [0, 1], 40 a root outside _WINDOW
 STURM_ZETAS = POLISH_ZETAS + [Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(7), Fraction(40)]
+# 3/2, 7 and -3/2 put a node outside [0, 1]; -1 and 1 put one on an end point
+UNIT_ZETAS = [Fraction(2), Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(7), Fraction(-3, 2)]
 X = UniPoly([0, 1])
 
 
@@ -243,6 +249,63 @@ class TestQuadRule:
         rule = quad_rule(2, 0)
         with pytest.raises(AttributeError):
             rule.order = 7
+
+
+class TestLazyNodes:
+    """A rule is built on its exact core; c and b are polished on first access."""
+
+    @pytest.mark.parametrize("dps", [15, 50])
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_in_unit_interval_matches_polished_nodes(self, s, dps):
+        # the exact Sturm count agrees with the polished nodes up to the validation
+        # tolerance, which decides every node: a root on an end point is exact
+        # (zeta = -1 or 1), and every other root stays clear of 0 and 1
+        for zeta in UNIT_ZETAS:
+            rule = quad_rule(s, zeta, dps)
+            exact_ends = {0} if zeta == -1 else {1} if zeta == 1 else set()
+            with mp.workdps(dps + 15):
+                tol = mp.mpf(10) ** (-dps + 5)
+                for x in rule.c:
+                    near = {e for e in (0, 1) if abs(x - e) <= tol}
+                    assert near <= exact_ends, (s, zeta, dps)
+                assert rule.in_unit_interval == all(-tol <= x <= 1 + tol for x in rule.c), (s, zeta, dps)
+            if zeta in (-1, 0, 1, Fraction(1, 2)):
+                assert rule.in_unit_interval
+
+    def test_polish_logged_once_on_first_access(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="avfrk.quadrature"):
+            rule = quad_rule(3, Fraction(1, 2))
+            rank_kernel(build_M(rule, 5))
+            uniqueness_sweep(rule, 5)
+            uniqueness_sweep(quad_rule(4, Fraction(-1)), 7)
+            assert not [r for r in caplog.records if r.name == "avfrk.quadrature"]
+            avf_tableau(rule)
+            avf_tableau(rule)
+        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.quadrature"]
+        assert len(got) == 1
+        assert got[0].startswith("polish nodes: s 3, zeta 1/2, precision 50, ")
+        assert got[0].endswith(" ms") and float(got[0].split(", ")[-1][:-3]) >= 0
+
+    def test_polish_failure_raised_on_access(self, monkeypatch):
+        # construction needs no polish; a failing polish raises at each access and is not cached
+        def fail(*args):
+            raise QuadratureError("Newton did not converge")
+
+        monkeypatch.setattr(quadrature, "_polish_root", fail)
+        rule = quad_rule(4, Fraction(1, 3))
+        assert rule.moments(rule.order) == tuple(Fraction(1, k + 1) for k in range(rule.order))
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="did not converge"):
+                rule.b
+        monkeypatch.undo()
+        assert rule.c == quad_rule(4, Fraction(1, 3)).c
+
+    def test_nodes_are_read_only(self):
+        rule = quad_rule(2, 0)
+        for name in ("c", "b"):
+            with pytest.raises(AttributeError):
+                setattr(rule, name, ())
+        assert rule.c is rule.c and rule.b is rule.b
 
 
 def vandermonde_weights(c):

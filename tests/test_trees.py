@@ -261,9 +261,21 @@ class TestMemo:
 
     @pytest.mark.parametrize("kind,s,zeta", TABLEAUX)
     def test_residuals_match_memo_free_recursion(self, kind, s, zeta):
+        # a random A keeps the mpf memo bit for bit; a rule tableau's residual is
+        # exact, zero while every moment it reads is exact, and the mpf recursion
+        # lies within 10^-dps of it
         tab = self._tableau(kind, s, zeta)
+        tol = mp.mpf(10) ** -tab.precision_digits
         for ft in conditions_up_to(2 * s, 2 * s):
-            assert _bits(energy_condition_residual(ft, tab)) == _bits(memo_free_residual(ft, tab))
+            r = energy_condition_residual(ft, tab)
+            if kind == "random":
+                assert _bits(r) == _bits(memo_free_residual(ft, tab))
+                continue
+            assert isinstance(r, Fraction)
+            if ft.max_branching <= tab.rule.order:
+                assert r == 0, ft
+            with mp.workdps(tab.precision_digits + 10):
+                assert abs(memo_free_residual(ft, tab) - mp.mpf(r.numerator) / r.denominator) < tol
 
     def test_tableaux_never_share_entries(self):
         # same rule and precision, different A; one after the other and in a
@@ -301,8 +313,9 @@ class TestEnergyConditions:
 
     def test_low_order_classes_vanish(self):
         for t in (parse_tree("[*,*]"), t_pq(1, 2), t_pq(1, 3), t_pq(2, 3)):
-            r = energy_condition_residual(free_class(t), self.avf)
-            assert abs(r) < mp.mpf("1e-40")
+            ft = free_class(t)
+            assert energy_condition_residual(ft, self.avf) == 0
+            assert abs(memo_free_residual(ft, self.avf)) < mp.mpf(10) ** -self.avf.precision_digits
 
     def test_superfluous_returns_zero(self):
         rng = random.Random(32)
@@ -311,9 +324,11 @@ class TestEnergyConditions:
 
     def test_t14_exceeds_quadrature_order(self):
         # degree-5 moments are beyond the order-4 rule; the defect is 1/1728
-        r = energy_condition_residual(free_class(t_pq(1, 4)), self.avf)
+        ft = free_class(t_pq(1, 4))
+        assert energy_condition_residual(ft, self.avf) == Fraction(1, 1728)
         with mp.workdps(60):
-            assert abs(r - mp.mpf(1) / 1728) < mp.mpf("1e-40")
+            r = memo_free_residual(ft, self.avf)
+            assert abs(r - mp.mpf(1) / 1728) < mp.mpf(10) ** -self.avf.precision_digits
 
     def test_conditions_filter_by_branching(self):
         for ft in conditions_up_to(2, 2):
