@@ -19,6 +19,7 @@ from .conditions import (
     asym_bush_residual,
     build_M,
     build_p_tilde,
+    bush_residuals,
     double_bush_poly_residual,
     double_bush_residual,
     expected_rank,

@@ -21,12 +21,10 @@ from mpmath import mp
 
 from .conditions import (
     KernelStructureError,
-    asym_bush_residual,
     build_M,
-    double_bush_residual,
+    bush_residuals,
     expected_rank,
     rank_kernel,
-    triple_bush_residual,
     uniqueness_sweep,
 )
 from .hamiltonian import hamiltonian_from_json
@@ -40,7 +38,7 @@ from .integrators import (
     midpoint_tableau,
     write_run_csv,
 )
-from .quadrature import QuadratureError, UniPoly, g_poly, quad_rule
+from .quadrature import QuadratureError, quad_rule
 from .trees import ButcherTableau, conditions_up_to, energy_condition_residual
 
 __all__ = ["main"]
@@ -192,24 +190,12 @@ def cmd_conditions(args) -> int:
         )
     # bush identities are stated against the rule nodes, so they are only
     # meaningful while the tableau shares them; beyond the rule order the
-    # rows report the quadrature defect rather than an exact-zero condition
+    # rows report the quadrature defect rather than an exact-zero condition.
+    # The rule's own tableau gives exact rows, a --tableau A mpf ones.
     bushes = []
     if not custom_nodes:
-        bm = m
-        for p in range(1, bm):
-            for q in range(p + 1, bm):
-                r = double_bush_residual(tab.A, rule, p, q)
-                bushes.append({"id": f"double_bush({p},{q})", "residual": _dec(r, args)})
-        one = UniPoly([1])
-        for p in range(1, bm):
-            for q in range(p, bm):
-                r = triple_bush_residual(tab.A, rule, g_poly(p), g_poly(q), one)
-                bushes.append(
-                    {"id": f"triple_bush(G_{p},G_{q},1)", "residual": _dec(r, args)}
-                )
-        for q in range(1, bm):
-            r = asym_bush_residual(tab.A, rule, q)
-            bushes.append({"id": f"asym_bush({q})", "residual": _dec(r, args)})
+        A = tab.A if args.tableau else None
+        bushes = [{"id": i, "residual": _dec(r, args)} for i, r in bush_residuals(rule, m, A)]
     doc = {
         "s": rule.s,
         "zeta": _dec(rule.zeta, args),

@@ -52,6 +52,7 @@ __all__ = [
     "double_bush_poly_residual",
     "triple_bush_residual",
     "asym_bush_residual",
+    "bush_residuals",
     "MOperator",
     "build_M",
     "build_p_tilde",
@@ -819,6 +820,45 @@ def _asym_bush_exact(A, ip, q):
     for _ in range(q - 1):
         w = w * Ac
     return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
+
+
+def _double_bush_exact(A, ip, p, q):
+    """double_bush_residual with node vectors held as polynomials; ip as in _triple_bush_exact."""
+    x = lambda k: UniPoly([0] * k + [1])
+    lhs = p * ip(x(p - 1), A(x(q))) - q * ip(x(q - 1), A(x(p)))
+    return lhs - (Fraction(1, q + 1) - Fraction(1, p + 1))
+
+
+def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
+    """[(id, residual)] of the bush identities with every degree below m.
+
+    The rows are double_bush(p,q) for 1 <= p < q < m, triple_bush(G_p,G_q,1)
+    for 1 <= p <= q < m and asym_bush(q) for 1 <= q < m, against the rule's
+    nodes.  With A None the tableau is the rule's own c b^T: a node vector
+    g(c) stays the polynomial g, A g = c <1, g>_D, and every residual is an
+    exact Fraction over the rule's moments (double_bush(p,q) reduces to
+    (p - q) mu_p mu_q minus its right-hand side).  A given A, an s x s
+    matrix, is evaluated in mpf by the public residual functions.
+    """
+    if A is None:
+        ip = lambda f, g: discrete_ip_exact(f, g, rule)
+        rank_one = lambda g: _MONOMIAL_X * ip(_ONE, g)
+        double = lambda p, q: _double_bush_exact(rank_one, ip, p, q)
+        triple = lambda P, Q: _triple_bush_exact(rank_one, ip, P, Q, _ONE)
+        asym = lambda q: _asym_bush_exact(rank_one, ip, q)
+    else:
+        double = lambda p, q: double_bush_residual(A, rule, p, q)
+        triple = lambda P, Q: triple_bush_residual(A, rule, P, Q, _ONE)
+        asym = lambda q: asym_bush_residual(A, rule, q)
+    degrees = range(1, m)
+    rows = [(f"double_bush({p},{q})", double(p, q)) for p in degrees for q in degrees if p < q]
+    rows += [
+        (f"triple_bush(G_{p},G_{q},1)", triple(g_poly(p), g_poly(q)))
+        for p in degrees
+        for q in degrees
+        if p <= q
+    ]
+    return rows + [(f"asym_bush({q})", asym(q)) for q in degrees]
 
 
 def _ray_residual(rule, cond, degree, U, Vd):

@@ -16,9 +16,13 @@ the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
 the exact polynomials, and every state is a tuple of floats.  For the
 chord, the whole map z -> y + sum_j h b_j f(y + c_j (z - y)) is one
-straight-line function per system and float node set; its Newton matrix
+straight-line function per system and float node set, and so is the loop
+of fixed-point sweeps around it: the iterate stays in local floats, and
+the finite check, the residual, the stops and the switch to Newton run
+inline.  Newton stays interpreted; its matrix
 h sum_j b_j c_j J_f(Y_j) - I is generated the first time a step switches
-to Newton.  The stage path evaluates f and J_f one point at a time.
+to Newton.  The stage path evaluates f and J_f one point at a time and
+runs the same sweeps interpreted.
 
 numpy is imported only where it is used: by a Newton iteration, whose
 linear solve is LAPACK's, and by IntegrationRun.energies, which returns an
@@ -125,8 +129,11 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
 
 
 def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
-    """Execute generated source and return its function `name`."""
-    namespace: dict = {}
+    """Execute generated source and return its function `name`.
+
+    The source sees math.isfinite as isfinite and math.inf as inf.
+    """
+    namespace: dict = {"isfinite": math.isfinite, "inf": math.inf}
     exec("\n".join(lines) + "\n", namespace)
     logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
     return namespace[name]
@@ -152,37 +159,102 @@ def _scalar_field(sys: HamiltonianSystem) -> tuple:
     return _scalar_function(f, n), _scalar_function(jac, n)
 
 
+def _node_sum(n: int, nodes: tuple, updates: list, pad: str) -> list:
+    """Lines, indented by pad, that sum over the nodes of the chord at z.
+
+    They set d = z - y, then per node x = y + c_j * d and, for each
+    (variable, term) of updates, variable = variable + v_j * (term),
+    starting from 0.0.
+    """
+    lines = [f"{pad}d{k} = z{k} - y{k}" for k in range(n)]
+    for j, (cj, _) in enumerate(nodes):
+        lines += [f"{pad}x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
+        lines += [f"{pad}{a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
+    return lines
+
+
 def _chord_source(name: str, n: int, nodes: tuple, weights: list, updates: list) -> list:
     """Source of name(y, h) -> g(z), a sum over the nodes of the chord.
 
-    name(y, h) sets v_j to weights[j], an expression in h.  g(z) sets
-    d = z - y, then per node x = y + c_j * d and, for each (variable, term)
-    of updates, variable = variable + v_j * (term), starting from 0.0.
-    The caller appends g's return line.
+    name(y, h) sets v_j to weights[j], an expression in h; g(z) is the
+    _node_sum of updates.  The caller appends g's return line.
     """
     lines = [f"def {name}(y, h):", f"    {', '.join(f'y{k}' for k in range(n))}, = y"]
     lines += [f"    v{j} = {w}" for j, w in enumerate(weights)]
     lines += ["    def g(z):", f"        {', '.join(f'z{k}' for k in range(n))}, = z"]
-    lines += [f"        d{k} = z{k} - y{k}" for k in range(n)]
-    for j, (cj, _) in enumerate(nodes):
-        lines += [f"        x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
-        lines += [f"        {a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
-    return lines
+    return lines + _node_sum(n, nodes, updates, " " * 8)
+
+
+# the loop of _sweeps on the iterate z0..z{n-1}; {phi} sets f = phi(z)
+_SWEEPS_SOURCE = """\
+    def sweeps(x, max_iterations, tol, scale, newton, allow_newton):
+        {z}, = x
+        res = prev_res = inf
+        it = 0
+        try:
+            for it in range(max_iterations + 1):
+{phi}
+                if it:
+                    if not ({finite}):
+                        return "non-finite", it, ({z},), None, inf
+{largest}
+                    res = scale * m
+                    if res <= tol:
+                        return "converged", it, ({z},), ({f},), res
+                    if newton:
+                        return "newton", it, ({z},), ({f},), res
+                    if allow_newton and res > {stall!r} * prev_res:
+                        newton = True
+                    prev_res = res
+{advance}
+        except OverflowError as e:
+            return "overflow", it, ({z},), e, res
+        return "exhausted", it, ({z},), None, res"""
+
+
+def _sweeps_source(n: int, nodes: tuple, f: list) -> list:
+    """Source of the chord's sweeps(x, ...): the loop of _sweeps with phi inlined.
+
+    Every float operation is the one phi and _sweeps do, in the same order;
+    iteration 0 is the predictor phi(x), unchecked.  max|f - z| is spelled
+    out as max() computes it: the first of equal values is kept and a
+    later one replaces it only when greater.
+    """
+    pad = " " * 16
+    phi = _node_sum(n, nodes, f, pad) + [f"{pad}f{k} = y{k} + a{k}" for k in range(n)]
+    largest = [f"{pad}    m = abs(f0 - z0)"]
+    for k in range(1, n):
+        largest += [f"{pad}    t = abs(f{k} - z{k})", f"{pad}    if t > m:", f"{pad}        m = t"]
+    source = _SWEEPS_SOURCE.format(
+        z=", ".join(f"z{k}" for k in range(n)),
+        f=", ".join(f"f{k}" for k in range(n)),
+        phi="\n".join(phi),
+        finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
+        largest="\n".join(largest),
+        stall=_STALL_FACTOR,
+        advance="\n".join(f"{pad}z{k} = f{k}" for k in range(n)),
+    )
+    return source.split("\n")
 
 
 @lru_cache(maxsize=64)
 def _chord_map(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """chord(y, h) -> phi, phi(z) = y + sum_j (h b_j) f(y + c_j (z - y)).
+    """chord(y, h) -> (phi, sweeps), phi(z) = y + sum_j (h b_j) f(y + c_j (z - y)).
 
     Straight-line source generated once per system and float node set, in
     the float operations of a loop over the nodes: w_j = h * b_j, then per
     node x = y + c_j * (z - y) and a = a + w_j * f(x) from a = 0.0; y + a.
+    sweeps is the fixed-point phase of _implicit_solve on phi (_sweeps),
+    generated in the same source with phi inlined: the same floats, the
+    same stops and the same SolverError context, without a call, a tuple
+    and two map chains per sweep.
     """
     n = sys.dim
     x = [f"x{k}" for k in range(n)]
     f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
     lines = _chord_source("chord", n, nodes, [f"h * {bj!r}" for _, bj in nodes], f)
-    lines += [f"        return ({', '.join(f'y{k} + a{k}' for k in range(n))},)", "    return g"]
+    lines += [f"        return ({', '.join(f'y{k} + a{k}' for k in range(n))},)"]
+    lines += _sweeps_source(n, nodes, f) + ["    return g, sweeps"]
     return _generate(lines, "chord", n, len(nodes))
 
 
@@ -263,48 +335,91 @@ def _newton_update(matrix, x, fx, res) -> list:
     return list(map(sub, x, dx))
 
 
-def _implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
+def _sweeps(phi) -> Callable:
+    """sweeps(x, max_iterations, tol, scale, newton, allow_newton) for the map phi.
+
+    The fixed-point phase of _implicit_solve, interpreted: x = phi(x) is the
+    predictor, then each iteration takes fx = phi(x) and its residual
+    scale * max|fx - x|.  It returns (status, it, x, fx, res) at iteration
+    it: "converged" when res <= tol; "newton" when newton is set, fx then
+    the map at the iterate x; "non-finite" when fx is not finite (res inf);
+    "overflow" with the OverflowError as fx; "exhausted" after
+    max_iterations sweeps.  A residual that shrinks by less than
+    _STALL_FACTOR sets newton when allow_newton is.  _chord_map generates
+    this loop per system with phi inlined.
+    """
+
+    def sweeps(x, max_iterations, tol, scale, newton, allow_newton):
+        res = prev_res = math.inf
+        it = 0
+        try:
+            x = phi(x)
+            for it in range(1, max_iterations + 1):
+                fx = phi(x)
+                if not all(map(math.isfinite, fx)):
+                    return "non-finite", it, x, None, math.inf
+                res = scale * max(map(abs, map(sub, fx, x)))
+                if res <= tol:
+                    return "converged", it, x, fx, res
+                if newton:
+                    return "newton", it, x, fx, res
+                if allow_newton and res > _STALL_FACTOR * prev_res:
+                    newton = True
+                prev_res = res
+                x = fx
+        except OverflowError as e:
+            return "overflow", it, x, e, res
+        return "exhausted", it, x, None, res
+
+    return sweeps
+
+
+def _implicit_solve(x, sweeps, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
     x is the start of the step for every unknown; phi(x) is then the Euler
-    predictor.  Fixed-point sweeps run while the residual shrinks by
-    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
-    where newton(x) is its matrix Jphi(x) - I with the identity already
-    subtracted.  An overflowing field, a non-finite iterate and a singular
-    Newton matrix end the solve with SolverError.  Returns (solution,
-    StepStats).
+    predictor.  sweeps (_sweeps(phi), or the chord's generated loop) runs
+    the fixed-point iterations while the residual shrinks by _STALL_FACTOR
+    per iteration; after that, or from the start for the "newton"
+    strategy, Newton runs here on F(x) = phi(x) - x, where newton(x) is its
+    matrix Jphi(x) - I with the identity already subtracted.  An
+    overflowing field, a non-finite iterate and a singular Newton matrix
+    end the solve with SolverError.  Returns (solution, StepStats).
     """
-    use_newton = cfg.strategy == "newton"
-    allow_newton = cfg.strategy != "fixed-point"
-    prev_res = res = math.inf
+    strategy = cfg.strategy
+    status, it, x, fx, res = sweeps(
+        x, cfg.max_iterations, cfg.tolerance, scale, strategy == "newton", strategy != "fixed-point"
+    )
     newton_iters = 0
     try:
-        x = phi(x)
-        for it in range(1, cfg.max_iterations + 1):
+        while status == "newton":
+            x = _newton_update(newton(x), x, fx, res)
+            newton_iters += 1
+            if it == cfg.max_iterations:
+                status = "exhausted"
+                break
+            it += 1
             fx = phi(x)
             if not all(map(math.isfinite, fx)):
-                raise SolverError(
-                    f"non-finite iterate at iteration {it}", iterate=tuple(x), residual=math.inf
-                )
+                status, res = "non-finite", math.inf
+                break
             res = scale * max(map(abs, map(sub, fx, x)))
             if res <= cfg.tolerance:
-                return fx, StepStats(it, newton_iters, res)
-            if use_newton:
-                x = _newton_update(newton(x), x, fx, res)
-                newton_iters += 1
-            else:
-                x = fx
-                if allow_newton and res > _STALL_FACTOR * prev_res:
-                    use_newton = True
-            prev_res = res
+                status = "converged"
     except OverflowError as e:
-        raise SolverError(f"field evaluation overflowed: {e}", iterate=tuple(x), residual=res) from e
-    raise SolverError(
-        f"no convergence after {cfg.max_iterations} iterations "
-        f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
-        iterate=tuple(x),
-        residual=res,
-    )
+        status, fx = "overflow", e
+    if status == "converged":
+        return fx, StepStats(it, newton_iters, res)
+    if status == "overflow":
+        raise SolverError(f"field evaluation overflowed: {fx}", iterate=tuple(x), residual=res) from fx
+    if status == "non-finite":
+        message = f"non-finite iterate at iteration {it}"
+    else:
+        message = (
+            f"no convergence after {cfg.max_iterations} iterations "
+            f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})"
+        )
+    raise SolverError(message, iterate=tuple(x), residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +439,8 @@ def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Call
     chord = _chord_map(sys, nodes)
 
     def step(y, h, cfg):
-        phi = chord(y, h)
-        z, stats = _implicit_solve(y, phi, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
+        phi, sweeps = chord(y, h)
+        z, stats = _implicit_solve(y, sweeps, phi, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
         # the update y + h b^T f(Y) at the converged stages, as the stage path
         return phi(z), stats
 
@@ -360,7 +475,7 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
                 for a in range(n)
             ]
 
-        sol, stats = _implicit_solve(list(y) * s, phi, newton, cfg)
+        sol, stats = _implicit_solve(list(y) * s, _sweeps(phi), phi, newton, cfg)
         return tuple(update(y, h, b, at_stages(f, sol))), stats
 
     return step

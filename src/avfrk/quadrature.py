@@ -12,10 +12,11 @@ such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k, and discrete_ip_exact is the bilinear form
 sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
 high-precision floats: roots are isolated by exact integer Sturm counts
-when the rule is built, and polished by a float-seeded Newton iteration
-on the first access of QuadRule.c or QuadRule.b, which is also when a
-polish or validation QuadratureError is raised.  The exact certificate
-reads only the exact core and never polishes.
+when the rule is built, and polished by a float-seeded Newton iteration,
+safeguarded by bisection inside each bracket, on the first access of
+QuadRule.c or QuadRule.b, which is also when a polish or validation
+QuadratureError is raised.  The exact certificate reads only the exact
+core and never polishes.
 """
 
 from __future__ import annotations
@@ -278,10 +279,16 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
 
     A safeguarded Newton iteration in floats runs first: the bracket shrinks
     by the sign of p, and a step leaving it is replaced by bisection.  Its
-    result seeds Newton at dps + 15 digits.  A polished root outside
-    [lo, hi] raises QuadratureError.
+    result seeds the same safeguarded Newton at dps + 15 digits, started
+    again from [lo, hi], which stops on a step below the tolerance.  For
+    s >= 24 the float seed, which evaluates p in the monomial basis, is
+    mostly rounding noise and only the safeguard keeps that Newton in the
+    bracket.  Where p has no sign change on [lo, hi] nothing is bisected,
+    and a polished root outside [lo, hi] raises QuadratureError.
     """
     rising = p(lo) < 0
+    # a step leaving [lo, hi] can bisect instead only where p changes sign on it
+    isolating = (p(hi) < 0) != rising
     fcs = [float(c) for c in p.coeffs]
     a, b = float(lo), float(hi)
     x = (a + b) / 2
@@ -302,6 +309,7 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
     with mp.workdps(dps + 15):
         cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
         x = mp.mpf(x)
+        a, b = (mp.mpf(e.numerator) / e.denominator for e in (lo, hi))
         tol = mp.mpf(10) ** (-dps + 2)
         where = f"the isolating bracket [{float(lo)}, {float(hi)}]"
         for _ in range(50):
@@ -310,10 +318,16 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
                 break
             if df == 0:
                 raise QuadratureError(f"Newton met a critical point in {where}")
+            if (f > 0) == rising:
+                b = x
+            else:
+                a = x
             step = f / df
-            x = x - step
-            if abs(step) < tol * max(1, abs(x)):
+            nxt = x - step
+            if abs(step) < tol * max(1, abs(nxt)):
+                x = nxt
                 break
+            x = nxt if a < nxt < b or not isolating else (a + b) / 2
         else:
             raise QuadratureError(f"Newton did not converge in {where}")
         if not lo <= _exact_fraction(x) <= hi:

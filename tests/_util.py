@@ -2,13 +2,15 @@
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from math import ulp
+from operator import mul, sub
 
 from mpmath import mp
 
 from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
-from avfrk.quadrature import UniPoly, _scaled
+from avfrk.integrators import _STALL_FACTOR, SolverConfig, SolverError, StepStats, _newton_update
+from avfrk.quadrature import QuadratureError, UniPoly, _exact_fraction, _horner, _scaled
 from avfrk.trees import ButcherTableau
 
 
@@ -207,3 +209,99 @@ def memo_free_residual(ft, tab):
 def refuse_polish(*args):
     """Stand-in for quadrature._polish_root in tests that the exact certificate never polishes."""
     raise AssertionError("a rule's nodes were polished")
+
+
+def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
+    """integrators._implicit_solve as it was before the chord sweeps were generated.
+
+    Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
+
+    x is the start of the step for every unknown; phi(x) is then the Euler
+    predictor.  Fixed-point sweeps run while the residual shrinks by
+    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
+    where newton(x) is its matrix Jphi(x) - I with the identity already
+    subtracted.  An overflowing field, a non-finite iterate and a singular
+    Newton matrix end the solve with SolverError.  Returns (solution,
+    StepStats).
+    """
+    use_newton = cfg.strategy == "newton"
+    allow_newton = cfg.strategy != "fixed-point"
+    prev_res = res = math.inf
+    newton_iters = 0
+    try:
+        x = phi(x)
+        for it in range(1, cfg.max_iterations + 1):
+            fx = phi(x)
+            if not all(map(math.isfinite, fx)):
+                raise SolverError(
+                    f"non-finite iterate at iteration {it}", iterate=tuple(x), residual=math.inf
+                )
+            res = scale * max(map(abs, map(sub, fx, x)))
+            if res <= cfg.tolerance:
+                return fx, StepStats(it, newton_iters, res)
+            if use_newton:
+                x = _newton_update(newton(x), x, fx, res)
+                newton_iters += 1
+            else:
+                x = fx
+                if allow_newton and res > _STALL_FACTOR * prev_res:
+                    use_newton = True
+            prev_res = res
+    except OverflowError as e:
+        raise SolverError(f"field evaluation overflowed: {e}", iterate=tuple(x), residual=res) from e
+    raise SolverError(
+        f"no convergence after {cfg.max_iterations} iterations "
+        f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
+        iterate=tuple(x),
+        residual=res,
+    )
+
+
+def reference_polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
+    """quadrature._polish_root as it was before its mpf Newton was safeguarded.
+
+    The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
+
+    A safeguarded Newton iteration in floats runs first: the bracket shrinks
+    by the sign of p, and a step leaving it is replaced by bisection.  Its
+    result seeds Newton at dps + 15 digits.  A polished root outside
+    [lo, hi] raises QuadratureError.
+    """
+    rising = p(lo) < 0
+    fcs = [float(c) for c in p.coeffs]
+    a, b = float(lo), float(hi)
+    x = (a + b) / 2
+    for _ in range(100):
+        f, df = _horner(fcs, x)
+        if f == 0:
+            break
+        if (f > 0) == rising:
+            b = x
+        else:
+            a = x
+        last = x
+        x = x - f / df if df else a  # a zero slope falls back to bisection
+        if not a < x < b:
+            x = (a + b) / 2
+        if abs(x - last) <= ulp(last):
+            break
+    with mp.workdps(dps + 15):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        x = mp.mpf(x)
+        tol = mp.mpf(10) ** (-dps + 2)
+        where = f"the isolating bracket [{float(lo)}, {float(hi)}]"
+        for _ in range(50):
+            f, df = _horner(cs, x)
+            if f == 0:
+                break
+            if df == 0:
+                raise QuadratureError(f"Newton met a critical point in {where}")
+            step = f / df
+            x = x - step
+            if abs(step) < tol * max(1, abs(x)):
+                break
+        else:
+            raise QuadratureError(f"Newton did not converge in {where}")
+        if not lo <= _exact_fraction(x) <= hi:
+            raise QuadratureError(f"Newton left {where}")
+        return +x

@@ -45,6 +45,12 @@ class TestQuad:
         assert doc["c"][1].startswith("0.78867513459481288225")
         assert doc["b"] == ["0.5", "0.5"]
 
+    def test_large_gauss_rule(self, capsys):
+        # the float seed of the polish is rounding noise from s = 24 on
+        code, doc = run_json(capsys, ["quad", "--s", "24", "--zeta", "0"])
+        assert code == 0
+        assert len(doc["c"]) == 24 and doc["order"] == 48
+
     def test_left_endpoint_csv(self, capsys):
         code = main(["quad", "--s", "2", "--zeta", "-1", "--format", "csv"])
         out = capsys.readouterr().out.splitlines()
@@ -108,6 +114,12 @@ class TestConditions:
         assert len(doc["conditions"]) > 0
         for row in doc["conditions"] + doc["bushes"]:
             assert abs(float(row["residual"])) < 1e-40
+
+    def test_rule_bush_rows_are_exact_zeros(self, capsys):
+        code, doc = run_json(capsys, ["conditions", "--s", "3", "--zeta", "-1", "--precision", "30"])
+        assert code == 0
+        assert len(doc["bushes"]) == 20
+        assert all(float(row["residual"]) == 0 for row in doc["bushes"])
 
     def test_degree_past_order_reports_defect(self, capsys):
         code, doc = run_json(capsys, ["conditions", "--s", "2", "--m", "5"])

@@ -21,6 +21,7 @@ from avfrk.conditions import (
     asym_bush_residual,
     build_M,
     build_p_tilde,
+    bush_residuals,
     double_bush_poly_residual,
     double_bush_residual,
     expected_rank,
@@ -129,6 +130,38 @@ class TestBushResidualsOnAvf:
             A = avf_matrix(rule)
             for q in range(1, rule.order):
                 assert abs(asym_bush_residual(A, rule, q)) < TINY
+
+
+class TestBushRows:
+    """bush_residuals: exact rows for the rule's own c b^T, mpf rows for a given A."""
+
+    @pytest.mark.parametrize(
+        "s,zeta", [(2, Fraction(0)), (3, Fraction(-1)), (3, Fraction(1, 2)), (4, Fraction(2))]
+    )
+    def test_exact_rows_match_mpf_rows(self, s, zeta):
+        rule = quad_rule(s, zeta)
+        exact = bush_residuals(rule, rule.order + 1)  # the last degree reports the rule's defect
+        approx = bush_residuals(rule, rule.order + 1, avf_matrix(rule))
+        assert [i for i, _ in exact] == [i for i, _ in approx]
+        assert all(isinstance(r, Fraction) for _, r in exact)
+        assert any(r != 0 for _, r in exact)
+        with mp.workdps(60):
+            for (i, r), (_, a) in zip(exact, approx):
+                assert abs(a - mp.mpf(r.numerator) / r.denominator) < TINY, i
+
+    @pytest.mark.parametrize(
+        "s,zeta", [(1, Fraction(0)), (2, Fraction(1)), (3, Fraction(-1)), (4, Fraction(1, 3))]
+    )
+    def test_rows_below_the_order_vanish_exactly(self, s, zeta):
+        rule = quad_rule(s, zeta)
+        rows = bush_residuals(rule, rule.order)
+        m = rule.order
+        assert len(rows) == (m - 1) * (m - 2) // 2 + m * (m - 1) // 2 + (m - 1)
+        assert all(r == 0 for _, r in rows)
+
+    def test_exact_rows_never_polish(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        assert all(r == 0 for _, r in bush_residuals(quad_rule(3, Fraction(1, 2)), 5))
 
 
 class TestBushValidation:

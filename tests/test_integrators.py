@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from avfrk.integrators import (
 )
 from avfrk.quadrature import quad_rule
 from avfrk.trees import ButcherTableau
-from _util import random_system
+from _util import random_A_tableau, random_system, reference_implicit_solve
 
 F = Fraction
 
@@ -304,7 +305,8 @@ class TestGeneratedChord:
         z = [yk + size * rng.uniform(-0.1, 0.1) for yk in y]
         phi, newton = _node_loop(sys_, rule, y, h)
         nodes = _float_nodes(rule)
-        assert _bits(_chord_map(sys_, nodes)(y, h)(z)) == _bits(phi(z))
+        chord_phi, _ = _chord_map(sys_, nodes)(y, h)
+        assert _bits(chord_phi(z)) == _bits(phi(z))
         assert _bits(_newton_matrix(sys_, nodes)(y, h)(z)) == _bits(newton(z))
 
     def test_avf_and_tableau_share_one_chord_map(self):
@@ -346,6 +348,90 @@ class TestGeneratedChord:
         assert got[1].startswith("generated newton: dim 4, 3 nodes, ")
         assert all(m.endswith(" source lines") for m in got)
         assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
+
+
+def _outcome(sys_, method, y0, h, n, cfg):
+    """Everything integrate returns or raises, floats as float.hex."""
+    try:
+        run = integrate(sys_, method, y0, h, n, cfg)
+    except SolverError as e:
+        return str(e), e.step_index, float.hex(e.residual), tuple(map(float.hex, e.iterate))
+    states = [tuple(map(float.hex, y)) for y in run.states]
+    return states, [(st.iterations, st.newton_iterations, float.hex(st.residual)) for st in run.solver_stats]
+
+
+def _reference_outcome(sys_, method, y0, h, n, cfg):
+    """_outcome with every implicit solve run by the interpreted loop the sweeps replace."""
+    solve = lambda x, sweeps, phi, newton, cfg, scale=1.0: reference_implicit_solve(x, phi, newton, cfg, scale)
+    with mock.patch.object(integrators, "_implicit_solve", solve):
+        return _outcome(sys_, method, y0, h, n, cfg)
+
+
+SADDLE_40 = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2), (40, 0): F(1, 10**6)})
+
+
+class TestGeneratedSweeps:
+    """The chord's generated fixed-point sweeps, and the interpreted ones of
+    the stage path, against the solve loop they replace: bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        half_dim=st.integers(1, 2),
+        degree=st.integers(2, 6),
+        method=st.sampled_from(["avf", (2, F(0)), (3, F(1, 2)), (3, F(-1)), "stages"]),
+        size=st.sampled_from([1e-2, 1e-1, 1.0, 1e1, 1e2]),
+        h=st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
+        strategy=st.sampled_from(["fixed-point+newton", "fixed-point", "newton"]),
+        max_iterations=st.sampled_from([1, 2, 5, 100]),
+    )
+    def test_matches_interpreted_solve(self, seed, half_dim, degree, method, size, h, strategy, max_iterations):
+        rng = random.Random(seed)
+        sys_ = _perturbed_well(rng, half_dim, degree)
+        if method == "stages":
+            method = random_A_tableau(rng, _rule(2, F(0)))
+        elif method != "avf":
+            method = avf_tableau(_rule(*method))
+        y0 = [size * rng.uniform(-1, 1) for _ in range(sys_.dim)]
+        cfg = SolverConfig(strategy=strategy, max_iterations=max_iterations)
+        got = _outcome(sys_, method, y0, h, 4, cfg)
+        assert got == _reference_outcome(sys_, method, y0, h, 4, cfg)
+
+    @pytest.mark.parametrize(
+        "sys_, y0, h, strategy, max_iterations, reason",
+        [
+            (QUARTIC, [1.0, 0.5], 50.0, "fixed-point+newton", 1, "no convergence"),
+            (QUARTIC, [1.0, 0.5], -50.0, "fixed-point", 5, "no convergence"),
+            (QUARTIC, [0.01, 0.005], 0.01, "newton", 1, "no convergence"),  # after one Newton step
+            (QUARTIC, [0.01, 0.005], 50.0, "fixed-point", 100, "overflow"),  # q**3 raises OverflowError
+            (QUARTIC, [1e120, 0.0], 0.1, "newton", 100, "overflow"),  # in the predictor
+            # h/2 J_f - I is nearly singular: the Newton step lands where q**39 overflows
+            (SADDLE_40, [0.3781856116280262, 0.11345568348840786], 1.9999999999999991, "newton", 100, "overflow"),
+            (sys1({(2, 2): F(1, 2)}), [1.0, 0.5], 5.0, "fixed-point", 100, "non-finite"),
+            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], 0.1, "fixed-point+newton", 100, "non-finite"),
+            # f = (1, -1e300 q^3): only the second component is inf
+            (sys1({(0, 1): F(1), (4, 0): F(10**300, 4)}), [1e3, 0.0], 0.1, "fixed-point", 100, "non-finite"),
+            # f = (1e300 p^3, -1): only the first component is inf
+            (sys1({(1, 0): F(1), (0, 4): F(10**300, 4)}), [0.0, 1e3], 0.1, "newton", 100, "non-finite"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["avf", "midpoint", "stages"])
+    def test_failures_match_interpreted_solve(self, sys_, y0, h, strategy, max_iterations, reason, method):
+        if method == "stages":
+            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5], 30)
+        cfg = SolverConfig(strategy=strategy, max_iterations=max_iterations)
+        got = _outcome(sys_, method, y0, h, 3, cfg)
+        assert got == _reference_outcome(sys_, method, y0, h, 3, cfg)
+        if method == "avf":
+            assert reason in got[0]
+
+    @pytest.mark.parametrize("h, switches", [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)])
+    def test_stall_switch_matches_interpreted_solve(self, h, switches):
+        # the midpoint sweep on the harmonic oscillator contracts by |h|/2 per iteration
+        cfg = SolverConfig()
+        got = _outcome(HARMONIC, "avf", [1.0, 0.5], h, 3, cfg)
+        assert got == _reference_outcome(HARMONIC, "avf", [1.0, 0.5], h, 3, cfg)
+        assert any(newton for _, newton, _ in got[1]) == switches
 
 
 class TestSolverFailure:

@@ -34,7 +34,7 @@ from avfrk.quadrature import (
 from avfrk import quadrature
 from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly
+from _util import random_unipoly, reference_polish_root
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -377,6 +377,32 @@ class TestNodePolish:
                     scales = [factorial(s) * d**s * zeta.denominator]
                     scales += [factorial(k) * d**k for k in range(s)][::-1]
                     assert _sturm_values(s, zeta, x) == [f * P(x) for f, P in zip(scales, members)]
+
+    @pytest.mark.parametrize("dps", [15, 50])
+    @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)])
+    def test_safeguard_keeps_every_polished_bit(self, monkeypatch, zeta, dps):
+        # only a step that would leave the bracket bisects; no rule up to s = 22 takes one
+        def bits(rule):
+            return [x._mpf_ for x in rule.c + rule.b]
+
+        got = [bits(quad_rule(s, zeta, dps)) for s in range(1, 23)]
+        monkeypatch.setattr(quadrature, "_polish_root", reference_polish_root)
+        assert got == [bits(quad_rule(s, zeta, dps)) for s in range(1, 23)]
+
+    @pytest.mark.parametrize("s", [24, 25, 28, 30])
+    def test_large_rules_polish_inside_their_brackets(self, s):
+        # the float seed is rounding noise here: unguarded, Newton left the bracket
+        def refused(lo, hi):
+            try:
+                reference_polish_root(legendre(s), lo, hi, 50)
+            except QuadratureError:
+                return True
+            return False
+
+        rule = quad_rule(s, 0)
+        assert any(refused(lo, hi) for lo, hi in rule._brackets)
+        # reading c polishes and validates all 2s quadrature conditions to 10^-45
+        assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, rule._brackets))
 
     def test_root_outside_bracket_is_refused(self):
         p = UniPoly([3, -4, 1])  # (x - 1)(x - 3): Newton from [0, 1/2] converges to 1
