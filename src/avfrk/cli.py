@@ -97,12 +97,15 @@ def _rule_from_args(args):
 
 
 def _mpf_entry(x, dps):
-    # tableau files may hold ints, floats, decimal strings, or "num/den"
+    # tableau files may hold ints, floats, decimal strings, or "num/den"; each must be finite
     with mp.workdps(dps):
         if isinstance(x, str) and "/" in x:
-            f = Fraction(x)
+            f = _parse_fraction("tableau entry", x)
             return mp.mpf(f.numerator) / f.denominator
-        return mp.mpf(x)
+        v = mp.mpf(x)
+    if not mp.isfinite(v):
+        raise ValueError(f"tableau entry {x!r} is not finite")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +176,10 @@ def cmd_conditions(args) -> int:
         return _fail("m must be at least 2", EXIT_INPUT)
     if args.tableau:
         tab, custom_nodes = _load_tableau(args.tableau, rule, args.precision)
-        source = args.tableau
+        source, A = args.tableau, tab.A
     else:
-        tab, custom_nodes = avf_tableau(rule), False
-        source = "avf"
+        # the rule stands for its own c b^T: exact rows from its moments, no node polished
+        tab, custom_nodes, source, A = rule, False, "avf", None
     entries = []
     for ft in conditions_up_to(m, m):
         r = energy_condition_residual(ft, tab)
@@ -194,7 +197,6 @@ def cmd_conditions(args) -> int:
     # The rule's own tableau gives exact rows, a --tableau A mpf ones.
     bushes = []
     if not custom_nodes:
-        A = tab.A if args.tableau else None
         bushes = [{"id": i, "residual": _dec(r, args)} for i, r in bush_residuals(rule, m, A)]
     doc = {
         "s": rule.s,

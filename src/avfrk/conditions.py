@@ -18,15 +18,17 @@ fails, and exact 2x2 minors, with no tolerance.  A uniqueness sweep
 factors its operator once and computes its discriminating residual
 exactly: along A = c b^T + beta U(c) b^T V(C) every node vector is a
 polynomial in c, so the residual is an exact polynomial in beta.
-Floating point (mp) is used only by the public residual functions, which
-take arbitrary tableaux and evaluate at the rule's precision.
+Each bush identity has one body over node vectors g(c), given A(g) and
+ip(f, g) = b^T f(C) g(c): exact polynomials g over the rule's moments, or
+g's mpf values at the polished nodes for the arbitrary s x s matrices A of
+the public residual functions.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from operator import mul
 from time import perf_counter
@@ -74,34 +76,80 @@ class KernelStructureError(RuntimeError):
     """The kernel lacks the expected dimension or factor structure."""
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def _as_matrix(A, s):
-    if isinstance(A, mp.matrix):
-        if (A.rows, A.cols) != (s, s):
-            raise ValueError(f"expected a {s}x{s} matrix, got {A.rows}x{A.cols}")
-        return A
-    rows = list(A)
-    if len(rows) != s or any(len(list(r)) != s for r in rows):
-        raise ValueError(f"expected a {s}x{s} matrix")
-    M = mp.matrix(s, s)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            M[i, j] = _to_mpf(x)
-    return M
-
-
 def _require_zero_at_origin(P, name):
     if not P.is_zero() and P.coeffs[0] != 0:
         raise ValueError(f"{name}(0) must vanish")
 
 
+def _power(k):
+    """The monomial x^k."""
+    return UniPoly([0] * k + [1])
+
+
 # ---------------------------------------------------------------------------
 # bushy-tree residuals
+
+
+def _double_bush(A, ip, P, Q):
+    """b^T P'(C) A Q(c) - b^T Q'(C) A P(c) - (P(1) int Q - Q(1) int P)."""
+    one = Fraction(1)
+    rhs = P(one) * Q.integral()(one) - Q(one) * P.integral()(one)
+    return ip(P.derivative(), A(Q)) - ip(Q.derivative(), A(P)) - rhs
+
+
+def _triple_bush(A, ip, P, Q, R):
+    """The triple_bush_residual expression; see there."""
+    one = Fraction(1)
+    AQ, AP = A(Q), A(P)
+    return (
+        ip(P.derivative(), A(R * AQ))
+        + ip(Q.derivative(), A(R * AP))
+        - P(one) * ip(R, AQ)
+        - Q(one) * ip(R, AP)
+        - ip(R.derivative(), AQ * AP)
+        + R(one) * P.integral()(one) * Q.integral()(one)
+    )
+
+
+def _asym_bush(A, ip, q):
+    """b^T (Ac)^q - q b^T A C (Ac)^{q-1} + q b^T C (Ac)^{q-1} - 2^{-q}."""
+    Ac = A(_MONOMIAL_X)
+    w = reduce(mul, [Ac] * (q - 1), _ONE)
+    return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
+
+
+class _NodeValues(list):
+    """A node vector's mpf values at the nodes c: * is componentwise, a UniPoly factor taken at c."""
+
+    def __init__(self, c, values):
+        super().__init__(values)
+        self.c = c
+
+    def values(self, c):
+        return self
+
+    def __mul__(self, other):
+        return _NodeValues(self.c, map(mul, self, other.values(self.c)))
+
+    __rmul__ = __mul__
+
+
+def _mpf_bush(rule, A):
+    """(A, ip) in mpf for an s x s matrix A, converted once; call at the working precision."""
+    s, b, c = rule.s, rule.b, rule.c
+    rows = A.tolist() if isinstance(A, mp.matrix) else [list(r) for r in A]
+    if len(rows) != s or any(len(r) != s for r in rows):
+        raise ValueError(f"expected a {s}x{s} matrix")
+    rows = [[mp.convert(x) for x in r] for r in rows]
+    apply = lambda g: _NodeValues(c, [mp.fdot(r, g.values(c)) for r in rows])
+    ip = lambda f, g: mp.fdot(b, list(map(mul, f.values(c), g.values(c))))
+    return apply, ip
+
+
+def _on_nodes(body, A, rule, *args):
+    """body's residual for the matrix A at the rule's nodes, in mpf at its working precision."""
+    with mp.workdps(rule.precision_digits + 15):
+        return body(*_mpf_bush(rule, A), *args)
 
 
 def double_bush_residual(A, rule, p: int, q: int):
@@ -115,16 +163,7 @@ def double_bush_residual(A, rule, p: int, q: int):
         raise ValueError("p and q must be integers")
     if not 1 <= p < q:
         raise ValueError(f"need 1 <= p < q, got ({p}, {q})")
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Acq = A * mp.matrix([ci**q for ci in c])
-        Acp = A * mp.matrix([ci**p for ci in c])
-        t1 = mp.fsum(b[i] * c[i] ** (p - 1) * Acq[i] for i in range(s))
-        t2 = mp.fsum(b[i] * c[i] ** (q - 1) * Acp[i] for i in range(s))
-        rhs = mp.mpf(1) / (q + 1) - mp.mpf(1) / (p + 1)
-        return p * t1 - q * t2 - rhs
+    return double_bush_poly_residual(A, rule, _power(p), _power(q))
 
 
 def double_bush_poly_residual(A, rule, P: UniPoly, Q: UniPoly):
@@ -135,17 +174,7 @@ def double_bush_poly_residual(A, rule, P: UniPoly, Q: UniPoly):
     """
     _require_zero_at_origin(P, "P")
     _require_zero_at_origin(Q, "Q")
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Pd, Qd = P.derivative(), Q.derivative()
-        AQ = A * mp.matrix([Q(ci) for ci in c])
-        AP = A * mp.matrix([P(ci) for ci in c])
-        t1 = mp.fsum(b[i] * Pd(c[i]) * AQ[i] for i in range(s))
-        t2 = mp.fsum(b[i] * Qd(c[i]) * AP[i] for i in range(s))
-        rhs = P(Fraction(1)) * Q.integral()(Fraction(1)) - Q(Fraction(1)) * P.integral()(Fraction(1))
-        return t1 - t2 - _to_mpf(rhs)
+    return _on_nodes(_double_bush, A, rule, P, Q)
 
 
 def triple_bush_residual(A, rule, P: UniPoly, Q: UniPoly, R: UniPoly):
@@ -159,22 +188,7 @@ def triple_bush_residual(A, rule, P: UniPoly, Q: UniPoly, R: UniPoly):
     """
     _require_zero_at_origin(P, "P")
     _require_zero_at_origin(Q, "Q")
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Pd, Qd, Rd = P.derivative(), Q.derivative(), R.derivative()
-        AQ = A * mp.matrix([Q(ci) for ci in c])
-        AP = A * mp.matrix([P(ci) for ci in c])
-        ARAQ = A * mp.matrix([R(c[i]) * AQ[i] for i in range(s)])
-        ARAP = A * mp.matrix([R(c[i]) * AP[i] for i in range(s)])
-        t1 = mp.fsum(b[i] * Pd(c[i]) * ARAQ[i] for i in range(s))
-        t2 = mp.fsum(b[i] * Qd(c[i]) * ARAP[i] for i in range(s))
-        t3 = _to_mpf(P(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AQ[i] for i in range(s))
-        t4 = _to_mpf(Q(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AP[i] for i in range(s))
-        t5 = mp.fsum(b[i] * Rd(c[i]) * AQ[i] * AP[i] for i in range(s))
-        t6 = _to_mpf(R(Fraction(1)) * P.integral()(Fraction(1)) * Q.integral()(Fraction(1)))
-        return t1 + t2 - t3 - t4 - t5 + t6
+    return _on_nodes(_triple_bush, A, rule, P, Q, R)
 
 
 def asym_bush_residual(A, rule, q: int):
@@ -185,17 +199,7 @@ def asym_bush_residual(A, rule, q: int):
     """
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"need q >= 1, got {q}")
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Ac = A * mp.matrix(list(c))
-        wq1 = [Ac[i] ** (q - 1) for i in range(s)]
-        inner = A * mp.matrix([c[i] * wq1[i] for i in range(s)])
-        t1 = mp.fsum(b[i] * Ac[i] * wq1[i] for i in range(s))
-        t2 = mp.fsum(b[i] * inner[i] for i in range(s))
-        t3 = mp.fsum(b[i] * c[i] * wq1[i] for i in range(s))
-        return t1 - q * t2 + q * t3 - mp.mpf(2) ** (-q)
+    return _on_nodes(_asym_bush, A, rule, q)
 
 
 # ---------------------------------------------------------------------------
@@ -799,84 +803,41 @@ def _proportional(f, g):
     return x[i] != 0 and all(a * y[i] == b * x[i] for a, b in zip(x, y))
 
 
-def _triple_bush_exact(A, ip, P, Q, R):
-    """triple_bush_residual with node vectors held as polynomials; ip(f, g) = b^T f(C) g(c)."""
-    one = Fraction(1)
-    AQ, AP = A(Q), A(P)
-    return (
-        ip(P.derivative(), A(R * AQ))
-        + ip(Q.derivative(), A(R * AP))
-        - P(one) * ip(R, AQ)
-        - Q(one) * ip(R, AP)
-        - ip(R.derivative(), AQ * AP)
-        + R(one) * P.integral()(one) * Q.integral()(one)
-    )
-
-
-def _asym_bush_exact(A, ip, q):
-    """asym_bush_residual with node vectors held as polynomials; ip as in _triple_bush_exact."""
-    Ac = A(_MONOMIAL_X)
-    w = _ONE
-    for _ in range(q - 1):
-        w = w * Ac
-    return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
-
-
-def _double_bush_exact(A, ip, p, q):
-    """double_bush_residual with node vectors held as polynomials; ip as in _triple_bush_exact."""
-    x = lambda k: UniPoly([0] * k + [1])
-    lhs = p * ip(x(p - 1), A(x(q))) - q * ip(x(q - 1), A(x(p)))
-    return lhs - (Fraction(1, q + 1) - Fraction(1, p + 1))
-
-
 def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     """[(id, residual)] of the bush identities with every degree below m.
 
     The rows are double_bush(p,q) for 1 <= p < q < m, triple_bush(G_p,G_q,1)
     for 1 <= p <= q < m and asym_bush(q) for 1 <= q < m, against the rule's
-    nodes.  With A None the tableau is the rule's own c b^T: a node vector
-    g(c) stays the polynomial g, A g = c <1, g>_D, and every residual is an
-    exact Fraction over the rule's moments (double_bush(p,q) reduces to
-    (p - q) mu_p mu_q minus its right-hand side).  A given A, an s x s
-    matrix, is evaluated in mpf by the public residual functions.
+    nodes.  With A None the tableau is the rule's own c b^T, in the exact
+    representation: every residual is an exact Fraction over the rule's
+    moments (double_bush(p,q) reduces to (p - q) mu_p mu_q minus its
+    right-hand side).  A given A, an s x s matrix, is evaluated in mpf at
+    the polished nodes, as by the public residual functions.
     """
-    if A is None:
-        ip = lambda f, g: discrete_ip_exact(f, g, rule)
-        rank_one = lambda g: _MONOMIAL_X * ip(_ONE, g)
-        double = lambda p, q: _double_bush_exact(rank_one, ip, p, q)
-        triple = lambda P, Q: _triple_bush_exact(rank_one, ip, P, Q, _ONE)
-        asym = lambda q: _asym_bush_exact(rank_one, ip, q)
-    else:
-        double = lambda p, q: double_bush_residual(A, rule, p, q)
-        triple = lambda P, Q: triple_bush_residual(A, rule, P, Q, _ONE)
-        asym = lambda q: asym_bush_residual(A, rule, q)
-    degrees = range(1, m)
-    rows = [(f"double_bush({p},{q})", double(p, q)) for p in degrees for q in degrees if p < q]
-    rows += [
-        (f"triple_bush(G_{p},G_{q},1)", triple(g_poly(p), g_poly(q)))
-        for p in degrees
-        for q in degrees
-        if p <= q
-    ]
-    return rows + [(f"asym_bush({q})", asym(q)) for q in degrees]
+    with mp.workdps(rule.precision_digits + 15):
+        if A is None:
+            ip = lambda f, g: discrete_ip_exact(f, g, rule)
+            rep = (lambda g: _MONOMIAL_X * ip(_ONE, g)), ip
+        else:
+            rep = _mpf_bush(rule, A)
+        pairs = [(p, q) for p in range(1, m) for q in range(p, m)]
+        x, G = _power, g_poly  # x^p and G_p of the row ids
+        rows = [(f"double_bush({p},{q})", _double_bush(*rep, x(p), x(q))) for p, q in pairs if p < q]
+        rows += [(f"triple_bush(G_{p},G_{q},1)", _triple_bush(*rep, G(p), G(q), _ONE)) for p, q in pairs]
+        return rows + [(f"asym_bush({q})", _asym_bush(*rep, q)) for q in range(1, m)]
 
 
 def _ray_residual(rule, cond, degree, U, Vd):
     """The residual cond along A = c b^T + beta U(c) b^T Vd(C) as an exact polynomial in beta.
 
-    A node vector g(c) stays a polynomial g: A g = c <1, g>_D + beta U <Vd, g>_D,
-    componentwise products are polynomial products and b^T h(c) = <1, h>_D,
-    all over the rule's exact moments.  The residual has degree <= degree in
-    beta; its values at beta = 0..degree give the coefficients.
+    cond is (body, *args) for a bush body in the exact representation:
+    A g = c <1, g>_D + beta U <Vd, g>_D over the rule's exact moments.  The
+    residual has degree <= degree in beta; its values at beta = 0..degree
+    give the coefficients.
     """
-
-    def ip(f, g):
-        return discrete_ip_exact(f, g, rule)
-
-    def at(beta):
-        A = lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g))
-        return cond(A, ip)
-
+    body, *args = cond
+    ip = lambda f, g: discrete_ip_exact(f, g, rule)
+    at = lambda beta: body(lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g)), ip, *args)
     nodes = [Fraction(k) for k in range(degree + 1)]
     vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
     return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))
@@ -933,14 +894,14 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     if s == 2:
         closed = ([one, zx], [zero, Fraction(1, 6)])  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
         if zx != 0:
-            cond = lambda A, ip: _triple_bush_exact(A, ip, G2, G2, _ONE)
+            cond = _triple_bush, G2, G2, _ONE
             k, expected, name = 2, zx**3 / 81, "triple-bush P=Q=G_2, R=1"
         else:
-            cond = lambda A, ip: _asym_bush_exact(A, ip, 2)
+            cond = _asym_bush, 2
             k, expected, name = 2, Fraction(-1, 36), "asym-bush q=2"
     elif zx == 0:
         closed = ([one, zero, -one] + [zero] * (s - 3), [zero, one] + [zero] * (s - 2))
-        cond = lambda A, ip: _asym_bush_exact(A, ip, s)
+        cond = _asym_bush, s
         k, expected = s, Fraction((-1) ** (s - 1) * 6**s, gamma_lead(s) ** 2)
         name = f"asym-bush q={s}"
     elif zx == -1:
@@ -950,7 +911,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         v[s - 1] = one
         closed = ([Fraction(2), Fraction(-2)] + [zero] * (s - 2), v)
         P = _MONOMIAL_X * G2
-        cond = lambda A, ip: _triple_bush_exact(A, ip, P, P, _ONE)
+        cond = _triple_bush, P, P, _ONE
         k, expected, name = 2, Fraction(-4, 9), "triple-bush P=Q=x G_2, R=1"
     else:
         closed = None
@@ -959,7 +920,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         if u[p - 1] == 0:
             raise KernelStructureError("both leading factor coefficients vanish")
         Gp = g_poly(p)
-        cond = lambda A, ip: _triple_bush_exact(A, ip, Gp, Gp, _MONOMIAL_X)
+        cond = _triple_bush, Gp, Gp, _MONOMIAL_X
         k, expected = 2, (u[p - 1] * v[s - 1] * (1 + zx)) ** 2 / (2 * p - 1) ** 2
         name = f"triple-bush P=Q=G_{p}, R=x"
     if closed is not None:
@@ -972,8 +933,14 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     low = next(i for i, x in enumerate(poly.coeffs) if x)
     kappa = poly.coeffs[low]
     report["condition"] = name
-    report["betas"] = [float(b) for b in betas]
-    report["residuals"] = [float(poly(b)) for b in betas]
+    report["betas"], report["residuals"] = [], []
+    for b in betas:
+        try:
+            report["betas"].append(float(b))
+            report["residuals"].append(float(poly(b)))
+        except OverflowError:
+            beta = mp.nstr(mp.convert(b), 8)
+            raise ValueError(f"beta = {beta}: it or its residual overflows a float") from None
     report["residual_fit"] = {
         "slope": low,
         "coeff": float(kappa),

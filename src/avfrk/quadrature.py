@@ -126,7 +126,10 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
-            c = _rat(other)
+            try:
+                c = _rat(other)
+            except TypeError:
+                return NotImplemented  # a factor that is not rational may know the product
             return UniPoly([c * v for v in self.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, ci in enumerate(self.coeffs):

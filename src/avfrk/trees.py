@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .quadrature import _scaled
+from .quadrature import QuadRule, _scaled
 
 __all__ = [
     "RootedTree",
@@ -382,21 +382,23 @@ def _moment_product(t: RootedTree, m) -> int:
     return w
 
 
-def energy_condition_residual(ft: FreeTree, tab: ButcherTableau):
+def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
     """Alternating sum over the class: sum (-1)^kappa / sigma(u) * a(B_-(u)).
 
-    A tableau that carries its rule (A = c b^T) gives the exact Fraction,
-    each weight a product of the rule's exact moments; any other tableau
-    gives an mpf at precision_digits + 10.  Superfluous classes impose no
-    condition and return 0.
+    A rule, standing for its tableau A = c b^T, or a tableau that carries
+    its rule gives the exact Fraction, each weight a product of the rule's
+    exact moments, and never polishes the nodes; any other tableau gives an
+    mpf at precision_digits + 10.  Superfluous classes impose no condition
+    and return 0.
     """
+    rule = tab if isinstance(tab, QuadRule) else tab.rule
     if ft.superfluous:
-        return mp.mpf(0) if tab.rule is None else Fraction(0)
-    if tab.rule is not None:
+        return mp.mpf(0) if rule is None else Fraction(0)
+    if rule is not None:
         # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
         # mu_(number of children) over the vertices of t; with mu = m / d in
         # integers, the weight of each member's n - 1 non-root vertices is over d^(n-1)
-        m, d = _scaled(tab.rule.moments(ft.order))
+        m, d = _scaled(rule.moments(ft.order))
         sig = lcm(*[u.sigma for u in ft.members])
         total = 0
         for u in ft.members:

@@ -211,6 +211,130 @@ def refuse_polish(*args):
     raise AssertionError("a rule's nodes were polished")
 
 
+# conditions' four mpf bush residuals, with their helpers, as they were before each
+# identity had one body over exact or mpf node vectors: the reference for that body
+
+
+def _to_mpf(x):
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def _as_matrix(A, s):
+    if isinstance(A, mp.matrix):
+        if (A.rows, A.cols) != (s, s):
+            raise ValueError(f"expected a {s}x{s} matrix, got {A.rows}x{A.cols}")
+        return A
+    rows = list(A)
+    if len(rows) != s or any(len(list(r)) != s for r in rows):
+        raise ValueError(f"expected a {s}x{s} matrix")
+    M = mp.matrix(s, s)
+    for i, r in enumerate(rows):
+        for j, x in enumerate(r):
+            M[i, j] = _to_mpf(x)
+    return M
+
+
+def _require_zero_at_origin(P, name):
+    if not P.is_zero() and P.coeffs[0] != 0:
+        raise ValueError(f"{name}(0) must vanish")
+
+
+def reference_double_bush_residual(A, rule, p: int, q: int):
+    """p b^T C^{p-1} A c^q - q b^T C^{q-1} A c^p - (1/(q+1) - 1/(p+1)).
+
+    Vanishes for every energy-preserving method when p < q <= order-1; for
+    larger q the expression still evaluates and reports the defect of the
+    rule at that degree.
+    """
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError("p and q must be integers")
+    if not 1 <= p < q:
+        raise ValueError(f"need 1 <= p < q, got ({p}, {q})")
+    s = rule.s
+    with mp.workdps(rule.precision_digits + 15):
+        A = _as_matrix(A, s)
+        b, c = rule.b, rule.c
+        Acq = A * mp.matrix([ci**q for ci in c])
+        Acp = A * mp.matrix([ci**p for ci in c])
+        t1 = mp.fsum(b[i] * c[i] ** (p - 1) * Acq[i] for i in range(s))
+        t2 = mp.fsum(b[i] * c[i] ** (q - 1) * Acp[i] for i in range(s))
+        rhs = mp.mpf(1) / (q + 1) - mp.mpf(1) / (p + 1)
+        return p * t1 - q * t2 - rhs
+
+
+def reference_double_bush_poly_residual(A, rule, P: UniPoly, Q: UniPoly):
+    """b^T P'(C) A Q(c) - b^T Q'(C) A P(c) - (P(1) int Q - Q(1) int P).
+
+    Bilinear and antisymmetric in (P, Q); P(0) = Q(0) = 0 required.  The
+    vanishing guarantee covers degrees up to order-1.
+    """
+    _require_zero_at_origin(P, "P")
+    _require_zero_at_origin(Q, "Q")
+    s = rule.s
+    with mp.workdps(rule.precision_digits + 15):
+        A = _as_matrix(A, s)
+        b, c = rule.b, rule.c
+        Pd, Qd = P.derivative(), Q.derivative()
+        AQ = A * mp.matrix([Q(ci) for ci in c])
+        AP = A * mp.matrix([P(ci) for ci in c])
+        t1 = mp.fsum(b[i] * Pd(c[i]) * AQ[i] for i in range(s))
+        t2 = mp.fsum(b[i] * Qd(c[i]) * AP[i] for i in range(s))
+        rhs = P(Fraction(1)) * Q.integral()(Fraction(1)) - Q(Fraction(1)) * P.integral()(Fraction(1))
+        return t1 - t2 - _to_mpf(rhs)
+
+
+def reference_triple_bush_residual(A, rule, P: UniPoly, Q: UniPoly, R: UniPoly):
+    """Quadratic-in-A residual of the three-cluster condition.
+
+    b^T P'(C) A R(C) A Q(c) + b^T Q'(C) A R(C) A P(c)
+      - P(1) b^T R(C) A Q(c) - Q(1) b^T R(C) A P(c)
+      - b^T R'(C) (A Q(c) .* A P(c)) + R(1) int P int Q
+    with P(0) = Q(0) = 0; vanishing is guaranteed for deg P, deg Q up to
+    order-1 and deg R up to order-2.
+    """
+    _require_zero_at_origin(P, "P")
+    _require_zero_at_origin(Q, "Q")
+    s = rule.s
+    with mp.workdps(rule.precision_digits + 15):
+        A = _as_matrix(A, s)
+        b, c = rule.b, rule.c
+        Pd, Qd, Rd = P.derivative(), Q.derivative(), R.derivative()
+        AQ = A * mp.matrix([Q(ci) for ci in c])
+        AP = A * mp.matrix([P(ci) for ci in c])
+        ARAQ = A * mp.matrix([R(c[i]) * AQ[i] for i in range(s)])
+        ARAP = A * mp.matrix([R(c[i]) * AP[i] for i in range(s)])
+        t1 = mp.fsum(b[i] * Pd(c[i]) * ARAQ[i] for i in range(s))
+        t2 = mp.fsum(b[i] * Qd(c[i]) * ARAP[i] for i in range(s))
+        t3 = _to_mpf(P(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AQ[i] for i in range(s))
+        t4 = _to_mpf(Q(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AP[i] for i in range(s))
+        t5 = mp.fsum(b[i] * Rd(c[i]) * AQ[i] * AP[i] for i in range(s))
+        t6 = _to_mpf(R(Fraction(1)) * P.integral()(Fraction(1)) * Q.integral()(Fraction(1)))
+        return t1 + t2 - t3 - t4 - t5 + t6
+
+
+def reference_asym_bush_residual(A, rule, q: int):
+    """b^T (Ac)^q - q b^T A C (Ac)^{q-1} + q b^T C (Ac)^{q-1} - 2^{-q}.
+
+    Degree-q-in-A residual of the one-long-leg cluster; vanishes for
+    q <= order-1.  Vector powers are componentwise.
+    """
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"need q >= 1, got {q}")
+    s = rule.s
+    with mp.workdps(rule.precision_digits + 15):
+        A = _as_matrix(A, s)
+        b, c = rule.b, rule.c
+        Ac = A * mp.matrix(list(c))
+        wq1 = [Ac[i] ** (q - 1) for i in range(s)]
+        inner = A * mp.matrix([c[i] * wq1[i] for i in range(s)])
+        t1 = mp.fsum(b[i] * Ac[i] * wq1[i] for i in range(s))
+        t2 = mp.fsum(b[i] * inner[i] for i in range(s))
+        t3 = mp.fsum(b[i] * c[i] * wq1[i] for i in range(s))
+        return t1 - q * t2 + q * t3 - mp.mpf(2) ** (-q)
+
+
 def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     """integrators._implicit_solve as it was before the chord sweeps were generated.
 

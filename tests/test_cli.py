@@ -155,6 +155,22 @@ class TestConditions:
         assert code == 2
         assert "2x2" in err
 
+    @pytest.mark.parametrize("field", ["A", "b", "c"])
+    @pytest.mark.parametrize("entry", ["1/0", "nan", "inf", "-inf", float("nan")])
+    def test_undefined_or_non_finite_entry(self, capsys, tmp_path, field, entry):
+        doc = {"A": [[0.3, 0.1], [0.2, 0.5]], "b": [0.5, 0.5], "c": [0.25, 0.75]}
+        if field == "A":
+            doc["A"][1][0] = entry
+        else:
+            doc[field][1] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        code = main(["conditions", "--s", "2", "--tableau", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "tableau entry" in captured.err
+
 
 class TestRank:
     def test_even_two_stage(self, capsys):
@@ -243,6 +259,15 @@ class TestUniqueness:
         code = main(["uniqueness", "--s", "2", "--zeta", "0.5", "--betas", f"{beta},0.1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta, named", [("1e200", "1.0e+200"), ("1e400", "1.0e+400")])
+    def test_beta_past_float_range(self, capsys, beta, named):
+        # kappa beta^2 overflows a float at 1e200, beta itself at 1e400
+        code = main(["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", f"1/3,{beta}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"beta = {named}" in captured.err
 
     def test_exact_betas(self, capsys):
         # each beta is parsed as an exact rational, so 1/10 is not the double nearest 0.1
@@ -524,10 +549,15 @@ def test_unknown_subcommand():
         ["rank", "--s", "6", "--zeta", "1/2", "--format", "csv"],
         ["uniqueness", "--s", "5", "--zeta", "1/3"],
         ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"],
+        ["conditions", "--s", "4", "--zeta", "0"],
+        ["conditions", "--s", "3", "--zeta", "1/2", "--m", "6", "--format", "csv"],
+        # a rule that cannot be polished at precision 15
+        ["conditions", "--s", "29", "--zeta", "1", "--precision", "15", "--m", "2"],
     ],
 )
 def test_certificate_commands_never_polish(monkeypatch, capsys, argv):
-    # rank and uniqueness read the rule's exact core only; their output is unchanged
+    # rank, uniqueness and conditions without --tableau read the rule's exact core only;
+    # their output is unchanged
     assert main(argv) == 0
     want = capsys.readouterr().out
     monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)

@@ -51,6 +51,10 @@ from _util import (
     max_entry,
     outer_matrix,
     random_unipoly,
+    reference_asym_bush_residual,
+    reference_double_bush_poly_residual,
+    reference_double_bush_residual,
+    reference_triple_bush_residual,
     refuse_polish,
 )
 
@@ -188,6 +192,13 @@ class TestBushValidation:
         with pytest.raises(ValueError):
             asym_bush_residual(self.A, self.rule, 0)
 
+    def test_matrix_shape(self):
+        for bad in ([[1, 2]], [[1, 2], [3]], mp.matrix(3, 3)):
+            with pytest.raises(ValueError, match="2x2"):
+                asym_bush_residual(bad, self.rule, 1)
+            with pytest.raises(ValueError, match="2x2"):
+                bush_residuals(self.rule, 3, bad)
+
     def test_beyond_order_still_evaluates(self):
         # degrees past order-1 report the quadrature defect instead of zero
         r = double_bush_residual(self.A, self.rule, 1, 4)
@@ -240,6 +251,44 @@ class TestPolyResidualStructure:
                 poly = double_bush_poly_residual(A, rule, xp, xq)
                 mono = double_bush_residual(A, rule, p, q)
                 assert abs(poly - mono) < mp.mpf("1e-42")
+
+
+ORACLE_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3)]
+ORACLE_RULES = {(s, z): quad_rule(s, z) for s in (2, 3, 4) for z in ORACLE_ZETAS}
+
+
+class TestMpfOracle:
+    """The public mpf residuals against copies of their earlier separate mpf bodies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.sampled_from([2, 3, 4]),
+        zeta=st.sampled_from(ORACLE_ZETAS),
+        as_matrix=st.booleans(),
+    )
+    def test_agrees_with_reference(self, seed, s, zeta, as_matrix):
+        rng = random.Random(seed)
+        rule = ORACLE_RULES[s, zeta]
+        A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(s)] for _ in range(s)]
+        if as_matrix:
+            with mp.workdps(rule.precision_digits + 15):
+                A = mp.matrix([[mpf_of(x) for x in row] for row in A])
+        P = random_unipoly(rng, rng.randint(1, 4), zero_at_origin=True)
+        Q = random_unipoly(rng, rng.randint(1, 4), zero_at_origin=True)
+        R = random_unipoly(rng, rng.randint(0, 3))
+        p = rng.randint(1, 5)
+        q = rng.randint(p + 1, 7)
+        pairs = [
+            (double_bush_residual(A, rule, p, q), reference_double_bush_residual(A, rule, p, q)),
+            (double_bush_poly_residual(A, rule, P, Q), reference_double_bush_poly_residual(A, rule, P, Q)),
+            (triple_bush_residual(A, rule, P, Q, R), reference_triple_bush_residual(A, rule, P, Q, R)),
+            (asym_bush_residual(A, rule, q), reference_asym_bush_residual(A, rule, q)),
+            (asym_bush_residual(A, rule, p), reference_asym_bush_residual(A, rule, p)),
+        ]
+        tol = mp.mpf(10) ** -rule.precision_digits
+        for new, ref in pairs:
+            assert abs(new - ref) <= tol * max(1, abs(ref)), (new, ref)
 
 
 class TestS2BasisExpansion:

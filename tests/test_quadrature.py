@@ -80,6 +80,16 @@ class TestUniPoly:
         assert z.degree == -1
         assert UniPoly([0, 0]).is_zero()
 
+    def test_non_rational_factor(self):
+        # a factor that is not rational is left to form the product itself, never rounded
+        # into the exact coefficients; a plain mpf or list cannot, so the product fails
+        for factor in (mp.mpf("0.5"), [1, 2]):
+            with pytest.raises(TypeError):
+                UniPoly([1, 2]) * factor
+            with pytest.raises(TypeError):
+                factor * UniPoly([1, 2])
+        assert UniPoly([1, 2]) * "1/2" == UniPoly([Fraction(1, 2), 1])
+
     def test_arithmetic(self):
         p = UniPoly([1, 1])  # 1 + x
         q = UniPoly([-1, 1])  # x - 1

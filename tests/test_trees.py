@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from avfrk import quadrature
 from avfrk.quadrature import quad_rule
 from avfrk.trees import (
     ButcherTableau,
@@ -22,7 +23,14 @@ from avfrk.trees import (
     rk_weight,
 )
 from avfrk.integrators import avf_tableau
-from _util import memo_free_residual, memo_free_rk_weight, random_A_tableau, sigma_multiset, t_pq
+from _util import (
+    memo_free_residual,
+    memo_free_rk_weight,
+    random_A_tableau,
+    refuse_polish,
+    sigma_multiset,
+    t_pq,
+)
 
 # independently tabulated counts of trees on n vertices
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48]
@@ -316,6 +324,16 @@ class TestEnergyConditions:
             ft = free_class(t)
             assert energy_condition_residual(ft, self.avf) == 0
             assert abs(memo_free_residual(ft, self.avf)) < mp.mpf(10) ** -self.avf.precision_digits
+
+    def test_rule_stands_for_its_tableau(self, monkeypatch):
+        # a rule gives its c b^T tableau's exact residuals without polishing a node
+        classes = conditions_up_to(6, 6)
+        rule = quad_rule(3, Fraction(1, 2))
+        want = [energy_condition_residual(ft, avf_tableau(rule)) for ft in classes]
+        assert any(want) and all(isinstance(r, Fraction) for r in want)
+        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        fresh = quad_rule(3, Fraction(1, 2))
+        assert [energy_condition_residual(ft, fresh) for ft in classes] == want
 
     def test_superfluous_returns_zero(self):
         rng = random.Random(32)
