@@ -8,8 +8,8 @@ shows that only beta = 0, i.e. the averaged-vector-field matrix c b^T,
 preserves energy for the full polynomial degree.
 
 The certificate path is exact over Q.  All discrete inner products that
-enter the operator are rational and come from the rule's moments, one
-moment row per polynomial (quadrature.discrete_ip_table).  The operator,
+enter the operator are rational and come from the rule's integer moments,
+one moment row per polynomial, formed once per operator.  The operator,
 its rank, its kernel basis with the check of the closed-form kernel
 factors, and the zero-row-sum kernel direction with its rank-one factors
 are rational as well: the rank mod a prime, closed by the exact check of
@@ -39,10 +39,11 @@ from .quadrature import (
     QuadRule,
     UniPoly,
     _exact_fraction,
+    _moment_rows,
+    _rho_ints,
     _scaled,
     discrete_ip_exact,
     discrete_ip_table,
-    f_poly,
     g_poly,
     gamma_lead,
     legendre,
@@ -316,57 +317,86 @@ def _solve_fraction(rows, rhs):
     return null[0][:n]
 
 
+def _integrated_rows(rule, qs, odd):
+    """(rows, d): d <F_q, x^j>_D for q in qs and j < s, as integer moment rows.
+
+    F_q = int_0^x R_(q-1) is f_poly's F_q if odd, else g_poly's G_q: R_l
+    is P_l, or rho P_(l-s) for odd and l >= s.  With rho and P_l scaled by
+    z_den to integers, the F_q share the denominator z_den lcm(1..deg+1).
+    """
+    s, zd = rule.s, rule.zeta_exact.denominator
+    rho = _rho_ints(s, rule.zeta_exact)
+    R = []
+    for q in qs:
+        if odd and q > s:
+            # coefficient k of rho P_(q-1-s) is sum_i rho_i p_(k-i); P holds p_t at s + 1 + t
+            P = [0] * (s + 1) + [c.numerator for c in legendre(q - 1 - s).coeffs] + [0] * s
+            R.append([sum(map(mul, rho, P[s + 1 + k : k : -1])) for k in range(len(P) - s - 1)])
+        else:
+            R.append([zd * c.numerator for c in legendre(q - 1).coeffs])
+    L = lcm(*range(1, max(map(len, R), default=0) + 1))
+    rows, d = _moment_rows([[0] + [L // (i + 1) * x for i, x in enumerate(r)] for r in R], rule, s)
+    return rows, d * zd * L
+
+
 def build_p_tilde(rule: QuadRule) -> UniPoly:
     """Degree-s substitute for the final right-basis slot.
 
     Solves for sum v_l P_l, v_1 = 1, whose derivative is discretely
     orthogonal to F_{s+1}..F_{2s-2} and integrates to zero against G_1;
-    coefficients come out as exact rationals.  For the left-endpoint rule
-    (zeta = -1) the full property set is unattainable and P_s - P_{s-1}
-    is returned instead.
+    coefficients come out as exact rationals.  The F_q enter through the
+    integer moment rows build_M forms for its whole operator.  For the
+    left-endpoint rule (zeta = -1) the full property set is unattainable
+    and P_s - P_{s-1} is returned instead.
     """
-    s, zx = rule.s, rule.zeta_exact
+    s = rule.s
     if s < 2:
         raise ValueError("need s >= 2")
+    return _p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True))
+
+
+def _p_tilde(rule, high, d):
+    """build_p_tilde from high, the moment rows of F_{s+1}..F_{2s-2} over d."""
+    s, zx = rule.s, rule.zeta_exact
     if zx == -1:
         return legendre(s) - legendre(s - 1)
-    high = [f_poly(s + i, s, zx) for i in range(1, s - 1)]
-    gamma = discrete_ip_table(high, [legendre(j).derivative() for j in range(1, s + 1)], rule)
-    gamma.append([Fraction(1)] * s)
+    # d <F_(s+r), P_l'>_D for l = 1..s, and the row sum(v) = 0
+    dP = [[i * c.numerator for i, c in enumerate(legendre(l).coeffs)][1:] for l in range(1, s + 1)]
+    gamma = [[sum(map(mul, a, h)) for a in dP] for h in high] + [[1] * s]
     vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
     if vbar is None:
         raise KernelStructureError(
             f"reduced basis system is singular at s={s}, zeta={zx}; "
-            f"matrix rows {gamma}"
+            f"matrix rows {gamma}, the F rows over {d}"
         )
     v = [Fraction(1)] + vbar
     pt = UniPoly([0])
     for l, vl in enumerate(v, start=1):
         pt = pt + vl * legendre(l)
-    for r, ip in enumerate(discrete_ip_table([pt.derivative()], high, rule)[0], start=1):
-        if ip != 0:
-            raise KernelStructureError(f"orthogonality against F_{s + r} failed: {ip}")
+    pd, dv = _scaled(pt.derivative().coeffs)
+    for r, h in enumerate(high, start=1):
+        if ip := sum(map(mul, pd, h)):
+            raise KernelStructureError(f"orthogonality against F_{s + r} failed: {Fraction(ip, d * dv)}")
     if sum(v) != 0:
         raise KernelStructureError("coefficients do not sum to zero")
     return pt
 
 
-def _odd_right_family(rule):
+def _odd_right_family(rule, high, d):
     """Right-basis polynomials for m = 2s-1, slot l holding degree-l members.
 
-    The final slot takes the substituted polynomial; at zeta = 0 that
-    polynomial has degree 2, so slot 2 is reassigned P_s to keep the family
-    spanning (for s = 2 the plain pair already spans).
+    The final slot takes the substituted polynomial (from high, as in
+    _p_tilde); at zeta = 0 that polynomial has degree 2, so slot 2 is
+    reassigned P_s to keep the family spanning (for s = 2 the plain pair
+    already spans).
     """
     s = rule.s
+    fam = [legendre(l) for l in range(1, s)]
     if rule.zeta_exact == 0:
         if s == 2:
-            return [legendre(1), legendre(2)]
-        fam = [legendre(l) for l in range(1, s)]
+            return fam + [legendre(2)]
         fam[1] = legendre(s)
-        fam.append(build_p_tilde(rule))
-        return fam
-    return [legendre(l) for l in range(1, s)] + [build_p_tilde(rule)]
+    return fam + [_p_tilde(rule, high, d)]
 
 
 class MOperator:
@@ -426,7 +456,17 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     m = 2s needs the zeta = 0 rule (order 2s); m = 2s-1 admits any rule in
     the family and uses the transformed conditions with the R/F polynomial
     pairs plus the substituted right family, so it needs s >= 2.
+
+    One pass forms the integer moment rows <integ_q, x^j>_D, j < s, of the
+    integrated polynomials G_q or F_q; rip and p~ read them, and lip reads
+    those of the left polynomials.  The right-hand side is a closed form:
+    G_1(1) = 1 and int G_1 = 1/2, int G_2 = -1/6, the other G_q(1) and
+    int G_q vanish, and so do both for F_q, q > s, as rho is orthogonal to
+    degree s-2.  So w_exact is -1/6 at row (1, 2) and 0 elsewhere, and
+    each row is checked in integers to be solved by c b^T.  Each call logs
+    one DEBUG record on `avfrk.conditions`.
     """
+    start = perf_counter()
     s = rule.s
     zx = rule.zeta_exact
     if m == 2 * s - 1 and s < 2:
@@ -436,40 +476,48 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
             raise ValueError("m = 2s requires the zeta = 0 rule")
         kind = "even"
         n_left = m - 1
-        integ = [g_poly(q) for q in range(1, m)]
-        fam = [legendre(l) for l in range(1, s + 1)]
     elif m == 2 * s - 1:
         kind = "odd"
         # the left polynomials R_l are P_l below s; R_l = rho P_(l-s) vanishes
         # on every node for l >= s, so those rows of lip are exactly zero
         n_left = s
-        integ = [f_poly(q, s, zx) for q in range(1, m)]
-        fam = _odd_right_family(rule)
     else:
         raise ValueError(f"m must be {2 * s} or {2 * s - 1} for s = {s}")
+    # h[q-1][j] = dh <integ_q, x^j>_D for the integrated polynomials G_q or F_q
+    h, dh = _integrated_rows(rule, range(1, m), kind == "odd")
+    fam = [legendre(l) for l in range(1, s + 1)] if kind == "even" else _odd_right_family(rule, h[s:], dh)
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
     # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
     # as integers over the common denominators dl and dr
-    left = [legendre(l) for l in range(n_left)]
-    lip, dl = _over_common_den(discrete_ip_table(left, [legendre(k) for k in range(s)], rule))
+    left = [[c.numerator for c in legendre(l).coeffs] for l in range(n_left)]
+    hl, dm = _moment_rows(left, rule, s)
+    lip, dl = _reduced([[sum(map(mul, a, row)) for a in left[:s]] for row in hl], dm)
     lip += [[0] * s for _ in range(n_left, m - 1)]
-    rip, dr = _over_common_den(discrete_ip_table(integ, [B.derivative() for B in fam], rule))
-    one = Fraction(1)
-    ends = [(P(one), P.integral()(one)) for P in integ]  # P(1) and int_0^1 P
+    fam_ints = [_scaled(B.coeffs) for B in fam]  # the derivatives B' over one denominator db
+    db = lcm(*[d for _, d in fam_ints])
+    Bd = [[i * x * (db // d) for i, x in enumerate(a)][1:] for a, d in fam_ints]
+    rip, dr = _reduced([[sum(map(mul, a, row)) for a in Bd] for row in h], dh * db)
     scaled_rows = []
-    w_exact = []
     for p, q in rows:
         lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
         row = [a * y - b * x for a, b in zip(lp, lq) for x, y in zip(rp, rq)]
-        g = gcd(dl * dr, *row)
-        (p1, pint), (q1, qint) = ends[p - 1], ends[q - 1]
-        wv = p1 * qint - q1 * pint
         # c b^T has coordinates 1/4 in slots (1,1) and (2,1): c = (P_0 + P_1)/2 and B_1' = 2
-        if Fraction(row[0] + row[s], 4 * dl * dr) != wv:
+        if 6 * (row[0] + row[s]) != (-4 * dl * dr if (p, q) == (1, 2) else 0):
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
+        g = gcd(dl * dr, *row)
         scaled_rows.append(([x // g for x in row], dl * dr // g))
-        w_exact.append(wv)
+    w_exact = [Fraction(-1, 6) if pq == (1, 2) else Fraction(0) for pq in rows]
+    _log.debug(
+        "build_M: s %d, m %d, %s, %d rows, %.3f ms",
+        s, m, kind, len(rows), 1e3 * (perf_counter() - start),
+    )
     return MOperator(rule, m, kind, rows, scaled_rows, w_exact, fam, (lip, rip))
+
+
+def _reduced(table, d):
+    """(table / g, d / g) for the integer rows over d, with g = gcd(d, *entries)."""
+    g = gcd(d, *[x for row in table for x in row])
+    return [[x // g for x in row] for row in table], d // g
 
 
 def _over_common_den(table):
@@ -852,8 +900,9 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     computes the discriminating nonlinear residual as an exact polynomial in
     beta.  The certificate holds when that polynomial is kappa beta^k with
     the published k and kappa ("match" in the report); "residuals" are its
-    values at the requested betas.  Even-degree rules skip the sweep: their
-    row-sum intersection is trivial.
+    values at the requested betas; a beta or residual that overflows a
+    float, or is nonzero and rounds to a float zero, raises ValueError.
+    Even-degree rules skip the sweep: their row-sum intersection is trivial.
     """
     s = rule.s
     zx = rule.zeta_exact
@@ -936,11 +985,15 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     report["betas"], report["residuals"] = [], []
     for b in betas:
         try:
-            report["betas"].append(float(b))
-            report["residuals"].append(float(poly(b)))
+            fb, fr = float(b), float(r := poly(b))
         except OverflowError:
-            beta = mp.nstr(mp.convert(b), 8)
-            raise ValueError(f"beta = {beta}: it or its residual overflows a float") from None
+            fb = None
+        # a nonzero beta, or a nonzero residual, must not print as a float zero either
+        if fb is None or fb == 0 or (fr == 0 and r != 0):
+            way = "overflows" if fb is None else "underflows"
+            raise ValueError(f"beta = {mp.nstr(mp.convert(b), 8)}: it or its residual {way} a float")
+        report["betas"].append(fb)
+        report["residuals"].append(fr)
     report["residual_fit"] = {
         "slope": low,
         "coeff": float(kappa),

@@ -9,8 +9,9 @@ rho = P_s - zeta*P_{s-1} and the weights b_i = 2/(s rho'(c_i) P_{s-1}(c_i)).
 All polynomial families (P_q, G_q, R_l, F_q) carry exact rational
 coefficients.  The discrete inner product sum_i b_i u(c_i) v(c_i) of two
 such polynomials is rational too: each rule holds its exact moments
-mu_k = sum_i b_i c_i^k, and discrete_ip_exact is the bilinear form
-sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
+mu_k = sum_i b_i c_i^k as integers over one denominator, from the
+recurrence of the node polynomial, and discrete_ip_exact is the bilinear
+form sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
 high-precision floats: roots are isolated by exact integer Sturm counts
 when the rule is built, and polished by a float-seeded Newton iteration,
 safeguarded by bisection inside each bracket, on the first access of
@@ -25,7 +26,8 @@ import json
 import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, ulp
+from math import comb, gcd, lcm, ulp
+from operator import mul
 from time import perf_counter
 from typing import Sequence
 
@@ -222,6 +224,12 @@ def f_poly(q: int, s: int, zeta) -> UniPoly:
     return r_poly(q - 1, s, zeta).integral()
 
 
+def _rho_ints(s: int, z: Fraction) -> list:
+    """Integer coefficients of z_den P_s - z_num P_(s-1), a multiple of rho = P_s - z P_(s-1)."""
+    low = legendre(s - 1).coeffs + (0,)
+    return [z.denominator * a.numerator - z.numerator * b.numerator for a, b in zip(legendre(s).coeffs, low)]
+
+
 # ---------------------------------------------------------------------------
 # root isolation on the exact polynomial
 
@@ -349,7 +357,7 @@ class QuadRule:
 
     __slots__ = (
         "s", "zeta", "zeta_exact", "order", "precision_digits", "in_unit_interval",
-        "_brackets", "_nodes", "_mu", "_rem",
+        "_brackets", "_nodes", "_mu",
     )
 
     def __init__(self, s, zeta, zeta_exact, brackets, order, precision_digits, in_unit_interval):
@@ -361,8 +369,8 @@ class QuadRule:
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
         object.__setattr__(self, "_nodes", None)
-        object.__setattr__(self, "_mu", ())
-        object.__setattr__(self, "_rem", None)
+        L = lcm(*range(1, s + 1))
+        object.__setattr__(self, "_mu", (tuple([L // (k + 1) for k in range(s)]), L))
 
     def __setattr__(self, *a):
         raise AttributeError("QuadRule is immutable")
@@ -407,24 +415,29 @@ class QuadRule:
         return rho * Fraction(1, gamma_lead(self.s))
 
     def moments(self, n: int) -> tuple:
-        """Exact discrete moments mu_k = sum_i b_i c_i^k for k < n.
+        """Exact discrete moments mu_k = sum_i b_i c_i^k for k < n, as n Fractions."""
+        ints, d = self._moment_ints(n)
+        return tuple(Fraction(x, d) for x in ints[:n])
 
-        With rho the monic node polynomial, x^(k+1) mod rho =
-        x (x^k mod rho) - lead * rho, and the rule integrates that remainder
-        of degree < s exactly: mu_k = int_0^1 (x^k mod rho).  The moments are
-        held on the rule and extended on demand.
+    def _moment_ints(self, n: int) -> tuple:
+        """(ints, d) with mu_k = ints[k] / d for k < len(ints) >= n and gcd(d, *ints) = 1.
+
+        The integer rho = z_den P_s - z_num P_(s-1) vanishes on the nodes, so
+        sum_i rho_i mu_(i+j) = 0 for j >= 0.  From mu_k = 1/(k+1), k < s, that
+        recurrence divides by rho's leading coefficient once per moment, exactly
+        over d lead^t for t new moments.  The pair is held on the rule.
         """
-        if len(self._mu) >= n:
-            return self._mu
-        x0 = [Fraction(1)] + [Fraction(0)] * (self.s - 1)  # x^0 mod rho
-        rho, rem = self._rem or (self.node_poly().coeffs, x0)
-        mu = list(self._mu)
-        while len(mu) < n:
-            mu.append(sum(c / (j + 1) for j, c in enumerate(rem)))
-            lead = rem[-1]
-            rem = [-lead * rho[0]] + [rem[j - 1] - lead * rho[j] for j in range(1, self.s)]
-        object.__setattr__(self, "_rem", (rho, rem))
-        object.__setattr__(self, "_mu", tuple(mu))
+        ints, d = self._mu
+        if len(ints) < n:
+            s = self.s
+            rho = _rho_ints(s, self.zeta_exact)
+            lead = rho.pop()
+            scale = lead ** (n - len(ints))
+            ints = [x * scale for x in ints]
+            for k in range(len(ints) - s, n - s):
+                ints.append(-sum(map(mul, rho, ints[k:])) // lead)
+            g = gcd(d * scale, *ints)
+            object.__setattr__(self, "_mu", (tuple([x // g for x in ints]), d * scale // g))
         return self._mu
 
     def to_json(self) -> str:
@@ -516,23 +529,31 @@ def _scaled(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _moment_rows(polys, rule: QuadRule, n: int) -> tuple:
+    """(rows, d): rows[i][j] = sum_k a_k m_(k+j) for j < n and a = polys[i], in integers.
+
+    With the rule's integer moments mu = m / d (QuadRule._moment_ints), an
+    integer coefficient list a / du stands for u with <u, x^j>_D = rows[i][j] / (d du).
+    """
+    mu, d = rule._moment_ints(max(map(len, polys), default=0) + n - 1)
+    return [[sum(map(mul, a, mu[j : j + len(a)])) for j in range(n)] for a in polys], d
+
+
 def discrete_ip_table(us, vs, rule: QuadRule) -> list:
     """[[<u, v>_D for v in vs] for u in us] as exact rationals.
 
     <u, v>_D = sum_(i, j) u_i v_j mu_(i+j) over the rule's moments.  Each u
-    gives one moment row h_j = sum_i u_i mu_(i+j), the discrete functional
-    g -> <u, g>_D on x^j, and each entry is that row's dot product with v;
-    the sums run over integers scaled by common denominators.
+    gives one moment row h_j = sum_i u_i mu_(i+j) (_moment_rows), the
+    discrete functional g -> <u, g>_D on x^j, and each entry is that row's
+    dot product with v; the sums run over the integer moments and the
+    coefficients scaled by their common denominators.
     """
-    n = max((len(v.coeffs) for v in vs), default=0)
-    mu, dm = _scaled(rule.moments(max((len(u.coeffs) for u in us), default=0) + n - 1))
-    vs = [_scaled(v.coeffs) for v in vs]
-    out = []
-    for u in us:
-        uc, du = _scaled(u.coeffs)
-        h = [sum(a * mu[i + j] for i, a in enumerate(uc) if a) for j in range(n)]
-        out.append([Fraction(sum(x * y for x, y in zip(h, vc)), dm * du * dv) for vc, dv in vs])
-    return out
+    us, vs = [_scaled(u.coeffs) for u in us], [_scaled(v.coeffs) for v in vs]
+    rows, dm = _moment_rows([a for a, _ in us], rule, max((len(a) for a, _ in vs), default=0))
+    return [
+        [Fraction(sum(map(mul, h, a)), dm * du * dv) for a, dv in vs]
+        for h, (_, du) in zip(rows, us)
+    ]
 
 
 def discrete_ip_exact(u: UniPoly, v: UniPoly, rule: QuadRule) -> Fraction:

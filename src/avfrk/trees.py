@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .quadrature import QuadRule, _scaled
+from .quadrature import QuadRule
 
 __all__ = [
     "RootedTree",
@@ -396,9 +396,9 @@ def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
         return mp.mpf(0) if rule is None else Fraction(0)
     if rule is not None:
         # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
-        # mu_(number of children) over the vertices of t; with mu = m / d in
-        # integers, the weight of each member's n - 1 non-root vertices is over d^(n-1)
-        m, d = _scaled(rule.moments(ft.order))
+        # mu_(number of children) over the vertices of t; with the rule's integer
+        # moments mu = m / d, the weight of each member's n - 1 non-root vertices is over d^(n-1)
+        m, d = rule._moment_ints(ft.order)
         sig = lcm(*[u.sigma for u in ft.members])
         total = 0
         for u in ft.members:

@@ -429,3 +429,137 @@ def reference_polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
         if not lo <= _exact_fraction(x) <= hi:
             raise QuadratureError(f"Newton left {where}")
         return +x
+
+
+# QuadRule.moments, discrete_ip_table and build_M (with build_p_tilde and
+# _odd_right_family) as they were before the moments and the operator's moment
+# rows ran on integers: the Fraction remainder recurrence, polynomial end values
+# and per-call F_q polynomials, the reference for those integer paths
+
+
+def reference_moments(rule, n: int) -> tuple:
+    """Exact discrete moments mu_k = sum_i b_i c_i^k for k < n.
+
+    With rho the monic node polynomial, x^(k+1) mod rho =
+    x (x^k mod rho) - lead * rho, and the rule integrates that remainder
+    of degree < s exactly: mu_k = int_0^1 (x^k mod rho).
+    """
+    x0 = [Fraction(1)] + [Fraction(0)] * (rule.s - 1)  # x^0 mod rho
+    rho, rem = rule.node_poly().coeffs, x0
+    mu = []
+    while len(mu) < n:
+        mu.append(sum(c / (j + 1) for j, c in enumerate(rem)))
+        lead = rem[-1]
+        rem = [-lead * rho[0]] + [rem[j - 1] - lead * rho[j] for j in range(1, rule.s)]
+    return tuple(mu)
+
+
+def reference_discrete_ip_table(us, vs, rule) -> list:
+    """[[<u, v>_D for v in vs] for u in us] as exact rationals, over reference_moments."""
+    n = max((len(v.coeffs) for v in vs), default=0)
+    mu, dm = _scaled(reference_moments(rule, max((len(u.coeffs) for u in us), default=0) + n - 1))
+    vs = [_scaled(v.coeffs) for v in vs]
+    out = []
+    for u in us:
+        uc, du = _scaled(u.coeffs)
+        h = [sum(a * mu[i + j] for i, a in enumerate(uc) if a) for j in range(n)]
+        out.append([Fraction(sum(x * y for x, y in zip(h, vc)), dm * du * dv) for vc, dv in vs])
+    return out
+
+
+def reference_build_p_tilde(rule) -> UniPoly:
+    """Degree-s substitute for the final right-basis slot."""
+    from avfrk.conditions import KernelStructureError, _solve_fraction
+    from avfrk.quadrature import f_poly, legendre
+
+    s, zx = rule.s, rule.zeta_exact
+    if s < 2:
+        raise ValueError("need s >= 2")
+    if zx == -1:
+        return legendre(s) - legendre(s - 1)
+    high = [f_poly(s + i, s, zx) for i in range(1, s - 1)]
+    gamma = reference_discrete_ip_table(high, [legendre(j).derivative() for j in range(1, s + 1)], rule)
+    gamma.append([Fraction(1)] * s)
+    vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
+    if vbar is None:
+        raise KernelStructureError(
+            f"reduced basis system is singular at s={s}, zeta={zx}; "
+            f"matrix rows {gamma}"
+        )
+    v = [Fraction(1)] + vbar
+    pt = UniPoly([0])
+    for l, vl in enumerate(v, start=1):
+        pt = pt + vl * legendre(l)
+    for r, ip in enumerate(reference_discrete_ip_table([pt.derivative()], high, rule)[0], start=1):
+        if ip != 0:
+            raise KernelStructureError(f"orthogonality against F_{s + r} failed: {ip}")
+    if sum(v) != 0:
+        raise KernelStructureError("coefficients do not sum to zero")
+    return pt
+
+
+def reference_odd_right_family(rule):
+    """Right-basis polynomials for m = 2s-1, slot l holding degree-l members."""
+    from avfrk.quadrature import legendre
+
+    s = rule.s
+    if rule.zeta_exact == 0:
+        if s == 2:
+            return [legendre(1), legendre(2)]
+        fam = [legendre(l) for l in range(1, s)]
+        fam[1] = legendre(s)
+        fam.append(reference_build_p_tilde(rule))
+        return fam
+    return [legendre(l) for l in range(1, s)] + [reference_build_p_tilde(rule)]
+
+
+def reference_build_M(rule, m: int) -> dict:
+    """The double-bush operator's fields rows, scaled_rows, w_exact, right_family and ip_tables."""
+    from avfrk.conditions import KernelStructureError, _over_common_den
+    from avfrk.quadrature import f_poly, g_poly, legendre
+
+    s = rule.s
+    zx = rule.zeta_exact
+    if m == 2 * s - 1 and s < 2:
+        raise ValueError("m = 2s-1 needs s >= 2: a one-stage rule has no odd-degree conditions")
+    if m == 2 * s:
+        if zx != 0:
+            raise ValueError("m = 2s requires the zeta = 0 rule")
+        kind = "even"
+        n_left = m - 1
+        integ = [g_poly(q) for q in range(1, m)]
+        fam = [legendre(l) for l in range(1, s + 1)]
+    elif m == 2 * s - 1:
+        kind = "odd"
+        n_left = s
+        integ = [f_poly(q, s, zx) for q in range(1, m)]
+        fam = reference_odd_right_family(rule)
+    else:
+        raise ValueError(f"m must be {2 * s} or {2 * s - 1} for s = {s}")
+    rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
+    left = [legendre(l) for l in range(n_left)]
+    lip, dl = _over_common_den(reference_discrete_ip_table(left, [legendre(k) for k in range(s)], rule))
+    lip += [[0] * s for _ in range(n_left, m - 1)]
+    rip, dr = _over_common_den(reference_discrete_ip_table(integ, [B.derivative() for B in fam], rule))
+    one = Fraction(1)
+    ends = [(P(one), P.integral()(one)) for P in integ]  # P(1) and int_0^1 P
+    scaled_rows = []
+    w_exact = []
+    for p, q in rows:
+        lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
+        row = [a * y - b * x for a, b in zip(lp, lq) for x, y in zip(rp, rq)]
+        g = math.gcd(dl * dr, *row)
+        (p1, pint), (q1, qint) = ends[p - 1], ends[q - 1]
+        wv = p1 * qint - q1 * pint
+        if Fraction(row[0] + row[s], 4 * dl * dr) != wv:
+            raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
+        scaled_rows.append(([x // g for x in row], dl * dr // g))
+        w_exact.append(wv)
+    return {
+        "basis_kind": kind,
+        "rows": tuple(rows),
+        "scaled_rows": tuple((tuple(r), d) for r, d in scaled_rows),
+        "w_exact": tuple(w_exact),
+        "right_family": tuple(fam),
+        "ip_tables": tuple(tuple(map(tuple, t)) for t in (lip, rip)),
+    }

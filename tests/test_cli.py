@@ -269,6 +269,15 @@ class TestUniqueness:
         assert captured.out == ""
         assert captured.err.startswith("error:") and f"beta = {named}" in captured.err
 
+    @pytest.mark.parametrize("beta, named", [("1e-200", "1.0e-200"), ("1e-400", "1.0e-400")])
+    def test_beta_below_float_range(self, capsys, beta, named):
+        # kappa beta^2 underflows to 0.0 at 1e-200, beta itself at 1e-400: no zero is printed
+        code = main(["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", f"1/3,{beta}", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"beta = {named}" in captured.err
+
     def test_exact_betas(self, capsys):
         # each beta is parsed as an exact rational, so 1/10 is not the double nearest 0.1
         code, doc = run_json(capsys, ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"])

@@ -2,6 +2,7 @@ import json
 import logging
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,8 @@ from _util import (
     outer_matrix,
     random_unipoly,
     reference_asym_bush_residual,
+    reference_build_M,
+    reference_build_p_tilde,
     reference_double_bush_poly_residual,
     reference_double_bush_residual,
     reference_triple_bush_residual,
@@ -381,6 +384,70 @@ class TestPTilde:
         with pytest.raises(ValueError):
             build_p_tilde(quad_rule(1, 0))
 
+    @pytest.mark.parametrize(
+        "s,zeta,shift,match",
+        [
+            (4, Fraction(1, 2), None, "singular"),
+            (4, Fraction(1, 2), 1, "orthogonality against F_5 failed"),
+            (2, Fraction(1, 2), 1, "do not sum to zero"),
+        ],
+    )
+    def test_checks_fire(self, monkeypatch, s, zeta, shift, match):
+        # a singular Gamma system, and a solution off the orthogonality or the zero sum
+        # (s = 2 has no F rows to be orthogonal to), are refused in build_p_tilde and build_M
+        real = conditions._solve_fraction
+        solve = lambda rows, rhs: None if shift is None else [x + shift for x in real(rows, rhs)]
+        rule = quad_rule(s, zeta)
+        monkeypatch.setattr(conditions, "_solve_fraction", solve)
+        with pytest.raises(KernelStructureError, match=match):
+            build_p_tilde(rule)
+        with pytest.raises(KernelStructureError, match=match):
+            build_M(rule, 2 * s - 1)
+
+
+OPERATOR_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(1, 3)]
+
+
+@lru_cache(maxsize=None)
+def operator_rule(s, zeta):
+    try:
+        return quad_rule(s, zeta)
+    except QuadratureError:
+        return None
+
+
+class TestOperatorOracle:
+    """build_M on integer moment rows against its Fraction form (_util.reference_build_M)."""
+
+    @pytest.mark.parametrize("s,zeta", [(s, z) for s in range(2, 13) for z in OPERATOR_ZETAS])
+    def test_equal_to_reference(self, s, zeta):
+        rule = operator_rule(s, zeta)
+        if rule is None:
+            pytest.skip("no real rule")
+        for m in (2 * s, 2 * s - 1):
+            if m == 2 * s and zeta != 0:
+                continue
+            M = build_M(rule, m)
+            want = reference_build_M(rule, m)
+            got = {name: getattr(M, name) for name in want}
+            assert got == want
+            assert all(type(w) is Fraction for w in M.w_exact)
+            if m == 2 * s - 1:
+                assert build_p_tilde(rule) == reference_build_p_tilde(rule)
+
+    def test_closed_form_right_hand_side(self):
+        # w_exact = P(1) int Q - Q(1) int P over the polynomial pairs (G_p, G_q) or (F_p, F_q)
+        for s in range(1, 13):
+            for zeta, m in [(Fraction(0), 2 * s), (Fraction(0), 2 * s - 1), (Fraction(1, 2), 2 * s - 1)]:
+                if m < 2 * s and s < 2:
+                    continue
+                M = build_M(operator_rule(s, zeta), m)
+                P = [g_poly(q) if m == 2 * s else f_poly(q, s, zeta) for q in range(1, m)]
+                ends = [(p(1), p.integral()(1)) for p in P]
+                want = tuple(ends[p - 1][0] * ends[q - 1][1] - ends[q - 1][0] * ends[p - 1][1] for p, q in M.rows)
+                assert M.w_exact == want
+                assert want[:1] == (() if s == 1 else (Fraction(-1, 6),)) and not any(want[1:])
+
 
 class TestBuildM:
     def test_shapes_and_rows(self):
@@ -539,12 +606,34 @@ class TestBuildM:
             assert max_entry(A - avf_matrix(M.rule)) < mp.mpf("1e-40")
 
     def test_exact_avf_check(self, monkeypatch):
-        # an operator that c b^T does not solve exactly is refused
-        real = conditions.discrete_ip_table
-        skewed = lambda us, vs, rule: [[x * Fraction(1001, 1000) for x in row] for row in real(us, vs, rule)]
-        monkeypatch.setattr(conditions, "discrete_ip_table", skewed)
-        with pytest.raises(KernelStructureError, match="exactly"):
-            build_M(quad_rule(2, 0), 4)
+        # an operator that c b^T does not solve exactly is refused: every moment row
+        # the operator is formed from, left and right, skewed by 1001/1000
+        real = conditions._moment_rows
+
+        def skewed(polys, rule, n):
+            rows, d = real(polys, rule, n)
+            return [[1001 * x for x in row] for row in rows], 1000 * d
+
+        rules = [(quad_rule(2, 0), 4), (quad_rule(3, Fraction(1, 2)), 5)]
+        monkeypatch.setattr(conditions, "_moment_rows", skewed)
+        for rule, m in rules:
+            with pytest.raises(KernelStructureError, match="exactly"):
+                build_M(rule, m)
+        monkeypatch.undo()
+        for rule, m in rules:
+            build_M(rule, m)
+
+    def test_logged(self, caplog):
+        # one DEBUG record per call, like rank_kernel's
+        rules = [quad_rule(3, Fraction(1, 2)), quad_rule(2, 0)]
+        with caplog.at_level(logging.DEBUG, logger="avfrk"):
+            build_M(rules[0], 5)
+            build_M(rules[1], 4)
+        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.conditions"]
+        assert len(got) == 2
+        assert got[0].startswith("build_M: s 3, m 5, odd, 6 rows, ")
+        assert got[1].startswith("build_M: s 2, m 4, even, 3 rows, ")
+        assert all(m.endswith(" ms") and float(m.split(", ")[-1][:-3]) >= 0 for m in got)
 
     def test_avf_coords_slots(self):
         # c b^T = (P_0 + P_1)/4 b^T B_1'(C): B_1 = P_1 in every right family
@@ -836,9 +925,11 @@ class TestRankKernel:
 
 
     def test_logged(self, caplog):
+        # build_M logs on the same logger, so the operators are built first
+        ops = [build_M(quad_rule(3, Fraction(1, 2)), 5), build_M(quad_rule(2, 0), 4)]
         with caplog.at_level(logging.DEBUG, logger="avfrk"):
-            rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
-            rank_kernel(build_M(quad_rule(2, 0), 4))
+            rank_kernel(ops[0])
+            rank_kernel(ops[1])
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.conditions"]
         assert len(got) == 2
         assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, structured True, path mod-p, ")
@@ -1088,6 +1179,12 @@ class TestUniquenessSweep:
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError):
             uniqueness_sweep(quad_rule(2, 0), 3, betas=[0, Fraction(1, 2)])
+
+    @pytest.mark.parametrize("exp, named", [(400, "1.0e-400"), (200, "1.0e-200")])
+    def test_beta_underflow_rejected(self, exp, named):
+        # beta = 1e-400 rounds to float 0.0; at 1e-200 the residual kappa beta^2 does
+        with pytest.raises(ValueError, match=f"beta = {named}: it or its residual underflows"):
+            uniqueness_sweep(quad_rule(3, Fraction(1, 2)), 5, betas=[Fraction(1, 3), Fraction(1, 10**exp)])
 
 
 def test_error_types_are_distinct():

@@ -1,12 +1,13 @@
 import json
 import logging
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from avfrk.quadrature import (
@@ -34,7 +35,7 @@ from avfrk.quadrature import (
 from avfrk import quadrature
 from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly, reference_polish_root
+from _util import random_unipoly, reference_moments, reference_polish_root
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -434,6 +435,40 @@ class TestMoments:
         long = rule.moments(20)
         assert long[:3] == short and len(long) == 20
         assert quad_rule(4, Fraction(2, 3)).moments(20) == long
+        # a shorter request after a longer one gives exactly n moments
+        assert rule.moments(3) == short and rule.moments(0) == ()
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_equal_to_remainder_recurrence(self, s):
+        # the integer recurrence over rho against the Fraction remainder recurrence
+        for zeta in [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(1, 3)]:
+            try:
+                rule = quad_rule(s, zeta)
+            except QuadratureError:
+                continue
+            assert rule.moments(3 * s + 2) == reference_moments(rule, 3 * s + 2)
+            ints, d = rule._moment_ints(3 * s + 2)
+            assert len(ints) == 3 * s + 2 and math.gcd(d, *ints) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(1, 8),
+        num=st.integers(-12, 12),
+        den=st.integers(1, 12),
+        n=st.integers(0, 30),
+        first=st.integers(0, 30),
+    )
+    def test_random_zeta_against_remainder_recurrence(self, s, num, den, n, first):
+        # extended in two steps (first, then n) or one, with a common denominator either way
+        try:
+            rule = quad_rule(s, Fraction(num, den))
+        except QuadratureError:
+            assume(False)
+        assert rule.moments(first) == reference_moments(rule, first)
+        assert rule.moments(n) == reference_moments(rule, n)
+        ints, d = rule._moment_ints(n)
+        assert math.gcd(d, *ints) == 1
+        assert tuple(Fraction(x, d) for x in ints) == reference_moments(rule, len(ints))
 
     def test_match_weighted_node_powers(self):
         rule = quad_rule(5, Fraction(-1, 3))
