@@ -675,16 +675,17 @@ def _factor_polys(u, v):
     return U, V
 
 
-def _derivative_columns(polys, s):
-    """The s x len(polys) matrix whose column l holds the coefficients of polys[l]'."""
+@lru_cache(maxsize=256)
+def _derivative_columns(polys: tuple, s):
+    """The s x len(polys) matrix whose column l holds the coefficients of polys[l]', as tuples."""
     derivs = [B.derivative().coeffs for B in polys]
-    return [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
+    return tuple(tuple(d[i] if i < len(d) else 0 for d in derivs) for i in range(s))
 
 
 @lru_cache(maxsize=None)
 def _legendre_derivative_columns(s):
     """_derivative_columns of P_1..P_s: V = sum v_l P_l' has coefficients D @ v."""
-    return tuple(map(tuple, _derivative_columns([legendre(l) for l in range(1, s + 1)], s)))
+    return _derivative_columns(tuple(legendre(l) for l in range(1, s + 1)), s)
 
 
 def _structured_basis(M, nullity):

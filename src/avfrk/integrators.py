@@ -14,15 +14,15 @@ integrates the chord average exactly.  A tableau without a rank-one rule
 Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
-the exact polynomials, and every state is a tuple of floats.  For the
-chord, the whole map z -> y + sum_j h b_j f(y + c_j (z - y)) is one
-straight-line function per system and float node set, and so is the loop
-of fixed-point sweeps around it: the iterate stays in local floats, and
-the finite check, the residual, the stops and the switch to Newton run
-inline.  Newton stays interpreted; its matrix
+the exact polynomials, and every state is a tuple of floats.  One
+generated loop solves every step, for both phases: the iterate stays in
+local floats, and the finite check, the residual, the stops, the switch
+to Newton and the Newton steps run inline.  For the chord, the whole map
+z -> y + sum_j h b_j f(y + c_j (z - y)) is one straight-line function per
+system and float node set, inlined in its loop; the Newton matrix
 h sum_j b_j c_j J_f(Y_j) - I is generated the first time a step switches
-to Newton.  The stage path evaluates f and J_f one point at a time and
-runs the same sweeps interpreted.
+to Newton.  The stage path's loop is generated once per unknown count and
+calls the step's map, which evaluates f and J_f one point at a time.
 
 numpy is imported only where it is used: by a Newton iteration, whose
 linear solve is LAPACK's, and by IntegrationRun.energies, which returns an
@@ -185,50 +185,54 @@ def _chord_source(name: str, n: int, nodes: tuple, weights: list, updates: list)
     return lines + _node_sum(n, nodes, updates, " " * 8)
 
 
-# the loop of _sweeps on the iterate z0..z{n-1}; {phi} sets f = phi(z)
+# the solve loop on the iterate z0..z{n-1}; {phi} sets f0..f{n-1} = phi(z)
 _SWEEPS_SOURCE = """\
-    def sweeps(x, max_iterations, tol, scale, newton, allow_newton):
+    def sweeps(x, max_iterations, tol, scale, newton, allow_newton, newton_step):
         {z}, = x
         res = prev_res = inf
-        it = 0
+        it = newton_iterations = 0
         try:
             for it in range(max_iterations + 1):
 {phi}
                 if it:
                     if not ({finite}):
-                        return "non-finite", it, ({z},), None, inf
+                        return "non-finite", it, ({z},), None, inf, newton_iterations
 {largest}
                     res = scale * m
                     if res <= tol:
-                        return "converged", it, ({z},), ({f},), res
+                        return "converged", it, ({z},), ({f},), res, newton_iterations
                     if newton:
-                        return "newton", it, ({z},), ({f},), res
+                        {z}, = newton_step(({z},), ({f},), res)
+                        newton_iterations += 1
+                        continue
                     if allow_newton and res > {stall!r} * prev_res:
                         newton = True
                     prev_res = res
 {advance}
         except OverflowError as e:
-            return "overflow", it, ({z},), e, res
-        return "exhausted", it, ({z},), None, res"""
+            return "overflow", it, ({z},), e, res, newton_iterations
+        return "exhausted", it, ({z},), None, res, newton_iterations"""
 
 
-def _sweeps_source(n: int, nodes: tuple, f: list) -> list:
-    """Source of the chord's sweeps(x, ...): the loop of _sweeps with phi inlined.
+def _sweeps_source(n: int, phi: list) -> list:
+    """Source of sweeps(x, max_iterations, tol, scale, newton, allow_newton, newton_step).
 
-    Every float operation is the one phi and _sweeps do, in the same order;
-    iteration 0 is the predictor phi(x), unchecked.  max|f - z| is spelled
-    out as max() computes it: the first of equal values is kept and a
-    later one replaces it only when greater.
+    The solve loop of _implicit_solve on n unknowns, with phi, the lines
+    that set f0..f{n-1} = phi(z), inlined; iteration 0 is the predictor,
+    unchecked.  max|f - z| is spelled out as max() computes it: the first
+    of equal values is kept and a later one replaces it only when greater.
+    It returns (status, it, x, fx, res, newton_iterations) with status
+    "converged" (fx = phi(x)), "non-finite" (res inf), "overflow" (the
+    OverflowError as fx) or "exhausted".
     """
     pad = " " * 16
-    phi = _node_sum(n, nodes, f, pad) + [f"{pad}f{k} = y{k} + a{k}" for k in range(n)]
     largest = [f"{pad}    m = abs(f0 - z0)"]
     for k in range(1, n):
         largest += [f"{pad}    t = abs(f{k} - z{k})", f"{pad}    if t > m:", f"{pad}        m = t"]
     source = _SWEEPS_SOURCE.format(
         z=", ".join(f"z{k}" for k in range(n)),
         f=", ".join(f"f{k}" for k in range(n)),
-        phi="\n".join(phi),
+        phi="\n".join(pad + line for line in phi),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
         largest="\n".join(largest),
         stall=_STALL_FACTOR,
@@ -244,18 +248,28 @@ def _chord_map(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     Straight-line source generated once per system and float node set, in
     the float operations of a loop over the nodes: w_j = h * b_j, then per
     node x = y + c_j * (z - y) and a = a + w_j * f(x) from a = 0.0; y + a.
-    sweeps is the fixed-point phase of _implicit_solve on phi (_sweeps),
-    generated in the same source with phi inlined: the same floats, the
-    same stops and the same SolverError context, without a call, a tuple
-    and two map chains per sweep.
+    sweeps is the solve loop (_sweeps_source) generated in the same source
+    with phi inlined, without a call or a tuple per sweep.
     """
     n = sys.dim
     x = [f"x{k}" for k in range(n)]
     f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
     lines = _chord_source("chord", n, nodes, [f"h * {bj!r}" for _, bj in nodes], f)
     lines += [f"        return ({', '.join(f'y{k} + a{k}' for k in range(n))},)"]
-    lines += _sweeps_source(n, nodes, f) + ["    return g, sweeps"]
+    phi = _node_sum(n, nodes, f, "") + [f"f{k} = y{k} + a{k}" for k in range(n)]
+    lines += _sweeps_source(n, phi) + ["    return g, sweeps"]
     return _generate(lines, "chord", n, len(nodes))
+
+
+@lru_cache(maxsize=64)
+def _stage_sweeps(n: int) -> Callable:
+    """stages(phi) -> sweeps, the solve loop (_sweeps_source) on n unknowns calling phi.
+
+    Generated once per unknown count; phi takes a tuple of n floats and returns n floats.
+    """
+    z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
+    lines = ["def stages(phi):"] + _sweeps_source(n, [f"{f}, = phi(({z},))"]) + ["    return sweeps"]
+    return _generate(lines, "stages", n, 1)
 
 
 @lru_cache(maxsize=64)
@@ -335,83 +349,28 @@ def _newton_update(matrix, x, fx, res) -> list:
     return list(map(sub, x, dx))
 
 
-def _sweeps(phi) -> Callable:
-    """sweeps(x, max_iterations, tol, scale, newton, allow_newton) for the map phi.
-
-    The fixed-point phase of _implicit_solve, interpreted: x = phi(x) is the
-    predictor, then each iteration takes fx = phi(x) and its residual
-    scale * max|fx - x|.  It returns (status, it, x, fx, res) at iteration
-    it: "converged" when res <= tol; "newton" when newton is set, fx then
-    the map at the iterate x; "non-finite" when fx is not finite (res inf);
-    "overflow" with the OverflowError as fx; "exhausted" after
-    max_iterations sweeps.  A residual that shrinks by less than
-    _STALL_FACTOR sets newton when allow_newton is.  _chord_map generates
-    this loop per system with phi inlined.
-    """
-
-    def sweeps(x, max_iterations, tol, scale, newton, allow_newton):
-        res = prev_res = math.inf
-        it = 0
-        try:
-            x = phi(x)
-            for it in range(1, max_iterations + 1):
-                fx = phi(x)
-                if not all(map(math.isfinite, fx)):
-                    return "non-finite", it, x, None, math.inf
-                res = scale * max(map(abs, map(sub, fx, x)))
-                if res <= tol:
-                    return "converged", it, x, fx, res
-                if newton:
-                    return "newton", it, x, fx, res
-                if allow_newton and res > _STALL_FACTOR * prev_res:
-                    newton = True
-                prev_res = res
-                x = fx
-        except OverflowError as e:
-            return "overflow", it, x, e, res
-        return "exhausted", it, x, None, res
-
-    return sweeps
-
-
-def _implicit_solve(x, sweeps, phi, newton, cfg: SolverConfig, scale: float = 1.0):
+def _implicit_solve(x, sweeps, newton, cfg: SolverConfig, scale: float = 1.0):
     """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
     x is the start of the step for every unknown; phi(x) is then the Euler
-    predictor.  sweeps (_sweeps(phi), or the chord's generated loop) runs
-    the fixed-point iterations while the residual shrinks by _STALL_FACTOR
-    per iteration; after that, or from the start for the "newton"
-    strategy, Newton runs here on F(x) = phi(x) - x, where newton(x) is its
-    matrix Jphi(x) - I with the identity already subtracted.  An
-    overflowing field, a non-finite iterate and a singular Newton matrix
-    end the solve with SolverError.  Returns (solution, StepStats).
+    predictor.  sweeps, the generated loop on phi (_sweeps_source), takes
+    fixed-point iterations x = phi(x) while the residual shrinks by
+    _STALL_FACTOR per iteration, and after that, or from the start for the
+    "newton" strategy, Newton steps on F(x) = phi(x) - x, where newton(x)
+    is its matrix Jphi(x) - I with the identity already subtracted.  Here
+    the loop's outcome becomes (solution, StepStats) or a SolverError: an
+    overflowing field, a non-finite iterate, a singular Newton matrix or
+    no convergence in cfg.max_iterations iterations.
     """
     strategy = cfg.strategy
-    status, it, x, fx, res = sweeps(
-        x, cfg.max_iterations, cfg.tolerance, scale, strategy == "newton", strategy != "fixed-point"
+    status, it, x, fx, res, newton_iterations = sweeps(
+        x, cfg.max_iterations, cfg.tolerance, scale, strategy == "newton", strategy != "fixed-point",
+        lambda x, fx, res: _newton_update(newton(x), x, fx, res),
     )
-    newton_iters = 0
-    try:
-        while status == "newton":
-            x = _newton_update(newton(x), x, fx, res)
-            newton_iters += 1
-            if it == cfg.max_iterations:
-                status = "exhausted"
-                break
-            it += 1
-            fx = phi(x)
-            if not all(map(math.isfinite, fx)):
-                status, res = "non-finite", math.inf
-                break
-            res = scale * max(map(abs, map(sub, fx, x)))
-            if res <= cfg.tolerance:
-                status = "converged"
-    except OverflowError as e:
-        status, fx = "overflow", e
     if status == "converged":
-        return fx, StepStats(it, newton_iters, res)
+        return fx, StepStats(it, newton_iterations, res)
     if status == "overflow":
-        raise SolverError(f"field evaluation overflowed: {fx}", iterate=tuple(x), residual=res) from fx
+        raise SolverError(f"field evaluation overflowed: {fx}", iterate=x, residual=res) from fx
     if status == "non-finite":
         message = f"non-finite iterate at iteration {it}"
     else:
@@ -419,7 +378,7 @@ def _implicit_solve(x, sweeps, phi, newton, cfg: SolverConfig, scale: float = 1.
             f"no convergence after {cfg.max_iterations} iterations "
             f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})"
         )
-    raise SolverError(message, iterate=tuple(x), residual=res)
+    raise SolverError(message, iterate=x, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +399,7 @@ def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Call
 
     def step(y, h, cfg):
         phi, sweeps = chord(y, h)
-        z, stats = _implicit_solve(y, sweeps, phi, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
+        z, stats = _implicit_solve(y, sweeps, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
         # the update y + h b^T f(Y) at the converged stages, as the stage path
         return phi(z), stats
 
@@ -453,6 +412,7 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
     A = [[float(x) for x in row] for row in tab.A]
     b = [float(x) for x in tab.b]
     f, jac = _scalar_field(sys)
+    stages = _stage_sweeps(s * n)
 
     def at_stages(g, x):
         return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
@@ -475,7 +435,7 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
                 for a in range(n)
             ]
 
-        sol, stats = _implicit_solve(list(y) * s, _sweeps(phi), phi, newton, cfg)
+        sol, stats = _implicit_solve(y * s, stages(phi), newton, cfg)
         return tuple(update(y, h, b, at_stages(f, sol))), stats
 
     return step

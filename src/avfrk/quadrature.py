@@ -417,15 +417,18 @@ class QuadRule:
     def moments(self, n: int) -> tuple:
         """Exact discrete moments mu_k = sum_i b_i c_i^k for k < n, as n Fractions."""
         ints, d = self._moment_ints(n)
-        return tuple(Fraction(x, d) for x in ints[:n])
+        return tuple(Fraction(x, d) for x in ints)
 
     def _moment_ints(self, n: int) -> tuple:
-        """(ints, d) with mu_k = ints[k] / d for k < len(ints) >= n and gcd(d, *ints) = 1.
+        """(ints, d) with mu_k = ints[k] / d for k < n and gcd(d, *ints) = 1.
 
         The integer rho = z_den P_s - z_num P_(s-1) vanishes on the nodes, so
         sum_i rho_i mu_(i+j) = 0 for j >= 0.  From mu_k = 1/(k+1), k < s, that
         recurrence divides by rho's leading coefficient once per moment, exactly
-        over d lead^t for t new moments.  The pair is held on the rule.
+        over d lead^t for t new moments.  The pair of every moment computed so
+        far is held on the rule; the first n are returned over their own
+        smallest denominator, so what reads them does not slow down as the
+        rule holds more.
         """
         ints, d = self._mu
         if len(ints) < n:
@@ -438,7 +441,10 @@ class QuadRule:
                 ints.append(-sum(map(mul, rho, ints[k:])) // lead)
             g = gcd(d * scale, *ints)
             object.__setattr__(self, "_mu", (tuple([x // g for x in ints]), d * scale // g))
-        return self._mu
+            ints, d = self._mu
+        ints = ints[:n]
+        g = gcd(d, *ints)
+        return [x // g for x in ints], d // g
 
     def to_json(self) -> str:
         d = self.precision_digits
@@ -571,14 +577,13 @@ def check_discip_lemma(rule: QuadRule, pi_m: UniPoly, theta: UniPoly):
 
     With rho_s the monic node polynomial and theta any monic polynomial of
     degree order - s, the discrete integral of pi_m must equal the exact
-    integral minus <rho_s, theta>.  Returns the absolute defect.
+    integral minus <rho_s, theta>.  Returns the absolute defect, an exact
+    Fraction from the rule's moments.
     """
     if not pi_m.is_monic() or pi_m.degree != rule.order:
         raise ValueError("pi_m must be monic of degree equal to the rule order")
     if not theta.is_monic() or theta.degree != rule.order - rule.s:
         raise ValueError("theta must be monic of degree order - s")
     rho = rule.node_poly()
-    exact_side = continuous_ip(pi_m, UniPoly([1])) - continuous_ip(rho, theta)
-    with mp.workdps(rule.precision_digits + 15):
-        disc = discrete_ip(pi_m, UniPoly([1]), rule)
-        return abs(disc - (mp.mpf(exact_side.numerator) / exact_side.denominator))
+    one = UniPoly([1])
+    return abs(discrete_ip_exact(pi_m, one, rule) - continuous_ip(pi_m, one) + continuous_ip(rho, theta))

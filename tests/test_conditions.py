@@ -590,6 +590,24 @@ class TestBuildM:
             M = build_M(quad_rule(s, zeta), m)
             assert len(_eliminate(_int_rows(_derivative_columns(M.right_family, s)), s)[0]) == s
 
+    @pytest.mark.parametrize("s, zeta", [(3, Fraction(0)), (5, Fraction(-1)), (16, Fraction(1, 2))])
+    def test_rows_independent_of_held_moments(self, s, zeta):
+        # the moments, their rows, and so build_M's cost do not grow with the moments a rule holds
+        def tables(rule):
+            left = [[c.numerator for c in legendre(l).coeffs] for l in range(2 * s)]
+            integrated = [conditions._integrated_rows(rule, range(1, 2 * s - 1), odd) for odd in (True, False)]
+            return quadrature._moment_rows(left, rule, s), integrated
+
+        def operator(M):
+            return M.rows, M.scaled_rows, M.w_exact, M.right_family, M.ip_tables
+
+        warm = quad_rule(s, zeta)
+        warm.moments(200)
+        assert warm._moment_ints(2 * s) == quad_rule(s, zeta)._moment_ints(2 * s)
+        assert tables(warm) == tables(quad_rule(s, zeta))
+        for m in [2 * s - 1] + [2 * s] * (zeta == 0):
+            assert operator(build_M(warm, m)) == operator(build_M(quad_rule(s, zeta), m))
+
     @pytest.mark.parametrize(
         "s,zeta,m",
         [(3, Fraction(0), 6), (3, Fraction(1, 2), 5), (4, Fraction(0), 7), (4, Fraction(-1), 7)],

@@ -362,17 +362,33 @@ def _outcome(sys_, method, y0, h, n, cfg):
 
 def _reference_outcome(sys_, method, y0, h, n, cfg):
     """_outcome with every implicit solve run by the interpreted loop the sweeps replace."""
-    solve = lambda x, sweeps, phi, newton, cfg, scale=1.0: reference_implicit_solve(x, phi, newton, cfg, scale)
-    with mock.patch.object(integrators, "_implicit_solve", solve):
+    maps = []  # the map phi of the step being solved, taken where its loop is made
+    chord_map, stage_sweeps = integrators._chord_map, integrators._stage_sweeps
+
+    def chord(sys_, nodes):
+        def at(y, h):
+            phi, sweeps = chord_map(sys_, nodes)(y, h)
+            maps.append(phi)
+            return phi, sweeps
+
+        return at
+
+    def stages(n):
+        return lambda phi: maps.append(phi) or stage_sweeps(n)(phi)
+
+    solve = lambda x, sweeps, newton, cfg, scale=1.0: reference_implicit_solve(x, maps[-1], newton, cfg, scale)
+    with mock.patch.multiple(integrators, _implicit_solve=solve, _chord_map=chord, _stage_sweeps=stages):
         return _outcome(sys_, method, y0, h, n, cfg)
 
 
+# step sizes and whether the harmonic oscillator's solve switches to Newton at them
+STALL_CASES = [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)]
 SADDLE_40 = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2), (40, 0): F(1, 10**6)})
 
 
 class TestGeneratedSweeps:
-    """The chord's generated fixed-point sweeps, and the interpreted ones of
-    the stage path, against the solve loop they replace: bit for bit."""
+    """The generated solve loop, Newton included, on the chord and on the
+    stage path, against the interpreted solve it replaces: bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -425,13 +441,34 @@ class TestGeneratedSweeps:
         if method == "avf":
             assert reason in got[0]
 
-    @pytest.mark.parametrize("h, switches", [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)])
-    def test_stall_switch_matches_interpreted_solve(self, h, switches):
-        # the midpoint sweep on the harmonic oscillator contracts by |h|/2 per iteration
+    @pytest.mark.parametrize(
+        "method, h, switches",
+        [pytest.param("avf", h, sw, id=f"{h}-{sw}") for h, sw in STALL_CASES]
+        + [pytest.param("stages", h, sw, id=f"stages-{h}-{sw}") for h, sw in STALL_CASES],
+    )
+    def test_stall_switch_matches_interpreted_solve(self, method, h, switches):
+        # the midpoint sweep on the harmonic oscillator contracts by |h|/2 per iteration, and
+        # so does the stage sweep of this tableau, whose two stages stay equal
+        if method == "stages":
+            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5], 30)
         cfg = SolverConfig()
-        got = _outcome(HARMONIC, "avf", [1.0, 0.5], h, 3, cfg)
-        assert got == _reference_outcome(HARMONIC, "avf", [1.0, 0.5], h, 3, cfg)
+        got = _outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
+        assert got == _reference_outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
         assert any(newton for _, newton, _ in got[1]) == switches
+
+    def test_stage_loop_generated_once_per_unknown_count(self, caplog):
+        integrators._stage_sweeps.cache_clear()
+        tableaux = [
+            ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79], 30),
+            ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7], 30),
+        ]
+        with caplog.at_level(logging.DEBUG, logger="avfrk"):
+            for tab in tableaux:
+                for strategy in ["fixed-point", "newton"]:
+                    integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 5, SolverConfig(strategy=strategy))
+        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
+        assert len([m for m in got if m.startswith("generated stages: dim 4, ")]) == 1
+        assert not any(m.startswith("generated chord") for m in got)
 
 
 class TestSolverFailure:

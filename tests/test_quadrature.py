@@ -35,7 +35,7 @@ from avfrk.quadrature import (
 from avfrk import quadrature
 from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly, reference_moments, reference_polish_root
+from _util import random_unipoly, reference_moments, reference_polish_root, refuse_polish
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -651,7 +651,7 @@ class TestExactnessLemma:
     def test_s2_gauss_quartic(self):
         rule = quad_rule(2, 0)
         res = check_discip_lemma(rule, UniPoly([0, 0, 0, 0, 1]), UniPoly([0, 0, 1]))
-        assert res < mp.mpf("1e-30")
+        assert res == 0 and type(res) is Fraction
 
     def test_theta_independence(self):
         rule = quad_rule(3, Fraction(1, 2))  # order 5
@@ -663,7 +663,7 @@ class TestExactnessLemma:
             pi = random_unipoly(rng, rule.order - 1) + UniPoly(
                 [0] * rule.order + [1]
             )
-            assert check_discip_lemma(rule, pi, theta) < mp.mpf("1e-42")
+            assert check_discip_lemma(rule, pi, theta) == 0
 
     def test_divisible_case(self):
         rule = quad_rule(2, 0)
@@ -673,7 +673,18 @@ class TestExactnessLemma:
         with mp.workdps(60):
             disc = discrete_ip(pi, UniPoly([1]), rule)
             assert abs(disc) < mp.mpf("1e-44")
-        assert check_discip_lemma(rule, pi, theta) < mp.mpf("1e-42")
+        assert check_discip_lemma(rule, pi, theta) == 0
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)])
+    def test_never_polishes(self, monkeypatch, s, zeta):
+        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        rule = quad_rule(s, zeta)
+        rng = random.Random(10 * s)
+        theta = random_unipoly(rng, rule.order - s - 1) + UniPoly([0] * (rule.order - s) + [1])
+        pi = random_unipoly(rng, rule.order - 1) + UniPoly([0] * rule.order + [1])
+        assert check_discip_lemma(rule, pi, theta) == 0
+        assert check_discip_lemma(rule, rule.node_poly() * theta, theta) == 0
 
     def test_rejects_bad_inputs(self):
         rule = quad_rule(2, 0)
