@@ -9,13 +9,13 @@ preserves energy for the full polynomial degree.
 
 The certificate path is exact over Q.  All discrete inner products that
 enter the operator are rational and come from the rule's integer moments,
-one moment row per polynomial, formed once per operator.  The operator,
-its rank, its kernel basis with the check of the closed-form kernel
-factors, and the zero-row-sum kernel direction with its rank-one factors
-are rational as well: the rank mod a prime, closed by the exact check of
-the closed-form kernel, fraction-free elimination over Q where that check
-fails, and exact 2x2 minors, with no tolerance.  A uniqueness sweep
-factors its operator once and computes its discriminating residual
+one moment row per polynomial, formed once per operator, and the operator
+is held as its two s-column inner-product tables.  Its rank (two exact
+eliminations with s columns), its kernel basis (the closed-form factors,
+checked by exact 2x2 minors on the tables, or fraction-free elimination of
+the operator's rows where that check fails) and the zero-row-sum direction
+with its rank-one factors are exact, with no tolerance.  A uniqueness
+sweep factors its operator once and computes its discriminating residual
 exactly: along A = c b^T + beta U(c) b^T V(C) every node vector is a
 polynomial in c, so the residual is an exact polynomial in beta.
 Each bush identity has one body over node vectors g(c), given A(g) and
@@ -258,36 +258,6 @@ def _int_rows(rows):
     return [_scaled(row)[0] for row in rows]
 
 
-_PRIME = (1 << 61) - 1
-
-
-def _rank_mod_p(rows):
-    """Rank over GF(_PRIME) of integer rows, at most their rank over Q.
-
-    Each sparse row, as {column: entry mod p}, is reduced against the pivot
-    rows met so far; a row that does not vanish pivots on its lowest column.
-    """
-    p = _PRIME
-    pivots = {}
-    for row in rows:
-        r = {j: x % p for j, x in enumerate(row) if x % p}
-        while r:
-            c = min(r)
-            top = pivots.get(c)
-            if top is None:
-                inv = pow(r[c], -1, p)
-                pivots[c] = {j: x * inv % p for j, x in r.items()}
-                break
-            f = r[c]
-            for j, y in top.items():
-                x = (r.get(j, 0) - f * y) % p
-                if x:
-                    r[j] = x
-                else:
-                    del r[j]
-    return len(pivots)
-
-
 def _null_form(vecs, n):
     """The null vectors _eliminate gives for an operator whose kernel the integer vecs span.
 
@@ -407,26 +377,24 @@ class MOperator:
     columns follow (k-1)*s + (l-1).  matrix_exact @ vec(alpha) = w_exact
     characterizes energy preservation at this level; w_exact is kept
     separate so matrix_exact itself is the homogeneous part.  Both hold
-    Fractions.  ip_tables = (lip, rip) are the integer inner-product tables
-    the rows are formed from: row (p, q) is
-    (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d for one d > 0.
-    The operator is held as scaled_rows, one (ints, d) pair per row with
-    gcd(d, *ints) = 1; matrix_exact is built from them on access.
+    Fractions.  The operator is held as ip_tables = (lip, rip), the
+    (m-1) x s integer inner-product tables over one common denominator d > 0:
+    row (p, q) is (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d.
+    scaled_rows, one (ints, d) pair per row with gcd(d, *ints) = 1, and
+    matrix_exact are formed from the tables on each access.
     """
 
-    __slots__ = (
-        "rule", "m", "basis_kind", "rows", "scaled_rows", "w_exact", "right_family", "ip_tables"
-    )
+    __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "right_family", "ip_tables", "_den")
 
-    def __init__(self, rule, m, basis_kind, rows, scaled_rows, w_exact, right_family, ip_tables):
+    def __init__(self, rule, m, basis_kind, rows, w_exact, right_family, ip_tables, den):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "scaled_rows", tuple((tuple(r), d) for r, d in scaled_rows))
         object.__setattr__(self, "w_exact", tuple(w_exact))
         object.__setattr__(self, "right_family", tuple(right_family))
         object.__setattr__(self, "ip_tables", tuple(tuple(map(tuple, t)) for t in ip_tables))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("MOperator is immutable")
@@ -436,6 +404,17 @@ class MOperator:
             f"MOperator(s={self.rule.s}, m={self.m}, {self.basis_kind}, "
             f"{len(self.rows)}x{self.rule.s ** 2})"
         )
+
+    @property
+    def scaled_rows(self) -> tuple:
+        lip, rip = self.ip_tables
+        out = []
+        for p, q in self.rows:
+            lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
+            row = [a * y - b * x for a, b in zip(lp, lq) for x, y in zip(rp, rq)]
+            g = gcd(self._den, *row)
+            out.append((tuple(x // g for x in row), self._den // g))
+        return tuple(out)
 
     @property
     def matrix_exact(self) -> tuple:
@@ -459,12 +438,12 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
 
     One pass forms the integer moment rows <integ_q, x^j>_D, j < s, of the
     integrated polynomials G_q or F_q; rip and p~ read them, and lip reads
-    those of the left polynomials.  The right-hand side is a closed form:
-    G_1(1) = 1 and int G_1 = 1/2, int G_2 = -1/6, the other G_q(1) and
-    int G_q vanish, and so do both for F_q, q > s, as rho is orthogonal to
-    degree s-2.  So w_exact is -1/6 at row (1, 2) and 0 elsewhere, and
-    each row is checked in integers to be solved by c b^T.  Each call logs
-    one DEBUG record on `avfrk.conditions`.
+    those of the left polynomials; no s^2-wide row is formed.  The
+    right-hand side is a closed form: G_1(1) = 1 and int G_1 = 1/2,
+    int G_2 = -1/6, the other G_q(1) and int G_q vanish, and so do both for
+    F_q, q > s, as rho is orthogonal to degree s-2.  So w_exact is -1/6 at
+    row (1, 2) and 0 elsewhere; c b^T is checked in integers on the tables
+    to solve each row.  Each call logs one DEBUG record on `avfrk.conditions`.
     """
     start = perf_counter()
     s = rule.s
@@ -497,21 +476,21 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     db = lcm(*[d for _, d in fam_ints])
     Bd = [[i * x * (db // d) for i, x in enumerate(a)][1:] for a, d in fam_ints]
     rip, dr = _reduced([[sum(map(mul, a, row)) for a in Bd] for row in h], dh * db)
-    scaled_rows = []
-    for p, q in rows:
-        lp, lq, rp, rq = lip[p - 1], lip[q - 1], rip[p - 1], rip[q - 1]
-        row = [a * y - b * x for a, b in zip(lp, lq) for x, y in zip(rp, rq)]
-        # c b^T has coordinates 1/4 in slots (1,1) and (2,1): c = (P_0 + P_1)/2 and B_1' = 2
-        if 6 * (row[0] + row[s]) != (-4 * dl * dr if (p, q) == (1, 2) else 0):
+    # c b^T = (1/4) u (x) w with u = (1, 1, 0, ...) and w = (1, 0, ...): c = (P_0 + P_1)/2 and B_1' = 2
+    for (p, q), x in zip(rows, _pair_minors(rows, [sum(r[:2]) for r in lip], [r[0] for r in rip])):
+        if 6 * x != (-4 * dl * dr if (p, q) == (1, 2) else 0):
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-        g = gcd(dl * dr, *row)
-        scaled_rows.append(([x // g for x in row], dl * dr // g))
     w_exact = [Fraction(-1, 6) if pq == (1, 2) else Fraction(0) for pq in rows]
     _log.debug(
         "build_M: s %d, m %d, %s, %d rows, %.3f ms",
         s, m, kind, len(rows), 1e3 * (perf_counter() - start),
     )
-    return MOperator(rule, m, kind, rows, scaled_rows, w_exact, fam, (lip, rip))
+    return MOperator(rule, m, kind, rows, w_exact, fam, (lip, rip), dl * dr)
+
+
+def _pair_minors(rows, lu, rw):
+    """Each row (p, q), times d, applied to u (x) w: lu_p rw_q - lu_q rw_p for lu = lip u, rw = rip w."""
+    return (lu[p - 1] * rw[q - 1] - lu[q - 1] * rw[p - 1] for p, q in rows)
 
 
 def _reduced(table, d):
@@ -605,13 +584,15 @@ def _condforv(rule):
     (u, v) pairs for the two elements beyond (1-c) b^T.
     """
     s, zx = rule.s, rule.zeta_exact
-    dP = [legendre(l).derivative() for l in range(s + 1)]
+    rs = range(1, s - 1)
+    dP = [legendre(l).derivative() for l in range(2, s + 1)]
+    G = discrete_ip_table([g_poly(s + r) for r in rs], dP, rule)
+    P = discrete_ip_table([legendre(s + r - 1) for r in rs], [legendre(l) for l in range(2, s)], rule)
     v = {s: Fraction(1)}
-    for r in range(1, s - 1):
+    for r in rs:
         lo = s - r
         # t_l = <G_{s+r}, P_l'>_D + <P_{s+r-1}, P_l>_D for l = lo..s, the second term for l < s
-        (gt,) = discrete_ip_table([g_poly(s + r)], dP[lo:], rule)
-        (pt,) = discrete_ip_table([legendre(s + r - 1)], [legendre(l) for l in range(lo, s)], rule)
+        gt, pt = G[r - 1][lo - 2 :], P[r - 1][lo - 2 :]
         t = [a + b for a, b in zip(gt, pt + [0])]
         if t[0] == 0:
             raise KernelStructureError(f"zero pivot while solving for v_{lo}")
@@ -637,7 +618,7 @@ def _structural_factor_table(rule, kind):
     """Closed-form (u, v) factor pairs for ker M, case by case."""
     s, zx = rule.s, rule.zeta_exact
     one, zero = Fraction(1), Fraction(0)
-    n1 = ([one, -one] + [zero] * (s - 2), [one] + [zero] * (s - 1))
+    n1 = (([one, -one] + [zero] * (s - 2))[:s], [one] + [zero] * (s - 1))
     if kind == "even":
         return [n1]
     if s == 2:
@@ -718,7 +699,7 @@ def _structured_basis(M, nullity):
         wz = [sum(map(mul, row, vz)) for row in T]
         lu = [sum(map(mul, row, uz)) for row in lip]
         rw = [sum(map(mul, row, wz)) for row in rip]
-        if any(lu[p - 1] * rw[q - 1] - lu[q - 1] * rw[p - 1] for p, q in M.rows):
+        if any(_pair_minors(M.rows, lu, rw)):
             return None
         vecs.append(([uk * wl for uk in uz for wl in wz], du * dt * dv))
     coords = _null_form([vec for vec, _ in vecs], s * s)
@@ -755,37 +736,50 @@ def _exact_factors(M, alpha):
     return u, _solve_fraction(_legendre_derivative_columns(s), V)
 
 
+def _kernel_ranks(M):
+    """(k, r) for the operator's tables: dim ker M = r(r+1)/2 + s(k-r), see rank_kernel."""
+    s = M.rule.s
+    lip, rip = M.ip_tables
+    d = lip[0][0]
+    if not d or any(lip[i][j] * (2 * j + 1) != (d if i == j else 0) for i in range(s) for j in range(s)):
+        raise KernelStructureError("the first s rows of the left table are not diag(1/(2k+1))")
+    # R1 = d L_P^-1 R_P and R2 = d (R_rest - L_rest L_P^-1 R_P), in integers
+    R1 = [[(2 * k + 1) * x for x in row] for k, row in enumerate(rip[:s])]
+    R2 = [[d * x - sum(map(mul, a, c)) for x, c in zip(b, zip(*R1))] for a, b in zip(lip[s:], rip[s:])]
+    _, K = _eliminate(R2, s)
+    KR1 = [[sum(map(mul, kz, row)) for row in R1] for kz in _int_rows(K)]
+    return len(K), len(_eliminate(KR1, s)[0])
+
+
 def rank_kernel(M: MOperator):
     """Exact rank and kernel basis of the double-bush operator.
 
-    The rank r of M's integer rows mod a prime is at most the rank over Q.
-    A closed-form table of s^2 - r independent exact kernel elements bounds
-    it from above, so the rank is r and the table is a basis of ker M.
-    Otherwise fraction-free elimination over Q decides; its raw null
-    vectors, with exact factors where they are rank one, are flagged
-    unstructured when the table is no basis.
+    Row (p, q) applied to alpha is Y_pq - Y_qp for Y = L alpha R^T, L = lip
+    and R = rip, so ker M = {alpha : Y symmetric}.  The first s rows L_P of
+    L are diag(1/(2k+1)) (checked: every rule integrates degree 2s-2
+    exactly).  The congruence by T with T L = [I; 0] keeps symmetry and
+    gives R1 = L_P^-1 R_P and R2 = R_rest - L_rest R1: ker M = {alpha :
+    alpha R2^T = 0 and alpha R1^T symmetric}.  With k = dim ker R2, K a
+    basis of it and r = rank(K R1^T), the nullity is r(r+1)/2 + s(k-r),
+    read off no operator row.  The closed-form factor table is the basis
+    when its elements are annihilated and as many as the nullity.
+    Otherwise the operator's rows are eliminated over Q; their raw null
+    vectors, with exact factors where they are rank one, are unstructured.
     """
     s = M.rule.s
     start = perf_counter()
-    rows = [r for r, _ in M.scaled_rows]
-    rank = _rank_mod_p(rows)
-    basis = _structured_basis(M, s * s - rank)
-    path = "mod-p"
+    k, r = _kernel_ranks(M)
+    nullity = r * (r + 1) // 2 + s * (k - r)
+    basis = _structured_basis(M, nullity)
     if basis is None:
-        path = "bareiss"
-        pivots, null = _eliminate(rows, s * s)
-        if len(pivots) != rank:
-            rank = len(pivots)
-            basis = _structured_basis(M, len(null))
-    elapsed = perf_counter() - start
-    if basis is None:
+        _, null = _eliminate([row for row, _ in M.scaled_rows], s * s)
         elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
         basis = KernelBasis(elements, null, False)
     _log.debug(
-        "rank_kernel: s %d, m %d, rank %d, nullity %d, structured %s, path %s, %.3f ms",
-        s, M.m, rank, len(basis), basis.structured, path, 1e3 * elapsed,
+        "rank_kernel: s %d, m %d, rank %d, nullity %d, k %d, r %d, structured %s, %.3f ms",
+        s, M.m, s * s - nullity, len(basis), k, r, basis.structured, 1e3 * (perf_counter() - start),
     )
-    return rank, basis
+    return s * s - nullity, basis
 
 
 def expected_rank(s: int, m: int, zeta):

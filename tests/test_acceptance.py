@@ -171,7 +171,7 @@ def test_criterion_04_full_degree_rank(emit):
     ranks = []
     worst = mp.mpf(0)
     ok = True
-    for s in range(2, 13):
+    for s in range(2, 17):
         rule = quad_rule(s, 0)
         M = build_M(rule, 2 * s)
         rank, basis = rank_kernel(M)
@@ -189,7 +189,7 @@ def test_criterion_04_full_degree_rank(emit):
     assert emit(
         4,
         ok,
-        f"ranks {ranks} = s^2-1 (s = 2..12), kernel spans (1-c)b^T exactly, "
+        f"ranks {ranks} = s^2-1 (s = 2..16), kernel spans (1-c)b^T exactly, "
         f"worst double-bush residual along it (s <= {FLOAT_CHECK_S}) {mp.nstr(worst, 3)}, "
         f"{elapsed:.1f}s",
     ), (ranks, worst, elapsed)
@@ -211,7 +211,7 @@ def test_criterion_05_reduced_degree_rank(emit):
                 worst = max(worst, kernel_ray_residual(M, el.u, el.v))
         return good
 
-    for s in range(3, 13):
+    for s in range(3, 17):
         for zeta in (F(0), F(1, 2), F(1), F(2)):
             rule = quad_rule(s, zeta)
             M = build_M(rule, 2 * s - 1)
@@ -228,7 +228,7 @@ def test_criterion_05_reduced_degree_rank(emit):
                     a - b - n3.v[0] * c == 0 for a, b, c in zip(n3.v, n2.v, n1.v)
                 )
             ok = check_elements(M, basis) and ok
-    for s in range(3, 13):
+    for s in range(3, 17):
         rule = quad_rule(s, F(-1))
         M = build_M(rule, 2 * s - 1)
         rank, basis = rank_kernel(M)
@@ -246,7 +246,7 @@ def test_criterion_05_reduced_degree_rank(emit):
     assert emit(
         5,
         ok,
-        f"{n_cfg} reduced-degree configs, s = 3..12: ranks s^2-3 (generic, 3 factored kernel "
+        f"{n_cfg} reduced-degree configs, s = 3..16: ranks s^2-3 (generic, 3 factored kernel "
         f"elements) and s^2-s-1 (left endpoint, s+1 elements), each element an exact "
         f"rank-one null vector; worst double-bush residual along them (s <= {FLOAT_CHECK_S}) "
         f"{mp.nstr(worst, 3)}, {elapsed:.1f}s",
@@ -270,6 +270,8 @@ def test_criterion_06_kernel_ray_obstructions(emit):
         (10, F(0), 10, F(-(6**10), 184756**2)),
         (12, F(0), 12, F(-(6**12), 2704156**2)),
         (12, F(-1), 2, F(-4, 9)),
+        (16, F(0), 16, F(-(6**16), 601080390**2)),
+        (16, F(-1), 2, F(-4, 9)),
     ]
     off = []
     for s, zeta, k, kappa in cases:
@@ -285,7 +287,7 @@ def test_criterion_06_kernel_ray_obstructions(emit):
     assert emit(
         6,
         not off,
-        f"{len(cases)} kernel-ray sweeps, s = 2..12: each residual is exactly kappa beta^k "
+        f"{len(cases)} kernel-ray sweeps, s = 2..16: each residual is exactly kappa beta^k "
         f"with the published kappa" + (f"; off: {off}" if off else ""),
     ), off
 

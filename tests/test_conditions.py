@@ -17,7 +17,6 @@ from avfrk.conditions import (
     _eliminate,
     _exact_factors,
     _int_rows,
-    _rank_mod_p,
     _structured_basis,
     asym_bush_residual,
     build_M,
@@ -700,39 +699,6 @@ def full_rank_matrices(draw):
     return draw(st.permutations(rows)), ncols
 
 
-@st.composite
-def integer_matrices(draw):
-    """(rows, ncols): small integers, with multiples of the prime, near-multiples and rows that vanish mod it."""
-    p = conditions._PRIME
-    ncols = draw(st.integers(1, 7))
-    entry = st.one_of(
-        st.integers(-6, 6),
-        st.builds(lambda k, e: k * p + e, st.integers(-2, 2), st.integers(-1, 1)),
-    )
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
-    for _ in range(draw(st.integers(0, 2))):
-        row = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
-        rows.insert(draw(st.integers(0, len(rows))), [k * p for k in row])
-    return rows, ncols
-
-
-class TestRankModP:
-    @given(integer_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_lower_bound(self, case):
-        rows, ncols = case
-        rank_p, rank_q = _rank_mod_p(rows), len(_eliminate(rows, ncols)[0])
-        assert rank_p <= rank_q
-        # each minor of a 7 x 7 matrix with entries |x| <= 6 is below p in size
-        if all(abs(x) <= 6 for row in rows for x in row):
-            assert rank_p == rank_q
-
-    def test_vanishing_rows_drop_the_rank(self):
-        p = conditions._PRIME
-        rows = [[p, 0], [0, 1], [2 * p, -3 * p]]
-        assert _rank_mod_p(rows) == 1 and len(_eliminate(rows, 2)[0]) == 2
-
-
 class TestEliminate:
     @given(degenerate_matrices())
     @settings(max_examples=150, deadline=None)
@@ -869,7 +835,8 @@ class TestRankKernel:
     @pytest.mark.parametrize(
         "s,zeta,m",
         [(s, z, 2 * s - 1) for s in range(2, 9) for z in (Fraction(0), Fraction(1, 2), Fraction(-1))]
-        + [(s, Fraction(0), 2 * s) for s in range(2, 9)],
+        + [(s, Fraction(0), 2 * s) for s in range(2, 9)]
+        + [(s, Fraction(z), 2 * s - 1) for s in range(2, 9) for z in ("2/3", 1, "-1/2", 2)],
     )
     def test_exact_kernel(self, s, zeta, m):
         rule = quad_rule(s, zeta)
@@ -901,7 +868,9 @@ class TestRankKernel:
         M = build_M(quad_rule(3, Fraction(1, 2)), 5)
         with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
             rank, basis = rank_kernel(M)
-        assert ", path bareiss, " in caplog.records[-1].getMessage()
+        assert caplog.records[-1].getMessage().startswith(
+            "rank_kernel: s 3, m 5, rank 6, nullity 3, k 2, r 2, structured False, "
+        )
         assert rank == 6 and basis.dim == 3
         assert not basis.structured
         assert all(not el.structured for el in basis.elements)
@@ -911,19 +880,37 @@ class TestRankKernel:
         assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, False))
         assert kernel_rowsum(M) is not None
 
-    @pytest.mark.parametrize(
-        "s,zeta,m", [(3, Fraction(1, 2), 5), (4, Fraction(-1), 7), (4, Fraction(0), 8), (5, Fraction(0), 9)]
-    )
-    def test_unlucky_prime_falls_back(self, monkeypatch, caplog, s, zeta, m):
-        # a prime that drops the rank fails the table's count and ends on Bareiss, with the same result
+    @pytest.mark.parametrize("s,zeta,m", [(3, Fraction(1, 2), 5), (4, Fraction(-1), 7), (4, Fraction(0), 8)])
+    def test_structured_path_reads_no_operator_row(self, monkeypatch, s, zeta, m):
+        # the rank and the closed-form kernel come from the s-column tables alone
+        want = kernel_key(*rank_kernel(build_M(quad_rule(s, zeta), m)))
+
+        def refuse(self):
+            raise AssertionError("an operator row was formed")
+
+        monkeypatch.setattr(conditions.MOperator, "scaled_rows", property(refuse))
         M = build_M(quad_rule(s, zeta), m)
-        want = kernel_key(*rank_kernel(M))
-        monkeypatch.setattr(conditions, "_PRIME", 3)
-        assert _rank_mod_p([r for r, _ in M.scaled_rows]) < want[0]
-        with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
-            got = kernel_key(*rank_kernel(M))
-        assert ", structured True, path bareiss, " in caplog.records[-1].getMessage()
-        assert got == want
+        with pytest.raises(AssertionError, match="operator row"):
+            M.matrix_exact
+        assert kernel_key(*rank_kernel(M)) == want
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 2), (2, 1)])
+    def test_left_table_not_diagonal(self, i, j):
+        # the first s rows of lip must be diag(1/(2k+1)) over the tables' denominator
+        M = build_M(quad_rule(3, Fraction(1, 2)), 5)
+        lip, rip = M.ip_tables
+        lip = [list(row) for row in lip]
+        lip[i][j] += 1
+        bad = conditions.MOperator(M.rule, M.m, M.basis_kind, M.rows, M.w_exact, M.right_family, (lip, rip), M._den)
+        with pytest.raises(KernelStructureError, match=r"diag\(1/\(2k\+1\)\)"):
+            rank_kernel(bad)
+
+    def test_one_stage_kernel(self):
+        # (1 - c) b^T has one left coordinate at s = 1, like every vector of the one-column operator
+        rank, basis = rank_kernel(build_M(quad_rule(1, 0), 2))
+        assert rank == 0 and basis.structured
+        (el,) = basis.elements
+        assert len(basis.coords[0]) == len(el.coords) == len(el.u) == len(el.v) == 1
 
     @pytest.mark.parametrize(
         "s,zeta",
@@ -950,8 +937,8 @@ class TestRankKernel:
             rank_kernel(ops[1])
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.conditions"]
         assert len(got) == 2
-        assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, structured True, path mod-p, ")
-        assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, structured True, path mod-p, ")
+        assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, k 2, r 2, structured True, ")
+        assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, k 1, r 1, structured True, ")
         assert all(m.endswith(" ms") and float(m.split(", ")[-1][:-3]) >= 0 for m in got)
 
 
