@@ -15,18 +15,19 @@ eliminations with s columns), its kernel basis (the closed-form factors,
 checked by exact 2x2 minors on the tables, or fraction-free elimination of
 the operator's rows where that check fails) and the zero-row-sum direction
 with its rank-one factors are exact, with no tolerance.  A uniqueness
-sweep factors its operator once and computes its discriminating residual
-exactly: along A = c b^T + beta U(c) b^T V(C) every node vector is a
-polynomial in c, so the residual is an exact polynomial in beta.
-Each bush identity has one body over node vectors g(c), given A(g) and
-ip(f, g) = b^T f(C) g(c): exact polynomials g over the rule's moments, or
-g's mpf values at the polished nodes for the arbitrary s x s matrices A of
-the public residual functions.
+sweep factors its operator once and computes its residual in one pass over
+integers: on A = c b^T + beta U(c) b^T V(C) every node vector is a
+polynomial in c and beta, so the residual is one in beta.  Each bush
+identity has one body over node vectors g(c), given A(g) and ip(f, g) =
+b^T f(C) g(c): exact polynomials g over the rule's moments, polynomials in
+c and beta on a kernel ray, or g's mpf values at the polished nodes for the
+arbitrary s x s matrices A of the public residual functions.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
@@ -135,6 +136,43 @@ class _NodeValues(list):
     __rmul__ = __mul__
 
 
+class _RayPoly(defaultdict):
+    """A ray node vector {(i, j): n}, sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
+
+    def __init__(self, d, terms=()):
+        super().__init__(int, terms)
+        self.d = d
+
+    def __add__(self, other):
+        other = _ray_poly(other)
+        out = _RayPoly(lcm(self.d, other.d))
+        for p in (self, other):
+            for key, n in p.items():
+                out[key] += out.d // p.d * n
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        other = _ray_poly(other)
+        out = _RayPoly(self.d * other.d)
+        for (i, j), x in self.items():
+            for (k, l), y in other.items():
+                out[i + k, j + l] += x * y
+        return out
+
+    __rmul__ = __mul__
+
+
+def _ray_poly(x):
+    """x, a _RayPoly, UniPoly or rational, as a _RayPoly."""
+    if isinstance(x, _RayPoly):
+        return x
+    ints, d = _scaled(x.coeffs if isinstance(x, UniPoly) else [Fraction(x)])
+    return _RayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
+
+
 def _mpf_bush(rule, A):
     """(A, ip) in mpf for an s x s matrix A, converted once; call at the working precision."""
     s, b, c = rule.s, rule.b, rule.c
@@ -216,8 +254,8 @@ def _eliminate(rows, ncols):
     columns are carried: once column c has pivoted, it and the earlier pivot
     columns hold d on the diagonal and 0 elsewhere, so each row keeps the
     columns not yet reached followed by the free columns met so far, which
-    the pivot rows carry into the null vectors.  Returns (pivots, null)
-    where null holds one Fraction vector per free column f, with x_f = 1.
+    the pivot rows carry into the null vectors.  Returns (pivots, null, d):
+    null holds one integer vector per free column f, over d != 0 with x_f = 1.
     Rational rows are scaled to integers first (_int_rows).
     """
     A = [list(row) for row in rows if any(row)]
@@ -245,12 +283,12 @@ def _eliminate(rows, ncols):
         pivots.append(c)
     null = []
     for j, f in enumerate(free):
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = prev
         for row, c in zip(A, pivots):
-            x[c] = Fraction(-row[j], prev)
+            x[c] = -row[j]
         null.append(x)
-    return pivots, null
+    return pivots, null, prev
 
 
 def _int_rows(rows):
@@ -262,8 +300,8 @@ def _null_form(vecs, n):
     """The null vectors _eliminate gives for an operator whose kernel the integer vecs span.
 
     That is the reduced row-echelon form of vecs with the columns reversed,
-    unique for the row space (fraction-free Gauss-Jordan as in _eliminate).
-    Fewer rows than vecs means vecs are dependent.
+    unique for the row space (fraction-free Gauss-Jordan as in _eliminate),
+    as integer rows over one d != 0.  Fewer rows than vecs: vecs dependent.
     """
     rows, out, prev = [list(v) for v in vecs], [], 1
     for f in reversed(range(n)):
@@ -275,16 +313,16 @@ def _null_form(vecs, n):
         clear = lambda row: [(piv * x - row[f] * y) // prev for x, y in zip(row, top)]
         rows, out = [clear(row) for row in rows], [clear(row) for row in out] + [top]
         prev = piv
-    return [[Fraction(x, prev) for x in row] for row in reversed(out)]
+    return out[::-1], prev
 
 
 def _solve_fraction(rows, rhs):
     """Exact solution x of the square system rows @ x = rhs, or None if singular."""
     n = len(rows)
-    pivots, null = _eliminate(_int_rows([*r, -v] for r, v in zip(rows, rhs)), n + 1)
+    pivots, null, d = _eliminate(_int_rows([*r, -v] for r, v in zip(rows, rhs)), n + 1)
     if pivots != list(range(n)):
         return None
-    return null[0][:n]
+    return [Fraction(x, d) for x in null[0][:n]]
 
 
 def _integrated_rows(rule, qs, odd):
@@ -499,12 +537,6 @@ def _reduced(table, d):
     return [[x // g for x in row] for row in table], d // g
 
 
-def _over_common_den(table):
-    """(integer rows, d) with table = integer rows / d, for rows of Fractions."""
-    d = lcm(*[x.denominator for row in table for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in table], d
-
-
 # ---------------------------------------------------------------------------
 # rank and kernel
 
@@ -551,14 +583,15 @@ class KernelBasis:
     """Basis of ker M: the elements plus the raw independent set's coordinates.
 
     coords holds the raw null vectors vec(alpha), one per free column of the
-    eliminated operator, with a 1 in that column.
+    eliminated operator (x_f = 1), formed on access from integer rows over _den.
     """
 
-    __slots__ = ("elements", "coords", "structured")
+    __slots__ = ("elements", "_rows", "_den", "structured")
 
-    def __init__(self, elements, coords, structured):
+    def __init__(self, elements, rows, den, structured):
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "coords", tuple(tuple(a) for a in coords))
+        object.__setattr__(self, "_rows", tuple(tuple(a) for a in rows))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "structured", structured)
 
     def __setattr__(self, *a):
@@ -566,6 +599,10 @@ class KernelBasis:
 
     def __len__(self):
         return len(self.elements)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._rows)
 
     @property
     def dim(self) -> int:
@@ -646,14 +683,11 @@ def _structural_factor_table(rule, kind):
 
 
 def _factor_polys(u, v):
-    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', exact coefficients."""
-    U = UniPoly([0])
-    for k, uk in enumerate(u):
-        U = U + uk * legendre(k)
-    V = UniPoly([0])
-    for l, vl in enumerate(v, start=1):
-        V = V + vl * legendre(l).derivative()
-    return U, V
+    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', from integer Legendre columns."""
+    (uz, du), (vz, dv) = _scaled(u), _scaled(v)
+    U = [Fraction(sum(map(mul, row, uz)), du) for row in _legendre_columns(len(u), False)]
+    V = [Fraction(sum(map(mul, row, vz)), dv) for row in _legendre_columns(len(v), True)]
+    return UniPoly(U), UniPoly(V)
 
 
 @lru_cache(maxsize=256)
@@ -664,9 +698,10 @@ def _derivative_columns(polys: tuple, s):
 
 
 @lru_cache(maxsize=None)
-def _legendre_derivative_columns(s):
-    """_derivative_columns of P_1..P_s: V = sum v_l P_l' has coefficients D @ v."""
-    return _derivative_columns(tuple(legendre(l) for l in range(1, s + 1)), s)
+def _legendre_columns(s, derivative):
+    """The integer s x s matrix whose column l holds the coefficients of P_l, or of P_(l+1)'."""
+    polys = [legendre(l).derivative() if derivative else legendre(l - 1) for l in range(1, s + 1)]
+    return tuple(tuple(p.coeffs[i].numerator if i < len(p.coeffs) else 0 for p in polys) for i in range(s))
 
 
 def _structured_basis(M, nullity):
@@ -685,11 +720,11 @@ def _structured_basis(M, nullity):
     if len(table) != nullity:
         return None
     # T from one elimination of [F | -D]: column j of T is the null vector of free column s + j
-    fd = zip(_derivative_columns(M.right_family, s), _legendre_derivative_columns(s))
-    pivots, null = _eliminate(_int_rows([*f, *(-x for x in d)] for f, d in fd), 2 * s)
+    fd = zip(_derivative_columns(M.right_family, s), _legendre_columns(s, True))
+    pivots, null, d = _eliminate(_int_rows([*f, *(-x for x in d)] for f, d in fd), 2 * s)
     if pivots != list(range(s)):
         return None
-    T, dt = _over_common_den([[x[l] for x in null] for l in range(s)])
+    T, dt = _reduced([[x[l] for x in null] for l in range(s)], d)
     lip, rip = M.ip_tables
     vecs = []
     for u, v in table:
@@ -702,14 +737,14 @@ def _structured_basis(M, nullity):
         if any(_pair_minors(M.rows, lu, rw)):
             return None
         vecs.append(([uk * wl for uk in uz for wl in wz], du * dt * dv))
-    coords = _null_form([vec for vec, _ in vecs], s * s)
-    if len(coords) != nullity:
+    rows, den = _null_form([vec for vec, _ in vecs], s * s)
+    if len(rows) != nullity:
         return None
     elements = [
         KernelElement([Fraction(x, d) for x in vec], u, v, True)
         for (u, v), (vec, d) in zip(table, vecs)
     ]
-    return KernelBasis(elements, coords, True)
+    return KernelBasis(elements, rows, den, True)
 
 
 def _exact_factors(M, alpha):
@@ -733,7 +768,7 @@ def _exact_factors(M, alpha):
     if any(a[k][l] != u[k] * w[l] for k in range(s) for l in range(s)):
         return None
     V = [sum(f * wl for f, wl in zip(row, w)) for row in _derivative_columns(M.right_family, s)]
-    return u, _solve_fraction(_legendre_derivative_columns(s), V)
+    return u, _solve_fraction(_legendre_columns(s, True), V)
 
 
 def _kernel_ranks(M):
@@ -746,8 +781,8 @@ def _kernel_ranks(M):
     # R1 = d L_P^-1 R_P and R2 = d (R_rest - L_rest L_P^-1 R_P), in integers
     R1 = [[(2 * k + 1) * x for x in row] for k, row in enumerate(rip[:s])]
     R2 = [[d * x - sum(map(mul, a, c)) for x, c in zip(b, zip(*R1))] for a, b in zip(lip[s:], rip[s:])]
-    _, K = _eliminate(R2, s)
-    KR1 = [[sum(map(mul, kz, row)) for row in R1] for kz in _int_rows(K)]
+    _, K, _ = _eliminate(R2, s)
+    KR1 = [[sum(map(mul, kz, row)) // gcd(*kz) for row in R1] for kz in K]
     return len(K), len(_eliminate(KR1, s)[0])
 
 
@@ -772,9 +807,10 @@ def rank_kernel(M: MOperator):
     nullity = r * (r + 1) // 2 + s * (k - r)
     basis = _structured_basis(M, nullity)
     if basis is None:
-        _, null = _eliminate([row for row, _ in M.scaled_rows], s * s)
-        elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
-        basis = KernelBasis(elements, null, False)
+        _, null, d = _eliminate([row for row, _ in M.scaled_rows], s * s)
+        coords = [[Fraction(x, d) for x in row] for row in null]
+        elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in coords]
+        basis = KernelBasis(elements, null, d, False)
     _log.debug(
         "rank_kernel: s %d, m %d, rank %d, nullity %d, k %d, r %d, structured %s, %.3f ms",
         s, M.m, s * s - nullity, len(basis), k, r, basis.structured, 1e3 * (perf_counter() - start),
@@ -801,20 +837,20 @@ def _rowsum_element(M, basis):
     r_l = B_l(1) - B_l(0), since the rule integrates the degree < s
     derivatives B_l' exactly, and X is invertible; the intersection is
     therefore the exact null space of the s x dim(ker) system alpha_t r over
-    the basis' coordinate vectors, and its element has alpha r = 0 over Q.
+    the basis' integer rows, and its element has alpha r = 0 over Q.
     A higher-dimensional intersection raises KernelStructureError.
     """
     s = M.rule.s
-    r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
-    S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
-    _, null = _eliminate(_int_rows(S), len(basis.coords))
+    r, _ = _scaled([sum(B.coeffs[1:], Fraction(0)) for B in M.right_family])  # B(1) - B(0)
+    S = [[sum(map(mul, a[k * s : (k + 1) * s], r)) for a in basis._rows] for k in range(s)]
+    _, null, d = _eliminate(S, len(basis._rows))
     if not null:
         return None
     if len(null) != 1:
         raise KernelStructureError(
             f"row-sum kernel intersection has dimension {len(null)}, expected 1"
         )
-    return [sum(g * a[i] for g, a in zip(null[0], basis.coords)) for i in range(s * s)]
+    return [Fraction(sum(map(mul, null[0], col)), d * basis._den) for col in zip(*basis._rows)]
 
 
 def kernel_rowsum(M: MOperator):
@@ -873,17 +909,35 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
 def _ray_residual(rule, cond, degree, U, Vd):
     """The residual cond along A = c b^T + beta U(c) b^T Vd(C) as an exact polynomial in beta.
 
-    cond is (body, *args) for a bush body in the exact representation:
-    A g = c <1, g>_D + beta U <Vd, g>_D over the rule's exact moments.  The
-    residual has degree <= degree in beta; its values at beta = 0..degree
-    give the coefficients.
+    cond is (body, *args) for a bush body, run once on _RayPoly node vectors:
+    A g = x <1, g>_D + beta U <Vd, g>_D, each inner product over the rule's
+    integer moments its degree in x needs.  Degree > `degree` raises KernelStructureError.
     """
     body, *args = cond
-    ip = lambda f, g: discrete_ip_exact(f, g, rule)
-    at = lambda beta: body(lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g)), ip, *args)
-    nodes = [Fraction(k) for k in range(degree + 1)]
-    vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
-    return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))
+    bU, Vd = _RayPoly(1, [((0, 1), 1)]) * U, _ray_poly(Vd)  # beta U
+
+    def ip(f, g):
+        h = _ray_poly(f) * g
+        mu, dm = rule._moment_ints(max((i + 1 for i, _ in h), default=0))
+        out = _RayPoly(h.d * dm)
+        for (i, j), x in h.items():
+            out[0, j] += mu[i] * x
+        return out
+
+    r = body(lambda g: _MONOMIAL_X * ip(_ONE, g) + bU * ip(Vd, g), ip, *args)
+    poly = UniPoly([Fraction(r[0, j], r.d) for j in range(1 + max((j for _, j in r), default=-1))])
+    if poly.degree > degree:
+        raise KernelStructureError(f"the ray residual has degree {poly.degree} in beta, above {degree}")
+    return poly
+
+
+def _log_sweep(s, m, marks, k=None, degree=None):
+    """The sweep's DEBUG record: ms between the marks (build_M, rank_kernel, row-sum, residual), k, degree."""
+    _log.debug(
+        "uniqueness_sweep: s %d, m %d, build_M %.3f ms, rank_kernel %.3f ms, row-sum %.3f ms, "
+        "residual %.3f ms, k %s, degree %s",
+        s, m, *(1e3 * (b - a) for a, b in zip(marks, marks[1:])), k, degree,
+    )
 
 
 def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
@@ -893,11 +947,11 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     N = U(c) b^T V(C) (in the closed-form normalization where one exists,
     after checking the computed direction is a rational multiple of it) and
     computes the discriminating nonlinear residual as an exact polynomial in
-    beta.  The certificate holds when that polynomial is kappa beta^k with
+    beta, in one pass.  The certificate holds when it is kappa beta^k with
     the published k and kappa ("match" in the report); "residuals" are its
     values at the requested betas; a beta or residual that overflows a
     float, or is nonzero and rounds to a float zero, raises ValueError.
-    Even-degree rules skip the sweep: their row-sum intersection is trivial.
+    Even-degree rules skip it (a trivial row-sum intersection).  Logs one DEBUG record.
     """
     s = rule.s
     zx = rule.zeta_exact
@@ -909,8 +963,11 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         raise ValueError("betas must be finite") from None
     if any(b == 0 for b in betas):
         raise ValueError("betas must be nonzero")
+    marks = [perf_counter()]
     M = build_M(rule, m)
+    marks.append(perf_counter())
     rank, basis = rank_kernel(M)
+    marks.append(perf_counter())
     report = {
         "s": s,
         "zeta": float(rule.zeta),
@@ -927,6 +984,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         report["note"] = (
             "row-sum constraint eliminates the kernel; uniqueness holds at the linear stage"
         )
+        _log_sweep(s, m, marks + [perf_counter()] * 2)
         return report
     if alpha is None:
         raise KernelStructureError("odd case must have a row-sum kernel direction")
@@ -971,7 +1029,9 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         if not _proportional(factors, closed):
             raise KernelStructureError("row-sum kernel element is no multiple of the closed form")
         factors = closed
+    marks.append(perf_counter())
     poly = _ray_residual(rule, cond, k, *_factor_polys(*factors))
+    _log_sweep(s, m, marks + [perf_counter()], k, poly.degree)
     if poly.is_zero():
         raise KernelStructureError("the residual vanishes identically along the kernel ray")
     low = next(i for i, x in enumerate(poly.coeffs) if x)

@@ -513,9 +513,15 @@ def reference_odd_right_family(rule):
     return [legendre(l) for l in range(1, s)] + [reference_build_p_tilde(rule)]
 
 
+def _over_common_den(table):
+    """(integer rows, d) with table = integer rows / d, for rows of Fractions."""
+    d = math.lcm(*[x.denominator for row in table for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in table], d
+
+
 def reference_build_M(rule, m: int) -> dict:
     """The double-bush operator's fields rows, scaled_rows, w_exact, right_family and ip_tables."""
-    from avfrk.conditions import KernelStructureError, _over_common_den
+    from avfrk.conditions import KernelStructureError
     from avfrk.quadrature import f_poly, g_poly, legendre
 
     s = rule.s
@@ -563,3 +569,101 @@ def reference_build_M(rule, m: int) -> dict:
         "right_family": tuple(fam),
         "ip_tables": tuple(tuple(map(tuple, t)) for t in (lip, rip)),
     }
+
+
+# conditions._ray_residual and conditions._rowsum_element as they were before the
+# uniqueness sweep ran in one integer pass: k + 1 evaluations of the bush body in
+# Fraction UniPoly arithmetic with a Vandermonde solve, and the row-sum system on
+# the basis' Fraction coordinates, with the Fraction-returning _eliminate they
+# called; the reference for the one-pass residual and the integer row-sum path
+
+
+def _eliminate(rows, ncols):
+    """Exact rank, pivot columns and null space of an integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination: every entry of the
+    reduced form is a minor of the matrix, so each division by the previous
+    pivot is exact, and all pivots end equal to the last one, d.  Only live
+    columns are carried: once column c has pivoted, it and the earlier pivot
+    columns hold d on the diagonal and 0 elsewhere, so each row keeps the
+    columns not yet reached followed by the free columns met so far, which
+    the pivot rows carry into the null vectors.  Returns (pivots, null)
+    where null holds one Fraction vector per free column f, with x_f = 1.
+    Rational rows are scaled to integers first (_int_rows).
+    """
+    A = [list(row) for row in rows if any(row)]
+    pivots, free = [], []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][0]), None)
+        if p is None:
+            free.append(c)
+            A = [row[1:] + row[:1] for row in A]
+            continue
+        A[r], A[p] = A[p], A[r]
+        top = A[r]
+        piv = top[0]
+        for i, row in enumerate(A):
+            if i != r:
+                f = row[0]
+                pairs = zip(row, top)
+                next(pairs)
+                A[i] = [(piv * x - f * y) // prev for x, y in pairs]
+        A[r] = top[1:]
+        A[r + 1 :] = [row for row in A[r + 1 :] if any(row)]
+        prev = piv
+        pivots.append(c)
+    null = []
+    for j, f in enumerate(free):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(A, pivots):
+            x[c] = Fraction(-row[j], prev)
+        null.append(x)
+    return pivots, null
+
+
+def reference_rowsum_element(M, basis):
+    """Exact coordinates vec(alpha) of the zero-row-sum direction of ker M, or None.
+
+    The direction is X alpha Yb^T with X_ik = P_{k-1}(c_i) and
+    Yb_jl = b_j B_l'(c_j).  Its row sums are X (alpha r) with
+    r_l = B_l(1) - B_l(0), since the rule integrates the degree < s
+    derivatives B_l' exactly, and X is invertible; the intersection is
+    therefore the exact null space of the s x dim(ker) system alpha_t r over
+    the basis' coordinate vectors, and its element has alpha r = 0 over Q.
+    A higher-dimensional intersection raises KernelStructureError.
+    """
+    from avfrk.conditions import KernelStructureError, _int_rows
+
+    s = M.rule.s
+    r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
+    S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
+    _, null = _eliminate(_int_rows(S), len(basis.coords))
+    if not null:
+        return None
+    if len(null) != 1:
+        raise KernelStructureError(
+            f"row-sum kernel intersection has dimension {len(null)}, expected 1"
+        )
+    return [sum(g * a[i] for g, a in zip(null[0], basis.coords)) for i in range(s * s)]
+
+
+def reference_ray_residual(rule, cond, degree, U, Vd):
+    """The residual cond along A = c b^T + beta U(c) b^T Vd(C) as an exact polynomial in beta.
+
+    cond is (body, *args) for a bush body in the exact representation:
+    A g = c <1, g>_D + beta U <Vd, g>_D over the rule's exact moments.  The
+    residual has degree <= degree in beta; its values at beta = 0..degree
+    give the coefficients.
+    """
+    from avfrk.conditions import _MONOMIAL_X, _ONE, _solve_fraction
+    from avfrk.quadrature import discrete_ip_exact
+
+    body, *args = cond
+    ip = lambda f, g: discrete_ip_exact(f, g, rule)
+    at = lambda beta: body(lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g)), ip, *args)
+    nodes = [Fraction(k) for k in range(degree + 1)]
+    vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
+    return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))

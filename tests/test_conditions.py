@@ -56,6 +56,8 @@ from _util import (
     reference_build_p_tilde,
     reference_double_bush_poly_residual,
     reference_double_bush_residual,
+    reference_ray_residual,
+    reference_rowsum_element,
     reference_triple_bush_residual,
     refuse_polish,
 )
@@ -63,6 +65,12 @@ from _util import (
 ONE = UniPoly([1])
 X = UniPoly([0, 1])
 TINY = mp.mpf("1e-40")
+
+
+def eliminated(rows, ncols):
+    """_eliminate's pivots and null vectors, the integer vectors over its denominator as Fractions."""
+    pivots, null, d = _eliminate(rows, ncols)
+    return pivots, [[Fraction(x, d) for x in vec] for vec in null]
 
 
 def kernel_key(rank, basis):
@@ -704,13 +712,13 @@ class TestEliminate:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_rref(self, case):
         rows, ncols = case
-        assert _eliminate(_int_rows(rows), ncols) == fraction_rref(rows, ncols)
+        assert eliminated(_int_rows(rows), ncols) == fraction_rref(rows, ncols)
 
     @given(full_rank_matrices())
     @settings(max_examples=100, deadline=None)
     def test_full_rank(self, case):
         rows, ncols = case
-        pivots, null = _eliminate(_int_rows(rows), ncols)
+        pivots, null = eliminated(_int_rows(rows), ncols)
         assert len(pivots) == len(rows)
         assert (pivots, null) == fraction_rref(rows, ncols)
 
@@ -718,7 +726,7 @@ class TestEliminate:
     def test_operator_rows(self, s, zeta, m):
         # the operator's own integer rows: the same pivots and kernel as the Fraction reference
         M = build_M(quad_rule(s, zeta), m)
-        assert _eliminate([r for r, _ in M.scaled_rows], s * s) == fraction_rref(M.matrix_exact, s * s)
+        assert eliminated([r for r, _ in M.scaled_rows], s * s) == fraction_rref(M.matrix_exact, s * s)
 
 
 class TestExpectedRank:
@@ -848,7 +856,7 @@ class TestRankKernel:
         for vec in basis.coords + tuple(el.coords for el in basis.elements):
             assert annihilated(M, vec)
         # the certified path gives exactly what Bareiss elimination and the table give
-        pivots, null = _eliminate([r for r, _ in M.scaled_rows], s * s)
+        pivots, null = eliminated([r for r, _ in M.scaled_rows], s * s)
         assert rank == len(pivots)
         assert kernel_key(rank, basis) == kernel_key(rank, _structured_basis(M, len(null)))
         assert basis.coords == tuple(map(tuple, null))
@@ -875,9 +883,10 @@ class TestRankKernel:
         assert not basis.structured
         assert all(not el.structured for el in basis.elements)
         assert tuple(el.coords for el in basis.elements) == basis.coords
-        pivots, null = _eliminate([r for r, _ in M.scaled_rows], 9)
-        raw = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in null]
-        assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, False))
+        pivots, null, d = _eliminate([r for r, _ in M.scaled_rows], 9)
+        coords = [[Fraction(x, d) for x in vec] for vec in null]
+        raw = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in coords]
+        assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, d, False))
         assert kernel_rowsum(M) is not None
 
     @pytest.mark.parametrize("s,zeta,m", [(3, Fraction(1, 2), 5), (4, Fraction(-1), 7), (4, Fraction(0), 8)])
@@ -978,6 +987,16 @@ class TestKernelRowsum:
                 for i in range(s):
                     assert abs(mp.fsum(A[i, j] for j in range(s))) < mp.mpf("1e-38") * max_entry(A)
 
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_equal_to_reference(self, s):
+        # the integer row-sum system gives the Fraction path's direction and factors
+        for zeta in [Fraction(1, 2), Fraction(-1), Fraction(2, 3), Fraction(1), Fraction(-1, 2), Fraction(2)]:
+            M = build_M(quad_rule(s, zeta), 2 * s - 1)
+            alpha = reference_rowsum_element(M, rank_kernel(M)[1])
+            N = kernel_rowsum(M)
+            assert N.coords == tuple(alpha)
+            assert (list(N.u), list(N.v)) == _exact_factors(M, alpha)
+
 
 class TestPerturbedResiduals:
     """Quadratic blow-up of the nonlinear conditions along the kernel ray."""
@@ -1055,6 +1074,96 @@ SWEEP_BRANCHES = [
         lambda A, r: triple_bush_residual(A, r, g_poly(1), g_poly(1), X),
     ),
 ]
+
+
+@st.composite
+def ray_cases(draw):
+    """(rule, cond, degree, U, Vd): a bush body on a random rational ray, with its degree in beta."""
+    s = draw(st.integers(2, 6))
+    rule = operator_rule(s, draw(st.sampled_from(OPERATOR_ZETAS)))
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=9), min_size=1, max_size=s)
+    U, Vd = UniPoly(draw(coeffs)), UniPoly(draw(coeffs))
+    kind = draw(st.sampled_from(["double", "triple", "asym"]))
+    if kind == "double":
+        p, q = sorted(draw(st.lists(st.integers(1, s), min_size=2, max_size=2, unique=True)))
+        return rule, (conditions._double_bush, g_poly(p), g_poly(q)), 1, U, Vd
+    if kind == "triple":
+        PQ = st.sampled_from([g_poly(p) for p in range(1, s + 1)] + [X * G2])
+        return rule, (conditions._triple_bush, draw(PQ), draw(PQ), draw(st.sampled_from([ONE, X]))), 2, U, Vd
+    q = draw(st.integers(1, s))
+    return rule, (conditions._asym_bush, q), q, U, Vd
+
+
+def sweep_rays(monkeypatch, rule, m):
+    """The (rule, cond, degree, U, Vd) each _ray_residual call of uniqueness_sweep(rule, m) receives."""
+    calls, real = [], conditions._ray_residual
+    monkeypatch.setattr(conditions, "_ray_residual", lambda *a: calls.append(a) or real(*a))
+    uniqueness_sweep(rule, m)
+    monkeypatch.setattr(conditions, "_ray_residual", real)
+    return calls
+
+
+class TestRayResidual:
+    """The one-pass residual on Z[x, beta] node vectors against k + 1 evaluations and a Vandermonde solve."""
+
+    @given(ray_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_equal_to_reference(self, case):
+        assert conditions._ray_residual(*case) == reference_ray_residual(*case)
+
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_sweep_rays_equal_to_reference(self, monkeypatch, s):
+        for zeta in OPERATOR_ZETAS:
+            (case,) = sweep_rays(monkeypatch, quad_rule(s, zeta), 2 * s - 1)
+            assert conditions._ray_residual(*case) == reference_ray_residual(*case)
+
+    @pytest.mark.parametrize("s,zeta", [(2, Fraction(1, 2)), (3, Fraction(0)), (4, Fraction(-1)), (4, Fraction(2, 3))])
+    def test_degree_above_k_raised(self, monkeypatch, s, zeta):
+        # k one below the residual's true degree: an interpolant through k points would be wrong
+        (case,) = sweep_rays(monkeypatch, quad_rule(s, zeta), 2 * s - 1)
+        rule, cond, k, U, Vd = case
+        with pytest.raises(KernelStructureError, match=f"degree {k} in beta, above {k - 1}"):
+            conditions._ray_residual(rule, cond, k - 1, U, Vd)
+
+    @pytest.mark.parametrize("s,zeta", [(5, Fraction(0)), (5, Fraction(2, 3))])
+    def test_one_body_run_and_no_solve(self, monkeypatch, s, zeta):
+        (case,) = sweep_rays(monkeypatch, quad_rule(s, zeta), 2 * s - 1)
+        want = reference_ray_residual(*case)
+        runs = []
+        body, *args = case[1]
+        counted = lambda *a: runs.append(a) or body(*a)
+
+        def refuse(*a):
+            raise AssertionError("a linear system was solved")
+
+        monkeypatch.setattr(conditions, "_solve_fraction", refuse)
+        assert conditions._ray_residual(case[0], (counted, *args), *case[2:]) == want
+        assert len(runs) == 1
+
+    def test_moment_reads_at_s8(self, monkeypatch):
+        # the ray residual reads at most 2s + 1 moments: at zeta = 0, Ac has degree 2 in x and
+        # <Ac, (Ac)^(s-1)>_D degree 2s; elsewhere <Vd, x A(G_p)>_D has degree at most 2s - 1.
+        # build_M's integrated rows read 3s - 2, so a sweep reads no more than its operator needs
+        s, reads, phase = 8, {"ray": [], "operator": []}, ["operator"]
+        real_ints, real_ray = quadrature.QuadRule._moment_ints, conditions._ray_residual
+
+        def moment_ints(rule, n):
+            reads[phase[0]].append(n)
+            return real_ints(rule, n)
+
+        def ray(*a):
+            phase[0] = "ray"
+            try:
+                return real_ray(*a)
+            finally:
+                phase[0] = "operator"
+
+        monkeypatch.setattr(quadrature.QuadRule, "_moment_ints", moment_ints)
+        monkeypatch.setattr(conditions, "_ray_residual", ray)
+        for zeta in OPERATOR_ZETAS:
+            uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)
+        assert max(reads["ray"]) == 2 * s + 1
+        assert max(reads["operator"]) == 3 * s - 2
 
 
 class TestUniquenessSweep:
@@ -1184,6 +1293,24 @@ class TestUniquenessSweep:
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError):
             uniqueness_sweep(quad_rule(2, 0), 3, betas=[0, Fraction(1, 2)])
+
+    def test_logged(self, caplog):
+        # one record per call: the phase times, k and the residual's degree (none in the even case)
+        rules = [quad_rule(3, Fraction(1, 2)), quad_rule(4, 0), quad_rule(3, 0)]
+        with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
+            for rule, m in zip(rules, (5, 7, 6)):
+                uniqueness_sweep(rule, m)
+        got = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uniqueness_sweep")]
+        assert [m.split(", ")[:2] + m.split(", ")[-2:] for m in got] == [
+            ["uniqueness_sweep: s 3", "m 5", "k 2", "degree 2"],
+            ["uniqueness_sweep: s 4", "m 7", "k 4", "degree 4"],
+            ["uniqueness_sweep: s 3", "m 6", "k None", "degree None"],
+        ]
+        for m in got:
+            phases = m.split(", ")[2:6]
+            assert [p.rsplit(" ", 2)[0] for p in phases] == ["build_M", "rank_kernel", "row-sum", "residual"]
+            assert all(p.endswith(" ms") and float(p.split()[-2]) >= 0 for p in phases)
+        assert got[2].split(", ")[5] == "residual 0.000 ms"
 
     @pytest.mark.parametrize("exp, named", [(400, "1.0e-400"), (200, "1.0e-200")])
     def test_beta_underflow_rejected(self, exp, named):
