@@ -752,23 +752,36 @@ def _exact_factors(M, alpha):
 
     None means alpha is not rank one.
 
-    The s x s coordinates alpha are u (x) w exactly when every 2x2 minor
-    vanishes: u is read off a nonzero column and w off the matching row.
-    w is over the right family's derivatives B_l'; V = sum w_l B_l' is
-    solved into v over P_1'..P_s'.
+    With alpha scaled to the integer s x s matrix a, it is u (x) w exactly
+    when every 2x2 minor through a nonzero pivot a_pq vanishes:
+    a_kl a_pq = a_kq a_pl.  u is read off column q and w = a_p / a_pq off
+    row p.  w is over the right family's derivatives B_l'; V = sum w_l B_l'
+    is solved into v over P_1'..P_s', whose coefficient columns D are upper
+    triangular, by back-substitution in integers.
     """
     s = M.rule.s
-    a = [alpha[k * s : (k + 1) * s] for k in range(s)]
+    ints, _ = _scaled(alpha)
+    a = [ints[k * s : (k + 1) * s] for k in range(s)]
     piv = next(((k, l) for k in range(s) for l in range(s) if a[k][l]), None)
     if piv is None:
         return None
     k0, l0 = piv
-    u = [row[l0] for row in a]
-    w = [x / a[k0][l0] for x in a[k0]]
-    if any(a[k][l] != u[k] * w[l] for k in range(s) for l in range(s)):
+    row, p = a[k0], a[k0][l0]
+    if any(x * p != ak[l0] * y for ak in a for x, y in zip(ak, row)):
         return None
-    V = [sum(f * wl for f, wl in zip(row, w)) for row in _derivative_columns(M.right_family, s)]
-    return u, _solve_fraction(_legendre_columns(s, True), V)
+    # V = Vz / (df p) with the right family's derivative columns over one denominator df
+    cols = _derivative_columns(M.right_family, s)
+    fz, df = _scaled([x for r in cols for x in r])
+    Vz = [sum(map(mul, fz[i * s : (i + 1) * s], row)) for i in range(s)]
+    # x_l = n_l / g for l > i, then row i of D x = Vz gives x_i over g D_ii
+    D = _legendre_columns(s, True)
+    n, g = [0] * s, 1
+    for i in reversed(range(s)):
+        r = Vz[i] * g - sum(map(mul, D[i][i + 1 :], n[i + 1 :]))
+        n = [x * D[i][i] for x in n]
+        n[i] = r
+        g *= D[i][i]
+    return [alpha[k * s + l0] for k in range(s)], [Fraction(x, g * df * p) for x in n]
 
 
 def _kernel_ranks(M):

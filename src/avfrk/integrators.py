@@ -15,14 +15,16 @@ Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
 the exact polynomials, and every state is a tuple of floats.  One
-generated loop solves every step, for both phases: the iterate stays in
-local floats, and the finite check, the residual, the stops, the switch
-to Newton and the Newton steps run inline.  For the chord, the whole map
-z -> y + sum_j h b_j f(y + c_j (z - y)) is one straight-line function per
-system and float node set, inlined in its loop; the Newton matrix
-h sum_j b_j c_j J_f(Y_j) - I is generated the first time a step switches
-to Newton.  The stage path's loop is generated once per unknown count and
-calls the step's map, which evaluates f and J_f one point at a time.
+generated loop takes every step of a run, for both phases: the iterate
+stays in local floats, and the predictor, the finite check, the residual,
+the stops, the switch to Newton, the Newton steps and the update run
+inline.  For the chord the state is local floats too, and the map
+z -> y + sum_j h b_j f(y + c_j (z - y)) and the update are straight-line
+source per system and float node set, inlined in its loop; the Newton
+matrix h sum_j b_j c_j J_f(Y_j) - I is generated the first time a run
+switches to Newton.  The stage path's loop is generated once per state
+and stage count and calls the tableau's map and update, which evaluate f
+and J_f one point at a time.
 
 numpy is imported only where it is used: by a Newton iteration, whose
 linear solve is LAPACK's, and by IntegrationRun.energies, which returns an
@@ -35,7 +37,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -91,8 +93,8 @@ class SolverConfig:
 class SolverError(RuntimeError):
     """Implicit solve failed to converge.
 
-    Carries the last iterate (a tuple of floats) and residual; integrate()
-    adds the step index.
+    Carries the index of the failed step, counted from 0 in the call that
+    took it, its last iterate (a tuple of floats) and its residual.
     """
 
     def __init__(self, message, iterate=None, residual=None, step_index=None):
@@ -131,9 +133,16 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
 def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
     """Execute generated source and return its function `name`.
 
-    The source sees math.isfinite as isfinite and math.inf as inf.
+    The source sees math.isfinite as isfinite, math.inf as inf, and
+    SolverError, StepStats and _newton_update as newton_update.
     """
-    namespace: dict = {"isfinite": math.isfinite, "inf": math.inf}
+    namespace: dict = {
+        "isfinite": math.isfinite,
+        "inf": math.inf,
+        "SolverError": SolverError,
+        "StepStats": StepStats,
+        "newton_update": _newton_update,
+    }
     exec("\n".join(lines) + "\n", namespace)
     logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
     return namespace[name]
@@ -173,108 +182,137 @@ def _node_sum(n: int, nodes: tuple, updates: list, pad: str) -> list:
     return lines
 
 
-def _chord_source(name: str, n: int, nodes: tuple, weights: list, updates: list) -> list:
-    """Source of name(y, h) -> g(z), a sum over the nodes of the chord.
-
-    name(y, h) sets v_j to weights[j], an expression in h; g(z) is the
-    _node_sum of updates.  The caller appends g's return line.
-    """
-    lines = [f"def {name}(y, h):", f"    {', '.join(f'y{k}' for k in range(n))}, = y"]
-    lines += [f"    v{j} = {w}" for j, w in enumerate(weights)]
-    lines += ["    def g(z):", f"        {', '.join(f'z{k}' for k in range(n))}, = z"]
-    return lines + _node_sum(n, nodes, updates, " " * 8)
-
-
-# the solve loop on the iterate z0..z{n-1}; {phi} sets f0..f{n-1} = phi(z)
-_SWEEPS_SOURCE = """\
-    def sweeps(x, max_iterations, tol, scale, newton, allow_newton, newton_step):
-        {z}, = x
-        res = prev_res = inf
-        it = newton_iterations = 0
-        try:
-            for it in range(max_iterations + 1):
+# the loop of a whole run: n_steps steps from the state tuple y, each solved
+# on the unknowns z0..z{n-1} with f0..f{n-1} = phi(z)
+_RUN_SOURCE = """\
+def {name}(phi, final, jacobian):
+    def run(y, h, n_steps, cfg, states, stats, scale=1.0):
+        max_iterations = cfg.max_iterations
+        tol = cfg.tolerance
+        use_newton = cfg.strategy == "newton"
+        allow_newton = cfg.strategy != "fixed-point"
+        matrix = None
+{setup}
+        for k in range(n_steps):
+{start}
+            res = prev_res = inf
+            it = newton_iterations = 0
+            newton = use_newton
+            try:
+                for it in range(max_iterations + 1):
 {phi}
-                if it:
-                    if not ({finite}):
-                        return "non-finite", it, ({z},), None, inf, newton_iterations
+                    if it:
+                        if not ({finite}):
+                            return "non-finite", k, it, ({z},), None, inf
 {largest}
-                    res = scale * m
-                    if res <= tol:
-                        return "converged", it, ({z},), ({f},), res, newton_iterations
-                    if newton:
-                        {z}, = newton_step(({z},), ({f},), res)
-                        newton_iterations += 1
-                        continue
-                    if allow_newton and res > {stall!r} * prev_res:
-                        newton = True
-                    prev_res = res
+                        res = scale * m
+                        if res <= tol:
+                            break
+                        if newton:
+                            if matrix is None:
+                                matrix = jacobian()
+                            {z}, = newton_update(matrix(y, h, ({z},)), ({z},), ({f},), res)
+                            newton_iterations += 1
+                            continue
+                        if allow_newton and res > {stall!r} * prev_res:
+                            newton = True
+                        prev_res = res
 {advance}
-        except OverflowError as e:
-            return "overflow", it, ({z},), e, res, newton_iterations
-        return "exhausted", it, ({z},), None, res, newton_iterations"""
+                else:
+                    return "exhausted", k, it, ({z},), None, res
+            except OverflowError as e:
+                return "overflow", k, it, ({z},), e, res
+            except SolverError as e:
+                return "singular", k, it, e.iterate, e, e.residual
+{update}
+            states.append(y)
+            stats.append(StepStats(it, newton_iterations, res))
+    return run"""
 
 
-def _sweeps_source(n: int, phi: list) -> list:
-    """Source of sweeps(x, max_iterations, tol, scale, newton, allow_newton, newton_step).
+def _run_source(name: str, n: int, setup: list, start: list, phi: list, update: list) -> list:
+    """Source of name(phi, final, jacobian) -> run, the loop of a whole run on n unknowns.
 
-    The solve loop of _implicit_solve on n unknowns, with phi, the lines
-    that set f0..f{n-1} = phi(z), inlined; iteration 0 is the predictor,
-    unchecked.  max|f - z| is spelled out as max() computes it: the first
-    of equal values is kept and a later one replaces it only when greater.
-    It returns (status, it, x, fx, res, newton_iterations) with status
-    "converged" (fx = phi(x)), "non-finite" (res inf), "overflow" (the
-    OverflowError as fx) or "exhausted".
+    run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
+    its StepStats; it returns None, or for the first failed step k
+    (status, k, it, iterate, detail, residual), status "non-finite",
+    "exhausted", "overflow" or "singular" with the OverflowError or the
+    SolverError of _newton_update as detail.  Per step, start sets z to the
+    start of the step and iteration 0 is the predictor, unchecked.
+    Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
+    shrinks by _STALL_FACTOR, then (or from the start for "newton") Newton
+    steps with the matrix jacobian()(y, h, z), looked up once per run.
+    max|f - z| is spelled out as max() computes it: a later value replaces
+    the first only when greater.  At convergence update sets y from
+    f = phi(z).  The lines passed in come unindented.
     """
-    pad = " " * 16
-    largest = [f"{pad}    m = abs(f0 - z0)"]
+    z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
+    largest = ["m = abs(f0 - z0)"]
     for k in range(1, n):
-        largest += [f"{pad}    t = abs(f{k} - z{k})", f"{pad}    if t > m:", f"{pad}        m = t"]
-    source = _SWEEPS_SOURCE.format(
-        z=", ".join(f"z{k}" for k in range(n)),
-        f=", ".join(f"f{k}" for k in range(n)),
-        phi="\n".join(pad + line for line in phi),
+        largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
+
+    def block(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    return _RUN_SOURCE.format(
+        name=name,
+        z=z,
+        f=f,
+        setup=block(setup, 8),
+        start=block(start, 12),
+        phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
-        largest="\n".join(largest),
+        largest=block(largest, 24),
         stall=_STALL_FACTOR,
-        advance="\n".join(f"{pad}z{k} = f{k}" for k in range(n)),
-    )
-    return source.split("\n")
+        advance=block([f"z{k} = f{k}" for k in range(n)], 20),
+        update=block(update, 12),
+    ).split("\n")
 
 
 @lru_cache(maxsize=64)
-def _chord_map(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """chord(y, h) -> (phi, sweeps), phi(z) = y + sum_j (h b_j) f(y + c_j (z - y)).
+def _chord_run(sys: HamiltonianSystem, nodes: tuple) -> Callable:
+    """The run loop (_run_source) of a rank-one step on the chord.
 
-    Straight-line source generated once per system and float node set, in
-    the float operations of a loop over the nodes: w_j = h * b_j, then per
-    node x = y + c_j * (z - y) and a = a + w_j * f(x) from a = 0.0; y + a.
-    sweeps is the solve loop (_sweeps_source) generated in the same source
-    with phi inlined, without a call or a tuple per sweep.
+    Every stage is Y_j = y + c_j (z - y), so the s*d stage system collapses
+    to the d unknowns of z = phi(z) = y + sum_j (h b_j) f(Y_j), with Newton
+    matrix h sum_j b_j c_j J_f(Y_j) - I (_newton_matrix).  Generated once
+    per system and float node set, so "avf" and avf_tableau of the same
+    rule share it, with phi inlined in the float operations of a loop over
+    the nodes: v_j = h * b_j, set once per run, then per node
+    x = y + c_j * (z - y) and a = a + v_j * f(x) from a = 0.0; y + a.  The
+    state is held in y0..y{n-1}; the new state is phi at the converged
+    iterate, as on the stage path.
     """
     n = sys.dim
     x = [f"x{k}" for k in range(n)]
     f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
-    lines = _chord_source("chord", n, nodes, [f"h * {bj!r}" for _, bj in nodes], f)
-    lines += [f"        return ({', '.join(f'y{k} + a{k}' for k in range(n))},)"]
     phi = _node_sum(n, nodes, f, "") + [f"f{k} = y{k} + a{k}" for k in range(n)]
-    lines += _sweeps_source(n, phi) + ["    return g, sweeps"]
-    return _generate(lines, "chord", n, len(nodes))
+    setup = [f"{', '.join(f'y{k}' for k in range(n))}, = y"]
+    setup += [f"v{j} = h * {bj!r}" for j, (_, bj) in enumerate(nodes)]
+    update = [f"z{k} = f{k}" for k in range(n)] + phi + [f"y{k} = f{k}" for k in range(n)]
+    update += [f"y = ({', '.join(f'y{k}' for k in range(n))},)"]
+    source = _run_source("chord", n, setup, [f"z{k} = y{k}" for k in range(n)], phi, update)
+    return _generate(source, "chord", n, len(nodes))(None, None, partial(_newton_matrix, sys, nodes))
 
 
 @lru_cache(maxsize=64)
-def _stage_sweeps(n: int) -> Callable:
-    """stages(phi) -> sweeps, the solve loop (_sweeps_source) on n unknowns calling phi.
+def _stage_run(n: int, s: int) -> Callable:
+    """stages(phi, final, jacobian) -> run, the run loop (_run_source) on the s*n stage values.
 
-    Generated once per unknown count; phi takes a tuple of n floats and returns n floats.
+    Generated once per state and stage count; phi(y, h, x) and
+    final(y, h, x) are interpreted maps, x a tuple of s*n floats, and
+    jacobian() returns the Newton matrix as a function of (y, h, x).
     """
-    z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
-    lines = ["def stages(phi):"] + _sweeps_source(n, [f"{f}, = phi(({z},))"]) + ["    return sweeps"]
-    return _generate(lines, "stages", n, 1)
+    z, f = (", ".join(f"{a}{k}" for k in range(n * s)) for a in "zf")
+    source = _run_source(
+        "stages", n * s, [], [f"{z}, = y * {s}"], [f"{f}, = phi(y, h, ({z},))"], [f"y = final(y, h, ({f},))"]
+    )
+    return _generate(source, "stages", n * s, s)
 
 
 @lru_cache(maxsize=64)
 def _newton_matrix(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """newton(y, h) -> N, N(z) = sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I as rows.
+    """newton(y, h, z) -> sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I as rows.
 
     Generated on the first switch to Newton for the system and node set, in
     the operations of a loop over the nodes accumulating (h * b_j * c_j) * J_f
@@ -284,10 +322,11 @@ def _newton_matrix(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     x = [f"x{k}" for k in range(n)]
     f = sys.vector_field()
     jac = [(f"m{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
-    weights = [f"h * {bj!r} * {cj!r}" for cj, bj in nodes]
-    lines = _chord_source("newton", n, nodes, weights, jac)
+    lines = ["def newton(y, h, z):"] + [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yz"]
+    lines += [f"    v{j} = h * {bj!r} * {cj!r}" for j, (cj, bj) in enumerate(nodes)]
+    lines += _node_sum(n, nodes, jac, "    ")
     rows = (", ".join(f"m{a}_{b}" + " - 1.0" * (a == b) for b in range(n)) for a in range(n))
-    lines += [f"        return [{', '.join(f'[{r}]' for r in rows)}]", "    return g"]
+    lines += [f"    return [{', '.join(f'[{r}]' for r in rows)}]"]
     return _generate(lines, "newton", n, len(nodes))
 
 
@@ -331,7 +370,7 @@ def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
 
 
 # ---------------------------------------------------------------------------
-# implicit solve driver
+# steps
 
 
 def _newton_update(matrix, x, fx, res) -> list:
@@ -349,70 +388,12 @@ def _newton_update(matrix, x, fx, res) -> list:
     return list(map(sub, x, dx))
 
 
-def _implicit_solve(x, sweeps, newton, cfg: SolverConfig, scale: float = 1.0):
-    """Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
-
-    x is the start of the step for every unknown; phi(x) is then the Euler
-    predictor.  sweeps, the generated loop on phi (_sweeps_source), takes
-    fixed-point iterations x = phi(x) while the residual shrinks by
-    _STALL_FACTOR per iteration, and after that, or from the start for the
-    "newton" strategy, Newton steps on F(x) = phi(x) - x, where newton(x)
-    is its matrix Jphi(x) - I with the identity already subtracted.  Here
-    the loop's outcome becomes (solution, StepStats) or a SolverError: an
-    overflowing field, a non-finite iterate, a singular Newton matrix or
-    no convergence in cfg.max_iterations iterations.
-    """
-    strategy = cfg.strategy
-    status, it, x, fx, res, newton_iterations = sweeps(
-        x, cfg.max_iterations, cfg.tolerance, scale, strategy == "newton", strategy != "fixed-point",
-        lambda x, fx, res: _newton_update(newton(x), x, fx, res),
-    )
-    if status == "converged":
-        return fx, StepStats(it, newton_iterations, res)
-    if status == "overflow":
-        raise SolverError(f"field evaluation overflowed: {fx}", iterate=x, residual=res) from fx
-    if status == "non-finite":
-        message = f"non-finite iterate at iteration {it}"
-    else:
-        message = (
-            f"no convergence after {cfg.max_iterations} iterations "
-            f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})"
-        )
-    raise SolverError(message, iterate=x, residual=res)
-
-
-# ---------------------------------------------------------------------------
-# steps
-
-
-def _chord_stepper(sys: HamiltonianSystem, rule: QuadRule, scale: float) -> Callable:
-    """Rank-one step on the chord: every stage is Y_j = y + c_j (z - y).
-
-    The s*d stage system collapses to the d unknowns of the endpoint
-    z = y + h sum_j b_j f(Y_j), whose Newton matrix is
-    h sum_j b_j c_j J_f(Y_j) - I.  Both maps are generated per system and
-    float node set, so "avf" and avf_tableau of the same rule share them.
-    scale = max|c_j| makes the residual the stage system's max over stages.
-    """
-    nodes = _float_nodes(rule)
-    chord = _chord_map(sys, nodes)
-
-    def step(y, h, cfg):
-        phi, sweeps = chord(y, h)
-        z, stats = _implicit_solve(y, sweeps, lambda x: _newton_matrix(sys, nodes)(y, h)(x), cfg, scale)
-        # the update y + h b^T f(Y) at the converged stages, as the stage path
-        return phi(z), stats
-
-    return step
-
-
 def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
     """Any other tableau: the s*d stage system, stages solved simultaneously."""
     n, s = sys.dim, tab.s
     A = [[float(x) for x in row] for row in tab.A]
     b = [float(x) for x in tab.b]
     f, jac = _scalar_field(sys)
-    stages = _stage_sweeps(s * n)
 
     def at_stages(g, x):
         return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
@@ -421,39 +402,39 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
         """y + h * sum_j w_j vals_j, componentwise."""
         return [yk + h * sum(wj * v[k] for wj, v in zip(w, vals)) for k, yk in enumerate(y)]
 
-    def step(y, h, cfg):
-        def phi(x):
-            fs = at_stages(f, x)
-            return [z for row in A for z in update(y, h, row, fs)]
+    def phi(y, h, x):
+        fs = at_stages(f, x)
+        return [z for row in A for z in update(y, h, row, fs)]
 
-        def newton(x):
-            # row (i, a), column (j, c): h A_ij J_f(Y_j)_ac - delta
-            js = at_stages(jac, x)
-            return [
-                [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
-                for i in range(s)
-                for a in range(n)
-            ]
+    def newton(y, h, x):
+        # row (i, a), column (j, c): h A_ij J_f(Y_j)_ac - delta
+        js = at_stages(jac, x)
+        return [
+            [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
+            for i in range(s)
+            for a in range(n)
+        ]
 
-        sol, stats = _implicit_solve(y * s, stages(phi), newton, cfg)
-        return tuple(update(y, h, b, at_stages(f, sol))), stats
+    def final(y, h, x):
+        return tuple(update(y, h, b, at_stages(f, x)))
 
-    return step
+    return _stage_run(n, s)(phi, final, lambda: newton)
 
 
 def _resolve_stepper(sys, method) -> Callable:
-    """stepper(y, h, cfg) -> (state tuple, StepStats) for a method."""
+    """run(y, h, n_steps, cfg, states, stats) for a method, the loop of _run_source."""
     if isinstance(method, str):
         if method == "avf":
             # Gauss with s nodes integrates the degree deg H - 1 chord exactly
-            s = max(1, math.ceil(sys.H.degree() / 2))
-            return _chord_stepper(sys, _gauss_rule(s), 1.0)
+            return _chord_run(sys, _float_nodes(_gauss_rule(max(1, math.ceil(sys.H.degree() / 2)))))
         if method == "midpoint":
             return _resolve_stepper(sys, midpoint_tableau())
         raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
     if isinstance(method, ButcherTableau):
         if method.rule is not None:
-            return _chord_stepper(sys, method.rule, max(abs(float(ci)) for ci in method.c))
+            # scale = max|c_j| makes the residual the stage system's max over stages
+            scale = max(abs(float(ci)) for ci in method.c)
+            return partial(_chord_run(sys, _float_nodes(method.rule)), scale=scale)
         return _stage_stepper(sys, method)
     if isinstance(method, QuadRule):
         raise TypeError("pass avf_tableau(rule), not the rule itself")
@@ -477,10 +458,33 @@ def _checked_start(sys: HamiltonianSystem, y, h) -> tuple:
     return y, float(h)
 
 
-def _single_step(sys, method, y, h, cfg):
-    y, h = _checked_start(sys, y, h)
-    state, _ = _resolve_stepper(sys, method)(y, h, cfg or SolverConfig())
-    return state
+def _steps(sys, method, y0, h, n_steps, cfg) -> tuple:
+    """(h, states, stats) of n_steps steps from y0, h as a float.
+
+    A step k that fails raises SolverError with step_index k and a message
+    that starts with "step k: ": an overflowing field, a non-finite
+    iterate, a singular Newton matrix or no convergence in
+    cfg.max_iterations iterations.
+    """
+    y, h = _checked_start(sys, y0, h)
+    cfg = cfg or SolverConfig()
+    states, stats = [y], []
+    failure = _resolve_stepper(sys, method)(y, h, n_steps, cfg, states, stats)
+    if failure is None:
+        return h, states, stats
+    status, k, it, x, detail, res = failure
+    if status == "overflow":
+        message = f"field evaluation overflowed: {detail}"
+    elif status == "singular":
+        message = str(detail)
+    elif status == "non-finite":
+        message = f"non-finite iterate at iteration {it}"
+    else:
+        message = (
+            f"no convergence after {cfg.max_iterations} iterations "
+            f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})"
+        )
+    raise SolverError(f"step {k}: {message}", iterate=x, residual=res, step_index=k) from detail
 
 
 def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = None):
@@ -491,7 +495,7 @@ def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = Non
     quadratic H that is the one-node rule, so this coincides with the
     implicit midpoint step.
     """
-    return _single_step(sys, "avf", y, h, cfg)
+    return _steps(sys, "avf", y, h, 1, cfg)[1][-1]
 
 
 def rk_step(
@@ -502,7 +506,7 @@ def rk_step(
     cfg: SolverConfig | None = None,
 ):
     """One implicit Runge-Kutta step, as a tuple of floats; rank-one tableaux solve on the chord."""
-    return _single_step(sys, tab, y, h, cfg)
+    return _steps(sys, tab, y, h, 1, cfg)[1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +516,9 @@ def rk_step(
 class IntegrationRun:
     """Trajectory record: times, states, per-step solver stats.
 
-    Each state is a tuple of floats.  Energies are recomputed from the
-    stored states on access, never carried through the solve; an H that
-    overflows a float reads inf.
+    Each state is a tuple of floats, stored as given.  Energies are
+    recomputed from the stored states on access, never carried through the
+    solve; an H that overflows a float reads inf.
     """
 
     __slots__ = ("system", "times", "states", "solver_stats")
@@ -524,7 +528,7 @@ class IntegrationRun:
             raise ValueError("inconsistent run lengths")
         self.system = system
         self.times = tuple(times)
-        self.states = tuple(tuple(map(float, s)) for s in states)
+        self.states = tuple(states)
         self.solver_stats = tuple(solver_stats)
 
     def _energy_list(self) -> list:
@@ -557,26 +561,15 @@ def integrate(
     n_steps: int,
     cfg: SolverConfig | None = None,
 ) -> IntegrationRun:
-    """Repeated stepping from y0; method is 'avf', 'midpoint', or a tableau."""
+    """Repeated stepping from y0; method is 'avf', 'midpoint', or a tableau.
+
+    One generated loop takes every step; a failed step k raises SolverError
+    with step_index k and a message that starts with "step k: ".
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    y, h = _checked_start(sys, y0, h)
-    cfg = cfg or SolverConfig()
-    stepper = _resolve_stepper(sys, method)
-    times = [0.0]
-    states = [y]
-    stats = []
-    for k in range(n_steps):
-        try:
-            y, st = stepper(y, h, cfg)
-        except SolverError as e:
-            raise SolverError(
-                f"step {k}: {e}", iterate=e.iterate, residual=e.residual, step_index=k
-            ) from e
-        times.append((k + 1) * h)
-        states.append(y)
-        stats.append(st)
-    return IntegrationRun(sys, times, states, stats)
+    h, states, stats = _steps(sys, method, y0, h, n_steps, cfg)
+    return IntegrationRun(sys, [0.0] + [(k + 1) * h for k in range(n_steps)], states, stats)
 
 
 def write_run_csv(run: IntegrationRun, fileobj) -> None:

@@ -26,7 +26,7 @@ import json
 import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, ulp
+from math import ceil, comb, gcd, lcm, ulp
 from operator import mul
 from time import perf_counter
 from typing import Sequence
@@ -285,17 +285,30 @@ def _horner(cs, x):
     return f, df
 
 
+def _guard_digits(p: UniPoly) -> int:
+    """Digits beyond dps + 15 at which the roots of p are polished and weighed.
+
+    Horner in the monomial basis loses up to log10 sum |p_k| digits on
+    [0, 1].  The 15 digits above dps cover that, with two to spare for the
+    10^(-dps+2) stop, while sum |p_k| has at most 17 digits: every rule
+    up to s = 22 for |zeta| <= 2.  Each further digit adds a guard digit;
+    P_s alone has about 0.77 s of them.
+    """
+    return max(0, len(str(ceil(sum(map(abs, p.coeffs))))) - 17)
+
+
 def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
     """The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
 
     A safeguarded Newton iteration in floats runs first: the bracket shrinks
     by the sign of p, and a step leaving it is replaced by bisection.  Its
-    result seeds the same safeguarded Newton at dps + 15 digits, started
-    again from [lo, hi], which stops on a step below the tolerance.  For
-    s >= 24 the float seed, which evaluates p in the monomial basis, is
-    mostly rounding noise and only the safeguard keeps that Newton in the
-    bracket.  Where p has no sign change on [lo, hi] nothing is bisected,
-    and a polished root outside [lo, hi] raises QuadratureError.
+    result seeds the same safeguarded Newton at dps + 15 + _guard_digits(p)
+    digits, started again from [lo, hi], which stops on a step below the
+    tolerance.  For s >= 24 the float seed, which evaluates p in the
+    monomial basis, is mostly rounding noise and only the safeguard keeps
+    that Newton in the bracket.  Where p has no sign change on [lo, hi]
+    nothing is bisected, and a polished root outside [lo, hi] raises
+    QuadratureError.  The root is returned at those digits.
     """
     rising = p(lo) < 0
     # a step leaving [lo, hi] can bisect instead only where p changes sign on it
@@ -317,7 +330,7 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
             x = (a + b) / 2
         if abs(x - last) <= ulp(last):
             break
-    with mp.workdps(dps + 15):
+    with mp.workdps(dps + 15 + _guard_digits(p)):
         cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
         x = mp.mpf(x)
         a, b = (mp.mpf(e.numerator) / e.denominator for e in (lo, hi))
@@ -393,14 +406,15 @@ class QuadRule:
         start = perf_counter()
         s, z, dps = self.s, self.zeta_exact, self.precision_digits
         rho = legendre(s) - z * legendre(s - 1)
+        with mp.workdps(dps + 15 + _guard_digits(rho)):
+            c = sorted(_polish_root(rho, a, b, dps) for a, b in self._brackets)
+            b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
         with mp.workdps(dps + 15):
-            c = [_polish_root(rho, a, b, dps) for a, b in self._brackets]
-            c.sort()
+            c, b = [+x for x in c], [+x for x in b]
             # distinctness at working precision
             for x, y in zip(c, c[1:]):
                 if abs(y - x) < mp.mpf(10) ** (-dps + 5):
                     raise QuadratureError("repeated abscissae at working precision")
-            b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
             _validate_rule(self, c, b)
         object.__setattr__(self, "_nodes", (tuple(c), tuple(b)))
         _log.debug(

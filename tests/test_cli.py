@@ -560,7 +560,7 @@ def test_unknown_subcommand():
         ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"],
         ["conditions", "--s", "4", "--zeta", "0"],
         ["conditions", "--s", "3", "--zeta", "1/2", "--m", "6", "--format", "csv"],
-        # a rule that cannot be polished at precision 15
+        # a rule with guard digits in its polish, at a low precision
         ["conditions", "--s", "29", "--zeta", "1", "--precision", "15", "--m", "2"],
     ],
 )
@@ -572,3 +572,14 @@ def test_certificate_commands_never_polish(monkeypatch, capsys, argv):
     monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_conditions_reads_no_node(monkeypatch, capsys):
+    # the rule's own tableau needs its exact core only: QuadRule.c and .b are never read
+    def refuse(rule):
+        raise AssertionError("a rule's nodes or weights were read")
+
+    monkeypatch.setattr(quadrature.QuadRule, "c", property(refuse))
+    monkeypatch.setattr(quadrature.QuadRule, "b", property(refuse))
+    assert main(["conditions", "--s", "29", "--zeta", "1", "--precision", "15", "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["conditions"]

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from avfrk.integrators import (
     SolverConfig,
     SolverError,
     StepStats,
-    _chord_map,
+    _chord_run,
     _float_nodes,
     _newton_matrix,
     _resolve_stepper,
@@ -305,16 +304,23 @@ class TestGeneratedChord:
         z = [yk + size * rng.uniform(-0.1, 0.1) for yk in y]
         phi, newton = _node_loop(sys_, rule, y, h)
         nodes = _float_nodes(rule)
-        chord_phi, _ = _chord_map(sys_, nodes)(y, h)
-        assert _bits(chord_phi(z)) == _bits(phi(z))
-        assert _bits(_newton_matrix(sys_, nodes)(y, h)(z)) == _bits(newton(z))
+        # one sweep after the predictor ends at phi(phi(y)); the new state would be phi of it
+        cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="fixed-point")
+        states, stats = [tuple(y)], []
+        failure = _chord_run(sys_, nodes)(tuple(y), h, 1, cfg, states, stats)
+        x = phi(phi(y))
+        if failure is None:
+            assert _bits(states[-1]) == _bits(phi(x))
+        else:
+            assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
+        assert _bits(_newton_matrix(sys_, nodes)(y, h, z)) == _bits(newton(z))
 
     def test_avf_and_tableau_share_one_chord_map(self):
         sys_ = _fresh_system(11)
-        before = _chord_map.cache_info().misses
+        before = _chord_run.cache_info().misses
         integrate(sys_, "avf", [0.3, 0.2], 0.05, 5)
         integrate(sys_, avf_tableau(quad_rule(2, 0)), [0.3, 0.2], 0.05, 5)
-        assert _chord_map.cache_info().misses == before + 1
+        assert _chord_run.cache_info().misses == before + 1
 
     def test_newton_matrix_generated_only_for_newton(self):
         sys_ = _fresh_system(12)
@@ -326,15 +332,15 @@ class TestGeneratedChord:
         assert _newton_matrix.cache_info().misses == before.misses + 1
 
     def test_results_survive_eviction(self):
-        size = _chord_map.cache_info().maxsize
+        size = _chord_run.cache_info().maxsize
         systems = [_fresh_system(100 + k, 1 + k % 2, 3 + k % 4) for k in range(size + 6)]
         y0s = [[0.1 + 0.01 * j for j in range(sys_.dim)] for sys_ in systems]
         cfg = SolverConfig(strategy="newton")
         first = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
-        assert _chord_map.cache_info().currsize == size
-        misses = _chord_map.cache_info().misses
+        assert _chord_run.cache_info().currsize == size
+        misses = _chord_run.cache_info().misses
         again = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
-        assert _chord_map.cache_info().misses > misses  # the early systems were evicted
+        assert _chord_run.cache_info().misses > misses  # the early systems were evicted
         for a, b in zip(first, again):
             assert _bits(a) == _bits(b)
 
@@ -360,25 +366,68 @@ def _outcome(sys_, method, y0, h, n, cfg):
     return states, [(st.iterations, st.newton_iterations, float.hex(st.residual)) for st in run.solver_stats]
 
 
+def _interpreted_stage_step(sys_, tab, y, h, cfg):
+    """One step of the s*d stage system by the interpreted solve: (state, StepStats)."""
+    n, s = sys_.dim, tab.s
+    A = [[float(x) for x in row] for row in tab.A]
+    b = [float(x) for x in tab.b]
+    f, jac = _scalar_field(sys_)
+
+    def at_stages(g, x):
+        return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
+
+    def update(w, vals):
+        return [yk + h * sum(wj * v[k] for wj, v in zip(w, vals)) for k, yk in enumerate(y)]
+
+    def phi(x):
+        fs = at_stages(f, x)
+        return [z for row in A for z in update(row, fs)]
+
+    def newton(x):
+        js = at_stages(jac, x)
+        return [
+            [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
+            for i in range(s)
+            for a in range(n)
+        ]
+
+    sol, stats = reference_implicit_solve(y * s, phi, newton, cfg)
+    return tuple(update(b, at_stages(f, sol))), stats
+
+
+def _interpreted_step(sys_, method, y, h, cfg):
+    """One step by the interpreted solve on the interpreted maps: (state, StepStats).
+
+    Rank-one methods solve on the chord with the per-node loops of
+    _node_loop, the residual scaled by max|c_j| for a tableau.
+    """
+    if method == "midpoint":
+        method = midpoint_tableau()
+    if method == "avf":
+        rule, scale = _rule(max(1, math.ceil(sys_.H.degree() / 2)), F(0)), 1.0
+    elif method.rule is not None:
+        rule, scale = method.rule, max(abs(float(c)) for c in method.c)
+    else:
+        return _interpreted_stage_step(sys_, method, y, h, cfg)
+    phi, newton = _node_loop(sys_, rule, y, h)
+    z, stats = reference_implicit_solve(y, phi, newton, cfg, scale)
+    return tuple(phi(z)), stats
+
+
 def _reference_outcome(sys_, method, y0, h, n, cfg):
-    """_outcome with every implicit solve run by the interpreted loop the sweeps replace."""
-    maps = []  # the map phi of the step being solved, taken where its loop is made
-    chord_map, stage_sweeps = integrators._chord_map, integrators._stage_sweeps
-
-    def chord(sys_, nodes):
-        def at(y, h):
-            phi, sweeps = chord_map(sys_, nodes)(y, h)
-            maps.append(phi)
-            return phi, sweeps
-
-        return at
-
-    def stages(n):
-        return lambda phi: maps.append(phi) or stage_sweeps(n)(phi)
-
-    solve = lambda x, sweeps, newton, cfg, scale=1.0: reference_implicit_solve(x, maps[-1], newton, cfg, scale)
-    with mock.patch.multiple(integrators, _implicit_solve=solve, _chord_map=chord, _stage_sweeps=stages):
-        return _outcome(sys_, method, y0, h, n, cfg)
+    """_outcome of n steps, each taken by _interpreted_step."""
+    y = tuple(map(float, y0))
+    states, stats = [y], []
+    for k in range(n):
+        try:
+            y, st = _interpreted_step(sys_, method, y, h, cfg)
+        except SolverError as e:
+            return f"step {k}: {e}", k, float.hex(e.residual), tuple(map(float.hex, e.iterate))
+        states.append(y)
+        stats.append(st)
+    return [tuple(map(float.hex, y)) for y in states], [
+        (st.iterations, st.newton_iterations, float.hex(st.residual)) for st in stats
+    ]
 
 
 # step sizes and whether the harmonic oscillator's solve switches to Newton at them
@@ -457,7 +506,7 @@ class TestGeneratedSweeps:
         assert any(newton for _, newton, _ in got[1]) == switches
 
     def test_stage_loop_generated_once_per_unknown_count(self, caplog):
-        integrators._stage_sweeps.cache_clear()
+        integrators._stage_run.cache_clear()
         tableaux = [
             ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79], 30),
             ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7], 30),
@@ -469,6 +518,73 @@ class TestGeneratedSweeps:
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
         assert len([m for m in got if m.startswith("generated stages: dim 4, ")]) == 1
         assert not any(m.startswith("generated chord") for m in got)
+
+
+# H = p^2/2 - q^4 from (1, 0.5) at h = 0.1 runs away; no step after step 5 converges
+RUNAWAY = sys1({(0, 2): F(1, 2), (4, 0): F(-1)})
+
+
+class TestWholeRun:
+    """integrate takes every step in one generated loop; it must agree with
+    single steps chained through avf_step and rk_step, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        half_dim=st.integers(1, 2),
+        degree=st.integers(2, 6),
+        method=st.sampled_from(["avf", "midpoint", (2, F(0)), (3, F(-1)), "stages"]),
+        size=st.sampled_from([1e-2, 1.0, 1e1]),
+        h=st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
+        n=st.integers(1, 6),
+        strategy=st.sampled_from(["fixed-point+newton", "fixed-point", "newton"]),
+    )
+    def test_matches_chained_steps(self, seed, half_dim, degree, method, size, h, n, strategy):
+        rng = random.Random(seed)
+        sys_ = _perturbed_well(rng, half_dim, degree)
+        if method == "stages":
+            method = random_A_tableau(rng, _rule(2, F(0)))
+        elif isinstance(method, tuple):
+            method = avf_tableau(_rule(*method))
+        y = tuple(size * rng.uniform(-1, 1) for _ in range(sys_.dim))
+        cfg = SolverConfig(strategy=strategy, max_iterations=20)
+        states = [y]
+        try:
+            for k in range(n):
+                y = avf_step(sys_, y, h, cfg) if method == "avf" else rk_step(sys_, method, y, h, cfg)
+                states.append(y)
+        except SolverError as e:
+            with pytest.raises(SolverError) as exc_info:
+                integrate(sys_, method, states[0], h, n, cfg)
+            got = exc_info.value
+            assert e.step_index == 0 and got.step_index == k
+            assert str(got) == f"step {k}: " + str(e).removeprefix("step 0: ")
+            assert _bits(got.iterate) == _bits(e.iterate) and _bits(got.residual) == _bits(e.residual)
+            return
+        assert _bits(integrate(sys_, method, states[0], h, n, cfg).states) == _bits(states)
+
+    @pytest.mark.parametrize(
+        "method, k, iterate, residual",
+        [
+            ("avf", 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272e0p+8"), "0x1.8000000000000p-43"),
+            ("midpoint", 8, ("-0x1.e8a5594fe98bcp+6", "-0x1.866fa68fa7168p+12"), "0x1.0000000000000p-41"),
+            ((2, F(0)), 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272e0p+8"), "0x1.2ed9eba16132ap-43"),
+        ],
+    )
+    def test_late_failure_carries_its_step(self, method, k, iterate, residual):
+        # the values the per-step driver gave before the run loop was generated
+        if isinstance(method, tuple):
+            method = avf_tableau(_rule(*method))
+        with pytest.raises(SolverError) as exc_info:
+            integrate(RUNAWAY, method, [1.0, 0.5], 0.1, 20)
+        err = exc_info.value
+        assert err.step_index == k
+        assert str(err).startswith(f"step {k}: no convergence after 100 iterations (residual ")
+        assert tuple(map(float.hex, err.iterate)) == iterate
+        assert float.hex(err.residual) == residual
+        assert _outcome(RUNAWAY, method, [1.0, 0.5], 0.1, 20, SolverConfig()) == _reference_outcome(
+            RUNAWAY, method, [1.0, 0.5], 0.1, 20, SolverConfig()
+        )
 
 
 class TestSolverFailure:

@@ -415,6 +415,28 @@ class TestNodePolish:
         # reading c polishes and validates all 2s quadrature conditions to 10^-45
         assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, rule._brackets))
 
+    @pytest.mark.parametrize(
+        "s, zeta, dps",
+        [(30, Fraction(0), 15), (29, Fraction(1), 15), (30, Fraction(1, 2), 50), (40, Fraction(0), 30)],
+    )
+    def test_guard_digits_polish_large_rules(self, s, zeta, dps):
+        # without guard digits Horner's cancellation left these Newton iterations short of the stop
+        rule = quad_rule(s, zeta, dps)
+        rho = legendre(s) - zeta * legendre(s - 1)
+        assert quadrature._guard_digits(rho) > 0
+        # reading c polishes and validates all quadrature conditions to 10^-(dps-5)
+        assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, rule._brackets))
+        with mp.workdps(dps + 15):
+            assert all(+x == x for x in rule.c + rule.b)  # rounded back to the working precision
+        if zeta == 1:
+            assert abs(rule.c[-1] - 1) <= mp.mpf(10) ** (-dps + 5)
+
+    def test_no_guard_digits_up_to_s_22(self):
+        # so the polished bits of those rules are those of the safeguarded Newton alone
+        for s in range(1, 23):
+            for zeta in (0, Fraction(1, 2), -1, Fraction(2, 3), 1, Fraction(-1, 2), 2):
+                assert quadrature._guard_digits(legendre(s) - zeta * legendre(s - 1)) == 0, (s, zeta)
+
     def test_root_outside_bracket_is_refused(self):
         p = UniPoly([3, -4, 1])  # (x - 1)(x - 3): Newton from [0, 1/2] converges to 1
         with pytest.raises(QuadratureError, match="left the isolating bracket"):
