@@ -215,13 +215,9 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-def _format_factor(vec, args):
-    if vec is None:
-        return None
-    out = []
-    for x in vec:
-        out.append(str(x) if isinstance(x, (int, Fraction)) else _dec(x, args))
-    return out
+def _format_factor(vec):
+    """An exact factor's Fractions as strings, or None."""
+    return None if vec is None else [str(x) for x in vec]
 
 
 def cmd_rank(args) -> int:
@@ -244,8 +240,8 @@ def cmd_rank(args) -> int:
         factors.append(
             {
                 "structured": el.structured,
-                "u": _format_factor(el.u, args),
-                "v": _format_factor(el.v, args),
+                "u": _format_factor(el.u),
+                "v": _format_factor(el.v),
             }
         )
     doc = {

@@ -360,16 +360,21 @@ def build_p_tilde(rule: QuadRule) -> UniPoly:
     s = rule.s
     if s < 2:
         raise ValueError("need s >= 2")
-    return _p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True))
+    return _legendre_sum(_p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True)))
 
 
 def _p_tilde(rule, high, d):
-    """build_p_tilde from high, the moment rows of F_{s+1}..F_{2s-2} over d."""
+    """build_p_tilde's coordinates v over P_1..P_s, as Fractions.
+
+    high holds the moment rows of F_{s+1}..F_{2s-2} over d, and gamma =
+    d <F_(s+r), P_l'>_D, l = 1..s, applies the P_l' coefficient columns to
+    them.  v_1 = 1, and v solves gamma v = 0 and sum(v) = 0; both are
+    checked on v.
+    """
     s, zx = rule.s, rule.zeta_exact
     if zx == -1:
-        return legendre(s) - legendre(s - 1)
-    # d <F_(s+r), P_l'>_D for l = 1..s, and the row sum(v) = 0
-    dP = [[i * c.numerator for i, c in enumerate(legendre(l).coeffs)][1:] for l in range(1, s + 1)]
+        return [Fraction(0)] * (s - 2) + [Fraction(-1), Fraction(1)]
+    dP = list(zip(*_legendre_columns(s, True)))
     gamma = [[sum(map(mul, a, h)) for a in dP] for h in high] + [[1] * s]
     vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
     if vbar is None:
@@ -378,33 +383,35 @@ def _p_tilde(rule, high, d):
             f"matrix rows {gamma}, the F rows over {d}"
         )
     v = [Fraction(1)] + vbar
-    pt = UniPoly([0])
-    for l, vl in enumerate(v, start=1):
-        pt = pt + vl * legendre(l)
-    pd, dv = _scaled(pt.derivative().coeffs)
-    for r, h in enumerate(high, start=1):
-        if ip := sum(map(mul, pd, h)):
+    vz, dv = _scaled(v)
+    for r, row in enumerate(gamma[:-1], start=1):
+        if ip := sum(map(mul, row, vz)):
             raise KernelStructureError(f"orthogonality against F_{s + r} failed: {Fraction(ip, d * dv)}")
-    if sum(v) != 0:
+    if sum(vz) != 0:
         raise KernelStructureError("coefficients do not sum to zero")
-    return pt
+    return v
 
 
-def _odd_right_family(rule, high, d):
-    """Right-basis polynomials for m = 2s-1, slot l holding degree-l members.
+def _right_coords(rule, kind, high, d):
+    """The right family B_1..B_s as its coordinates over P_1..P_s: the columns of C.
 
-    The final slot takes the substituted polynomial (from high, as in
-    _p_tilde); at zeta = 0 that polynomial has degree 2, so slot 2 is
-    reassigned P_s to keep the family spanning (for s = 2 the plain pair
-    already spans).
+    C is the identity (B_l = P_l) except in the odd case, where the last
+    slot holds p~ (from high, as in _p_tilde); at zeta = 0 that polynomial
+    has degree 2, so slot 2 holds P_s to keep the family spanning (for
+    s = 2 the plain pair already spans, and p~ is not formed).
     """
-    s = rule.s
-    fam = [legendre(l) for l in range(1, s)]
-    if rule.zeta_exact == 0:
-        if s == 2:
-            return fam + [legendre(2)]
-        fam[1] = legendre(s)
-    return fam + [_p_tilde(rule, high, d)]
+    s, one, zero = rule.s, Fraction(1), Fraction(0)
+    cols = [[one if k == l else zero for k in range(s)] for l in range(s)]
+    if kind == "odd" and (s > 2 or rule.zeta_exact != 0):
+        if rule.zeta_exact == 0:
+            cols[1] = cols[s - 1]
+        cols[-1] = _p_tilde(rule, high, d)
+    return cols
+
+
+def _legendre_sum(v):
+    """sum v_l P_l over l = 1..len(v), a UniPoly."""
+    return sum((legendre(l) * x for l, x in enumerate(v, start=1) if x), UniPoly([0]))
 
 
 class MOperator:
@@ -418,19 +425,21 @@ class MOperator:
     Fractions.  The operator is held as ip_tables = (lip, rip), the
     (m-1) x s integer inner-product tables over one common denominator d > 0:
     row (p, q) is (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d.
-    scaled_rows, one (ints, d) pair per row with gcd(d, *ints) = 1, and
-    matrix_exact are formed from the tables on each access.
+    The right family is held as coords, its Legendre coordinates: coords[l]
+    is column l of C, B_(l+1) = sum_k C_kl P_k, as Fractions.  right_family
+    (the B_l as UniPolys), scaled_rows, one (ints, d) pair per row with
+    gcd(d, *ints) = 1, and matrix_exact are formed on each access.
     """
 
-    __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "right_family", "ip_tables", "_den")
+    __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "ip_tables", "_coords", "_den")
 
-    def __init__(self, rule, m, basis_kind, rows, w_exact, right_family, ip_tables, den):
+    def __init__(self, rule, m, basis_kind, rows, w_exact, coords, ip_tables, den):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "w_exact", tuple(w_exact))
-        object.__setattr__(self, "right_family", tuple(right_family))
+        object.__setattr__(self, "_coords", tuple(map(tuple, coords)))
         object.__setattr__(self, "ip_tables", tuple(tuple(map(tuple, t)) for t in ip_tables))
         object.__setattr__(self, "_den", den)
 
@@ -442,6 +451,10 @@ class MOperator:
             f"MOperator(s={self.rule.s}, m={self.m}, {self.basis_kind}, "
             f"{len(self.rows)}x{self.rule.s ** 2})"
         )
+
+    @property
+    def right_family(self) -> tuple:
+        return tuple(map(_legendre_sum, self._coords))
 
     @property
     def scaled_rows(self) -> tuple:
@@ -475,13 +488,16 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     pairs plus the substituted right family, so it needs s >= 2.
 
     One pass forms the integer moment rows <integ_q, x^j>_D, j < s, of the
-    integrated polynomials G_q or F_q; rip and p~ read them, and lip reads
-    those of the left polynomials; no s^2-wide row is formed.  The
-    right-hand side is a closed form: G_1(1) = 1 and int G_1 = 1/2,
-    int G_2 = -1/6, the other G_q(1) and int G_q vanish, and so do both for
-    F_q, q > s, as rho is orthogonal to degree s-2.  So w_exact is -1/6 at
-    row (1, 2) and 0 elsewhere; c b^T is checked in integers on the tables
-    to solve each row.  Each call logs one DEBUG record on `avfrk.conditions`.
+    integrated polynomials G_q or F_q.  p~ reads its rows q > s through the
+    P_l' coefficient columns D; rip reads them all through D C, with C the
+    right family's coordinates over P_1..P_s (_right_coords), so rip is the
+    Legendre-derivative table times C.  lip reads the moment rows of the
+    left polynomials; no s^2-wide row is formed.  The right-hand side is a closed form: G_1(1) = 1 and
+    int G_1 = 1/2, int G_2 = -1/6, the other G_q(1) and int G_q vanish, and
+    so do both for F_q, q > s, as rho is orthogonal to degree s-2.  So
+    w_exact is -1/6 at row (1, 2) and 0 elsewhere; c b^T is checked in
+    integers on the tables to solve each row.  Each call logs one DEBUG
+    record on `avfrk.conditions`.
     """
     start = perf_counter()
     s = rule.s
@@ -502,7 +518,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         raise ValueError(f"m must be {2 * s} or {2 * s - 1} for s = {s}")
     # h[q-1][j] = dh <integ_q, x^j>_D for the integrated polynomials G_q or F_q
     h, dh = _integrated_rows(rule, range(1, m), kind == "odd")
-    fam = [legendre(l) for l in range(1, s + 1)] if kind == "even" else _odd_right_family(rule, h[s:], dh)
+    coords = _right_coords(rule, kind, h[s:], dh)
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
     # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
     # as integers over the common denominators dl and dr
@@ -510,10 +526,11 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     hl, dm = _moment_rows(left, rule, s)
     lip, dl = _reduced([[sum(map(mul, a, row)) for a in left[:s]] for row in hl], dm)
     lip += [[0] * s for _ in range(n_left, m - 1)]
-    fam_ints = [_scaled(B.coeffs) for B in fam]  # the derivatives B' over one denominator db
-    db = lcm(*[d for _, d in fam_ints])
-    Bd = [[i * x * (db // d) for i, x in enumerate(a)][1:] for a, d in fam_ints]
-    rip, dr = _reduced([[sum(map(mul, a, row)) for a in Bd] for row in h], dh * db)
+    # the coefficient columns D C of the B_l' over one denominator dc, D those of the P_l'
+    cz, dc = _scaled([x for col in coords for x in col])
+    D = _legendre_columns(s, True)
+    DC = [[sum(map(mul, row, cz[l * s : (l + 1) * s])) for row in D] for l in range(s)]
+    rip, dr = _reduced([[sum(map(mul, a, col)) for col in DC] for a in h], dh * dc)
     # c b^T = (1/4) u (x) w with u = (1, 1, 0, ...) and w = (1, 0, ...): c = (P_0 + P_1)/2 and B_1' = 2
     for (p, q), x in zip(rows, _pair_minors(rows, [sum(r[:2]) for r in lip], [r[0] for r in rip])):
         if 6 * x != (-4 * dl * dr if (p, q) == (1, 2) else 0):
@@ -523,7 +540,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         "build_M: s %d, m %d, %s, %d rows, %.3f ms",
         s, m, kind, len(rows), 1e3 * (perf_counter() - start),
     )
-    return MOperator(rule, m, kind, rows, w_exact, fam, (lip, rip), dl * dr)
+    return MOperator(rule, m, kind, rows, w_exact, coords, (lip, rip), dl * dr)
 
 
 def _pair_minors(rows, lu, rw):
@@ -690,13 +707,6 @@ def _factor_polys(u, v):
     return UniPoly(U), UniPoly(V)
 
 
-@lru_cache(maxsize=256)
-def _derivative_columns(polys: tuple, s):
-    """The s x len(polys) matrix whose column l holds the coefficients of polys[l]', as tuples."""
-    derivs = [B.derivative().coeffs for B in polys]
-    return tuple(tuple(d[i] if i < len(d) else 0 for d in derivs) for i in range(s))
-
-
 @lru_cache(maxsize=None)
 def _legendre_columns(s, derivative):
     """The integer s x s matrix whose column l holds the coefficients of P_l, or of P_(l+1)'."""
@@ -708,8 +718,8 @@ def _structured_basis(M, nullity):
     """The closed-form factor table as a KernelBasis of ker M, or None if it is no exact basis.
 
     V = sum v_l P_l' is rewritten over the right family's derivatives B_l'
-    as exact coordinates w = T v, with T = F^-1 D for the coefficient
-    columns F of the B_l' and D of the P_l', so vec(u (x) w) are the pair's
+    as exact coordinates w = T v, with T = C^-1 for the family's Legendre
+    coordinates C (B_l' = sum_k C_kl P_k'), so vec(u (x) w) are the pair's
     operator coordinates; the table is a basis of ker M when each of them
     is annihilated exactly and together they have rank = nullity.  The
     basis' coords are their _null_form.
@@ -719,9 +729,9 @@ def _structured_basis(M, nullity):
     table = _structural_factor_table(rule, M.basis_kind)
     if len(table) != nullity:
         return None
-    # T from one elimination of [F | -D]: column j of T is the null vector of free column s + j
-    fd = zip(_derivative_columns(M.right_family, s), _legendre_columns(s, True))
-    pivots, null, d = _eliminate(_int_rows([*f, *(-x for x in d)] for f, d in fd), 2 * s)
+    # T from one elimination of [C | -I]: column j of T is the null vector of free column s + j
+    CI = [[*row, *(-int(i == j) for j in range(s))] for i, row in enumerate(zip(*M._coords))]
+    pivots, null, d = _eliminate(_int_rows(CI), 2 * s)
     if pivots != list(range(s)):
         return None
     T, dt = _reduced([[x[l] for x in null] for l in range(s)], d)
@@ -755,9 +765,8 @@ def _exact_factors(M, alpha):
     With alpha scaled to the integer s x s matrix a, it is u (x) w exactly
     when every 2x2 minor through a nonzero pivot a_pq vanishes:
     a_kl a_pq = a_kq a_pl.  u is read off column q and w = a_p / a_pq off
-    row p.  w is over the right family's derivatives B_l'; V = sum w_l B_l'
-    is solved into v over P_1'..P_s', whose coefficient columns D are upper
-    triangular, by back-substitution in integers.
+    row p.  w is over the right family's derivatives B_l', so V = sum w_l B_l'
+    has the coordinates v = C w over P_1'..P_s'.
     """
     s = M.rule.s
     ints, _ = _scaled(alpha)
@@ -769,19 +778,7 @@ def _exact_factors(M, alpha):
     row, p = a[k0], a[k0][l0]
     if any(x * p != ak[l0] * y for ak in a for x, y in zip(ak, row)):
         return None
-    # V = Vz / (df p) with the right family's derivative columns over one denominator df
-    cols = _derivative_columns(M.right_family, s)
-    fz, df = _scaled([x for r in cols for x in r])
-    Vz = [sum(map(mul, fz[i * s : (i + 1) * s], row)) for i in range(s)]
-    # x_l = n_l / g for l > i, then row i of D x = Vz gives x_i over g D_ii
-    D = _legendre_columns(s, True)
-    n, g = [0] * s, 1
-    for i in reversed(range(s)):
-        r = Vz[i] * g - sum(map(mul, D[i][i + 1 :], n[i + 1 :]))
-        n = [x * D[i][i] for x in n]
-        n[i] = r
-        g *= D[i][i]
-    return [alpha[k * s + l0] for k in range(s)], [Fraction(x, g * df * p) for x in n]
+    return [alpha[k * s + l0] for k in range(s)], [sum(map(mul, c, row)) / p for c in zip(*M._coords)]
 
 
 def _kernel_ranks(M):
@@ -848,13 +845,15 @@ def _rowsum_element(M, basis):
     The direction is X alpha Yb^T with X_ik = P_{k-1}(c_i) and
     Yb_jl = b_j B_l'(c_j).  Its row sums are X (alpha r) with
     r_l = B_l(1) - B_l(0), since the rule integrates the degree < s
-    derivatives B_l' exactly, and X is invertible; the intersection is
-    therefore the exact null space of the s x dim(ker) system alpha_t r over
-    the basis' integer rows, and its element has alpha r = 0 over Q.
+    derivatives B_l' exactly, and X is invertible.  As P_k(1) = 1 and
+    P_k(0) = (-1)^k, r_l = 2 sum_{k odd} C_kl over the family's Legendre
+    coordinates C.  The intersection is therefore the exact null space of
+    the s x dim(ker) system alpha_t r over the basis' integer rows, and its
+    element has alpha r = 0 over Q.
     A higher-dimensional intersection raises KernelStructureError.
     """
     s = M.rule.s
-    r, _ = _scaled([sum(B.coeffs[1:], Fraction(0)) for B in M.right_family])  # B(1) - B(0)
+    r, _ = _scaled([2 * sum(c[::2]) for c in M._coords])
     S = [[sum(map(mul, a[k * s : (k + 1) * s], r)) for a in basis._rows] for k in range(s)]
     _, null, d = _eliminate(S, len(basis._rows))
     if not null:

@@ -74,6 +74,9 @@ _STALL_FACTOR = 0.5
 # the scans in the tests and the benchmark take a few thousand
 MAX_SCAN_STEPS = 10**6
 
+# the reference run of a convergence scan takes REF_FACTOR times the steps of its finest h
+REF_FACTOR = 20
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -594,9 +597,8 @@ def convergence_errors(
     t_end: float,
     h_list: Sequence[float],
     cfg: SolverConfig | None = None,
-    ref_factor: int = 20,
 ):
-    """Final-time max-norm errors against a reference run at much smaller h.
+    """Final-time max-norm errors against a reference run at REF_FACTOR times smaller h.
 
     Step counts are rounded so every run lands exactly on t_end; returns a
     list of (effective h, error) pairs.  Every h and t_end must be positive
@@ -621,9 +623,9 @@ def convergence_errors(
             f"need at least 3 distinct step sizes for a slope fit, got {len(set(pairs))}"
         )
     q_ref = t_end / min(pairs)
-    if not math.isfinite(ref_factor * q_ref):
+    if not math.isfinite(REF_FACTOR * q_ref):
         raise ValueError(f"reference step count is not finite for h = {min(pairs)!r}")
-    n_ref = ref_factor * max(1, round(q_ref))
+    n_ref = REF_FACTOR * max(1, round(q_ref))
     if sum(counts) + n_ref > MAX_SCAN_STEPS:
         raise ValueError(f"the scan, reference run included, takes more than {MAX_SCAN_STEPS} steps")
     cfg = cfg or SolverConfig()
@@ -642,10 +644,9 @@ def convergence_order(
     t_end: float,
     h_list: Sequence[float],
     cfg: SolverConfig | None = None,
-    ref_factor: int = 20,
 ) -> float:
     """Least-squares slope of log error versus log h."""
-    return log_log_slope(convergence_errors(sys, method, y0, t_end, h_list, cfg, ref_factor))
+    return log_log_slope(convergence_errors(sys, method, y0, t_end, h_list, cfg))
 
 
 def log_log_slope(pts) -> float:

@@ -13,7 +13,6 @@ from avfrk.conditions import (
     KernelBasis,
     KernelElement,
     KernelStructureError,
-    _derivative_columns,
     _eliminate,
     _exact_factors,
     _int_rows,
@@ -595,7 +594,9 @@ class TestBuildM:
         # m = 2s-1 at zeta = 0 only because slot 2 holds P_s in place of P_2)
         for s, zeta, m in [(3, 0, 6), (3, 0, 5), (4, 0, 7), (4, Fraction(1, 2), 7), (4, -1, 7)]:
             M = build_M(quad_rule(s, zeta), m)
-            assert len(_eliminate(_int_rows(_derivative_columns(M.right_family, s)), s)[0]) == s
+            derivs = [B.derivative().coeffs for B in M.right_family]
+            cols = [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
+            assert len(_eliminate(_int_rows(cols), s)[0]) == s
 
     @pytest.mark.parametrize("s, zeta", [(3, Fraction(0)), (5, Fraction(-1)), (16, Fraction(1, 2))])
     def test_rows_independent_of_held_moments(self, s, zeta):
@@ -903,6 +904,29 @@ class TestRankKernel:
             M.matrix_exact
         assert kernel_key(*rank_kernel(M)) == want
 
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_no_path_forms_the_family_polynomials(self, monkeypatch, s):
+        # the operator, kernel, row-sum direction and sweep read the family's Legendre coordinates alone
+        zetas = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3), Fraction(1), Fraction(-1, 2), Fraction(2)]
+        cases = [(z, m) for z in zetas for m in [2 * s - 1] + [2 * s] * (z == 0)]
+
+        def certify(zeta, m):
+            rule = quad_rule(s, zeta)
+            M = build_M(rule, m)
+            N = kernel_rowsum(M)
+            row_sum = None if N is None else (N.coords, N.u, N.v, N.structured)
+            return kernel_key(*rank_kernel(M)), row_sum, uniqueness_sweep(rule, m)
+
+        want = [certify(*case) for case in cases]
+
+        def refuse(self):
+            raise AssertionError("the right family's polynomials were formed")
+
+        monkeypatch.setattr(conditions.MOperator, "right_family", property(refuse))
+        with pytest.raises(AssertionError, match="polynomials were formed"):
+            build_M(quad_rule(s, Fraction(1, 2)), 2 * s - 1).right_family
+        assert [certify(*case) for case in cases] == want
+
     @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 2), (2, 1)])
     def test_left_table_not_diagonal(self, i, j):
         # the first s rows of lip must be diag(1/(2k+1)) over the tables' denominator
@@ -910,7 +934,7 @@ class TestRankKernel:
         lip, rip = M.ip_tables
         lip = [list(row) for row in lip]
         lip[i][j] += 1
-        bad = conditions.MOperator(M.rule, M.m, M.basis_kind, M.rows, M.w_exact, M.right_family, (lip, rip), M._den)
+        bad = conditions.MOperator(M.rule, M.m, M.basis_kind, M.rows, M.w_exact, M._coords, (lip, rip), M._den)
         with pytest.raises(KernelStructureError, match=r"diag\(1/\(2k\+1\)\)"):
             rank_kernel(bad)
 
