@@ -296,6 +296,11 @@ def _int_rows(rows):
     return [_scaled(row)[0] for row in rows]
 
 
+def _primitive(rows):
+    """Each integer row divided by its content, the gcd of its entries, which Bareiss minors would carry."""
+    return [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
+
+
 def _null_form(vecs, n):
     """The null vectors _eliminate gives for an operator whose kernel the integer vecs span.
 
@@ -319,7 +324,7 @@ def _null_form(vecs, n):
 def _solve_fraction(rows, rhs):
     """Exact solution x of the square system rows @ x = rhs, or None if singular."""
     n = len(rows)
-    pivots, null, d = _eliminate(_int_rows([*r, -v] for r, v in zip(rows, rhs)), n + 1)
+    pivots, null, d = _eliminate(_primitive(_int_rows([*r, -v] for r, v in zip(rows, rhs))), n + 1)
     if pivots != list(range(n)):
         return None
     return [Fraction(x, d) for x in null[0][:n]]
@@ -791,7 +796,7 @@ def _kernel_ranks(M):
     # R1 = d L_P^-1 R_P and R2 = d (R_rest - L_rest L_P^-1 R_P), in integers
     R1 = [[(2 * k + 1) * x for x in row] for k, row in enumerate(rip[:s])]
     R2 = [[d * x - sum(map(mul, a, c)) for x, c in zip(b, zip(*R1))] for a, b in zip(lip[s:], rip[s:])]
-    _, K, _ = _eliminate(R2, s)
+    _, K, _ = _eliminate(_primitive(R2), s)
     KR1 = [[sum(map(mul, kz, row)) // gcd(*kz) for row in R1] for kz in K]
     return len(K), len(_eliminate(KR1, s)[0])
 

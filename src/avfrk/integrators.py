@@ -21,14 +21,16 @@ the stops, the switch to Newton, the Newton steps and the update run
 inline.  For the chord the state is local floats too, and the map
 z -> y + sum_j h b_j f(y + c_j (z - y)) and the update are straight-line
 source per system and float node set, inlined in its loop; the Newton
-matrix h sum_j b_j c_j J_f(Y_j) - I is generated the first time a run
-switches to Newton.  The stage path's loop is generated once per state
-and stage count and calls the tableau's map and update, which evaluate f
-and J_f one point at a time.
+step, the matrix h sum_j b_j c_j J_f(Y_j) - I and its solve, is generated
+the first time a run switches to Newton.  The stage path's loop is
+generated once per state and stage count and calls the tableau's map and
+update, which evaluate f and J_f one point at a time.
 
-numpy is imported only where it is used: by a Newton iteration, whose
-linear solve is LAPACK's, and by IntegrationRun.energies, which returns an
-array.  Importing the module, and stepping without Newton, loads none.
+Every Newton step solves its linear system by Gaussian elimination with
+partial pivoting, straight-line source per unknown count from one
+generator (_elimination_lines).  Stepping imports no array library:
+IntegrationRun.energies, which returns an array, is the one place that
+does.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp
@@ -122,7 +123,7 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
 
     The sum of its monomials x_j**e_j * ... * coeff in sorted term order;
     "0.0" for the zero polynomial.  float ** int raises OverflowError where
-    numpy returns inf.
+    an array power returns inf.
     """
     terms = []
     for exps, coeff in sorted(p.terms.items()):
@@ -136,16 +137,10 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
 def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
     """Execute generated source and return its function `name`.
 
-    The source sees math.isfinite as isfinite, math.inf as inf, and
-    SolverError, StepStats and _newton_update as newton_update.
+    The source sees math.isfinite as isfinite, math.inf as inf, SolverError
+    and StepStats.
     """
-    namespace: dict = {
-        "isfinite": math.isfinite,
-        "inf": math.inf,
-        "SolverError": SolverError,
-        "StepStats": StepStats,
-        "newton_update": _newton_update,
-    }
+    namespace = dict(isfinite=math.isfinite, inf=math.inf, SolverError=SolverError, StepStats=StepStats)
     exec("\n".join(lines) + "\n", namespace)
     logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
     return namespace[name]
@@ -154,7 +149,7 @@ def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
 def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     """Plain-float evaluator of a tuple of polynomials, one point per call.
 
-    Arrays of a few entries cost more in numpy dispatch than this does in
+    Arrays of a few entries cost more in dispatch than this does in
     arithmetic.
     """
     names = [f"x{j}" for j in range(nv)]
@@ -188,13 +183,13 @@ def _node_sum(n: int, nodes: tuple, updates: list, pad: str) -> list:
 # the loop of a whole run: n_steps steps from the state tuple y, each solved
 # on the unknowns z0..z{n-1} with f0..f{n-1} = phi(z)
 _RUN_SOURCE = """\
-def {name}(phi, final, jacobian):
+def {name}(phi, final, newton_step):
     def run(y, h, n_steps, cfg, states, stats, scale=1.0):
         max_iterations = cfg.max_iterations
         tol = cfg.tolerance
         use_newton = cfg.strategy == "newton"
         allow_newton = cfg.strategy != "fixed-point"
-        matrix = None
+        step = None
 {setup}
         for k in range(n_steps):
 {start}
@@ -212,9 +207,9 @@ def {name}(phi, final, jacobian):
                         if res <= tol:
                             break
                         if newton:
-                            if matrix is None:
-                                matrix = jacobian()
-                            {z}, = newton_update(matrix(y, h, ({z},)), ({z},), ({f},), res)
+                            if step is None:
+                                step = newton_step()
+                            {z}, = step(y, h, ({z},), ({f},), res)
                             newton_iterations += 1
                             continue
                         if allow_newton and res > {stall!r} * prev_res:
@@ -234,17 +229,18 @@ def {name}(phi, final, jacobian):
 
 
 def _run_source(name: str, n: int, setup: list, start: list, phi: list, update: list) -> list:
-    """Source of name(phi, final, jacobian) -> run, the loop of a whole run on n unknowns.
+    """Source of name(phi, final, newton_step) -> run, the loop of a whole run on n unknowns.
 
     run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
     its StepStats; it returns None, or for the first failed step k
     (status, k, it, iterate, detail, residual), status "non-finite",
     "exhausted", "overflow" or "singular" with the OverflowError or the
-    SolverError of _newton_update as detail.  Per step, start sets z to the
-    start of the step and iteration 0 is the predictor, unchecked.
+    SolverError of a singular Newton matrix as detail.  Per step, start sets
+    z to the start of the step and iteration 0 is the predictor, unchecked.
     Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
     shrinks by _STALL_FACTOR, then (or from the start for "newton") Newton
-    steps with the matrix jacobian()(y, h, z), looked up once per run.
+    steps z = newton_step()(y, h, z, f, res), the step looked up once per
+    run.
     max|f - z| is spelled out as max() computes it: a later value replaces
     the first only when greater.  At convergence update sets y from
     f = phi(z).  The lines passed in come unindented.
@@ -278,7 +274,7 @@ def _chord_run(sys: HamiltonianSystem, nodes: tuple) -> Callable:
 
     Every stage is Y_j = y + c_j (z - y), so the s*d stage system collapses
     to the d unknowns of z = phi(z) = y + sum_j (h b_j) f(Y_j), with Newton
-    matrix h sum_j b_j c_j J_f(Y_j) - I (_newton_matrix).  Generated once
+    matrix h sum_j b_j c_j J_f(Y_j) - I (_chord_newton).  Generated once
     per system and float node set, so "avf" and avf_tableau of the same
     rule share it, with phi inlined in the float operations of a loop over
     the nodes: v_j = h * b_j, set once per run, then per node
@@ -295,16 +291,16 @@ def _chord_run(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     update = [f"z{k} = f{k}" for k in range(n)] + phi + [f"y{k} = f{k}" for k in range(n)]
     update += [f"y = ({', '.join(f'y{k}' for k in range(n))},)"]
     source = _run_source("chord", n, setup, [f"z{k} = y{k}" for k in range(n)], phi, update)
-    return _generate(source, "chord", n, len(nodes))(None, None, partial(_newton_matrix, sys, nodes))
+    return _generate(source, "chord", n, len(nodes))(None, None, partial(_chord_newton, sys, nodes))
 
 
 @lru_cache(maxsize=64)
 def _stage_run(n: int, s: int) -> Callable:
-    """stages(phi, final, jacobian) -> run, the run loop (_run_source) on the s*n stage values.
+    """stages(phi, final, newton_step) -> run, the run loop (_run_source) on the s*n stage values.
 
     Generated once per state and stage count; phi(y, h, x) and
     final(y, h, x) are interpreted maps, x a tuple of s*n floats, and
-    jacobian() returns the Newton matrix as a function of (y, h, x).
+    newton_step() returns the Newton step as a function of (y, h, x, f, res).
     """
     z, f = (", ".join(f"{a}{k}" for k in range(n * s)) for a in "zf")
     source = _run_source(
@@ -313,23 +309,67 @@ def _stage_run(n: int, s: int) -> Callable:
     return _generate(source, "stages", n * s, s)
 
 
-@lru_cache(maxsize=64)
-def _newton_matrix(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """newton(y, h, z) -> sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I as rows.
+def _elimination_lines(n: int) -> list:
+    """Lines that return z - dx, with a @ dx = f - z, from the locals a{i}_{j}, z{k}, f{k}, res.
 
-    Generated on the first switch to Newton for the system and node set, in
-    the operations of a loop over the nodes accumulating (h * b_j * c_j) * J_f
-    from 0.0, minus 1.0 on the diagonal.
+    Straight-line Gaussian elimination with partial pivoting on r = f - z:
+    column k pivots on the first row i >= k with the largest |a_ik|
+    (LAPACK's tie rule), swapped into row k; each row i below it takes
+    l = a_ik / a_kk, a_ij = a_ij - l * a_kj for j > k and r_i = r_i - l * r_k.
+    Back-substitution sets r_k = (r_k - a_k,k+1 * r_k+1 - ...) / a_kk from the
+    last row up, and dx = r.  An exactly zero pivot raises SolverError
+    "Newton matrix is singular: zero pivot in column k" at iterate z.
+    """
+    z = ", ".join(f"z{k}" for k in range(n))
+    lines = [f"r{k} = f{k} - z{k}" for k in range(n)]
+    for k in range(n):
+        row = lambda i: ", ".join([f"a{i}_{j}" for j in range(k, n)] + [f"r{i}"])
+        lines += [f"m = abs(a{k}_{k})", f"p = {k}"] if k < n - 1 else []
+        for i in range(k + 1, n):
+            lines += [f"t = abs(a{i}_{k})", "if t > m:", "    m = t", f"    p = {i}"]
+        for i in range(k + 1, n):
+            swap = f"{row(k)}, {row(i)} = {row(i)}, {row(k)}"
+            lines += [f"{'el' * (i > k + 1)}if p == {i}:", f"    {swap}"]
+        message = f"Newton matrix is singular: zero pivot in column {k}"
+        lines += [f"if not a{k}_{k}:", f"    raise SolverError({message!r}, iterate=({z},), residual=res)"]
+        for i in range(k + 1, n):
+            lines += [f"l = a{i}_{k} / a{k}_{k}", f"r{i} = r{i} - l * r{k}"]
+            lines += [f"a{i}_{j} = a{i}_{j} - l * a{k}_{j}" for j in range(k + 1, n)]
+    for k in reversed(range(n)):
+        terms = "".join(f" - a{k}_{j} * r{j}" for j in range(k + 1, n))
+        lines += [f"r{k} = (r{k}{terms}) / a{k}_{k}"]
+    return lines + [f"return ({', '.join(f'z{k} - r{k}' for k in range(n))},)"]
+
+
+@lru_cache(maxsize=64)
+def _solve(n: int) -> Callable:
+    """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by _elimination_lines."""
+    rows = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(n))})" for i in range(n))
+    lines = ["def solve(rows, z, f, res):", f"    {rows}, = rows"]
+    lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "zf"]
+    lines += ["    " + line for line in _elimination_lines(n)]
+    return _generate(lines, "solve", n, 0)
+
+
+@lru_cache(maxsize=64)
+def _chord_newton(sys: HamiltonianSystem, nodes: tuple) -> Callable:
+    """newton(y, h, z, f, res) -> z - dx, (sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I) dx = f - z.
+
+    Generated on the first switch to Newton for the system and node set: the
+    matrix in the operations of a loop over the nodes accumulating
+    (h * b_j * c_j) * J_f from 0.0, minus 1.0 on the diagonal, then the
+    elimination of _elimination_lines.
     """
     n = sys.dim
     x = [f"x{k}" for k in range(n)]
     f = sys.vector_field()
-    jac = [(f"m{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
-    lines = ["def newton(y, h, z):"] + [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yz"]
+    jac = [(f"a{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
+    lines = ["def newton(y, h, z, f, res):"]
+    lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yzf"]
     lines += [f"    v{j} = h * {bj!r} * {cj!r}" for j, (cj, bj) in enumerate(nodes)]
     lines += _node_sum(n, nodes, jac, "    ")
-    rows = (", ".join(f"m{a}_{b}" + " - 1.0" * (a == b) for b in range(n)) for a in range(n))
-    lines += [f"    return [{', '.join(f'[{r}]' for r in rows)}]"]
+    lines += [f"    a{k}_{k} = a{k}_{k} - 1.0" for k in range(n)]
+    lines += ["    " + line for line in _elimination_lines(n)]
     return _generate(lines, "newton", n, len(nodes))
 
 
@@ -376,21 +416,6 @@ def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
 # steps
 
 
-def _newton_update(matrix, x, fx, res) -> list:
-    """x - dx with matrix @ dx = fx - x, the Newton iterate, solved by LAPACK.
-
-    numpy is imported here, on the first Newton iteration of the process.
-    A singular matrix ends the solve with SolverError at iterate x.
-    """
-    import numpy as np
-
-    try:
-        dx = np.linalg.solve(matrix, list(map(sub, fx, x))).tolist()
-    except np.linalg.LinAlgError as e:
-        raise SolverError(f"Newton matrix is singular: {e}", iterate=tuple(x), residual=res) from e
-    return list(map(sub, x, dx))
-
-
 def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
     """Any other tableau: the s*d stage system, stages solved simultaneously."""
     n, s = sys.dim, tab.s
@@ -409,14 +434,15 @@ def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
         fs = at_stages(f, x)
         return [z for row in A for z in update(y, h, row, fs)]
 
-    def newton(y, h, x):
+    def newton(y, h, x, fx, res):
         # row (i, a), column (j, c): h A_ij J_f(Y_j)_ac - delta
         js = at_stages(jac, x)
-        return [
+        rows = [
             [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
             for i in range(s)
             for a in range(n)
         ]
+        return _solve(n * s)(rows, x, fx, res)
 
     def final(y, h, x):
         return tuple(update(y, h, b, at_stages(f, x)))

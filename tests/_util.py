@@ -9,7 +9,7 @@ from mpmath import mp
 
 from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
-from avfrk.integrators import _STALL_FACTOR, SolverConfig, SolverError, StepStats, _newton_update
+from avfrk.integrators import _STALL_FACTOR, SolverConfig, SolverError, StepStats
 from avfrk.quadrature import QuadratureError, UniPoly, _exact_fraction, _horner, _scaled
 from avfrk.trees import ButcherTableau
 
@@ -335,6 +335,40 @@ def reference_asym_bush_residual(A, rule, q: int):
         return t1 - q * t2 + q * t3 - mp.mpf(2) ** (-q)
 
 
+def reference_newton_step(matrix, x, fx, res) -> list:
+    """x - dx with matrix @ dx = fx - x, in the float operations integrators._elimination_lines documents.
+
+    Gaussian elimination with partial pivoting on r = fx - x: the pivot of
+    column k is the first row with the largest |a_ik| at or below k, swapped
+    into row k; each row i below takes l = a_ik / a_kk, a_ij - l * a_kj for
+    j > k and r_i - l * r_k.  Back-substitution from the last row subtracts
+    a_kj * r_j left to right and divides by a_kk.  An exactly zero pivot
+    raises SolverError at iterate x.
+    """
+    n = len(x)
+    a = [list(row) for row in matrix]
+    r = list(map(sub, fx, x))
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        a[k], a[p], r[k], r[p] = a[p], a[k], r[p], r[k]
+        if not a[k][k]:
+            raise SolverError(f"Newton matrix is singular: zero pivot in column {k}", iterate=tuple(x), residual=res)
+        for i in range(k + 1, n):
+            l = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - l * a[k][j]
+            r[i] = r[i] - l * r[k]
+    for k in reversed(range(n)):
+        t = r[k]
+        for j in range(k + 1, n):
+            t = t - a[k][j] * r[j]
+        r[k] = t / a[k][k]
+    return list(map(sub, x, r))
+
+
 def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
     """integrators._implicit_solve as it was before the chord sweeps were generated.
 
@@ -364,7 +398,7 @@ def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1
             if res <= cfg.tolerance:
                 return fx, StepStats(it, newton_iters, res)
             if use_newton:
-                x = _newton_update(newton(x), x, fx, res)
+                x = reference_newton_step(newton(x), x, fx, res)
                 newton_iters += 1
             else:
                 x = fx

@@ -484,7 +484,7 @@ class TestOrder:
 
 
 # Runs in a fresh interpreter: numpy stays unloaded by the import and by every
-# command that takes no Newton step, and the first Newton step loads it.
+# command, Newton steps and a singular Newton matrix included.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 import avfrk
@@ -492,28 +492,36 @@ assert "numpy" not in sys.modules, "import avfrk"
 from avfrk.cli import main
 
 ham, saddle = sys.argv[1], sys.argv[2]
-fixed_point = ["integrate", ham, "--y0", "0.3,0.2", "--h", "0.05", "--steps", "200"]
+run = ["integrate", ham, "--y0", "0.3,0.2", "--steps", "200"]
+newton_totals = []
 for argv in (
     ["quad", "--s", "3", "--zeta", "1/2"],
+    ["tableau", "--s", "3"],
+    ["conditions", "--s", "3"],
     ["rank", "--s", "4"],
     ["uniqueness", "--s", "3"],
-    fixed_point,
+    ["order", ham, "--y0", "0.3,0.2", "--t-end", "1.0", "--hs", "0.1,0.05,0.025"],
+    run + ["--h", "0.05"],
+    run + ["--h", "1.5"],
+    run + ["--h", "1.5", "--method", "midpoint"],
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
-assert json.loads(out.getvalue())["newton_iterations_total"] == 0
+    if argv[0] == "integrate":
+        newton_totals.append(json.loads(out.getvalue())["newton_iterations_total"])
+assert newton_totals[0] == 0 and all(newton_totals[1:]), newton_totals
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
     code = main(["integrate", saddle, "--y0", "1,0", "--h", "2", "--steps", "3"])
 assert code == 5, code
-assert "solver failed at step 0: Newton matrix is singular" in err.getvalue()
-assert "numpy" in sys.modules
+assert "solver failed at step 0: Newton matrix is singular: zero pivot in column 1" in err.getvalue()
+assert "numpy" not in sys.modules
 """
 
 
-def test_numpy_loaded_only_by_a_newton_step(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     # the cli workload's kind of system: a harmonic well with a quartic perturbation
     ham = {
         "half_dim": 1,

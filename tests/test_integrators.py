@@ -19,9 +19,10 @@ from avfrk.integrators import (
     StepStats,
     _chord_run,
     _float_nodes,
-    _newton_matrix,
+    _chord_newton,
     _resolve_stepper,
     _scalar_field,
+    _solve,
     avf_step,
     avf_tableau,
     convergence_errors,
@@ -34,7 +35,7 @@ from avfrk.integrators import (
 )
 from avfrk.quadrature import quad_rule
 from avfrk.trees import ButcherTableau
-from _util import random_A_tableau, random_system, reference_implicit_solve
+from _util import random_A_tableau, random_system, reference_implicit_solve, reference_newton_step
 
 F = Fraction
 
@@ -237,7 +238,7 @@ def _rule(s, zeta):
 
 
 def _node_loop(sys_, rule, y, h):
-    """The per-node loops the generated maps replace: (phi, Newton matrix)."""
+    """The per-node loops the generated maps replace: (phi, Newton matrix as rows)."""
     nodes = _float_nodes(rule)
     f, jac = _scalar_field(sys_)
     n = sys_.dim
@@ -257,7 +258,7 @@ def _node_loop(sys_, rule, y, h):
         for cj, hbj in weighted:
             Jf = jac(*[yk + cj * dk for yk, dk in zip(y, d)])
             acc = [a + hbj * cj * v for a, v in zip(acc, Jf)]
-        return np.reshape(acc, (n, n)) - np.eye(n)
+        return (np.reshape(acc, (n, n)) - np.eye(n)).tolist()
 
     return phi, newton
 
@@ -283,8 +284,9 @@ def _fresh_system(seed, half_dim=1, degree=4):
 
 
 class TestGeneratedChord:
-    """The chord map and Newton matrix are generated per system and float
-    node set; they must do the float operations of the per-node loop."""
+    """The chord map and Newton step are generated per system and float
+    node set; they must do the float operations of the per-node loop, the
+    Newton step with the reference elimination."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -313,7 +315,9 @@ class TestGeneratedChord:
             assert _bits(states[-1]) == _bits(phi(x))
         else:
             assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
-        assert _bits(_newton_matrix(sys_, nodes)(y, h, z)) == _bits(newton(z))
+        fz = phi(z)
+        step = _chord_newton(sys_, nodes)(tuple(y), h, tuple(z), tuple(fz), 0.5)
+        assert _bits(step) == _bits(reference_newton_step(newton(z), z, fz, 0.5))
 
     def test_avf_and_tableau_share_one_chord_map(self):
         sys_ = _fresh_system(11)
@@ -324,12 +328,12 @@ class TestGeneratedChord:
 
     def test_newton_matrix_generated_only_for_newton(self):
         sys_ = _fresh_system(12)
-        before = _newton_matrix.cache_info()
+        before = _chord_newton.cache_info()
         run = integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="fixed-point"))
         assert sum(st.newton_iterations for st in run.solver_stats) == 0
-        assert _newton_matrix.cache_info() == before
+        assert _chord_newton.cache_info() == before
         integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="newton"))
-        assert _newton_matrix.cache_info().misses == before.misses + 1
+        assert _chord_newton.cache_info().misses == before.misses + 1
 
     def test_results_survive_eviction(self):
         size = _chord_run.cache_info().maxsize
@@ -354,6 +358,71 @@ class TestGeneratedChord:
         assert got[1].startswith("generated newton: dim 4, 3 nodes, ")
         assert all(m.endswith(" source lines") for m in got)
         assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
+
+
+def _solved(rows, rhs):
+    """dx with rows @ dx = rhs by the generated elimination, from z = 0."""
+    n = len(rhs)
+    return [-v for v in _solve(n)(rows, (0.0,) * n, tuple(rhs), 0.5)]
+
+
+class TestElimination:
+    """The generated elimination of every Newton step (_solve shares its
+    lines with the chord's step) against LAPACK and the reference order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_backward_stable_against_lapack(self, n, data):
+        # rows of a strictly diagonally dominant matrix, shuffled: condition number below 3n,
+        # and every column's pivot is a row swap away
+        unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+        rows = [[data.draw(unit) for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = data.draw(st.sampled_from([-1.0, 1.0])) * (n + abs(data.draw(unit)) * n)
+        rows = data.draw(st.permutations(rows))
+        rhs = [data.draw(st.floats(-1e3, 1e3, allow_subnormal=False)) for _ in range(n)]
+        got = _solved(rows, rhs)
+        assert _bits(got) == _bits([-v for v in reference_newton_step(rows, [0.0] * n, rhs, 0.5)])
+        # normwise backward error, its residual in exact arithmetic
+        resid = max(abs(F(b) - sum(F(a) * F(x) for a, x in zip(row, got))) for row, b in zip(rows, rhs))
+        norm_a = max(sum(map(abs, row)) for row in rows)
+        assert resid <= 8 * n * F(2.0**-52) * (F(norm_a) * F(max(map(abs, got))) + F(max(map(abs, rhs))))
+        ref = np.linalg.solve(rows, rhs)
+        cond = np.linalg.cond(rows, np.inf)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 2 * cond * 8 * n * 2.0**-52 * np.max(np.abs(ref)) + 1e-300
+
+    def test_first_largest_row_pivots(self):
+        # |a_00| = |a_10|: row 0 pivots, and pivoting on row 1 would round x_0 differently
+        rows, rhs = [[1.0, 0.1], [-1.0, 0.3]], [0.7, 0.1]
+
+        def pivot_on(a, b, r):
+            l = b[0] / a[0]
+            x1 = (r[1] - l * r[0]) / (b[1] - l * a[1])
+            return [(r[0] - a[1] * x1) / a[0], x1]
+
+        assert _solved(rows, rhs) == pivot_on(*rows, rhs) == [0.5, 1.9999999999999998]
+        assert pivot_on(rows[1], rows[0], rhs[::-1]) != pivot_on(*rows, rhs)
+
+    @pytest.mark.parametrize(
+        "rows, column",
+        [
+            ([[0.0, 1.0], [0.0, 2.0]], 0),
+            ([[-0.0, 1.0], [0.0, 2.0]], 0),
+            ([[1.0, 2.0], [2.0, 4.0]], 1),  # row 1 pivots, and 2 - (1/2) * 4 leaves 0
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [2.0, 4.0, 6.0]], 2),
+            ([[0.0]], 0),
+        ],
+    )
+    def test_zero_pivot_names_its_column(self, rows, column):
+        n = len(rows)
+        z, f = tuple(0.25 * k for k in range(n)), (1.0,) * n
+        with pytest.raises(SolverError) as exc_info:
+            _solve(n)(rows, z, f, 0.5)
+        err = exc_info.value
+        assert str(err) == f"Newton matrix is singular: zero pivot in column {column}"
+        assert err.iterate == z and err.residual == 0.5
+        with pytest.raises(SolverError, match=f"zero pivot in column {column}$"):
+            reference_newton_step(rows, z, f, 0.5)
 
 
 def _outcome(sys_, method, y0, h, n, cfg):
@@ -620,7 +689,7 @@ class TestSolverFailure:
         with pytest.raises(SolverError) as exc_info:
             integrate(saddle, method, [1.0, 0.0], 2.0, 3, SolverConfig(strategy="newton"))
         assert exc_info.value.step_index == 0
-        assert "singular" in str(exc_info.value)
+        assert str(exc_info.value).startswith("step 0: Newton matrix is singular: zero pivot in column ")
 
     @pytest.mark.parametrize(
         "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]
