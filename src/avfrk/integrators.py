@@ -15,16 +15,14 @@ Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
 the exact polynomials, and every state is a tuple of floats.  One
-generated loop takes every step of a run, for both phases: the iterate
-stays in local floats, and the predictor, the finite check, the residual,
-the stops, the switch to Newton, the Newton steps and the update run
-inline.  For the chord the state is local floats too, and the map
-z -> y + sum_j h b_j f(y + c_j (z - y)) and the update are straight-line
-source per system and float node set, inlined in its loop; the Newton
-step, the matrix h sum_j b_j c_j J_f(Y_j) - I and its solve, is generated
-the first time a run switches to Newton.  The stage path's loop is
-generated once per state and stage count and calls the tableau's map and
-update, which evaluate f and J_f one point at a time.
+generated loop takes every step of a run, for both phases and both paths:
+the iterate and the state stay in local floats, and the predictor, the
+finite check, the residual, the stops, the switch to Newton, the Newton
+steps and the update run inline.  The map and the update are straight-line
+source, per system and float node set on the chord (z -> y + sum_j h b_j
+f(y + c_j (z - y))), per system and float tableau on the stage path
+(stage i -> y + h sum_j A_ij f(stage j)).  The Newton step, its matrix and
+its solve, is generated the first time a run switches to Newton.
 
 Every Newton step solves its linear system by Gaussian elimination with
 partial pivoting, straight-line source per unknown count from one
@@ -137,10 +135,11 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
 def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
     """Execute generated source and return its function `name`.
 
-    The source sees math.isfinite as isfinite, math.inf as inf, SolverError
-    and StepStats.
+    The source sees math.isfinite as isfinite, math.inf as inf and math.nan
+    as nan (the reprs of non-finite literals), SolverError and StepStats.
     """
-    namespace = dict(isfinite=math.isfinite, inf=math.inf, SolverError=SolverError, StepStats=StepStats)
+    namespace = dict(isfinite=math.isfinite, inf=math.inf, nan=math.nan)
+    namespace.update(SolverError=SolverError, StepStats=StepStats)
     exec("\n".join(lines) + "\n", namespace)
     logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
     return namespace[name]
@@ -157,33 +156,24 @@ def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     return _generate([f"def evaluate({', '.join(names)}):", f"    return ({comps},)"], "evaluate", nv, 1)
 
 
-@lru_cache(maxsize=64)
-def _scalar_field(sys: HamiltonianSystem) -> tuple:
-    """(f, J_f) as plain-float functions of the state; J_f is flat, row-major."""
-    n = sys.dim
-    f = sys.vector_field()
-    jac = [f[a].partial(b) for a in range(n) for b in range(n)]
-    return _scalar_function(f, n), _scalar_function(jac, n)
-
-
-def _node_sum(n: int, nodes: tuple, updates: list, pad: str) -> list:
-    """Lines, indented by pad, that sum over the nodes of the chord at z.
+def _node_sum(n: int, nodes: tuple, updates: list) -> list:
+    """Lines that sum over the nodes of the chord at z.
 
     They set d = z - y, then per node x = y + c_j * d and, for each
     (variable, term) of updates, variable = variable + v_j * (term),
     starting from 0.0.
     """
-    lines = [f"{pad}d{k} = z{k} - y{k}" for k in range(n)]
+    lines = [f"d{k} = z{k} - y{k}" for k in range(n)]
     for j, (cj, _) in enumerate(nodes):
-        lines += [f"{pad}x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
-        lines += [f"{pad}{a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
+        lines += [f"x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
+        lines += [f"{a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
     return lines
 
 
 # the loop of a whole run: n_steps steps from the state tuple y, each solved
-# on the unknowns z0..z{n-1} with f0..f{n-1} = phi(z)
+# on the unknowns z0..z{n-1} with f0..f{n-1} the inlined map at z
 _RUN_SOURCE = """\
-def {name}(phi, final, newton_step):
+def {name}(newton_step):
     def run(y, h, n_steps, cfg, states, stats, scale=1.0):
         max_iterations = cfg.max_iterations
         tol = cfg.tolerance
@@ -228,24 +218,28 @@ def {name}(phi, final, newton_step):
     return run"""
 
 
-def _run_source(name: str, n: int, setup: list, start: list, phi: list, update: list) -> list:
-    """Source of name(phi, final, newton_step) -> run, the loop of a whole run on n unknowns.
+def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list) -> list:
+    """Source of name(newton_step) -> run, the loop of a whole run on n unknowns.
 
     run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
     its StepStats; it returns None, or for the first failed step k
     (status, k, it, iterate, detail, residual), status "non-finite",
     "exhausted", "overflow" or "singular" with the OverflowError or the
-    SolverError of a singular Newton matrix as detail.  Per step, start sets
-    z to the start of the step and iteration 0 is the predictor, unchecked.
+    SolverError of a singular Newton matrix as detail.  The state is held
+    in y0..y{d-1}, unpacked from y before setup, which runs once per run.
+    Each step sets z{j*d+k} = y{k} for the n / d copies of the state;
+    phi sets f to the map at z, and iteration 0 is the predictor, unchecked.
     Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
     shrinks by _STALL_FACTOR, then (or from the start for "newton") Newton
     steps z = newton_step()(y, h, z, f, res), the step looked up once per
     run.
     max|f - z| is spelled out as max() computes it: a later value replaces
-    the first only when greater.  At convergence update sets y from
-    f = phi(z).  The lines passed in come unindented.
+    the first only when greater.  At convergence update sets y0..y{d-1}
+    from f = phi(z), and y is packed from them.  The lines passed in come
+    unindented.
     """
     z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
+    ys = ", ".join(f"y{k}" for k in range(d))
     largest = ["m = abs(f0 - z0)"]
     for k in range(1, n):
         largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
@@ -257,14 +251,14 @@ def _run_source(name: str, n: int, setup: list, start: list, phi: list, update: 
         name=name,
         z=z,
         f=f,
-        setup=block(setup, 8),
-        start=block(start, 12),
+        setup=block([f"{ys}, = y"] + setup, 8),
+        start=block([f"z{j * d + k} = y{k}" for j in range(n // d) for k in range(d)], 12),
         phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
         largest=block(largest, 24),
         stall=_STALL_FACTOR,
         advance=block([f"z{k} = f{k}" for k in range(n)], 20),
-        update=block(update, 12),
+        update=block(update + [f"y = ({ys},)"], 12),
     ).split("\n")
 
 
@@ -279,34 +273,52 @@ def _chord_run(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     rule share it, with phi inlined in the float operations of a loop over
     the nodes: v_j = h * b_j, set once per run, then per node
     x = y + c_j * (z - y) and a = a + v_j * f(x) from a = 0.0; y + a.  The
-    state is held in y0..y{n-1}; the new state is phi at the converged
-    iterate, as on the stage path.
+    new state is phi at the converged iterate, as on the stage path.
     """
     n = sys.dim
     x = [f"x{k}" for k in range(n)]
     f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
-    phi = _node_sum(n, nodes, f, "") + [f"f{k} = y{k} + a{k}" for k in range(n)]
-    setup = [f"{', '.join(f'y{k}' for k in range(n))}, = y"]
-    setup += [f"v{j} = h * {bj!r}" for j, (_, bj) in enumerate(nodes)]
+    phi = _node_sum(n, nodes, f) + [f"f{k} = y{k} + a{k}" for k in range(n)]
+    setup = [f"v{j} = h * {bj!r}" for j, (_, bj) in enumerate(nodes)]
     update = [f"z{k} = f{k}" for k in range(n)] + phi + [f"y{k} = f{k}" for k in range(n)]
-    update += [f"y = ({', '.join(f'y{k}' for k in range(n))},)"]
-    source = _run_source("chord", n, setup, [f"z{k} = y{k}" for k in range(n)], phi, update)
-    return _generate(source, "chord", n, len(nodes))(None, None, partial(_chord_newton, sys, nodes))
+    source = _run_source("chord", n, n, setup, phi, update)
+    return _generate(source, "chord", n, len(nodes))(partial(_chord_newton, sys, nodes))
+
+
+def _at_stages(polys: Sequence[MultiPoly], n: int, s: int, src: str) -> list:
+    """Lines g{j}_{k} = polys[k](stage j) for j < s, stage j being src{j*n}..src{j*n+n-1}."""
+    names = lambda j: [f"{src}{j * n + c}" for c in range(n)]
+    return [f"g{j}_{k} = {_poly_source(p, names(j))}" for j in range(s) for k, p in enumerate(polys)]
+
+
+def _stage_sum(f: Sequence[MultiPoly], rows: Sequence[tuple], src: str, dst: str) -> list:
+    """Lines that set dst{i*n+k} = y_k + h * (0 + w_i0 * f_k(stage 0) + w_i1 * f_k(stage 1) + ...).
+
+    f is evaluated at every stage (_at_stages) before the sums, one per row
+    w_i of rows and component k.  Each sum starts from the integer 0, as
+    sum() does, so a first term -0.0 adds up to 0.0.
+    """
+    n = len(f)
+    lines = _at_stages(f, n, len(rows[0]), src)
+    for i, row in enumerate(rows):
+        for k in range(n):
+            terms = "".join(f" + {w!r} * g{j}_{k}" for j, w in enumerate(row))
+            lines.append(f"{dst}{i * n + k} = y{k} + h * (0{terms})")
+    return lines
 
 
 @lru_cache(maxsize=64)
-def _stage_run(n: int, s: int) -> Callable:
-    """stages(phi, final, newton_step) -> run, the run loop (_run_source) on the s*n stage values.
+def _stage_run(sys: HamiltonianSystem, A: tuple, b: tuple) -> Callable:
+    """The run loop (_run_source) of any other tableau, on its s*n stage values.
 
-    Generated once per state and stage count; phi(y, h, x) and
-    final(y, h, x) are interpreted maps, x a tuple of s*n floats, and
-    newton_step() returns the Newton step as a function of (y, h, x, f, res).
+    Stage j is z{j*n}..z{j*n+n-1}, started at y; the map sets stage i to
+    y + h sum_j A_ij f(stage j) and the update sets y to y + h sum_j b_j
+    f(stage j) at the converged stages (_stage_sum).  Generated once per
+    system and float coefficients, with the Newton step of _stage_newton.
     """
-    z, f = (", ".join(f"{a}{k}" for k in range(n * s)) for a in "zf")
-    source = _run_source(
-        "stages", n * s, [], [f"{z}, = y * {s}"], [f"{f}, = phi(y, h, ({z},))"], [f"y = final(y, h, ({f},))"]
-    )
-    return _generate(source, "stages", n * s, s)
+    n, s, f = sys.dim, len(b), sys.vector_field()
+    source = _run_source("stages", n * s, n, [], _stage_sum(f, A, "z", "f"), _stage_sum(f, [b], "f", "y"))
+    return _generate(source, "stages", n * s, s)(partial(_stage_newton, sys, A))
 
 
 def _elimination_lines(n: int) -> list:
@@ -342,16 +354,6 @@ def _elimination_lines(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _solve(n: int) -> Callable:
-    """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by _elimination_lines."""
-    rows = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(n))})" for i in range(n))
-    lines = ["def solve(rows, z, f, res):", f"    {rows}, = rows"]
-    lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "zf"]
-    lines += ["    " + line for line in _elimination_lines(n)]
-    return _generate(lines, "solve", n, 0)
-
-
-@lru_cache(maxsize=64)
 def _chord_newton(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     """newton(y, h, z, f, res) -> z - dx, (sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I) dx = f - z.
 
@@ -364,13 +366,34 @@ def _chord_newton(sys: HamiltonianSystem, nodes: tuple) -> Callable:
     x = [f"x{k}" for k in range(n)]
     f = sys.vector_field()
     jac = [(f"a{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
-    lines = ["def newton(y, h, z, f, res):"]
-    lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yzf"]
-    lines += [f"    v{j} = h * {bj!r} * {cj!r}" for j, (cj, bj) in enumerate(nodes)]
-    lines += _node_sum(n, nodes, jac, "    ")
-    lines += [f"    a{k}_{k} = a{k}_{k} - 1.0" for k in range(n)]
-    lines += ["    " + line for line in _elimination_lines(n)]
+    lines = [f"{', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yzf"]
+    lines += [f"v{j} = h * {bj!r} * {cj!r}" for j, (cj, bj) in enumerate(nodes)]
+    lines += _node_sum(n, nodes, jac) + [f"a{k}_{k} = a{k}_{k} - 1.0" for k in range(n)]
+    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(n)]
     return _generate(lines, "newton", n, len(nodes))
+
+
+@lru_cache(maxsize=64)
+def _stage_newton(sys: HamiltonianSystem, A: tuple) -> Callable:
+    """newton(y, h, z, f, res) -> z - dx, with M dx = f - z on the stage values.
+
+    Entry (i*n + a, j*n + c) of M is (h * A_ij) * J_f(stage j)_ac, minus 1.0
+    on the diagonal.  Generated on the first switch to Newton for the system
+    and stage matrix: J_f at every stage (_at_stages), the entries, then
+    the elimination of _elimination_lines.
+    """
+    n, s, f = sys.dim, len(A), sys.vector_field()
+    lines = [f"{', '.join(f'{a}{k}' for k in range(n * s))}, = {a}" for a in "zf"]
+    lines += _at_stages([f[a].partial(c) for a in range(n) for c in range(n)], n, s, "z")
+    lines += [
+        f"a{i * n + a}_{j * n + c} = h * {w!r} * g{j}_{a * n + c}" + " - 1.0" * ((i, a) == (j, c))
+        for i, row in enumerate(A)
+        for a in range(n)
+        for j, w in enumerate(row)
+        for c in range(n)
+    ]
+    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(n * s)]
+    return _generate(lines, "newton", n * s, s)
 
 
 @lru_cache(maxsize=64)
@@ -416,40 +439,6 @@ def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
 # steps
 
 
-def _stage_stepper(sys: HamiltonianSystem, tab: ButcherTableau) -> Callable:
-    """Any other tableau: the s*d stage system, stages solved simultaneously."""
-    n, s = sys.dim, tab.s
-    A = [[float(x) for x in row] for row in tab.A]
-    b = [float(x) for x in tab.b]
-    f, jac = _scalar_field(sys)
-
-    def at_stages(g, x):
-        return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
-
-    def update(y, h, w, vals):
-        """y + h * sum_j w_j vals_j, componentwise."""
-        return [yk + h * sum(wj * v[k] for wj, v in zip(w, vals)) for k, yk in enumerate(y)]
-
-    def phi(y, h, x):
-        fs = at_stages(f, x)
-        return [z for row in A for z in update(y, h, row, fs)]
-
-    def newton(y, h, x, fx, res):
-        # row (i, a), column (j, c): h A_ij J_f(Y_j)_ac - delta
-        js = at_stages(jac, x)
-        rows = [
-            [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
-            for i in range(s)
-            for a in range(n)
-        ]
-        return _solve(n * s)(rows, x, fx, res)
-
-    def final(y, h, x):
-        return tuple(update(y, h, b, at_stages(f, x)))
-
-    return _stage_run(n, s)(phi, final, lambda: newton)
-
-
 def _resolve_stepper(sys, method) -> Callable:
     """run(y, h, n_steps, cfg, states, stats) for a method, the loop of _run_source."""
     if isinstance(method, str):
@@ -464,7 +453,8 @@ def _resolve_stepper(sys, method) -> Callable:
             # scale = max|c_j| makes the residual the stage system's max over stages
             scale = max(abs(float(ci)) for ci in method.c)
             return partial(_chord_run(sys, _float_nodes(method.rule)), scale=scale)
-        return _stage_stepper(sys, method)
+        A = tuple(tuple(map(float, row)) for row in method.A)
+        return _stage_run(sys, A, tuple(map(float, method.b)))
     if isinstance(method, QuadRule):
         raise TypeError("pass avf_tableau(rule), not the rule itself")
     raise TypeError(f"cannot interpret {type(method).__name__} as a method")

@@ -301,6 +301,8 @@ class ButcherTableau:
         self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50, rule=None
     ):
         s = len(b)
+        if s == 0:
+            raise ValueError("a tableau needs at least one stage")
         if len(c) != s or len(A) != s or any(len(row) != s for row in A):
             raise ValueError("inconsistent tableau dimensions")
         conv = lambda x: x if isinstance(x, mp.mpf) else mp.mpf(x)

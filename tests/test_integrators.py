@@ -18,11 +18,13 @@ from avfrk.integrators import (
     SolverError,
     StepStats,
     _chord_run,
+    _elimination_lines,
     _float_nodes,
     _chord_newton,
     _resolve_stepper,
-    _scalar_field,
-    _solve,
+    _scalar_function,
+    _stage_newton,
+    _stage_run,
     avf_step,
     avf_tableau,
     convergence_errors,
@@ -237,6 +239,14 @@ def _rule(s, zeta):
     return quad_rule(s, zeta)
 
 
+@lru_cache(maxsize=None)
+def _scalar_field(sys_):
+    """(f, J_f) as plain-float functions of the state, one point per call; J_f is flat, row-major."""
+    n = sys_.dim
+    f = sys_.vector_field()
+    return _scalar_function(f, n), _scalar_function([f[a].partial(b) for a in range(n) for b in range(n)], n)
+
+
 def _node_loop(sys_, rule, y, h):
     """The per-node loops the generated maps replace: (phi, Newton matrix as rows)."""
     nodes = _float_nodes(rule)
@@ -360,6 +370,16 @@ class TestGeneratedChord:
         assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
 
 
+@lru_cache(maxsize=None)
+def _solve(n):
+    """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by the lines of _elimination_lines(n)."""
+    rows = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(n))})" for i in range(n))
+    lines = ["def solve(rows, z, f, res):", f"    {rows}, = rows"]
+    lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "zf"]
+    lines += ["    " + line for line in _elimination_lines(n)]
+    return integrators._generate(lines, "solve", n, 0)
+
+
 def _solved(rows, rhs):
     """dx with rows @ dx = rhs by the generated elimination, from z = 0."""
     n = len(rhs)
@@ -367,8 +387,8 @@ def _solved(rows, rhs):
 
 
 class TestElimination:
-    """The generated elimination of every Newton step (_solve shares its
-    lines with the chord's step) against LAPACK and the reference order."""
+    """The generated elimination of every Newton step (_solve wraps the lines
+    that both paths' Newton steps inline) against LAPACK and the reference order."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 6), data=st.data())
@@ -514,16 +534,19 @@ class TestGeneratedSweeps:
         half_dim=st.integers(1, 2),
         degree=st.integers(2, 6),
         method=st.sampled_from(["avf", (2, F(0)), (3, F(1, 2)), (3, F(-1)), "stages"]),
+        stages=st.integers(1, 3),
         size=st.sampled_from([1e-2, 1e-1, 1.0, 1e1, 1e2]),
         h=st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
         strategy=st.sampled_from(["fixed-point+newton", "fixed-point", "newton"]),
         max_iterations=st.sampled_from([1, 2, 5, 100]),
     )
-    def test_matches_interpreted_solve(self, seed, half_dim, degree, method, size, h, strategy, max_iterations):
+    def test_matches_interpreted_solve(
+        self, seed, half_dim, degree, method, stages, size, h, strategy, max_iterations
+    ):
         rng = random.Random(seed)
         sys_ = _perturbed_well(rng, half_dim, degree)
         if method == "stages":
-            method = random_A_tableau(rng, _rule(2, F(0)))
+            method = random_A_tableau(rng, _rule(stages, F(0)))
         elif method != "avf":
             method = avf_tableau(_rule(*method))
         y0 = [size * rng.uniform(-1, 1) for _ in range(sys_.dim)]
@@ -574,19 +597,23 @@ class TestGeneratedSweeps:
         assert got == _reference_outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
         assert any(newton for _, newton, _ in got[1]) == switches
 
-    def test_stage_loop_generated_once_per_unknown_count(self, caplog):
-        integrators._stage_run.cache_clear()
+    def test_stage_loop_generated_once_per_tableau(self, caplog):
+        _stage_run.cache_clear()
+        _stage_newton.cache_clear()
         tableaux = [
             ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79], 30),
             ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7], 30),
         ]
-        with caplog.at_level(logging.DEBUG, logger="avfrk"):
-            for tab in tableaux:
-                for strategy in ["fixed-point", "newton"]:
+        logged = []
+        for tab in tableaux:
+            for strategy in ["fixed-point", "fixed-point", "newton", "newton"]:
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="avfrk"):
                     integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 5, SolverConfig(strategy=strategy))
-        got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
-        assert len([m for m in got if m.startswith("generated stages: dim 4, ")]) == 1
-        assert not any(m.startswith("generated chord") for m in got)
+                got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
+                logged.append([m.rsplit(", ", 1)[0] for m in got])
+        # the loop on the first run of each tableau, its Newton step on the first Newton run, no chord
+        assert logged == [["generated stages: dim 4, 2 nodes"], [], ["generated newton: dim 4, 2 nodes"], []] * 2
 
 
 # H = p^2/2 - q^4 from (1, 0.5) at h = 0.1 runs away; no step after step 5 converges
@@ -691,6 +718,22 @@ class TestSolverFailure:
         assert exc_info.value.step_index == 0
         assert str(exc_info.value).startswith("step 0: Newton matrix is singular: zero pivot in column ")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where, k", [("A", 0), ("b", 1)])
+    @pytest.mark.parametrize("strategy", ["fixed-point+newton", "newton"])
+    def test_non_finite_coefficient_is_solver_error(self, value, where, k, strategy):
+        # A enters the map, so step 0's first sweep is non-finite; b enters only the update
+        A, b = [[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5]
+        if where == "A":
+            A[0][1] = value
+        else:
+            b[1] = value
+        tab = ButcherTableau(A, b, [0.21, 0.79], 30)
+        with pytest.raises(SolverError) as exc_info:
+            integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3, SolverConfig(strategy=strategy))
+        assert exc_info.value.step_index == k
+        assert str(exc_info.value) == f"step {k}: non-finite iterate at iteration 1"
+
     @pytest.mark.parametrize(
         "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]
     )
@@ -728,6 +771,10 @@ class TestMethodResolution:
     def test_garbage_rejected(self):
         with pytest.raises(TypeError):
             _resolve_stepper(HARMONIC, 42)
+
+    def test_tableau_without_stages_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            integrate(QUARTIC, ButcherTableau([], [], []), [0.5, 0.1], 0.05, 5)
 
     def test_tableau_accepted(self):
         stepper = _resolve_stepper(HARMONIC, avf_tableau(quad_rule(2, 0)))

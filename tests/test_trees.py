@@ -203,6 +203,10 @@ class TestRkWeight:
         self.rule = quad_rule(3, Fraction(1, 2))
         self.tab = random_A_tableau(self.rng, self.rule)
 
+    def test_no_stages_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            ButcherTableau([], [], [])
+
     def test_single_vertex(self):
         assert abs(rk_weight(leaf, self.tab) - 1) < mp.mpf("1e-45")
 
