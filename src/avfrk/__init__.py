@@ -5,83 +5,60 @@ type quadrature rules, evaluates the rooted-tree energy-preservation
 conditions, analyzes the double-bush linear operator's rank and kernel, and
 runs the nonlinear residual sweeps that single out the AVF method.
 
-The package logs to the standard `avfrk` logger and adds only a
-NullHandler; configure logging to see its DEBUG records.
+The package is lazy (PEP 562): `import avfrk` loads no submodule, and each
+public name below imports its module on first access.  The package logs
+to the standard `avfrk` logger and adds only a NullHandler; configure
+logging to see its DEBUG records.
 """
 
 import logging
+from importlib import import_module
 
-from .conditions import (
-    KernelBasis,
-    KernelElement,
-    KernelStructureError,
-    MOperator,
-    asym_bush_residual,
-    build_M,
-    build_p_tilde,
-    bush_residuals,
-    double_bush_poly_residual,
-    double_bush_residual,
-    expected_rank,
-    kernel_rowsum,
-    rank_kernel,
-    triple_bush_residual,
-    uniqueness_sweep,
-)
-from .hamiltonian import (
-    HamiltonianSystem,
-    MultiPoly,
-    RationalVec,
-    evaluate,
-    gradient,
-    hamiltonian_from_json,
-    line_average,
-)
-from .integrators import (
-    IntegrationRun,
-    SolverConfig,
-    SolverError,
-    StepStats,
-    avf_step,
-    avf_tableau,
-    convergence_errors,
-    convergence_order,
-    integrate,
-    log_log_slope,
-    midpoint_tableau,
-    rk_step,
-    write_run_csv,
-)
-from .quadrature import (
-    QuadRule,
-    QuadratureError,
-    UniPoly,
-    check_discip_lemma,
-    continuous_ip,
-    discrete_ip,
-    discrete_ip_exact,
-    f_poly,
-    g_poly,
-    gamma_lead,
-    legendre,
-    quad_rule,
-    r_poly,
-)
-from .trees import (
-    ButcherTableau,
-    Forest,
-    FreeTree,
-    RootedTree,
-    butcher_product,
-    conditions_up_to,
-    energy_condition_residual,
-    enumerate_free,
-    enumerate_rooted,
-    free_class,
-    parse_tree,
-    rk_weight,
-)
+_EXPORTS = {
+    "conditions": (
+        "KernelBasis", "KernelElement", "KernelStructureError", "MOperator", "asym_bush_residual",
+        "build_M", "build_p_tilde", "bush_residuals", "double_bush_poly_residual",
+        "double_bush_residual", "expected_rank", "kernel_rowsum", "rank_kernel",
+        "triple_bush_residual", "uniqueness_sweep",
+    ),
+    "hamiltonian": (
+        "HamiltonianSystem", "MultiPoly", "RationalVec", "evaluate", "gradient",
+        "hamiltonian_from_json", "line_average",
+    ),
+    "integrators": (
+        "IntegrationRun", "SolverConfig", "SolverError", "StepStats", "avf_step", "avf_tableau",
+        "convergence_errors", "convergence_order", "integrate", "log_log_slope",
+        "midpoint_tableau", "rk_step", "write_run_csv",
+    ),
+    "quadrature": (
+        "QuadRule", "QuadratureError", "UniPoly", "check_discip_lemma", "continuous_ip",
+        "discrete_ip", "discrete_ip_exact", "f_poly", "g_poly", "gamma_lead", "legendre",
+        "quad_rule", "r_poly",
+    ),
+    "trees": (
+        "ButcherTableau", "Forest", "FreeTree", "RootedTree", "butcher_product",
+        "conditions_up_to", "energy_condition_residual", "enumerate_free", "enumerate_rooted",
+        "free_class", "parse_tree", "rk_weight",
+    ),
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_MODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
+
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -3,8 +3,10 @@
 Subcommands: quad, tableau, conditions, rank, uniqueness, integrate, order.
 Exit codes are stable across commands: 0 success or match, 2 input error,
 3 expectation mismatch, 4 certificate structure failure, 5 solver failure.
-Printed decimals are truncated to precision-5 significant digits so noise
-digits are never advertised.
+Printed decimals are rounded to precision-5 significant digits so noise
+digits are never advertised.  Each command imports the modules its own
+work needs when it runs: integrate and order load no mpmath and no
+condition algebra, and rank and uniqueness no stepping.
 """
 
 from __future__ import annotations
@@ -16,30 +18,6 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-from mpmath import mp
-
-from .conditions import (
-    KernelStructureError,
-    build_M,
-    bush_residuals,
-    expected_rank,
-    rank_kernel,
-    uniqueness_sweep,
-)
-from .hamiltonian import hamiltonian_from_json
-from .integrators import (
-    SolverConfig,
-    SolverError,
-    avf_tableau,
-    convergence_errors,
-    integrate,
-    log_log_slope,
-    midpoint_tableau,
-    write_run_csv,
-)
-from .quadrature import QuadratureError, quad_rule
-from .trees import ButcherTableau, conditions_up_to, energy_condition_residual
 
 __all__ = ["main"]
 
@@ -64,11 +42,40 @@ def _parse_fraction(name: str, text: str) -> Fraction:
 
 
 def _dec(x, args) -> str:
+    """x to max(precision - 5, 5) significant digits, in mp.nstr's format.
+
+    An mpf prints by mp.nstr at precision + 10 digits.  A Fraction or an
+    int is rounded exactly, half away from zero; that gives mp.nstr's digits
+    of its mpf wherever it lies farther than about 10^-6 of a last-digit
+    unit from a tie (mp.nstr rounds a truncated binary value there).
+    """
     digits = max(args.precision - 5, 5)
-    with mp.workdps(args.precision + 10):
-        if isinstance(x, Fraction):
-            x = mp.mpf(x.numerator) / x.denominator
-        return mp.nstr(mp.mpf(x), digits)
+    if not isinstance(x, (Fraction, int)):
+        from mpmath import mp
+
+        with mp.workdps(args.precision + 10):
+            return mp.nstr(mp.mpf(x), digits)
+    if x == 0:
+        return "0.0"
+    num, den = abs(x.numerator), x.denominator
+    exp = len(str(num)) - len(str(den))  # the decimal exponent of |x|, or one above it
+    if num * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
+        exp -= 1
+    shift = digits - 1 - exp
+    q, r = divmod(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+    q += 2 * r >= den * 10 ** max(-shift, 0)
+    if q == 10**digits:
+        q, exp = q // 10, exp + 1
+    text = str(q)
+    # mpmath's layout: fixed point while min(-(digits // 3), -5) < exp < digits
+    if min(-(digits // 3), -5) < exp < digits:
+        text = "0" * -exp + text if exp < 0 else text
+        split, exp = max(exp, 0) + 1, 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text = ("-" if x < 0 else "") + text + "0" * text.endswith(".")
+    return text if exp == 0 else f"{text}e{exp:+d}"
 
 
 def _json(doc: dict) -> str:
@@ -93,11 +100,15 @@ def _emit(args, doc: dict, rows: list) -> None:
 
 
 def _rule_from_args(args):
+    from .quadrature import quad_rule
+
     return quad_rule(args.s, zeta=_parse_fraction("zeta", args.zeta), precision_digits=args.precision)
 
 
 def _mpf_entry(x, dps):
     # tableau files may hold ints, floats, decimal strings, or "num/den"; each must be finite
+    from mpmath import mp
+
     with mp.workdps(dps):
         if isinstance(x, str) and "/" in x:
             f = _parse_fraction("tableau entry", x)
@@ -116,7 +127,7 @@ def cmd_quad(args) -> int:
     rule = _rule_from_args(args)
     doc = {
         "s": rule.s,
-        "zeta": _dec(rule.zeta, args),
+        "zeta": _dec(rule.zeta_exact, args),
         "c": [_dec(x, args) for x in rule.c],
         "b": [_dec(x, args) for x in rule.b],
         "order": rule.order,
@@ -132,11 +143,13 @@ def cmd_quad(args) -> int:
 
 
 def cmd_tableau(args) -> int:
+    from .trees import ButcherTableau
+
     rule = _rule_from_args(args)
-    tab = avf_tableau(rule)
+    tab = ButcherTableau.rank_one(rule, rule.precision_digits)  # avf_tableau(rule), with no stepper loaded
     doc = {
         "s": rule.s,
-        "zeta": _dec(rule.zeta, args),
+        "zeta": _dec(rule.zeta_exact, args),
         "order": rule.order,
         "c": [_dec(x, args) for x in tab.c],
         "b": [_dec(x, args) for x in tab.b],
@@ -154,6 +167,8 @@ def cmd_tableau(args) -> int:
 
 def _load_tableau(path: str, rule, precision: int):
     """Tableau JSON {"A": [[..]], "b"?: [..], "c"?: [..]}; A must be s x s."""
+    from .trees import ButcherTableau
+
     doc = json.loads(Path(path).read_text())
     A = doc["A"]
     s = rule.s
@@ -170,6 +185,9 @@ def _load_tableau(path: str, rule, precision: int):
 
 
 def cmd_conditions(args) -> int:
+    from .conditions import bush_residuals
+    from .trees import conditions_up_to, energy_condition_residual
+
     rule = _rule_from_args(args)
     m = args.m if args.m is not None else rule.order
     if m < 2:
@@ -200,7 +218,7 @@ def cmd_conditions(args) -> int:
         bushes = [{"id": i, "residual": _dec(r, args)} for i, r in bush_residuals(rule, m, A)]
     doc = {
         "s": rule.s,
-        "zeta": _dec(rule.zeta, args),
+        "zeta": _dec(rule.zeta_exact, args),
         "m": m,
         "tableau": source,
         "conditions": entries,
@@ -221,6 +239,8 @@ def _format_factor(vec):
 
 
 def cmd_rank(args) -> int:
+    from .conditions import build_M, expected_rank, rank_kernel
+
     rule = _rule_from_args(args)
     s = rule.s
     m = args.m if args.m is not None else (2 * s if rule.zeta_exact == 0 else 2 * s - 1)
@@ -246,7 +266,7 @@ def cmd_rank(args) -> int:
         )
     doc = {
         "s": s,
-        "zeta": _dec(rule.zeta, args),
+        "zeta": _dec(rule.zeta_exact, args),
         "m": m,
         "rank": rank,
         "expected_rank": exp,
@@ -267,6 +287,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
+    from .conditions import uniqueness_sweep
+
     rule = _rule_from_args(args)
     m = args.m if args.m is not None else 2 * rule.s - 1
     betas = None
@@ -296,6 +318,8 @@ def cmd_uniqueness(args) -> int:
 
 
 def _load_system(path: str):
+    from .hamiltonian import hamiltonian_from_json
+
     doc = json.loads(Path(path).read_text())
     return hamiltonian_from_json(doc)
 
@@ -308,6 +332,8 @@ def _parse_state(text: str, dim: int):
 
 
 def _resolve_cli_method(args):
+    from .integrators import avf_tableau, midpoint_tableau
+
     if args.method == "avf":
         return "avf"
     if args.method == "midpoint":
@@ -318,6 +344,8 @@ def _resolve_cli_method(args):
 
 
 def cmd_integrate(args) -> int:
+    from .integrators import SolverConfig, SolverError, integrate, write_run_csv
+
     sys_ = _load_system(args.hamiltonian)
     y0 = _parse_state(args.y0, sys_.dim)
     method = _resolve_cli_method(args)
@@ -359,6 +387,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .integrators import SolverConfig, SolverError, convergence_errors, log_log_slope
+
     sys_ = _load_system(args.hamiltonian)
     y0 = _parse_state(args.y0, sys_.dim)
     method = _resolve_cli_method(args)
@@ -456,15 +486,17 @@ def main(argv=None) -> int:
         return _fail("--precision must be at least 10", EXIT_INPUT)
     try:
         return args.func(args)
-    except KernelStructureError as e:
+    except RuntimeError as e:
+        # a KernelStructureError can only come from a loaded avfrk.conditions
+        conditions = sys.modules.get("avfrk.conditions")
+        if conditions is None or not isinstance(e, conditions.KernelStructureError):
+            raise
         return _fail(f"{e}", EXIT_STRUCTURE)
-    except QuadratureError as e:
-        return _fail(f"{e}", EXIT_INPUT)
     except FileNotFoundError as e:
         return _fail(f"{e}", EXIT_INPUT)
     except json.JSONDecodeError as e:
         return _fail(f"malformed JSON: {e}", EXIT_INPUT)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # QuadratureError is a ValueError
         return _fail(f"{e}", EXIT_INPUT)
 
 

@@ -34,8 +34,6 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from time import perf_counter
 
-from mpmath import mp
-
 from .quadrature import (
     QuadRule,
     UniPoly,
@@ -175,6 +173,8 @@ def _ray_poly(x):
 
 def _mpf_bush(rule, A):
     """(A, ip) in mpf for an s x s matrix A, converted once; call at the working precision."""
+    from mpmath import mp
+
     s, b, c = rule.s, rule.b, rule.c
     rows = A.tolist() if isinstance(A, mp.matrix) else [list(r) for r in A]
     if len(rows) != s or any(len(r) != s for r in rows):
@@ -187,6 +187,8 @@ def _mpf_bush(rule, A):
 
 def _on_nodes(body, A, rule, *args):
     """body's residual for the matrix A at the rule's nodes, in mpf at its working precision."""
+    from mpmath import mp
+
     with mp.workdps(rule.precision_digits + 15):
         return body(*_mpf_bush(rule, A), *args)
 
@@ -910,17 +912,19 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     right-hand side).  A given A, an s x s matrix, is evaluated in mpf at
     the polished nodes, as by the public residual functions.
     """
-    with mp.workdps(rule.precision_digits + 15):
-        if A is None:
-            ip = lambda f, g: discrete_ip_exact(f, g, rule)
-            rep = (lambda g: _MONOMIAL_X * ip(_ONE, g)), ip
-        else:
-            rep = _mpf_bush(rule, A)
-        pairs = [(p, q) for p in range(1, m) for q in range(p, m)]
-        x, G = _power, g_poly  # x^p and G_p of the row ids
-        rows = [(f"double_bush({p},{q})", _double_bush(*rep, x(p), x(q))) for p, q in pairs if p < q]
-        rows += [(f"triple_bush(G_{p},G_{q},1)", _triple_bush(*rep, G(p), G(q), _ONE)) for p, q in pairs]
-        return rows + [(f"asym_bush({q})", _asym_bush(*rep, q)) for q in range(1, m)]
+    if A is not None:
+        return _on_nodes(_bush_rows, A, rule, m)
+    ip = lambda f, g: discrete_ip_exact(f, g, rule)
+    return _bush_rows(lambda g: _MONOMIAL_X * ip(_ONE, g), ip, m)
+
+
+def _bush_rows(A, ip, m):
+    """The rows of bush_residuals for the node-vector representation (A, ip)."""
+    pairs = [(p, q) for p in range(1, m) for q in range(p, m)]
+    x, G = _power, g_poly  # x^p and G_p of the row ids
+    rows = [(f"double_bush({p},{q})", _double_bush(A, ip, x(p), x(q))) for p, q in pairs if p < q]
+    rows += [(f"triple_bush(G_{p},G_{q},1)", _triple_bush(A, ip, G(p), G(q), _ONE)) for p, q in pairs]
+    return rows + [(f"asym_bush({q})", _asym_bush(A, ip, q)) for q in range(1, m)]
 
 
 def _ray_residual(rule, cond, degree, U, Vd):
@@ -987,7 +991,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     marks.append(perf_counter())
     report = {
         "s": s,
-        "zeta": float(rule.zeta),
+        "zeta": float(rule.zeta_exact),
         "m": m,
         "rank": rank,
         "expected_rank": expected_rank(s, m, zx),
@@ -1062,6 +1066,8 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
             fb = None
         # a nonzero beta, or a nonzero residual, must not print as a float zero either
         if fb is None or fb == 0 or (fr == 0 and r != 0):
+            from mpmath import mp
+
             way = "overflows" if fb is None else "underflows"
             raise ValueError(f"beta = {mp.nstr(mp.convert(b), 8)}: it or its residual {way} a float")
         report["betas"].append(fb)

@@ -28,7 +28,10 @@ Every Newton step solves its linear system by Gaussian elimination with
 partial pivoting, straight-line source per unknown count from one
 generator (_elimination_lines).  Stepping imports no array library:
 IntegrationRun.energies, which returns an array, is the one place that
-does.
+does.  Nor does it import mpmath or the tree module: a rank-one method
+steps on its rule's correctly rounded QuadRule.float_nodes, and
+avf_tableau and midpoint_tableau return tableaux whose mpf entries are
+formed only when read.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
-
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .hamiltonian import HamiltonianSystem, MultiPoly
 from .quadrature import QuadRule, quad_rule
-from .trees import ButcherTableau
+
+if TYPE_CHECKING:
+    from .trees import ButcherTableau
 
 __all__ = [
     "SolverConfig",
@@ -307,17 +310,29 @@ def _stage_sum(f: Sequence[MultiPoly], rows: Sequence[tuple], src: str, dst: str
     return lines
 
 
+def _hex(values) -> tuple:
+    """The values as float.hex strings: a cache key that a nan equals and that tells -0.0 from 0.0."""
+    return tuple(float(x).hex() for x in values)
+
+
+def _floats(hexes) -> list:
+    return [float.fromhex(x) for x in hexes]
+
+
 @lru_cache(maxsize=64)
 def _stage_run(sys: HamiltonianSystem, A: tuple, b: tuple) -> Callable:
     """The run loop (_run_source) of any other tableau, on its s*n stage values.
 
     Stage j is z{j*n}..z{j*n+n-1}, started at y; the map sets stage i to
     y + h sum_j A_ij f(stage j) and the update sets y to y + h sum_j b_j
-    f(stage j) at the converged stages (_stage_sum).  Generated once per
-    system and float coefficients, with the Newton step of _stage_newton.
+    f(stage j) at the converged stages (_stage_sum).  The rows of A and b
+    come as float.hex strings (_hex): generated once per system and
+    coefficient bits, a nan or a signed zero included, with the Newton step
+    of _stage_newton.
     """
     n, s, f = sys.dim, len(b), sys.vector_field()
-    source = _run_source("stages", n * s, n, [], _stage_sum(f, A, "z", "f"), _stage_sum(f, [b], "f", "y"))
+    rows = [_floats(row) for row in A]
+    source = _run_source("stages", n * s, n, [], _stage_sum(f, rows, "z", "f"), _stage_sum(f, [_floats(b)], "f", "y"))
     return _generate(source, "stages", n * s, s)(partial(_stage_newton, sys, A))
 
 
@@ -379,10 +394,10 @@ def _stage_newton(sys: HamiltonianSystem, A: tuple) -> Callable:
 
     Entry (i*n + a, j*n + c) of M is (h * A_ij) * J_f(stage j)_ac, minus 1.0
     on the diagonal.  Generated on the first switch to Newton for the system
-    and stage matrix: J_f at every stage (_at_stages), the entries, then
-    the elimination of _elimination_lines.
+    and stage matrix, its rows as float.hex strings (_hex): J_f at every
+    stage (_at_stages), the entries, then the elimination of _elimination_lines.
     """
-    n, s, f = sys.dim, len(A), sys.vector_field()
+    n, s, f, A = sys.dim, len(A), sys.vector_field(), [_floats(row) for row in A]
     lines = [f"{', '.join(f'{a}{k}' for k in range(n * s))}, = {a}" for a in "zf"]
     lines += _at_stages([f[a].partial(c) for a in range(n) for c in range(n)], n, s, "z")
     lines += [
@@ -411,28 +426,22 @@ def _gauss_rule(s: int) -> QuadRule:
     return quad_rule(s, 0)
 
 
-@lru_cache(maxsize=64)
-def _float_nodes(rule: QuadRule) -> tuple:
-    """((c_j, b_j), ...) as floats, converted once per rule."""
-    return tuple((float(cj), float(bj)) for cj, bj in zip(rule.c, rule.b))
-
-
 def avf_tableau(rule: QuadRule) -> ButcherTableau:
     """Rank-one tableau A = c b^T for the given quadrature rule.
 
-    Row sums equal c_i exactly because the weights sum to one.
+    Row sums equal c_i exactly because the weights sum to one.  The mpf
+    entries are formed on first access (ButcherTableau.rank_one).
     """
-    with mp.workdps(rule.precision_digits + 10):
-        A = [[ci * bj for bj in rule.b] for ci in rule.c]
-        return ButcherTableau(A, rule.b, rule.c, rule.precision_digits, rule=rule)
+    from .trees import ButcherTableau
+
+    return ButcherTableau.rank_one(rule, rule.precision_digits)
 
 
 def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
     """Implicit midpoint: the one-stage Gauss tableau, used as a control."""
-    half = mp.mpf(1) / 2
-    return ButcherTableau(
-        [[half]], [mp.mpf(1)], [half], precision_digits, rule=_gauss_rule(1)
-    )
+    from .trees import ButcherTableau
+
+    return ButcherTableau.rank_one(_gauss_rule(1), precision_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +453,18 @@ def _resolve_stepper(sys, method) -> Callable:
     if isinstance(method, str):
         if method == "avf":
             # Gauss with s nodes integrates the degree deg H - 1 chord exactly
-            return _chord_run(sys, _float_nodes(_gauss_rule(max(1, math.ceil(sys.H.degree() / 2)))))
+            return _chord_run(sys, _gauss_rule(max(1, math.ceil(sys.H.degree() / 2))).float_nodes)
         if method == "midpoint":
             return _resolve_stepper(sys, midpoint_tableau())
         raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
+    from .trees import ButcherTableau
+
     if isinstance(method, ButcherTableau):
         if method.rule is not None:
+            nodes = method.rule.float_nodes
             # scale = max|c_j| makes the residual the stage system's max over stages
-            scale = max(abs(float(ci)) for ci in method.c)
-            return partial(_chord_run(sys, _float_nodes(method.rule)), scale=scale)
-        A = tuple(tuple(map(float, row)) for row in method.A)
-        return _stage_run(sys, A, tuple(map(float, method.b)))
+            return partial(_chord_run(sys, nodes), scale=max(abs(cj) for cj, _ in nodes))
+        return _stage_run(sys, tuple(map(_hex, method.A)), _hex(method.b))
     if isinstance(method, QuadRule):
         raise TypeError("pass avf_tableau(rule), not the rule itself")
     raise TypeError(f"cannot interpret {type(method).__name__} as a method")

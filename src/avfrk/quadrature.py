@@ -11,13 +11,19 @@ coefficients.  The discrete inner product sum_i b_i u(c_i) v(c_i) of two
 such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k as integers over one denominator, from the
 recurrence of the node polynomial, and discrete_ip_exact is the bilinear
-form sum u_i v_j mu_(i+j).  Only the nodes and weights themselves are
-high-precision floats: roots are isolated by exact integer Sturm counts
-when the rule is built, and polished by a float-seeded Newton iteration,
-safeguarded by bisection inside each bracket, on the first access of
-QuadRule.c or QuadRule.b, which is also when a polish or validation
-QuadratureError is raised.  The exact certificate reads only the exact
-core and never polishes.
+form sum u_i v_j mu_(i+j).  Roots are isolated by exact integer Sturm
+counts when the rule is built.  The nodes and weights come two ways, each
+formed on first access:
+- QuadRule.c and QuadRule.b are high-precision mpf values, polished by a
+  float-seeded Newton iteration, safeguarded by bisection inside each
+  bracket; a polish or validation QuadratureError is raised then;
+- QuadRule.float_nodes holds them correctly rounded to floats, for the
+  float stepper: each node from a float seed checked by the signs of the
+  integer rho half an ulp either side, each weight from an exact enclosure
+  narrowed until both its ends round to one float.
+The exact certificate reads only the exact core and never polishes.
+mpmath is imported only by what forms an mpf: the polish, its validation,
+QuadRule.zeta, UniPoly.values and discrete_ip.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ from __future__ import annotations
 import json
 import logging
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
 from math import ceil, comb, gcd, lcm, ulp
 from operator import mul
+from struct import pack, unpack
 from time import perf_counter
 from typing import Sequence
 
-import mpmath as mp
 
 __all__ = [
     "UniPoly",
@@ -161,6 +168,8 @@ class UniPoly:
 
     def values(self, xs) -> list:
         """[p(x) for x in xs] at mpf points, each coefficient converted once."""
+        import mpmath as mp
+
         cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(self.coeffs)]
         out = []
         for x in xs:
@@ -297,39 +306,59 @@ def _guard_digits(p: UniPoly) -> int:
     return max(0, len(str(ceil(sum(map(abs, p.coeffs))))) - 17)
 
 
-def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
-    """The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
+def _float_root(f, lo: Fraction, hi: Fraction, rising: bool) -> float:
+    """A float root in [lo, hi] of f(x) -> (value, slope): a safeguarded Newton iteration in floats.
 
-    A safeguarded Newton iteration in floats runs first: the bracket shrinks
-    by the sign of p, and a step leaving it is replaced by bisection.  Its
-    result seeds the same safeguarded Newton at dps + 15 + _guard_digits(p)
-    digits, started again from [lo, hi], which stops on a step below the
-    tolerance.  For s >= 24 the float seed, which evaluates p in the
-    monomial basis, is mostly rounding noise and only the safeguard keeps
-    that Newton in the bracket.  Where p has no sign change on [lo, hi]
-    nothing is bisected, and a polished root outside [lo, hi] raises
-    QuadratureError.  The root is returned at those digits.
+    The bracket shrinks by the sign of the value (negative left of the root
+    when rising), and a step leaving it is replaced by bisection.
     """
-    rising = p(lo) < 0
-    # a step leaving [lo, hi] can bisect instead only where p changes sign on it
-    isolating = (p(hi) < 0) != rising
-    fcs = [float(c) for c in p.coeffs]
     a, b = float(lo), float(hi)
     x = (a + b) / 2
     for _ in range(100):
-        f, df = _horner(fcs, x)
-        if f == 0:
+        v, dv = f(x)
+        if v == 0:
             break
-        if (f > 0) == rising:
+        if (v > 0) == rising:
             b = x
         else:
             a = x
         last = x
-        x = x - f / df if df else a  # a zero slope falls back to bisection
+        x = x - v / dv if dv else a  # a zero slope falls back to bisection
         if not a < x < b:
             x = (a + b) / 2
         if abs(x - last) <= ulp(last):
             break
+    return x
+
+
+def _rho_float(s: int, z: float, x: float) -> tuple:
+    """(rho(x), rho'(x)) in floats for rho = P_s - z P_(s-1), by the Legendre recurrence."""
+    t = 2 * x - 1
+    p, q, dp, dq = 1.0, t, 0.0, 2.0  # P_(k-1), P_k and their derivatives, from k = 1
+    for k in range(1, s):
+        nxt = ((2 * k + 1) * t * q - k * p) / (k + 1)
+        p, q, dp, dq = q, nxt, dq, ((2 * k + 1) * (2 * q + t * dq) - k * dp) / (k + 1)
+    return q - z * p, dq - z * dp
+
+
+def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
+    """The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
+
+    A float seed, from _float_root on p's float coefficients by Horner in
+    the monomial basis, starts a safeguarded Newton iteration at
+    dps + 15 + _guard_digits(p) digits, started again from [lo, hi], which
+    stops on a step below the tolerance.  Where p has no sign change on
+    [lo, hi] nothing is bisected, and a polished root outside [lo, hi]
+    raises QuadratureError.  The root is returned at those digits.  For
+    s >= 24 the float seed is mostly rounding noise and only the safeguard
+    keeps its Newton iteration in the bracket.
+    """
+    import mpmath as mp
+
+    rising = p(lo) < 0
+    # a step leaving [lo, hi] can bisect instead only where p changes sign on it
+    isolating = (p(hi) < 0) != rising
+    x = _float_root(partial(_horner, [float(c) for c in p.coeffs]), lo, hi, rising)
     with mp.workdps(dps + 15 + _guard_digits(p)):
         cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
         x = mp.mpf(x)
@@ -359,29 +388,158 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
         return +x
 
 
+# ---------------------------------------------------------------------------
+# correctly rounded float nodes and weights, by exact sign tests
+
+
+def _root_side(s: int, z: Fraction, lo: Fraction, hi: Fraction):
+    """side(t): 1 when r > t, -1 when r < t and 0 when r = t, for the root r of rho in (lo, hi].
+
+    Inside the isolating bracket the sign of the integer rho (_sturm_values)
+    at t against its sign at lo decides; outside it, the bracket does.
+    """
+    left = _sturm_values(s, z, lo)[0] > 0
+
+    def side(t: Fraction) -> int:
+        if t <= lo:
+            return 1
+        if t > hi:
+            return -1
+        v = _sturm_values(s, z, t)[0]
+        return 0 if v == 0 else 1 if (v > 0) == left else -1
+
+    return side
+
+
+def _ordinal(x: float) -> int:
+    """The place of x in the order of all floats: consecutive floats have consecutive ordinals."""
+    n = unpack("<q", pack("<d", x))[0]
+    return n if n >= 0 else -(n & (1 << 63) - 1)
+
+
+def _from_ordinal(n: int) -> float:
+    return unpack("<d", pack("<Q", n if n >= 0 else -n | 1 << 63))[0]
+
+
+def _rounded_root(side, lo: Fraction, hi: Fraction, x: float) -> tuple:
+    """(float(r), a, b) for the root r in (lo, hi] that side locates (_root_side), from a float seed x.
+
+    The sides of r at the two points half an ulp from x either enclose r,
+    so that x is float(r), or tell on which side of x float(r) lies.  After
+    three steps to a neighbour the search bisects the floats that remain,
+    in the order of their ordinals, so it ends within 64 more steps.  A root
+    exactly at a half-ulp point is returned as float() rounds it, half to
+    even.  The dyadic a < r < b are the half-ulp points of float(r), or
+    a = b = r.
+    """
+    first, last = _ordinal(float(lo)), _ordinal(float(hi))  # float(r) lies between them
+    for steps in count():
+        n = _ordinal(x)
+        down, up = ((Fraction(x) + Fraction(_from_ordinal(n + d))) / 2 for d in (-1, 1))
+        below = side(down)
+        if below == 0:
+            return float(down), down, down
+        if below > 0:
+            above = side(up)
+            if above == 0:
+                return float(up), up, up
+            if above < 0:
+                return x, down, up
+            first = n = n + 1
+        else:
+            last = n = n - 1
+        x = _from_ordinal(n if steps < 3 else (first + last) // 2)
+
+
+def _dyadic_horner(ints: list, m: int, e: int) -> int:
+    """2^(e n) p(m / 2^e) for the integer polynomial p of degree n = len(ints) - 1."""
+    acc = 0
+    for k, c in enumerate(reversed(ints)):
+        acc = acc * m + (c << e * k)
+    return acc
+
+
+def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tuple) -> float:
+    """float(2 / (s D(r))), correctly rounded, for the root r in the dyadic bracket a < r < b.
+
+    side locates r (_root_side).  D = rho' P_(s-1) and bound, the absolute
+    values of the coefficients of D'', come as (ints, d) pairs.  D(r) lies
+    between D(a) and D(b), widened by (b - a)^2 / 8 bound(max(|a|, |b|)), the
+    most D leaves its chord by.  While the weights at the two ends of that
+    enclosure round to different floats, the bracket is halved by the side
+    of r at its middle; a root met exactly gives its weight exactly.  Each
+    value is an integer over 2^(e n) d for a bracket over 2^e, and int / int
+    divides correctly rounded.
+    """
+    e = max(a.denominator, b.denominator).bit_length() - 1
+    ma, mb = (x.numerator << e - x.denominator.bit_length() + 1 for x in (a, b))
+    (Di, Dd), (Bi, Bd) = D, bound
+    while ma != mb:
+        ends = sorted(_dyadic_horner(Di, m, e) * 8 * Bd for m in (ma, mb))
+        bow = (mb - ma) ** 2 * _dyadic_horner(Bi, max(abs(ma), abs(mb)), e) * Dd
+        lo, hi = ends[0] - bow, ends[1] + bow
+        if lo > 0 or hi < 0:
+            den = 16 * Dd * Bd << e * (len(Di) - 1)
+            w = den / (s * lo)
+            if w == den / (s * hi):
+                return w
+        mid = ma + mb
+        ma, mb, e = ma << 1, mb << 1, e + 1
+        where = side(Fraction(mid, 1 << e))
+        if where >= 0:
+            ma = mid
+        if where <= 0:
+            mb = mid
+    return (2 * Dd << e * (len(Di) - 1)) / (s * _dyadic_horner(Di, ma, e))
+
+
+def _float_nodes(rule) -> tuple:
+    """((c_j, b_j), ...) of the rule correctly rounded to floats, in ascending c.
+
+    Each node is rounded from its float seed by _rounded_root inside its
+    Sturm bracket, and its weight 2/(s rho'(c) P_(s-1)(c)) by _rounded_weight
+    on the bracket that leaves; all in exact arithmetic.
+    """
+    s, z = rule.s, rule.zeta_exact
+    rho = legendre(s) - z * legendre(s - 1)
+    D = rho.derivative() * legendre(s - 1)
+    bound = _scaled([abs(c) for c in D.derivative().derivative().coeffs])
+    D = _scaled(D.coeffs)
+    f = partial(_rho_float, s, float(z))
+    out = []
+    for lo, hi in rule._brackets:
+        side = _root_side(s, z, lo, hi)
+        c, a, b = _rounded_root(side, lo, hi, _float_root(f, lo, hi, rho(lo) < 0))
+        out.append((c, _rounded_weight(side, s, a, b, D, bound)))
+    return tuple(out)
+
+
 class QuadRule:
     """Quadrature rule: stages s, parameter zeta, abscissae c and weights b.
 
     The rule is built on its exact core: zeta_exact, the Sturm-certified
     root brackets, the order, the exact moments and in_unit_interval.  The
     mpf nodes c and weights b are polished, checked and cached on first
-    access, so the exact certificate never computes them.
+    access, so the exact certificate never computes them; the mpf zeta is
+    formed on first access too.  float_nodes holds the nodes and weights
+    correctly rounded to floats, from exact sign tests, with no mpf at all.
     """
 
     __slots__ = (
-        "s", "zeta", "zeta_exact", "order", "precision_digits", "in_unit_interval",
-        "_brackets", "_nodes", "_mu",
+        "s", "zeta_exact", "order", "precision_digits", "in_unit_interval",
+        "_brackets", "_zeta", "_nodes", "_floats", "_mu",
     )
 
-    def __init__(self, s, zeta, zeta_exact, brackets, order, precision_digits, in_unit_interval):
+    def __init__(self, s, zeta_exact, brackets, order, precision_digits, in_unit_interval):
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "zeta_exact", zeta_exact)
         object.__setattr__(self, "_brackets", tuple(brackets))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
+        object.__setattr__(self, "_zeta", None)
         object.__setattr__(self, "_nodes", None)
+        object.__setattr__(self, "_floats", None)
         L = lcm(*range(1, s + 1))
         object.__setattr__(self, "_mu", (tuple([L // (k + 1) for k in range(s)]), L))
 
@@ -389,7 +547,27 @@ class QuadRule:
         raise AttributeError("QuadRule is immutable")
 
     def __repr__(self):
+        import mpmath as mp
+
         return f"QuadRule(s={self.s}, zeta={mp.nstr(self.zeta, 8)}, order={self.order})"
+
+    @property
+    def zeta(self):
+        """zeta as an mpf at precision_digits + 15."""
+        if self._zeta is None:
+            import mpmath as mp
+
+            z = self.zeta_exact
+            with mp.workdps(self.precision_digits + 15):
+                object.__setattr__(self, "_zeta", mp.mpf(z.numerator) / z.denominator)
+        return self._zeta
+
+    @property
+    def float_nodes(self) -> tuple:
+        """((c_j, b_j), ...) in ascending c, each correctly rounded to a float."""
+        if self._floats is None:
+            object.__setattr__(self, "_floats", _float_nodes(self))
+        return self._floats
 
     @property
     def c(self) -> tuple:
@@ -403,6 +581,8 @@ class QuadRule:
 
     def _polish(self) -> tuple:
         """Polish the roots in their brackets, form the weights, validate and cache (c, b)."""
+        import mpmath as mp
+
         start = perf_counter()
         s, z, dps = self.s, self.zeta_exact, self.precision_digits
         rho = legendre(s) - z * legendre(s - 1)
@@ -461,6 +641,8 @@ class QuadRule:
         return [x // g for x in ints], d // g
 
     def to_json(self) -> str:
+        import mpmath as mp
+
         d = self.precision_digits
         return json.dumps(
             {
@@ -501,11 +683,8 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     # V(0) - V(1) counts the roots in (0, 1]; a root at 0 is the one more in [0, 1]
     at0, at1 = _sturm_values(s, z, Fraction(0)), _sturm_values(s, z, Fraction(1))
     in_unit = _sign_changes(at0) - _sign_changes(at1) + (at0[0] == 0) == s
-    with mp.workdps(precision_digits + 15):
-        zeta_mpf = mp.mpf(z.numerator) / z.denominator
     return QuadRule(
         s=s,
-        zeta=zeta_mpf,
         zeta_exact=z,
         brackets=brackets,
         order=2 * s if z == 0 else 2 * s - 1,
@@ -515,6 +694,8 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
 
 
 def _validate_rule(rule: QuadRule, c, b) -> None:
+    import mpmath as mp
+
     tol = mp.mpf(10) ** (-rule.precision_digits + 5)
     for k in range(1, rule.order + 1):
         r = mp.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) - mp.mpf(1) / k
@@ -531,6 +712,8 @@ def _validate_rule(rule: QuadRule, c, b) -> None:
 
 def discrete_ip(u: UniPoly, v: UniPoly, rule: QuadRule):
     """<u, v>_D = sum_i b_i u(c_i) v(c_i) at the rule's working precision."""
+    import mpmath as mp
+
     with mp.workdps(rule.precision_digits + 15):
         return mp.fsum(bi * u(ci) * v(ci) for bi, ci in zip(rule.b, rule.c))
 

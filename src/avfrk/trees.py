@@ -6,6 +6,10 @@ distinct rooting reachable by shifting the root across an edge, together
 with the parity (-1)^kappa of the shift count; the alternating sum of
 elementary weights over a class is the energy-preservation condition for
 the corresponding elementary Hamiltonian.
+
+A rule's tableau A = c b^T gives each condition exactly from the rule's
+moments.  Only a tableau's mpf entries and the weights of an arbitrary
+tableau import mpmath, when they are first formed.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
-
-import mpmath as mp
 
 from .quadrature import QuadRule
 
@@ -289,37 +291,66 @@ class ButcherTableau:
     """Runge-Kutta coefficients (A, b, c) in high-precision floats.
 
     `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
-    the constructors of rank-one tableaux; None for any other tableau.
-    energy_condition_residual reads a rule tableau's exact moments.  The
+    the constructors of rank-one tableaux (rank_one); None for any other
+    tableau.  A rank-one tableau forms its mpf A, b and c from the rule's
+    polished nodes on first access: the stepper reads only the rule's float
+    nodes and energy_condition_residual only its exact moments.  The
     tableau memoises each subtree's stage vector Psi(t) and elementary
     weight a(t), both computed at precision_digits + 10, for rk_weight.
     """
 
-    __slots__ = ("s", "A", "b", "c", "precision_digits", "rule", "_psi", "_weight")
+    __slots__ = ("s", "_coeffs", "precision_digits", "rule", "_psi", "_weight")
 
     def __init__(
         self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50, rule=None
     ):
+        import mpmath as mp
+
         s = len(b)
         if s == 0:
             raise ValueError("a tableau needs at least one stage")
         if len(c) != s or len(A) != s or any(len(row) != s for row in A):
             raise ValueError("inconsistent tableau dimensions")
         conv = lambda x: x if isinstance(x, mp.mpf) else mp.mpf(x)
+        A = tuple(tuple(conv(x) for x in row) for row in A)
+        self._init(s, (A, tuple(map(conv, b)), tuple(map(conv, c))), precision_digits, rule)
+
+    def _init(self, s, coeffs, precision_digits, rule):
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "A", tuple(tuple(conv(x) for x in row) for row in A))
-        object.__setattr__(self, "b", tuple(conv(x) for x in b))
-        object.__setattr__(self, "c", tuple(conv(x) for x in c))
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "_psi", {})
         object.__setattr__(self, "_weight", {})
+
+    @classmethod
+    def rank_one(cls, rule: QuadRule, precision_digits: int) -> "ButcherTableau":
+        """A = c b^T for the rule, its mpf entries formed at precision_digits + 10 on first access."""
+        tab = object.__new__(cls)
+        tab._init(rule.s, None, precision_digits, rule)
+        return tab
+
+    def _entries(self) -> tuple:
+        if self._coeffs is None:
+            import mpmath as mp
+
+            c, b = self.rule.c, self.rule.b
+            with mp.workdps(self.precision_digits + 10):
+                A = tuple(tuple(ci * bj for bj in b) for ci in c)
+            object.__setattr__(self, "_coeffs", (A, b, c))
+        return self._coeffs
+
+    A = property(lambda self: self._entries()[0], doc="The s x s matrix, a tuple of mpf rows.")
+    b = property(lambda self: self._entries()[1], doc="The weights, a tuple of mpf.")
+    c = property(lambda self: self._entries()[2], doc="The nodes, a tuple of mpf.")
 
     def __setattr__(self, *a):
         raise AttributeError("ButcherTableau is immutable")
 
     def row_sum_defect(self):
         """Max |sum_j A_ij - c_i|; zero when Eq-rowsum compliance is claimed."""
+        import mpmath as mp
+
         with mp.workdps(self.precision_digits + 10):
             return max(abs(mp.fsum(row) - ci) for row, ci in zip(self.A, self.c))
 
@@ -329,6 +360,8 @@ class ButcherTableau:
 
 def _children_product(t: RootedTree, tab: ButcherTableau) -> list:
     """Psi(t_1) o ... o Psi(t_q) over the children of t, componentwise."""
+    import mpmath as mp
+
     prod = [mp.mpf(1)] * tab.s
     for k in t.children:
         prod = [a * b for a, b in zip(prod, _elementary(k, tab))]
@@ -345,6 +378,8 @@ def _elementary(t: RootedTree, tab: ButcherTableau) -> list:
         if not t.children:
             out = list(tab.c)
         else:
+            import mpmath as mp
+
             prod = _children_product(t, tab)
             out = [mp.fsum(aij * vj for aij, vj in zip(row, prod)) for row in tab.A]
         tab._psi[t] = out
@@ -355,6 +390,8 @@ def _elementary_weight(t: RootedTree, tab: ButcherTableau):
     """Elementary weight a(t) = b^T (Psi(t_1) o ... o Psi(t_q)), memoised on tab."""
     out = tab._weight.get(t)
     if out is None:
+        import mpmath as mp
+
         out = mp.fsum(bi * pi for bi, pi in zip(tab.b, _children_product(t, tab)))
         tab._weight[t] = out
     return out
@@ -367,6 +404,8 @@ def rk_weight(forest: Forest | RootedTree, tab: ButcherTableau):
     Psi(*) = c and Psi([u_1..u_p]) = A (Psi(u_1) o ... o Psi(u_p)),
     the componentwise-product convention, valid for arbitrary A.
     """
+    import mpmath as mp
+
     if isinstance(forest, RootedTree):
         forest = Forest([forest])
     with mp.workdps(tab.precision_digits + 10):
@@ -394,9 +433,9 @@ def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
     and return 0.
     """
     rule = tab if isinstance(tab, QuadRule) else tab.rule
-    if ft.superfluous:
-        return mp.mpf(0) if rule is None else Fraction(0)
     if rule is not None:
+        if ft.superfluous:
+            return Fraction(0)
         # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
         # mu_(number of children) over the vertices of t; with the rule's integer
         # moments mu = m / d, the weight of each member's n - 1 non-root vertices is over d^(n-1)
@@ -409,6 +448,10 @@ def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
                 w *= _moment_product(t, m)
             total += w
         return Fraction(total, sig * d ** (ft.order - 1))
+    import mpmath as mp
+
+    if ft.superfluous:
+        return mp.mpf(0)
     with mp.workdps(tab.precision_digits + 10):
         total = mp.mpf(0)
         for u in ft.members:

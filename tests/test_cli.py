@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import math
 import os
@@ -7,9 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import mp
 
+import avfrk
 from avfrk import conditions, quadrature
-from avfrk.cli import _json, main
+from avfrk.cli import _dec, _json, main
 from avfrk.conditions import build_M, rank_kernel
 from avfrk.quadrature import quad_rule
 from _util import refuse_polish
@@ -550,6 +555,110 @@ def test_no_command_loads_numpy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
+
+
+# Runs in a fresh interpreter: the package import loads no submodule, then one command runs
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import avfrk
+package = sorted(m for m in sys.modules if m.startswith("avfrk"))
+from avfrk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([package, code, sorted(m for m in sys.modules if m.startswith("avfrk.")),
+                  "mpmath" in sys.modules, "numpy" in sys.modules]))
+"""
+
+_RUN = ["--y0", "0.5,0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules, mpmath",
+    [
+        # the rule's mpf nodes and weights, and the mpf tableau built from them
+        (["quad", "--s", "3", "--zeta", "1/2"], "cli quadrature", True),
+        (["tableau", "--s", "3"], "cli quadrature trees", True),
+        # exact certificates: no mpf, no stepping
+        (["conditions", "--s", "3"], "cli conditions quadrature trees", False),
+        (["rank", "--s", "4"], "cli conditions quadrature", False),
+        (["uniqueness", "--s", "3", "--zeta", "1/3"], "cli conditions quadrature", False),
+        # float stepping on correctly rounded float nodes: no mpf, no condition algebra
+        (["integrate", "{ham}", *_RUN, "--h", "0.1", "--steps", "5"], "cli hamiltonian integrators quadrature", False),
+        (
+            ["integrate", "{ham}", *_RUN, "--h", "0.1", "--steps", "5", "--method", "rk", "--s", "3"],
+            "cli hamiltonian integrators quadrature trees",
+            False,
+        ),
+        (
+            ["integrate", "{ham}", *_RUN, "--h", "0.1", "--steps", "5", "--method", "midpoint"],
+            "cli hamiltonian integrators quadrature trees",
+            False,
+        ),
+        (["order", "{ham}", *_RUN, "--t-end", "1", "--hs", "0.1,0.05,0.025"], "cli hamiltonian integrators quadrature", False),
+    ],
+)
+def test_command_loads_only_what_it_runs(quartic_file, argv, modules, mpmath):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, *[a.format(ham=quartic_file) for a in argv]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    package, code, loaded, has_mpmath, has_numpy = json.loads(res.stdout)
+    assert package == ["avfrk"] and code == 0
+    assert loaded == [f"avfrk.{m}" for m in modules.split()]
+    assert has_mpmath == mpmath and not has_numpy
+
+
+def test_every_public_name_resolves():
+    # the lazy package hands out each name of its submodules, and lists them for dir()
+    for name in avfrk.__all__:
+        module = importlib.import_module(f"avfrk.{avfrk._MODULE[name]}")
+        assert getattr(avfrk, name) is getattr(module, name)
+    assert set(avfrk.__all__) <= set(dir(avfrk))
+    with pytest.raises(AttributeError):
+        avfrk.no_such_name
+
+
+def _near_tie(x: Fraction, digits: int) -> bool:
+    """Whether x lies within 10^-6 of a last-digit unit of a rounding tie at `digits` digits."""
+    x = abs(x)
+    exp = math.floor(math.log10(x))
+    while x >= 10 ** (exp + 1):
+        exp += 1
+    while x < Fraction(10) ** exp:
+        exp -= 1
+    scaled = x * Fraction(10) ** (digits - 1 - exp)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    shift=st.integers(-40, 40),
+    precision=st.integers(10, 80),
+)
+@example(num=1, den=3, shift=0, precision=10)
+@example(num=-999999999, den=1, shift=-3, precision=10)  # rounds up to the next power of ten
+@example(num=1, den=8, shift=-6, precision=20)  # fixed point just above the exponent form
+@example(num=0, den=1, shift=0, precision=50)
+def test_exact_decimal_matches_nstr(num, den, shift, precision):
+    # a Fraction prints exactly, with mp.nstr's digits and layout of its mpf at precision + 10
+    x = Fraction(num, den) * Fraction(10) ** shift
+    digits = max(precision - 5, 5)
+    assume(x == 0 or not _near_tie(x, digits))
+    with mp.workdps(precision + 10):
+        want = mp.nstr(mp.mpf(x.numerator) / x.denominator, digits)
+    assert _dec(x, argparse.Namespace(precision=precision)) == want
+
+
+def test_exact_decimal_rounds_ties_away_from_zero():
+    args = argparse.Namespace(precision=10)
+    assert _dec(Fraction(123455, 10**6), args) == "0.12346"
+    assert _dec(Fraction(-123455, 10**6), args) == "-0.12346"
+    assert _dec(Fraction(123454999, 10**9), args) == "0.12345"
 
 
 def test_unknown_subcommand():

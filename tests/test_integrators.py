@@ -19,7 +19,6 @@ from avfrk.integrators import (
     StepStats,
     _chord_run,
     _elimination_lines,
-    _float_nodes,
     _chord_newton,
     _resolve_stepper,
     _scalar_function,
@@ -249,7 +248,7 @@ def _scalar_field(sys_):
 
 def _node_loop(sys_, rule, y, h):
     """The per-node loops the generated maps replace: (phi, Newton matrix as rows)."""
-    nodes = _float_nodes(rule)
+    nodes = rule.float_nodes
     f, jac = _scalar_field(sys_)
     n = sys_.dim
     weighted = [(cj, h * bj) for cj, bj in nodes]
@@ -315,7 +314,7 @@ class TestGeneratedChord:
         y = [size * rng.uniform(-1, 1) for _ in range(sys_.dim)]
         z = [yk + size * rng.uniform(-0.1, 0.1) for yk in y]
         phi, newton = _node_loop(sys_, rule, y, h)
-        nodes = _float_nodes(rule)
+        nodes = rule.float_nodes
         # one sweep after the predictor ends at phi(phi(y)); the new state would be phi of it
         cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="fixed-point")
         states, stats = [tuple(y)], []
@@ -466,7 +465,15 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
         return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
 
     def update(w, vals):
-        return [yk + h * sum(wj * v[k] for wj, v in zip(w, vals)) for k, yk in enumerate(y)]
+        # left to right from the integer 0, as the generated sums add: sum() of floats is
+        # compensated since Python 3.12
+        out = []
+        for k, yk in enumerate(y):
+            acc = 0
+            for wj, v in zip(w, vals):
+                acc = acc + wj * v[k]
+            out.append(yk + h * acc)
+        return out
 
     def phi(x):
         fs = at_stages(f, x)
@@ -733,6 +740,17 @@ class TestSolverFailure:
             integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3, SolverConfig(strategy=strategy))
         assert exc_info.value.step_index == k
         assert str(exc_info.value) == f"step {k}: non-finite iterate at iteration 1"
+
+    def test_nan_coefficient_loop_generated_once(self):
+        # the stage loop is cached on the coefficients' bits, which a nan equals
+        _stage_run.cache_clear()
+        for _ in range(3):
+            tab = ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, math.nan], [0.21, 0.79], 30)
+            with pytest.raises(SolverError) as exc_info:
+                integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3)
+            assert str(exc_info.value) == "step 1: non-finite iterate at iteration 1"
+        info = _stage_run.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     @pytest.mark.parametrize(
         "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]

@@ -289,9 +289,13 @@ class TestLazyNodes:
             rank_kernel(build_M(rule, 5))
             uniqueness_sweep(rule, 5)
             uniqueness_sweep(quad_rule(4, Fraction(-1)), 7)
+            tab = avf_tableau(rule)
+            assert rule.float_nodes
+            # neither the exact certificate, nor a rank-one tableau before its entries are
+            # read, nor the float nodes polish
             assert not [r for r in caplog.records if r.name == "avfrk.quadrature"]
-            avf_tableau(rule)
-            avf_tableau(rule)
+            tab.A
+            avf_tableau(rule).c
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.quadrature"]
         assert len(got) == 1
         assert got[0].startswith("polish nodes: s 3, zeta 1/2, precision 50, ")
@@ -443,6 +447,58 @@ class TestNodePolish:
             _polish_root(p, Fraction(0), Fraction(1, 2), 30)
         with pytest.raises(QuadratureError, match="bracket"):
             _polish_root(p, Fraction(3, 2), Fraction(2), 30)  # no root, p' = 0 at 2
+
+
+OPERATOR_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(1, 3)]
+
+
+def exact_weight(s, zeta, x):
+    """2 / (s rho'(x) P_(s-1)(x)) at a rational x, exactly."""
+    rho = legendre(s) - zeta * legendre(s - 1)
+    return 2 / (s * rho.derivative()(x) * legendre(s - 1)(x))
+
+
+class TestFloatNodes:
+    """QuadRule.float_nodes rounds each node and weight correctly from exact
+    sign tests; it forms no mpf and polishes nothing."""
+
+    @pytest.mark.parametrize("zeta", OPERATOR_ZETAS)
+    def test_equal_to_polished_floats(self, zeta):
+        # at the default 50 digits float(mpf) is correctly rounded too, so the two agree bit for bit
+        for s in range(1, 25):
+            rule = quad_rule(s, zeta)
+            got = rule.float_nodes
+            assert got == tuple((float(c), float(b)) for c, b in zip(rule.c, rule.b)), s
+
+    @pytest.mark.parametrize("s", range(1, 25))
+    def test_rational_roots_exact(self, s):
+        # a rational root and its rational weight round exactly: c_1 = 0 at zeta = -1,
+        # c_s = 1 at zeta = 1 (both with weight 1/s^2), and the middle Gauss node 1/2 at odd s
+        assert quad_rule(s, -1).float_nodes[0] == (0.0, float(Fraction(1, s * s)))
+        assert quad_rule(s, 1).float_nodes[-1] == (1.0, float(Fraction(1, s * s)))
+        if s % 2:
+            half = Fraction(1, 2)
+            assert quad_rule(s, 0).float_nodes[s // 2] == (0.5, float(exact_weight(s, Fraction(0), half)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(1, 8), zeta=st.fractions(-2, 2, max_denominator=20))
+    def test_correctly_rounded(self, s, zeta):
+        # each float lies within half an ulp of the value at 60 digits, up to their error
+        rule = quad_rule(s, zeta, 60)
+        with mp.workdps(75):
+            for (c, b), mc, mb in zip(rule.float_nodes, rule.c, rule.b):
+                for x, m in ((c, mc), (b, mb)):
+                    assert abs(mp.mpf(x) - m) <= mp.mpf(math.ulp(x)) / 2 + mp.mpf(10) ** -57, (s, zeta)
+
+    def test_no_polish(self, monkeypatch):
+        def refuse(rule):
+            raise AssertionError("a rule's mpf nodes or weights were read")
+
+        monkeypatch.setattr(QuadRule, "c", property(refuse))
+        monkeypatch.setattr(QuadRule, "b", property(refuse))
+        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        for s in (1, 4, 24):
+            assert len(quad_rule(s, Fraction(1, 3), 15).float_nodes) == s
 
 
 class TestMoments:
