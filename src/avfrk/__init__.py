@@ -5,14 +5,18 @@ type quadrature rules, evaluates the rooted-tree energy-preservation
 conditions, analyzes the double-bush linear operator's rank and kernel, and
 runs the nonlinear residual sweeps that single out the AVF method.
 
-The package is lazy (PEP 562): `import avfrk` loads no submodule, and each
-public name below imports its module on first access.  The package logs
+The package is lazy: `import avfrk` executes no submodule.  Each layer
+is bound as `avfrk.<layer>` and registered in sys.modules as a lazy
+module (importlib.util.LazyLoader), executed on its first attribute
+access or import, and each public name below resolves through its
+layer on first access (PEP 562).  The package logs
 to the standard `avfrk` logger and adds only a NullHandler; configure
 logging to see its DEBUG records.
 """
 
+import importlib.util
 import logging
-from importlib import import_module
+import sys
 
 _EXPORTS = {
     "conditions": (
@@ -47,12 +51,25 @@ __all__ = sorted(_MODULE)
 __version__ = "0.1.0"
 
 
+def _lazy(name):
+    """avfrk.<name> as registered in sys.modules, lazily where it is not there yet."""
+    full = f"{__name__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+globals().update({name: _lazy(name) for name in _EXPORTS})
+
+
 def __getattr__(name):
-    if name in _EXPORTS:  # a submodule not imported yet
-        return import_module(f".{name}", __name__)
     if name not in _MODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE[name]}", __name__), name)
+    value = getattr(globals()[_MODULE[name]], name)
     globals()[name] = value
     return value
 

@@ -41,34 +41,52 @@ def _parse_fraction(name: str, text: str) -> Fraction:
         raise ValueError(f"cannot parse {name} {text!r}: {e}") from e
 
 
-def _dec(x, args) -> str:
-    """x to max(precision - 5, 5) significant digits, in mp.nstr's format.
+def _half_even(num: int, den: int, prec: int) -> tuple:
+    """(m, e) with m 2^e = num/den > 0 rounded to prec significant bits, half to even."""
+    e = num.bit_length() - den.bit_length() - prec - 2
+    q, r = divmod(num << max(-e, 0), den << max(e, 0))  # q has prec + 2 or prec + 3 bits
+    shift = q.bit_length() - prec
+    q, low, half = q >> shift, q & ((1 << shift) - 1), 1 << shift - 1
+    return q + (low > half or low == half and bool(r or q & 1)), e + shift
 
-    An mpf prints by mp.nstr at precision + 10 digits.  A Fraction or an
-    int is rounded exactly, half away from zero; that gives mp.nstr's digits
-    of its mpf wherever it lies farther than about 10^-6 of a last-digit
-    unit from a tie (mp.nstr rounds a truncated binary value there).
+
+def _dec(x, args) -> str:
+    """x to max(precision - 5, 5) significant digits, as mp.nstr prints its mpf at precision + 10 digits.
+
+    A Fraction or an int gives the same characters without mpmath: its mpf
+    (the numerator rounded to the working bits, then divided by the
+    denominator, each half to even) and nstr's digits (the mpf truncated to
+    three guard digits, then rounded half up on the first dropped digit)
+    are formed in integers.  Anything else, or a value beyond 2^±3500, is
+    printed by mp.nstr itself.
     """
     digits = max(args.precision - 5, 5)
-    if not isinstance(x, (Fraction, int)):
+    if isinstance(x, (Fraction, int)):
+        if x == 0:
+            return "0.0"
+        prec = max(1, round((args.precision + 11) * 3.3219280948873626))  # mpmath's dps_to_prec
+        m, e = _half_even(abs(x.numerator), 1, prec)
+        m, e = _half_even(m << max(e, 0), x.denominator << max(-e, 0), prec)
+    if not isinstance(x, (Fraction, int)) or abs(e + m.bit_length()) > 3500:
         from mpmath import mp
 
         with mp.workdps(args.precision + 10):
+            if isinstance(x, Fraction):
+                x = mp.mpf(x.numerator) / x.denominator
             return mp.nstr(mp.mpf(x), digits)
-    if x == 0:
-        return "0.0"
-    num, den = abs(x.numerator), x.denominator
-    exp = len(str(num)) - len(str(den))  # the decimal exponent of |x|, or one above it
-    if num * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
-        exp -= 1
-    shift = digits - 1 - exp
-    q, r = divmod(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
-    q += 2 * r >= den * 10 ** max(-shift, 0)
+    # mpmath's to_digits_exp at digits + 3, truncating
+    bitprec = int((digits + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - e - m.bit_length(), 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    fixed = m << e + fixprec if e + fixprec >= 0 else m >> -(e + fixprec)
+    text = str(fixed * 10**fixdps >> fixprec)
+    exp = len(text) - fixdps - 1
+    # mpmath's to_str: round half up on the first dropped digit, then lay out
+    q = int(text[:digits]) + (len(text) > digits and text[digits] >= "5")
     if q == 10**digits:
         q, exp = q // 10, exp + 1
     text = str(q)
-    # mpmath's layout: fixed point while min(-(digits // 3), -5) < exp < digits
-    if min(-(digits // 3), -5) < exp < digits:
+    if min(-(digits // 3), -5) < exp < digits:  # fixed point
         text = "0" * -exp + text if exp < 0 else text
         split, exp = max(exp, 0) + 1, 0
     else:
@@ -487,9 +505,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RuntimeError as e:
-        # a KernelStructureError can only come from a loaded avfrk.conditions
-        conditions = sys.modules.get("avfrk.conditions")
-        if conditions is None or not isinstance(e, conditions.KernelStructureError):
+        from .conditions import KernelStructureError  # on this error path only
+
+        if not isinstance(e, KernelStructureError):
             raise
         return _fail(f"{e}", EXIT_STRUCTURE)
     except FileNotFoundError as e:

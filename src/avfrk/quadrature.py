@@ -351,7 +351,9 @@ def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
     [lo, hi] nothing is bisected, and a polished root outside [lo, hi]
     raises QuadratureError.  The root is returned at those digits.  For
     s >= 24 the float seed is mostly rounding noise and only the safeguard
-    keeps its Newton iteration in the bracket.
+    keeps its Newton iteration in the bracket.  The seed stays Horner's:
+    the last polished bits depend on it, and float_nodes' seed
+    (_rho_float) would move them for most rules.
     """
     import mpmath as mp
 
@@ -530,7 +532,7 @@ class QuadRule:
         "_brackets", "_zeta", "_nodes", "_floats", "_mu",
     )
 
-    def __init__(self, s, zeta_exact, brackets, order, precision_digits, in_unit_interval):
+    def __init__(self, *, s, zeta_exact, brackets, order, precision_digits, in_unit_interval):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "zeta_exact", zeta_exact)
         object.__setattr__(self, "_brackets", tuple(brackets))

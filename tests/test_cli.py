@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import avfrk
@@ -557,16 +557,22 @@ def test_no_command_loads_numpy(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-# Runs in a fresh interpreter: the package import loads no submodule, then one command runs
+# Runs in a fresh interpreter: the package import registers every layer in sys.modules and
+# executes none, then one command runs.  A layer not executed yet is still LazyLoader's
+# placeholder module; executing it makes it a plain module.
 _LOADED_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import avfrk
-package = sorted(m for m in sys.modules if m.startswith("avfrk"))
+
+def executed():
+    return sorted(m for m, mod in sys.modules.items() if m.startswith("avfrk.") and type(mod) is types.ModuleType)
+
+registered = sorted(m for m in sys.modules if m.startswith("avfrk."))
+package = executed()
 from avfrk.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([package, code, sorted(m for m in sys.modules if m.startswith("avfrk.")),
-                  "mpmath" in sys.modules, "numpy" in sys.modules]))
+print(json.dumps([registered, package, code, executed(), "mpmath" in sys.modules, "numpy" in sys.modules]))
 """
 
 _RUN = ["--y0", "0.5,0.1"]
@@ -605,8 +611,9 @@ def test_command_loads_only_what_it_runs(quartic_file, argv, modules, mpmath):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    package, code, loaded, has_mpmath, has_numpy = json.loads(res.stdout)
-    assert package == ["avfrk"] and code == 0
+    registered, package, code, loaded, has_mpmath, has_numpy = json.loads(res.stdout)
+    assert registered == [f"avfrk.{m}" for m in sorted(avfrk._EXPORTS)]
+    assert package == [] and code == 0
     assert loaded == [f"avfrk.{m}" for m in modules.split()]
     assert has_mpmath == mpmath and not has_numpy
 
@@ -621,16 +628,9 @@ def test_every_public_name_resolves():
         avfrk.no_such_name
 
 
-def _near_tie(x: Fraction, digits: int) -> bool:
-    """Whether x lies within 10^-6 of a last-digit unit of a rounding tie at `digits` digits."""
-    x = abs(x)
-    exp = math.floor(math.log10(x))
-    while x >= 10 ** (exp + 1):
-        exp += 1
-    while x < Fraction(10) ** exp:
-        exp -= 1
-    scaled = x * Fraction(10) ** (digits - 1 - exp)
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**6)
+def _nstr(x: Fraction, precision: int) -> str:
+    with mp.workdps(precision + 10):
+        return mp.nstr(mp.mpf(x.numerator) / x.denominator, max(precision - 5, 5))
 
 
 @settings(max_examples=300, deadline=None)
@@ -644,20 +644,39 @@ def _near_tie(x: Fraction, digits: int) -> bool:
 @example(num=-999999999, den=1, shift=-3, precision=10)  # rounds up to the next power of ten
 @example(num=1, den=8, shift=-6, precision=20)  # fixed point just above the exponent form
 @example(num=0, den=1, shift=0, precision=50)
+@example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500: printed by mp.nstr itself
 def test_exact_decimal_matches_nstr(num, den, shift, precision):
-    # a Fraction prints exactly, with mp.nstr's digits and layout of its mpf at precision + 10
+    # a Fraction prints exactly as mp.nstr prints its mpf at precision + 10
     x = Fraction(num, den) * Fraction(10) ** shift
+    assert _dec(x, argparse.Namespace(precision=precision)) == _nstr(x, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.integers(1, 10**80),
+    offset=st.integers(-(10**6), 10**6),
+    scale=st.integers(6, 60),
+    shift=st.integers(-40, 40),
+    precision=st.integers(10, 80),
+    negative=st.booleans(),
+)
+@example(lead=2345, offset=0, scale=6, shift=0, precision=10, negative=False)  # 0.123455
+def test_exact_decimal_matches_nstr_near_ties(lead, offset, scale, shift, precision, negative):
+    # within 10^-6 of a last-digit unit of a tie, where nstr rounds a binary value
     digits = max(precision - 5, 5)
-    assume(x == 0 or not _near_tie(x, digits))
-    with mp.workdps(precision + 10):
-        want = mp.nstr(mp.mpf(x.numerator) / x.denominator, digits)
-    assert _dec(x, argparse.Namespace(precision=precision)) == want
+    lead = 10 ** (digits - 1) + lead % (9 * 10 ** (digits - 1))  # digits digits, then the tie
+    x = (lead + Fraction(1, 2) + Fraction(offset, 10**scale)) * Fraction(10) ** (shift - digits)
+    x = -x if negative else x
+    assert _dec(x, argparse.Namespace(precision=precision)) == _nstr(x, precision)
 
 
-def test_exact_decimal_rounds_ties_away_from_zero():
+def test_exact_decimal_ties_round_as_nstr():
     args = argparse.Namespace(precision=10)
-    assert _dec(Fraction(123455, 10**6), args) == "0.12346"
-    assert _dec(Fraction(-123455, 10**6), args) == "-0.12346"
+    # the mpf of 0.123455 lies below the tie; exact rounding half away from zero gave 0.12346
+    assert _dec(Fraction(123455, 10**6), args) == "0.12345" == _nstr(Fraction(123455, 10**6), 10)
+    assert _dec(Fraction(-123455, 10**6), args) == "-0.12345"
+    # an exact binary tie rounds half up
+    assert _dec(Fraction(1, 256), args) == "0.0039063" == _nstr(Fraction(1, 256), 10)
     assert _dec(Fraction(123454999, 10**9), args) == "0.12345"
 
 
