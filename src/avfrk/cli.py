@@ -41,15 +41,6 @@ def _parse_fraction(name: str, text: str) -> Fraction:
         raise ValueError(f"cannot parse {name} {text!r}: {e}") from e
 
 
-def _half_even(num: int, den: int, prec: int) -> tuple:
-    """(m, e) with m 2^e = num/den > 0 rounded to prec significant bits, half to even."""
-    e = num.bit_length() - den.bit_length() - prec - 2
-    q, r = divmod(num << max(-e, 0), den << max(e, 0))  # q has prec + 2 or prec + 3 bits
-    shift = q.bit_length() - prec
-    q, low, half = q >> shift, q & ((1 << shift) - 1), 1 << shift - 1
-    return q + (low > half or low == half and bool(r or q & 1)), e + shift
-
-
 def _dec(x, args) -> str:
     """x to max(precision - 5, 5) significant digits, as mp.nstr prints its mpf at precision + 10 digits.
 
@@ -60,6 +51,8 @@ def _dec(x, args) -> str:
     are formed in integers.  Anything else, or a value beyond 2^±3500, is
     printed by mp.nstr itself.
     """
+    from .quadrature import _half_even
+
     digits = max(args.precision - 5, 5)
     if isinstance(x, (Fraction, int)):
         if x == 0:
@@ -214,7 +207,7 @@ def cmd_conditions(args) -> int:
         tab, custom_nodes = _load_tableau(args.tableau, rule, args.precision)
         source, A = args.tableau, tab.A
     else:
-        # the rule stands for its own c b^T: exact rows from its moments, no node polished
+        # the rule stands for its own c b^T: exact rows from its moments, no node formed
         tab, custom_nodes, source, A = rule, False, "avf", None
     entries = []
     for ft in conditions_up_to(m, m):

@@ -20,7 +20,7 @@ integers: on A = c b^T + beta U(c) b^T V(C) every node vector is a
 polynomial in c and beta, so the residual is one in beta.  Each bush
 identity has one body over node vectors g(c), given A(g) and ip(f, g) =
 b^T f(C) g(c): exact polynomials g over the rule's moments, polynomials in
-c and beta on a kernel ray, or g's mpf values at the polished nodes for the
+c and beta on a kernel ray, or g's mpf values at the rounded nodes for the
 arbitrary s x s matrices A of the public residual functions.
 """
 
@@ -910,7 +910,7 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     representation: every residual is an exact Fraction over the rule's
     moments (double_bush(p,q) reduces to (p - q) mu_p mu_q minus its
     right-hand side).  A given A, an s x s matrix, is evaluated in mpf at
-    the polished nodes, as by the public residual functions.
+    the rule's mpf nodes, as by the public residual functions.
     """
     if A is not None:
         return _on_nodes(_bush_rows, A, rule, m)

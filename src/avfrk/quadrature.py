@@ -12,18 +12,16 @@ such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k as integers over one denominator, from the
 recurrence of the node polynomial, and discrete_ip_exact is the bilinear
 form sum u_i v_j mu_(i+j).  Roots are isolated by exact integer Sturm
-counts when the rule is built.  The nodes and weights come two ways, each
-formed on first access:
-- QuadRule.c and QuadRule.b are high-precision mpf values, polished by a
-  float-seeded Newton iteration, safeguarded by bisection inside each
-  bracket; a polish or validation QuadratureError is raised then;
-- QuadRule.float_nodes holds them correctly rounded to floats, for the
-  float stepper: each node from a float seed checked by the signs of the
-  integer rho half an ulp either side, each weight from an exact enclosure
-  narrowed until both its ends round to one float.
-The exact certificate reads only the exact core and never polishes.
-mpmath is imported only by what forms an mpf: the polish, its validation,
-QuadRule.zeta, UniPoly.values and discrete_ip.
+counts when the rule is built.  The nodes and weights are formed on first
+access by one exact routine, _rounded_rule, which rounds each of them
+correctly to a given number of bits: each node from a float seed refined
+by Newton's iteration in integers and confirmed by the signs of the integer
+rho, each weight from an exact enclosure narrowed until both its ends round
+to one value.  QuadRule.float_nodes holds them at 53 bits, for the float
+stepper; QuadRule.c and QuadRule.b hold them as mpf values at the working
+precision.  The exact certificate reads only the exact core and never forms
+a node.  mpmath is imported only by what forms an mpf: QuadRule.c and
+QuadRule.b, QuadRule.zeta, UniPoly.values and discrete_ip.
 """
 
 from __future__ import annotations
@@ -31,11 +29,9 @@ from __future__ import annotations
 import json
 import logging
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import count
-from math import ceil, comb, gcd, lcm, ulp
+from functools import lru_cache
+from math import comb, frexp, gcd, lcm, ulp
 from operator import mul
-from struct import pack, unpack
 from time import perf_counter
 from typing import Sequence
 
@@ -285,37 +281,48 @@ def _isolate_roots(s: int, z: Fraction, lo: Fraction, hi: Fraction) -> list:
     return sorted(brackets)
 
 
-def _horner(cs, x):
-    """(p(x), p'(x)) for ascending coefficients cs, in the arithmetic of x."""
-    f = df = 0 * x
-    for c in reversed(cs):
-        df = df * x + f
-        f = f * x + c
-    return f, df
+# bits beyond the target at which a root is refined: a root's rounding is
+# decided from its Newton bracket unless it lies within 2^-62 ulp of a
+# rounding boundary
+_GUARD_BITS = 64
 
 
-def _guard_digits(p: UniPoly) -> int:
-    """Digits beyond dps + 15 at which the roots of p are polished and weighed.
-
-    Horner in the monomial basis loses up to log10 sum |p_k| digits on
-    [0, 1].  The 15 digits above dps cover that, with two to spare for the
-    10^(-dps+2) stop, while sum |p_k| has at most 17 digits: every rule
-    up to s = 22 for |zeta| <= 2.  Each further digit adds a guard digit;
-    P_s alone has about 0.77 s of them.
-    """
-    return max(0, len(str(ceil(sum(map(abs, p.coeffs))))) - 17)
+def _half_even(num: int, den: int, prec: int) -> tuple:
+    """(m, e) with m 2^e = num/den > 0 rounded to prec significant bits, half to even."""
+    e = num.bit_length() - den.bit_length() - prec - 2
+    q, r = divmod(num << max(-e, 0), den << max(e, 0))  # q has prec + 2 or prec + 3 bits
+    shift = q.bit_length() - prec
+    q, low, half = q >> shift, q & ((1 << shift) - 1), 1 << shift - 1
+    return q + (low > half or low == half and bool(r or q & 1)), e + shift
 
 
-def _float_root(f, lo: Fraction, hi: Fraction, rising: bool) -> float:
-    """A float root in [lo, hi] of f(x) -> (value, slope): a safeguarded Newton iteration in floats.
+def _rounded(num: int, den: int, bits: int) -> Fraction:
+    """num / den rounded to bits significant bits, half to even, as a Fraction."""
+    if not num:
+        return Fraction(0)
+    m, e = _half_even(abs(num), abs(den), bits)
+    x = Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    return x if (num < 0) == (den < 0) else -x
 
-    The bracket shrinks by the sign of the value (negative left of the root
-    when rising), and a step leaving it is replaced by bisection.
+
+def _ulp(v: Fraction, bits: int) -> Fraction:
+    """The spacing 2^(floor(log2 v) - bits + 1) of the bits-wide grid at v > 0."""
+    n, d = v.numerator, v.denominator
+    e = n.bit_length() - d.bit_length()
+    e -= (n << max(-e, 0)) < (d << max(e, 0))
+    return Fraction(2) ** (e - bits + 1)
+
+
+def _float_root(s: int, z: float, lo: Fraction, hi: Fraction, rising: bool) -> float:
+    """A float root of rho = P_s - z P_(s-1) in [lo, hi]: a safeguarded Newton iteration in floats.
+
+    The bracket shrinks by the sign of rho (negative left of the root when
+    rising), and a step leaving it is replaced by bisection.
     """
     a, b = float(lo), float(hi)
     x = (a + b) / 2
     for _ in range(100):
-        v, dv = f(x)
+        v, dv = _rho_float(s, z, x)
         if v == 0:
             break
         if (v > 0) == rising:
@@ -341,66 +348,17 @@ def _rho_float(s: int, z: float, x: float) -> tuple:
     return q - z * p, dq - z * dp
 
 
-def _polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
-    """The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
-
-    A float seed, from _float_root on p's float coefficients by Horner in
-    the monomial basis, starts a safeguarded Newton iteration at
-    dps + 15 + _guard_digits(p) digits, started again from [lo, hi], which
-    stops on a step below the tolerance.  Where p has no sign change on
-    [lo, hi] nothing is bisected, and a polished root outside [lo, hi]
-    raises QuadratureError.  The root is returned at those digits.  For
-    s >= 24 the float seed is mostly rounding noise and only the safeguard
-    keeps its Newton iteration in the bracket.  The seed stays Horner's:
-    the last polished bits depend on it, and float_nodes' seed
-    (_rho_float) would move them for most rules.
-    """
-    import mpmath as mp
-
-    rising = p(lo) < 0
-    # a step leaving [lo, hi] can bisect instead only where p changes sign on it
-    isolating = (p(hi) < 0) != rising
-    x = _float_root(partial(_horner, [float(c) for c in p.coeffs]), lo, hi, rising)
-    with mp.workdps(dps + 15 + _guard_digits(p)):
-        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
-        x = mp.mpf(x)
-        a, b = (mp.mpf(e.numerator) / e.denominator for e in (lo, hi))
-        tol = mp.mpf(10) ** (-dps + 2)
-        where = f"the isolating bracket [{float(lo)}, {float(hi)}]"
-        for _ in range(50):
-            f, df = _horner(cs, x)
-            if f == 0:
-                break
-            if df == 0:
-                raise QuadratureError(f"Newton met a critical point in {where}")
-            if (f > 0) == rising:
-                b = x
-            else:
-                a = x
-            step = f / df
-            nxt = x - step
-            if abs(step) < tol * max(1, abs(nxt)):
-                x = nxt
-                break
-            x = nxt if a < nxt < b or not isolating else (a + b) / 2
-        else:
-            raise QuadratureError(f"Newton did not converge in {where}")
-        if not lo <= _exact_fraction(x) <= hi:
-            raise QuadratureError(f"Newton left {where}")
-        return +x
-
-
 # ---------------------------------------------------------------------------
-# correctly rounded float nodes and weights, by exact sign tests
+# correctly rounded nodes and weights, by exact sign tests
 
 
-def _root_side(s: int, z: Fraction, lo: Fraction, hi: Fraction):
+def _root_side(s: int, z: Fraction, lo: Fraction, hi: Fraction, rising: bool):
     """side(t): 1 when r > t, -1 when r < t and 0 when r = t, for the root r of rho in (lo, hi].
 
-    Inside the isolating bracket the sign of the integer rho (_sturm_values)
-    at t against its sign at lo decides; outside it, the bracket does.
+    rising tells that rho < 0 at lo.  Inside the isolating bracket the sign
+    of the integer rho (_sturm_values) at t decides; outside it, the bracket
+    does.
     """
-    left = _sturm_values(s, z, lo)[0] > 0
 
     def side(t: Fraction) -> int:
         if t <= lo:
@@ -408,49 +366,9 @@ def _root_side(s: int, z: Fraction, lo: Fraction, hi: Fraction):
         if t > hi:
             return -1
         v = _sturm_values(s, z, t)[0]
-        return 0 if v == 0 else 1 if (v > 0) == left else -1
+        return 0 if v == 0 else -1 if (v > 0) == rising else 1
 
     return side
-
-
-def _ordinal(x: float) -> int:
-    """The place of x in the order of all floats: consecutive floats have consecutive ordinals."""
-    n = unpack("<q", pack("<d", x))[0]
-    return n if n >= 0 else -(n & (1 << 63) - 1)
-
-
-def _from_ordinal(n: int) -> float:
-    return unpack("<d", pack("<Q", n if n >= 0 else -n | 1 << 63))[0]
-
-
-def _rounded_root(side, lo: Fraction, hi: Fraction, x: float) -> tuple:
-    """(float(r), a, b) for the root r in (lo, hi] that side locates (_root_side), from a float seed x.
-
-    The sides of r at the two points half an ulp from x either enclose r,
-    so that x is float(r), or tell on which side of x float(r) lies.  After
-    three steps to a neighbour the search bisects the floats that remain,
-    in the order of their ordinals, so it ends within 64 more steps.  A root
-    exactly at a half-ulp point is returned as float() rounds it, half to
-    even.  The dyadic a < r < b are the half-ulp points of float(r), or
-    a = b = r.
-    """
-    first, last = _ordinal(float(lo)), _ordinal(float(hi))  # float(r) lies between them
-    for steps in count():
-        n = _ordinal(x)
-        down, up = ((Fraction(x) + Fraction(_from_ordinal(n + d))) / 2 for d in (-1, 1))
-        below = side(down)
-        if below == 0:
-            return float(down), down, down
-        if below > 0:
-            above = side(up)
-            if above == 0:
-                return float(up), up, up
-            if above < 0:
-                return x, down, up
-            first = n = n + 1
-        else:
-            last = n = n - 1
-        x = _from_ordinal(n if steps < 3 else (first + last) // 2)
 
 
 def _dyadic_horner(ints: list, m: int, e: int) -> int:
@@ -461,17 +379,89 @@ def _dyadic_horner(ints: list, m: int, e: int) -> int:
     return acc
 
 
-def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tuple) -> float:
-    """float(2 / (s D(r))), correctly rounded, for the root r in the dyadic bracket a < r < b.
+def _newton_bracket(side, rho: list, slope: list, lo, hi, x: float, rising: bool, bits: int) -> tuple:
+    """(a, b) with a < r < b, or a = b = r, for the root r in (lo, hi] that side locates.
+
+    From the float seed x, Newton's iteration on the integer coefficients of
+    rho and of its derivative (slope) runs on the grid 2^-f, _GUARD_BITS
+    finer than the bits-wide grid at x, and bisects where a step would leave
+    the bracket that the signs of rho keep (rho < 0 left of the root when
+    rising).  Two side tests then confirm r within two units of its result
+    m, or meet r exactly there.  Where they do not, (lo, hi] widened to the
+    2^-f grid is returned.
+    """
+    f = bits + _GUARD_BITS - frexp(x)[1]
+    num, den = x.as_integer_ratio()
+    m = (num << f) // den
+    low, high = (lo.numerator << f) // lo.denominator, (hi.numerator << f) // hi.denominator + 1
+    a, b = low, high
+    for _ in range(f + 8):
+        v = _dyadic_horner(rho, m, f)
+        if not v:
+            break
+        if (v > 0) == rising:
+            b = m
+        else:
+            a = m
+        dv = _dyadic_horner(slope, m, f)  # 2^(f (n - 1)) rho'(m / 2^f): v / dv is the step in units of 2^-f
+        nxt = m - (2 * v + dv) // (2 * dv) if dv else a
+        if abs(nxt - m) <= 1:
+            m = nxt
+            break
+        m = nxt if a < nxt < b else (a + b) // 2
+    below, above = side(Fraction(m - 2, 1 << f)), side(Fraction(m + 2, 1 << f))
+    if not below * above:
+        t = Fraction(m - 2 if below == 0 else m + 2, 1 << f)
+        return t, t
+    a, b = (m - 2, m + 2) if below > above else (low, high)
+    return Fraction(a, 1 << f), Fraction(b, 1 << f)
+
+
+def _rounded_root(side, a: Fraction, b: Fraction, bits: int) -> tuple:
+    """(x, a, b): the root r in (a, b) that side locates, rounded to bits significant bits, half to even.
+
+    a and b are dyadic, or a = b = r for a root known exactly.  The a < r < b
+    returned are too, narrowed, or a = b = r where r is met exactly.  Where 0
+    lies in (a, b), side(0) gives the sign of r.  The search runs on |r|:
+    while its ends round to different values x < y on the bits-wide grid
+    (x = 0 for an end at 0), side is asked at the rounding boundary above
+    the grid point below the middle of x and y, so it bisects the values
+    that remain.  A root on a boundary is met exactly and rounds half to
+    even.
+    """
+    if a == b:
+        return _rounded(a.numerator, a.denominator, bits), a, b
+    sign = side(Fraction(0)) if a < 0 < b else 1 if a >= 0 else -1
+    if not sign:
+        return Fraction(0), Fraction(0), Fraction(0)
+    lo, hi = sorted(max(sign * e, 0) for e in (a, b))
+    x, y = (_rounded(e.numerator, e.denominator, bits) for e in (lo, hi))
+    while x < y:
+        mid = (x + y) / 2
+        u = _ulp(mid, bits)
+        g = mid - mid % u  # x <= g < y, and g + u is the next grid point
+        t = g + u / 2
+        w = sign * side(sign * t)
+        if not w:
+            return sign * _rounded(t.numerator, t.denominator, bits), sign * t, sign * t
+        if w > 0:
+            x, lo = g + u, t
+        else:
+            y, hi = g, t
+    lo, hi = sorted((sign * lo, sign * hi))
+    return sign * x, lo, hi
+
+
+def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tuple, bits: int) -> Fraction:
+    """2 / (s D(r)) rounded to bits significant bits, for the root r in the dyadic bracket a < r < b.
 
     side locates r (_root_side).  D = rho' P_(s-1) and bound, the absolute
     values of the coefficients of D'', come as (ints, d) pairs.  D(r) lies
     between D(a) and D(b), widened by (b - a)^2 / 8 bound(max(|a|, |b|)), the
     most D leaves its chord by.  While the weights at the two ends of that
-    enclosure round to different floats, the bracket is halved by the side
-    of r at its middle; a root met exactly gives its weight exactly.  Each
-    value is an integer over 2^(e n) d for a bracket over 2^e, and int / int
-    divides correctly rounded.
+    enclosure round to different values, the bracket is halved by the side
+    of r at its middle; a root met exactly (a = b = r) gives its weight
+    exactly.  Each value is an integer over 2^(e n) d for a bracket over 2^e.
     """
     e = max(a.denominator, b.denominator).bit_length() - 1
     ma, mb = (x.numerator << e - x.denominator.bit_length() + 1 for x in (a, b))
@@ -482,8 +472,8 @@ def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tup
         lo, hi = ends[0] - bow, ends[1] + bow
         if lo > 0 or hi < 0:
             den = 16 * Dd * Bd << e * (len(Di) - 1)
-            w = den / (s * lo)
-            if w == den / (s * hi):
+            w = _rounded(den, s * lo, bits)
+            if w == _rounded(den, s * hi, bits):  # by value: a power of 2 has two (m, e) forms
                 return w
         mid = ma + mb
         ma, mb, e = ma << 1, mb << 1, e + 1
@@ -492,27 +482,34 @@ def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tup
             ma = mid
         if where <= 0:
             mb = mid
-    return (2 * Dd << e * (len(Di) - 1)) / (s * _dyadic_horner(Di, ma, e))
+    return _rounded(2 * Dd << e * (len(Di) - 1), s * _dyadic_horner(Di, ma, e), bits)
 
 
-def _float_nodes(rule) -> tuple:
-    """((c_j, b_j), ...) of the rule correctly rounded to floats, in ascending c.
+def _rounded_rule(s: int, z: Fraction, brackets, bits: int) -> tuple:
+    """((c_j, b_j), ...) of the rule rounded to bits significant bits, half to even, in ascending c.
 
-    Each node is rounded from its float seed by _rounded_root inside its
-    Sturm bracket, and its weight 2/(s rho'(c) P_(s-1)(c)) by _rounded_weight
-    on the bracket that leaves; all in exact arithmetic.
+    Each node comes from its float seed (_float_root), refined in integers
+    inside its Sturm bracket (_newton_bracket) and rounded by exact sign
+    tests (_rounded_root); its weight 2/(s rho'(c) P_(s-1)(c)) is rounded
+    from an exact enclosure on the bracket that leaves (_rounded_weight).
+    All values are Fractions with at most bits significant bits.
     """
-    s, z = rule.s, rule.zeta_exact
-    rho = legendre(s) - z * legendre(s - 1)
-    D = rho.derivative() * legendre(s - 1)
-    bound = _scaled([abs(c) for c in D.derivative().derivative().coeffs])
-    D = _scaled(D.coeffs)
-    f = partial(_rho_float, s, float(z))
+    rho = _rho_ints(s, z)  # z_den rho
+    slope = [k * c for k, c in enumerate(rho)][1:]
+    D = [0] * (2 * s - 1)  # z_den rho' P_(s-1)
+    for i, x in enumerate(slope):
+        for j, y in enumerate(legendre(s - 1).coeffs):
+            D[i + j] += x * y.numerator
+    bound = [abs(k * (k - 1) * c) for k, c in enumerate(D)][2:], z.denominator
+    D = D, z.denominator
     out = []
-    for lo, hi in rule._brackets:
-        side = _root_side(s, z, lo, hi)
-        c, a, b = _rounded_root(side, lo, hi, _float_root(f, lo, hi, rho(lo) < 0))
-        out.append((c, _rounded_weight(side, s, a, b, D, bound)))
+    for lo, hi in brackets:
+        rising = _sturm_values(s, z, lo)[0] < 0
+        side = _root_side(s, z, lo, hi, rising)
+        x = _float_root(s, float(z), lo, hi, rising)
+        a, b = _newton_bracket(side, rho, slope, lo, hi, x, rising, bits)
+        c, a, b = _rounded_root(side, a, b, bits)
+        out.append((c, _rounded_weight(side, s, a, b, D, bound, bits)))
     return tuple(out)
 
 
@@ -521,10 +518,11 @@ class QuadRule:
 
     The rule is built on its exact core: zeta_exact, the Sturm-certified
     root brackets, the order, the exact moments and in_unit_interval.  The
-    mpf nodes c and weights b are polished, checked and cached on first
-    access, so the exact certificate never computes them; the mpf zeta is
-    formed on first access too.  float_nodes holds the nodes and weights
-    correctly rounded to floats, from exact sign tests, with no mpf at all.
+    mpf nodes c and weights b are rounded correctly to the working precision
+    and cached on first access, so the exact certificate never computes
+    them; the mpf zeta is formed on first access too.  float_nodes holds the
+    nodes and weights correctly rounded to floats by the same routine, with
+    no mpf at all.
     """
 
     __slots__ = (
@@ -568,40 +566,33 @@ class QuadRule:
     def float_nodes(self) -> tuple:
         """((c_j, b_j), ...) in ascending c, each correctly rounded to a float."""
         if self._floats is None:
-            object.__setattr__(self, "_floats", _float_nodes(self))
+            pairs = _rounded_rule(self.s, self.zeta_exact, self._brackets, 53)
+            object.__setattr__(self, "_floats", tuple((float(c), float(b)) for c, b in pairs))
         return self._floats
 
     @property
     def c(self) -> tuple:
-        """The abscissae in ascending order, mpf at precision_digits + 15."""
-        return (self._nodes or self._polish())[0]
+        """The abscissae in ascending order, mpf at precision_digits + 15, correctly rounded."""
+        return (self._nodes or self._mpf_nodes())[0]
 
     @property
     def b(self) -> tuple:
-        """The weights 2/(s rho'(c_i) P_{s-1}(c_i)), mpf at precision_digits + 15."""
-        return (self._nodes or self._polish())[1]
+        """The weights 2/(s rho'(c_i) P_{s-1}(c_i)), mpf at precision_digits + 15, correctly rounded."""
+        return (self._nodes or self._mpf_nodes())[1]
 
-    def _polish(self) -> tuple:
-        """Polish the roots in their brackets, form the weights, validate and cache (c, b)."""
+    def _mpf_nodes(self) -> tuple:
+        """Round the nodes and weights to the working precision's bits and cache them as mpf (c, b)."""
         import mpmath as mp
 
         start = perf_counter()
-        s, z, dps = self.s, self.zeta_exact, self.precision_digits
-        rho = legendre(s) - z * legendre(s - 1)
-        with mp.workdps(dps + 15 + _guard_digits(rho)):
-            c = sorted(_polish_root(rho, a, b, dps) for a, b in self._brackets)
-            b = [2 / (s * d * p) for d, p in zip(rho.derivative().values(c), legendre(s - 1).values(c))]
-        with mp.workdps(dps + 15):
-            c, b = [+x for x in c], [+x for x in b]
-            # distinctness at working precision
-            for x, y in zip(c, c[1:]):
-                if abs(y - x) < mp.mpf(10) ** (-dps + 5):
-                    raise QuadratureError("repeated abscissae at working precision")
-            _validate_rule(self, c, b)
+        with mp.workdps(self.precision_digits + 15):
+            bits = mp.mp.prec
+            pairs = _rounded_rule(self.s, self.zeta_exact, self._brackets, bits)
+            c, b = ([mp.mpf(x.numerator) / x.denominator for x in xs] for xs in zip(*pairs))
         object.__setattr__(self, "_nodes", (tuple(c), tuple(b)))
         _log.debug(
-            "polish nodes: s %d, zeta %s, precision %d, %.3f ms",
-            s, z, dps, 1e3 * (perf_counter() - start),
+            "rounded nodes: s %d, zeta %s, %d bits, %.3f ms",
+            self.s, self.zeta_exact, bits, 1e3 * (perf_counter() - start),
         )
         return self._nodes
 
@@ -664,11 +655,9 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     rational brackets and decide in_unit_interval, and the order and the
     moments follow from s and zeta.  Raises QuadratureError when s distinct
     real roots cannot be found inside the admissible window (complex or
-    runaway roots).  The nodes c and weights b are polished on first
-    access, by Newton at working precision, and the weights
-    2/(s rho'(c_i) P_{s-1}(c_i)) are checked against all `order`
-    quadrature conditions then; a polish or validation failure raises
-    QuadratureError at that access.
+    runaway roots); no later access raises it.  The nodes c and the weights
+    2/(s rho'(c_i) P_{s-1}(c_i)) are formed on first access, each the exact
+    value correctly rounded to the bits of precision_digits + 15 digits.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -693,23 +682,6 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
         precision_digits=precision_digits,
         in_unit_interval=in_unit,
     )
-
-
-def _validate_rule(rule: QuadRule, c, b) -> None:
-    import mpmath as mp
-
-    tol = mp.mpf(10) ** (-rule.precision_digits + 5)
-    for k in range(1, rule.order + 1):
-        r = mp.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) - mp.mpf(1) / k
-        if abs(r) > tol:
-            raise QuadratureError(
-                f"quadrature condition k={k} violated: residual {mp.nstr(r, 5)}; "
-                "raise precision_digits"
-            )
-    if rule.zeta_exact == -1 and abs(c[0]) > tol:
-        raise QuadratureError("zeta=-1 must place c_1 = 0")
-    if rule.zeta_exact == 1 and abs(c[-1] - 1) > tol:
-        raise QuadratureError("zeta=1 must place c_s = 1")
 
 
 def discrete_ip(u: UniPoly, v: UniPoly, rule: QuadRule):

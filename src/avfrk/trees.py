@@ -293,8 +293,9 @@ class ButcherTableau:
     `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
     the constructors of rank-one tableaux (rank_one); None for any other
     tableau.  A rank-one tableau forms its mpf A, b and c from the rule's
-    polished nodes on first access: the stepper reads only the rule's float
-    nodes and energy_condition_residual only its exact moments.  The
+    correctly rounded mpf nodes and weights on first access: the stepper
+    reads only the rule's float nodes and energy_condition_residual only its
+    exact moments.  The
     tableau memoises each subtree's stage vector Psi(t) and elementary
     weight a(t), both computed at precision_digits + 10, for rk_weight.
     """
@@ -428,7 +429,7 @@ def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
 
     A rule, standing for its tableau A = c b^T, or a tableau that carries
     its rule gives the exact Fraction, each weight a product of the rule's
-    exact moments, and never polishes the nodes; any other tableau gives an
+    exact moments, and never forms the nodes; any other tableau gives an
     mpf at precision_digits + 10.  Superfluous classes impose no condition
     and return 0.
     """

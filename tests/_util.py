@@ -2,7 +2,6 @@
 import math
 import random
 from fractions import Fraction
-from math import ulp
 from operator import mul, sub
 
 from mpmath import mp
@@ -10,7 +9,7 @@ from mpmath import mp
 from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
 from avfrk.integrators import _STALL_FACTOR, SolverConfig, SolverError, StepStats
-from avfrk.quadrature import QuadratureError, UniPoly, _exact_fraction, _horner, _scaled
+from avfrk.quadrature import UniPoly, _scaled
 from avfrk.trees import ButcherTableau
 
 
@@ -206,9 +205,9 @@ def memo_free_residual(ft, tab):
         return total
 
 
-def refuse_polish(*args):
-    """Stand-in for quadrature._polish_root in tests that the exact certificate never polishes."""
-    raise AssertionError("a rule's nodes were polished")
+def refuse_nodes(*args):
+    """Stand-in for quadrature._rounded_rule in tests that the exact certificate never forms a node."""
+    raise AssertionError("a rule's nodes were formed")
 
 
 # conditions' four mpf bush residuals, with their helpers, as they were before each
@@ -413,56 +412,6 @@ def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1
         iterate=tuple(x),
         residual=res,
     )
-
-
-def reference_polish_root(p: UniPoly, lo: Fraction, hi: Fraction, dps: int):
-    """quadrature._polish_root as it was before its mpf Newton was safeguarded.
-
-    The root of p in the isolating bracket [lo, hi], to 10^(-dps+2).
-
-    A safeguarded Newton iteration in floats runs first: the bracket shrinks
-    by the sign of p, and a step leaving it is replaced by bisection.  Its
-    result seeds Newton at dps + 15 digits.  A polished root outside
-    [lo, hi] raises QuadratureError.
-    """
-    rising = p(lo) < 0
-    fcs = [float(c) for c in p.coeffs]
-    a, b = float(lo), float(hi)
-    x = (a + b) / 2
-    for _ in range(100):
-        f, df = _horner(fcs, x)
-        if f == 0:
-            break
-        if (f > 0) == rising:
-            b = x
-        else:
-            a = x
-        last = x
-        x = x - f / df if df else a  # a zero slope falls back to bisection
-        if not a < x < b:
-            x = (a + b) / 2
-        if abs(x - last) <= ulp(last):
-            break
-    with mp.workdps(dps + 15):
-        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
-        x = mp.mpf(x)
-        tol = mp.mpf(10) ** (-dps + 2)
-        where = f"the isolating bracket [{float(lo)}, {float(hi)}]"
-        for _ in range(50):
-            f, df = _horner(cs, x)
-            if f == 0:
-                break
-            if df == 0:
-                raise QuadratureError(f"Newton met a critical point in {where}")
-            step = f / df
-            x = x - step
-            if abs(step) < tol * max(1, abs(x)):
-                break
-        else:
-            raise QuadratureError(f"Newton did not converge in {where}")
-        if not lo <= _exact_fraction(x) <= hi:
-            raise QuadratureError(f"Newton left {where}")
-        return +x
 
 
 # QuadRule.moments, discrete_ip_table and build_M (with build_p_tilde and

@@ -17,7 +17,7 @@ from avfrk import conditions, quadrature
 from avfrk.cli import _dec, _json, main
 from avfrk.conditions import build_M, rank_kernel
 from avfrk.quadrature import quad_rule
-from _util import refuse_polish
+from _util import refuse_nodes
 
 QUARTIC_DOC = {
     "half_dim": 1,
@@ -51,7 +51,7 @@ class TestQuad:
         assert doc["b"] == ["0.5", "0.5"]
 
     def test_large_gauss_rule(self, capsys):
-        # the float seed of the polish is rounding noise from s = 24 on
+        # the largest rule of the quad tests, rounded from its integer Newton brackets
         code, doc = run_json(capsys, ["quad", "--s", "24", "--zeta", "0"])
         assert code == 0
         assert len(doc["c"]) == 24 and doc["order"] == 48
@@ -696,7 +696,7 @@ def test_unknown_subcommand():
         ["uniqueness", "--s", "3", "--zeta", "1/2", "--betas", "1/3,1/10"],
         ["conditions", "--s", "4", "--zeta", "0"],
         ["conditions", "--s", "3", "--zeta", "1/2", "--m", "6", "--format", "csv"],
-        # a rule with guard digits in its polish, at a low precision
+        # a large rule at a low precision
         ["conditions", "--s", "29", "--zeta", "1", "--precision", "15", "--m", "2"],
     ],
 )
@@ -705,7 +705,7 @@ def test_certificate_commands_never_polish(monkeypatch, capsys, argv):
     # their output is unchanged
     assert main(argv) == 0
     want = capsys.readouterr().out
-    monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+    monkeypatch.setattr(quadrature, "_rounded_rule", refuse_nodes)
     assert main(argv) == 0
     assert capsys.readouterr().out == want
 

@@ -58,7 +58,7 @@ from _util import (
     reference_ray_residual,
     reference_rowsum_element,
     reference_triple_bush_residual,
-    refuse_polish,
+    refuse_nodes,
 )
 
 ONE = UniPoly([1])
@@ -173,7 +173,7 @@ class TestBushRows:
         assert all(r == 0 for _, r in rows)
 
     def test_exact_rows_never_polish(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        monkeypatch.setattr(quadrature, "_rounded_rule", refuse_nodes)
         assert all(r == 0 for _, r in bush_residuals(quad_rule(3, Fraction(1, 2)), 5))
 
 
@@ -1351,7 +1351,7 @@ def test_error_types_are_distinct():
 
 
 class TestExactCore:
-    """The certificate reads a rule's exact core only: its mpf nodes are never polished."""
+    """The certificate reads a rule's exact core only: its nodes are never formed."""
 
     @staticmethod
     def _certify(s, zeta):
@@ -1362,7 +1362,7 @@ class TestExactCore:
     @pytest.mark.parametrize("s,zeta", [(s, z) for s in range(2, 9) for z in (Fraction(0), Fraction(1, 2), Fraction(-1))])
     def test_certificate_never_polishes(self, monkeypatch, s, zeta):
         want = self._certify(s, zeta)
-        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        monkeypatch.setattr(quadrature, "_rounded_rule", refuse_nodes)
         assert self._certify(s, zeta) == want
-        with pytest.raises(AssertionError, match="polished"):
+        with pytest.raises(AssertionError, match="formed"):
             quad_rule(s, zeta).c

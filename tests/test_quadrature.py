@@ -17,7 +17,7 @@ from avfrk.quadrature import (
     UniPoly,
     _exact_fraction,
     _isolate_roots,
-    _polish_root,
+    _rounded_root,
     _sign_changes,
     _sturm_values,
     check_discip_lemma,
@@ -35,13 +35,14 @@ from avfrk.quadrature import (
 from avfrk import quadrature
 from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly, reference_moments, reference_polish_root, refuse_polish
+from _util import random_unipoly, reference_moments, refuse_nodes
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
 POLISH_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2)]
 # 7 puts a node outside [0, 1], 40 a root outside _WINDOW
 STURM_ZETAS = POLISH_ZETAS + [Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(7), Fraction(40)]
+OPERATOR_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(1, 3)]
 # 3/2, 7 and -3/2 put a node outside [0, 1]; -1 and 1 put one on an end point
 UNIT_ZETAS = [Fraction(2), Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(7), Fraction(-3, 2)]
 X = UniPoly([0, 1])
@@ -263,23 +264,18 @@ class TestQuadRule:
 
 
 class TestLazyNodes:
-    """A rule is built on its exact core; c and b are polished on first access."""
+    """A rule is built on its exact core; c and b are formed on first access."""
 
     @pytest.mark.parametrize("dps", [15, 50])
     @pytest.mark.parametrize("s", range(1, 11))
     def test_in_unit_interval_matches_polished_nodes(self, s, dps):
-        # the exact Sturm count agrees with the polished nodes up to the validation
-        # tolerance, which decides every node: a root on an end point is exact
-        # (zeta = -1 or 1), and every other root stays clear of 0 and 1
+        # the exact Sturm count agrees with the rounded nodes: a root on an end point is
+        # exact (zeta = -1 or 1), and every other root stays clear of 0 and 1
         for zeta in UNIT_ZETAS:
             rule = quad_rule(s, zeta, dps)
             exact_ends = {0} if zeta == -1 else {1} if zeta == 1 else set()
-            with mp.workdps(dps + 15):
-                tol = mp.mpf(10) ** (-dps + 5)
-                for x in rule.c:
-                    near = {e for e in (0, 1) if abs(x - e) <= tol}
-                    assert near <= exact_ends, (s, zeta, dps)
-                assert rule.in_unit_interval == all(-tol <= x <= 1 + tol for x in rule.c), (s, zeta, dps)
+            assert {int(x) for x in rule.c if x in (0, 1)} == exact_ends, (s, zeta, dps)
+            assert rule.in_unit_interval == all(0 <= x <= 1 for x in rule.c), (s, zeta, dps)
             if zeta in (-1, 0, 1, Fraction(1, 2)):
                 assert rule.in_unit_interval
 
@@ -292,28 +288,14 @@ class TestLazyNodes:
             tab = avf_tableau(rule)
             assert rule.float_nodes
             # neither the exact certificate, nor a rank-one tableau before its entries are
-            # read, nor the float nodes polish
+            # read, nor the float nodes log
             assert not [r for r in caplog.records if r.name == "avfrk.quadrature"]
             tab.A
             avf_tableau(rule).c
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.quadrature"]
         assert len(got) == 1
-        assert got[0].startswith("polish nodes: s 3, zeta 1/2, precision 50, ")
+        assert got[0].startswith("rounded nodes: s 3, zeta 1/2, 219 bits, ")
         assert got[0].endswith(" ms") and float(got[0].split(", ")[-1][:-3]) >= 0
-
-    def test_polish_failure_raised_on_access(self, monkeypatch):
-        # construction needs no polish; a failing polish raises at each access and is not cached
-        def fail(*args):
-            raise QuadratureError("Newton did not converge")
-
-        monkeypatch.setattr(quadrature, "_polish_root", fail)
-        rule = quad_rule(4, Fraction(1, 3))
-        assert rule.moments(rule.order) == tuple(Fraction(1, k + 1) for k in range(rule.order))
-        for _ in range(2):
-            with pytest.raises(QuadratureError, match="did not converge"):
-                rule.b
-        monkeypatch.undo()
-        assert rule.c == quad_rule(4, Fraction(1, 3)).c
 
     def test_nodes_are_read_only(self):
         rule = quad_rule(2, 0)
@@ -339,29 +321,93 @@ def reference_roots(s, zeta):
         return tuple(sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=300)))
 
 
+def legendre_values(s, z, x):
+    """(rho(x), rho'(x), P_(s-1)(x)) for rho = P_s - z P_(s-1), by the Legendre recurrence in mpf."""
+    t = 2 * x - 1
+    p, q, dp, dq = mp.mpf(1), t, mp.mpf(0), mp.mpf(2)  # P_(k-1), P_k and their derivatives
+    for k in range(1, s):
+        p, q, dp, dq = q, ((2 * k + 1) * t * q - k * p) / (k + 1), dq, ((2 * k + 1) * (2 * q + t * dq) - k * dp) / (k + 1)
+    return q - z * p, dq - z * dp, p
+
+
+@lru_cache(maxsize=None)
+def reference_rule(s, zeta):
+    """(nodes, weights) of the rule to 118 digits: each node by Newton's iteration and its Christoffel weight.
+
+    Newton runs on the mpf Legendre recurrence at 150 digits, so that a node
+    of size 10^-31 still has 118, from the rule's float node until its step
+    is below 10^-118 of the node, and the node it reaches must lie in its own
+    Sturm bracket, which holds exactly one root.
+    """
+    rule = quad_rule(s, zeta)
+    nodes, weights = [], []
+    with mp.workdps(150):
+        z = mpf_of(zeta)
+        for (x, _), (lo, hi) in zip(rule.float_nodes, rule._brackets):
+            x = mp.mpf(x)
+            for _ in range(30):
+                v, dv, _ = legendre_values(s, z, x)
+                step = v / dv
+                x -= step
+                if abs(step) <= abs(x) * mp.mpf(10) ** -118:
+                    break
+            else:
+                raise AssertionError(f"the reference Newton did not converge: s {s}, zeta {zeta}")
+            assert lo < _exact_fraction(x) <= hi, (s, zeta)
+            _, dv, p = legendre_values(s, z, x)
+            nodes.append(x)
+            weights.append(2 / (s * dv * p))
+    return tuple(nodes), tuple(weights)
+
+
+def rounded_reference(s, zeta, dps):
+    """reference_rule rounded to the bits of dps + 15 digits, the working precision of c and b."""
+    with mp.workdps(dps + 15):
+        return tuple(tuple(+x for x in xs) for xs in reference_rule(s, zeta))
+
+
 class TestNodePolish:
+    """c and b are the exact nodes and weights correctly rounded to the working precision."""
+
     @pytest.mark.parametrize("dps", [20, 50, 80])
     def test_nodes_in_brackets_and_match_polyroots(self, dps):
         for s in range(1, 11):
             for zeta in POLISH_ZETAS:
                 rule = quad_rule(s, zeta, dps)
                 brackets = _isolate_roots(s, zeta, *_WINDOW)
-                ref = reference_roots(s, zeta)
-                with mp.workdps(dps + 30):
-                    assert len(rule.c) == len(brackets) == len(ref) == s
-                    for c, (lo, hi), r in zip(rule.c, brackets, ref):
-                        assert lo <= _exact_fraction(c) <= hi, (s, zeta, dps)
-                        assert abs(c - r) < mp.mpf(10) ** -(dps + 5), (s, zeta, dps)
-                    # the Christoffel weights against a Vandermonde solve on the reference nodes
-                    for b, r in zip(rule.b, vandermonde_weights(ref)):
-                        assert abs(b - r) < mp.mpf(10) ** -(dps + 5), (s, zeta, dps)
+                nodes, weights = reference_rule(s, zeta)
+                assert len(rule.c) == len(brackets) == s
+                assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, brackets)), (s, zeta)
+                assert (rule.c, rule.b) == rounded_reference(s, zeta, dps), (s, zeta, dps)
+                # the reference against polyroots and a Vandermonde solve on its nodes
+                with mp.workdps(120):
+                    tol = mp.mpf(10) ** -100
+                    assert all(abs(c - r) < tol for c, r in zip(nodes, reference_roots(s, zeta))), (s, zeta)
+                    assert all(abs(b - r) < tol for b, r in zip(weights, vandermonde_weights(nodes))), (s, zeta)
 
-    @pytest.mark.parametrize("dps", [20, 50, 80])
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_equal_to_rounded_reference(self, dps):
+        # every node and weight, b_24 of s = 24, zeta = -1 at 15 digits among them
+        for zeta in OPERATOR_ZETAS:
+            for s in range(1, 25):
+                rule = quad_rule(s, zeta, dps)
+                assert (rule.c, rule.b) == rounded_reference(s, zeta, dps), (s, zeta, dps)
+        assert quad_rule(24, -1, 15).b[-1] == rounded_reference(24, Fraction(-1), 15)[1][-1]
+
+    @pytest.mark.parametrize("dps", [15, 20, 50, 80])
     def test_radau_endpoint_nodes(self, dps):
-        tol = mp.mpf(10) ** (-dps + 5)  # the tolerance _validate_rule applies
-        for s in range(1, 11):
-            assert abs(quad_rule(s, -1, dps).c[0]) <= tol
-            assert abs(quad_rule(s, 1, dps).c[-1] - 1) <= tol
+        # a rational root and a rational weight are the exact value rounded to the working bits
+        with mp.workdps(dps + 15):
+            for s in range(1, 11):
+                left, right = quad_rule(s, -1, dps), quad_rule(s, 1, dps)
+                weight = mpf_of(Fraction(1, s * s))
+                assert (left.c[0], left.b[0]) == (0, weight), (s, dps)
+                assert (right.c[-1], right.b[-1]) == (1, weight), (s, dps)
+                if s % 2:
+                    gauss = quad_rule(s, 0, dps)
+                    half = Fraction(1, 2)
+                    assert (gauss.c[s // 2], gauss.b[s // 2]) == (0.5, mpf_of(exact_weight(s, Fraction(0), half)))
+            assert quad_rule(1, Fraction(2, 3), dps).c == (mpf_of(Fraction(5, 6)),)
 
     @settings(max_examples=150, deadline=None)
     @example(s=3, zeta=Fraction(0), ends=[1024, 2048])  # the node 1/2 at b counts
@@ -393,63 +439,94 @@ class TestNodePolish:
                     scales += [factorial(k) * d**k for k in range(s)][::-1]
                     assert _sturm_values(s, zeta, x) == [f * P(x) for f, P in zip(scales, members)]
 
-    @pytest.mark.parametrize("dps", [15, 50])
-    @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)])
-    def test_safeguard_keeps_every_polished_bit(self, monkeypatch, zeta, dps):
-        # only a step that would leave the bracket bisects; no rule up to s = 22 takes one
-        def bits(rule):
-            return [x._mpf_ for x in rule.c + rule.b]
-
-        got = [bits(quad_rule(s, zeta, dps)) for s in range(1, 23)]
-        monkeypatch.setattr(quadrature, "_polish_root", reference_polish_root)
-        assert got == [bits(quad_rule(s, zeta, dps)) for s in range(1, 23)]
-
-    @pytest.mark.parametrize("s", [24, 25, 28, 30])
-    def test_large_rules_polish_inside_their_brackets(self, s):
-        # the float seed is rounding noise here: unguarded, Newton left the bracket
-        def refused(lo, hi):
-            try:
-                reference_polish_root(legendre(s), lo, hi, 50)
-            except QuadratureError:
-                return True
-            return False
-
-        rule = quad_rule(s, 0)
-        assert any(refused(lo, hi) for lo, hi in rule._brackets)
-        # reading c polishes and validates all 2s quadrature conditions to 10^-45
-        assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, rule._brackets))
-
     @pytest.mark.parametrize(
         "s, zeta, dps",
         [(30, Fraction(0), 15), (29, Fraction(1), 15), (30, Fraction(1, 2), 50), (40, Fraction(0), 30)],
     )
     def test_guard_digits_polish_large_rules(self, s, zeta, dps):
-        # without guard digits Horner's cancellation left these Newton iterations short of the stop
+        # large rules, where the coefficients of rho cancel most digits in the monomial basis
         rule = quad_rule(s, zeta, dps)
-        rho = legendre(s) - zeta * legendre(s - 1)
-        assert quadrature._guard_digits(rho) > 0
-        # reading c polishes and validates all quadrature conditions to 10^-(dps-5)
+        assert (rule.c, rule.b) == rounded_reference(s, zeta, dps)
         assert all(lo <= _exact_fraction(c) <= hi for c, (lo, hi) in zip(rule.c, rule._brackets))
-        with mp.workdps(dps + 15):
-            assert all(+x == x for x in rule.c + rule.b)  # rounded back to the working precision
         if zeta == 1:
-            assert abs(rule.c[-1] - 1) <= mp.mpf(10) ** (-dps + 5)
+            assert rule.c[-1] == 1
 
-    def test_no_guard_digits_up_to_s_22(self):
-        # so the polished bits of those rules are those of the safeguarded Newton alone
-        for s in range(1, 23):
-            for zeta in (0, Fraction(1, 2), -1, Fraction(2, 3), 1, Fraction(-1, 2), 2):
-                assert quadrature._guard_digits(legendre(s) - zeta * legendre(s - 1)) == 0, (s, zeta)
+    @pytest.mark.parametrize("zeta", [Fraction(-1) + Fraction(1, 10**30), Fraction(-1) - Fraction(1, 10**30)])
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_node_near_zero(self, zeta, dps):
+        # a node of size 10^-31 is rounded to the working bits relative to its own size
+        for s in (2, 3):
+            rule = quad_rule(s, zeta, dps)
+            assert 0 < abs(rule.c[0]) < 1e-30
+            assert (rule.c, rule.b) == rounded_reference(s, zeta, dps), (s, dps)
 
-    def test_root_outside_bracket_is_refused(self):
-        p = UniPoly([3, -4, 1])  # (x - 1)(x - 3): Newton from [0, 1/2] converges to 1
-        with pytest.raises(QuadratureError, match="left the isolating bracket"):
-            _polish_root(p, Fraction(0), Fraction(1, 2), 30)
-        with pytest.raises(QuadratureError, match="bracket"):
-            _polish_root(p, Fraction(3, 2), Fraction(2), 30)  # no root, p' = 0 at 2
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_one_stage_node_far_below_the_newton_grid(self, dps):
+        # (1 + zeta) / 2 = 5 10^-201 lies far below the grid Newton's float seed sets: the
+        # search halves down to its size from a bracket through 0
+        node = Fraction(1, 2 * 10**200)
+        rule = quad_rule(1, node * 2 - 1, dps)
+        assert rule.float_nodes == ((float(node), 1.0),)
+        with mp.workdps(dps + 15):
+            assert rule.c == (mpf_of(node),) and rule.b == (1,)
 
+    @pytest.mark.parametrize("zeta", [Fraction(-3, 2), Fraction(3, 2), Fraction(7)])
+    def test_nodes_outside_the_unit_interval(self, zeta):
+        # a negative node, and nodes above 1, against the reference
+        for s in range(1, 7):
+            for dps in (15, 50):
+                rule = quad_rule(s, zeta, dps)
+                assert not rule.in_unit_interval
+                assert (rule.c, rule.b) == rounded_reference(s, zeta, dps), (s, dps)
 
-OPERATOR_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(1, 3)]
+    @pytest.mark.parametrize("bits", [53, 103])
+    def test_rounding_ties_half_even(self, bits):
+        # s = 1 puts the node at (1 + zeta) / 2, here 1 + k 2^-bits: half an ulp above 1 and
+        # one and a half and two and a half ulps, each met exactly and rounded to the even one
+        for k, want in ((1, 1), (3, 1 + Fraction(4, 2**bits)), (5, 1 + Fraction(4, 2**bits))):
+            rule = quad_rule(1, 1 + Fraction(k, 2 ** (bits - 1)), 15)  # 103 bits at 15 + 15 digits
+            node = rule.float_nodes[0][0] if bits == 53 else rule.c[0]
+            assert _exact_fraction(node) == want, (bits, k)
+
+    @pytest.mark.parametrize("guard", [0, -40])
+    def test_rounding_from_a_coarse_bracket(self, monkeypatch, guard):
+        # with fewer guard bits than the target the Newton bracket holds rounding boundaries,
+        # and the search between them gives the same values
+        want = {(s, z): (quad_rule(s, z, 15).c, quad_rule(s, z, 15).float_nodes) for s in range(1, 9) for z in OPERATOR_ZETAS}
+        monkeypatch.setattr(quadrature, "_GUARD_BITS", guard)
+        for (s, z), (c, floats) in want.items():
+            rule = quad_rule(s, z, 15)
+            assert (rule.c, rule.float_nodes) == (c, floats), (s, z)
+
+    @pytest.mark.parametrize("zeta", OPERATOR_ZETAS + [Fraction(-1) + Fraction(1, 10**30), Fraction(-1) - Fraction(1, 10**200), Fraction(2)])
+    def test_search_from_the_sturm_bracket(self, zeta):
+        # the search alone, from a dyadic bracket around the whole isolating bracket: through 0,
+        # with its sign from side(0), where the bracket holds 0
+        for s in range(1, 7):
+            rule = quad_rule(s, zeta)
+            for (c, _), (lo, hi) in zip(rule.float_nodes, rule._brackets):
+                side = quadrature._root_side(s, zeta, lo, hi, _sturm_values(s, zeta, lo)[0] < 0)
+                a, b = Fraction(math.floor(lo * 64), 64), Fraction(math.floor(hi * 64) + 1, 64)
+                x, a, b = _rounded_root(side, a, b, 53)
+                assert float(x) == c, (s, zeta)
+                assert a == b == x or (side(a), side(b)) == (1, -1), (s, zeta)
+
+    @pytest.mark.parametrize("zeta, root", [(Fraction(0), 0.5), (Fraction(-1), 0.0), (Fraction(1), 1.0)])
+    def test_newton_from_a_wrong_seed(self, zeta, root):
+        # seeded with another bracket's exact root, Newton stops at once; the two side tests
+        # do not confirm it, and the whole isolating bracket, on the Newton grid, is searched
+        for s in (3, 5, 7):
+            rule = quad_rule(s, zeta)
+            rho = quadrature._rho_ints(s, zeta)
+            slope = [k * c for k, c in enumerate(rho)][1:]
+            for (c, _), (lo, hi) in zip(rule.float_nodes, rule._brackets):
+                if c == root:
+                    continue
+                rising = _sturm_values(s, zeta, lo)[0] < 0
+                side = quadrature._root_side(s, zeta, lo, hi, rising)
+                a, b = quadrature._newton_bracket(side, rho, slope, lo, hi, root, rising, 53)
+                assert a <= lo < hi < b, (s, zeta, c)
+                assert float(_rounded_root(side, a, b, 53)[0]) == c, (s, zeta, c)
 
 
 def exact_weight(s, zeta, x):
@@ -460,15 +537,17 @@ def exact_weight(s, zeta, x):
 
 class TestFloatNodes:
     """QuadRule.float_nodes rounds each node and weight correctly from exact
-    sign tests; it forms no mpf and polishes nothing."""
+    sign tests, by the routine that rounds c and b, at 53 bits; it forms no mpf."""
 
     @pytest.mark.parametrize("zeta", OPERATOR_ZETAS)
     def test_equal_to_polished_floats(self, zeta):
-        # at the default 50 digits float(mpf) is correctly rounded too, so the two agree bit for bit
-        for s in range(1, 25):
-            rule = quad_rule(s, zeta)
-            got = rule.float_nodes
-            assert got == tuple((float(c), float(b)) for c, b in zip(rule.c, rule.b)), s
+        # c and b are correctly rounded at 103 and 219 bits, so float() of them is the
+        # correctly rounded float too, bit for bit
+        for dps in (15, 50):
+            for s in range(1, 25):
+                rule = quad_rule(s, zeta, dps)
+                got = rule.float_nodes
+                assert got == tuple((float(c), float(b)) for c, b in zip(rule.c, rule.b)), (s, dps)
 
     @pytest.mark.parametrize("s", range(1, 25))
     def test_rational_roots_exact(self, s):
@@ -494,9 +573,14 @@ class TestFloatNodes:
         def refuse(rule):
             raise AssertionError("a rule's mpf nodes or weights were read")
 
+        def floats_only(s, zeta, brackets, bits):
+            assert bits == 53
+            return rounded_rule(s, zeta, brackets, bits)
+
+        rounded_rule = quadrature._rounded_rule
         monkeypatch.setattr(QuadRule, "c", property(refuse))
         monkeypatch.setattr(QuadRule, "b", property(refuse))
-        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        monkeypatch.setattr(quadrature, "_rounded_rule", floats_only)
         for s in (1, 4, 24):
             assert len(quad_rule(s, Fraction(1, 3), 15).float_nodes) == s
 
@@ -756,7 +840,7 @@ class TestExactnessLemma:
     @pytest.mark.parametrize("s", range(2, 7))
     @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)])
     def test_never_polishes(self, monkeypatch, s, zeta):
-        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        monkeypatch.setattr(quadrature, "_rounded_rule", refuse_nodes)
         rule = quad_rule(s, zeta)
         rng = random.Random(10 * s)
         theta = random_unipoly(rng, rule.order - s - 1) + UniPoly([0] * (rule.order - s) + [1])

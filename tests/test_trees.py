@@ -27,7 +27,7 @@ from _util import (
     memo_free_residual,
     memo_free_rk_weight,
     random_A_tableau,
-    refuse_polish,
+    refuse_nodes,
     sigma_multiset,
     t_pq,
 )
@@ -330,12 +330,12 @@ class TestEnergyConditions:
             assert abs(memo_free_residual(ft, self.avf)) < mp.mpf(10) ** -self.avf.precision_digits
 
     def test_rule_stands_for_its_tableau(self, monkeypatch):
-        # a rule gives its c b^T tableau's exact residuals without polishing a node
+        # a rule gives its c b^T tableau's exact residuals without forming a node
         classes = conditions_up_to(6, 6)
         rule = quad_rule(3, Fraction(1, 2))
         want = [energy_condition_residual(ft, avf_tableau(rule)) for ft in classes]
         assert any(want) and all(isinstance(r, Fraction) for r in want)
-        monkeypatch.setattr(quadrature, "_polish_root", refuse_polish)
+        monkeypatch.setattr(quadrature, "_rounded_rule", refuse_nodes)
         fresh = quad_rule(3, Fraction(1, 2))
         assert [energy_condition_residual(ft, fresh) for ft in classes] == want
 
