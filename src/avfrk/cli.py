@@ -3,10 +3,11 @@
 Subcommands: quad, tableau, conditions, rank, uniqueness, integrate, order.
 Exit codes are stable across commands: 0 success or match, 2 input error,
 3 expectation mismatch, 4 certificate structure failure, 5 solver failure.
-Printed decimals are rounded to precision-5 significant digits so noise
-digits are never advertised.  Each command imports the modules its own
-work needs when it runs: integrate and order load no mpmath and no
-condition algebra, and rank and uniqueness no stepping.
+Every value a command prints is an exact rational, printed to precision-5
+significant digits of its value at the working precision (quadrature's
+_decimal).  Each command imports the modules its own work needs when it
+runs: integrate and order load no condition algebra, and rank and
+uniqueness no stepping.
 """
 
 from __future__ import annotations
@@ -42,51 +43,10 @@ def _parse_fraction(name: str, text: str) -> Fraction:
 
 
 def _dec(x, args) -> str:
-    """x to max(precision - 5, 5) significant digits, as mp.nstr prints its mpf at precision + 10 digits.
+    """The exact x to max(precision - 5, 5) significant digits of its value at precision + 10 digits."""
+    from .quadrature import _decimal, _prec_bits
 
-    A Fraction or an int gives the same characters without mpmath: its mpf
-    (the numerator rounded to the working bits, then divided by the
-    denominator, each half to even) and nstr's digits (the mpf truncated to
-    three guard digits, then rounded half up on the first dropped digit)
-    are formed in integers.  Anything else, or a value beyond 2^±3500, is
-    printed by mp.nstr itself.
-    """
-    from .quadrature import _half_even
-
-    digits = max(args.precision - 5, 5)
-    if isinstance(x, (Fraction, int)):
-        if x == 0:
-            return "0.0"
-        prec = max(1, round((args.precision + 11) * 3.3219280948873626))  # mpmath's dps_to_prec
-        m, e = _half_even(abs(x.numerator), 1, prec)
-        m, e = _half_even(m << max(e, 0), x.denominator << max(-e, 0), prec)
-    if not isinstance(x, (Fraction, int)) or abs(e + m.bit_length()) > 3500:
-        from mpmath import mp
-
-        with mp.workdps(args.precision + 10):
-            if isinstance(x, Fraction):
-                x = mp.mpf(x.numerator) / x.denominator
-            return mp.nstr(mp.mpf(x), digits)
-    # mpmath's to_digits_exp at digits + 3, truncating
-    bitprec = int((digits + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - e - m.bit_length(), 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    fixed = m << e + fixprec if e + fixprec >= 0 else m >> -(e + fixprec)
-    text = str(fixed * 10**fixdps >> fixprec)
-    exp = len(text) - fixdps - 1
-    # mpmath's to_str: round half up on the first dropped digit, then lay out
-    q = int(text[:digits]) + (len(text) > digits and text[digits] >= "5")
-    if q == 10**digits:
-        q, exp = q // 10, exp + 1
-    text = str(q)
-    if min(-(digits // 3), -5) < exp < digits:  # fixed point
-        text = "0" * -exp + text if exp < 0 else text
-        split, exp = max(exp, 0) + 1, 0
-    else:
-        split = 1
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    text = ("-" if x < 0 else "") + text + "0" * text.endswith(".")
-    return text if exp == 0 else f"{text}e{exp:+d}"
+    return _decimal(x, max(args.precision - 5, 5), _prec_bits(args.precision + 10))
 
 
 def _json(doc: dict) -> str:
@@ -116,20 +76,6 @@ def _rule_from_args(args):
     return quad_rule(args.s, zeta=_parse_fraction("zeta", args.zeta), precision_digits=args.precision)
 
 
-def _mpf_entry(x, dps):
-    # tableau files may hold ints, floats, decimal strings, or "num/den"; each must be finite
-    from mpmath import mp
-
-    with mp.workdps(dps):
-        if isinstance(x, str) and "/" in x:
-            f = _parse_fraction("tableau entry", x)
-            return mp.mpf(f.numerator) / f.denominator
-        v = mp.mpf(x)
-    if not mp.isfinite(v):
-        raise ValueError(f"tableau entry {x!r} is not finite")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -157,7 +103,7 @@ def cmd_tableau(args) -> int:
     from .trees import ButcherTableau
 
     rule = _rule_from_args(args)
-    tab = ButcherTableau.rank_one(rule, rule.precision_digits)  # avf_tableau(rule), with no stepper loaded
+    tab = ButcherTableau.rank_one(rule)  # avf_tableau(rule), with no stepper loaded
     doc = {
         "s": rule.s,
         "zeta": _dec(rule.zeta_exact, args),
@@ -176,23 +122,26 @@ def cmd_tableau(args) -> int:
     return EXIT_OK
 
 
-def _load_tableau(path: str, rule, precision: int):
-    """Tableau JSON {"A": [[..]], "b"?: [..], "c"?: [..]}; A must be s x s."""
+def _load_tableau(path: str, rule):
+    """Tableau JSON {"A": [[..]], "b"?: [..], "c"?: [..]}; A must be s x s.
+
+    Entries may be ints, floats, decimal strings or "num/den", each finite.
+    """
     from .trees import ButcherTableau
 
     doc = json.loads(Path(path).read_text())
     A = doc["A"]
+    b = doc["b"] if "b" in doc else rule.b
+    c = doc["c"] if "c" in doc else rule.c
     s = rule.s
     if len(A) != s or any(len(row) != s for row in A):
         raise ValueError(f"tableau A must be {s}x{s} to match the rule")
-    dps = precision + 10
-    Arows = [[_mpf_entry(x, dps) for x in row] for row in A]
-    custom_nodes = "b" in doc or "c" in doc
-    b = [_mpf_entry(x, dps) for x in doc["b"]] if "b" in doc else rule.b
-    c = [_mpf_entry(x, dps) for x in doc["c"]] if "c" in doc else rule.c
     if len(b) != s or len(c) != s:
         raise ValueError("tableau b and c must have length s")
-    return ButcherTableau(Arows, b, c, precision), custom_nodes
+    try:
+        return ButcherTableau(A, b, c), "b" in doc or "c" in doc
+    except ValueError as e:  # the shapes are checked: an entry that is no finite rational
+        raise ValueError(f"tableau entry {e}") from None
 
 
 def cmd_conditions(args) -> int:
@@ -204,7 +153,7 @@ def cmd_conditions(args) -> int:
     if m < 2:
         return _fail("m must be at least 2", EXIT_INPUT)
     if args.tableau:
-        tab, custom_nodes = _load_tableau(args.tableau, rule, args.precision)
+        tab, custom_nodes = _load_tableau(args.tableau, rule)
         source, A = args.tableau, tab.A
     else:
         # the rule stands for its own c b^T: exact rows from its moments, no node formed
@@ -223,7 +172,8 @@ def cmd_conditions(args) -> int:
     # bush identities are stated against the rule nodes, so they are only
     # meaningful while the tableau shares them; beyond the rule order the
     # rows report the quadrature defect rather than an exact-zero condition.
-    # The rule's own tableau gives exact rows, a --tableau A mpf ones.
+    # Both are exact: the rule's own tableau from its moments, a --tableau A
+    # at the rule's rounded nodes.
     bushes = []
     if not custom_nodes:
         bushes = [{"id": i, "residual": _dec(r, args)} for i, r in bush_residuals(rule, m, A)]
@@ -348,7 +298,7 @@ def _resolve_cli_method(args):
     if args.method == "avf":
         return "avf"
     if args.method == "midpoint":
-        return midpoint_tableau(args.precision)
+        return midpoint_tableau()
     # quadrature discretization of the averaged step
     rule = _rule_from_args(args)
     return avf_tableau(rule)

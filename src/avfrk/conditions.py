@@ -20,8 +20,9 @@ integers: on A = c b^T + beta U(c) b^T V(C) every node vector is a
 polynomial in c and beta, so the residual is one in beta.  Each bush
 identity has one body over node vectors g(c), given A(g) and ip(f, g) =
 b^T f(C) g(c): exact polynomials g over the rule's moments, polynomials in
-c and beta on a kernel ray, or g's mpf values at the rounded nodes for the
-arbitrary s x s matrices A of the public residual functions.
+c and beta on a kernel ray, or g's exact values at the rounded nodes
+(quadrature._NodeVector) for the arbitrary s x s matrices A of the public
+residual functions.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ from time import perf_counter
 from .quadrature import (
     QuadRule,
     UniPoly,
+    _decimal,
     _exact_fraction,
     _moment_rows,
+    _node_form,
     _rho_ints,
     _scaled,
+    _scaled_matrix,
     discrete_ip_exact,
     discrete_ip_table,
     g_poly,
@@ -118,22 +122,6 @@ def _asym_bush(A, ip, q):
     return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
 
 
-class _NodeValues(list):
-    """A node vector's mpf values at the nodes c: * is componentwise, a UniPoly factor taken at c."""
-
-    def __init__(self, c, values):
-        super().__init__(values)
-        self.c = c
-
-    def values(self, c):
-        return self
-
-    def __mul__(self, other):
-        return _NodeValues(self.c, map(mul, self, other.values(self.c)))
-
-    __rmul__ = __mul__
-
-
 class _RayPoly(defaultdict):
     """A ray node vector {(i, j): n}, sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
 
@@ -171,26 +159,19 @@ def _ray_poly(x):
     return _RayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
 
 
-def _mpf_bush(rule, A):
-    """(A, ip) in mpf for an s x s matrix A, converted once; call at the working precision."""
-    from mpmath import mp
+def _on_nodes(body, A, rule, *args):
+    """body's exact result for the s x s matrix A at the rule's rounded nodes.
 
-    s, b, c = rule.s, rule.b, rule.c
-    rows = A.tolist() if isinstance(A, mp.matrix) else [list(r) for r in A]
+    A's entries are converted exactly (_exact_fraction) and held as integer
+    rows over one denominator; an mp.matrix is read through its tolist().
+    """
+    s = rule.s
+    rows = A.tolist() if hasattr(A, "tolist") else [list(r) for r in A]
     if len(rows) != s or any(len(r) != s for r in rows):
         raise ValueError(f"expected a {s}x{s} matrix")
-    rows = [[mp.convert(x) for x in r] for r in rows]
-    apply = lambda g: _NodeValues(c, [mp.fdot(r, g.values(c)) for r in rows])
-    ip = lambda f, g: mp.fdot(b, list(map(mul, f.values(c), g.values(c))))
-    return apply, ip
-
-
-def _on_nodes(body, A, rule, *args):
-    """body's residual for the matrix A at the rule's nodes, in mpf at its working precision."""
-    from mpmath import mp
-
-    with mp.workdps(rule.precision_digits + 15):
-        return body(*_mpf_bush(rule, A), *args)
+    A = _scaled_matrix([[_exact_fraction(x) for x in r] for r in rows])
+    at, ip = _node_form(rule)
+    return body(lambda g: at(g).apply(A), ip, *args)
 
 
 def double_bush_residual(A, rule, p: int, q: int):
@@ -909,8 +890,8 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     nodes.  With A None the tableau is the rule's own c b^T, in the exact
     representation: every residual is an exact Fraction over the rule's
     moments (double_bush(p,q) reduces to (p - q) mu_p mu_q minus its
-    right-hand side).  A given A, an s x s matrix, is evaluated in mpf at
-    the rule's mpf nodes, as by the public residual functions.
+    right-hand side).  A given A, an s x s matrix, is evaluated exactly at
+    the rule's rounded nodes, as by the public residual functions.
     """
     if A is not None:
         return _on_nodes(_bush_rows, A, rule, m)
@@ -980,7 +961,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         betas = _DEFAULT_BETAS
     try:
         betas = [_exact_fraction(b) for b in betas]
-    except OverflowError:
+    except ValueError:
         raise ValueError("betas must be finite") from None
     if any(b == 0 for b in betas):
         raise ValueError("betas must be nonzero")
@@ -1066,10 +1047,8 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
             fb = None
         # a nonzero beta, or a nonzero residual, must not print as a float zero either
         if fb is None or fb == 0 or (fr == 0 and r != 0):
-            from mpmath import mp
-
             way = "overflows" if fb is None else "underflows"
-            raise ValueError(f"beta = {mp.nstr(mp.convert(b), 8)}: it or its residual {way} a float")
+            raise ValueError(f"beta = {_decimal(b, 8, 53)}: it or its residual {way} a float")
         report["betas"].append(fb)
         report["residuals"].append(fr)
     report["residual_fit"] = {

@@ -28,10 +28,11 @@ Every Newton step solves its linear system by Gaussian elimination with
 partial pivoting, straight-line source per unknown count from one
 generator (_elimination_lines).  Stepping imports no array library:
 IntegrationRun.energies, which returns an array, is the one place that
-does.  Nor does it import mpmath or the tree module: a rank-one method
-steps on its rule's correctly rounded QuadRule.float_nodes, and
-avf_tableau and midpoint_tableau return tableaux whose mpf entries are
-formed only when read.
+does.  Nor does it import the tree module: a rank-one method steps on
+its rule's correctly rounded QuadRule.float_nodes, and avf_tableau and
+midpoint_tableau return tableaux whose exact entries are formed only when
+read.  Any other tableau steps on its exact entries rounded to floats; an
+entry beyond the float range is an infinite coefficient.
 """
 
 from __future__ import annotations
@@ -311,8 +312,16 @@ def _stage_sum(f: Sequence[MultiPoly], rows: Sequence[tuple], src: str, dst: str
 
 
 def _hex(values) -> tuple:
-    """The values as float.hex strings: a cache key that a nan equals and that tells -0.0 from 0.0."""
-    return tuple(float(x).hex() for x in values)
+    """The exact values rounded to floats, as float.hex strings (the stage loop's cache key)."""
+    return tuple(_float(x).hex() for x in values)
+
+
+def _float(x) -> float:
+    """x rounded to a float; beyond the float range, the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _floats(hexes) -> list:
@@ -327,8 +336,7 @@ def _stage_run(sys: HamiltonianSystem, A: tuple, b: tuple) -> Callable:
     y + h sum_j A_ij f(stage j) and the update sets y to y + h sum_j b_j
     f(stage j) at the converged stages (_stage_sum).  The rows of A and b
     come as float.hex strings (_hex): generated once per system and
-    coefficient bits, a nan or a signed zero included, with the Newton step
-    of _stage_newton.
+    coefficient bits, with the Newton step of _stage_newton.
     """
     n, s, f = sys.dim, len(b), sys.vector_field()
     rows = [_floats(row) for row in A]
@@ -429,19 +437,20 @@ def _gauss_rule(s: int) -> QuadRule:
 def avf_tableau(rule: QuadRule) -> ButcherTableau:
     """Rank-one tableau A = c b^T for the given quadrature rule.
 
-    Row sums equal c_i exactly because the weights sum to one.  The mpf
-    entries are formed on first access (ButcherTableau.rank_one).
+    Row i sums to c_i times the sum of the weights, which is 1 up to their
+    rounding.  The exact entries are formed on first access
+    (ButcherTableau.rank_one).
     """
     from .trees import ButcherTableau
 
-    return ButcherTableau.rank_one(rule, rule.precision_digits)
+    return ButcherTableau.rank_one(rule)
 
 
-def midpoint_tableau(precision_digits: int = 50) -> ButcherTableau:
-    """Implicit midpoint: the one-stage Gauss tableau, used as a control."""
+def midpoint_tableau() -> ButcherTableau:
+    """Implicit midpoint: the one-stage Gauss tableau (c = 1/2, b = 1), used as a control."""
     from .trees import ButcherTableau
 
-    return ButcherTableau.rank_one(_gauss_rule(1), precision_digits)
+    return ButcherTableau.rank_one(_gauss_rule(1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,15 @@ correctly to a given number of bits: each node from a float seed refined
 by Newton's iteration in integers and confirmed by the signs of the integer
 rho, each weight from an exact enclosure narrowed until both its ends round
 to one value.  QuadRule.float_nodes holds them at 53 bits, for the float
-stepper; QuadRule.c and QuadRule.b hold them as mpf values at the working
-precision.  The exact certificate reads only the exact core and never forms
-a node.  mpmath is imported only by what forms an mpf: QuadRule.c and
-QuadRule.b, QuadRule.zeta, UniPoly.values and discrete_ip.
+stepper; QuadRule.c and QuadRule.b hold them as exact dyadic Fractions at
+the bits of the working precision.  The exact certificate reads only the
+exact core and never forms a node.
+
+Every number outside the float stepper is an exact rational.  Vectors at
+the rounded nodes (and a tableau's stage vectors) are _NodeVectors,
+integers over one denominator, and discrete_ip is their exact sum.  One
+printer, _decimal, writes a rational as the decimal digits of its value
+rounded to a number of bits.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import json
 import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, frexp, gcd, lcm, ulp
+from math import comb, frexp, gcd, lcm, log, log10, ulp
 from operator import mul
 from time import perf_counter
 from typing import Sequence
@@ -76,10 +81,21 @@ def _rat(x) -> Fraction:
 
 
 def _exact_fraction(x) -> Fraction:
-    """Lossless conversion to Fraction; float and mpf are binary man * 2^exp."""
-    if isinstance(x, (Fraction, int, float)):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
+    """x, an int, Fraction, float, decimal or "num/den" string, or mpf (its _mpf_ man * 2^exp), as an exact Fraction.
+
+    A value that is no finite rational raises ValueError, any other type TypeError.
+    """
+    if isinstance(x, (Fraction, int, float, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise ValueError(f"{x!r} is not a finite rational") from None
+    try:
+        sign, man, exp, _ = x._mpf_
+    except AttributeError:
+        raise TypeError(f"cannot convert {x!r} to an exact rational") from None
+    if not man and exp:  # an mpf inf or nan
+        raise ValueError(f"{x!r} is not a finite rational")
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
@@ -154,26 +170,11 @@ class UniPoly:
         return UniPoly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def __call__(self, x):
-        """Horner evaluation; exact on Fraction input, mpf on mpf input."""
-        if isinstance(x, Fraction) or isinstance(x, int):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        return self.values((x,))[0]
-
-    def values(self, xs) -> list:
-        """[p(x) for x in xs] at mpf points, each coefficient converted once."""
-        import mpmath as mp
-
-        cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(self.coeffs)]
-        out = []
-        for x in xs:
-            acc = mp.mpf(0)
-            for c in cs:
-                acc = acc * x + c
-            out.append(acc)
-        return out
+        """Horner evaluation; exact on Fraction and int input."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
 
 _LEGENDRE = [UniPoly([1]), UniPoly([-1, 2])]
@@ -305,12 +306,64 @@ def _rounded(num: int, den: int, bits: int) -> Fraction:
     return x if (num < 0) == (den < 0) else -x
 
 
+def _floor_log2(num: int, den: int) -> int:
+    """floor(log2(num / den)) for num, den > 0."""
+    e = num.bit_length() - den.bit_length()
+    return e - ((num << max(-e, 0)) < (den << max(e, 0)))
+
+
 def _ulp(v: Fraction, bits: int) -> Fraction:
     """The spacing 2^(floor(log2 v) - bits + 1) of the bits-wide grid at v > 0."""
-    n, d = v.numerator, v.denominator
-    e = n.bit_length() - d.bit_length()
-    e -= (n << max(-e, 0)) < (d << max(e, 0))
-    return Fraction(2) ** (e - bits + 1)
+    return Fraction(2) ** (_floor_log2(v.numerator, v.denominator) - bits + 1)
+
+
+def _prec_bits(digits: int) -> int:
+    """The bits of a working precision of digits decimal digits, as mpmath's dps_to_prec counts them."""
+    return max(1, round((digits + 1) * 3.3219280948873626))
+
+
+def _decimal(x, digits: int, bits: int) -> str:
+    """x to digits significant digits, as mpmath's nstr prints mpf(x.numerator) / x.denominator at bits.
+
+    The value printed is x's numerator rounded to bits, divided by x's
+    denominator and rounded again, each half to even (a dyadic x of at most
+    bits bits prints as itself).  Its decimal digits are truncated to
+    digits + 3, then rounded half up on the first dropped digit, and laid
+    out in fixed point for exponents between min(-(digits // 3), -5) and
+    digits, else with an exponent.  A value beyond 2^+-3500 is first divided
+    by an exact power of ten, which keeps every integer printed short.
+    """
+    x = Fraction(x)
+    if not x:
+        return "0.0"
+    m, e = _half_even(abs(x.numerator), 1, bits)
+    m, e = _half_even(m << max(e, 0), x.denominator << max(-e, 0), bits)
+    num, den = m << max(e, 0), 1 << max(-e, 0)
+    top = e + m.bit_length()  # floor(log2 of the value) + 1
+    shift = int(top * log10(2)) if abs(top) > 3500 else 0
+    if shift > 0:
+        den *= 10**shift
+    else:
+        num *= 10**-shift
+    # mpmath's to_digits_exp at digits + 3, truncating: num / den = v / 10^shift
+    bitprec = int((digits + 3) * log(10, 2)) + 10
+    fixprec = max(bitprec - _floor_log2(num, den) - 1, 0)
+    fixdps = int(fixprec / log(10, 2) + 0.5)
+    text = str((num << fixprec) // den * 10**fixdps >> fixprec)
+    exp = len(text) - fixdps - 1 + shift
+    # mpmath's to_str: round half up on the first dropped digit, then lay out
+    q = int(text[:digits]) + (len(text) > digits and text[digits] >= "5")
+    if q == 10**digits:
+        q, exp = q // 10, exp + 1
+    text = str(q)
+    if min(-(digits // 3), -5) < exp < digits:  # fixed point
+        text = "0" * -exp + text if exp < 0 else text
+        split, exp = max(exp, 0) + 1, 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text = ("-" if x < 0 else "") + text + "0" * text.endswith(".")
+    return text if exp == 0 else f"{text}e{exp:+d}"
 
 
 def _float_root(s: int, z: float, lo: Fraction, hi: Fraction, rising: bool) -> float:
@@ -518,16 +571,16 @@ class QuadRule:
 
     The rule is built on its exact core: zeta_exact, the Sturm-certified
     root brackets, the order, the exact moments and in_unit_interval.  The
-    mpf nodes c and weights b are rounded correctly to the working precision
-    and cached on first access, so the exact certificate never computes
-    them; the mpf zeta is formed on first access too.  float_nodes holds the
-    nodes and weights correctly rounded to floats by the same routine, with
-    no mpf at all.
+    nodes c and weights b, exact dyadic Fractions correctly rounded to the
+    bits of precision_digits + 15 digits, are formed and cached on first
+    access, so the exact certificate never computes them.  float_nodes
+    holds the nodes and weights correctly rounded to floats by the same
+    routine.
     """
 
     __slots__ = (
         "s", "zeta_exact", "order", "precision_digits", "in_unit_interval",
-        "_brackets", "_zeta", "_nodes", "_floats", "_mu",
+        "_brackets", "_nodes", "_floats", "_mu",
     )
 
     def __init__(self, *, s, zeta_exact, brackets, order, precision_digits, in_unit_interval):
@@ -537,7 +590,6 @@ class QuadRule:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
-        object.__setattr__(self, "_zeta", None)
         object.__setattr__(self, "_nodes", None)
         object.__setattr__(self, "_floats", None)
         L = lcm(*range(1, s + 1))
@@ -547,20 +599,8 @@ class QuadRule:
         raise AttributeError("QuadRule is immutable")
 
     def __repr__(self):
-        import mpmath as mp
-
-        return f"QuadRule(s={self.s}, zeta={mp.nstr(self.zeta, 8)}, order={self.order})"
-
-    @property
-    def zeta(self):
-        """zeta as an mpf at precision_digits + 15."""
-        if self._zeta is None:
-            import mpmath as mp
-
-            z = self.zeta_exact
-            with mp.workdps(self.precision_digits + 15):
-                object.__setattr__(self, "_zeta", mp.mpf(z.numerator) / z.denominator)
-        return self._zeta
+        zeta = _decimal(self.zeta_exact, 8, _prec_bits(self.precision_digits + 15))
+        return f"QuadRule(s={self.s}, zeta={zeta}, order={self.order})"
 
     @property
     def float_nodes(self) -> tuple:
@@ -572,24 +612,19 @@ class QuadRule:
 
     @property
     def c(self) -> tuple:
-        """The abscissae in ascending order, mpf at precision_digits + 15, correctly rounded."""
-        return (self._nodes or self._mpf_nodes())[0]
+        """The abscissae in ascending order, Fractions correctly rounded to the working precision."""
+        return (self._nodes or self._rounded_nodes())[0]
 
     @property
     def b(self) -> tuple:
-        """The weights 2/(s rho'(c_i) P_{s-1}(c_i)), mpf at precision_digits + 15, correctly rounded."""
-        return (self._nodes or self._mpf_nodes())[1]
+        """The weights 2/(s rho'(c_i) P_{s-1}(c_i)), Fractions correctly rounded to the working precision."""
+        return (self._nodes or self._rounded_nodes())[1]
 
-    def _mpf_nodes(self) -> tuple:
-        """Round the nodes and weights to the working precision's bits and cache them as mpf (c, b)."""
-        import mpmath as mp
-
+    def _rounded_nodes(self) -> tuple:
+        """Round the nodes and weights to the bits of precision_digits + 15 digits and cache them as (c, b)."""
         start = perf_counter()
-        with mp.workdps(self.precision_digits + 15):
-            bits = mp.mp.prec
-            pairs = _rounded_rule(self.s, self.zeta_exact, self._brackets, bits)
-            c, b = ([mp.mpf(x.numerator) / x.denominator for x in xs] for xs in zip(*pairs))
-        object.__setattr__(self, "_nodes", (tuple(c), tuple(b)))
+        bits = _prec_bits(self.precision_digits + 15)
+        object.__setattr__(self, "_nodes", tuple(zip(*_rounded_rule(self.s, self.zeta_exact, self._brackets, bits))))
         _log.debug(
             "rounded nodes: s %d, zeta %s, %d bits, %.3f ms",
             self.s, self.zeta_exact, bits, 1e3 * (perf_counter() - start),
@@ -634,15 +669,13 @@ class QuadRule:
         return [x // g for x in ints], d // g
 
     def to_json(self) -> str:
-        import mpmath as mp
-
-        d = self.precision_digits
+        d, bits = self.precision_digits, _prec_bits(self.precision_digits + 15)
         return json.dumps(
             {
                 "s": self.s,
-                "zeta": mp.nstr(self.zeta, d),
-                "c": [mp.nstr(ci, d) for ci in self.c],
-                "b": [mp.nstr(bi, d) for bi in self.b],
+                "zeta": _decimal(self.zeta_exact, d, bits),
+                "c": [_decimal(ci, d, bits) for ci in self.c],
+                "b": [_decimal(bi, d, bits) for bi in self.b],
                 "order": self.order,
             }
         )
@@ -684,12 +717,59 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     )
 
 
-def discrete_ip(u: UniPoly, v: UniPoly, rule: QuadRule):
-    """<u, v>_D = sum_i b_i u(c_i) v(c_i) at the rule's working precision."""
-    import mpmath as mp
+class _NodeVector:
+    """A vector of rationals n_i / d over one denominator d > 0; * is componentwise.
 
-    with mp.workdps(rule.precision_digits + 15):
-        return mp.fsum(bi * u(ci) * v(ci) for bi, ci in zip(rule.b, rule.c))
+    x holds the nodes c_i = x[0][i] / 2^x[1] at which a UniPoly or rational
+    factor is taken (_node_values), or None for a tableau's stage vectors,
+    which multiply only each other.
+    """
+
+    __slots__ = ("n", "d", "x")
+
+    def __init__(self, n, d, x=None):
+        self.n, self.d, self.x = n, d, x
+
+    def __mul__(self, other):
+        if not isinstance(other, _NodeVector):
+            other = _node_values(other, self.x)
+        return _NodeVector(list(map(mul, self.n, other.n)), self.d * other.d, self.x)
+
+    __rmul__ = __mul__
+
+    def apply(self, A: tuple) -> "_NodeVector":
+        """A v for the matrix A = (rows, d), integer rows over d."""
+        rows, d = A
+        return _NodeVector([sum(map(mul, row, self.n)) for row in rows], d * self.d, self.x)
+
+    def dot(self, w: tuple) -> Fraction:
+        """w^T v for w = (ints, d), integers over d."""
+        ints, d = w
+        return Fraction(sum(map(mul, ints, self.n)), d * self.d)
+
+
+def _node_values(p, x: tuple) -> _NodeVector:
+    """p, a UniPoly or a rational, at the dyadic nodes c_i = x[0][i] / 2^x[1] (_dyadic_horner)."""
+    ints, e = x
+    cs, d = _scaled(p.coeffs if isinstance(p, UniPoly) else [Fraction(p)])
+    return _NodeVector([_dyadic_horner(cs, m, e) for m in ints], d << e * max(len(cs) - 1, 0), x)
+
+
+def _node_form(rule: QuadRule) -> tuple:
+    """(at, ip) at the rule's rounded nodes, in integers.
+
+    at(g) is g, a _NodeVector, UniPoly or rational, as a _NodeVector at the
+    nodes; ip(f, g) = sum_i b_i f(c_i) g(c_i), an exact Fraction.
+    """
+    (ints, d), w = _scaled(rule.c), _scaled(rule.b)
+    x = ints, d.bit_length() - 1  # the nodes are dyadic: d = 2^e
+    at = lambda g: g if isinstance(g, _NodeVector) else _node_values(g, x)
+    return at, lambda f, g: (at(f) * g).dot(w)
+
+
+def discrete_ip(u: UniPoly, v: UniPoly, rule: QuadRule) -> Fraction:
+    """<u, v>_D = sum_i b_i u(c_i) v(c_i) at the rule's rounded nodes, exactly."""
+    return _node_form(rule)[1](u, v)
 
 
 def continuous_ip(u: UniPoly, v: UniPoly) -> Fraction:
@@ -704,6 +784,13 @@ def _scaled(coeffs):
     # 10 and shrinks it, which strands one tuple on a free list per call
     d = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _scaled_matrix(rows) -> tuple:
+    """(int rows, d) with rows = int rows / d for a square matrix of Fractions, as _NodeVector.apply takes it."""
+    s = len(rows)
+    ints, d = _scaled([x for row in rows for x in row])
+    return [ints[i * s : (i + 1) * s] for i in range(s)], d
 
 
 def _moment_rows(polys, rule: QuadRule, n: int) -> tuple:

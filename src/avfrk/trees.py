@@ -7,19 +7,21 @@ with the parity (-1)^kappa of the shift count; the alternating sum of
 elementary weights over a class is the energy-preservation condition for
 the corresponding elementary Hamiltonian.
 
-A rule's tableau A = c b^T gives each condition exactly from the rule's
-moments.  Only a tableau's mpf entries and the weights of an arbitrary
-tableau import mpmath, when they are first formed.
+A tableau holds exact rational entries, and every elementary weight and
+condition residual is an exact Fraction.  A rule's tableau A = c b^T gives
+each condition from the rule's moments, without forming a node; any other
+tableau runs the Psi(t) recursion on stage vectors of integers over one
+denominator (quadrature._NodeVector).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .quadrature import QuadRule
+from .quadrature import QuadRule, _exact_fraction, _NodeVector, _scaled, _scaled_matrix
 
 __all__ = [
     "RootedTree",
@@ -288,132 +290,107 @@ class Forest(tuple):
 
 
 class ButcherTableau:
-    """Runge-Kutta coefficients (A, b, c) in high-precision floats.
+    """Runge-Kutta coefficients (A, b, c) as exact rationals.
 
-    `rule` is the QuadRule whose nodes and weights make A = c b^T, set by
-    the constructors of rank-one tableaux (rank_one); None for any other
-    tableau.  A rank-one tableau forms its mpf A, b and c from the rule's
-    correctly rounded mpf nodes and weights on first access: the stepper
-    reads only the rule's float nodes and energy_condition_residual only its
-    exact moments.  The
+    The entries may be given as ints, Fractions, floats, decimal or
+    "num/den" strings, or mpf values, each converted exactly; one that is
+    not finite raises ValueError.  `rule` is the QuadRule whose nodes and
+    weights make A = c b^T, set by rank_one; None for any other tableau.  A
+    rank-one tableau forms its A, b and c from the rule's correctly rounded
+    nodes and weights on first access: the stepper reads only the rule's
+    float nodes and energy_condition_residual only its exact moments.  The
     tableau memoises each subtree's stage vector Psi(t) and elementary
-    weight a(t), both computed at precision_digits + 10, for rk_weight.
+    weight a(t) for rk_weight.
     """
 
-    __slots__ = ("s", "_coeffs", "precision_digits", "rule", "_psi", "_weight")
+    __slots__ = ("s", "_coeffs", "rule", "_ints", "_psi", "_weight")
 
-    def __init__(
-        self, A: Sequence[Sequence], b: Sequence, c: Sequence, precision_digits: int = 50, rule=None
-    ):
-        import mpmath as mp
-
+    def __init__(self, A: Sequence[Sequence], b: Sequence, c: Sequence):
         s = len(b)
         if s == 0:
             raise ValueError("a tableau needs at least one stage")
         if len(c) != s or len(A) != s or any(len(row) != s for row in A):
             raise ValueError("inconsistent tableau dimensions")
-        conv = lambda x: x if isinstance(x, mp.mpf) else mp.mpf(x)
-        A = tuple(tuple(conv(x) for x in row) for row in A)
-        self._init(s, (A, tuple(map(conv, b)), tuple(map(conv, c))), precision_digits, rule)
+        exact = lambda xs: tuple(map(_exact_fraction, xs))
+        self._init(s, (tuple(map(exact, A)), exact(b), exact(c)), None)
 
-    def _init(self, s, coeffs, precision_digits, rule):
+    def _init(self, s, coeffs, rule):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "_psi", {})
         object.__setattr__(self, "_weight", {})
 
     @classmethod
-    def rank_one(cls, rule: QuadRule, precision_digits: int) -> "ButcherTableau":
-        """A = c b^T for the rule, its mpf entries formed at precision_digits + 10 on first access."""
+    def rank_one(cls, rule: QuadRule) -> "ButcherTableau":
+        """A = c b^T for the rule, its exact entries c_i b_j formed on first access."""
         tab = object.__new__(cls)
-        tab._init(rule.s, None, precision_digits, rule)
+        tab._init(rule.s, None, rule)
         return tab
 
     def _entries(self) -> tuple:
         if self._coeffs is None:
-            import mpmath as mp
-
             c, b = self.rule.c, self.rule.b
-            with mp.workdps(self.precision_digits + 10):
-                A = tuple(tuple(ci * bj for bj in b) for ci in c)
-            object.__setattr__(self, "_coeffs", (A, b, c))
+            object.__setattr__(self, "_coeffs", (tuple(tuple(ci * bj for bj in b) for ci in c), b, c))
         return self._coeffs
 
-    A = property(lambda self: self._entries()[0], doc="The s x s matrix, a tuple of mpf rows.")
-    b = property(lambda self: self._entries()[1], doc="The weights, a tuple of mpf.")
-    c = property(lambda self: self._entries()[2], doc="The nodes, a tuple of mpf.")
+    A = property(lambda self: self._entries()[0], doc="The s x s matrix, a tuple of rows of Fractions.")
+    b = property(lambda self: self._entries()[1], doc="The weights, a tuple of Fractions.")
+    c = property(lambda self: self._entries()[2], doc="The nodes, a tuple of Fractions.")
+
+    def _stage_form(self) -> tuple:
+        """(A, b, c) in integers over common denominators: ((rows, d), (ints, d), c as a _NodeVector)."""
+        if self._ints is None:
+            A, b, c = self._entries()
+            object.__setattr__(self, "_ints", (_scaled_matrix(A), _scaled(b), _NodeVector(*_scaled(c))))
+        return self._ints
 
     def __setattr__(self, *a):
         raise AttributeError("ButcherTableau is immutable")
 
-    def row_sum_defect(self):
+    def row_sum_defect(self) -> Fraction:
         """Max |sum_j A_ij - c_i|; zero when Eq-rowsum compliance is claimed."""
-        import mpmath as mp
-
-        with mp.workdps(self.precision_digits + 10):
-            return max(abs(mp.fsum(row) - ci) for row, ci in zip(self.A, self.c))
+        return max(abs(sum(row) - ci) for row, ci in zip(self.A, self.c))
 
     def __repr__(self):
         return f"ButcherTableau(s={self.s})"
 
 
-def _children_product(t: RootedTree, tab: ButcherTableau) -> list:
+def _children_product(t: RootedTree, tab: ButcherTableau) -> _NodeVector:
     """Psi(t_1) o ... o Psi(t_q) over the children of t, componentwise."""
-    import mpmath as mp
-
-    prod = [mp.mpf(1)] * tab.s
-    for k in t.children:
-        prod = [a * b for a, b in zip(prod, _elementary(k, tab))]
-    return prod
+    return prod((_elementary(k, tab) for k in t.children), start=_NodeVector([1] * tab.s, 1))
 
 
-def _elementary(t: RootedTree, tab: ButcherTableau) -> list:
-    """Stage vector Psi(t), memoised on tab: leaves give c, internal nodes apply A.
-
-    The caller holds the working precision precision_digits + 10.
-    """
+def _elementary(t: RootedTree, tab: ButcherTableau) -> _NodeVector:
+    """Stage vector Psi(t), memoised on tab: leaves give c, internal nodes apply A."""
     out = tab._psi.get(t)
     if out is None:
-        if not t.children:
-            out = list(tab.c)
-        else:
-            import mpmath as mp
-
-            prod = _children_product(t, tab)
-            out = [mp.fsum(aij * vj for aij, vj in zip(row, prod)) for row in tab.A]
+        A, _, c = tab._stage_form()
+        out = _children_product(t, tab).apply(A) if t.children else c
         tab._psi[t] = out
     return out
 
 
-def _elementary_weight(t: RootedTree, tab: ButcherTableau):
+def _elementary_weight(t: RootedTree, tab: ButcherTableau) -> Fraction:
     """Elementary weight a(t) = b^T (Psi(t_1) o ... o Psi(t_q)), memoised on tab."""
     out = tab._weight.get(t)
     if out is None:
-        import mpmath as mp
-
-        out = mp.fsum(bi * pi for bi, pi in zip(tab.b, _children_product(t, tab)))
+        out = _children_product(t, tab).dot(tab._stage_form()[1])
         tab._weight[t] = out
     return out
 
 
-def rk_weight(forest: Forest | RootedTree, tab: ButcherTableau):
-    """Product of elementary weights a(t) over the forest.
+def rk_weight(forest: Forest | RootedTree, tab: ButcherTableau) -> Fraction:
+    """Product of elementary weights a(t) over the forest, an exact Fraction.
 
     a(t) for t = [t_1..t_q] is b^T (Psi(t_1) o ... o Psi(t_q)) with
     Psi(*) = c and Psi([u_1..u_p]) = A (Psi(u_1) o ... o Psi(u_p)),
     the componentwise-product convention, valid for arbitrary A.
     """
-    import mpmath as mp
-
     if isinstance(forest, RootedTree):
         forest = Forest([forest])
-    with mp.workdps(tab.precision_digits + 10):
-        total = mp.mpf(1)
-        for t in forest:
-            total *= _elementary_weight(t, tab)
-        return total
+    return prod((_elementary_weight(t, tab) for t in forest), start=Fraction(1))
 
 
 def _moment_product(t: RootedTree, m) -> int:
@@ -424,41 +401,32 @@ def _moment_product(t: RootedTree, m) -> int:
     return w
 
 
-def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule):
-    """Alternating sum over the class: sum (-1)^kappa / sigma(u) * a(B_-(u)).
+def energy_condition_residual(ft: FreeTree, tab: ButcherTableau | QuadRule) -> Fraction:
+    """Alternating sum over the class: sum (-1)^kappa / sigma(u) * a(B_-(u)), an exact Fraction.
 
     A rule, standing for its tableau A = c b^T, or a tableau that carries
-    its rule gives the exact Fraction, each weight a product of the rule's
-    exact moments, and never forms the nodes; any other tableau gives an
-    mpf at precision_digits + 10.  Superfluous classes impose no condition
-    and return 0.
+    its rule gives each weight as a product of the rule's exact moments and
+    never forms the nodes: the true value, not that of the rounded nodes.
+    Any other tableau sums its elementary weights (rk_weight).  Superfluous
+    classes impose no condition and return 0.
     """
-    rule = tab if isinstance(tab, QuadRule) else tab.rule
-    if rule is not None:
-        if ft.superfluous:
-            return Fraction(0)
-        # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
-        # mu_(number of children) over the vertices of t; with the rule's integer
-        # moments mu = m / d, the weight of each member's n - 1 non-root vertices is over d^(n-1)
-        m, d = rule._moment_ints(ft.order)
-        sig = lcm(*[u.sigma for u in ft.members])
-        total = 0
-        for u in ft.members:
-            w = ft.parity[u] * (sig // u.sigma)
-            for t in u.children:
-                w *= _moment_product(t, m)
-            total += w
-        return Fraction(total, sig * d ** (ft.order - 1))
-    import mpmath as mp
-
     if ft.superfluous:
-        return mp.mpf(0)
-    with mp.workdps(tab.precision_digits + 10):
-        total = mp.mpf(0)
-        for u in ft.members:
-            w = rk_weight(Forest(u.children), tab)
-            total += ft.parity[u] * w / u.sigma
-        return total
+        return Fraction(0)
+    rule = tab if isinstance(tab, QuadRule) else tab.rule
+    if rule is None:
+        return sum((ft.parity[u] * rk_weight(Forest(u.children), tab) / u.sigma for u in ft.members), Fraction(0))
+    # every non-leaf stage vector is Psi(t) = a(t) c, so a(t) is the product of
+    # mu_(number of children) over the vertices of t; with the rule's integer
+    # moments mu = m / d, the weight of each member's n - 1 non-root vertices is over d^(n-1)
+    m, d = rule._moment_ints(ft.order)
+    sig = lcm(*[u.sigma for u in ft.members])
+    total = 0
+    for u in ft.members:
+        w = ft.parity[u] * (sig // u.sigma)
+        for t in u.children:
+            w *= _moment_product(t, m)
+        total += w
+    return Fraction(total, sig * d ** (ft.order - 1))
 
 
 def conditions_up_to(n: int, m: int) -> tuple:

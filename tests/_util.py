@@ -67,13 +67,10 @@ def random_system(rng: random.Random, half_dim: int, degree: int) -> Hamiltonian
 
 
 def random_A_tableau(rng: random.Random, rule) -> ButcherTableau:
-    """Random stage matrix over the rule's exact nodes and weights."""
+    """Random stage matrix over the rule's rounded nodes and weights."""
     s = rule.s
-    A = [
-        [mp.mpf(rng.randint(-8, 8)) / 4 for _ in range(s)]
-        for _ in range(s)
-    ]
-    return ButcherTableau(A, rule.b, rule.c, rule.precision_digits)
+    A = [[Fraction(rng.randint(-8, 8), 4) for _ in range(s)] for _ in range(s)]
+    return ButcherTableau(A, rule.b, rule.c)
 
 
 def t_pq(p: int, q: int):
@@ -98,39 +95,42 @@ def annihilated(M, vec):
 
 
 def max_entry(M):
-    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
+    return max(abs(x) for row in M for x in row)
+
+
+def mat_sum(A, B, beta=1):
+    """A + beta B for matrices as lists of rows."""
+    return [[a + beta * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def outer_matrix(rule, U, V):
-    """U(c) b^T V(C) in mpf at the rule's working precision, for exact polynomials U and V."""
-    s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        uc, vc = [U(x) for x in rule.c], [V(x) for x in rule.c]
-        return mp.matrix([[uc[i] * rule.b[j] * vc[j] for j in range(s)] for i in range(s)])
+    """U(c) b^T V(C) at the rule's rounded nodes, rows of Fractions, for exact polynomials U and V."""
+    uc, bv = [U(x) for x in rule.c], [b * V(x) for b, x in zip(rule.b, rule.c)]
+    return [[u * w for w in bv] for u in uc]
 
 
 def avf_matrix(rule):
-    """c b^T in mpf."""
+    """c b^T, rows of Fractions."""
     return outer_matrix(rule, UniPoly([0, 1]), UniPoly([1]))
 
 
 def factor_matrix(rule, u, v):
-    """U(c) b^T V(C) in mpf from exact factor coordinates (u, v)."""
+    """U(c) b^T V(C), rows of Fractions, from exact factor coordinates (u, v)."""
     return outer_matrix(rule, *_factor_polys(u, v))
 
 
 def kernel_ray_residual(M, u, v):
     """Worst |double_bush_residual| of c b^T + N/max|N| over the rows (p, q) of M.
 
-    N = U(c) b^T V(C) is built in mpf from the exact factors (u, v) of a
-    kernel element, independently of the operator's coordinates, so this
-    checks the exact kernel through the public floating-point residuals.
+    N = U(c) b^T V(C) is built at the rule's rounded nodes from the exact
+    factors (u, v) of a kernel element, independently of the operator's
+    coordinates, so this checks the exact kernel through the public
+    residuals at the nodes.
     """
     rule = M.rule
-    with mp.workdps(rule.precision_digits + 15):
-        N = factor_matrix(rule, u, v)
-        A = avf_matrix(rule) + N / max_entry(N)
-        return max(abs(double_bush_residual(A, rule, p, q)) for p, q in M.rows)
+    N = factor_matrix(rule, u, v)
+    A = mat_sum(avf_matrix(rule), N, 1 / max_entry(N))
+    return max(abs(double_bush_residual(A, rule, p, q)) for p, q in M.rows)
 
 
 def fraction_rref(rows, ncols):
@@ -164,7 +164,7 @@ def fraction_rref(rows, ncols):
 
 
 def memo_free_rk_weight(forest, tab):
-    """rk_weight by the plain recursion with a fresh cache per call, touching no memo of tab."""
+    """rk_weight by the plain recursion over lists of Fractions, with a fresh cache per call, touching no memo of tab."""
     from avfrk.trees import Forest, RootedTree
 
     if isinstance(forest, RootedTree):
@@ -175,34 +175,31 @@ def memo_free_rk_weight(forest, tab):
             if not t.children:
                 cache[t] = list(tab.c)
             else:
-                prod = [mp.mpf(1)] * tab.s
+                prod = [Fraction(1)] * tab.s
                 for k in t.children:
                     prod = [a * b for a, b in zip(prod, psi(k, cache))]
-                cache[t] = [mp.fsum(a * v for a, v in zip(row, prod)) for row in tab.A]
+                cache[t] = [sum(a * v for a, v in zip(row, prod)) for row in tab.A]
         return cache[t]
 
-    with mp.workdps(tab.precision_digits + 10):
-        cache = {}
-        total = mp.mpf(1)
-        for t in forest:
-            prod = [mp.mpf(1)] * tab.s
-            for k in t.children:
-                prod = [a * b for a, b in zip(prod, psi(k, cache))]
-            total *= mp.fsum(b * p for b, p in zip(tab.b, prod))
-        return total
+    cache = {}
+    total = Fraction(1)
+    for t in forest:
+        prod = [Fraction(1)] * tab.s
+        for k in t.children:
+            prod = [a * b for a, b in zip(prod, psi(k, cache))]
+        total *= sum(b * p for b, p in zip(tab.b, prod))
+    return total
 
 
 def memo_free_residual(ft, tab):
-    """energy_condition_residual on memo_free_rk_weight."""
+    """energy_condition_residual on memo_free_rk_weight, an exact Fraction."""
     from avfrk.trees import Forest
 
     if ft.superfluous:
-        return mp.mpf(0)
-    with mp.workdps(tab.precision_digits + 10):
-        total = mp.mpf(0)
-        for u in ft.members:
-            total += ft.parity[u] * memo_free_rk_weight(Forest(u.children), tab) / u.sigma
-        return total
+        return Fraction(0)
+    return sum(
+        (ft.parity[u] * memo_free_rk_weight(Forest(u.children), tab) / u.sigma for u in ft.members), Fraction(0)
+    )
 
 
 def refuse_nodes(*args):
@@ -210,29 +207,32 @@ def refuse_nodes(*args):
     raise AssertionError("a rule's nodes were formed")
 
 
-# conditions' four mpf bush residuals, with their helpers, as they were before each
-# identity had one body over exact or mpf node vectors: the reference for that body
+# conditions' four bush residuals, with their helpers, as separate bodies over plain
+# lists of Fractions at the rule's rounded nodes: the reference for the one body over node vectors
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def _to_fraction(x):
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
 
 
 def _as_matrix(A, s):
+    """A as s rows of s Fractions; an mp.matrix is read entry by entry."""
     if isinstance(A, mp.matrix):
         if (A.rows, A.cols) != (s, s):
             raise ValueError(f"expected a {s}x{s} matrix, got {A.rows}x{A.cols}")
-        return A
-    rows = list(A)
-    if len(rows) != s or any(len(list(r)) != s for r in rows):
+        return [[_to_fraction(A[i, j]) for j in range(s)] for i in range(s)]
+    rows = [list(r) for r in A]
+    if len(rows) != s or any(len(r) != s for r in rows):
         raise ValueError(f"expected a {s}x{s} matrix")
-    M = mp.matrix(s, s)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            M[i, j] = _to_mpf(x)
-    return M
+    return [[_to_fraction(x) for x in r] for r in rows]
+
+
+def _times(A, v):
+    """A v for a matrix and a vector of Fractions."""
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def _require_zero_at_origin(P, name):
@@ -252,15 +252,14 @@ def reference_double_bush_residual(A, rule, p: int, q: int):
     if not 1 <= p < q:
         raise ValueError(f"need 1 <= p < q, got ({p}, {q})")
     s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Acq = A * mp.matrix([ci**q for ci in c])
-        Acp = A * mp.matrix([ci**p for ci in c])
-        t1 = mp.fsum(b[i] * c[i] ** (p - 1) * Acq[i] for i in range(s))
-        t2 = mp.fsum(b[i] * c[i] ** (q - 1) * Acp[i] for i in range(s))
-        rhs = mp.mpf(1) / (q + 1) - mp.mpf(1) / (p + 1)
-        return p * t1 - q * t2 - rhs
+    A = _as_matrix(A, s)
+    b, c = rule.b, rule.c
+    Acq = _times(A, [ci**q for ci in c])
+    Acp = _times(A, [ci**p for ci in c])
+    t1 = sum(b[i] * c[i] ** (p - 1) * Acq[i] for i in range(s))
+    t2 = sum(b[i] * c[i] ** (q - 1) * Acp[i] for i in range(s))
+    rhs = Fraction(1, q + 1) - Fraction(1, p + 1)
+    return p * t1 - q * t2 - rhs
 
 
 def reference_double_bush_poly_residual(A, rule, P: UniPoly, Q: UniPoly):
@@ -272,16 +271,15 @@ def reference_double_bush_poly_residual(A, rule, P: UniPoly, Q: UniPoly):
     _require_zero_at_origin(P, "P")
     _require_zero_at_origin(Q, "Q")
     s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Pd, Qd = P.derivative(), Q.derivative()
-        AQ = A * mp.matrix([Q(ci) for ci in c])
-        AP = A * mp.matrix([P(ci) for ci in c])
-        t1 = mp.fsum(b[i] * Pd(c[i]) * AQ[i] for i in range(s))
-        t2 = mp.fsum(b[i] * Qd(c[i]) * AP[i] for i in range(s))
-        rhs = P(Fraction(1)) * Q.integral()(Fraction(1)) - Q(Fraction(1)) * P.integral()(Fraction(1))
-        return t1 - t2 - _to_mpf(rhs)
+    A = _as_matrix(A, s)
+    b, c = rule.b, rule.c
+    Pd, Qd = P.derivative(), Q.derivative()
+    AQ = _times(A, [Q(ci) for ci in c])
+    AP = _times(A, [P(ci) for ci in c])
+    t1 = sum(b[i] * Pd(c[i]) * AQ[i] for i in range(s))
+    t2 = sum(b[i] * Qd(c[i]) * AP[i] for i in range(s))
+    rhs = P(Fraction(1)) * Q.integral()(Fraction(1)) - Q(Fraction(1)) * P.integral()(Fraction(1))
+    return t1 - t2 - rhs
 
 
 def reference_triple_bush_residual(A, rule, P: UniPoly, Q: UniPoly, R: UniPoly):
@@ -296,21 +294,20 @@ def reference_triple_bush_residual(A, rule, P: UniPoly, Q: UniPoly, R: UniPoly):
     _require_zero_at_origin(P, "P")
     _require_zero_at_origin(Q, "Q")
     s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Pd, Qd, Rd = P.derivative(), Q.derivative(), R.derivative()
-        AQ = A * mp.matrix([Q(ci) for ci in c])
-        AP = A * mp.matrix([P(ci) for ci in c])
-        ARAQ = A * mp.matrix([R(c[i]) * AQ[i] for i in range(s)])
-        ARAP = A * mp.matrix([R(c[i]) * AP[i] for i in range(s)])
-        t1 = mp.fsum(b[i] * Pd(c[i]) * ARAQ[i] for i in range(s))
-        t2 = mp.fsum(b[i] * Qd(c[i]) * ARAP[i] for i in range(s))
-        t3 = _to_mpf(P(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AQ[i] for i in range(s))
-        t4 = _to_mpf(Q(Fraction(1))) * mp.fsum(b[i] * R(c[i]) * AP[i] for i in range(s))
-        t5 = mp.fsum(b[i] * Rd(c[i]) * AQ[i] * AP[i] for i in range(s))
-        t6 = _to_mpf(R(Fraction(1)) * P.integral()(Fraction(1)) * Q.integral()(Fraction(1)))
-        return t1 + t2 - t3 - t4 - t5 + t6
+    A = _as_matrix(A, s)
+    b, c = rule.b, rule.c
+    Pd, Qd, Rd = P.derivative(), Q.derivative(), R.derivative()
+    AQ = _times(A, [Q(ci) for ci in c])
+    AP = _times(A, [P(ci) for ci in c])
+    ARAQ = _times(A, [R(c[i]) * AQ[i] for i in range(s)])
+    ARAP = _times(A, [R(c[i]) * AP[i] for i in range(s)])
+    t1 = sum(b[i] * Pd(c[i]) * ARAQ[i] for i in range(s))
+    t2 = sum(b[i] * Qd(c[i]) * ARAP[i] for i in range(s))
+    t3 = P(Fraction(1)) * sum(b[i] * R(c[i]) * AQ[i] for i in range(s))
+    t4 = Q(Fraction(1)) * sum(b[i] * R(c[i]) * AP[i] for i in range(s))
+    t5 = sum(b[i] * Rd(c[i]) * AQ[i] * AP[i] for i in range(s))
+    t6 = R(Fraction(1)) * P.integral()(Fraction(1)) * Q.integral()(Fraction(1))
+    return t1 + t2 - t3 - t4 - t5 + t6
 
 
 def reference_asym_bush_residual(A, rule, q: int):
@@ -322,16 +319,15 @@ def reference_asym_bush_residual(A, rule, q: int):
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     s = rule.s
-    with mp.workdps(rule.precision_digits + 15):
-        A = _as_matrix(A, s)
-        b, c = rule.b, rule.c
-        Ac = A * mp.matrix(list(c))
-        wq1 = [Ac[i] ** (q - 1) for i in range(s)]
-        inner = A * mp.matrix([c[i] * wq1[i] for i in range(s)])
-        t1 = mp.fsum(b[i] * Ac[i] * wq1[i] for i in range(s))
-        t2 = mp.fsum(b[i] * inner[i] for i in range(s))
-        t3 = mp.fsum(b[i] * c[i] * wq1[i] for i in range(s))
-        return t1 - q * t2 + q * t3 - mp.mpf(2) ** (-q)
+    A = _as_matrix(A, s)
+    b, c = rule.b, rule.c
+    Ac = _times(A, list(c))
+    wq1 = [Ac[i] ** (q - 1) for i in range(s)]
+    inner = _times(A, [c[i] * wq1[i] for i in range(s)])
+    t1 = sum(b[i] * Ac[i] * wq1[i] for i in range(s))
+    t2 = sum(b[i] * inner[i] for i in range(s))
+    t3 = sum(b[i] * c[i] * wq1[i] for i in range(s))
+    return t1 - q * t2 + q * t3 - Fraction(1, 2**q)
 
 
 def reference_newton_step(matrix, x, fx, res) -> list:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from avfrk.conditions import (
     build_M,
@@ -75,36 +74,30 @@ FLOAT_CHECK_S = 5
 
 
 def test_criterion_01_weights_integrate_polynomials(emit):
-    worst = mp.mpf(0)
+    worst = F(0)
     n_checks = 0
-    with mp.workdps(60):
-        for s in range(1, 7):
-            for zeta in (F(-1), F(0), F(1)):
-                rule = quad_rule(s, zeta)
-                for k in range(1, rule.order + 1):
-                    r = abs(
-                        mp.fsum(rule.b[i] * rule.c[i] ** (k - 1) for i in range(s))
-                        - mp.mpf(1) / k
-                    )
-                    worst = max(worst, r)
-                    n_checks += 1
-        ok = worst <= mp.mpf("1e-40")
+    for s in range(1, 7):
+        for zeta in (F(-1), F(0), F(1)):
+            rule = quad_rule(s, zeta)
+            for k in range(1, rule.order + 1):
+                r = abs(sum(rule.b[i] * rule.c[i] ** (k - 1) for i in range(s)) - F(1, k))
+                worst = max(worst, r)
+                n_checks += 1
+    ok = worst <= F(1, 10**40)
     assert emit(
-        1, ok, f"{n_checks} moment checks, s=1..6, worst residual {mp.nstr(worst, 3)}"
+        1, ok, f"{n_checks} moment checks, s=1..6, worst residual {float(worst):.3g}"
     ), worst
 
 
 def test_criterion_02_first_unmatched_moment(emit):
-    worst = mp.mpf(0)
-    with mp.workdps(60):
-        for zeta in (F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
-            rule = quad_rule(2, zeta)
-            m3 = mp.fsum(rule.b[i] * rule.c[i] ** 3 for i in range(2))
-            want = mp.mpf(1) / 4 + mp.mpf(zeta.numerator) / zeta.denominator / 36
-            worst = max(worst, abs(m3 - want))
-        ok = worst <= mp.mpf("1e-40")
+    worst = F(0)
+    for zeta in (F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
+        rule = quad_rule(2, zeta)
+        m3 = sum(rule.b[i] * rule.c[i] ** 3 for i in range(2))
+        worst = max(worst, abs(m3 - (F(1, 4) + zeta / 36)))
+    ok = worst <= F(1, 10**40)
     assert emit(
-        2, ok, f"b^T c^3 = 1/4 + zeta/36 at five zeta values, worst {mp.nstr(worst, 3)}"
+        2, ok, f"b^T c^3 = 1/4 + zeta/36 at five zeta values, worst {float(worst):.3g}"
     ), worst
 
 
@@ -169,7 +162,7 @@ def test_criterion_03_closed_form_inner_products(emit):
 def test_criterion_04_full_degree_rank(emit):
     t0 = time.perf_counter()
     ranks = []
-    worst = mp.mpf(0)
+    worst = F(0)
     ok = True
     for s in range(2, 17):
         rule = quad_rule(s, 0)
@@ -185,12 +178,12 @@ def test_criterion_04_full_degree_rank(emit):
         if s <= FLOAT_CHECK_S:
             worst = max(worst, kernel_ray_residual(M, el.u, el.v))
     elapsed = time.perf_counter() - t0
-    ok = ok and worst <= mp.mpf("1e-35") and elapsed < 60
+    ok = ok and worst <= F(1, 10**35) and elapsed < 60
     assert emit(
         4,
         ok,
         f"ranks {ranks} = s^2-1 (s = 2..16), kernel spans (1-c)b^T exactly, "
-        f"worst double-bush residual along it (s <= {FLOAT_CHECK_S}) {mp.nstr(worst, 3)}, "
+        f"worst double-bush residual along it (s <= {FLOAT_CHECK_S}) {float(worst):.3g}, "
         f"{elapsed:.1f}s",
     ), (ranks, worst, elapsed)
 
@@ -198,7 +191,7 @@ def test_criterion_04_full_degree_rank(emit):
 def test_criterion_05_reduced_degree_rank(emit):
     t0 = time.perf_counter()
     ok = True
-    worst = mp.mpf(0)
+    worst = F(0)
     n_cfg = 0
 
     def check_elements(M, basis):
@@ -242,14 +235,14 @@ def test_criterion_05_reduced_degree_rank(emit):
         ok = ok and sorted(el.u for el in basis.elements[1:]) == units
         ok = check_elements(M, basis) and ok
     elapsed = time.perf_counter() - t0
-    ok = ok and worst <= mp.mpf("1e-35") and elapsed < 60
+    ok = ok and worst <= F(1, 10**35) and elapsed < 60
     assert emit(
         5,
         ok,
         f"{n_cfg} reduced-degree configs, s = 3..16: ranks s^2-3 (generic, 3 factored kernel "
         f"elements) and s^2-s-1 (left endpoint, s+1 elements), each element an exact "
         f"rank-one null vector; worst double-bush residual along them (s <= {FLOAT_CHECK_S}) "
-        f"{mp.nstr(worst, 3)}, {elapsed:.1f}s",
+        f"{float(worst):.3g}, {elapsed:.1f}s",
     ), (worst, elapsed)
 
 
@@ -379,23 +372,21 @@ def test_criterion_10_tree_classes_match_matrix_conditions(emit):
     zgrid = [F(0), F(1, 2), F(-1, 2), F(1), F(-1)]
     worst = 0.0
     n_checked = 0
-    with mp.workdps(60):
-        for k in range(50):
-            s = 2 if k < 25 else 3
-            rule = quad_rule(s, zgrid[k % 5])
-            A = [[F(rng.randint(-8, 8), 4) for _ in range(s)] for _ in range(s)]
-            Amp = [[mp.mpf(x.numerator) / x.denominator for x in row] for row in A]
-            tab = ButcherTableau(Amp, rule.b, rule.c, rule.precision_digits)
-            for p in range(1, rule.order):
-                for q in range(p + 1, rule.order):
-                    t = RootedTree([leaf] * p + [RootedTree([leaf] * q)])
-                    tree_r = energy_condition_residual(free_class(t), tab)
-                    mat_r = double_bush_residual(Amp, rule, p, q)
-                    scaled = math.factorial(p) * math.factorial(q) * tree_r
-                    diff = min(abs(scaled - mat_r), abs(scaled + mat_r))
-                    rel = float(diff / max(abs(mat_r), mp.mpf("1e-30")))
-                    worst = max(worst, rel)
-                    n_checked += 1
+    for k in range(50):
+        s = 2 if k < 25 else 3
+        rule = quad_rule(s, zgrid[k % 5])
+        A = [[F(rng.randint(-8, 8), 4) for _ in range(s)] for _ in range(s)]
+        tab = ButcherTableau(A, rule.b, rule.c)
+        for p in range(1, rule.order):
+            for q in range(p + 1, rule.order):
+                t = RootedTree([leaf] * p + [RootedTree([leaf] * q)])
+                tree_r = energy_condition_residual(free_class(t), tab)
+                mat_r = double_bush_residual(A, rule, p, q)
+                scaled = math.factorial(p) * math.factorial(q) * tree_r
+                diff = min(abs(scaled - mat_r), abs(scaled + mat_r))
+                rel = float(diff / max(abs(mat_r), F(1, 10**30)))
+                worst = max(worst, rel)
+                n_checked += 1
     counts_ok = [len(enumerate_rooted(n)) for n in range(1, 8)] == [
         1, 1, 2, 4, 9, 20, 48,
     ] and [len(enumerate_free(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]

@@ -16,8 +16,13 @@ import avfrk
 from avfrk import conditions, quadrature
 from avfrk.cli import _dec, _json, main
 from avfrk.conditions import build_M, rank_kernel
-from avfrk.quadrature import quad_rule
-from _util import refuse_nodes
+from avfrk.quadrature import g_poly, quad_rule, UniPoly
+from _util import (
+    reference_asym_bush_residual,
+    reference_double_bush_residual,
+    reference_triple_bush_residual,
+    refuse_nodes,
+)
 
 QUARTIC_DOC = {
     "half_dim": 1,
@@ -100,6 +105,11 @@ class TestQuad:
         mantissa = doc["c"][0].replace("0.", "")
         assert len(mantissa) == 25  # precision - 5
 
+    def test_zeta_beyond_the_str_digit_limit(self, capsys):
+        # 10^-5000 has more digits than str() of an int may print: it is scaled exactly first
+        code, doc = run_json(capsys, ["quad", "--s", "2", "--zeta", "1e-5000", "--precision", "15"])
+        assert code == 0 and doc["zeta"] == "1.0e-5000"
+
 
 class TestTableau:
     def test_one_stage(self, capsys):
@@ -144,6 +154,29 @@ class TestConditions:
         by_id = {row["id"]: row for row in doc["conditions"]}
         assert abs(float(by_id["[*,*,[*]]"]["residual"])) > 1e-4
 
+    def test_read_back_tableau_rows_are_exact(self, capsys, tmp_path):
+        # the rule's printed c b^T read back: each bush row is the exact residual of that
+        # matrix at the rule's rounded nodes, printed to precision - 5 digits
+        base = ["--s", "3", "--zeta", "1/2"]
+        assert main(["tableau", *base]) == 0
+        A = json.loads(capsys.readouterr().out)["A"]
+        path = tmp_path / "avf3.json"
+        path.write_text(json.dumps({"A": A}))
+        code, doc = run_json(capsys, ["conditions", *base, "--tableau", str(path)])
+        assert code == 0
+        rule, m, args = quad_rule(3, Fraction(1, 2)), 5, argparse.Namespace(precision=50)
+        A = [[Fraction(x) for x in row] for row in A]
+        x = lambda k: UniPoly([0] * k + [1])
+        pairs = [(p, q) for p in range(1, m) for q in range(p, m)]
+        want = [(f"double_bush({p},{q})", reference_double_bush_residual(A, rule, p, q)) for p, q in pairs if p < q]
+        want += [
+            (f"triple_bush(G_{p},G_{q},1)", reference_triple_bush_residual(A, rule, g_poly(p), g_poly(q), UniPoly([1])))
+            for p, q in pairs
+        ]
+        want += [(f"asym_bush({q})", reference_asym_bush_residual(A, rule, q)) for q in range(1, m)]
+        assert [(row["id"], row["residual"]) for row in doc["bushes"]] == [(i, _dec(r, args)) for i, r in want]
+        assert any(r != 0 for _, r in want) and all(abs(r) < Fraction(1, 10**40) for _, r in want)
+
     def test_malformed_tableau(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
@@ -161,7 +194,16 @@ class TestConditions:
         assert "2x2" in err
 
     @pytest.mark.parametrize("field", ["A", "b", "c"])
-    @pytest.mark.parametrize("entry", ["1/0", "nan", "inf", "-inf", float("nan")])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "1/0", "nan", "inf", "-inf", float("nan"),
+            # JSON Infinity and -Infinity, and a JSON number beyond the float range
+            pytest.param(float("inf"), id="Infinity"),
+            pytest.param(float("-inf"), id="-Infinity"),
+            pytest.param("<1e400>", id="1e400"),
+        ],
+    )
     def test_undefined_or_non_finite_entry(self, capsys, tmp_path, field, entry):
         doc = {"A": [[0.3, 0.1], [0.2, 0.5]], "b": [0.5, 0.5], "c": [0.25, 0.75]}
         if field == "A":
@@ -169,7 +211,7 @@ class TestConditions:
         else:
             doc[field][1] = entry
         path = tmp_path / "entry.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"<1e400>"', "1e400"))
         code = main(["conditions", "--s", "2", "--tableau", str(path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -581,10 +623,10 @@ _RUN = ["--y0", "0.5,0.1"]
 @pytest.mark.parametrize(
     "argv, modules, mpmath",
     [
-        # the rule's mpf nodes and weights, and the mpf tableau built from them
-        (["quad", "--s", "3", "--zeta", "1/2"], "cli quadrature", True),
-        (["tableau", "--s", "3"], "cli quadrature trees", True),
-        # exact certificates: no mpf, no stepping
+        # the rule's exact nodes and weights, and the exact tableau built from them
+        (["quad", "--s", "3", "--zeta", "1/2"], "cli quadrature", False),
+        (["tableau", "--s", "3"], "cli quadrature trees", False),
+        # exact certificates: no stepping
         (["conditions", "--s", "3"], "cli conditions quadrature trees", False),
         (["rank", "--s", "4"], "cli conditions quadrature", False),
         (["uniqueness", "--s", "3", "--zeta", "1/3"], "cli conditions quadrature", False),
@@ -601,13 +643,17 @@ _RUN = ["--y0", "0.5,0.1"]
             False,
         ),
         (["order", "{ham}", *_RUN, "--t-end", "1", "--hs", "0.1,0.05,0.025"], "cli hamiltonian integrators quadrature", False),
+        # a tableau file's exact entries and its bush rows at the rule's rounded nodes
+        (["conditions", "--s", "2", "--tableau", "{tableau}"], "cli conditions quadrature trees", False),
     ],
 )
-def test_command_loads_only_what_it_runs(quartic_file, argv, modules, mpmath):
+def test_command_loads_only_what_it_runs(quartic_file, tmp_path, argv, modules, mpmath):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tableau = tmp_path / "tableau.json"
+    tableau.write_text(json.dumps({"A": [["1/4", 0.1], [0.5, "0.25"]]}))
     res = subprocess.run(
-        [sys.executable, "-c", _LOADED_SCRIPT, *[a.format(ham=quartic_file) for a in argv]],
+        [sys.executable, "-c", _LOADED_SCRIPT, *[a.format(ham=quartic_file, tableau=tableau) for a in argv]],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
@@ -637,14 +683,16 @@ def _nstr(x: Fraction, precision: int) -> str:
 @given(
     num=st.integers(-(10**40), 10**40),
     den=st.integers(1, 10**40),
-    shift=st.integers(-40, 40),
+    shift=st.one_of(st.integers(-40, 40), st.integers(1000, 20000), st.integers(-20000, -1000)),
     precision=st.integers(10, 80),
 )
 @example(num=1, den=3, shift=0, precision=10)
 @example(num=-999999999, den=1, shift=-3, precision=10)  # rounds up to the next power of ten
 @example(num=1, den=8, shift=-6, precision=20)  # fixed point just above the exponent form
 @example(num=0, den=1, shift=0, precision=50)
-@example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500: printed by mp.nstr itself
+@example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500: scaled by an exact power of ten first
+@example(num=1, den=1, shift=-20000, precision=15)
+@example(num=-7, den=3, shift=20000, precision=80)
 def test_exact_decimal_matches_nstr(num, den, shift, precision):
     # a Fraction prints exactly as mp.nstr prints its mpf at precision + 10
     x = Fraction(num, den) * Fraction(10) ** shift

@@ -47,6 +47,7 @@ from _util import (
     factor_matrix,
     fraction_rref,
     kernel_ray_residual,
+    mat_sum,
     max_entry,
     outer_matrix,
     random_unipoly,
@@ -63,7 +64,7 @@ from _util import (
 
 ONE = UniPoly([1])
 X = UniPoly([0, 1])
-TINY = mp.mpf("1e-40")
+TINY = Fraction(1, 10**40)
 
 
 def eliminated(rows, ncols):
@@ -146,7 +147,7 @@ class TestBushResidualsOnAvf:
 
 
 class TestBushRows:
-    """bush_residuals: exact rows for the rule's own c b^T, mpf rows for a given A."""
+    """bush_residuals: rows from the moments for the rule's own c b^T, rows at the rounded nodes for a given A."""
 
     @pytest.mark.parametrize(
         "s,zeta", [(2, Fraction(0)), (3, Fraction(-1)), (3, Fraction(1, 2)), (4, Fraction(2))]
@@ -158,9 +159,9 @@ class TestBushRows:
         assert [i for i, _ in exact] == [i for i, _ in approx]
         assert all(isinstance(r, Fraction) for _, r in exact)
         assert any(r != 0 for _, r in exact)
-        with mp.workdps(60):
-            for (i, r), (_, a) in zip(exact, approx):
-                assert abs(a - mp.mpf(r.numerator) / r.denominator) < TINY, i
+        assert all(isinstance(a, Fraction) for _, a in approx)
+        for (i, r), (_, a) in zip(exact, approx):
+            assert abs(a - r) < TINY, i
 
     @pytest.mark.parametrize(
         "s,zeta", [(1, Fraction(0)), (2, Fraction(1)), (3, Fraction(-1)), (4, Fraction(1, 3))]
@@ -211,8 +212,7 @@ class TestBushValidation:
     def test_beyond_order_still_evaluates(self):
         # degrees past order-1 report the quadrature defect instead of zero
         r = double_bush_residual(self.A, self.rule, 1, 4)
-        with mp.workdps(60):
-            assert abs(r - mp.mpf(1) / 120) < TINY
+        assert abs(r - Fraction(1, 120)) < TINY
 
 
 class TestPolyResidualStructure:
@@ -226,13 +226,12 @@ class TestPolyResidualStructure:
         Q = random_unipoly(rng, 3, zero_at_origin=True)
         R = random_unipoly(rng, 2, zero_at_origin=True)
         lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        with mp.workdps(60):
-            rPQ = double_bush_poly_residual(A, rule, P, Q)
-            rQP = double_bush_poly_residual(A, rule, Q, P)
-            assert abs(rPQ + rQP) < mp.mpf("1e-42")
-            lhs = double_bush_poly_residual(A, rule, P + lam * R, Q)
-            rhs = rPQ + mpf_of(lam) * double_bush_poly_residual(A, rule, R, Q)
-            assert abs(lhs - rhs) < mp.mpf("1e-42")
+        rPQ = double_bush_poly_residual(A, rule, P, Q)
+        rQP = double_bush_poly_residual(A, rule, Q, P)
+        assert rPQ + rQP == 0
+        lhs = double_bush_poly_residual(A, rule, P + lam * R, Q)
+        rhs = rPQ + lam * double_bush_poly_residual(A, rule, R, Q)
+        assert lhs == rhs
 
     def test_zero_polynomial(self):
         # P + lam R can cancel to the zero polynomial, which vanishes at 0
@@ -247,19 +246,18 @@ class TestPolyResidualStructure:
         rule = quad_rule(2, 0)
         A = [[mp.mpf(rng.randint(-4, 4)) / 4 for _ in range(2)] for _ in range(2)]
         P = random_unipoly(rng, 3, zero_at_origin=True)
-        assert abs(double_bush_poly_residual(A, rule, P, P)) < TINY
+        assert double_bush_poly_residual(A, rule, P, P) == 0
 
     def test_monomial_specialization(self):
         rng = random.Random(56)
         rule = quad_rule(3, Fraction(1, 2))
         A = [[mp.mpf(rng.randint(-4, 4)) / 4 for _ in range(3)] for _ in range(3)]
-        with mp.workdps(60):
-            for p, q in [(1, 2), (1, 3), (2, 4), (3, 4)]:
-                xp = UniPoly([0] * p + [1])
-                xq = UniPoly([0] * q + [1])
-                poly = double_bush_poly_residual(A, rule, xp, xq)
-                mono = double_bush_residual(A, rule, p, q)
-                assert abs(poly - mono) < mp.mpf("1e-42")
+        for p, q in [(1, 2), (1, 3), (2, 4), (3, 4)]:
+            xp = UniPoly([0] * p + [1])
+            xq = UniPoly([0] * q + [1])
+            poly = double_bush_poly_residual(A, rule, xp, xq)
+            mono = double_bush_residual(A, rule, p, q)
+            assert poly == mono
 
 
 ORACLE_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2, 3)]
@@ -267,7 +265,7 @@ ORACLE_RULES = {(s, z): quad_rule(s, z) for s in (2, 3, 4) for z in ORACLE_ZETAS
 
 
 class TestMpfOracle:
-    """The public mpf residuals against copies of their earlier separate mpf bodies."""
+    """The public residuals against separate bodies over lists of Fractions at the rounded nodes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -295,9 +293,8 @@ class TestMpfOracle:
             (asym_bush_residual(A, rule, q), reference_asym_bush_residual(A, rule, q)),
             (asym_bush_residual(A, rule, p), reference_asym_bush_residual(A, rule, p)),
         ]
-        tol = mp.mpf(10) ** -rule.precision_digits
         for new, ref in pairs:
-            assert abs(new - ref) <= tol * max(1, abs(ref)), (new, ref)
+            assert new == ref
 
 
 class TestS2BasisExpansion:
@@ -342,19 +339,18 @@ class TestS2BasisExpansion:
     def test_probe_matches_exact_form(self, zeta):
         rule = quad_rule(2, zeta)
         M = build_M(rule, 3)
-        with mp.workdps(60):
-            r0 = double_bush_residual(mp.matrix(2, 2), rule, 1, 2)
-            assert abs(r0 - mp.mpf(1) / 6) < mp.mpf("1e-42")
-            for k in range(2):
-                for l in range(2):
-                    V = M.right_family[l].derivative()
-                    A = outer_matrix(rule, legendre(k), V)  # the (k+1, l+1) basis slot
-                    probed = double_bush_residual(A, rule, 1, 2) - r0
-                    want = self.exact_gamma(rule, legendre(k), V)
-                    assert abs(probed - mpf_of(want)) < mp.mpf("1e-42")
-            # c b^T through its slot coordinates
-            A = outer_matrix(rule, (legendre(0) + legendre(1)) * Fraction(1, 4), legendre(1).derivative())
-            assert abs(double_bush_residual(A, rule, 1, 2)) < TINY
+        r0 = double_bush_residual(mp.matrix(2, 2), rule, 1, 2)
+        assert r0 == Fraction(1, 6)
+        for k in range(2):
+            for l in range(2):
+                V = M.right_family[l].derivative()
+                A = outer_matrix(rule, legendre(k), V)  # the (k+1, l+1) basis slot
+                probed = double_bush_residual(A, rule, 1, 2) - r0
+                want = self.exact_gamma(rule, legendre(k), V)
+                assert abs(probed - want) < Fraction(1, 10**42)
+        # c b^T through its slot coordinates
+        A = outer_matrix(rule, (legendre(0) + legendre(1)) * Fraction(1, 4), legendre(1).derivative())
+        assert abs(double_bush_residual(A, rule, 1, 2)) < TINY
 
 
 class TestPTilde:
@@ -623,13 +619,10 @@ class TestBuildM:
     def test_avf_coords_match_float_basis(self, s, zeta, m):
         # the slots build_M checks exactly, mapped through the float basis matrices, are c b^T
         M = build_M(quad_rule(s, zeta), m)
-        with mp.workdps(60):
-            A = sum(
-                (x * outer_matrix(M.rule, legendre(k - 1), M.right_family[l - 1].derivative())
-                 for (k, l), x in AVF_SLOTS.items()),
-                mp.zeros(s, s),
-            )
-            assert max_entry(A - avf_matrix(M.rule)) < mp.mpf("1e-40")
+        A = [[0] * s for _ in range(s)]
+        for (k, l), x in AVF_SLOTS.items():
+            A = mat_sum(A, outer_matrix(M.rule, legendre(k - 1), M.right_family[l - 1].derivative()), x)
+        assert max_entry(mat_sum(A, avf_matrix(M.rule), -1)) < Fraction(1, 10**40)
 
     def test_exact_avf_check(self, monkeypatch):
         # an operator that c b^T does not solve exactly is refused: every moment row
@@ -818,7 +811,7 @@ class TestRankKernel:
             M = build_M(quad_rule(s, zeta), m)
             for el in rank_kernel(M)[1].elements:
                 assert annihilated(M, el.coords)
-                assert kernel_ray_residual(M, el.u, el.v) < mp.mpf("1e-35"), (s, zeta, m)
+                assert kernel_ray_residual(M, el.u, el.v) < Fraction(1, 10**35), (s, zeta, m)
 
     def test_kernel_matrix_rank_at_most_two(self):
         s = 4
@@ -1005,11 +998,10 @@ class TestKernelRowsum:
             U, V = N.factor_polys()
             assert not U.is_zero() and discrete_ip_exact(ONE, V, rule) == 0
             assert annihilated(M, N.coords)
-            assert kernel_ray_residual(M, N.u, N.v) < mp.mpf("1e-35")
-            with mp.workdps(60):
-                A = factor_matrix(rule, N.u, N.v)
-                for i in range(s):
-                    assert abs(mp.fsum(A[i, j] for j in range(s))) < mp.mpf("1e-38") * max_entry(A)
+            assert kernel_ray_residual(M, N.u, N.v) < Fraction(1, 10**35)
+            A = factor_matrix(rule, N.u, N.v)
+            for row in A:
+                assert abs(sum(row)) < Fraction(1, 10**38) * max_entry(A)
 
     @pytest.mark.parametrize("s", range(2, 9))
     def test_equal_to_reference(self, s):
@@ -1031,22 +1023,20 @@ class TestPerturbedResiduals:
         N = _s2_rowsum_matrix(rule)
         A0 = avf_matrix(rule)
         G2 = g_poly(2)
-        with mp.workdps(60):
-            for beta in (mp.mpf(1) / 1000, mp.mpf(1) / 10, mp.mpf(1)):
-                r = triple_bush_residual(A0 + beta * N, rule, G2, G2, ONE)
-                want = beta**2 * mpf_of(zeta) ** 3 / 81
-                assert abs(r - want) < mp.mpf("1e-20") * abs(want)
+        for beta in (Fraction(1, 1000), Fraction(1, 10), Fraction(1)):
+            r = triple_bush_residual(mat_sum(A0, N, beta), rule, G2, G2, ONE)
+            want = beta**2 * zeta**3 / 81
+            assert abs(r - want) < Fraction(1, 10**20) * abs(want)
 
     @pytest.mark.parametrize("zeta", [Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
     def test_two_stage_asym_bush(self, zeta):
         rule = quad_rule(2, zeta)
         N = _s2_rowsum_matrix(rule)
         A0 = avf_matrix(rule)
-        with mp.workdps(60):
-            for beta in (mp.mpf(1) / 100, mp.mpf(1)):
-                r = asym_bush_residual(A0 + beta * N, rule, 2)
-                want = -(beta**2) * (1 + mpf_of(zeta)) ** 2 / 36
-                assert abs(r - want) < mp.mpf("1e-20") * abs(want)
+        for beta in (Fraction(1, 100), Fraction(1)):
+            r = asym_bush_residual(mat_sum(A0, N, beta), rule, 2)
+            want = -(beta**2) * (1 + zeta) ** 2 / 36
+            assert abs(r - want) < Fraction(1, 10**20) * abs(want)
 
     def test_gauss_asym_bush_cubic_growth(self):
         rule = quad_rule(3, 0)
@@ -1056,11 +1046,10 @@ class TestPerturbedResiduals:
             [Fraction(0), Fraction(1), Fraction(0)],
         )
         A0 = avf_matrix(rule)
-        with mp.workdps(60):
-            for beta in (mp.mpf(1) / 10, mp.mpf(1)):
-                r = asym_bush_residual(A0 + beta * N, rule, 3)
-                want = (6 * beta) ** 3 / 400  # (-1)^(s-1) 6^s / gamma_s^2
-                assert abs(r - want) < mp.mpf("1e-20") * abs(want)
+        for beta in (Fraction(1, 10), Fraction(1)):
+            r = asym_bush_residual(mat_sum(A0, N, beta), rule, 3)
+            want = (6 * beta) ** 3 / 400  # (-1)^(s-1) 6^s / gamma_s^2
+            assert abs(r - want) < Fraction(1, 10**20) * abs(want)
 
 
 G2 = g_poly(2)
@@ -1263,10 +1252,9 @@ class TestUniquenessSweep:
         poly = UniPoly([Fraction(x) for x in fit["polynomial"]])
         N = direction(rule)
         A0 = avf_matrix(rule)
-        with mp.workdps(60):
-            for beta in (Fraction(1, 10), Fraction(1)):
-                r = residual(A0 + mpf_of(beta) * N, rule)
-                assert abs(r - mpf_of(poly(beta))) < TINY
+        for beta in (Fraction(1, 10), Fraction(1)):
+            r = residual(mat_sum(A0, N, beta), rule)
+            assert abs(r - poly(beta)) < TINY
 
     @pytest.mark.parametrize("s,zeta", [(2, Fraction(1, 2)), (3, Fraction(0)), (4, Fraction(-1))])
     def test_closed_form_checked_against_the_kernel(self, monkeypatch, s, zeta):

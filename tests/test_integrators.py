@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
 
 from avfrk import integrators
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
@@ -61,34 +60,27 @@ QUINTIC = sys1({(0, 2): F(1, 2), (5, 0): F(1, 5)})
 class TestTableaux:
     def test_one_stage_is_implicit_midpoint(self):
         tab = avf_tableau(quad_rule(1, 0))
-        with mp.workdps(60):
-            assert abs(tab.A[0][0] - mp.mpf(1) / 2) < mp.mpf("1e-45")
-            assert abs(tab.b[0] - 1) < mp.mpf("1e-45")
-            assert abs(tab.c[0] - mp.mpf(1) / 2) < mp.mpf("1e-45")
+        assert (tab.A, tab.b, tab.c) == (((F(1, 2),),), (1,), (F(1, 2),))
 
     def test_midpoint_tableau_matches(self):
         ref = avf_tableau(quad_rule(1, 0))
         tab = midpoint_tableau()
-        with mp.workdps(60):
-            assert abs(tab.A[0][0] - ref.A[0][0]) < mp.mpf("1e-45")
+        assert tab.A == ref.A == ((F(1, 2),),)
 
     def test_rank_one_structure(self):
         for s, zeta in [(2, 0), (3, F(1, 2)), (4, F(-1))]:
             rule = quad_rule(s, zeta)
             tab = avf_tableau(rule)
-            with mp.workdps(60):
-                for i in range(s):
-                    for j in range(s):
-                        assert abs(tab.A[i][j] - rule.c[i] * rule.b[j]) < mp.mpf("1e-44")
-                assert tab.row_sum_defect() < mp.mpf("1e-44")
+            for i in range(s):
+                for j in range(s):
+                    assert tab.A[i][j] == rule.c[i] * rule.b[j]
+            assert tab.row_sum_defect() < F(1, 10**44)
 
     def test_left_endpoint_nodes(self):
         tab = avf_tableau(quad_rule(2, -1))
-        with mp.workdps(60):
-            assert abs(tab.c[0]) < mp.mpf("1e-45")
-            assert abs(tab.c[1] - mp.mpf(2) / 3) < mp.mpf("1e-44")
-            assert abs(tab.b[0] - mp.mpf(1) / 4) < mp.mpf("1e-44")
-            assert abs(tab.b[1] - mp.mpf(3) / 4) < mp.mpf("1e-44")
+        assert tab.c[0] == 0
+        assert abs(tab.c[1] - F(2, 3)) < F(1, 10**44)
+        assert tab.b == (F(1, 4), F(3, 4))
 
 
 class TestSingleSteps:
@@ -103,7 +95,7 @@ class TestSingleSteps:
         assert np.max(np.abs(np.subtract(ya, ys))) < 1e-13
 
     def test_explicit_euler_tableau(self):
-        euler = ButcherTableau(((mp.mpf(0),),), (mp.mpf(1),), (mp.mpf(0),))
+        euler = ButcherTableau(((0,),), (1,), (0,))
         y0 = np.array([0.7, -0.3])
         y1 = rk_step(CUBIC, euler, y0, 0.05)
         fy = np.array([y0[1], -3 * y0[0] ** 2])
@@ -224,7 +216,7 @@ class TestChordMatchesStages:
             sys_ = random_system(rng, 1 + case // 4, degree)
             y0 = [rng.randint(10, 45) / 100 for _ in range(sys_.dim)]
             tab = avf_tableau(quad_rule(math.ceil(degree / 2), zeta))
-            stages = ButcherTableau(tab.A, tab.b, tab.c, tab.precision_digits)
+            stages = ButcherTableau(tab.A, tab.b, tab.c)
             chord = integrate(sys_, tab, y0, 0.05, 60, cfg)
             full = integrate(sys_, stages, y0, 0.05, 60, cfg)
             assert np.max(np.abs(np.subtract(chord.states[-1], full.states[-1]))) < 1e-13, case
@@ -582,7 +574,7 @@ class TestGeneratedSweeps:
     @pytest.mark.parametrize("method", ["avf", "midpoint", "stages"])
     def test_failures_match_interpreted_solve(self, sys_, y0, h, strategy, max_iterations, reason, method):
         if method == "stages":
-            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5], 30)
+            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5])
         cfg = SolverConfig(strategy=strategy, max_iterations=max_iterations)
         got = _outcome(sys_, method, y0, h, 3, cfg)
         assert got == _reference_outcome(sys_, method, y0, h, 3, cfg)
@@ -598,7 +590,7 @@ class TestGeneratedSweeps:
         # the midpoint sweep on the harmonic oscillator contracts by |h|/2 per iteration, and
         # so does the stage sweep of this tableau, whose two stages stay equal
         if method == "stages":
-            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5], 30)
+            method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5])
         cfg = SolverConfig()
         got = _outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
         assert got == _reference_outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
@@ -608,8 +600,8 @@ class TestGeneratedSweeps:
         _stage_run.cache_clear()
         _stage_newton.cache_clear()
         tableaux = [
-            ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79], 30),
-            ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7], 30),
+            ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79]),
+            ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7]),
         ]
         logged = []
         for tab in tableaux:
@@ -725,7 +717,8 @@ class TestSolverFailure:
         assert exc_info.value.step_index == 0
         assert str(exc_info.value).startswith("step 0: Newton matrix is singular: zero pivot in column ")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # an exact coefficient beyond the float range is an infinite coefficient to the stepper
+    @pytest.mark.parametrize("value", [pytest.param(10**400, id="inf"), pytest.param(-(10**400), id="-inf")])
     @pytest.mark.parametrize("where, k", [("A", 0), ("b", 1)])
     @pytest.mark.parametrize("strategy", ["fixed-point+newton", "newton"])
     def test_non_finite_coefficient_is_solver_error(self, value, where, k, strategy):
@@ -735,22 +728,11 @@ class TestSolverFailure:
             A[0][1] = value
         else:
             b[1] = value
-        tab = ButcherTableau(A, b, [0.21, 0.79], 30)
+        tab = ButcherTableau(A, b, [0.21, 0.79])
         with pytest.raises(SolverError) as exc_info:
             integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3, SolverConfig(strategy=strategy))
         assert exc_info.value.step_index == k
         assert str(exc_info.value) == f"step {k}: non-finite iterate at iteration 1"
-
-    def test_nan_coefficient_loop_generated_once(self):
-        # the stage loop is cached on the coefficients' bits, which a nan equals
-        _stage_run.cache_clear()
-        for _ in range(3):
-            tab = ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, math.nan], [0.21, 0.79], 30)
-            with pytest.raises(SolverError) as exc_info:
-                integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3)
-            assert str(exc_info.value) == "step 1: non-finite iterate at iteration 1"
-        info = _stage_run.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     @pytest.mark.parametrize(
         "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]

@@ -52,6 +52,11 @@ def mpf_of(fr):
     return mp.mpf(fr.numerator) / fr.denominator
 
 
+def rounded_of(fr):
+    """fr rounded to the current mpf precision, as an exact Fraction."""
+    return _exact_fraction(mpf_of(fr))
+
+
 @lru_cache(maxsize=None)
 def cached_rule(s, zeta):
     return quad_rule(s, zeta)
@@ -108,7 +113,7 @@ class TestUniPoly:
     def test_exact_and_float_evaluation(self):
         p = UniPoly([1, -3, 2])
         assert p(Fraction(1, 2)) == 0
-        assert abs(p(mp.mpf("0.5"))) < mp.mpf("1e-45")
+        assert abs(p(0.5)) < 1e-45
 
     def test_monic_flag(self):
         assert UniPoly([5, 0, 1]).is_monic()
@@ -192,45 +197,40 @@ class TestQuadRule:
     def test_one_stage_gauss(self):
         rule = quad_rule(1, 0)
         assert rule.order == 2
-        assert abs(rule.c[0] - mp.mpf(1) / 2) < mp.mpf("1e-45")
-        assert abs(rule.b[0] - 1) < mp.mpf("1e-45")
+        assert rule.c == (Fraction(1, 2),) and rule.b == (1,)
 
     def test_two_stage_gauss(self):
         rule = quad_rule(2, 0)
         assert rule.order == 4
         with mp.workdps(60):
             r3 = mp.sqrt(3) / 6
-            assert abs(rule.c[0] - (mp.mpf(1) / 2 - r3)) < mp.mpf("1e-45")
-            assert abs(rule.c[1] - (mp.mpf(1) / 2 + r3)) < mp.mpf("1e-45")
-            assert abs(rule.b[0] - mp.mpf(1) / 2) < mp.mpf("1e-45")
-            assert abs(rule.b[1] - mp.mpf(1) / 2) < mp.mpf("1e-45")
+            assert abs(mpf_of(rule.c[0]) - (mp.mpf(1) / 2 - r3)) < mp.mpf("1e-45")
+            assert abs(mpf_of(rule.c[1]) - (mp.mpf(1) / 2 + r3)) < mp.mpf("1e-45")
+            assert abs(rule.b[0] - Fraction(1, 2)) < Fraction(1, 10**45)
+            assert abs(rule.b[1] - Fraction(1, 2)) < Fraction(1, 10**45)
 
     def test_endpoint_nodes(self):
         # zeta = -1 pins the left endpoint, zeta = 1 the right one
         for s in (2, 3, 4):
-            assert abs(quad_rule(s, -1).c[0]) < mp.mpf("1e-45")
-            assert abs(quad_rule(s, 1).c[-1] - 1) < mp.mpf("1e-45")
+            assert quad_rule(s, -1).c[0] == 0
+            assert quad_rule(s, 1).c[-1] == 1
 
     def test_quadrature_conditions(self):
         for s in range(1, 6):
             for z in ZETA_GRID:
                 rule = quad_rule(s, z)
                 assert rule.order == (2 * s if z == 0 else 2 * s - 1)
-                with mp.workdps(60):
-                    for k in range(1, rule.order + 1):
-                        lhs = mp.fsum(
-                            b * c ** (k - 1) for b, c in zip(rule.b, rule.c)
-                        )
-                        assert abs(lhs - mp.mpf(1) / k) < mp.mpf("1e-44")
+                for k in range(1, rule.order + 1):
+                    lhs = sum(b * c ** (k - 1) for b, c in zip(rule.b, rule.c))
+                    assert abs(lhs - Fraction(1, k)) < Fraction(1, 10**44)
 
     def test_moment_identity_s2(self):
         # b^T c^3 = 1/4 + zeta/36 across the family
         for z in ZETA_GRID + [Fraction(2)]:
             rule = quad_rule(2, z)
-            with mp.workdps(60):
-                got = mp.fsum(b * c**3 for b, c in zip(rule.b, rule.c))
-                want = mp.mpf(1) / 4 + mpf_of(Fraction(z)) / 36
-                assert abs(got - want) < mp.mpf("1e-44")
+            got = sum(b * c**3 for b, c in zip(rule.b, rule.c))
+            want = Fraction(1, 4) + Fraction(z) / 36
+            assert abs(got - want) < Fraction(1, 10**44)
 
     def test_degenerate_zeta_rejected(self):
         with pytest.raises(QuadratureError):
@@ -245,9 +245,8 @@ class TestQuadRule:
         rho = rule.node_poly()
         assert rho.is_monic()
         assert rho.degree == 3
-        with mp.workdps(60):
-            for c in rule.c:
-                assert abs(rho(c)) < mp.mpf("1e-44")
+        for c in rule.c:
+            assert abs(rho(c)) < Fraction(1, 10**44)
 
     def test_json_serialization(self):
         parsed = json.loads(quad_rule(2, Fraction(1, 2)).to_json())
@@ -361,9 +360,9 @@ def reference_rule(s, zeta):
 
 
 def rounded_reference(s, zeta, dps):
-    """reference_rule rounded to the bits of dps + 15 digits, the working precision of c and b."""
+    """reference_rule rounded to the bits of dps + 15 digits, the working precision of c and b, as Fractions."""
     with mp.workdps(dps + 15):
-        return tuple(tuple(+x for x in xs) for xs in reference_rule(s, zeta))
+        return tuple(tuple(_exact_fraction(+x) for x in xs) for xs in reference_rule(s, zeta))
 
 
 class TestNodePolish:
@@ -400,14 +399,14 @@ class TestNodePolish:
         with mp.workdps(dps + 15):
             for s in range(1, 11):
                 left, right = quad_rule(s, -1, dps), quad_rule(s, 1, dps)
-                weight = mpf_of(Fraction(1, s * s))
+                weight = rounded_of(Fraction(1, s * s))
                 assert (left.c[0], left.b[0]) == (0, weight), (s, dps)
                 assert (right.c[-1], right.b[-1]) == (1, weight), (s, dps)
                 if s % 2:
                     gauss = quad_rule(s, 0, dps)
                     half = Fraction(1, 2)
-                    assert (gauss.c[s // 2], gauss.b[s // 2]) == (0.5, mpf_of(exact_weight(s, Fraction(0), half)))
-            assert quad_rule(1, Fraction(2, 3), dps).c == (mpf_of(Fraction(5, 6)),)
+                    assert (gauss.c[s // 2], gauss.b[s // 2]) == (half, rounded_of(exact_weight(s, Fraction(0), half)))
+            assert quad_rule(1, Fraction(2, 3), dps).c == (rounded_of(Fraction(5, 6)),)
 
     @settings(max_examples=150, deadline=None)
     @example(s=3, zeta=Fraction(0), ends=[1024, 2048])  # the node 1/2 at b counts
@@ -468,7 +467,7 @@ class TestNodePolish:
         rule = quad_rule(1, node * 2 - 1, dps)
         assert rule.float_nodes == ((float(node), 1.0),)
         with mp.workdps(dps + 15):
-            assert rule.c == (mpf_of(node),) and rule.b == (1,)
+            assert rule.c == (rounded_of(node),) and rule.b == (1,)
 
     @pytest.mark.parametrize("zeta", [Fraction(-3, 2), Fraction(3, 2), Fraction(7)])
     def test_nodes_outside_the_unit_interval(self, zeta):
@@ -564,10 +563,9 @@ class TestFloatNodes:
     def test_correctly_rounded(self, s, zeta):
         # each float lies within half an ulp of the value at 60 digits, up to their error
         rule = quad_rule(s, zeta, 60)
-        with mp.workdps(75):
-            for (c, b), mc, mb in zip(rule.float_nodes, rule.c, rule.b):
-                for x, m in ((c, mc), (b, mb)):
-                    assert abs(mp.mpf(x) - m) <= mp.mpf(math.ulp(x)) / 2 + mp.mpf(10) ** -57, (s, zeta)
+        for (c, b), mc, mb in zip(rule.float_nodes, rule.c, rule.b):
+            for x, m in ((c, mc), (b, mb)):
+                assert abs(Fraction(x) - m) <= Fraction(math.ulp(x)) / 2 + Fraction(1, 10**57), (s, zeta)
 
     def test_no_polish(self, monkeypatch):
         def refuse(rule):
@@ -634,10 +632,9 @@ class TestMoments:
 
     def test_match_weighted_node_powers(self):
         rule = quad_rule(5, Fraction(-1, 3))
-        with mp.workdps(70):
-            for k, m in enumerate(rule.moments(16)):
-                num = mp.fsum(b * c**k for b, c in zip(rule.b, rule.c))
-                assert abs(num - mpf_of(m)) < mp.mpf("1e-45")
+        for k, m in enumerate(rule.moments(16)):
+            num = sum(b * c**k for b, c in zip(rule.b, rule.c))
+            assert abs(num - m) < Fraction(1, 10**45)
 
 
 class TestDiscreteInnerProduct:
@@ -681,13 +678,13 @@ class TestDiscreteInnerProduct:
     def test_numeric_matches_exact(self):
         rng = random.Random(78)
         rule = quad_rule(3, Fraction(1, 2))
-        with mp.workdps(60):
-            for _ in range(10):
-                u = random_unipoly(rng, 5)
-                v = random_unipoly(rng, 4)
-                num = discrete_ip(u, v, rule)
-                exa = discrete_ip_exact(u, v, rule)
-                assert abs(num - mpf_of(exa)) < mp.mpf("1e-42")
+        for _ in range(10):
+            u = random_unipoly(rng, 5)
+            v = random_unipoly(rng, 4)
+            num = discrete_ip(u, v, rule)
+            exa = discrete_ip_exact(u, v, rule)
+            assert num == sum(b * u(c) * v(c) for b, c in zip(rule.b, rule.c))
+            assert abs(num - exa) < Fraction(1, 10**42)
 
     def test_gauss_overflow_products(self):
         # <P_{2s-r}, P_r>_D for the order-2s rule, r = 1..s-1
@@ -832,9 +829,8 @@ class TestExactnessLemma:
         rho = rule.node_poly()
         theta = rho  # monic, degree order - s = s
         pi = rho * theta
-        with mp.workdps(60):
-            disc = discrete_ip(pi, UniPoly([1]), rule)
-            assert abs(disc) < mp.mpf("1e-44")
+        disc = discrete_ip(pi, UniPoly([1]), rule)
+        assert abs(disc) < Fraction(1, 10**44)
         assert check_discip_lemma(rule, pi, theta) == 0
 
     @pytest.mark.parametrize("s", range(2, 7))

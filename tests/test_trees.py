@@ -208,46 +208,49 @@ class TestRkWeight:
             ButcherTableau([], [], [])
 
     def test_single_vertex(self):
-        assert abs(rk_weight(leaf, self.tab) - 1) < mp.mpf("1e-45")
+        assert abs(rk_weight(leaf, self.tab) - 1) < Fraction(1, 10**45)
 
     def test_bushy_trees_give_moments(self):
-        with mp.workdps(60):
-            for k in range(1, 6):
-                t = RootedTree([leaf] * (k - 1)) if k > 1 else leaf
-                want = mp.fsum(
-                    b * c ** (k - 1) for b, c in zip(self.tab.b, self.tab.c)
-                )
-                assert abs(rk_weight(t, self.tab) - want) < mp.mpf("1e-44")
+        for k in range(1, 6):
+            t = RootedTree([leaf] * (k - 1)) if k > 1 else leaf
+            want = sum(b * c ** (k - 1) for b, c in zip(self.tab.b, self.tab.c))
+            assert rk_weight(t, self.tab) == want
 
     def test_double_bush_weight_vs_matrix_expression(self):
-        with mp.workdps(60):
-            for p, q in [(1, 2), (2, 3), (3, 4), (1, 4)]:
-                t = t_pq(p, q)  # root: p leaves and one [leaf^q] child
-                # b^T C^p A c^q assembled directly
-                want = mp.mpf(0)
-                for i in range(self.tab.s):
-                    inner = mp.fsum(
-                        self.tab.A[i][j] * self.tab.c[j] ** q
-                        for j in range(self.tab.s)
-                    )
-                    want += self.tab.b[i] * self.tab.c[i] ** p * inner
-                assert abs(rk_weight(t, self.tab) - want) < mp.mpf("1e-42")
+        for p, q in [(1, 2), (2, 3), (3, 4), (1, 4)]:
+            t = t_pq(p, q)  # root: p leaves and one [leaf^q] child
+            # b^T C^p A c^q assembled directly
+            want = Fraction(0)
+            for i in range(self.tab.s):
+                inner = sum(self.tab.A[i][j] * self.tab.c[j] ** q for j in range(self.tab.s))
+                want += self.tab.b[i] * self.tab.c[i] ** p * inner
+            assert rk_weight(t, self.tab) == want
 
     def test_forest_multiplicativity(self):
         t1 = parse_tree("[*,*]")
         t2 = parse_tree("[[*]]")
-        with mp.workdps(60):
-            lhs = rk_weight(Forest([t1, t2]), self.tab)
-            rhs = rk_weight(t1, self.tab) * rk_weight(t2, self.tab)
-            assert abs(lhs - rhs) < mp.mpf("1e-42")
+        lhs = rk_weight(Forest([t1, t2]), self.tab)
+        rhs = rk_weight(t1, self.tab) * rk_weight(t2, self.tab)
+        assert lhs == rhs
 
+    def test_entries_are_exact(self):
+        # every accepted kind of entry is held as the Fraction of its exact value
+        third = mp.mpf(1) / 3
+        tab = ButcherTableau([[1, Fraction(1, 3)], ["0.1", "2/7"]], [0.1, third], [0, 1])
+        assert tab.A == ((1, Fraction(1, 3)), (Fraction(1, 10), Fraction(2, 7)))
+        assert tab.b == (Fraction(0.1), Fraction(third.man) * Fraction(2) ** third.exp)
+        assert all(isinstance(x, Fraction) for x in tab.A[0] + tab.b + tab.c)
 
-def _bits(x):
-    return x._mpf_
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf"), "nan", "1/0", mp.inf, mp.nan])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="not a finite rational"):
+            ButcherTableau([[0, entry], [0, 0]], [0.5, 0.5], [0, 1])
+        with pytest.raises(ValueError, match="not a finite rational"):
+            ButcherTableau([[0, 0], [0, 0]], [0.5, entry], [0, 1])
 
 
 class TestMemo:
-    """rk_weight's memo on the tableau gives the plain recursion's values bit for bit."""
+    """rk_weight's memo on the tableau gives the plain recursion's values exactly."""
 
     TABLEAUX = [
         ("avf", 3, Fraction(1, 2)),
@@ -267,27 +270,25 @@ class TestMemo:
         tab = self._tableau(kind, s, zeta)
         trees = [t for n in range(1, 8) for t in enumerate_rooted(n)]
         for t in trees + trees:  # the second round reads the memo
-            assert _bits(rk_weight(t, tab)) == _bits(memo_free_rk_weight(t, tab))
+            assert rk_weight(t, tab) == memo_free_rk_weight(t, tab)
         forest = Forest([parse_tree("[*,[*]]"), parse_tree("[[*,*]]"), leaf])
-        assert _bits(rk_weight(forest, tab)) == _bits(memo_free_rk_weight(forest, tab))
+        assert rk_weight(forest, tab) == memo_free_rk_weight(forest, tab)
 
     @pytest.mark.parametrize("kind,s,zeta", TABLEAUX)
     def test_residuals_match_memo_free_recursion(self, kind, s, zeta):
-        # a random A keeps the mpf memo bit for bit; a rule tableau's residual is
-        # exact, zero while every moment it reads is exact, and the mpf recursion
-        # lies within 10^-dps of it
+        # a random A keeps the memo exactly; a rule tableau's residual, from the moments,
+        # is zero while every moment it reads is exact, and the recursion at the rounded
+        # nodes lies within 10^-dps of it
         tab = self._tableau(kind, s, zeta)
-        tol = mp.mpf(10) ** -tab.precision_digits
         for ft in conditions_up_to(2 * s, 2 * s):
             r = energy_condition_residual(ft, tab)
-            if kind == "random":
-                assert _bits(r) == _bits(memo_free_residual(ft, tab))
-                continue
             assert isinstance(r, Fraction)
+            if kind == "random":
+                assert r == memo_free_residual(ft, tab)
+                continue
             if ft.max_branching <= tab.rule.order:
                 assert r == 0, ft
-            with mp.workdps(tab.precision_digits + 10):
-                assert abs(memo_free_residual(ft, tab) - mp.mpf(r.numerator) / r.denominator) < tol
+            assert abs(memo_free_residual(ft, tab) - r) < Fraction(1, 10**tab.rule.precision_digits)
 
     def test_tableaux_never_share_entries(self):
         # same rule and precision, different A; one after the other and in a
@@ -297,25 +298,25 @@ class TestMemo:
         a, b = avf_tableau(rule), random_A_tableau(random.Random(7), rule)
         wa, wb = rk_weight(t, a), rk_weight(t, b)
         assert wa != wb
-        assert _bits(wa) == _bits(memo_free_rk_weight(t, a))
-        assert _bits(wb) == _bits(memo_free_rk_weight(t, b))
+        assert wa == memo_free_rk_weight(t, a)
+        assert wb == memo_free_rk_weight(t, b)
         assert a._psi is not b._psi and a._weight is not b._weight
         assert not set(map(id, a._psi.values())) & set(map(id, b._psi.values()))
         del a
         for seed in range(8):
             c = random_A_tableau(random.Random(100 + seed), rule)
-            assert _bits(rk_weight(t, c)) == _bits(memo_free_rk_weight(t, c))
-        assert _bits(rk_weight(t, b)) == _bits(wb)
+            assert rk_weight(t, c) == memo_free_rk_weight(t, c)
+        assert rk_weight(t, b) == wb
 
     def test_memo_is_per_precision(self):
-        # the same coefficients at another working precision keep their own entries
-        rule = quad_rule(3, Fraction(1, 2))
-        low = ButcherTableau(avf_tableau(rule).A, rule.b, rule.c, precision_digits=20)
-        high = avf_tableau(rule)
+        # the rule's tableau at another working precision, whose rounded entries differ,
+        # keeps its own entries
+        low = avf_tableau(quad_rule(3, Fraction(1, 2), 20))
+        high = avf_tableau(quad_rule(3, Fraction(1, 2)))
         t = parse_tree("[[*],*]")
-        assert _bits(rk_weight(t, low)) == _bits(memo_free_rk_weight(t, low))
-        assert _bits(rk_weight(t, high)) == _bits(memo_free_rk_weight(t, high))
-        assert _bits(rk_weight(t, low)) != _bits(rk_weight(t, high))
+        assert rk_weight(t, low) == memo_free_rk_weight(t, low)
+        assert rk_weight(t, high) == memo_free_rk_weight(t, high)
+        assert rk_weight(t, low) != rk_weight(t, high)
 
 
 class TestEnergyConditions:
@@ -327,7 +328,7 @@ class TestEnergyConditions:
         for t in (parse_tree("[*,*]"), t_pq(1, 2), t_pq(1, 3), t_pq(2, 3)):
             ft = free_class(t)
             assert energy_condition_residual(ft, self.avf) == 0
-            assert abs(memo_free_residual(ft, self.avf)) < mp.mpf(10) ** -self.avf.precision_digits
+            assert abs(memo_free_residual(ft, self.avf)) < Fraction(1, 10**self.rule.precision_digits)
 
     def test_rule_stands_for_its_tableau(self, monkeypatch):
         # a rule gives its c b^T tableau's exact residuals without forming a node
@@ -339,6 +340,23 @@ class TestEnergyConditions:
         fresh = quad_rule(3, Fraction(1, 2))
         assert [energy_condition_residual(ft, fresh) for ft in classes] == want
 
+    @pytest.mark.parametrize(
+        "zeta, c, b",
+        [
+            (Fraction(1), (Fraction(1, 3), Fraction(1)), (Fraction(3, 4), Fraction(1, 4))),
+            (Fraction(-1), (Fraction(0), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4))),
+        ],
+    )
+    def test_fraction_tableau_equals_moment_path(self, zeta, c, b):
+        # a rule with rational nodes: its c b^T given as Fractions takes the Psi(t) recursion,
+        # and equals the rule's moment path exactly on every class, the nonzero ones included
+        tab = ButcherTableau([[ci * bj for bj in b] for ci in c], b, c)
+        rule = quad_rule(2, zeta)
+        assert tab.rule is None and all(rule.node_poly()(x) == 0 for x in c)
+        got = [energy_condition_residual(ft, tab) for ft in conditions_up_to(6, 6)]
+        assert got == [energy_condition_residual(ft, rule) for ft in conditions_up_to(6, 6)]
+        assert any(got) and all(isinstance(r, Fraction) for r in got)
+
     def test_superfluous_returns_zero(self):
         rng = random.Random(32)
         tab = random_A_tableau(rng, self.rule)
@@ -348,9 +366,8 @@ class TestEnergyConditions:
         # degree-5 moments are beyond the order-4 rule; the defect is 1/1728
         ft = free_class(t_pq(1, 4))
         assert energy_condition_residual(ft, self.avf) == Fraction(1, 1728)
-        with mp.workdps(60):
-            r = memo_free_residual(ft, self.avf)
-            assert abs(r - mp.mpf(1) / 1728) < mp.mpf(10) ** -self.avf.precision_digits
+        r = memo_free_residual(ft, self.avf)
+        assert abs(r - Fraction(1, 1728)) < Fraction(1, 10**self.rule.precision_digits)
 
     def test_conditions_filter_by_branching(self):
         for ft in conditions_up_to(2, 2):
@@ -385,7 +402,7 @@ class TestButcherTableau:
 
     def test_row_sum_defect(self):
         tab = avf_tableau(quad_rule(2, 0))
-        assert tab.row_sum_defect() < mp.mpf("1e-45")
+        assert tab.row_sum_defect() < Fraction(1, 10**45)
         skew = ButcherTableau([[0, 1], [0, 0]], [0.5, 0.5], [0.0, 0.5])
         assert skew.row_sum_defect() > 0.4
 
