@@ -19,16 +19,17 @@ sweep factors its operator once and computes its residual in one pass over
 integers: on A = c b^T + beta U(c) b^T V(C) every node vector is a
 polynomial in c and beta, so the residual is one in beta.  Each bush
 identity has one body over node vectors g(c), given A(g) and ip(f, g) =
-b^T f(C) g(c): exact polynomials g over the rule's moments, polynomials in
-c and beta on a kernel ray, or g's exact values at the rounded nodes
-(quadrature._NodeVector) for the arbitrary s x s matrices A of the public
-residual functions.
+b^T f(C) g(c), in one of two representations, both from quadrature:
+polynomials in c over the rule's moments, and in beta on a kernel ray
+(quadrature._moment_form, for the rule's own c b^T and the sweep), or g's
+exact values at the rounded nodes (quadrature._node_form) for the
+arbitrary s x s matrices A of the public residual functions.  This module
+defines no polynomial or node-vector type of its own.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
@@ -40,12 +41,12 @@ from .quadrature import (
     UniPoly,
     _decimal,
     _exact_fraction,
+    _moment_form,
     _moment_rows,
     _node_form,
     _rho_ints,
     _scaled,
     _scaled_matrix,
-    discrete_ip_exact,
     discrete_ip_table,
     g_poly,
     gamma_lead,
@@ -120,43 +121,6 @@ def _asym_bush(A, ip, q):
     Ac = A(_MONOMIAL_X)
     w = reduce(mul, [Ac] * (q - 1), _ONE)
     return ip(Ac, w) - q * ip(_ONE, A(_MONOMIAL_X * w)) + q * ip(_MONOMIAL_X, w) - Fraction(1, 2**q)
-
-
-class _RayPoly(defaultdict):
-    """A ray node vector {(i, j): n}, sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
-
-    def __init__(self, d, terms=()):
-        super().__init__(int, terms)
-        self.d = d
-
-    def __add__(self, other):
-        other = _ray_poly(other)
-        out = _RayPoly(lcm(self.d, other.d))
-        for p in (self, other):
-            for key, n in p.items():
-                out[key] += out.d // p.d * n
-        return out
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        other = _ray_poly(other)
-        out = _RayPoly(self.d * other.d)
-        for (i, j), x in self.items():
-            for (k, l), y in other.items():
-                out[i + k, j + l] += x * y
-        return out
-
-    __rmul__ = __mul__
-
-
-def _ray_poly(x):
-    """x, a _RayPoly, UniPoly or rational, as a _RayPoly."""
-    if isinstance(x, _RayPoly):
-        return x
-    ints, d = _scaled(x.coeffs if isinstance(x, UniPoly) else [Fraction(x)])
-    return _RayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
 
 
 def _on_nodes(body, A, rule, *args):
@@ -889,14 +853,15 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     for 1 <= p <= q < m and asym_bush(q) for 1 <= q < m, against the rule's
     nodes.  With A None the tableau is the rule's own c b^T, in the exact
     representation: every residual is an exact Fraction over the rule's
-    moments (double_bush(p,q) reduces to (p - q) mu_p mu_q minus its
-    right-hand side).  A given A, an s x s matrix, is evaluated exactly at
-    the rule's rounded nodes, as by the public residual functions.
+    first m moments, read once (quadrature._moment_form; double_bush(p,q)
+    reduces to (p - q) mu_p mu_q minus its right-hand side).  A given A, an
+    s x s matrix, is evaluated exactly at the rule's rounded nodes, as by
+    the public residual functions.
     """
     if A is not None:
         return _on_nodes(_bush_rows, A, rule, m)
-    ip = lambda f, g: discrete_ip_exact(f, g, rule)
-    return _bush_rows(lambda g: _MONOMIAL_X * ip(_ONE, g), ip, m)
+    # every inner product of a row has degree below m: <1, x^q>_D, <G_p', x>_D, <x, (Ac)^(q-1)>_D
+    return [(name, Fraction(r[0, 0], r.d)) for name, r in _bush_rows(*_moment_form(rule, m), m)]
 
 
 def _bush_rows(A, ip, m):
@@ -911,22 +876,14 @@ def _bush_rows(A, ip, m):
 def _ray_residual(rule, cond, degree, U, Vd):
     """The residual cond along A = c b^T + beta U(c) b^T Vd(C) as an exact polynomial in beta.
 
-    cond is (body, *args) for a bush body, run once on _RayPoly node vectors:
-    A g = x <1, g>_D + beta U <Vd, g>_D, each inner product over the rule's
-    integer moments its degree in x needs.  Degree > `degree` raises KernelStructureError.
+    cond is (body, *args) for a bush body, run once on node vectors that are
+    polynomials in x and beta (quadrature._moment_form): A g = x <1, g>_D +
+    beta U <Vd, g>_D over the rule's integer moments.  The sweep's conditions
+    need mu_k for k <= 2s: <Ac, (Ac)^(s-1)>_D at zeta = 0, where Ac has
+    degree 2.  Degree > `degree` raises KernelStructureError.
     """
     body, *args = cond
-    bU, Vd = _RayPoly(1, [((0, 1), 1)]) * U, _ray_poly(Vd)  # beta U
-
-    def ip(f, g):
-        h = _ray_poly(f) * g
-        mu, dm = rule._moment_ints(max((i + 1 for i, _ in h), default=0))
-        out = _RayPoly(h.d * dm)
-        for (i, j), x in h.items():
-            out[0, j] += mu[i] * x
-        return out
-
-    r = body(lambda g: _MONOMIAL_X * ip(_ONE, g) + bU * ip(Vd, g), ip, *args)
+    r = body(*_moment_form(rule, 2 * rule.s + 1, (U, Vd)), *args)
     poly = UniPoly([Fraction(r[0, j], r.d) for j in range(1 + max((j for _, j in r), default=-1))])
     if poly.degree > degree:
         raise KernelStructureError(f"the ray residual has degree {poly.degree} in beta, above {degree}")

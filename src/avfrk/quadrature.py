@@ -14,28 +14,33 @@ recurrence of the node polynomial, and discrete_ip_exact is the bilinear
 form sum u_i v_j mu_(i+j).  Roots are isolated by exact integer Sturm
 counts when the rule is built.  The nodes and weights are formed on first
 access by one exact routine, _rounded_rule, which rounds each of them
-correctly to a given number of bits: each node from a float seed refined
-by Newton's iteration in integers and confirmed by the signs of the integer
-rho, each weight from an exact enclosure narrowed until both its ends round
-to one value.  QuadRule.float_nodes holds them at 53 bits, for the float
-stepper; QuadRule.c and QuadRule.b hold them as exact dyadic Fractions at
-the bits of the working precision.  The exact certificate reads only the
-exact core and never forms a node.
+correctly to a given number of bits: each node by Newton's iteration in
+integers from the middle of its Sturm bracket, confirmed by the signs of
+the integer rho, each weight from an exact enclosure narrowed until both
+its ends round to one value.  QuadRule.float_nodes holds them at 53 bits,
+for the float stepper; QuadRule.c and QuadRule.b hold them as exact dyadic
+Fractions at the bits of the working precision.  The exact certificate
+reads only the exact core and never forms a node.
 
-Every number outside the float stepper is an exact rational.  Vectors at
-the rounded nodes (and a tableau's stage vectors) are _NodeVectors,
-integers over one denominator, and discrete_ip is their exact sum.  One
-printer, _decimal, writes a rational as the decimal digits of its value
-rounded to a number of bits.
+Every number outside the float stepper is an exact rational, and the rule
+is computed in integers only.  A node vector g(c) has one representation
+on each side: at the rounded nodes (and for a tableau's stage vectors) a
+_NodeVector, integers over one denominator, with discrete_ip its exact
+sum; over the true nodes a _RayPoly, g as a polynomial in x (and in the
+beta of a kernel ray) over one denominator, with _moment_form giving the
+rule's c b^T and inner product on the moments.  One printer, _decimal,
+writes a rational as the decimal digits of its value rounded to a number
+of bits.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, frexp, gcd, lcm, log, log10, ulp
+from math import comb, gcd, lcm, log, log10
 from operator import mul
 from time import perf_counter
 from typing import Sequence
@@ -70,22 +75,14 @@ class QuadratureError(ValueError):
     """Rule construction failed: complex, repeated, or out-of-window roots."""
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary expansion
-    raise TypeError(f"cannot convert {x!r} to an exact rational; pass str or Fraction")
-
-
 def _exact_fraction(x) -> Fraction:
     """x, an int, Fraction, float, decimal or "num/den" string, or mpf (its _mpf_ man * 2^exp), as an exact Fraction.
 
     A value that is no finite rational raises ValueError, any other type TypeError.
     """
-    if isinstance(x, (Fraction, int, float, str)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, float, str)):
         try:
             return Fraction(x)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -105,7 +102,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [_rat(c) for c in coeffs]
+        cs = [_exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -147,10 +144,9 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
-            try:
-                c = _rat(other)
-            except TypeError:
+            if not isinstance(other, (Fraction, int, float, str)):
                 return NotImplemented  # a factor that is not rational may know the product
+            c = _exact_fraction(other)
             return UniPoly([c * v for v in self.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, ci in enumerate(self.coeffs):
@@ -214,7 +210,7 @@ def r_poly(l: int, s: int, zeta) -> UniPoly:
         raise ValueError("s must be positive")
     if l < 0:
         raise ValueError("l must be non-negative")
-    z = _rat(zeta)
+    z = _exact_fraction(zeta)
     if l <= s - 1:
         return legendre(l)
     rs = legendre(s) - z * legendre(s - 1)
@@ -366,41 +362,6 @@ def _decimal(x, digits: int, bits: int) -> str:
     return text if exp == 0 else f"{text}e{exp:+d}"
 
 
-def _float_root(s: int, z: float, lo: Fraction, hi: Fraction, rising: bool) -> float:
-    """A float root of rho = P_s - z P_(s-1) in [lo, hi]: a safeguarded Newton iteration in floats.
-
-    The bracket shrinks by the sign of rho (negative left of the root when
-    rising), and a step leaving it is replaced by bisection.
-    """
-    a, b = float(lo), float(hi)
-    x = (a + b) / 2
-    for _ in range(100):
-        v, dv = _rho_float(s, z, x)
-        if v == 0:
-            break
-        if (v > 0) == rising:
-            b = x
-        else:
-            a = x
-        last = x
-        x = x - v / dv if dv else a  # a zero slope falls back to bisection
-        if not a < x < b:
-            x = (a + b) / 2
-        if abs(x - last) <= ulp(last):
-            break
-    return x
-
-
-def _rho_float(s: int, z: float, x: float) -> tuple:
-    """(rho(x), rho'(x)) in floats for rho = P_s - z P_(s-1), by the Legendre recurrence."""
-    t = 2 * x - 1
-    p, q, dp, dq = 1.0, t, 0.0, 2.0  # P_(k-1), P_k and their derivatives, from k = 1
-    for k in range(1, s):
-        nxt = ((2 * k + 1) * t * q - k * p) / (k + 1)
-        p, q, dp, dq = q, nxt, dq, ((2 * k + 1) * (2 * q + t * dq) - k * dp) / (k + 1)
-    return q - z * p, dq - z * dp
-
-
 # ---------------------------------------------------------------------------
 # correctly rounded nodes and weights, by exact sign tests
 
@@ -432,20 +393,19 @@ def _dyadic_horner(ints: list, m: int, e: int) -> int:
     return acc
 
 
-def _newton_bracket(side, rho: list, slope: list, lo, hi, x: float, rising: bool, bits: int) -> tuple:
+def _newton_bracket(side, rho: list, slope: list, lo, hi, x: Fraction, rising: bool, bits: int) -> tuple:
     """(a, b) with a < r < b, or a = b = r, for the root r in (lo, hi] that side locates.
 
-    From the float seed x, Newton's iteration on the integer coefficients of
-    rho and of its derivative (slope) runs on the grid 2^-f, _GUARD_BITS
+    From the rational start x, Newton's iteration on the integer coefficients
+    of rho and of its derivative (slope) runs on the grid 2^-f, _GUARD_BITS
     finer than the bits-wide grid at x, and bisects where a step would leave
     the bracket that the signs of rho keep (rho < 0 left of the root when
     rising).  Two side tests then confirm r within two units of its result
     m, or meet r exactly there.  Where they do not, (lo, hi] widened to the
     2^-f grid is returned.
     """
-    f = bits + _GUARD_BITS - frexp(x)[1]
-    num, den = x.as_integer_ratio()
-    m = (num << f) // den
+    f = bits + _GUARD_BITS - (_floor_log2(abs(x.numerator), x.denominator) + 1 if x else 0)
+    m = (x.numerator << f) // x.denominator
     low, high = (lo.numerator << f) // lo.denominator, (hi.numerator << f) // hi.denominator + 1
     a, b = low, high
     for _ in range(f + 8):
@@ -541,11 +501,11 @@ def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tup
 def _rounded_rule(s: int, z: Fraction, brackets, bits: int) -> tuple:
     """((c_j, b_j), ...) of the rule rounded to bits significant bits, half to even, in ascending c.
 
-    Each node comes from its float seed (_float_root), refined in integers
-    inside its Sturm bracket (_newton_bracket) and rounded by exact sign
-    tests (_rounded_root); its weight 2/(s rho'(c) P_(s-1)(c)) is rounded
-    from an exact enclosure on the bracket that leaves (_rounded_weight).
-    All values are Fractions with at most bits significant bits.
+    Each node is refined by Newton's iteration in integers from the middle
+    of its Sturm bracket (_newton_bracket) and rounded by exact sign tests
+    (_rounded_root); its weight 2/(s rho'(c) P_(s-1)(c)) is rounded from an
+    exact enclosure on the bracket that leaves (_rounded_weight).  No float
+    is formed.  All values are Fractions with at most bits significant bits.
     """
     rho = _rho_ints(s, z)  # z_den rho
     slope = [k * c for k, c in enumerate(rho)][1:]
@@ -559,8 +519,7 @@ def _rounded_rule(s: int, z: Fraction, brackets, bits: int) -> tuple:
     for lo, hi in brackets:
         rising = _sturm_values(s, z, lo)[0] < 0
         side = _root_side(s, z, lo, hi, rising)
-        x = _float_root(s, float(z), lo, hi, rising)
-        a, b = _newton_bracket(side, rho, slope, lo, hi, x, rising, bits)
+        a, b = _newton_bracket(side, rho, slope, lo, hi, (lo + hi) / 2, rising, bits)
         c, a, b = _rounded_root(side, a, b, bits)
         out.append((c, _rounded_weight(side, s, a, b, D, bound, bits)))
     return tuple(out)
@@ -696,7 +655,7 @@ def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
         raise ValueError("s must be positive")
     if precision_digits < 15:
         raise ValueError("precision_digits too small")
-    z = _rat(zeta)
+    z = _exact_fraction(zeta)
     lo, hi = _WINDOW
     brackets = _isolate_roots(s, z, lo, hi)
     if len(brackets) != s:
@@ -767,8 +726,81 @@ def _node_form(rule: QuadRule) -> tuple:
     return at, lambda f, g: (at(f) * g).dot(w)
 
 
+class _RayPoly(defaultdict):
+    """A node vector g(c) over the true nodes, {(i, j): n} for sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
+
+    def __init__(self, d, terms=()):
+        super().__init__(int, terms)
+        self.d = d
+
+    def __add__(self, other):
+        other = _ray_poly(other)
+        out = _RayPoly(lcm(self.d, other.d))
+        for p in (self, other):
+            for key, n in p.items():
+                out[key] += out.d // p.d * n
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        other = _ray_poly(other)
+        out = _RayPoly(self.d * other.d)
+        for (i, j), x in self.items():
+            for (k, l), y in other.items():
+                out[i + k, j + l] += x * y
+        return out
+
+    __rmul__ = __mul__
+
+
+def _ray_poly(x) -> _RayPoly:
+    """x, a _RayPoly, UniPoly or rational, as a _RayPoly."""
+    if isinstance(x, _RayPoly):
+        return x
+    ints, d = _scaled(x.coeffs if isinstance(x, UniPoly) else [Fraction(x)])
+    return _RayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
+
+
+def _moment_form(rule: QuadRule, n: int, ray=None) -> tuple:
+    """(A, ip) on _RayPoly node vectors over the rule's exact moments, read once for mu_k, k < n.
+
+    ip(f, g) = sum_k h_k mu_k for h = f g, a _RayPoly constant in x in
+    lowest terms, and A(g) = x <1, g>_D is the rule's c b^T.  With ray =
+    (U, V), UniPolys, A is c b^T + beta U(c) b^T V(C): A(g) = x <1, g>_D +
+    beta U <V, g>_D.  A product of degree n or more reads the moments again,
+    to twice its degree.
+    """
+    mu = rule._moment_ints(n)
+
+    def moment_sum(h, shift=0):
+        """x^shift sum_k h_k mu_k for the _RayPoly h."""
+        nonlocal mu
+        top = max((i for i, _ in h), default=0)
+        if top >= len(mu[0]):
+            mu = rule._moment_ints(2 * top + 1)
+        ints, dm = mu
+        sums = defaultdict(int)
+        for (i, j), v in h.items():
+            sums[j] += ints[i] * v
+        g = gcd(h.d * dm, *sums.values())
+        return _RayPoly(h.d * dm // g, (((shift, j), v // g) for j, v in sums.items()))
+
+    ip = lambda f, g: moment_sum(_ray_poly(f) * g)
+    if ray is None:
+        return lambda g: moment_sum(_ray_poly(g), 1), ip
+    bU, V = _RayPoly(1, [((0, 1), 1)]) * ray[0], _ray_poly(ray[1])
+    return lambda g: moment_sum(_ray_poly(g), 1) + bU * ip(V, g), ip
+
+
 def discrete_ip(u: UniPoly, v: UniPoly, rule: QuadRule) -> Fraction:
-    """<u, v>_D = sum_i b_i u(c_i) v(c_i) at the rule's rounded nodes, exactly."""
+    """<u, v>_D = sum_i b_i u(c_i) v(c_i) at the rule's rounded nodes, exactly.
+
+    Use it for what the rounded rule does, as the stepper and a printed
+    tableau see it: it forms c and b, and differs from the true product by
+    their rounding.  For the rule's own identities use discrete_ip_exact.
+    """
     return _node_form(rule)[1](u, v)
 
 
@@ -825,7 +857,10 @@ def discrete_ip_exact(u: UniPoly, v: UniPoly, rule: QuadRule) -> Fraction:
 
     The moments mu_k of the rule are rational (QuadRule.moments), so the
     discrete product of rational-coefficient polynomials is rational even
-    when it differs from the continuous integral.
+    when it differs from the continuous integral.  Use it for the true
+    rule, whose nodes are in general irrational: it forms no node, and an
+    identity of the rule holds in it exactly.  discrete_ip is the same product at the
+    rounded nodes.
     """
     return discrete_ip_table([u], [v], rule)[0][0]
 

@@ -1178,6 +1178,22 @@ class TestRayResidual:
         assert max(reads["ray"]) == 2 * s + 1
         assert max(reads["operator"]) == 3 * s - 2
 
+    @pytest.mark.parametrize("s", [3, 8])
+    def test_one_moment_read(self, monkeypatch, s):
+        # the sweep's ray residual and bush_residuals(rule, 2s - 1) each read the rule's moments
+        # once, however many inner products their bodies take
+        for zeta in OPERATOR_ZETAS:
+            rule = quad_rule(s, zeta)
+            (case,) = sweep_rays(monkeypatch, rule, 2 * s - 1)
+            reads, real = [], quadrature.QuadRule._moment_ints
+            monkeypatch.setattr(quadrature.QuadRule, "_moment_ints", lambda r, n: reads.append(n) or real(r, n))
+            conditions._ray_residual(*case)
+            assert reads == [2 * s + 1], zeta
+            reads.clear()
+            rows = bush_residuals(rule, 2 * s - 1)
+            assert reads == [2 * s - 1] and all(r == 0 for _, r in rows), zeta
+            monkeypatch.setattr(quadrature.QuadRule, "_moment_ints", real)
+
 
 class TestUniquenessSweep:
     def test_two_stage_generic(self):

@@ -235,6 +235,11 @@ class TestQuadRule:
     def test_degenerate_zeta_rejected(self):
         with pytest.raises(QuadratureError):
             quad_rule(2, 5e9)
+        # a zeta or coefficient that is no finite rational is an input error, as in every layer
+        for x in (math.inf, -math.inf, math.nan):
+            for build in (lambda: quad_rule(2, x), lambda: r_poly(3, 2, x), lambda: UniPoly([1, x])):
+                with pytest.raises(ValueError, match="not a finite rational"):
+                    build()
 
     def test_invalid_stage_count(self):
         with pytest.raises((QuadratureError, ValueError)):
@@ -512,7 +517,7 @@ class TestNodePolish:
 
     @pytest.mark.parametrize("zeta, root", [(Fraction(0), 0.5), (Fraction(-1), 0.0), (Fraction(1), 1.0)])
     def test_newton_from_a_wrong_seed(self, zeta, root):
-        # seeded with another bracket's exact root, Newton stops at once; the two side tests
+        # started at another bracket's exact root, Newton stops at once; the two side tests
         # do not confirm it, and the whole isolating bracket, on the Newton grid, is searched
         for s in (3, 5, 7):
             rule = quad_rule(s, zeta)
@@ -523,7 +528,7 @@ class TestNodePolish:
                     continue
                 rising = _sturm_values(s, zeta, lo)[0] < 0
                 side = quadrature._root_side(s, zeta, lo, hi, rising)
-                a, b = quadrature._newton_bracket(side, rho, slope, lo, hi, root, rising, 53)
+                a, b = quadrature._newton_bracket(side, rho, slope, lo, hi, Fraction(root), rising, 53)
                 assert a <= lo < hi < b, (s, zeta, c)
                 assert float(_rounded_root(side, a, b, 53)[0]) == c, (s, zeta, c)
 
