@@ -96,11 +96,6 @@ class MultiPoly:
         exps[i] = 1
         return cls(num_vars, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff) -> "MultiPoly":
-        exps = tuple(int(e) for e in exponents)
-        return cls(len(exps), {exps: _rat(coeff)})
-
     # -- queries ------------------------------------------------------
 
     def degree(self) -> int:

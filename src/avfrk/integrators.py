@@ -8,21 +8,27 @@ and every rank-one Runge-Kutta step A = c b^T are one computation: the
 stages lie on the chord, Y_j = y + c_j (y' - y), so the s*d stage system
 reduces to the d unknowns of y' = y + h sum_j b_j f(Y_j).  The averaged
 step is that reduction with the Gauss rule of ceil(deg H / 2) nodes, which
-integrates the chord average exactly.  A tableau without a rank-one rule
-(a user tableau, explicit Euler) solves the full stage system.
+integrates the chord average exactly.
+
+One generator steps every tableau, written as a layout A = L R^T on r
+blocks of d unknowns z_l = y + h sum_j R_jl f(Y_j), stage j being
+Y_j = y + sum_l L_jl (z_l - y).  A rule's tableau is L = c, R = b: r = 1,
+the chord.  A tableau without a rank-one rule (a user tableau, explicit
+Euler) is L = I, R = A^T: r = s, stage j is block j, the full stage
+system.  Every sum over the stages runs left to right from 0.0, its
+weights h R_jl and h b_j set once per run.
 
 Implicit solves run fixed-point sweeps first and fall back to Newton with
 the exact polynomial Jacobian when the residual reduction stalls.  All
 stepping is float64, in plain Python floats through code generated from
 the exact polynomials, and every state is a tuple of floats.  One
-generated loop takes every step of a run, for both phases and both paths:
-the iterate and the state stay in local floats, and the predictor, the
-finite check, the residual, the stops, the switch to Newton, the Newton
-steps and the update run inline.  The map and the update are straight-line
-source, per system and float node set on the chord (z -> y + sum_j h b_j
-f(y + c_j (z - y))), per system and float tableau on the stage path
-(stage i -> y + h sum_j A_ij f(stage j)).  The Newton step, its matrix and
-its solve, is generated the first time a run switches to Newton.
+generated loop takes every step of a run, for both phases and every
+layout: the iterate and the state stay in local floats, and the
+predictor, the finite check, the residual, the stops, the switch to
+Newton, the Newton steps and the update run inline.  The map and the
+update are straight-line source, per system and float layout.  The Newton
+step, its matrix and its solve, is generated the first time a run
+switches to Newton.
 
 Every Newton step solves its linear system by Gaussian elimination with
 partial pivoting, straight-line source per unknown count from one
@@ -160,17 +166,30 @@ def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     return _generate([f"def evaluate({', '.join(names)}):", f"    return ({comps},)"], "evaluate", nv, 1)
 
 
-def _node_sum(n: int, nodes: tuple, updates: list) -> list:
-    """Lines that sum over the nodes of the chord at z.
+def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets: Callable) -> list:
+    """Lines that add up weighted values of polys at the s stages, stage by stage.
 
-    They set d = z - y, then per node x = y + c_j * d and, for each
-    (variable, term) of updates, variable = variable + v_j * (term),
-    starting from 0.0.
+    Stage j is block j of src{..} for the identity layout (L None), else
+    x = y + L_j0 * d_0 + L_j1 * d_1 + ... with the blocks d_l = src_l - y set
+    first.  targets(j) lists the (weight, accumulators) stage j adds to:
+    accumulators[p] = accumulators[p] + weight * polys[p](stage j), the first
+    term added to 0.0.  A value that more than one target adds is evaluated
+    once, into g{p}.
     """
-    lines = [f"d{k} = z{k} - y{k}" for k in range(n)]
-    for j, (cj, _) in enumerate(nodes):
-        lines += [f"x{k} = y{k} + {cj!r} * d{k}" for k in range(n)]
-        lines += [f"{a} = {a if j else '0.0'} + v{j} * ({term})" for a, term in updates]
+    r = len(L[0]) if L else 0
+    lines, started = [f"d{l * n + k} = {src}{l * n + k} - y{k}" for l in range(r) for k in range(n)], set()
+    for j in range(s):
+        if L:
+            lines += [f"x{k} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in range(n)]
+        names = [f"x{k}" if L else f"{src}{j * n + k}" for k in range(n)]
+        values, adds = [f"({_poly_source(p, names)})" for p in polys], targets(j)
+        if len(adds) > 1:
+            lines += [f"g{p} = {v}" for p, v in enumerate(values)]
+            values = [f"g{p}" for p in range(len(polys))]
+        for w, accumulators in adds:
+            for a, v in zip(accumulators, values):
+                lines.append(f"{a} = {a if a in started else '0.0'} + {w} * {v}")
+                started.add(a)
     return lines
 
 
@@ -266,53 +285,8 @@ def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list)
     ).split("\n")
 
 
-@lru_cache(maxsize=64)
-def _chord_run(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """The run loop (_run_source) of a rank-one step on the chord.
-
-    Every stage is Y_j = y + c_j (z - y), so the s*d stage system collapses
-    to the d unknowns of z = phi(z) = y + sum_j (h b_j) f(Y_j), with Newton
-    matrix h sum_j b_j c_j J_f(Y_j) - I (_chord_newton).  Generated once
-    per system and float node set, so "avf" and avf_tableau of the same
-    rule share it, with phi inlined in the float operations of a loop over
-    the nodes: v_j = h * b_j, set once per run, then per node
-    x = y + c_j * (z - y) and a = a + v_j * f(x) from a = 0.0; y + a.  The
-    new state is phi at the converged iterate, as on the stage path.
-    """
-    n = sys.dim
-    x = [f"x{k}" for k in range(n)]
-    f = [(f"a{k}", _poly_source(p, x)) for k, p in enumerate(sys.vector_field())]
-    phi = _node_sum(n, nodes, f) + [f"f{k} = y{k} + a{k}" for k in range(n)]
-    setup = [f"v{j} = h * {bj!r}" for j, (_, bj) in enumerate(nodes)]
-    update = [f"z{k} = f{k}" for k in range(n)] + phi + [f"y{k} = f{k}" for k in range(n)]
-    source = _run_source("chord", n, n, setup, phi, update)
-    return _generate(source, "chord", n, len(nodes))(partial(_chord_newton, sys, nodes))
-
-
-def _at_stages(polys: Sequence[MultiPoly], n: int, s: int, src: str) -> list:
-    """Lines g{j}_{k} = polys[k](stage j) for j < s, stage j being src{j*n}..src{j*n+n-1}."""
-    names = lambda j: [f"{src}{j * n + c}" for c in range(n)]
-    return [f"g{j}_{k} = {_poly_source(p, names(j))}" for j in range(s) for k, p in enumerate(polys)]
-
-
-def _stage_sum(f: Sequence[MultiPoly], rows: Sequence[tuple], src: str, dst: str) -> list:
-    """Lines that set dst{i*n+k} = y_k + h * (0 + w_i0 * f_k(stage 0) + w_i1 * f_k(stage 1) + ...).
-
-    f is evaluated at every stage (_at_stages) before the sums, one per row
-    w_i of rows and component k.  Each sum starts from the integer 0, as
-    sum() does, so a first term -0.0 adds up to 0.0.
-    """
-    n = len(f)
-    lines = _at_stages(f, n, len(rows[0]), src)
-    for i, row in enumerate(rows):
-        for k in range(n):
-            terms = "".join(f" + {w!r} * g{j}_{k}" for j, w in enumerate(row))
-            lines.append(f"{dst}{i * n + k} = y{k} + h * (0{terms})")
-    return lines
-
-
 def _hex(values) -> tuple:
-    """The exact values rounded to floats, as float.hex strings (the stage loop's cache key)."""
+    """The exact values rounded to floats, as float.hex strings (the run loop's cache key)."""
     return tuple(_float(x).hex() for x in values)
 
 
@@ -329,19 +303,34 @@ def _floats(hexes) -> list:
 
 
 @lru_cache(maxsize=64)
-def _stage_run(sys: HamiltonianSystem, A: tuple, b: tuple) -> Callable:
-    """The run loop (_run_source) of any other tableau, on its s*n stage values.
+def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
+    """The run loop (_run_source) of the layout A = L R^T, on r blocks of d unknowns.
 
-    Stage j is z{j*n}..z{j*n+n-1}, started at y; the map sets stage i to
-    y + h sum_j A_ij f(stage j) and the update sets y to y + h sum_j b_j
-    f(stage j) at the converged stages (_stage_sum).  The rows of A and b
-    come as float.hex strings (_hex): generated once per system and
-    coefficient bits, with the Newton step of _stage_newton.
+    Block l is z_l = y + h sum_j R_jl f(Y_j), with stage j
+    Y_j = y + sum_l L_jl (z_l - y).  A rule's rank-one tableau is L = c,
+    R = b: the chord, one block of d unknowns for the endpoint.  Any other
+    tableau is the identity layout, L None and R = A^T: stage j is block j
+    itself, not y + 1.0 * (z_j - y), which rounds; the one-node rule at
+    c = 1 has L = I and steps on the chord.  L, R (s rows of r entries) and b come as float.hex strings (_hex), so the
+    loop is generated once per system and coefficient bits, and "avf" and
+    avf_tableau of one rule share it.  The weights v_jl = h * R_jl and
+    w_j = h * b_j are set once per run; the map sums v_jl * f(Y_j) over the
+    stages from 0.0 into block l and adds y (_stage_sums).  The new state is
+    y plus the same sum with the w_j at f = phi(z) of the converged iterate.
+    Newton steps are those of _newton.
     """
-    n, s, f = sys.dim, len(b), sys.vector_field()
-    rows = [_floats(row) for row in A]
-    source = _run_source("stages", n * s, n, [], _stage_sum(f, rows, "z", "f"), _stage_sum(f, [_floats(b)], "f", "y"))
-    return _generate(source, "stages", n * s, s)(partial(_stage_newton, sys, A))
+    n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
+    Lf = L and [_floats(row) for row in L]
+    setup = [f"v{j}_{l} = h * {w!r}" for j, row in enumerate(R) for l, w in enumerate(_floats(row))]
+    setup += [f"w{j} = h * {w!r}" for j, w in enumerate(_floats(b))]
+    blocks = lambda l: [f"a{l * n + k}" for k in range(n)]
+    phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", blocks(l)) for l in range(r)])
+    phi += [f"f{l * n + k} = y{k} + a{l * n + k}" for l in range(r) for k in range(n)]
+    update = _stage_sums(f, Lf, n, s, "f", lambda j: [(f"w{j}", blocks(0))])
+    update += [f"y{k} = y{k} + a{k}" for k in range(n)]
+    name = "chord" if L else "stages"
+    source = _run_source(name, r * n, n, setup, phi, update)
+    return _generate(source, name, r * n, s)(partial(_newton, sys, L, R))
 
 
 def _elimination_lines(n: int) -> list:
@@ -377,46 +366,27 @@ def _elimination_lines(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _chord_newton(sys: HamiltonianSystem, nodes: tuple) -> Callable:
-    """newton(y, h, z, f, res) -> z - dx, (sum_j (h b_j c_j) J_f(y + c_j (z - y)) - I) dx = f - z.
+def _newton(sys: HamiltonianSystem, L, R: tuple) -> Callable:
+    """newton(y, h, z, f, res) -> z - dx, with (M - I) dx = f - z on the unknowns of _run's layout.
 
-    Generated on the first switch to Newton for the system and node set: the
-    matrix in the operations of a loop over the nodes accumulating
-    (h * b_j * c_j) * J_f from 0.0, minus 1.0 on the diagonal, then the
-    elimination of _elimination_lines.
+    Entry ((l, k), (m, c)) of M is sum_j (h R_jl L_jm) J_f(Y_j)_kc over the
+    stages, from 0.0; in the identity layout only stage j = m adds to it.
+    Generated on the first switch to Newton for the system and layout: the
+    weights, J_f at the stages (_stage_sums), minus 1.0 on the diagonal, then
+    the elimination of _elimination_lines.
     """
-    n = sys.dim
-    x = [f"x{k}" for k in range(n)]
-    f = sys.vector_field()
-    jac = [(f"a{a}_{b}", _poly_source(f[a].partial(b), x)) for a in range(n) for b in range(n)]
-    lines = [f"{', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "yzf"]
-    lines += [f"v{j} = h * {bj!r} * {cj!r}" for j, (cj, bj) in enumerate(nodes)]
-    lines += _node_sum(n, nodes, jac) + [f"a{k}_{k} = a{k}_{k} - 1.0" for k in range(n)]
-    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(n)]
-    return _generate(lines, "newton", n, len(nodes))
-
-
-@lru_cache(maxsize=64)
-def _stage_newton(sys: HamiltonianSystem, A: tuple) -> Callable:
-    """newton(y, h, z, f, res) -> z - dx, with M dx = f - z on the stage values.
-
-    Entry (i*n + a, j*n + c) of M is (h * A_ij) * J_f(stage j)_ac, minus 1.0
-    on the diagonal.  Generated on the first switch to Newton for the system
-    and stage matrix, its rows as float.hex strings (_hex): J_f at every
-    stage (_at_stages), the entries, then the elimination of _elimination_lines.
-    """
-    n, s, f, A = sys.dim, len(A), sys.vector_field(), [_floats(row) for row in A]
-    lines = [f"{', '.join(f'{a}{k}' for k in range(n * s))}, = {a}" for a in "zf"]
-    lines += _at_stages([f[a].partial(c) for a in range(n) for c in range(n)], n, s, "z")
-    lines += [
-        f"a{i * n + a}_{j * n + c} = h * {w!r} * g{j}_{a * n + c}" + " - 1.0" * ((i, a) == (j, c))
-        for i, row in enumerate(A)
-        for a in range(n)
-        for j, w in enumerate(row)
-        for c in range(n)
-    ]
-    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(n * s)]
-    return _generate(lines, "newton", n * s, s)
+    n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
+    L, R = L and [_floats(row) for row in L], [_floats(row) for row in R]
+    jac = [f[k].partial(c) for k in range(n) for c in range(n)]
+    terms = lambda j: [(l, m) for l in range(r) for m in (range(r) if L else (j,))]  # the (l, m) stage j adds to
+    lines = [f"{', '.join(f'{a}{k}' for k in range(m))}, = {a}" for a, m in (("y", n), ("z", r * n), ("f", r * n))]
+    for j in range(s):
+        lines += [f"u{j}_{l}_{m} = h * {R[j][l]!r}" + (f" * {L[j][m]!r}" if L else "") for l, m in terms(j)]
+    entries = lambda l, m: [f"a{l * n + k}_{m * n + c}" for k in range(n) for c in range(n)]
+    lines += _stage_sums(jac, L, n, s, "z", lambda j: [(f"u{j}_{l}_{m}", entries(l, m)) for l, m in terms(j)])
+    lines += [f"a{i}_{i} = a{i}_{i} - 1.0" for i in range(r * n)]
+    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(r * n)]
+    return _generate(lines, "newton", r * n, s)
 
 
 @lru_cache(maxsize=64)
@@ -457,12 +427,18 @@ def midpoint_tableau() -> ButcherTableau:
 # steps
 
 
+def _rule_layout(nodes) -> tuple:
+    """(L, R, b) for _run of a rule's float nodes: the chord, L = c and R = b."""
+    c, b = _hex(c for c, _ in nodes), _hex(b for _, b in nodes)
+    return tuple((x,) for x in c), tuple((x,) for x in b), b
+
+
 def _resolve_stepper(sys, method) -> Callable:
     """run(y, h, n_steps, cfg, states, stats) for a method, the loop of _run_source."""
     if isinstance(method, str):
         if method == "avf":
             # Gauss with s nodes integrates the degree deg H - 1 chord exactly
-            return _chord_run(sys, _gauss_rule(max(1, math.ceil(sys.H.degree() / 2))).float_nodes)
+            return _run(sys, *_rule_layout(_gauss_rule(max(1, math.ceil(sys.H.degree() / 2))).float_nodes))
         if method == "midpoint":
             return _resolve_stepper(sys, midpoint_tableau())
         raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
@@ -472,8 +448,8 @@ def _resolve_stepper(sys, method) -> Callable:
         if method.rule is not None:
             nodes = method.rule.float_nodes
             # scale = max|c_j| makes the residual the stage system's max over stages
-            return partial(_chord_run(sys, nodes), scale=max(abs(cj) for cj, _ in nodes))
-        return _stage_run(sys, tuple(map(_hex, method.A)), _hex(method.b))
+            return partial(_run(sys, *_rule_layout(nodes)), scale=max(abs(cj) for cj, _ in nodes))
+        return _run(sys, None, tuple(zip(*map(_hex, method.A))), _hex(method.b))
     if isinstance(method, QuadRule):
         raise TypeError("pass avf_tableau(rule), not the rule itself")
     raise TypeError(f"cannot interpret {type(method).__name__} as a method")

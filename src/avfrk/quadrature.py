@@ -16,8 +16,9 @@ counts when the rule is built.  The nodes and weights are formed on first
 access by one exact routine, _rounded_rule, which rounds each of them
 correctly to a given number of bits: each node by Newton's iteration in
 integers from the middle of its Sturm bracket, confirmed by the signs of
-the integer rho, each weight from an exact enclosure narrowed until both
-its ends round to one value.  QuadRule.float_nodes holds them at 53 bits,
+the integer rho; then one loop halves that bracket by the same signs until
+its ends round to one node and an exact enclosure of the weight at them
+rounds to one weight.  QuadRule.float_nodes holds them at 53 bits,
 for the float stepper; QuadRule.c and QuadRule.b hold them as exact dyadic
 Fractions at the bits of the working precision.  The exact certificate
 reads only the exact core and never forms a node.
@@ -308,11 +309,6 @@ def _floor_log2(num: int, den: int) -> int:
     return e - ((num << max(-e, 0)) < (den << max(e, 0)))
 
 
-def _ulp(v: Fraction, bits: int) -> Fraction:
-    """The spacing 2^(floor(log2 v) - bits + 1) of the bits-wide grid at v > 0."""
-    return Fraction(2) ** (_floor_log2(v.numerator, v.denominator) - bits + 1)
-
-
 def _prec_bits(digits: int) -> int:
     """The bits of a working precision of digits decimal digits, as mpmath's dps_to_prec counts them."""
     return max(1, round((digits + 1) * 3.3219280948873626))
@@ -327,7 +323,12 @@ def _decimal(x, digits: int, bits: int) -> str:
     digits + 3, then rounded half up on the first dropped digit, and laid
     out in fixed point for exponents between min(-(digits // 3), -5) and
     digits, else with an exponent.  A value beyond 2^+-3500 is first divided
-    by an exact power of ten, which keeps every integer printed short.
+    by an exact power of ten, which keeps every integer printed short, and
+    prints its exact digits so rounded.  There nstr divides by a power of
+    ten rounded to its working bits and can misprint a decimal tie: for
+    638035 * 10^1578 at 70 bits, 6.38034999...e1583, this prints
+    6.3803e+1583 and nstr 6.3804e+1583.  Below 2^3500 the digits are
+    nstr's, truncated as its to_digits_exp truncates them.
     """
     x = Fraction(x)
     if not x:
@@ -341,11 +342,12 @@ def _decimal(x, digits: int, bits: int) -> str:
         den *= 10**shift
     else:
         num *= 10**-shift
-    # mpmath's to_digits_exp at digits + 3, truncating: num / den = v / 10^shift
+    # mpmath's to_digits_exp at digits + 3, truncating: num / den = v / 10^shift; it truncates
+    # twice, to fixprec bits and to fixdps digits, and beyond 2^+-3500 once, to v's own digits
     bitprec = int((digits + 3) * log(10, 2)) + 10
     fixprec = max(bitprec - _floor_log2(num, den) - 1, 0)
     fixdps = int(fixprec / log(10, 2) + 0.5)
-    text = str((num << fixprec) // den * 10**fixdps >> fixprec)
+    text = str(num * 10**fixdps // den if shift else (num << fixprec) // den * 10**fixdps >> fixprec)
     exp = len(text) - fixdps - 1 + shift
     # mpmath's to_str: round half up on the first dropped digit, then lay out
     q = int(text[:digits]) + (len(text) > digits and text[digits] >= "5")
@@ -430,64 +432,50 @@ def _newton_bracket(side, rho: list, slope: list, lo, hi, x: Fraction, rising: b
     return Fraction(a, 1 << f), Fraction(b, 1 << f)
 
 
-def _rounded_root(side, a: Fraction, b: Fraction, bits: int) -> tuple:
-    """(x, a, b): the root r in (a, b) that side locates, rounded to bits significant bits, half to even.
+def _weight_form(s: int, z: Fraction) -> tuple:
+    """(D, bound) of _rounded_node: D = s z_den rho' P_(s-1) and the absolute values of the coefficients of D''.
 
-    a and b are dyadic, or a = b = r for a root known exactly.  The a < r < b
-    returned are too, narrowed, or a = b = r where r is met exactly.  Where 0
-    lies in (a, b), side(0) gives the sign of r.  The search runs on |r|:
-    while its ends round to different values x < y on the bits-wide grid
-    (x = 0 for an end at 0), side is asked at the rounding boundary above
-    the grid point below the middle of x and y, so it bisects the values
-    that remain.  A root on a boundary is met exactly and rounds half to
-    even.
+    Each comes as an (ints, z_den) pair.  The weight at a node c is
+    2 / (s rho'(c) P_(s-1)(c)) = 2 z_den / D(c).
     """
-    if a == b:
-        return _rounded(a.numerator, a.denominator, bits), a, b
-    sign = side(Fraction(0)) if a < 0 < b else 1 if a >= 0 else -1
-    if not sign:
-        return Fraction(0), Fraction(0), Fraction(0)
-    lo, hi = sorted(max(sign * e, 0) for e in (a, b))
-    x, y = (_rounded(e.numerator, e.denominator, bits) for e in (lo, hi))
-    while x < y:
-        mid = (x + y) / 2
-        u = _ulp(mid, bits)
-        g = mid - mid % u  # x <= g < y, and g + u is the next grid point
-        t = g + u / 2
-        w = sign * side(sign * t)
-        if not w:
-            return sign * _rounded(t.numerator, t.denominator, bits), sign * t, sign * t
-        if w > 0:
-            x, lo = g + u, t
-        else:
-            y, hi = g, t
-    lo, hi = sorted((sign * lo, sign * hi))
-    return sign * x, lo, hi
+    slope = [k * c for k, c in enumerate(_rho_ints(s, z))][1:]
+    D = [0] * (2 * s - 1)
+    for i, x in enumerate(slope):
+        for j, y in enumerate(legendre(s - 1).coeffs):
+            D[i + j] += s * x * y.numerator
+    return (D, z.denominator), ([abs(k * (k - 1) * c) for k, c in enumerate(D)][2:], z.denominator)
 
 
-def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tuple, bits: int) -> Fraction:
-    """2 / (s D(r)) rounded to bits significant bits, for the root r in the dyadic bracket a < r < b.
+def _rounded_node(side, a: Fraction, b: Fraction, weight: tuple, bits: int) -> tuple:
+    """(c, w): the root r in the dyadic bracket a < r < b that side locates, and its weight, each rounded.
 
-    side locates r (_root_side).  D = rho' P_(s-1) and bound, the absolute
-    values of the coefficients of D'', come as (ints, d) pairs.  D(r) lies
-    between D(a) and D(b), widened by (b - a)^2 / 8 bound(max(|a|, |b|)), the
-    most D leaves its chord by.  While the weights at the two ends of that
-    enclosure round to different values, the bracket is halved by the side
-    of r at its middle; a root met exactly (a = b = r) gives its weight
-    exactly.  Each value is an integer over 2^(e n) d for a bracket over 2^e.
+    Both are rounded to bits significant bits, half to even; weight is
+    _weight_form's (D, bound), w = 2 z_den / D(r).  D(r) lies between D(a)
+    and D(b), widened by (b - a)^2 / 8 bound(max(|a|, |b|)), the most D
+    leaves its chord by.  While the ends of the bracket round to different nodes,
+    or the ends of that enclosure to different weights, the bracket is
+    halved by the side of r at its middle.  Its width is first made a power
+    of 2 of its grid, so a root on a rounding boundary or at 0 is met
+    exactly; a root met exactly (a = b = r) gives both values exactly.  Each
+    value is an integer over 2^(e n) d for a bracket over 2^e.
     """
+    (Di, Dd), (Bi, Bd) = weight
+    n = len(Di) - 1
     e = max(a.denominator, b.denominator).bit_length() - 1
     ma, mb = (x.numerator << e - x.denominator.bit_length() + 1 for x in (a, b))
-    (Di, Dd), (Bi, Bd) = D, bound
+    if ma != mb:
+        mb = ma + (1 << (mb - ma - 1).bit_length())
     while ma != mb:
-        ends = sorted(_dyadic_horner(Di, m, e) * 8 * Bd for m in (ma, mb))
-        bow = (mb - ma) ** 2 * _dyadic_horner(Bi, max(abs(ma), abs(mb)), e) * Dd
-        lo, hi = ends[0] - bow, ends[1] + bow
-        if lo > 0 or hi < 0:
-            den = 16 * Dd * Bd << e * (len(Di) - 1)
-            w = _rounded(den, s * lo, bits)
-            if w == _rounded(den, s * hi, bits):  # by value: a power of 2 has two (m, e) forms
-                return w
+        c = _rounded(ma, 1 << e, bits)
+        if c == _rounded(mb, 1 << e, bits):
+            ends = sorted(_dyadic_horner(Di, m, e) * 8 * Bd for m in (ma, mb))
+            bow = (mb - ma) ** 2 * _dyadic_horner(Bi, max(abs(ma), abs(mb)), e) * Dd
+            lo, hi = ends[0] - bow, ends[1] + bow
+            if lo > 0 or hi < 0:
+                den = 16 * Dd * Bd << e * n
+                w = _rounded(den, lo, bits)
+                if w == _rounded(den, hi, bits):  # by value: a power of 2 has two (m, e) forms
+                    return c, w
         mid = ma + mb
         ma, mb, e = ma << 1, mb << 1, e + 1
         where = side(Fraction(mid, 1 << e))
@@ -495,33 +483,27 @@ def _rounded_weight(side, s: int, a: Fraction, b: Fraction, D: tuple, bound: tup
             ma = mid
         if where <= 0:
             mb = mid
-    return _rounded(2 * Dd << e * (len(Di) - 1), s * _dyadic_horner(Di, ma, e), bits)
+    return _rounded(ma, 1 << e, bits), _rounded(2 * Dd << e * n, _dyadic_horner(Di, ma, e), bits)
 
 
 def _rounded_rule(s: int, z: Fraction, brackets, bits: int) -> tuple:
     """((c_j, b_j), ...) of the rule rounded to bits significant bits, half to even, in ascending c.
 
     Each node is refined by Newton's iteration in integers from the middle
-    of its Sturm bracket (_newton_bracket) and rounded by exact sign tests
-    (_rounded_root); its weight 2/(s rho'(c) P_(s-1)(c)) is rounded from an
-    exact enclosure on the bracket that leaves (_rounded_weight).  No float
-    is formed.  All values are Fractions with at most bits significant bits.
+    of its Sturm bracket (_newton_bracket); one narrowing of the bracket
+    that leaves, by exact sign tests, rounds the node and its weight
+    2/(s rho'(c) P_(s-1)(c)) (_rounded_node).  No float is formed.  All
+    values are Fractions with at most bits significant bits.
     """
     rho = _rho_ints(s, z)  # z_den rho
     slope = [k * c for k, c in enumerate(rho)][1:]
-    D = [0] * (2 * s - 1)  # z_den rho' P_(s-1)
-    for i, x in enumerate(slope):
-        for j, y in enumerate(legendre(s - 1).coeffs):
-            D[i + j] += x * y.numerator
-    bound = [abs(k * (k - 1) * c) for k, c in enumerate(D)][2:], z.denominator
-    D = D, z.denominator
+    weight = _weight_form(s, z)
     out = []
     for lo, hi in brackets:
         rising = _sturm_values(s, z, lo)[0] < 0
         side = _root_side(s, z, lo, hi, rising)
         a, b = _newton_bracket(side, rho, slope, lo, hi, (lo + hi) / 2, rising, bits)
-        c, a, b = _rounded_root(side, a, b, bits)
-        out.append((c, _rounded_weight(side, s, a, b, D, bound, bits)))
+        out.append(_rounded_node(side, a, b, weight, bits))
     return tuple(out)
 
 

@@ -284,10 +284,6 @@ class Forest(tuple):
     def __new__(cls, trees: Iterable[RootedTree] = ()):
         return super().__new__(cls, sorted(trees, key=lambda t: t.key))
 
-    @property
-    def order(self) -> int:
-        return sum(t.order for t in self)
-
 
 class ButcherTableau:
     """Runge-Kutta coefficients (A, b, c) as exact rationals.

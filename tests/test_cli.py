@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import importlib
 import json
 import math
@@ -679,6 +680,27 @@ def _nstr(x: Fraction, precision: int) -> str:
         return mp.nstr(mp.mpf(x.numerator) / x.denominator, max(precision - 5, 5))
 
 
+def _printed(x: Fraction, precision: int) -> str:
+    """What _dec prints: nstr's text below 2^+-3500, beyond it the exact digits of nstr's mpf.
+
+    Beyond 2^+-3500 nstr divides by a power of ten rounded to its working
+    bits and can misprint a decimal tie; there the mpf is written exactly by
+    the decimal module, truncated to one digit past max(precision - 5, 5)
+    and rounded half up on that digit, in exponent form.
+    """
+    with mp.workdps(precision + 10):
+        sign, man, exp, bc = (mp.mpf(x.numerator) / x.denominator)._mpf_
+    if not man or abs(exp + bc) <= 3500:
+        return _nstr(x, precision)
+    digits = max(precision - 5, 5)
+    v = decimal.Decimal((man << max(exp, 0)) * 5 ** max(-exp, 0))  # the mpf times 10^-min(exp, 0)
+    v = decimal.Context(prec=decimal.MAX_PREC).scaleb(v, min(exp, 0))
+    v = decimal.Context(prec=digits + 1, rounding=decimal.ROUND_DOWN).plus(v)
+    v = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP).plus(v)
+    text = "".join(map(str, v.as_tuple().digits)).rstrip("0") or "0"
+    return f"{'-' * sign}{text[0]}.{text[1:] or '0'}e{v.adjusted():+d}"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     num=st.integers(-(10**40), 10**40),
@@ -693,10 +715,23 @@ def _nstr(x: Fraction, precision: int) -> str:
 @example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500: scaled by an exact power of ten first
 @example(num=1, den=1, shift=-20000, precision=15)
 @example(num=-7, den=3, shift=20000, precision=80)
+# the mpf is 6.38034999...e1583 at 70 bits, which nstr prints as 6.3804e+1583
+@example(num=638035, den=1, shift=1578, precision=10)
+# the mpf is 4.01875000...029e1284: digits truncated twice, as below 2^3500, read 4.0187
+@example(num=1286, den=32, shift=1283, precision=10)
 def test_exact_decimal_matches_nstr(num, den, shift, precision):
-    # a Fraction prints exactly as mp.nstr prints its mpf at precision + 10
+    # a Fraction prints as mp.nstr prints its mpf at precision + 10, beyond 2^+-3500 as the
+    # exact digits of that mpf
     x = Fraction(num, den) * Fraction(10) ** shift
-    assert _dec(x, argparse.Namespace(precision=precision)) == _nstr(x, precision)
+    assert _dec(x, argparse.Namespace(precision=precision)) == _printed(x, precision)
+
+
+def test_exact_decimal_of_a_tie_beyond_2_3500():
+    # beyond 2^3500 a decimal tie prints its mpf's own digits, on either side of the tie
+    args = argparse.Namespace(precision=10)
+    below, above = Fraction(638035) * 10**1578, Fraction(1286, 32) * 10**1283
+    assert _dec(below, args) == _printed(below, 10) == "6.3803e+1583" != _nstr(below, 10)
+    assert _dec(above, args) == _printed(above, 10) == "4.0188e+1284"
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,13 +16,12 @@ from avfrk.integrators import (
     SolverConfig,
     SolverError,
     StepStats,
-    _chord_run,
     _elimination_lines,
-    _chord_newton,
+    _newton,
     _resolve_stepper,
+    _rule_layout,
+    _run,
     _scalar_function,
-    _stage_newton,
-    _stage_run,
     avf_step,
     avf_tableau,
     convergence_errors,
@@ -310,42 +309,53 @@ class TestGeneratedChord:
         # one sweep after the predictor ends at phi(phi(y)); the new state would be phi of it
         cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="fixed-point")
         states, stats = [tuple(y)], []
-        failure = _chord_run(sys_, nodes)(tuple(y), h, 1, cfg, states, stats)
+        L, R, b = _rule_layout(nodes)
+        failure = _run(sys_, L, R, b)(tuple(y), h, 1, cfg, states, stats)
         x = phi(phi(y))
         if failure is None:
             assert _bits(states[-1]) == _bits(phi(x))
         else:
             assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
         fz = phi(z)
-        step = _chord_newton(sys_, nodes)(tuple(y), h, tuple(z), tuple(fz), 0.5)
+        step = _newton(sys_, L, R)(tuple(y), h, tuple(z), tuple(fz), 0.5)
         assert _bits(step) == _bits(reference_newton_step(newton(z), z, fz, 0.5))
 
     def test_avf_and_tableau_share_one_chord_map(self):
+        # "avf" and the tableau of its rule are one chord layout; the same A, b, c without the
+        # rule are the identity layout; each generates its Newton step on its first Newton step
         sys_ = _fresh_system(11)
-        before = _chord_run.cache_info().misses
-        integrate(sys_, "avf", [0.3, 0.2], 0.05, 5)
-        integrate(sys_, avf_tableau(quad_rule(2, 0)), [0.3, 0.2], 0.05, 5)
-        assert _chord_run.cache_info().misses == before + 1
+        tab = avf_tableau(quad_rule(2, 0))
+        runs, newtons = _run.cache_info().misses, _newton.cache_info().misses
+        for strategy in ["fixed-point", "newton"]:
+            cfg = SolverConfig(strategy=strategy)
+            integrate(sys_, "avf", [0.3, 0.2], 0.05, 5, cfg)
+            integrate(sys_, tab, [0.3, 0.2], 0.05, 5, cfg)
+            assert _run.cache_info().misses == runs + 1
+            assert _newton.cache_info().misses == newtons + (strategy == "newton")
+        for strategy in ["fixed-point", "newton"]:
+            integrate(sys_, ButcherTableau(tab.A, tab.b, tab.c), [0.3, 0.2], 0.05, 5, SolverConfig(strategy=strategy))
+            assert _run.cache_info().misses == runs + 2
+            assert _newton.cache_info().misses == newtons + 1 + (strategy == "newton")
 
     def test_newton_matrix_generated_only_for_newton(self):
         sys_ = _fresh_system(12)
-        before = _chord_newton.cache_info()
+        before = _newton.cache_info()
         run = integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="fixed-point"))
         assert sum(st.newton_iterations for st in run.solver_stats) == 0
-        assert _chord_newton.cache_info() == before
+        assert _newton.cache_info() == before
         integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="newton"))
-        assert _chord_newton.cache_info().misses == before.misses + 1
+        assert _newton.cache_info().misses == before.misses + 1
 
     def test_results_survive_eviction(self):
-        size = _chord_run.cache_info().maxsize
+        size = _run.cache_info().maxsize
         systems = [_fresh_system(100 + k, 1 + k % 2, 3 + k % 4) for k in range(size + 6)]
         y0s = [[0.1 + 0.01 * j for j in range(sys_.dim)] for sys_ in systems]
         cfg = SolverConfig(strategy="newton")
         first = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
-        assert _chord_run.cache_info().currsize == size
-        misses = _chord_run.cache_info().misses
+        assert _run.cache_info().currsize == size
+        misses = _run.cache_info().misses
         again = [integrate(sys_, "avf", y0, 0.05, 4, cfg).states for sys_, y0 in zip(systems, y0s)]
-        assert _chord_run.cache_info().misses > misses  # the early systems were evicted
+        assert _run.cache_info().misses > misses  # the early systems were evicted
         for a, b in zip(first, again):
             assert _bits(a) == _bits(b)
 
@@ -379,7 +389,7 @@ def _solved(rows, rhs):
 
 class TestElimination:
     """The generated elimination of every Newton step (_solve wraps the lines
-    that both paths' Newton steps inline) against LAPACK and the reference order."""
+    that every layout's Newton step inlines) against LAPACK and the reference order."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 6), data=st.data())
@@ -457,14 +467,14 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
         return [g(*x[j * n : (j + 1) * n]) for j in range(s)]
 
     def update(w, vals):
-        # left to right from the integer 0, as the generated sums add: sum() of floats is
-        # compensated since Python 3.12
+        # left to right over the stages from 0.0, weights h * w_j, as the generated sums add:
+        # sum() of floats is compensated since Python 3.12
         out = []
         for k, yk in enumerate(y):
-            acc = 0
+            acc = 0.0
             for wj, v in zip(w, vals):
-                acc = acc + wj * v[k]
-            out.append(yk + h * acc)
+                acc = acc + (h * wj) * v[k]
+            out.append(yk + acc)
         return out
 
     def phi(x):
@@ -474,7 +484,7 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
     def newton(x):
         js = at_stages(jac, x)
         return [
-            [h * A[i][j] * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
+            [0.0 + (h * A[i][j]) * js[j][a * n + c] - (i == j and a == c) for j in range(s) for c in range(n)]
             for i in range(s)
             for a in range(n)
         ]
@@ -597,8 +607,8 @@ class TestGeneratedSweeps:
         assert any(newton for _, newton, _ in got[1]) == switches
 
     def test_stage_loop_generated_once_per_tableau(self, caplog):
-        _stage_run.cache_clear()
-        _stage_newton.cache_clear()
+        _run.cache_clear()
+        _newton.cache_clear()
         tableaux = [
             ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79]),
             ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7]),

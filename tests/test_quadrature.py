@@ -17,7 +17,7 @@ from avfrk.quadrature import (
     UniPoly,
     _exact_fraction,
     _isolate_roots,
-    _rounded_root,
+    _rounded_node,
     _sign_changes,
     _sturm_values,
     check_discip_lemma,
@@ -495,7 +495,7 @@ class TestNodePolish:
     @pytest.mark.parametrize("guard", [0, -40])
     def test_rounding_from_a_coarse_bracket(self, monkeypatch, guard):
         # with fewer guard bits than the target the Newton bracket holds rounding boundaries,
-        # and the search between them gives the same values
+        # and narrowing it past them gives the same values
         want = {(s, z): (quad_rule(s, z, 15).c, quad_rule(s, z, 15).float_nodes) for s in range(1, 9) for z in OPERATOR_ZETAS}
         monkeypatch.setattr(quadrature, "_GUARD_BITS", guard)
         for (s, z), (c, floats) in want.items():
@@ -504,16 +504,16 @@ class TestNodePolish:
 
     @pytest.mark.parametrize("zeta", OPERATOR_ZETAS + [Fraction(-1) + Fraction(1, 10**30), Fraction(-1) - Fraction(1, 10**200), Fraction(2)])
     def test_search_from_the_sturm_bracket(self, zeta):
-        # the search alone, from a dyadic bracket around the whole isolating bracket: through 0,
-        # with its sign from side(0), where the bracket holds 0
+        # the narrowing alone, from a dyadic bracket around the whole isolating bracket: through 0
+        # where the bracket holds 0, and meeting a root at 0 exactly
         for s in range(1, 7):
             rule = quad_rule(s, zeta)
-            for (c, _), (lo, hi) in zip(rule.float_nodes, rule._brackets):
+            weight = quadrature._weight_form(s, zeta)
+            for (c, w), (lo, hi) in zip(rule.float_nodes, rule._brackets):
                 side = quadrature._root_side(s, zeta, lo, hi, _sturm_values(s, zeta, lo)[0] < 0)
                 a, b = Fraction(math.floor(lo * 64), 64), Fraction(math.floor(hi * 64) + 1, 64)
-                x, a, b = _rounded_root(side, a, b, 53)
-                assert float(x) == c, (s, zeta)
-                assert a == b == x or (side(a), side(b)) == (1, -1), (s, zeta)
+                x, wx = _rounded_node(side, a, b, weight, 53)
+                assert (float(x), float(wx)) == (c, w), (s, zeta)
 
     @pytest.mark.parametrize("zeta, root", [(Fraction(0), 0.5), (Fraction(-1), 0.0), (Fraction(1), 1.0)])
     def test_newton_from_a_wrong_seed(self, zeta, root):
@@ -523,14 +523,16 @@ class TestNodePolish:
             rule = quad_rule(s, zeta)
             rho = quadrature._rho_ints(s, zeta)
             slope = [k * c for k, c in enumerate(rho)][1:]
-            for (c, _), (lo, hi) in zip(rule.float_nodes, rule._brackets):
+            weight = quadrature._weight_form(s, zeta)
+            for (c, w), (lo, hi) in zip(rule.float_nodes, rule._brackets):
                 if c == root:
                     continue
                 rising = _sturm_values(s, zeta, lo)[0] < 0
                 side = quadrature._root_side(s, zeta, lo, hi, rising)
                 a, b = quadrature._newton_bracket(side, rho, slope, lo, hi, Fraction(root), rising, 53)
                 assert a <= lo < hi < b, (s, zeta, c)
-                assert float(_rounded_root(side, a, b, 53)[0]) == c, (s, zeta, c)
+                x, wx = _rounded_node(side, a, b, weight, 53)
+                assert (float(x), float(wx)) == (c, w), (s, zeta, c)
 
 
 def exact_weight(s, zeta, x):
