@@ -95,24 +95,30 @@ def _power(k):
 # bushy-tree residuals
 
 
+@lru_cache(maxsize=1024)
+def _ends(P):
+    """(P', P(1), int_0^1 P) of a bush argument, formed once per polynomial."""
+    one = Fraction(1)
+    return P.derivative(), P(one), P.integral()(one)
+
+
 def _double_bush(A, ip, P, Q):
     """b^T P'(C) A Q(c) - b^T Q'(C) A P(c) - (P(1) int Q - Q(1) int P)."""
-    one = Fraction(1)
-    rhs = P(one) * Q.integral()(one) - Q(one) * P.integral()(one)
-    return ip(P.derivative(), A(Q)) - ip(Q.derivative(), A(P)) - rhs
+    (dP, P1, iP), (dQ, Q1, iQ) = _ends(P), _ends(Q)
+    return ip(dP, A(Q)) - ip(dQ, A(P)) - (P1 * iQ - Q1 * iP)
 
 
 def _triple_bush(A, ip, P, Q, R):
     """The triple_bush_residual expression; see there."""
-    one = Fraction(1)
+    (dP, P1, iP), (dQ, Q1, iQ), (dR, R1, _) = _ends(P), _ends(Q), _ends(R)
     AQ, AP = A(Q), A(P)
     return (
-        ip(P.derivative(), A(R * AQ))
-        + ip(Q.derivative(), A(R * AP))
-        - P(one) * ip(R, AQ)
-        - Q(one) * ip(R, AP)
-        - ip(R.derivative(), AQ * AP)
-        + R(one) * P.integral()(one) * Q.integral()(one)
+        ip(dP, A(R * AQ))
+        + ip(dQ, A(R * AP))
+        - P1 * ip(R, AQ)
+        - Q1 * ip(R, AP)
+        - ip(dR, AQ * AP)
+        + R1 * iP * iQ
     )
 
 

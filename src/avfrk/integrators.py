@@ -30,6 +30,14 @@ update are straight-line source, per system and float layout.  The Newton
 step, its matrix and its solve, is generated the first time a run
 switches to Newton.
 
+Every generated polynomial forms its powers by multiplication: each stage
+sets q{k}_2 = x_k * x_k, q{k}_e = q{k}_(e-1) * x_k once, for every power
+its polynomials need, and no source calls pow.  Float products never
+raise; they overflow to inf.  So the loop checks every map value, the
+predictor's included, and fails with a non-finite field value where the
+iterate is finite and a non-finite iterate where it is not; a converged
+step whose updated state is not finite fails too, at its own index.
+
 Every Newton step solves its linear system by Gaussian elimination with
 partial pivoting, straight-line source per unknown count from one
 generator (_elimination_lines).  Stepping imports no array library:
@@ -127,19 +135,35 @@ class StepStats(NamedTuple):
 
 
 def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
-    """p as a Python expression in the variables `names`.
+    """p as a Python expression in the variables `names` and their powers.
 
-    The sum of its monomials x_j**e_j * ... * coeff in sorted term order;
-    "0.0" for the zero polynomial.  float ** int raises OverflowError where
-    an array power returns inf.
+    The sum of its monomials x_j * q{j}_e * ... * coeff in sorted term order,
+    a power e >= 2 of names[j] read from q{j}_e (_power_lines) and a
+    coefficient -1 written as a negation, which rounds the same;
+    "0.0" for the zero polynomial.
     """
     terms = []
     for exps, coeff in sorted(p.terms.items()):
-        factors = [names[j] if e == 1 else f"{names[j]}**{e}" for j, e in enumerate(exps) if e]
-        if coeff != 1 or not factors:
+        factors = [names[j] if e == 1 else f"q{j}_{e}" for j, e in enumerate(exps) if e]
+        if coeff == -1 and factors:
+            factors[0] = "-" + factors[0]
+        elif coeff != 1 or not factors:
             factors.append(repr(float(coeff)))
         terms.append("*".join(factors))
     return " + ".join(terms) or "0.0"
+
+
+def _power_lines(polys: Sequence[MultiPoly], names: Sequence[str]) -> list:
+    """Lines that set q{j}_e to names[j]**e for every power e >= 2 that polys need, by multiplication.
+
+    One chain per variable, q{j}_2 = x * x and q{j}_e = q{j}_(e-1) * x up to
+    its largest exponent in polys: every power is formed once.
+    """
+    lines = []
+    for j, x in enumerate(names):
+        top = max((exps[j] for p in polys for exps in p.terms), default=0)
+        lines += [f"q{j}_{e} = {f'q{j}_{e - 1}' if e > 2 else x} * {x}" for e in range(2, top + 1)]
+    return lines
 
 
 def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
@@ -162,8 +186,8 @@ def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     arithmetic.
     """
     names = [f"x{j}" for j in range(nv)]
-    comps = ", ".join(_poly_source(p, names) for p in polys)
-    return _generate([f"def evaluate({', '.join(names)}):", f"    return ({comps},)"], "evaluate", nv, 1)
+    body = _power_lines(polys, names) + [f"return ({', '.join(_poly_source(p, names) for p in polys)},)"]
+    return _generate([f"def evaluate({', '.join(names)}):"] + ["    " + line for line in body], "evaluate", nv, 1)
 
 
 def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets: Callable) -> list:
@@ -171,7 +195,8 @@ def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets
 
     Stage j is block j of src{..} for the identity layout (L None), else
     x = y + L_j0 * d_0 + L_j1 * d_1 + ... with the blocks d_l = src_l - y set
-    first.  targets(j) lists the (weight, accumulators) stage j adds to:
+    first; the powers of stage j are formed once (_power_lines) before its
+    values.  targets(j) lists the (weight, accumulators) stage j adds to:
     accumulators[p] = accumulators[p] + weight * polys[p](stage j), the first
     term added to 0.0.  A value that more than one target adds is evaluated
     once, into g{p}.
@@ -182,6 +207,7 @@ def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets
         if L:
             lines += [f"x{k} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in range(n)]
         names = [f"x{k}" if L else f"{src}{j * n + k}" for k in range(n)]
+        lines += _power_lines(polys, names)
         values, adds = [f"({_poly_source(p, names)})" for p in polys], targets(j)
         if len(adds) > 1:
             lines += [f"g{p} = {v}" for p, v in enumerate(values)]
@@ -212,9 +238,9 @@ def {name}(newton_step):
             try:
                 for it in range(max_iterations + 1):
 {phi}
+                    if not ({finite}):
+                        return "non-finite", k, it, ({z},), None, inf
                     if it:
-                        if not ({finite}):
-                            return "non-finite", k, it, ({z},), None, inf
 {largest}
                         res = scale * m
                         if res <= tol:
@@ -231,11 +257,12 @@ def {name}(newton_step):
 {advance}
                 else:
                     return "exhausted", k, it, ({z},), None, res
-            except OverflowError as e:
-                return "overflow", k, it, ({z},), e, res
             except SolverError as e:
                 return "singular", k, it, e.iterate, e, e.residual
 {update}
+            if not ({state_finite}):
+                return "non-finite state", k, it, ({f},), None, res
+            y = ({ys},)
             states.append(y)
             stats.append(StepStats(it, newton_iterations, res))
     return run"""
@@ -246,20 +273,21 @@ def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list)
 
     run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
     its StepStats; it returns None, or for the first failed step k
-    (status, k, it, iterate, detail, residual), status "non-finite",
-    "exhausted", "overflow" or "singular" with the OverflowError or the
-    SolverError of a singular Newton matrix as detail.  The state is held
-    in y0..y{d-1}, unpacked from y before setup, which runs once per run.
-    Each step sets z{j*d+k} = y{k} for the n / d copies of the state;
-    phi sets f to the map at z, and iteration 0 is the predictor, unchecked.
-    Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
+    (status, k, it, iterate, detail, residual), status "non-finite" (a map
+    value at the iterate), "exhausted", "singular" with the SolverError of
+    a singular Newton matrix as detail, or "non-finite state" (the update,
+    with the converged iterate f).  The state is held in y0..y{d-1},
+    unpacked from y before setup, which runs once per run.  Each step sets
+    z{j*d+k} = y{k} for the n / d copies of the state; phi sets f to the
+    map at z, every value of which must be finite, and iteration 0 is the
+    predictor.  Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
     shrinks by _STALL_FACTOR, then (or from the start for "newton") Newton
     steps z = newton_step()(y, h, z, f, res), the step looked up once per
     run.
     max|f - z| is spelled out as max() computes it: a later value replaces
     the first only when greater.  At convergence update sets y0..y{d-1}
-    from f = phi(z), and y is packed from them.  The lines passed in come
-    unindented.
+    from f = phi(z), and y is packed from them once they are all finite.
+    The lines passed in come unindented.
     """
     z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
     ys = ", ".join(f"y{k}" for k in range(d))
@@ -281,7 +309,9 @@ def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list)
         largest=block(largest, 24),
         stall=_STALL_FACTOR,
         advance=block([f"z{k} = f{k}" for k in range(n)], 20),
-        update=block(update + [f"y = ({ys},)"], 12),
+        update=block(update, 12),
+        state_finite=" and ".join(f"isfinite(y{k})" for k in range(d)),
+        ys=ys,
     ).split("\n")
 
 
@@ -476,9 +506,10 @@ def _steps(sys, method, y0, h, n_steps, cfg) -> tuple:
     """(h, states, stats) of n_steps steps from y0, h as a float.
 
     A step k that fails raises SolverError with step_index k and a message
-    that starts with "step k: ": an overflowing field, a non-finite
-    iterate, a singular Newton matrix or no convergence in
-    cfg.max_iterations iterations.
+    that starts with "step k: ": a non-finite field value at a finite
+    iterate, a non-finite iterate, a singular Newton matrix, no convergence
+    in cfg.max_iterations iterations, or a non-finite state after the
+    update of a converged step.
     """
     y, h = _checked_start(sys, y0, h)
     cfg = cfg or SolverConfig()
@@ -487,12 +518,12 @@ def _steps(sys, method, y0, h, n_steps, cfg) -> tuple:
     if failure is None:
         return h, states, stats
     status, k, it, x, detail, res = failure
-    if status == "overflow":
-        message = f"field evaluation overflowed: {detail}"
-    elif status == "singular":
+    if status == "singular":
         message = str(detail)
     elif status == "non-finite":
-        message = f"non-finite iterate at iteration {it}"
+        message = f"non-finite {'field value' if all(map(math.isfinite, x)) else 'iterate'} at iteration {it}"
+    elif status == "non-finite state":
+        message = "non-finite state after the update"
     else:
         message = (
             f"no convergence after {cfg.max_iterations} iterations "
@@ -532,7 +563,7 @@ class IntegrationRun:
 
     Each state is a tuple of floats, stored as given.  Energies are
     recomputed from the stored states on access, never carried through the
-    solve; an H that overflows a float reads inf.
+    solve; an H that is not finite in float64 reads inf.
     """
 
     __slots__ = ("system", "times", "states", "solver_stats")
@@ -547,13 +578,7 @@ class IntegrationRun:
 
     def _energy_list(self) -> list:
         H = _energy(self.system)
-        out = []
-        for y in self.states:
-            try:
-                out.append(H(*y)[0])
-            except OverflowError:
-                out.append(math.inf)
-        return out
+        return [e if math.isfinite(e) else math.inf for e in (H(*y)[0] for y in self.states)]
 
     @property
     def energies(self):

@@ -373,41 +373,51 @@ def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1
     predictor.  Fixed-point sweeps run while the residual shrinks by
     _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
     where newton(x) is its matrix Jphi(x) - I with the identity already
-    subtracted.  An overflowing field, a non-finite iterate and a singular
-    Newton matrix end the solve with SolverError.  Returns (solution,
-    StepStats).
+    subtracted.  A non-finite value of phi, the predictor included, ends
+    the solve with SolverError, naming a non-finite field value at a finite
+    x and a non-finite iterate otherwise; so does a singular Newton matrix.
+    Returns (solution, StepStats).
     """
     use_newton = cfg.strategy == "newton"
     allow_newton = cfg.strategy != "fixed-point"
     prev_res = res = math.inf
     newton_iters = 0
-    try:
-        x = phi(x)
-        for it in range(1, cfg.max_iterations + 1):
-            fx = phi(x)
-            if not all(map(math.isfinite, fx)):
-                raise SolverError(
-                    f"non-finite iterate at iteration {it}", iterate=tuple(x), residual=math.inf
-                )
-            res = scale * max(map(abs, map(sub, fx, x)))
-            if res <= cfg.tolerance:
-                return fx, StepStats(it, newton_iters, res)
-            if use_newton:
-                x = reference_newton_step(newton(x), x, fx, res)
-                newton_iters += 1
-            else:
-                x = fx
-                if allow_newton and res > _STALL_FACTOR * prev_res:
-                    use_newton = True
-            prev_res = res
-    except OverflowError as e:
-        raise SolverError(f"field evaluation overflowed: {e}", iterate=tuple(x), residual=res) from e
+    for it in range(cfg.max_iterations + 1):
+        fx = phi(x)
+        if not all(map(math.isfinite, fx)):
+            what = "field value" if all(map(math.isfinite, x)) else "iterate"
+            raise SolverError(f"non-finite {what} at iteration {it}", iterate=tuple(x), residual=math.inf)
+        if not it:
+            x = fx
+            continue
+        res = scale * max(map(abs, map(sub, fx, x)))
+        if res <= cfg.tolerance:
+            return fx, StepStats(it, newton_iters, res)
+        if use_newton:
+            x = reference_newton_step(newton(x), x, fx, res)
+            newton_iters += 1
+        else:
+            x = fx
+            if allow_newton and res > _STALL_FACTOR * prev_res:
+                use_newton = True
+        prev_res = res
     raise SolverError(
         f"no convergence after {cfg.max_iterations} iterations "
         f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
         iterate=tuple(x),
         residual=res,
     )
+
+
+def reference_update(state, solution, stats: StepStats) -> tuple:
+    """(state, stats) of a step whose solve converged; a non-finite state raises SolverError.
+
+    The error carries the converged solution and its residual, as the
+    generated run loop's does.
+    """
+    if not all(map(math.isfinite, state)):
+        raise SolverError("non-finite state after the update", iterate=tuple(solution), residual=stats.residual)
+    return tuple(state), stats
 
 
 # QuadRule.moments, discrete_ip_table and build_M (with build_p_tilde and

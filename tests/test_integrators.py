@@ -34,7 +34,7 @@ from avfrk.integrators import (
 )
 from avfrk.quadrature import quad_rule
 from avfrk.trees import ButcherTableau
-from _util import random_A_tableau, random_system, reference_implicit_solve, reference_newton_step
+from _util import random_A_tableau, random_system, reference_implicit_solve, reference_newton_step, reference_update
 
 F = Fraction
 
@@ -371,6 +371,99 @@ class TestGeneratedChord:
         assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
 
 
+def _generated(monkeypatch, call) -> dict:
+    """{name: source lines} of every function generated while call() runs."""
+    out = {}
+    generate = integrators._generate
+
+    def spy(lines, name, *args):
+        out[name] = lines
+        return generate(lines, name, *args)
+
+    monkeypatch.setattr(integrators, "_generate", spy)
+    call()
+    return out
+
+
+def _chains(polys, nv) -> set:
+    """The names q{k}_e, 2 <= e <= the largest exponent of variable k in polys, of one power chain each."""
+    return {f"q{k}_{e}" for k in range(nv) for e in range(2, 1 + max(x[k] for p in polys for x in p.terms))}
+
+
+def _exact_terms(p, x) -> list:
+    """The terms c_m x^m of p at the floats x, exactly."""
+    return [c * math.prod(Fraction(v) ** e for v, e in zip(x, exps)) for exps, c in p.terms.items()]
+
+
+# floats that stay clear of underflow in a product of degree <= 39, with zero
+_COORD = st.floats(1e-7, 1e2) | st.floats(-1e2, -1e-7) | st.just(0.0)
+
+
+class TestPowerChains:
+    """The generated map, update, Newton matrix and energy form every power
+    by multiplication, once per stage, and call no pow."""
+
+    @pytest.mark.parametrize("method", ["avf", "stages"])
+    def test_each_power_formed_once_per_stage(self, monkeypatch, method):
+        sys_ = _fresh_system(31, half_dim=2, degree=6)
+        n, f = sys_.dim, sys_.vector_field()
+        jac = [f[k].partial(c) for k in range(n) for c in range(n)]
+        if method == "stages":
+            method = random_A_tableau(random.Random(31), _rule(2, F(0)))
+        s = 2 if method != "avf" else 3  # avf steps on the 3-node Gauss rule of a degree-6 H
+        _run.cache_clear()
+        _newton.cache_clear()
+        integrators._energy.cache_clear()
+        cfg = SolverConfig(strategy="newton")
+        src = _generated(monkeypatch, lambda: integrate(sys_, method, [0.2, 0.1, 0.3, 0.1], 0.05, 2, cfg).energies)
+        loop = "chord" if method == "avf" else "stages"
+        assert sorted(src) == sorted([loop, "newton", "evaluate"])
+        # the map and the update of the loop each visit every stage once
+        for name, polys, times in ((loop, f, 2 * s), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
+            lines = src[name]
+            assert not any("**" in line for line in lines), name
+            assigned = [line.split(" = ")[0].strip() for line in lines if line.lstrip().startswith("q")]
+            assert {q: assigned.count(q) for q in assigned} == {q: times for q in _chains(polys, n)}, name
+
+    def test_minus_one_is_a_negation(self):
+        p = MultiPoly(2, {(1, 1): F(-1), (0, 3): F(1), (0, 0): F(-1), (2, 0): F(-1, 2)})
+        assert integrators._poly_source(p, ["x", "y"]) == "-1.0 + q1_3 + -x*y + q0_2*-0.5"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 2).filter(lambda e: 1 <= sum(e) <= 7),
+            st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 3), F(3, 40), F(-4, 40)]),
+            min_size=1,
+            max_size=6,
+        ),
+        x=st.tuples(_COORD, _COORD),
+    )
+    def test_field_within_bound_of_exact(self, terms, x):
+        self._check(HamiltonianSystem(1, MultiPoly(2, terms)), x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.tuples(_COORD, _COORD))
+    def test_power_39_within_bound_of_exact(self, x):
+        self._check(SADDLE_40, x)
+
+    @staticmethod
+    def _check(sys_, x):
+        # A monomial c x^m of degree D takes at most D + 1 roundings: c to a float, D - 1
+        # products for its powers and factors, one by c.  Summing T terms left to right adds
+        # T - 1 more, so |fl(p(x)) - p(x)| <= gamma_(D+T) sum_m |c_m x^m|, with
+        # gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and Stability, Lemma 3.3),
+        # as long as no product underflows (_COORD) or overflows (degree <= 39 at |x| <= 1e2).
+        f = sys_.vector_field()
+        got = _scalar_function(f, sys_.dim)(*x)
+        u = Fraction(1, 2**53)
+        for p, value in zip(f, got):
+            k = max((sum(e) for e in p.terms), default=0) + len(p.terms)
+            gamma = k * u / (1 - k * u)
+            terms = _exact_terms(p, x)
+            assert abs(Fraction(value) - sum(terms)) <= gamma * sum(map(abs, terms))
+
+
 @lru_cache(maxsize=None)
 def _solve(n):
     """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by the lines of _elimination_lines(n)."""
@@ -490,7 +583,7 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
         ]
 
     sol, stats = reference_implicit_solve(y * s, phi, newton, cfg)
-    return tuple(update(b, at_stages(f, sol))), stats
+    return reference_update(update(b, at_stages(f, sol)), sol, stats)
 
 
 def _interpreted_step(sys_, method, y, h, cfg):
@@ -509,7 +602,7 @@ def _interpreted_step(sys_, method, y, h, cfg):
         return _interpreted_stage_step(sys_, method, y, h, cfg)
     phi, newton = _node_loop(sys_, rule, y, h)
     z, stats = reference_implicit_solve(y, phi, newton, cfg, scale)
-    return tuple(phi(z)), stats
+    return reference_update(phi(z), z, stats)
 
 
 def _reference_outcome(sys_, method, y0, h, n, cfg):
@@ -530,6 +623,7 @@ def _reference_outcome(sys_, method, y0, h, n, cfg):
 
 # step sizes and whether the harmonic oscillator's solve switches to Newton at them
 STALL_CASES = [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)]
+SADDLE = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2)})  # f = (p, q)
 SADDLE_40 = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2), (40, 0): F(1, 10**6)})
 
 
@@ -569,16 +663,18 @@ class TestGeneratedSweeps:
             (QUARTIC, [1.0, 0.5], 50.0, "fixed-point+newton", 1, "no convergence"),
             (QUARTIC, [1.0, 0.5], -50.0, "fixed-point", 5, "no convergence"),
             (QUARTIC, [0.01, 0.005], 0.01, "newton", 1, "no convergence"),  # after one Newton step
-            (QUARTIC, [0.01, 0.005], 50.0, "fixed-point", 100, "overflow"),  # q**3 raises OverflowError
-            (QUARTIC, [1e120, 0.0], 0.1, "newton", 100, "overflow"),  # in the predictor
-            # h/2 J_f - I is nearly singular: the Newton step lands where q**39 overflows
-            (SADDLE_40, [0.3781856116280262, 0.11345568348840786], 1.9999999999999991, "newton", 100, "overflow"),
-            (sys1({(2, 2): F(1, 2)}), [1.0, 0.5], 5.0, "fixed-point", 100, "non-finite"),
-            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], 0.1, "fixed-point+newton", 100, "non-finite"),
+            (QUARTIC, [0.01, 0.005], 50.0, "fixed-point", 100, "non-finite field value"),  # q*q*q is inf
+            (QUARTIC, [1e120, 0.0], 0.1, "newton", 100, "non-finite field value"),  # in the predictor
+            # h/2 J_f - I is nearly singular: the Newton step lands where q^39 overflows
+            (SADDLE_40, [0.3781856116280262, 0.11345568348840786], 1.9999999999999991, "newton", 100, "non-finite field value"),
+            (sys1({(2, 2): F(1, 2)}), [1.0, 0.5], 5.0, "fixed-point", 100, "non-finite field value"),
+            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], 0.1, "fixed-point+newton", 100, "non-finite field value"),
             # f = (1, -1e300 q^3): only the second component is inf
-            (sys1({(0, 1): F(1), (4, 0): F(10**300, 4)}), [1e3, 0.0], 0.1, "fixed-point", 100, "non-finite"),
+            (sys1({(0, 1): F(1), (4, 0): F(10**300, 4)}), [1e3, 0.0], 0.1, "fixed-point", 100, "non-finite field value"),
             # f = (1e300 p^3, -1): only the first component is inf
-            (sys1({(1, 0): F(1), (0, 4): F(10**300, 4)}), [0.0, 1e3], 0.1, "newton", 100, "non-finite"),
+            (sys1({(1, 0): F(1), (0, 4): F(10**300, 4)}), [0.0, 1e3], 0.1, "newton", 100, "non-finite field value"),
+            # h/2 J_f - I is nearly singular at a state near the float limit: the Newton step is inf
+            (SADDLE, [1e300, 0.0], 1.9999999999999998, "newton", 100, "non-finite iterate"),
         ],
     )
     @pytest.mark.parametrize("method", ["avf", "midpoint", "stages"])
@@ -671,13 +767,13 @@ class TestWholeRun:
     @pytest.mark.parametrize(
         "method, k, iterate, residual",
         [
-            ("avf", 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272e0p+8"), "0x1.8000000000000p-43"),
+            ("avf", 6, ("-0x1.1984654a963e8p+4", "-0x1.b5ce9fec272e1p+8"), "0x1.0000000000000p-43"),
             ("midpoint", 8, ("-0x1.e8a5594fe98bcp+6", "-0x1.866fa68fa7168p+12"), "0x1.0000000000000p-41"),
-            ((2, F(0)), 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272e0p+8"), "0x1.2ed9eba16132ap-43"),
+            ((2, F(0)), 6, ("-0x1.1984654a963e8p+4", "-0x1.b5ce9fec272e1p+8"), "0x1.93cd3a2c8198ep-44"),
         ],
     )
     def test_late_failure_carries_its_step(self, method, k, iterate, residual):
-        # the values the per-step driver gave before the run loop was generated
+        # the runaway's first failed step, with its last iterate and residual bit for bit
         if isinstance(method, tuple):
             method = avf_tableau(_rule(*method))
         with pytest.raises(SolverError) as exc_info:
@@ -703,36 +799,53 @@ class TestSolverFailure:
         assert "1 iteration" in str(err)
 
     @pytest.mark.parametrize(
-        "sys_, y0, reason",
+        "sys_, y0, case",
         [
-            (QUARTIC, [1e120, 0.0], "overflow"),  # q**3 raises OverflowError
-            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], "non-finite"),  # q**2 * p is inf
+            (QUARTIC, [1e120, 0.0], "overflow"),  # a power overflows: q*q*q is inf
+            (sys1({(2, 2): F(1, 2)}), [1e150, 1e150], "non-finite"),  # a product: q*q * p is inf
         ],
     )
-    def test_overflow_is_solver_error(self, sys_, y0, reason):
+    def test_overflow_is_solver_error(self, sys_, y0, case):
+        # a float product does not raise: either overflow makes a field value non-finite in the
+        # predictor, at the finite start state
         with pytest.raises(SolverError) as exc_info:
             integrate(sys_, "avf", y0, 0.1, 5)
-        assert exc_info.value.step_index == 0
-        assert reason in str(exc_info.value)
+        err = exc_info.value
+        assert err.step_index == 0
+        assert str(err) == "step 0: non-finite field value at iteration 0"
+        assert err.iterate == tuple(y0) and err.residual == math.inf
+
+    def test_non_finite_update_is_not_accepted(self):
+        # a step whose solve converges, but whose update y + h b_1 f(Y_1) is inf, fails at its
+        # own index with the converged iterate and its residual
+        mid = midpoint_tableau()
+        tab = ButcherTableau(mid.A, [10**400], mid.c)
+        for n in (1, 2):
+            with pytest.raises(SolverError) as exc_info:
+                integrate(QUARTIC, tab, [0.5, 0.1], 0.1, n)
+            err = exc_info.value
+            assert err.step_index == 0
+            assert str(err) == "step 0: non-finite state after the update"
+            assert all(map(math.isfinite, err.iterate)) and err.residual <= SolverConfig().tolerance
 
     @pytest.mark.parametrize("method", ["avf", "stages"])
     def test_singular_newton_is_solver_error(self, method):
         # f = (p, q) and h = 2 make h/2 J_f - I exactly singular
-        saddle = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2)})
         if method == "stages":
             mid = midpoint_tableau()
             method = ButcherTableau(mid.A, mid.b, mid.c)
         with pytest.raises(SolverError) as exc_info:
-            integrate(saddle, method, [1.0, 0.0], 2.0, 3, SolverConfig(strategy="newton"))
+            integrate(SADDLE, method, [1.0, 0.0], 2.0, 3, SolverConfig(strategy="newton"))
         assert exc_info.value.step_index == 0
         assert str(exc_info.value).startswith("step 0: Newton matrix is singular: zero pivot in column ")
 
     # an exact coefficient beyond the float range is an infinite coefficient to the stepper
     @pytest.mark.parametrize("value", [pytest.param(10**400, id="inf"), pytest.param(-(10**400), id="-inf")])
-    @pytest.mark.parametrize("where, k", [("A", 0), ("b", 1)])
+    @pytest.mark.parametrize("where, k", [("A", 0), ("b", 0)])
     @pytest.mark.parametrize("strategy", ["fixed-point+newton", "newton"])
     def test_non_finite_coefficient_is_solver_error(self, value, where, k, strategy):
-        # A enters the map, so step 0's first sweep is non-finite; b enters only the update
+        # A enters the map, so step 0's predictor is non-finite; b enters only the update, which
+        # step 0 checks before it accepts the state
         A, b = [[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5]
         if where == "A":
             A[0][1] = value
@@ -742,7 +855,8 @@ class TestSolverFailure:
         with pytest.raises(SolverError) as exc_info:
             integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 3, SolverConfig(strategy=strategy))
         assert exc_info.value.step_index == k
-        assert str(exc_info.value) == f"step {k}: non-finite iterate at iteration 1"
+        reason = "non-finite field value at iteration 0" if where == "A" else "non-finite state after the update"
+        assert str(exc_info.value) == f"step {k}: {reason}"
 
     @pytest.mark.parametrize(
         "y0, h", [([float("nan"), 0.0], 0.1), ([1.0, float("inf")], 0.1), ([1.0, 0.0], float("nan"))]
