@@ -18,17 +18,32 @@ Euler) is L = I, R = A^T: r = s, stage j is block j, the full stage
 system.  Every sum over the stages runs left to right from 0.0, its
 weights h R_jl and h b_j set once per run.
 
-Implicit solves run fixed-point sweeps first and fall back to Newton with
-the exact polynomial Jacobian when the residual reduction stalls.  All
-stepping is float64, in plain Python floats through code generated from
-the exact polynomials, and every state is a tuple of floats.  One
-generated loop takes every step of a run, for both phases and every
-layout: the iterate and the state stay in local floats, and the
-predictor, the finite check, the residual, the stops, the switch to
-Newton, the Newton steps and the update run inline.  The map and the
-update are straight-line source, per system and float layout.  The Newton
-step, its matrix and its solve, is generated the first time a run
-switches to Newton.
+The default strategy solves each step by simplified Newton (Hairer and
+Wanner, Solving ODEs II, IV.8): z <- z + M^-1 (phi(z) - z) with the
+step-start matrix M = I - W (x) J_f(y), W_lm = h sum_j R_jl L_jm set once
+per run (h sum_j b_j c_j on the chord).  At the state y every stage sits
+at the predictor, so f and J_f are evaluated there once; M is formed and
+factored once per step, and the predictor is its first move.  A move
+contracts the residual by about as much as J_f changes across the step,
+not by h |J_f| as a plain sweep z <- phi(z) does.  When the residual
+scale * max|phi(z) - z| shrinks by less than _STALL_FACTOR in one move,
+the step switches to full Newton, which re-forms the matrix at each
+iterate from the exact polynomial Jacobian at the stages.  The
+"fixed-point" strategy moves by plain sweeps and never switches;
+"newton" takes full Newton steps from the first iteration after the
+predictor.  StepStats.iterations counts the map evaluations after the
+predictor, StepStats.newton_iterations the iterations that re-formed the
+matrix at the iterate.
+
+All stepping is float64, in plain Python floats through code generated
+from the exact polynomials, and every state is a tuple of floats.  One
+generated loop takes every step of a run, for every strategy and layout:
+the iterate and the state stay in local floats, and the predictor, the
+step-start matrix with its factors, the finite check, the residual, the
+stops, the switch to Newton, the moves and the update run inline.  The
+map and the update are straight-line source, per system and float layout.
+The Newton step, its matrix and its solve, is generated the first time a
+run switches to Newton.
 
 Every generated polynomial forms its powers by multiplication: each stage
 sets q{k}_2 = x_k * x_k, q{k}_e = q{k}_(e-1) * x_k once, for every power
@@ -38,9 +53,11 @@ predictor's included, and fails with a non-finite field value where the
 iterate is finite and a non-finite iterate where it is not; a converged
 step whose updated state is not finite fails too, at its own index.
 
-Every Newton step solves its linear system by Gaussian elimination with
-partial pivoting, straight-line source per unknown count from one
-generator (_elimination_lines).  Stepping imports no array library:
+Every matrix is factored by Gaussian elimination with partial pivoting,
+and every solve reuses its factors: straight-line source per unknown
+count from two generators (_factor_lines, _solve_lines).  A zero pivot
+fails the step as a singular Newton matrix, in the step-start matrix
+before the predictor moves.  Stepping imports no array library:
 IntegrationRun.energies, which returns an array, is the one place that
 does.  Nor does it import the tree module: a rank-one method steps on
 its rule's correctly rounded QuadRule.float_nodes, and avf_tableau and
@@ -55,6 +72,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -190,22 +208,29 @@ def _scalar_function(polys: Sequence[MultiPoly], nv: int) -> Callable:
     return _generate([f"def evaluate({', '.join(names)}):"] + ["    " + line for line in body], "evaluate", nv, 1)
 
 
+def _reads(p: MultiPoly) -> set:
+    """The indices of the variables that p reads."""
+    return {j for exps in p.terms for j, e in enumerate(exps) if e}
+
+
 def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets: Callable) -> list:
     """Lines that add up weighted values of polys at the s stages, stage by stage.
 
     Stage j is block j of src{..} for the identity layout (L None), else
     x = y + L_j0 * d_0 + L_j1 * d_1 + ... with the blocks d_l = src_l - y set
-    first; the powers of stage j are formed once (_power_lines) before its
-    values.  targets(j) lists the (weight, accumulators) stage j adds to:
+    first, both only for the coordinates that polys read; the powers of stage
+    j are formed once (_power_lines) before its values.  targets(j) lists
+    the (weight, accumulators) stage j adds to:
     accumulators[p] = accumulators[p] + weight * polys[p](stage j), the first
     term added to 0.0.  A value that more than one target adds is evaluated
     once, into g{p}.
     """
     r = len(L[0]) if L else 0
-    lines, started = [f"d{l * n + k} = {src}{l * n + k} - y{k}" for l in range(r) for k in range(n)], set()
+    read = sorted(set().union(*map(_reads, polys)))
+    lines, started = [f"d{l * n + k} = {src}{l * n + k} - y{k}" for l in range(r) for k in read], set()
     for j in range(s):
         if L:
-            lines += [f"x{k} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in range(n)]
+            lines += [f"x{k} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in read]
         names = [f"x{k}" if L else f"{src}{j * n + k}" for k in range(n)]
         lines += _power_lines(polys, names)
         values, adds = [f"({_poly_source(p, names)})" for p in polys], targets(j)
@@ -219,6 +244,24 @@ def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets
     return lines
 
 
+def _jacobian(sys: HamiltonianSystem) -> tuple:
+    """(J_f entries row-major, the indices of those that depend on the state, the others)."""
+    n, f = sys.dim, sys.vector_field()
+    jac = [f[k].partial(c) for k in range(n) for c in range(n)]
+    varying = [p for p, q in enumerate(jac) if _reads(q)]
+    return jac, varying, [p for p in range(n * n) if p not in varying]
+
+
+def _entry(n: int, l: int, m: int, p: int) -> str:
+    """The suffix i_j of the matrix entry ((l, k), (m, c)) on r blocks of n unknowns, p = k * n + c."""
+    return f"{l * n + p // n}_{m * n + p % n}"
+
+
+def _minus_identity(n: int, r: int, ps, a: str) -> list:
+    """Lines that subtract 1.0 from the diagonal entries {a}i_i among the J_f entries ps of every block."""
+    return [f"{a}{_entry(n, l, l, p)} = {a}{_entry(n, l, l, p)} - 1.0" for l in range(r) for p in ps if p % (n + 1) == 0]
+
+
 # the loop of a whole run: n_steps steps from the state tuple y, each solved
 # on the unknowns z0..z{n-1} with f0..f{n-1} the inlined map at z
 _RUN_SOURCE = """\
@@ -227,34 +270,43 @@ def {name}(newton_step):
         max_iterations = cfg.max_iterations
         tol = cfg.tolerance
         use_newton = cfg.strategy == "newton"
-        allow_newton = cfg.strategy != "fixed-point"
+        simplified = cfg.strategy == "fixed-point+newton"
         step = None
 {setup}
         for k in range(n_steps):
 {start}
+            if not ({finite}):
+                return "non-finite", k, 0, ({z},), None, inf
             res = prev_res = inf
             it = newton_iterations = 0
             newton = use_newton
             try:
-                for it in range(max_iterations + 1):
+                if simplified:
+{factor}
+{solve}
+                else:
+{advance}
+                for it in range(1, max_iterations + 1):
 {phi}
                     if not ({finite}):
                         return "non-finite", k, it, ({z},), None, inf
-                    if it:
 {largest}
-                        res = scale * m
-                        if res <= tol:
-                            break
-                        if newton:
-                            if step is None:
-                                step = newton_step()
-                            {z}, = step(y, h, ({z},), ({f},), res)
-                            newton_iterations += 1
-                            continue
-                        if allow_newton and res > {stall!r} * prev_res:
-                            newton = True
-                        prev_res = res
-{advance}
+                    res = scale * m
+                    if res <= tol:
+                        break
+                    if newton:
+                        if step is None:
+                            step = newton_step()(h)
+                        {z}, = step(y, ({z},), ({f},), res)
+                        newton_iterations += 1
+                        continue
+                    if simplified and res > {stall!r} * prev_res:
+                        newton = True
+                    prev_res = res
+                    if simplified:
+{solve_in_loop}
+                    else:
+{advance_in_loop}
                 else:
                     return "exhausted", k, it, ({z},), None, res
             except SolverError as e:
@@ -268,22 +320,26 @@ def {name}(newton_step):
     return run"""
 
 
-def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list) -> list:
+def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: list, phi: list, update: list) -> list:
     """Source of name(newton_step) -> run, the loop of a whole run on n unknowns.
 
     run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
     its StepStats; it returns None, or for the first failed step k
     (status, k, it, iterate, detail, residual), status "non-finite" (a map
     value at the iterate), "exhausted", "singular" with the SolverError of
-    a singular Newton matrix as detail, or "non-finite state" (the update,
-    with the converged iterate f).  The state is held in y0..y{d-1},
-    unpacked from y before setup, which runs once per run.  Each step sets
-    z{j*d+k} = y{k} for the n / d copies of the state; phi sets f to the
-    map at z, every value of which must be finite, and iteration 0 is the
-    predictor.  Fixed-point sweeps z = phi(z) follow while scale * max|phi(z) - z|
-    shrinks by _STALL_FACTOR, then (or from the start for "newton") Newton
-    steps z = newton_step()(y, h, z, f, res), the step looked up once per
-    run.
+    a singular matrix as detail, or "non-finite state" (the update, with
+    the converged iterate f).  The state is held in y0..y{d-1}, unpacked
+    from y before setup, which runs once per run.  Each step sets
+    z{j*d+k} = y{k} for the n / d copies of the state, then start sets f
+    to the map at z, the predictor, every value of which must be finite.
+    The default strategy then runs factor, which sets the locals a{i}_{j} to
+    the step-start matrix and factors it (_factor_lines), and moves every
+    iterate by z = z - dx with a dx = f - z (_solve_lines); the predictor is
+    the first such move.  The other strategies move by z = f.  Iteration
+    it >= 1 sets f to the map at z by phi; the moves go on while
+    scale * max|f - z| shrinks by _STALL_FACTOR, then (or from the start for
+    "newton") Newton steps z = newton_step()(h)(y, z, f, res) re-form the
+    matrix at z, the step looked up once per run.
     max|f - z| is spelled out as max() computes it: a later value replaces
     the first only when greater.  At convergence update sets y0..y{d-1}
     from f = phi(z), and y is packed from them once they are all finite.
@@ -294,6 +350,8 @@ def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list)
     largest = ["m = abs(f0 - z0)"]
     for k in range(1, n):
         largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
+    solve = _solve_lines(n) + [f"z{k} = z{k} - r{k}" for k in range(n)]
+    advance = [f"z{k} = f{k}" for k in range(n)]
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
@@ -303,12 +361,16 @@ def _run_source(name: str, n: int, d: int, setup: list, phi: list, update: list)
         z=z,
         f=f,
         setup=block([f"{ys}, = y"] + setup, 8),
-        start=block([f"z{j * d + k} = y{k}" for j in range(n // d) for k in range(d)], 12),
+        start=block([f"z{j * d + k} = y{k}" for j in range(n // d) for k in range(d)] + start, 12),
+        factor=block(factor + _factor_lines(n), 20),
+        solve=block(solve, 20),
+        advance=block(advance, 20),
         phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
-        largest=block(largest, 24),
+        largest=block(largest, 20),
         stall=_STALL_FACTOR,
-        advance=block([f"z{k} = f{k}" for k in range(n)], 20),
+        solve_in_loop=block(solve, 24),
+        advance_in_loop=block(advance, 24),
         update=block(update, 12),
         state_finite=" and ".join(f"isfinite(y{k})" for k in range(d)),
         ys=ys,
@@ -332,6 +394,18 @@ def _floats(hexes) -> list:
     return [float.fromhex(x) for x in hexes]
 
 
+def _step_start_weights(L, R) -> list:
+    """W_lm / h = sum_j R_jl L_jm as floats, from the float coefficients: the sum exact, rounded once.
+
+    The identity layout (L None) reads R_ml itself, which may be infinite.
+    """
+    r = len(R[0])
+    if L is None:
+        return [[R[m][l] for m in range(r)] for l in range(r)]
+    exact = lambda l, m: sum(Fraction(Rj[l]) * Fraction(Lj[m]) for Rj, Lj in zip(R, L))
+    return [[float(exact(l, m)) for m in range(r)] for l in range(r)]
+
+
 @lru_cache(maxsize=64)
 def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     """The run loop (_run_source) of the layout A = L R^T, on r blocks of d unknowns.
@@ -341,82 +415,124 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     R = b: the chord, one block of d unknowns for the endpoint.  Any other
     tableau is the identity layout, L None and R = A^T: stage j is block j
     itself, not y + 1.0 * (z_j - y), which rounds; the one-node rule at
-    c = 1 has L = I and steps on the chord.  L, R (s rows of r entries) and b come as float.hex strings (_hex), so the
-    loop is generated once per system and coefficient bits, and "avf" and
-    avf_tableau of one rule share it.  The weights v_jl = h * R_jl and
-    w_j = h * b_j are set once per run; the map sums v_jl * f(Y_j) over the
-    stages from 0.0 into block l and adds y (_stage_sums).  The new state is
-    y plus the same sum with the w_j at f = phi(z) of the converged iterate.
-    Newton steps are those of _newton.
+    c = 1 has L = I and steps on the chord.  L, R (s rows of r entries) and
+    b come as float.hex strings (_hex), so the loop is generated once per
+    system and coefficient bits, and "avf" and avf_tableau of one rule share
+    it.  The weights v_jl = h * R_jl, w_j = h * b_j and
+    W_lm = h * (sum_j R_jl L_jm) (_step_start_weights) are set once per run;
+    the map sums v_jl * f(Y_j) over the stages from 0.0 into block l and adds
+    y (_stage_sums).  At the predictor every stage is y, so f is evaluated
+    there once: block l is y + (0.0 + v_0l * f(y) + v_1l * f(y) + ...), the
+    bits the stage sums give.  The step-start matrix W (x) J_f(y) - I has
+    entry ((l, k), (m, c)) W_lm * J_kc(y), minus 1.0 on the diagonal; an
+    entry whose J_f entry does not depend on the state is set once per run.
+    The new state is y plus the sum of the w_j * f(Y_j) at f = phi(z) of the
+    converged iterate.  Newton steps are those of _newton.
     """
     n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
-    Lf = L and [_floats(row) for row in L]
-    setup = [f"v{j}_{l} = h * {w!r}" for j, row in enumerate(R) for l, w in enumerate(_floats(row))]
+    Lf, Rf = L and [_floats(row) for row in L], [_floats(row) for row in R]
+    jac, varying, fixed = _jacobian(sys)
+    W = _step_start_weights(Lf, Rf)
+    blocks, ys = [(l, m) for l in range(r) for m in range(r)], [f"y{k}" for k in range(n)]
+    setup = [f"v{j}_{l} = h * {w!r}" for j, row in enumerate(Rf) for l, w in enumerate(row)]
     setup += [f"w{j} = h * {w!r}" for j, w in enumerate(_floats(b))]
-    blocks = lambda l: [f"a{l * n + k}" for k in range(n)]
-    phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", blocks(l)) for l in range(r)])
+    setup += [f"W{l}_{m} = h * {W[l][m]!r}" for l, m in blocks]
+    setup += [f"e{_entry(n, l, m, p)} = W{l}_{m} * ({_poly_source(jac[p], ys)})" for l, m in blocks for p in fixed]
+    setup += _minus_identity(n, r, fixed, "e")
+    start = _power_lines(f, ys) + [f"g{k} = {_poly_source(p, ys)}" for k, p in enumerate(f)]
+    at_y = lambda l, k: "".join(f" + v{j}_{l} * g{k}" for j in range(s))
+    start += [f"f{l * n + k} = y{k} + (0.0{at_y(l, k)})" for l in range(r) for k in range(n)]
+    factor = [f"j{p} = {_poly_source(jac[p], ys)}" for p in varying]
+    factor += [f"a{_entry(n, l, m, p)} = W{l}_{m} * j{p}" for l, m in blocks for p in varying]
+    factor += _minus_identity(n, r, varying, "a")
+    factor += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l, m in blocks for p in fixed]
+    entries = lambda l: [f"a{l * n + k}" for k in range(n)]
+    phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", entries(l)) for l in range(r)])
     phi += [f"f{l * n + k} = y{k} + a{l * n + k}" for l in range(r) for k in range(n)]
-    update = _stage_sums(f, Lf, n, s, "f", lambda j: [(f"w{j}", blocks(0))])
+    update = _stage_sums(f, Lf, n, s, "f", lambda j: [(f"w{j}", entries(0))])
     update += [f"y{k} = y{k} + a{k}" for k in range(n)]
     name = "chord" if L else "stages"
-    source = _run_source(name, r * n, n, setup, phi, update)
+    source = _run_source(name, r * n, n, setup, start, factor, phi, update)
     return _generate(source, name, r * n, s)(partial(_newton, sys, L, R))
 
 
-def _elimination_lines(n: int) -> list:
-    """Lines that return z - dx, with a @ dx = f - z, from the locals a{i}_{j}, z{k}, f{k}, res.
+def _factor_lines(n: int) -> list:
+    """Lines that factor the locals a{i}_{j} in place by Gaussian elimination with partial pivoting.
 
-    Straight-line Gaussian elimination with partial pivoting on r = f - z:
-    column k pivots on the first row i >= k with the largest |a_ik|
-    (LAPACK's tie rule), swapped into row k; each row i below it takes
-    l = a_ik / a_kk, a_ij = a_ij - l * a_kj for j > k and r_i = r_i - l * r_k.
-    Back-substitution sets r_k = (r_k - a_k,k+1 * r_k+1 - ...) / a_kk from the
-    last row up, and dx = r.  An exactly zero pivot raises SolverError
-    "Newton matrix is singular: zero pivot in column k" at iterate z.
+    Column k pivots on the first row i >= k with the largest |a_ik|
+    (LAPACK's tie rule), p{k} = i, swapped into row k in columns k..n-1; each
+    row i below it takes the multiplier a_ik = a_ik / a_kk, stored in place,
+    and a_ij = a_ij - a_ik * a_kj for j > k.  An exactly zero pivot raises
+    SolverError "Newton matrix is singular: zero pivot in column k" at
+    iterate z{..} with residual res.
     """
     z = ", ".join(f"z{k}" for k in range(n))
-    lines = [f"r{k} = f{k} - z{k}" for k in range(n)]
+    lines = []
     for k in range(n):
-        row = lambda i: ", ".join([f"a{i}_{j}" for j in range(k, n)] + [f"r{i}"])
-        lines += [f"m = abs(a{k}_{k})", f"p = {k}"] if k < n - 1 else []
+        row = lambda i: ", ".join(f"a{i}_{j}" for j in range(k, n))
+        lines += [f"m = abs(a{k}_{k})", f"p{k} = {k}"] if k < n - 1 else []
         for i in range(k + 1, n):
-            lines += [f"t = abs(a{i}_{k})", "if t > m:", "    m = t", f"    p = {i}"]
+            lines += [f"t = abs(a{i}_{k})", "if t > m:", "    m = t", f"    p{k} = {i}"]
         for i in range(k + 1, n):
-            swap = f"{row(k)}, {row(i)} = {row(i)}, {row(k)}"
-            lines += [f"{'el' * (i > k + 1)}if p == {i}:", f"    {swap}"]
+            lines += [f"{'el' * (i > k + 1)}if p{k} == {i}:", f"    {row(k)}, {row(i)} = {row(i)}, {row(k)}"]
         message = f"Newton matrix is singular: zero pivot in column {k}"
         lines += [f"if not a{k}_{k}:", f"    raise SolverError({message!r}, iterate=({z},), residual=res)"]
         for i in range(k + 1, n):
-            lines += [f"l = a{i}_{k} / a{k}_{k}", f"r{i} = r{i} - l * r{k}"]
-            lines += [f"a{i}_{j} = a{i}_{j} - l * a{k}_{j}" for j in range(k + 1, n)]
+            lines += [f"a{i}_{k} = a{i}_{k} / a{k}_{k}"]
+            lines += [f"a{i}_{j} = a{i}_{j} - a{i}_{k} * a{k}_{j}" for j in range(k + 1, n)]
+    return lines
+
+
+def _solve_lines(n: int) -> list:
+    """Lines that set r{k} to dx, with a @ dx = f - z, from the factors and pivots of _factor_lines.
+
+    r = f - z takes the row swaps and the multipliers column by column,
+    r_k and r_p{k} swapped before r_i = r_i - a_ik * r_k for each row i > k:
+    the operations of elimination on the augmented matrix.
+    Back-substitution sets r_k = (r_k - a_k,k+1 * r_k+1 - ...) / a_kk from the
+    last row up.
+    """
+    lines = [f"r{k} = f{k} - z{k}" for k in range(n)]
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            lines += [f"{'el' * (i > k + 1)}if p{k} == {i}:", f"    r{k}, r{i} = r{i}, r{k}"]
+        lines += [f"r{i} = r{i} - a{i}_{k} * r{k}" for i in range(k + 1, n)]
     for k in reversed(range(n)):
         terms = "".join(f" - a{k}_{j} * r{j}" for j in range(k + 1, n))
         lines += [f"r{k} = (r{k}{terms}) / a{k}_{k}"]
-    return lines + [f"return ({', '.join(f'z{k} - r{k}' for k in range(n))},)"]
+    return lines
 
 
 @lru_cache(maxsize=64)
 def _newton(sys: HamiltonianSystem, L, R: tuple) -> Callable:
-    """newton(y, h, z, f, res) -> z - dx, with (M - I) dx = f - z on the unknowns of _run's layout.
+    """newton(h) -> step(y, z, f, res) = z - dx, with (M - I) dx = f - z on the unknowns of _run's layout.
 
     Entry ((l, k), (m, c)) of M is sum_j (h R_jl L_jm) J_f(Y_j)_kc over the
     stages, from 0.0; in the identity layout only stage j = m adds to it.
-    Generated on the first switch to Newton for the system and layout: the
-    weights, J_f at the stages (_stage_sums), minus 1.0 on the diagonal, then
-    the elimination of _elimination_lines.
+    Generated on the first switch to Newton for the system and layout.
+    newton(h) sets the weights u_jlm = h R_jl L_jm, and every entry of
+    M - I whose J_f entry does not depend on the state, once per run; step
+    forms the others from J_f at the stages (_stage_sums), only at the
+    coordinates and powers they read, minus 1.0 on the diagonal, then factors
+    (_factor_lines) and solves (_solve_lines).
     """
-    n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
+    n, s, r = sys.dim, len(R), len(R[0])
     L, R = L and [_floats(row) for row in L], [_floats(row) for row in R]
-    jac = [f[k].partial(c) for k in range(n) for c in range(n)]
+    jac, varying, fixed = _jacobian(sys)
     terms = lambda j: [(l, m) for l in range(r) for m in (range(r) if L else (j,))]  # the (l, m) stage j adds to
-    lines = [f"{', '.join(f'{a}{k}' for k in range(m))}, = {a}" for a, m in (("y", n), ("z", r * n), ("f", r * n))]
-    for j in range(s):
-        lines += [f"u{j}_{l}_{m} = h * {R[j][l]!r}" + (f" * {L[j][m]!r}" if L else "") for l, m in terms(j)]
-    entries = lambda l, m: [f"a{l * n + k}_{m * n + c}" for k in range(n) for c in range(n)]
-    lines += _stage_sums(jac, L, n, s, "z", lambda j: [(f"u{j}_{l}_{m}", entries(l, m)) for l, m in terms(j)])
-    lines += [f"a{i}_{i} = a{i}_{i} - 1.0" for i in range(r * n)]
-    lines = ["def newton(y, h, z, f, res):"] + ["    " + line for line in lines + _elimination_lines(r * n)]
-    return _generate(lines, "newton", r * n, s)
+
+    def sums(ps, a):
+        at = lambda j: [(f"u{j}_{l}_{m}", [a + _entry(n, l, m, p) for p in ps]) for l, m in terms(j)]
+        return _stage_sums([jac[p] for p in ps], L, n, s, "z", at) + _minus_identity(n, r, ps, a)
+
+    outer = [f"u{j}_{l}_{m} = h * {R[j][l]!r}" + (f" * {L[j][m]!r}" if L else "") for j in range(s) for l, m in terms(j)]
+    outer += sums(fixed, "e")
+    inner = [f"{', '.join(f'{a}{k}' for k in range(m))}, = {a}" for a, m in (("y", n), ("z", r * n), ("f", r * n))]
+    inner += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l in range(r) for m in range(r) for p in fixed]
+    inner += sums(varying, "a") + _factor_lines(r * n) + _solve_lines(r * n)
+    inner += [f"return ({', '.join(f'z{k} - r{k}' for k in range(r * n))},)"]
+    body = outer + ["def step(y, z, f, res):"] + ["    " + line for line in inner] + ["return step"]
+    return _generate(["def newton(h):"] + ["    " + line for line in body], "newton", r * n, s)
 
 
 @lru_cache(maxsize=64)
@@ -562,11 +678,11 @@ class IntegrationRun:
     """Trajectory record: times, states, per-step solver stats.
 
     Each state is a tuple of floats, stored as given.  Energies are
-    recomputed from the stored states on access, never carried through the
-    solve; an H that is not finite in float64 reads inf.
+    computed from the stored states on first access, once, never carried
+    through the solve; an H that is not finite in float64 reads inf.
     """
 
-    __slots__ = ("system", "times", "states", "solver_stats")
+    __slots__ = ("system", "times", "states", "solver_stats", "_energies")
 
     def __init__(self, system, times, states, solver_stats):
         if not (len(times) == len(states) == len(solver_stats) + 1):
@@ -575,10 +691,14 @@ class IntegrationRun:
         self.times = tuple(times)
         self.states = tuple(states)
         self.solver_stats = tuple(solver_stats)
+        self._energies = None
 
     def _energy_list(self) -> list:
-        H = _energy(self.system)
-        return [e if math.isfinite(e) else math.inf for e in (H(*y)[0] for y in self.states)]
+        """H at every state as floats, evaluated on the first call and kept; callers do not modify it."""
+        if self._energies is None:
+            H = _energy(self.system)
+            self._energies = [e if math.isfinite(e) else math.inf for e in (H(*y)[0] for y in self.states)]
+        return self._energies
 
     @property
     def energies(self):

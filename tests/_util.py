@@ -331,7 +331,7 @@ def reference_asym_bush_residual(A, rule, q: int):
 
 
 def reference_newton_step(matrix, x, fx, res) -> list:
-    """x - dx with matrix @ dx = fx - x, in the float operations integrators._elimination_lines documents.
+    """x - dx with matrix @ dx = fx - x, in the float operations integrators._factor_lines and _solve_lines document.
 
     Gaussian elimination with partial pivoting on r = fx - x: the pivot of
     column k is the first row with the largest |a_ik| at or below k, swapped
@@ -364,22 +364,25 @@ def reference_newton_step(matrix, x, fx, res) -> list:
     return list(map(sub, x, r))
 
 
-def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1.0):
-    """integrators._implicit_solve as it was before the chord sweeps were generated.
+def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: float = 1.0):
+    """The solve of one step, in the float operations of the generated run loop.
 
     Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
 
     x is the start of the step for every unknown; phi(x) is then the Euler
-    predictor.  Fixed-point sweeps run while the residual shrinks by
-    _STALL_FACTOR per iteration; otherwise Newton on F(x) = phi(x) - x,
-    where newton(x) is its matrix Jphi(x) - I with the identity already
-    subtracted.  A non-finite value of phi, the predictor included, ends
-    the solve with SolverError, naming a non-finite field value at a finite
-    x and a non-finite iterate otherwise; so does a singular Newton matrix.
-    Returns (solution, StepStats).
+    predictor.  The default strategy moves x by the simplified Newton step
+    on the step-start matrix start, W (x) J_f(y) - I as rows, the predictor
+    first, while the residual shrinks by _STALL_FACTOR per iteration;
+    "fixed-point" moves x to phi(x).  Otherwise, and from the start for
+    "newton", Newton on F(x) = phi(x) - x, where newton(x) is its matrix
+    Jphi(x) - I with the identity already subtracted.  A non-finite value
+    of phi, the predictor included, ends the solve with SolverError, naming
+    a non-finite field value at a finite x and a non-finite iterate
+    otherwise; so does a singular matrix, the step-start one at the
+    predictor with residual inf.  Returns (solution, StepStats).
     """
     use_newton = cfg.strategy == "newton"
-    allow_newton = cfg.strategy != "fixed-point"
+    simplified = cfg.strategy == "fixed-point+newton"
     prev_res = res = math.inf
     newton_iters = 0
     for it in range(cfg.max_iterations + 1):
@@ -387,18 +390,16 @@ def reference_implicit_solve(x, phi, newton, cfg: SolverConfig, scale: float = 1
         if not all(map(math.isfinite, fx)):
             what = "field value" if all(map(math.isfinite, x)) else "iterate"
             raise SolverError(f"non-finite {what} at iteration {it}", iterate=tuple(x), residual=math.inf)
-        if not it:
-            x = fx
-            continue
-        res = scale * max(map(abs, map(sub, fx, x)))
-        if res <= cfg.tolerance:
-            return fx, StepStats(it, newton_iters, res)
-        if use_newton:
+        if it:
+            res = scale * max(map(abs, map(sub, fx, x)))
+            if res <= cfg.tolerance:
+                return fx, StepStats(it, newton_iters, res)
+        if use_newton and it:
             x = reference_newton_step(newton(x), x, fx, res)
             newton_iters += 1
         else:
-            x = fx
-            if allow_newton and res > _STALL_FACTOR * prev_res:
+            x = reference_newton_step(start, x, fx, res) if simplified else fx
+            if simplified and res > _STALL_FACTOR * prev_res:
                 use_newton = True
         prev_res = res
     raise SolverError(

@@ -380,6 +380,21 @@ class TestIntegrate:
         assert lines[0] == "t,y_1,y_2,H,newton_iters"
         assert len(lines) == 1002  # header plus initial state plus 1000 steps
 
+    def test_energy_evaluated_once_per_state(self, capsys, quartic_file, tmp_path, monkeypatch):
+        # the finite check, the drift and the CSV all read the run's one list of energies
+        from avfrk import integrators
+
+        points, energy = [], integrators._energy
+
+        def counted(sys_):
+            H = energy(sys_)
+            return lambda *y: points.append(y) or H(*y)
+
+        monkeypatch.setattr(integrators, "_energy", counted)
+        argv = ["integrate", quartic_file, "--y0", "1.0,0.5", "--h", "0.05", "--steps", "50"]
+        code, doc = run_json(capsys, argv + ["--output", str(tmp_path / "run.csv")])
+        assert code == 0 and len(points) == 51 and len(set(points)) == 51
+
     def test_rank_one_tableau_method(self, capsys, quartic_file):
         code, doc = run_json(
             capsys,
@@ -540,8 +555,9 @@ assert "numpy" not in sys.modules, "import avfrk"
 from avfrk.cli import main
 
 ham, saddle = sys.argv[1], sys.argv[2]
-run = ["integrate", ham, "--y0", "0.3,0.2", "--steps", "200"]
+run = ["integrate", ham, "--steps", "200"]
 newton_totals = []
+# from (2, 0.5) at h = 1.5 the step-start matrix's sweeps stall and switch to Newton
 for argv in (
     ["quad", "--s", "3", "--zeta", "1/2"],
     ["tableau", "--s", "3"],
@@ -549,9 +565,9 @@ for argv in (
     ["rank", "--s", "4"],
     ["uniqueness", "--s", "3"],
     ["order", ham, "--y0", "0.3,0.2", "--t-end", "1.0", "--hs", "0.1,0.05,0.025"],
-    run + ["--h", "0.05"],
-    run + ["--h", "1.5"],
-    run + ["--h", "1.5", "--method", "midpoint"],
+    run + ["--y0", "0.3,0.2", "--h", "0.05"],
+    run + ["--y0", "2,0.5", "--h", "1.5"],
+    run + ["--y0", "2,0.5", "--h", "1.5", "--method", "midpoint"],
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

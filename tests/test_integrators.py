@@ -16,12 +16,13 @@ from avfrk.integrators import (
     SolverConfig,
     SolverError,
     StepStats,
-    _elimination_lines,
+    _factor_lines,
     _newton,
     _resolve_stepper,
     _rule_layout,
     _run,
     _scalar_function,
+    _solve_lines,
     avf_step,
     avf_tableau,
     convergence_errors,
@@ -202,6 +203,67 @@ class TestIntegrate:
         assert all(st.newton_iterations >= 1 for st in run.solver_stats)
 
 
+class TestStepStartMatrix:
+    """The default strategy moves every iterate by the simplified Newton step
+    on W (x) J_f(y) - I, factored once at the start of the step."""
+
+    def test_criterion_7_iterations_per_step(self):
+        # the criterion-7 generator at h = 0.05: at most 5 map evaluations after the predictor,
+        # where plain fixed-point sweeps take 8, and no switch to Newton
+        rng = random.Random(74207)
+        for case in range(20):
+            degree = 3 + case % 4
+            sys_ = random_system(rng, 1 + case // 10, degree)
+            y0 = [rng.randint(10, 45) / 100 for _ in range(sys_.dim)]
+            for method in ["avf", avf_tableau(_rule(math.ceil(degree / 2), F(0)))]:
+                stats = integrate(sys_, method, y0, 0.05, 300).solver_stats
+                assert max(st.iterations for st in stats) <= 5, case
+                assert not any(st.newton_iterations for st in stats), case
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        half_dim=st.integers(1, 2),
+        degree=st.integers(2, 6),
+        method=st.sampled_from(["avf", "midpoint", "rule", "stages"]),
+        s=st.integers(1, 3),
+        amplitude=st.floats(0.1, 10.0),
+        h=st.floats(1e-3, 0.1) | st.floats(-0.1, -1e-3),
+    )
+    def test_strategies_agree_where_all_complete(self, seed, half_dim, degree, method, s, amplitude, h):
+        # rank-one tableaux, on the chord and on the stage path; a random stage matrix at
+        # amplitude 10 can have several solutions near the state, which the strategies pick apart
+        rng = random.Random(seed)
+        sys_ = _perturbed_well(rng, half_dim, degree)
+        if method in ("rule", "stages"):
+            tab = avf_tableau(_rule(s, F(0)))
+            method = tab if method == "rule" else ButcherTableau(tab.A, tab.b, tab.c)
+        y0 = [amplitude * rng.uniform(-1, 1) for _ in range(sys_.dim)]
+        finals = []
+        for strategy in ["fixed-point+newton", "fixed-point", "newton"]:
+            try:
+                finals.append(integrate(sys_, method, y0, h, 5, SolverConfig(strategy=strategy)).states[-1])
+            except SolverError:
+                return
+        bound = 1e-12 * max(1.0, *map(abs, finals[0]))
+        for y in finals[1:]:
+            assert max(abs(a - b) for a, b in zip(y, finals[0])) <= bound
+
+    @pytest.mark.parametrize("method", ["avf", "stages"])
+    def test_singular_matrix_fails_at_its_step(self, method):
+        # f = (p, q) and h = 2 make W J_f - I exactly singular at every state; the step-start
+        # matrix is factored before the predictor moves, at the state, with no residual yet
+        if method == "stages":
+            mid = midpoint_tableau()
+            method = ButcherTableau(mid.A, mid.b, mid.c)
+        with pytest.raises(SolverError) as exc_info:
+            integrate(SADDLE, method, [1.0, 0.0], 2.0, 3)
+        err = exc_info.value
+        assert err.step_index == 0
+        assert str(err) == "step 0: Newton matrix is singular: zero pivot in column 1"
+        assert err.iterate == (1.0, 0.0) and err.residual == math.inf
+
+
 class TestChordMatchesStages:
     """Rank-one tableaux solve on the chord; the same A, b, c without the
     rule take the full stage system, which is the reference here."""
@@ -263,6 +325,16 @@ def _node_loop(sys_, rule, y, h):
     return phi, newton
 
 
+def _start_matrix(sys_, W, y):
+    """The step-start matrix W (x) J_f(y) - I as rows, entry ((l, k), (m, c)) W_lm * J_kc(y), as the run loop forms it."""
+    n, r, J = sys_.dim, len(W), _scalar_field(sys_)[1](*y)
+    return [
+        [W[l][m] * J[k * n + c] - (l == m and k == c) for m in range(r) for c in range(n)]
+        for l in range(r)
+        for k in range(n)
+    ]
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -317,7 +389,7 @@ class TestGeneratedChord:
         else:
             assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
         fz = phi(z)
-        step = _newton(sys_, L, R)(tuple(y), h, tuple(z), tuple(fz), 0.5)
+        step = _newton(sys_, L, R)(h)(tuple(y), tuple(z), tuple(fz), 0.5)
         assert _bits(step) == _bits(reference_newton_step(newton(z), z, fz, 0.5))
 
     def test_avf_and_tableau_share_one_chord_map(self):
@@ -418,8 +490,9 @@ class TestPowerChains:
         src = _generated(monkeypatch, lambda: integrate(sys_, method, [0.2, 0.1, 0.3, 0.1], 0.05, 2, cfg).energies)
         loop = "chord" if method == "avf" else "stages"
         assert sorted(src) == sorted([loop, "newton", "evaluate"])
-        # the map and the update of the loop each visit every stage once
-        for name, polys, times in ((loop, f, 2 * s), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
+        # the map and the update of the loop each visit every stage once, and the step start
+        # forms the powers of the state once for f and J_f there
+        for name, polys, times in ((loop, f, 2 * s + 1), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
             lines = src[name]
             assert not any("**" in line for line in lines), name
             assigned = [line.split(" = ")[0].strip() for line in lines if line.lstrip().startswith("q")]
@@ -466,11 +539,12 @@ class TestPowerChains:
 
 @lru_cache(maxsize=None)
 def _solve(n):
-    """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by the lines of _elimination_lines(n)."""
+    """solve(rows, z, f, res) -> z - dx with rows @ dx = f - z, by the lines of _factor_lines(n) and _solve_lines(n)."""
     rows = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(n))})" for i in range(n))
     lines = ["def solve(rows, z, f, res):", f"    {rows}, = rows"]
     lines += [f"    {', '.join(f'{a}{k}' for k in range(n))}, = {a}" for a in "zf"]
-    lines += ["    " + line for line in _elimination_lines(n)]
+    lines += ["    " + line for line in _factor_lines(n) + _solve_lines(n)]
+    lines += [f"    return ({', '.join(f'z{k} - r{k}' for k in range(n))},)"]
     return integrators._generate(lines, "solve", n, 0)
 
 
@@ -582,7 +656,8 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
             for a in range(n)
         ]
 
-    sol, stats = reference_implicit_solve(y * s, phi, newton, cfg)
+    W = [[h * a for a in row] for row in A]
+    sol, stats = reference_implicit_solve(y * s, phi, newton, _start_matrix(sys_, W, y), cfg)
     return reference_update(update(b, at_stages(f, sol)), sol, stats)
 
 
@@ -601,7 +676,8 @@ def _interpreted_step(sys_, method, y, h, cfg):
     else:
         return _interpreted_stage_step(sys_, method, y, h, cfg)
     phi, newton = _node_loop(sys_, rule, y, h)
-    z, stats = reference_implicit_solve(y, phi, newton, cfg, scale)
+    W = [[h * float(sum(F(c) * F(b) for c, b in rule.float_nodes))]]
+    z, stats = reference_implicit_solve(y, phi, newton, _start_matrix(sys_, W, y), cfg, scale)
     return reference_update(phi(z), z, stats)
 
 
@@ -621,7 +697,7 @@ def _reference_outcome(sys_, method, y0, h, n, cfg):
     ]
 
 
-# step sizes and whether the harmonic oscillator's solve switches to Newton at them
+# step sizes and whether the double well's midpoint solve from (0.5, 1) switches to Newton at them
 STALL_CASES = [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)]
 SADDLE = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2)})  # f = (p, q)
 SADDLE_40 = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2), (40, 0): F(1, 10**6)})
@@ -689,17 +765,19 @@ class TestGeneratedSweeps:
 
     @pytest.mark.parametrize(
         "method, h, switches",
-        [pytest.param("avf", h, sw, id=f"{h}-{sw}") for h, sw in STALL_CASES]
+        [pytest.param("midpoint", h, sw, id=f"{h}-{sw}") for h, sw in STALL_CASES]
         + [pytest.param("stages", h, sw, id=f"stages-{h}-{sw}") for h, sw in STALL_CASES],
     )
     def test_stall_switch_matches_interpreted_solve(self, method, h, switches):
-        # the midpoint sweep on the harmonic oscillator contracts by |h|/2 per iteration, and
-        # so does the stage sweep of this tableau, whose two stages stay equal
+        # the sweep on the step-start matrix contracts by as much as J_f changes across the step:
+        # from (0.5, 1) on the double well, some midpoint step at |h| = 1.1 shrinks its residual
+        # by less than half and switches, and none at |h| = 0.9 does; so does the stage sweep of
+        # this tableau, whose two stages stay equal
         if method == "stages":
             method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5])
         cfg = SolverConfig()
-        got = _outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
-        assert got == _reference_outcome(HARMONIC, method, [1.0, 0.5], h, 3, cfg)
+        got = _outcome(DOUBLE_WELL, method, [0.5, 1.0], h, 3, cfg)
+        assert got == _reference_outcome(DOUBLE_WELL, method, [0.5, 1.0], h, 3, cfg)
         assert any(newton for _, newton, _ in got[1]) == switches
 
     def test_stage_loop_generated_once_per_tableau(self, caplog):
@@ -767,9 +845,9 @@ class TestWholeRun:
     @pytest.mark.parametrize(
         "method, k, iterate, residual",
         [
-            ("avf", 6, ("-0x1.1984654a963e8p+4", "-0x1.b5ce9fec272e1p+8"), "0x1.0000000000000p-43"),
-            ("midpoint", 8, ("-0x1.e8a5594fe98bcp+6", "-0x1.866fa68fa7168p+12"), "0x1.0000000000000p-41"),
-            ((2, F(0)), 6, ("-0x1.1984654a963e8p+4", "-0x1.b5ce9fec272e1p+8"), "0x1.93cd3a2c8198ep-44"),
+            ("avf", 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272dfp+8"), "0x1.0000000000000p-44"),
+            ("midpoint", 7, ("0x1.091ecd7c71654p+6", "0x1.35c4b4df9556bp+11"), "0x1.2000000000000p-39"),
+            ((2, F(0)), 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272dfp+8"), "0x1.93cd3a2c8198ep-45"),
         ],
     )
     def test_late_failure_carries_its_step(self, method, k, iterate, residual):
