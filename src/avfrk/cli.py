@@ -333,6 +333,7 @@ def cmd_integrate(args) -> int:
         "max_energy_drift": run.max_energy_drift(),
         "iterations_total": sum(s.iterations for s in stats),
         "newton_iterations_total": sum(s.newton_iterations for s in stats),
+        "newton_steps": sum(1 for s in stats if s.newton_iterations),
         "max_step_residual": max(s.residual for s in stats),
     }
     if args.output:

@@ -25,15 +25,21 @@ per run (h sum_j b_j c_j on the chord).  At the state y every stage sits
 at the predictor, so f and J_f are evaluated there once; M is formed and
 factored once per step, and the predictor is its first move.  A move
 contracts the residual by about as much as J_f changes across the step,
-not by h |J_f| as a plain sweep z <- phi(z) does.  When the residual
-scale * max|phi(z) - z| shrinks by less than _STALL_FACTOR in one move,
-the step switches to full Newton, which re-forms the matrix at each
-iterate from the exact polynomial Jacobian at the stages.  The
-"fixed-point" strategy moves by plain sweeps and never switches;
-"newton" takes full Newton steps from the first iteration after the
-predictor.  StepStats.iterations counts the map evaluations after the
-predictor, StepStats.newton_iterations the iterations that re-formed the
-matrix at the iterate.
+not by h |J_f| as a plain sweep z <- phi(z) does.  Each move is judged
+by its observed rate theta = res / prev_res of the residual
+res = scale * max|phi(z) - z|: unless two more moves at that rate would
+reach the tolerance, res * theta * theta <= tol, the step switches to
+full Newton, which re-forms the matrix at each iterate from the exact
+polynomial Jacobian at the stages.  The "fixed-point" strategy moves by
+plain sweeps and never switches; "newton" takes full Newton steps from
+the first iteration after the predictor.  StepStats.iterations counts the
+map evaluations after the predictor, StepStats.newton_iterations the
+iterations that re-formed the matrix at the iterate.
+
+The new state is y + h sum_j b_j f(Y_j) at the stages of the iterate that
+passed the stop, so a converged step evaluates nothing more: on the chord
+that sum is phi(z) itself, the map value the stop just read, and with
+L = I the map's stage pass adds it beside the blocks.
 
 All stepping is float64, in plain Python floats through code generated
 from the exact polynomials, and every state is a tuple of floats.  One
@@ -50,8 +56,9 @@ sets q{k}_2 = x_k * x_k, q{k}_e = q{k}_(e-1) * x_k once, for every power
 its polynomials need, and no source calls pow.  Float products never
 raise; they overflow to inf.  So the loop checks every map value, the
 predictor's included, and fails with a non-finite field value where the
-iterate is finite and a non-finite iterate where it is not; a converged
-step whose updated state is not finite fails too, at its own index.
+iterate is finite and a non-finite iterate where it is not.  With L = I a
+converged step whose updated state is not finite fails too, at its own
+index; on the chord the state is a map value, finite already.
 
 Every matrix is factored by Gaussian elimination with partial pivoting,
 and every solve reuses its factors: straight-line source per unknown
@@ -101,9 +108,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _STRATEGIES = ("fixed-point+newton", "fixed-point", "newton")
-
-# residual must shrink by at least this factor per sweep or we switch to Newton
-_STALL_FACTOR = 0.5
 
 # most steps one convergence_errors scan may take, its reference run included;
 # the scans in the tests and the benchmark take a few thousand
@@ -300,10 +304,11 @@ def {name}(newton_step):
                         {z}, = step(y, ({z},), ({f},), res)
                         newton_iterations += 1
                         continue
-                    if simplified and res > {stall!r} * prev_res:
-                        newton = True
-                    prev_res = res
                     if simplified:
+                        theta = res / prev_res
+                        if res * theta * theta > tol:
+                            newton = True
+                        prev_res = res
 {solve_in_loop}
                     else:
 {advance_in_loop}
@@ -312,15 +317,13 @@ def {name}(newton_step):
             except SolverError as e:
                 return "singular", k, it, e.iterate, e, e.residual
 {update}
-            if not ({state_finite}):
-                return "non-finite state", k, it, ({f},), None, res
             y = ({ys},)
             states.append(y)
             stats.append(StepStats(it, newton_iterations, res))
     return run"""
 
 
-def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: list, phi: list, update: list) -> list:
+def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: list, phi: list, update) -> list:
     """Source of name(newton_step) -> run, the loop of a whole run on n unknowns.
 
     run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
@@ -328,7 +331,7 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: lis
     (status, k, it, iterate, detail, residual), status "non-finite" (a map
     value at the iterate), "exhausted", "singular" with the SolverError of
     a singular matrix as detail, or "non-finite state" (the update, with
-    the converged iterate f).  The state is held in y0..y{d-1}, unpacked
+    the converged map value f).  The state is held in y0..y{d-1}, unpacked
     from y before setup, which runs once per run.  Each step sets
     z{j*d+k} = y{k} for the n / d copies of the state, then start sets f
     to the map at z, the predictor, every value of which must be finite.
@@ -336,17 +339,26 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: lis
     the step-start matrix and factors it (_factor_lines), and moves every
     iterate by z = z - dx with a dx = f - z (_solve_lines); the predictor is
     the first such move.  The other strategies move by z = f.  Iteration
-    it >= 1 sets f to the map at z by phi; the moves go on while
-    scale * max|f - z| shrinks by _STALL_FACTOR, then (or from the start for
+    it >= 1 sets f to the map at z by phi, and res = scale * max|f - z|.
+    The default strategy's moves go on while two more at the observed rate
+    theta = res / prev_res would reach the tolerance, res * theta * theta
+    <= tol (theta is 0 after the first); then (or from the start for
     "newton") Newton steps z = newton_step()(h)(y, z, f, res) re-form the
     matrix at z, the step looked up once per run.
     max|f - z| is spelled out as max() computes it: a later value replaces
-    the first only when greater.  At convergence update sets y0..y{d-1}
-    from f = phi(z), and y is packed from them once they are all finite.
-    The lines passed in come unindented.
+    the first only when greater.  At convergence update, lines that read
+    phi's pass at the iterate z that passed the stop, sets y0..y{d-1}, and
+    y is packed from them once they are all finite; update None takes the
+    state from f itself, finite already.  The lines passed in come
+    unindented.
     """
     z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
     ys = ", ".join(f"y{k}" for k in range(d))
+    if update is None:
+        update = [f"y{k} = f{k}" for k in range(d)]
+    else:
+        update = update + [f"if not ({' and '.join(f'isfinite(y{k})' for k in range(d))}):"]
+        update += [f'    return "non-finite state", k, it, ({f},), None, res']
     largest = ["m = abs(f0 - z0)"]
     for k in range(1, n):
         largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
@@ -368,11 +380,9 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: lis
         phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
         largest=block(largest, 20),
-        stall=_STALL_FACTOR,
         solve_in_loop=block(solve, 24),
         advance_in_loop=block(advance, 24),
         update=block(update, 12),
-        state_finite=" and ".join(f"isfinite(y{k})" for k in range(d)),
         ys=ys,
     ).split("\n")
 
@@ -418,16 +428,20 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     c = 1 has L = I and steps on the chord.  L, R (s rows of r entries) and
     b come as float.hex strings (_hex), so the loop is generated once per
     system and coefficient bits, and "avf" and avf_tableau of one rule share
-    it.  The weights v_jl = h * R_jl, w_j = h * b_j and
-    W_lm = h * (sum_j R_jl L_jm) (_step_start_weights) are set once per run;
+    it.  The weights v_jl = h * R_jl, W_lm = h * (sum_j R_jl L_jm)
+    (_step_start_weights) and, with L None, w_j = h * b_j are set once per run;
     the map sums v_jl * f(Y_j) over the stages from 0.0 into block l and adds
     y (_stage_sums).  At the predictor every stage is y, so f is evaluated
     there once: block l is y + (0.0 + v_0l * f(y) + v_1l * f(y) + ...), the
     bits the stage sums give.  The step-start matrix W (x) J_f(y) - I has
     entry ((l, k), (m, c)) W_lm * J_kc(y), minus 1.0 on the diagonal; an
     entry whose J_f entry does not depend on the state is set once per run.
-    The new state is y plus the sum of the w_j * f(Y_j) at f = phi(z) of the
-    converged iterate.  Newton steps are those of _newton.
+    The new state is y plus the sum of the w_j * f(Y_j) at the stages of the
+    iterate z that passed the stop.  On the chord w_j = v_j0, so that is
+    f = phi(z) itself, the same sum in the same order: the state is f and
+    nothing is evaluated.  The identity layout adds w_j * f(Y_j) into b in
+    phi's stage pass, its values shared with the blocks (_stage_sums), and
+    y + b is checked finite.  Newton steps are those of _newton.
     """
     n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
     Lf, Rf = L and [_floats(row) for row in L], [_floats(row) for row in R]
@@ -435,7 +449,7 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     W = _step_start_weights(Lf, Rf)
     blocks, ys = [(l, m) for l in range(r) for m in range(r)], [f"y{k}" for k in range(n)]
     setup = [f"v{j}_{l} = h * {w!r}" for j, row in enumerate(Rf) for l, w in enumerate(row)]
-    setup += [f"w{j} = h * {w!r}" for j, w in enumerate(_floats(b))]
+    setup += [] if L else [f"w{j} = h * {w!r}" for j, w in enumerate(_floats(b))]
     setup += [f"W{l}_{m} = h * {W[l][m]!r}" for l, m in blocks]
     setup += [f"e{_entry(n, l, m, p)} = W{l}_{m} * ({_poly_source(jac[p], ys)})" for l, m in blocks for p in fixed]
     setup += _minus_identity(n, r, fixed, "e")
@@ -447,10 +461,10 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     factor += _minus_identity(n, r, varying, "a")
     factor += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l, m in blocks for p in fixed]
     entries = lambda l: [f"a{l * n + k}" for k in range(n)]
-    phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", entries(l)) for l in range(r)])
+    into_b = lambda j: [] if L else [(f"w{j}", [f"b{k}" for k in range(n)])]
+    phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", entries(l)) for l in range(r)] + into_b(j))
     phi += [f"f{l * n + k} = y{k} + a{l * n + k}" for l in range(r) for k in range(n)]
-    update = _stage_sums(f, Lf, n, s, "f", lambda j: [(f"w{j}", entries(0))])
-    update += [f"y{k} = y{k} + a{k}" for k in range(n)]
+    update = None if L else [f"y{k} = y{k} + b{k}" for k in range(n)]
     name = "chord" if L else "stages"
     source = _run_source(name, r * n, n, setup, start, factor, phi, update)
     return _generate(source, name, r * n, s)(partial(_newton, sys, L, R))

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from avfrk.conditions import _factor_polys, double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
-from avfrk.integrators import _STALL_FACTOR, SolverConfig, SolverError, StepStats
+from avfrk.integrators import SolverConfig, SolverError, StepStats
 from avfrk.quadrature import UniPoly, _scaled
 from avfrk.trees import ButcherTableau
 
@@ -372,14 +372,16 @@ def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: fl
     x is the start of the step for every unknown; phi(x) is then the Euler
     predictor.  The default strategy moves x by the simplified Newton step
     on the step-start matrix start, W (x) J_f(y) - I as rows, the predictor
-    first, while the residual shrinks by _STALL_FACTOR per iteration;
+    first, while two more moves at the observed rate theta = res / prev_res
+    would reach the tolerance, res * theta * theta <= cfg.tolerance;
     "fixed-point" moves x to phi(x).  Otherwise, and from the start for
     "newton", Newton on F(x) = phi(x) - x, where newton(x) is its matrix
     Jphi(x) - I with the identity already subtracted.  A non-finite value
     of phi, the predictor included, ends the solve with SolverError, naming
     a non-finite field value at a finite x and a non-finite iterate
     otherwise; so does a singular matrix, the step-start one at the
-    predictor with residual inf.  Returns (solution, StepStats).
+    predictor with residual inf.  Returns (x, phi(x), StepStats) at the
+    iterate x that passed the stop.
     """
     use_newton = cfg.strategy == "newton"
     simplified = cfg.strategy == "fixed-point+newton"
@@ -393,13 +395,14 @@ def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: fl
         if it:
             res = scale * max(map(abs, map(sub, fx, x)))
             if res <= cfg.tolerance:
-                return fx, StepStats(it, newton_iters, res)
+                return x, fx, StepStats(it, newton_iters, res)
         if use_newton and it:
             x = reference_newton_step(newton(x), x, fx, res)
             newton_iters += 1
         else:
             x = reference_newton_step(start, x, fx, res) if simplified else fx
-            if simplified and res > _STALL_FACTOR * prev_res:
+            theta = res / prev_res
+            if simplified and res * theta * theta > cfg.tolerance:
                 use_newton = True
         prev_res = res
     raise SolverError(
@@ -413,7 +416,9 @@ def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: fl
 def reference_update(state, solution, stats: StepStats) -> tuple:
     """(state, stats) of a step whose solve converged; a non-finite state raises SolverError.
 
-    The error carries the converged solution and its residual, as the
+    state is y + h sum_j b_j f(Y_j) at the stages of the iterate that passed
+    the stop; on the chord that is the solution phi(x) itself, finite
+    already.  The error carries the solution and its residual, as the
     generated run loop's does.
     """
     if not all(map(math.isfinite, state)):

@@ -395,6 +395,20 @@ class TestIntegrate:
         code, doc = run_json(capsys, argv + ["--output", str(tmp_path / "run.csv")])
         assert code == 0 and len(points) == 51 and len(set(points)) == 51
 
+    @pytest.mark.parametrize("h", [0.05, 1.3])
+    def test_newton_steps_counted(self, capsys, quartic_file, h):
+        # newton_steps counts the steps that switched to full Newton: none at h = 0.05, some of
+        # the midpoint steps at h = 1.3, where the solve's moves shrink the residual by about half
+        from avfrk.integrators import integrate, midpoint_tableau
+        from avfrk.cli import _load_system
+
+        argv = ["integrate", quartic_file, "--method", "midpoint", "--y0", "1.0,0.5", "--h", str(h)]
+        code, doc = run_json(capsys, argv + ["--steps", "20"])
+        stats = integrate(_load_system(quartic_file), midpoint_tableau(), [1.0, 0.5], h, 20).solver_stats
+        assert code == 0
+        assert doc["newton_steps"] == sum(1 for st in stats if st.newton_iterations)
+        assert (doc["newton_steps"] > 0) == (h > 1) and doc["newton_steps"] <= doc["newton_iterations_total"]
+
     def test_rank_one_tableau_method(self, capsys, quartic_file):
         code, doc = run_json(
             capsys,
@@ -557,7 +571,7 @@ from avfrk.cli import main
 ham, saddle = sys.argv[1], sys.argv[2]
 run = ["integrate", ham, "--steps", "200"]
 newton_totals = []
-# from (2, 0.5) at h = 1.5 the step-start matrix's sweeps stall and switch to Newton
+# from (2, 0.5) at h = 1.5 the step-start matrix's sweeps contract too slowly and switch to Newton
 for argv in (
     ["quad", "--s", "3", "--zeta", "1/2"],
     ["tableau", "--s", "3"],

@@ -220,6 +220,16 @@ class TestStepStartMatrix:
                 assert max(st.iterations for st in stats) <= 5, case
                 assert not any(st.newton_iterations for st in stats), case
 
+    @pytest.mark.parametrize("h", [0.9, 1.1, 1.3])
+    def test_long_solve_switches_to_newton(self, h):
+        # each move of the quartic's midpoint solve at large h shrinks the residual by just under
+        # half; switching once two more moves at the observed rate would not reach the tolerance
+        # keeps every step within 8 map evaluations (full Newton takes 5 to 6)
+        run = integrate(QUARTIC, "midpoint", [1.0, 0.5], h, 3)
+        assert max(st.iterations for st in run.solver_stats) <= 8
+        y = integrate(QUARTIC, "midpoint", [1.0, 0.5], h, 3, SolverConfig(strategy="newton")).states[-1]
+        assert max(abs(a - b) for a, b in zip(run.states[-1], y)) <= 1e-12 * max(1.0, *map(abs, y))
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -490,9 +500,9 @@ class TestPowerChains:
         src = _generated(monkeypatch, lambda: integrate(sys_, method, [0.2, 0.1, 0.3, 0.1], 0.05, 2, cfg).energies)
         loop = "chord" if method == "avf" else "stages"
         assert sorted(src) == sorted([loop, "newton", "evaluate"])
-        # the map and the update of the loop each visit every stage once, and the step start
-        # forms the powers of the state once for f and J_f there
-        for name, polys, times in ((loop, f, 2 * s + 1), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
+        # the map visits every stage once, the update adds in its pass and evaluates nothing,
+        # and the step start forms the powers of the state once for f and J_f there
+        for name, polys, times in ((loop, f, s + 1), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
             lines = src[name]
             assert not any("**" in line for line in lines), name
             assigned = [line.split(" = ")[0].strip() for line in lines if line.lstrip().startswith("q")]
@@ -657,8 +667,8 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
         ]
 
     W = [[h * a for a in row] for row in A]
-    sol, stats = reference_implicit_solve(y * s, phi, newton, _start_matrix(sys_, W, y), cfg)
-    return reference_update(update(b, at_stages(f, sol)), sol, stats)
+    x, sol, stats = reference_implicit_solve(y * s, phi, newton, _start_matrix(sys_, W, y), cfg)
+    return reference_update(update(b, at_stages(f, x)), sol, stats)
 
 
 def _interpreted_step(sys_, method, y, h, cfg):
@@ -677,8 +687,8 @@ def _interpreted_step(sys_, method, y, h, cfg):
         return _interpreted_stage_step(sys_, method, y, h, cfg)
     phi, newton = _node_loop(sys_, rule, y, h)
     W = [[h * float(sum(F(c) * F(b) for c, b in rule.float_nodes))]]
-    z, stats = reference_implicit_solve(y, phi, newton, _start_matrix(sys_, W, y), cfg, scale)
-    return reference_update(phi(z), z, stats)
+    _, z, stats = reference_implicit_solve(y, phi, newton, _start_matrix(sys_, W, y), cfg, scale)
+    return reference_update(z, z, stats)
 
 
 def _reference_outcome(sys_, method, y0, h, n, cfg):
@@ -697,8 +707,13 @@ def _reference_outcome(sys_, method, y0, h, n, cfg):
     ]
 
 
-# step sizes and whether the double well's midpoint solve from (0.5, 1) switches to Newton at them
-STALL_CASES = [(1.1, True), (-1.1, True), (0.9, False), (-0.9, False)]
+# step sizes, double-well start states, and whether the midpoint solve switches to Newton there
+SWITCH_CASES = [
+    (1.1, [0.5, 1.0], True),
+    (-1.1, [0.5, 1.0], True),
+    (0.9, [1.001, 0.0], False),
+    (-0.9, [1.001, 0.0], False),
+]
 SADDLE = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2)})  # f = (p, q)
 SADDLE_40 = sys1({(0, 2): F(1, 2), (2, 0): F(-1, 2), (40, 0): F(1, 10**6)})
 
@@ -764,20 +779,21 @@ class TestGeneratedSweeps:
             assert reason in got[0]
 
     @pytest.mark.parametrize(
-        "method, h, switches",
-        [pytest.param("midpoint", h, sw, id=f"{h}-{sw}") for h, sw in STALL_CASES]
-        + [pytest.param("stages", h, sw, id=f"stages-{h}-{sw}") for h, sw in STALL_CASES],
+        "method, h, y0, switches",
+        [pytest.param("midpoint", h, y0, sw, id=f"{h}-{sw}") for h, y0, sw in SWITCH_CASES]
+        + [pytest.param("stages", h, y0, sw, id=f"stages-{h}-{sw}") for h, y0, sw in SWITCH_CASES],
     )
-    def test_stall_switch_matches_interpreted_solve(self, method, h, switches):
-        # the sweep on the step-start matrix contracts by as much as J_f changes across the step:
-        # from (0.5, 1) on the double well, some midpoint step at |h| = 1.1 shrinks its residual
-        # by less than half and switches, and none at |h| = 0.9 does; so does the stage sweep of
-        # this tableau, whose two stages stay equal
+    def test_stall_switch_matches_interpreted_solve(self, method, h, y0, switches):
+        # the sweep on the step-start matrix contracts by as much as J_f changes across the step,
+        # and switches once two more moves at its observed rate would not reach the tolerance:
+        # from (0.5, 1) on the double well some midpoint step at |h| = 1.1 switches, and near the
+        # minimum at (1, 0) no step at |h| = 0.9 does; so does the stage sweep of this tableau,
+        # whose two stages stay equal
         if method == "stages":
             method = ButcherTableau([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5])
         cfg = SolverConfig()
-        got = _outcome(DOUBLE_WELL, method, [0.5, 1.0], h, 3, cfg)
-        assert got == _reference_outcome(DOUBLE_WELL, method, [0.5, 1.0], h, 3, cfg)
+        got = _outcome(DOUBLE_WELL, method, y0, h, 3, cfg)
+        assert got == _reference_outcome(DOUBLE_WELL, method, y0, h, 3, cfg)
         assert any(newton for _, newton, _ in got[1]) == switches
 
     def test_stage_loop_generated_once_per_tableau(self, caplog):
@@ -846,7 +862,7 @@ class TestWholeRun:
         "method, k, iterate, residual",
         [
             ("avf", 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272dfp+8"), "0x1.0000000000000p-44"),
-            ("midpoint", 7, ("0x1.091ecd7c71654p+6", "0x1.35c4b4df9556bp+11"), "0x1.2000000000000p-39"),
+            ("midpoint", 7, ("0x1.091ecd7c71654p+6", "0x1.35c4b4df9556ap+11"), "0x1.8000000000000p-41"),
             ((2, F(0)), 6, ("-0x1.1984654a963e7p+4", "-0x1.b5ce9fec272dfp+8"), "0x1.93cd3a2c8198ep-45"),
         ],
     )
