@@ -41,13 +41,13 @@ from .quadrature import (
     UniPoly,
     _decimal,
     _exact_fraction,
+    _legendre_ints,
     _moment_form,
     _moment_rows,
     _node_form,
     _rho_ints,
     _scaled,
     _scaled_matrix,
-    discrete_ip_table,
     g_poly,
     gamma_lead,
     legendre,
@@ -296,10 +296,10 @@ def _integrated_rows(rule, qs, odd):
     for q in qs:
         if odd and q > s:
             # coefficient k of rho P_(q-1-s) is sum_i rho_i p_(k-i); P holds p_t at s + 1 + t
-            P = [0] * (s + 1) + [c.numerator for c in legendre(q - 1 - s).coeffs] + [0] * s
+            P = [0] * (s + 1) + [*_legendre_ints(q - 1 - s)] + [0] * s
             R.append([sum(map(mul, rho, P[s + 1 + k : k : -1])) for k in range(len(P) - s - 1)])
         else:
-            R.append([zd * c.numerator for c in legendre(q - 1).coeffs])
+            R.append([zd * c for c in _legendre_ints(q - 1)])
     L = lcm(*range(1, max(map(len, R), default=0) + 1))
     rows, d = _moment_rows([[0] + [L // (i + 1) * x for i, x in enumerate(r)] for r in R], rule, s)
     return rows, d * zd * L
@@ -480,7 +480,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
     # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
     # as integers over the common denominators dl and dr
-    left = [[c.numerator for c in legendre(l).coeffs] for l in range(n_left)]
+    left = [_legendre_ints(l) for l in range(n_left)]
     hl, dm = _moment_rows(left, rule, s)
     lip, dl = _reduced([[sum(map(mul, a, row)) for a in left[:s]] for row in hl], dm)
     lip += [[0] * s for _ in range(n_left, m - 1)]
@@ -493,7 +493,8 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     for (p, q), x in zip(rows, _pair_minors(rows, [sum(r[:2]) for r in lip], [r[0] for r in rip])):
         if 6 * x != (-4 * dl * dr if (p, q) == (1, 2) else 0):
             raise KernelStructureError(f"c b^T violates the ({p}, {q}) condition exactly")
-    w_exact = [Fraction(-1, 6) if pq == (1, 2) else Fraction(0) for pq in rows]
+    zero = Fraction(0)
+    w_exact = [Fraction(-1, 6) if pq == (1, 2) else zero for pq in rows]
     _log.debug(
         "build_M: s %d, m %d, %s, %d rows, %.3f ms",
         s, m, kind, len(rows), 1e3 * (perf_counter() - start),
@@ -523,19 +524,29 @@ class KernelElement:
     direction.  u holds exact coefficients over P_0..P_{s-1} for the left
     factor and v over P_1'..P_s' for the right one, so the direction is
     U(c) b^T V(C); v0 is the dependent constant-slot coefficient -sum(v).
-    structured marks an element of the closed-form factor table.
+    structured marks an element of the closed-form factor table.  Given
+    ints = (vector, d) in place of coords, the element holds vec(alpha) as
+    integers over d and forms coords on first access.
     """
 
-    __slots__ = ("coords", "u", "v", "structured")
+    __slots__ = ("_coords", "_ints", "u", "v", "structured")
 
-    def __init__(self, coords, u=None, v=None, structured=False):
-        object.__setattr__(self, "coords", tuple(coords))
+    def __init__(self, coords, u=None, v=None, structured=False, ints=None):
+        object.__setattr__(self, "_coords", None if ints else tuple(coords))
+        object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "u", None if u is None else tuple(u))
         object.__setattr__(self, "v", None if v is None else tuple(v))
         object.__setattr__(self, "structured", structured)
 
     def __setattr__(self, *a):
         raise AttributeError("KernelElement is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            ints, den = self._ints
+            object.__setattr__(self, "_coords", tuple(Fraction(x, den) for x in ints))
+        return self._coords
 
     @property
     def v0(self):
@@ -551,7 +562,8 @@ class KernelElement:
 
     def __repr__(self):
         tag = "structured" if self.structured else "raw"
-        return f"KernelElement({tag}, s={isqrt(len(self.coords))})"
+        n = len(self._coords if self._ints is None else self._ints[0])
+        return f"KernelElement({tag}, s={isqrt(n)})"
 
 
 class KernelBasis:
@@ -592,19 +604,26 @@ def _condforv(rule):
     """Back-substituted factor coordinates for the interior-parameter kernel.
 
     Starting from v_s = 1, each step r = 1..s-2 solves the (p, s+r)
-    condition pair for v_{s-r}; everything stays rational.  Returns the
-    (u, v) pairs for the two elements beyond (1-c) b^T.
+    condition pair for v_{s-r}.  Its coefficients t_l = <G_(s+r), P_l'>_D +
+    <P_(s+r-1), P_l>_D are integers over one denominator, from the moment
+    rows of G_(s+r) and P_(s+r-1) (_integrated_rows, _moment_rows) and the
+    Legendre coefficient columns; the denominator cancels in each step, and
+    v stays rational.  Returns the (u, v) pairs for the two elements beyond
+    (1-c) b^T.
     """
     s, zx = rule.s, rule.zeta_exact
     rs = range(1, s - 1)
-    dP = [legendre(l).derivative() for l in range(2, s + 1)]
-    G = discrete_ip_table([g_poly(s + r) for r in rs], dP, rule)
-    P = discrete_ip_table([legendre(s + r - 1) for r in rs], [legendre(l) for l in range(2, s)], rule)
+    hg, dg = _integrated_rows(rule, range(s + 1, 2 * s - 1), False)
+    hp, dp = _moment_rows([_legendre_ints(s + r - 1) for r in rs], rule, s)
+    # times dg dp: G[r-1][l-1] = <G_(s+r), P_l'>_D for l = 1..s and P[r-1][l] = <P_(s+r-1), P_l>_D for l < s
+    dP, Pc = (list(zip(*_legendre_columns(s, derivative))) for derivative in (True, False))
+    G = [[dp * sum(map(mul, row, col)) for col in dP] for row in hg]
+    P = [[dg * sum(map(mul, row, col)) for col in Pc] for row in hp]
     v = {s: Fraction(1)}
     for r in rs:
         lo = s - r
-        # t_l = <G_{s+r}, P_l'>_D + <P_{s+r-1}, P_l>_D for l = lo..s, the second term for l < s
-        gt, pt = G[r - 1][lo - 2 :], P[r - 1][lo - 2 :]
+        # t_l for l = lo..s, the second term for l < s
+        gt, pt = G[r - 1][lo - 1 :], P[r - 1][lo:]
         t = [a + b for a, b in zip(gt, pt + [0])]
         if t[0] == 0:
             raise KernelStructureError(f"zero pivot while solving for v_{lo}")
@@ -672,27 +691,61 @@ def _legendre_columns(s, derivative):
     return tuple(tuple(p.coeffs[i].numerator if i < len(p.coeffs) else 0 for p in polys) for i in range(s))
 
 
-def _structured_basis(M, nullity):
+def _det(D):
+    """The determinant of the small integer matrix D by cofactors along its first row, 1 if D is empty."""
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in D[1:]]) for j, x in enumerate(D[0])) if D else 1
+
+
+def _right_inverse(C):
+    """(T, dt) with T / dt = C^-1, reduced (_reduced) and dt > 0, for the columns C of _right_coords; None if singular.
+
+    C is the identity outside the columns J that _right_coords fills, p~ in
+    slot s and P_s in slot 2 at zeta = 0.  With D = C[J, J], at most 2 x 2,
+    and B = C[~J, J], C^-1 = [[I, -B D^-1], [0, D^-1]].  With the columns J
+    scaled to integers over dc, Bz = dc B and Dz = dc D, this is
+    T = [[det I, -Bz adj], [0, dc adj]] over det for det = det Dz and its
+    adjugate adj.
+    """
+    s = len(C)
+    J = [l for l, col in enumerate(C) if col[l] != 1 or any(col[:l]) or any(col[l + 1 :])]
+    ints, dc = _scaled([x for l in J for x in C[l]])
+    cols = [ints[i * s : (i + 1) * s] for i in range(len(J))]
+    Dz = [[col[k] for col in cols] for k in J]
+    det = _det(Dz)
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    # adj[i][j] = (-1)^(i+j) det(Dz without row j and column i)
+    minor = lambda i, j: [row[:i] + row[i + 1 :] for k, row in enumerate(Dz) if k != j]
+    adj = [[sign * (-1) ** (i + j) * _det(minor(i, j)) for j in range(len(J))] for i in range(len(J))]
+    T = [[abs(det) * (k == l) for l in range(s)] for k in range(s)]
+    for j, l in enumerate(J):
+        for k in range(s):
+            T[k][l] = dc * adj[J.index(k)][j] if k in J else -sum(col[k] * a[j] for col, a in zip(cols, adj))
+    return _reduced(T, abs(det))
+
+
+def _structured_basis(M, nullity, marks=None):
     """The closed-form factor table as a KernelBasis of ker M, or None if it is no exact basis.
 
     V = sum v_l P_l' is rewritten over the right family's derivatives B_l'
     as exact coordinates w = T v, with T = C^-1 for the family's Legendre
-    coordinates C (B_l' = sum_k C_kl P_k'), so vec(u (x) w) are the pair's
-    operator coordinates; the table is a basis of ker M when each of them
-    is annihilated exactly and together they have rank = nullity.  The
-    basis' coords are their _null_form.
+    coordinates C (B_l' = sum_k C_kl P_k', _right_inverse), so vec(u (x) w)
+    are the pair's operator coordinates; the table is a basis of ker M when
+    each of them is annihilated exactly and together they have rank =
+    nullity.  The basis' coords are their _null_form, and each element
+    keeps its integer vector over its denominator.  marks, a list, receives
+    perf_counter() after the table, after the annihilation check (with T)
+    and after the _null_form, as far as the call gets.
     """
+    marks = [] if marks is None else marks
     rule = M.rule
     s = rule.s
     table = _structural_factor_table(rule, M.basis_kind)
-    if len(table) != nullity:
+    marks.append(perf_counter())
+    if len(table) != nullity or (inverse := _right_inverse(M._coords)) is None:
         return None
-    # T from one elimination of [C | -I]: column j of T is the null vector of free column s + j
-    CI = [[*row, *(-int(i == j) for j in range(s))] for i, row in enumerate(zip(*M._coords))]
-    pivots, null, d = _eliminate(_int_rows(CI), 2 * s)
-    if pivots != list(range(s)):
-        return None
-    T, dt = _reduced([[x[l] for x in null] for l in range(s)], d)
+    T, dt = inverse
     lip, rip = M.ip_tables
     vecs = []
     for u, v in table:
@@ -705,29 +758,29 @@ def _structured_basis(M, nullity):
         if any(_pair_minors(M.rows, lu, rw)):
             return None
         vecs.append(([uk * wl for uk in uz for wl in wz], du * dt * dv))
+    marks.append(perf_counter())
     rows, den = _null_form([vec for vec, _ in vecs], s * s)
+    marks.append(perf_counter())
     if len(rows) != nullity:
         return None
-    elements = [
-        KernelElement([Fraction(x, d) for x in vec], u, v, True)
-        for (u, v), (vec, d) in zip(table, vecs)
-    ]
+    elements = [KernelElement(None, u, v, True, ints=vec) for (u, v), vec in zip(table, vecs)]
     return KernelBasis(elements, rows, den, True)
 
 
 def _exact_factors(M, alpha):
     """Exact (u, v) with sum alpha_{k,l} P_{k-1}(c) b^T B_l'(C) = U(c) b^T V(C), or None.
 
-    None means alpha is not rank one.
+    alpha = (ints, d) holds vec(alpha) as integers over d.  None means alpha
+    is not rank one.
 
-    With alpha scaled to the integer s x s matrix a, it is u (x) w exactly
-    when every 2x2 minor through a nonzero pivot a_pq vanishes:
+    With a the integer s x s matrix of ints, alpha is u (x) w exactly when
+    every 2x2 minor through a nonzero pivot a_pq vanishes:
     a_kl a_pq = a_kq a_pl.  u is read off column q and w = a_p / a_pq off
     row p.  w is over the right family's derivatives B_l', so V = sum w_l B_l'
     has the coordinates v = C w over P_1'..P_s'.
     """
     s = M.rule.s
-    ints, _ = _scaled(alpha)
+    ints, d = alpha
     a = [ints[k * s : (k + 1) * s] for k in range(s)]
     piv = next(((k, l) for k in range(s) for l in range(s) if a[k][l]), None)
     if piv is None:
@@ -736,7 +789,9 @@ def _exact_factors(M, alpha):
     row, p = a[k0], a[k0][l0]
     if any(x * p != ak[l0] * y for ak in a for x, y in zip(ak, row)):
         return None
-    return [alpha[k * s + l0] for k in range(s)], [sum(map(mul, c, row)) / p for c in zip(*M._coords)]
+    cz, dc = _scaled([x for col in M._coords for x in col])
+    C = [cz[l * s : (l + 1) * s] for l in range(s)]
+    return [Fraction(ak[l0], d) for ak in a], [Fraction(sum(map(mul, c, row)), dc * p) for c in zip(*C)]
 
 
 def _kernel_ranks(M):
@@ -768,20 +823,29 @@ def rank_kernel(M: MOperator):
     when its elements are annihilated and as many as the nullity.
     Otherwise the operator's rows are eliminated over Q; their raw null
     vectors, with exact factors where they are rank one, are unstructured.
+    Logs one DEBUG record with k, r and the ms of _kernel_ranks, the factor
+    table, the annihilation check, the _null_form (0 for a part not reached)
+    and the whole call.
     """
     s = M.rule.s
-    start = perf_counter()
+    marks = [perf_counter()]
     k, r = _kernel_ranks(M)
+    marks.append(perf_counter())
     nullity = r * (r + 1) // 2 + s * (k - r)
-    basis = _structured_basis(M, nullity)
+    basis = _structured_basis(M, nullity, marks)
+    marks += marks[-1:] * (5 - len(marks))
     if basis is None:
         _, null, d = _eliminate([row for row, _ in M.scaled_rows], s * s)
-        coords = [[Fraction(x, d) for x in row] for row in null]
-        elements = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in coords]
+        elements = [
+            KernelElement([Fraction(x, d) for x in row], *(_exact_factors(M, (row, d)) or (None, None)))
+            for row in null
+        ]
         basis = KernelBasis(elements, null, d, False)
     _log.debug(
-        "rank_kernel: s %d, m %d, rank %d, nullity %d, k %d, r %d, structured %s, %.3f ms",
-        s, M.m, s * s - nullity, len(basis), k, r, basis.structured, 1e3 * (perf_counter() - start),
+        "rank_kernel: s %d, m %d, rank %d, nullity %d, k %d, r %d, structured %s, "
+        "ranks %.3f ms, table %.3f ms, check %.3f ms, null form %.3f ms, %.3f ms",
+        s, M.m, s * s - nullity, len(basis), k, r, basis.structured,
+        *(1e3 * (b - a) for a, b in zip(marks, marks[1:])), 1e3 * (perf_counter() - marks[0]),
     )
     return s * s - nullity, basis
 
@@ -798,7 +862,7 @@ def expected_rank(s: int, m: int, zeta):
 
 
 def _rowsum_element(M, basis):
-    """Exact coordinates vec(alpha) of the zero-row-sum direction of ker M, or None.
+    """Exact coordinates vec(alpha) = ints / d of the zero-row-sum direction of ker M as (ints, d), or None.
 
     The direction is X alpha Yb^T with X_ik = P_{k-1}(c_i) and
     Yb_jl = b_j B_l'(c_j).  Its row sums are X (alpha r) with
@@ -820,7 +884,7 @@ def _rowsum_element(M, basis):
         raise KernelStructureError(
             f"row-sum kernel intersection has dimension {len(null)}, expected 1"
         )
-    return [Fraction(sum(map(mul, null[0], col)), d * basis._den) for col in zip(*basis._rows)]
+    return [sum(map(mul, null[0], col)) for col in zip(*basis._rows)], d * basis._den
 
 
 def kernel_rowsum(M: MOperator):
@@ -834,7 +898,8 @@ def kernel_rowsum(M: MOperator):
     alpha = _rowsum_element(M, rank_kernel(M)[1])
     if alpha is None:
         return None
-    return KernelElement(alpha, *(_exact_factors(M, alpha) or (None, None)))
+    ints, d = alpha
+    return KernelElement([Fraction(x, d) for x in ints], *(_exact_factors(M, alpha) or (None, None)))
 
 
 # ---------------------------------------------------------------------------

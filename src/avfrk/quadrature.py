@@ -227,10 +227,16 @@ def f_poly(q: int, s: int, zeta) -> UniPoly:
     return r_poly(q - 1, s, zeta).integral()
 
 
+@lru_cache(maxsize=None)
+def _legendre_ints(q: int) -> tuple:
+    """The coefficients of P_q, which are integers, as ints."""
+    return tuple(c.numerator for c in legendre(q).coeffs)
+
+
 def _rho_ints(s: int, z: Fraction) -> list:
     """Integer coefficients of z_den P_s - z_num P_(s-1), a multiple of rho = P_s - z P_(s-1)."""
-    low = legendre(s - 1).coeffs + (0,)
-    return [z.denominator * a.numerator - z.numerator * b.numerator for a, b in zip(legendre(s).coeffs, low)]
+    low = _legendre_ints(s - 1) + (0,)
+    return [z.denominator * a - z.numerator * b for a, b in zip(_legendre_ints(s), low)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +250,12 @@ def _sturm_values(s: int, z: Fraction, x: Fraction) -> list:
     recurrence reads p_(k+1) = (2k+1) m p_k - k^2 D^2 p_(k-1), and rho maps
     to z_den p_s - z_num s D p_(s-1).  The signs are those of the members.
     """
-    m, d = 2 * x.numerator - x.denominator, x.denominator
+    return _sturm_ints(s, z, x.numerator, x.denominator)
+
+
+def _sturm_ints(s: int, z: Fraction, n: int, d: int) -> list:
+    """_sturm_values at x = n / d for integers n and d > 0, not necessarily in lowest terms."""
+    m = 2 * n - d
     p = [1, m]
     for k in range(1, s):
         p.append((2 * k + 1) * m * p[k] - k * k * d * d * p[k - 1])
@@ -262,20 +273,26 @@ def _isolate_roots(s: int, z: Fraction, lo: Fraction, hi: Fraction) -> list:
 
     (rho, P_(s-1), ..., P_0) is a Sturm sequence: rho' P_(s-1) - rho P_(s-1)' =
     P_s' P_(s-1) - P_s P_(s-1)' > 0 by Christoffel-Darboux, and at a zero of a
-    member its neighbours have opposite signs by the recurrence.
+    member its neighbours have opposite signs by the recurrence.  The
+    bisection runs on integers: a bracket (a / d, b / d] keeps its ends over
+    one denominator, its midpoint and each nudge off an exact rational root,
+    (a + 2 mid) / 3, go over d 2 3^k, and a bracket becomes Fractions only
+    when it is returned.
     """
-    va, vb = (_sign_changes(_sturm_values(s, z, x)) for x in (lo, hi))
-    brackets, stack = [], [(lo, va, hi, vb)]  # (a, V(a), b, V(b)): V(a) - V(b) roots in (a, b]
+    d = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    va, vb = (_sign_changes(_sturm_ints(s, z, x, d)) for x in (a, b))
+    brackets, stack = [], [(a, va, b, vb, d)]  # (a, V(a), b, V(b), d): V(a) - V(b) roots in (a/d, b/d]
     while stack:
-        a, va, b, vb = stack.pop()
+        a, va, b, vb, d = stack.pop()
         if va - vb == 1:
-            brackets.append((a, b))
+            brackets.append((Fraction(a, d), Fraction(b, d)))
         elif va - vb > 1:
-            mid = (a + b) / 2
-            while (values := _sturm_values(s, z, mid))[0] == 0:  # nudge off an exact rational root
-                mid = (a + 2 * mid) / 3
-            vm = _sign_changes(values)
-            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+            mid, dm = a + b, 2 * d
+            while (values := _sturm_ints(s, z, mid, dm))[0] == 0:  # nudge off an exact rational root
+                mid, dm = a * (dm // d) + 2 * mid, 3 * dm
+            vm, f = _sign_changes(values), dm // d
+            stack += [(a * f, va, mid, vm, dm), (mid, vm, b * f, vb, dm)]
     return sorted(brackets)
 
 
@@ -441,8 +458,8 @@ def _weight_form(s: int, z: Fraction) -> tuple:
     slope = [k * c for k, c in enumerate(_rho_ints(s, z))][1:]
     D = [0] * (2 * s - 1)
     for i, x in enumerate(slope):
-        for j, y in enumerate(legendre(s - 1).coeffs):
-            D[i + j] += s * x * y.numerator
+        for j, y in enumerate(_legendre_ints(s - 1)):
+            D[i + j] += s * x * y
     return (D, z.denominator), ([abs(k * (k - 1) * c) for k, c in enumerate(D)][2:], z.denominator)
 
 

@@ -662,3 +662,51 @@ def reference_ray_residual(rule, cond, degree, U, Vd):
     nodes = [Fraction(k) for k in range(degree + 1)]
     vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
     return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))
+
+
+# conditions._right_inverse and quadrature._isolate_roots as they were before C^-1 had
+# its closed form and the bisection ran on integers: one Bareiss elimination of [C | -I],
+# and the bisection on Fractions, with quad_rule's checks around it; the references for
+# both
+
+
+def reference_right_inverse(C):
+    """(T, dt) with T / dt = C^-1 for the columns C, reduced over their content, or None if C is singular.
+
+    Column j of T is the null vector of free column s + j of [C | -I]; dt,
+    the last Bareiss pivot over the content, may be negative.
+    """
+    from avfrk.conditions import _eliminate, _int_rows, _reduced
+
+    s = len(C)
+    CI = [[*row, *(-int(i == j) for j in range(s))] for i, row in enumerate(zip(*C))]
+    pivots, null, d = _eliminate(_int_rows(CI), 2 * s)
+    if pivots != list(range(s)):
+        return None
+    return _reduced([[x[l] for x in null] for l in range(s)], d)
+
+
+def reference_rule_core(s, z):
+    """(brackets, in_unit_interval) of quad_rule(s, z) from the Fraction bisection; its QuadratureError where it raises."""
+    from avfrk.quadrature import _WINDOW, QuadratureError, _sign_changes, _sturm_values
+
+    lo, hi = _WINDOW
+    va, vb = (_sign_changes(_sturm_values(s, z, x)) for x in (lo, hi))
+    brackets, stack = [], [(lo, va, hi, vb)]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            brackets.append((a, b))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            while (values := _sturm_values(s, z, mid))[0] == 0:
+                mid = (a + 2 * mid) / 3
+            vm = _sign_changes(values)
+            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+    if len(brackets) != s:
+        raise QuadratureError(
+            f"P_{s} - zeta*P_{s-1} with zeta={z} has {len(brackets)} real roots "
+            f"in {float(lo), float(hi)}; need {s} distinct real roots"
+        )
+    at0, at1 = _sturm_values(s, z, Fraction(0)), _sturm_values(s, z, Fraction(1))
+    return sorted(brackets), _sign_changes(at0) - _sign_changes(at1) + (at0[0] == 0) == s

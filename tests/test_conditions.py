@@ -16,6 +16,7 @@ from avfrk.conditions import (
     _eliminate,
     _exact_factors,
     _int_rows,
+    _right_inverse,
     _structured_basis,
     asym_bush_residual,
     build_M,
@@ -57,6 +58,7 @@ from _util import (
     reference_double_bush_poly_residual,
     reference_double_bush_residual,
     reference_ray_residual,
+    reference_right_inverse,
     reference_rowsum_element,
     reference_triple_bush_residual,
     refuse_nodes,
@@ -65,6 +67,7 @@ from _util import (
 ONE = UniPoly([1])
 X = UniPoly([0, 1])
 TINY = Fraction(1, 10**40)
+ZETAS7 = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3), Fraction(1), Fraction(-1, 2), Fraction(2)]
 
 
 def eliminated(rows, ncols):
@@ -723,6 +726,50 @@ class TestEliminate:
         assert eliminated([r for r, _ in M.scaled_rows], s * s) == fraction_rref(M.matrix_exact, s * s)
 
 
+class TestRightInverse:
+    """C^-1 in closed form against one elimination of [C | -I]."""
+
+    @pytest.mark.parametrize("s", range(2, 25))
+    def test_equal_to_elimination(self, s):
+        for zeta in ZETAS7:
+            for m in [2 * s - 1] + [2 * s] * (zeta == 0):
+                C = build_M(quad_rule(s, zeta, 15), m)._coords
+                T, dt = _right_inverse(C)
+                assert dt > 0
+                # C T = dt I exactly, with C's columns as Fractions
+                for i in range(s):
+                    assert [sum(C[k][i] * T[k][j] for k in range(s)) for j in range(s)] == [dt * (i == j) for j in range(s)]
+                T0, d0 = reference_right_inverse(C)
+                assert [[Fraction(x, dt) for x in row] for row in T] == [[Fraction(x, d0) for x in row] for row in T0]
+
+    def test_columns_filled(self):
+        # p~ in slot s, and P_s in slot 2 at zeta = 0 (s > 2): at most two columns differ from I
+        for s in (2, 3, 5):
+            for zeta in ZETAS7:
+                C = build_M(quad_rule(s, zeta), 2 * s - 1)._coords
+                J = [l for l in range(s) if list(C[l]) != [int(k == l) for k in range(s)]]
+                assert J == ([] if s == 2 and zeta == 0 else [1, s - 1] if zeta == 0 else [s - 1]), (s, zeta)
+
+    def test_singular_block(self):
+        one, zero = Fraction(1), Fraction(0)
+        unit = lambda s, k: [one if i == k else zero for i in range(s)]
+        # one column whose diagonal entry vanishes: D = [[0]]
+        C = [unit(4, l) for l in range(4)]
+        C[3] = [one, Fraction(2), Fraction(-3), zero]
+        assert _right_inverse(C) is None and reference_right_inverse(C) is None
+        # two columns: D = [[0, 0], [1, 1]] in slots 2 and s
+        C = [unit(4, l) for l in range(4)]
+        C[1], C[3] = unit(4, 3), [Fraction(1, 2), zero, Fraction(5), one]
+        assert _right_inverse(C) is None and reference_right_inverse(C) is None
+        # and the same two columns with D = [[0, 3], [1, 1]] invertible
+        C[3] = [Fraction(1, 2), Fraction(3), Fraction(5), one]
+        T, dt = _right_inverse(C)
+        assert [[Fraction(x, dt) for x in row] for row in T] == [
+            [Fraction(x, d0) for x in row] for T0, d0 in [reference_right_inverse(C)] for row in T0
+        ]
+        assert _right_inverse([unit(3, l) for l in range(3)]) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+
+
 class TestExpectedRank:
     def test_table(self):
         assert expected_rank(3, 6, 0) == 8
@@ -879,7 +926,7 @@ class TestRankKernel:
         assert tuple(el.coords for el in basis.elements) == basis.coords
         pivots, null, d = _eliminate([r for r, _ in M.scaled_rows], 9)
         coords = [[Fraction(x, d) for x in vec] for vec in null]
-        raw = [KernelElement(a, *(_exact_factors(M, a) or (None, None))) for a in coords]
+        raw = [KernelElement(a, *(_exact_factors(M, (vec, d)) or (None, None))) for a, vec in zip(coords, null)]
         assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, d, False))
         assert kernel_rowsum(M) is not None
 
@@ -948,12 +995,30 @@ class TestRankKernel:
         _, basis = rank_kernel(M)
         assert basis.structured
         for el in basis.elements:
-            u, v = _exact_factors(M, el.coords)
+            u, v = _exact_factors(M, _scaled(el.coords))
             assert [a * b for a in u for b in v] == [a * b for a in el.u for b in el.v]
         two = [a + b for a, b in zip(basis.elements[0].coords, basis.elements[1].coords)]
-        assert _exact_factors(M, two) is None  # a sum of two independent rank-one elements
-        assert _exact_factors(M, [Fraction(0)] * (s * s)) is None
+        assert _exact_factors(M, _scaled(two)) is None  # a sum of two independent rank-one elements
+        assert _exact_factors(M, ([0] * (s * s), 1)) is None
 
+
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_logged_parts(self, monkeypatch, caplog, wrong):
+        # the time of _kernel_ranks, the factor table, the annihilation check and the _null_form, then the call's
+        if wrong:  # a table that fails the check: its parts read 0
+            monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [([1, 0, 0], [0, 0, 1])] * 3)
+        M = build_M(quad_rule(3, Fraction(1, 2)), 5)
+        with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
+            rank_kernel(M)
+        (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rank_kernel")]
+        fields = msg[len("rank_kernel: ") :].split(", ")
+        assert fields[:7] == ["s 3", "m 5", "rank 6", "nullity 3", "k 2", "r 2", f"structured {not wrong}"]
+        names = [f.rsplit(" ", 2)[0] for f in fields[7:-1]]
+        assert names == ["ranks", "table", "check", "null form"]
+        assert all(f.endswith(" ms") for f in fields[7:])
+        parts = [float(f.rsplit(" ", 2)[-2]) for f in fields[7:]]
+        assert all(x >= 0 for x in parts) and sum(parts[:-1]) <= parts[-1] + 0.004
+        assert not wrong or parts[2] == parts[3] == 0
 
     def test_logged(self, caplog):
         # build_M logs on the same logger, so the operators are built first
@@ -966,6 +1031,45 @@ class TestRankKernel:
         assert got[0].startswith("rank_kernel: s 3, m 5, rank 6, nullity 3, k 2, r 2, structured True, ")
         assert got[1].startswith("rank_kernel: s 2, m 4, rank 3, nullity 1, k 1, r 1, structured True, ")
         assert all(m.endswith(" ms") and float(m.split(", ")[-1][:-3]) >= 0 for m in got)
+
+
+class TestKernelElement:
+    """Structured elements hold integers over one denominator and form coords on first access."""
+
+    def test_coords_formed_once_on_access(self):
+        _, basis = rank_kernel(build_M(quad_rule(4, Fraction(1, 2)), 7))
+        for el in basis.elements:
+            ints, den = el._ints
+            assert el._coords is None
+            coords = el.coords
+            assert coords is el.coords
+            assert coords == tuple(Fraction(x, den) for x in ints)
+            assert KernelElement(coords, el.u, el.v, True).coords == coords
+
+    def test_immutable(self):
+        _, basis = rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
+        for el in (basis.elements[0], KernelElement([Fraction(1)])):
+            for name in ("coords", "_coords", "_ints", "u", "structured"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(el, name, None)
+
+    def test_repr(self):
+        _, basis = rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
+        el = basis.elements[1]
+        assert repr(el) == "KernelElement(structured, s=3)" and el._coords is None
+        assert repr(KernelElement([Fraction(0)] * 9)) == "KernelElement(raw, s=3)"
+
+    def test_fraction_coordinates(self, monkeypatch):
+        # kernel_rowsum builds its element from Fractions, as does the unstructured fallback
+        M = build_M(quad_rule(3, Fraction(1, 2)), 5)
+        N = kernel_rowsum(M)
+        assert N._ints is None and N.coords == tuple(reference_rowsum_element(M, rank_kernel(M)[1]))
+        assert all(type(x) is Fraction for x in N.coords)
+        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [([1, -1, 0], [1, 0, 0])] * 3)
+        _, basis = rank_kernel(M)
+        assert not basis.structured
+        assert all(el._ints is None for el in basis.elements)
+        assert tuple(el.coords for el in basis.elements) == basis.coords
 
 
 class TestKernelRowsum:
@@ -1011,7 +1115,7 @@ class TestKernelRowsum:
             alpha = reference_rowsum_element(M, rank_kernel(M)[1])
             N = kernel_rowsum(M)
             assert N.coords == tuple(alpha)
-            assert (list(N.u), list(N.v)) == _exact_factors(M, alpha)
+            assert (list(N.u), list(N.v)) == _exact_factors(M, _scaled(alpha))
 
 
 class TestPerturbedResiduals:

@@ -35,7 +35,7 @@ from avfrk.quadrature import (
 from avfrk import quadrature
 from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly, reference_moments, refuse_nodes
+from _util import random_unipoly, reference_moments, reference_rule_core, refuse_nodes
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -539,6 +539,40 @@ def exact_weight(s, zeta, x):
     """2 / (s rho'(x) P_(s-1)(x)) at a rational x, exactly."""
     rho = legendre(s) - zeta * legendre(s - 1)
     return 2 / (s * rho.derivative()(x) * legendre(s - 1)(x))
+
+
+class TestRootIsolation:
+    """The integer bisection gives the brackets of the Fraction bisection, end for end."""
+
+    @pytest.mark.parametrize("s", range(1, 31))
+    def test_equal_to_fraction_bisection(self, s):
+        for zeta in OPERATOR_ZETAS[:6] + [Fraction(2)]:
+            rule = quad_rule(s, zeta)
+            assert (list(rule._brackets), rule.in_unit_interval) == reference_rule_core(s, zeta), (s, zeta)
+            assert rule._brackets == tuple(_isolate_roots(s, zeta, *_WINDOW))
+
+    @pytest.mark.parametrize("s", range(1, 31, 2))
+    def test_nudge_off_the_first_midpoint(self, s):
+        # at zeta = 0 and odd s the root 1/2 is the window's first midpoint, so the bisection nudges off it
+        lo, hi = _WINDOW
+        assert (lo + hi) / 2 == Fraction(1, 2) and _sturm_values(s, Fraction(0), Fraction(1, 2))[0] == 0
+        brackets = _isolate_roots(s, Fraction(0), lo, hi)
+        assert sum(a < Fraction(1, 2) <= b for a, b in brackets) == 1
+        assert (brackets, True) == reference_rule_core(s, Fraction(0))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 13])
+    def test_errors_unchanged(self, s):
+        # a zeta that drives roots out of the window fails with the same message
+        for zeta in [Fraction(7), Fraction(40), Fraction(-40), Fraction(5 * 10**9), Fraction(-5 * 10**9, 3)]:
+            try:
+                want = reference_rule_core(s, zeta)
+            except QuadratureError as e:
+                with pytest.raises(QuadratureError) as got:
+                    quad_rule(s, zeta)
+                assert str(got.value) == str(e)
+            else:
+                rule = quad_rule(s, zeta)
+                assert (list(rule._brackets), rule.in_unit_interval) == want
 
 
 class TestFloatNodes:
