@@ -44,16 +44,16 @@ L = I the map's stage pass adds it beside the blocks.
 All stepping is float64, in plain Python floats through code generated
 from the exact polynomials, and every state is a tuple of floats.  One
 generated loop takes every step of a run, for every strategy and layout:
-the iterate and the state stay in local floats, and the predictor, the
-step-start matrix with its factors, the finite check, the residual, the
-stops, the switch to Newton, the moves and the update run inline.  The
-map and the update are straight-line source, per system and float layout.
-The Newton step, its matrix and its solve, is generated the first time a
-run switches to Newton.
+the iterate and the state stay in local floats, and the predictor, both
+matrices, their one factorization and solve, the finite check, the
+residual, the stops, the switch to Newton, the moves and the update run
+inline, as straight-line source per system and float layout.  A Newton
+matrix reads the stage coordinates and powers of the map's pass at its
+iterate, each stage under its own names: nothing is evaluated twice.
 
-Every generated polynomial forms its powers by multiplication: each stage
-sets q{k}_2 = x_k * x_k, q{k}_e = q{k}_(e-1) * x_k once, for every power
-its polynomials need, and no source calls pow.  Float products never
+Every generated polynomial forms its powers by multiplication: stage j
+sets q{j}_k_2 = x_k * x_k, q{j}_k_e = q{j}_k_(e-1) * x_k once, for every
+power its polynomials need, and no source calls pow.  Float products never
 raise; they overflow to inf.  So the loop checks every map value, the
 predictor's included, and fails with a non-finite field value where the
 iterate is finite and a non-finite iterate where it is not.  With L = I a
@@ -62,12 +62,11 @@ index; on the chord the state is a map value, finite already.
 
 Every matrix is factored by Gaussian elimination with partial pivoting,
 and every solve reuses its factors: straight-line source per unknown
-count from two generators (_factor_lines, _solve_lines).  A zero pivot
-fails the step as a singular Newton matrix, in the step-start matrix
-before the predictor moves.  Stepping imports no array library:
-IntegrationRun.energies, which returns an array, is the one place that
-does.  Nor does it import the tree module: a rank-one method steps on
-its rule's correctly rounded QuadRule.float_nodes, and avf_tableau and
+count from two generators (_factor_lines, _solve_lines).  A zero pivot fails the step as a singular Newton matrix, in the
+step-start matrix before the predictor moves.  Stepping imports no array
+library: IntegrationRun.energies, which returns an array, is the one place
+that does.  Nor does it import the tree module: a rank-one method steps
+on its rule's correctly rounded QuadRule.float_nodes, and avf_tableau and
 midpoint_tableau return tableaux whose exact entries are formed only when
 read.  Any other tableau steps on its exact entries rounded to floats; an
 entry beyond the float range is an infinite coefficient.
@@ -78,7 +77,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -117,19 +115,37 @@ MAX_SCAN_STEPS = 10**6
 REF_FACTOR = 20
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-14
-    max_iterations: int = 100
-    strategy: str = "fixed-point+newton"
+    """Immutable solver settings, equal and hashed by (tolerance, max_iterations, strategy)."""
 
-    def __post_init__(self):
-        if not self.tolerance > 0:
+    __slots__ = ("tolerance", "max_iterations", "strategy")
+
+    def __init__(self, tolerance: float = 1e-14, max_iterations: int = 100, strategy: str = "fixed-point+newton"):
+        if not tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.strategy not in _STRATEGIES:
+        if strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
+        for name, value in zip(self.__slots__, (tolerance, max_iterations, strategy)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SolverConfig is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.tolerance, self.max_iterations, self.strategy
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SolverConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SolverConfig(tolerance={!r}, max_iterations={!r}, strategy={!r})".format(*self._key())
 
 
 class SolverError(RuntimeError):
@@ -156,17 +172,17 @@ class StepStats(NamedTuple):
 # float64 evaluation
 
 
-def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
+def _poly_source(p: MultiPoly, names: Sequence[str], q: str = "q") -> str:
     """p as a Python expression in the variables `names` and their powers.
 
     The sum of its monomials x_j * q{j}_e * ... * coeff in sorted term order,
-    a power e >= 2 of names[j] read from q{j}_e (_power_lines) and a
+    a power e >= 2 of names[j] read from {q}{j}_e (_power_lines) and a
     coefficient -1 written as a negation, which rounds the same;
     "0.0" for the zero polynomial.
     """
     terms = []
     for exps, coeff in sorted(p.terms.items()):
-        factors = [names[j] if e == 1 else f"q{j}_{e}" for j, e in enumerate(exps) if e]
+        factors = [names[j] if e == 1 else f"{q}{j}_{e}" for j, e in enumerate(exps) if e]
         if coeff == -1 and factors:
             factors[0] = "-" + factors[0]
         elif coeff != 1 or not factors:
@@ -175,8 +191,8 @@ def _poly_source(p: MultiPoly, names: Sequence[str]) -> str:
     return " + ".join(terms) or "0.0"
 
 
-def _power_lines(polys: Sequence[MultiPoly], names: Sequence[str]) -> list:
-    """Lines that set q{j}_e to names[j]**e for every power e >= 2 that polys need, by multiplication.
+def _power_lines(polys: Sequence[MultiPoly], names: Sequence[str], q: str = "q") -> list:
+    """Lines that set {q}{j}_e to names[j]**e for every power e >= 2 that polys need, by multiplication.
 
     One chain per variable, q{j}_2 = x * x and q{j}_e = q{j}_(e-1) * x up to
     its largest exponent in polys: every power is formed once.
@@ -184,7 +200,7 @@ def _power_lines(polys: Sequence[MultiPoly], names: Sequence[str]) -> list:
     lines = []
     for j, x in enumerate(names):
         top = max((exps[j] for p in polys for exps in p.terms), default=0)
-        lines += [f"q{j}_{e} = {f'q{j}_{e - 1}' if e > 2 else x} * {x}" for e in range(2, top + 1)]
+        lines += [f"{q}{j}_{e} = {f'{q}{j}_{e - 1}' if e > 2 else x} * {x}" for e in range(2, top + 1)]
     return lines
 
 
@@ -217,27 +233,29 @@ def _reads(p: MultiPoly) -> set:
     return {j for exps in p.terms for j, e in enumerate(exps) if e}
 
 
-def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets: Callable) -> list:
+def _stage_sums(polys: Sequence[MultiPoly], L, n: int, s: int, src: str, targets: Callable, form: bool = True) -> list:
     """Lines that add up weighted values of polys at the s stages, stage by stage.
 
     Stage j is block j of src{..} for the identity layout (L None), else
-    x = y + L_j0 * d_0 + L_j1 * d_1 + ... with the blocks d_l = src_l - y set
-    first, both only for the coordinates that polys read; the powers of stage
-    j are formed once (_power_lines) before its values.  targets(j) lists
-    the (weight, accumulators) stage j adds to:
+    x{j}_k = y_k + L_j0 * d_0k + L_j1 * d_1k + ... with the blocks
+    d_l = src_l - y set first, both only for the coordinates that polys
+    read; its powers q{j}_k_e are formed once (_power_lines) before its
+    values.  With form False the lines form none of them and read those
+    an earlier pass over no fewer powers left at the same src.  targets(j)
+    lists the (weight, accumulators) stage j adds to:
     accumulators[p] = accumulators[p] + weight * polys[p](stage j), the first
     term added to 0.0.  A value that more than one target adds is evaluated
     once, into g{p}.
     """
     r = len(L[0]) if L else 0
     read = sorted(set().union(*map(_reads, polys)))
-    lines, started = [f"d{l * n + k} = {src}{l * n + k} - y{k}" for l in range(r) for k in read], set()
+    lines, started = [f"d{l * n + k} = {src}{l * n + k} - y{k}" for l in range(r) for k in read if form], set()
     for j in range(s):
-        if L:
-            lines += [f"x{k} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in read]
-        names = [f"x{k}" if L else f"{src}{j * n + k}" for k in range(n)]
-        lines += _power_lines(polys, names)
-        values, adds = [f"({_poly_source(p, names)})" for p in polys], targets(j)
+        names, q = [f"x{j}_{k}" if L else f"{src}{j * n + k}" for k in range(n)], f"q{j}_"
+        if form and L:
+            lines += [f"{names[k]} = y{k}" + "".join(f" + {w!r} * d{l * n + k}" for l, w in enumerate(L[j])) for k in read]
+        lines += _power_lines(polys, names, q) if form else []
+        values, adds = [f"({_poly_source(p, names, q)})" for p in polys], targets(j)
         if len(adds) > 1:
             lines += [f"g{p} = {v}" for p, v in enumerate(values)]
             values = [f"g{p}" for p in range(len(polys))]
@@ -269,28 +287,22 @@ def _minus_identity(n: int, r: int, ps, a: str) -> list:
 # the loop of a whole run: n_steps steps from the state tuple y, each solved
 # on the unknowns z0..z{n-1} with f0..f{n-1} the inlined map at z
 _RUN_SOURCE = """\
-def {name}(newton_step):
-    def run(y, h, n_steps, cfg, states, stats, scale=1.0):
-        max_iterations = cfg.max_iterations
-        tol = cfg.tolerance
-        use_newton = cfg.strategy == "newton"
-        simplified = cfg.strategy == "fixed-point+newton"
-        step = None
+def {name}(y, h, n_steps, cfg, states, stats, scale=1.0):
+    max_iterations = cfg.max_iterations
+    tol = cfg.tolerance
+    use_newton = cfg.strategy == "newton"
+    simplified = cfg.strategy == "fixed-point+newton"
 {setup}
-        for k in range(n_steps):
+    for k in range(n_steps):
 {start}
-            if not ({finite}):
-                return "non-finite", k, 0, ({z},), None, inf
-            res = prev_res = inf
-            it = newton_iterations = 0
-            newton = use_newton
-            try:
-                if simplified:
-{factor}
-{solve}
-                else:
-{advance}
-                for it in range(1, max_iterations + 1):
+        if not ({finite}):
+            return "non-finite", k, 0, ({z},), None, inf
+        res = prev_res = inf
+        newton_iterations = 0
+        newton = use_newton
+        try:
+            for it in range(max_iterations + 1):
+                if it:
 {phi}
                     if not ({finite}):
                         return "non-finite", k, it, ({z},), None, inf
@@ -299,58 +311,62 @@ def {name}(newton_step):
                     if res <= tol:
                         break
                     if newton:
-                        if step is None:
-                            step = newton_step()(h)
-                        {z}, = step(y, ({z},), ({f},), res)
+{newton}
                         newton_iterations += 1
+                    elif not simplified:
+{advance}
                         continue
-                    if simplified:
-                        theta = res / prev_res
-                        if res * theta * theta > tol:
-                            newton = True
-                        prev_res = res
-{solve_in_loop}
-                    else:
-{advance_in_loop}
+                elif simplified:
+{step_start}
                 else:
-                    return "exhausted", k, it, ({z},), None, res
-            except SolverError as e:
-                return "singular", k, it, e.iterate, e, e.residual
+{advance_at_start}
+                    continue
+                if newton or not it:
+{factor}
+                else:
+                    theta = res / prev_res
+                    if res * theta * theta > tol:
+                        newton = True
+                    prev_res = res
+{solve}
+            else:
+                return "exhausted", k, it, ({z},), None, res
+        except SolverError as e:
+            return "singular", k, it, e.iterate, e, e.residual
 {update}
-            y = ({ys},)
-            states.append(y)
-            stats.append(StepStats(it, newton_iterations, res))
-    return run"""
+        y = ({ys},)
+        states.append(y)
+        stats.append(StepStats(it, newton_iterations, res))"""
 
 
-def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: list, phi: list, update) -> list:
-    """Source of name(newton_step) -> run, the loop of a whole run on n unknowns.
+def _run_source(name: str, n: int, d: int, setup: list, start: list, step_start: list, newton: list, phi: list, update) -> list:
+    """Source of name(y, h, n_steps, cfg, states, stats, scale), the loop of a whole run on n unknowns.
 
-    run(y, h, n_steps, cfg, states, stats, scale) appends each new state and
-    its StepStats; it returns None, or for the first failed step k
-    (status, k, it, iterate, detail, residual), status "non-finite" (a map
-    value at the iterate), "exhausted", "singular" with the SolverError of
-    a singular matrix as detail, or "non-finite state" (the update, with
-    the converged map value f).  The state is held in y0..y{d-1}, unpacked
-    from y before setup, which runs once per run.  Each step sets
-    z{j*d+k} = y{k} for the n / d copies of the state, then start sets f
-    to the map at z, the predictor, every value of which must be finite.
-    The default strategy then runs factor, which sets the locals a{i}_{j} to
-    the step-start matrix and factors it (_factor_lines), and moves every
-    iterate by z = z - dx with a dx = f - z (_solve_lines); the predictor is
-    the first such move.  The other strategies move by z = f.  Iteration
-    it >= 1 sets f to the map at z by phi, and res = scale * max|f - z|.
-    The default strategy's moves go on while two more at the observed rate
+    The loop appends each new state and its StepStats; it returns None, or
+    for the first failed step k (status, k, it, iterate, detail, residual),
+    status "non-finite" (a map value at the iterate), "exhausted",
+    "singular" with the SolverError of a singular matrix as detail, or
+    "non-finite state" (the update, with the converged map value f).  The
+    state is held in y0..y{d-1}, unpacked from y before setup, which runs
+    once per run.  Each step sets z{j*d+k} = y{k} for the n / d copies of
+    the state, then start sets f to the map at z, the predictor, every value
+    of which must be finite.  Iteration it >= 1 sets f to the map at z by
+    phi, and res = scale * max|f - z|, spelled out as max() computes it: a
+    later value replaces the first only when greater.  Every iteration that
+    does not stop ends in a move, so an exhausted step returns the iterate
+    after its last one.  A move is z = f, or z = z - dx with a dx = f - z
+    (_solve_lines, inlined once) on the factors of the locals a{i}_{j},
+    factored (_factor_lines, inlined once) right after step_start forms the
+    step-start matrix for the default strategy's first move, or newton the
+    Newton matrix at z from phi's stage values.  That strategy's later
+    moves reuse the step-start factors while two more at the observed rate
     theta = res / prev_res would reach the tolerance, res * theta * theta
-    <= tol (theta is 0 after the first); then (or from the start for
-    "newton") Newton steps z = newton_step()(h)(y, z, f, res) re-form the
-    matrix at z, the step looked up once per run.
-    max|f - z| is spelled out as max() computes it: a later value replaces
-    the first only when greater.  At convergence update, lines that read
-    phi's pass at the iterate z that passed the stop, sets y0..y{d-1}, and
-    y is packed from them once they are all finite; update None takes the
-    state from f itself, finite already.  The lines passed in come
-    unindented.
+    <= tol (theta is 0 after the first); every move after the one that sees
+    it fail, and from the first iteration for "newton", is a Newton step.
+    At convergence update, lines that read phi's pass at the iterate z that
+    passed the stop, sets y0..y{d-1}, and y is packed from them once they
+    are all finite; update None takes the state from f itself, finite
+    already.  The lines passed in come unindented.
     """
     z, f = (", ".join(f"{a}{k}" for k in range(n)) for a in "zf")
     ys = ", ".join(f"y{k}" for k in range(d))
@@ -362,7 +378,6 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: lis
     largest = ["m = abs(f0 - z0)"]
     for k in range(1, n):
         largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
-    solve = _solve_lines(n) + [f"z{k} = z{k} - r{k}" for k in range(n)]
     advance = [f"z{k} = f{k}" for k in range(n)]
 
     def block(lines, depth):
@@ -372,17 +387,18 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, factor: lis
         name=name,
         z=z,
         f=f,
-        setup=block([f"{ys}, = y"] + setup, 8),
-        start=block([f"z{j * d + k} = y{k}" for j in range(n // d) for k in range(d)] + start, 12),
-        factor=block(factor + _factor_lines(n), 20),
-        solve=block(solve, 20),
-        advance=block(advance, 20),
+        setup=block([f"{ys}, = y"] + setup, 4),
+        start=block([f"z{j * d + k} = y{k}" for j in range(n // d) for k in range(d)] + start, 8),
         phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
         largest=block(largest, 20),
-        solve_in_loop=block(solve, 24),
-        advance_in_loop=block(advance, 24),
-        update=block(update, 12),
+        newton=block(newton, 24),
+        step_start=block(step_start, 20),
+        factor=block(_factor_lines(n), 20),
+        solve=block(_solve_lines(n) + [f"z{k} = z{k} - r{k}" for k in range(n)], 16),
+        advance=block(advance, 24),
+        advance_at_start=block(advance, 20),
+        update=block(update, 8),
         ys=ys,
     ).split("\n")
 
@@ -441,33 +457,47 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     f = phi(z) itself, the same sum in the same order: the state is f and
     nothing is evaluated.  The identity layout adds w_j * f(Y_j) into b in
     phi's stage pass, its values shared with the blocks (_stage_sums), and
-    y + b is checked finite.  Newton steps are those of _newton.
+    y + b is checked finite.  A Newton step forms M - I, entry
+    ((l, k), (m, c)) sum_j u_jlm J_kc(Y_j) from 0.0 with u_jlm = h R_jl L_jm
+    set once per run (with L None only stage m adds, u_jlm = h R_jl), at the
+    coordinates and powers phi's pass just formed at z (_stage_sums with
+    form False), minus 1.0 on the diagonal; its entries c{..} that do not
+    depend on the state are set once per run.
     """
     n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
     Lf, Rf = L and [_floats(row) for row in L], [_floats(row) for row in R]
     jac, varying, fixed = _jacobian(sys)
     W = _step_start_weights(Lf, Rf)
     blocks, ys = [(l, m) for l in range(r) for m in range(r)], [f"y{k}" for k in range(n)]
+    terms = lambda j: [(l, m) for l in range(r) for m in (range(r) if L else (j,))]  # the blocks stage j adds to
+
+    def newton_sums(ps, a):
+        at = lambda j: [(f"u{j}_{l}_{m}", [a + _entry(n, l, m, p) for p in ps]) for l, m in terms(j)]
+        return _stage_sums([jac[p] for p in ps], Lf, n, s, "z", at, form=False) + _minus_identity(n, r, ps, a)
+
     setup = [f"v{j}_{l} = h * {w!r}" for j, row in enumerate(Rf) for l, w in enumerate(row)]
     setup += [] if L else [f"w{j} = h * {w!r}" for j, w in enumerate(_floats(b))]
     setup += [f"W{l}_{m} = h * {W[l][m]!r}" for l, m in blocks]
     setup += [f"e{_entry(n, l, m, p)} = W{l}_{m} * ({_poly_source(jac[p], ys)})" for l, m in blocks for p in fixed]
     setup += _minus_identity(n, r, fixed, "e")
+    setup += [f"u{j}_{l}_{m} = h * {Rf[j][l]!r}" + (f" * {Lf[j][m]!r}" if L else "") for j in range(s) for l, m in terms(j)]
+    setup += newton_sums(fixed, "c")
     start = _power_lines(f, ys) + [f"g{k} = {_poly_source(p, ys)}" for k, p in enumerate(f)]
     at_y = lambda l, k: "".join(f" + v{j}_{l} * g{k}" for j in range(s))
     start += [f"f{l * n + k} = y{k} + (0.0{at_y(l, k)})" for l in range(r) for k in range(n)]
-    factor = [f"j{p} = {_poly_source(jac[p], ys)}" for p in varying]
-    factor += [f"a{_entry(n, l, m, p)} = W{l}_{m} * j{p}" for l, m in blocks for p in varying]
-    factor += _minus_identity(n, r, varying, "a")
-    factor += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l, m in blocks for p in fixed]
+    step_start = [f"j{p} = {_poly_source(jac[p], ys)}" for p in varying]
+    step_start += [f"a{_entry(n, l, m, p)} = W{l}_{m} * j{p}" for l, m in blocks for p in varying]
+    step_start += _minus_identity(n, r, varying, "a")
+    step_start += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l, m in blocks for p in fixed]
+    newton = [f"a{_entry(n, l, m, p)} = c{_entry(n, l, m, p)}" for l, m in blocks for p in fixed]
+    newton += newton_sums(varying, "a")
     entries = lambda l: [f"a{l * n + k}" for k in range(n)]
     into_b = lambda j: [] if L else [(f"w{j}", [f"b{k}" for k in range(n)])]
     phi = _stage_sums(f, Lf, n, s, "z", lambda j: [(f"v{j}_{l}", entries(l)) for l in range(r)] + into_b(j))
     phi += [f"f{l * n + k} = y{k} + a{l * n + k}" for l in range(r) for k in range(n)]
     update = None if L else [f"y{k} = y{k} + b{k}" for k in range(n)]
     name = "chord" if L else "stages"
-    source = _run_source(name, r * n, n, setup, start, factor, phi, update)
-    return _generate(source, name, r * n, s)(partial(_newton, sys, L, R))
+    return _generate(_run_source(name, r * n, n, setup, start, step_start, newton, phi, update), name, r * n, s)
 
 
 def _factor_lines(n: int) -> list:
@@ -518,38 +548,6 @@ def _solve_lines(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _newton(sys: HamiltonianSystem, L, R: tuple) -> Callable:
-    """newton(h) -> step(y, z, f, res) = z - dx, with (M - I) dx = f - z on the unknowns of _run's layout.
-
-    Entry ((l, k), (m, c)) of M is sum_j (h R_jl L_jm) J_f(Y_j)_kc over the
-    stages, from 0.0; in the identity layout only stage j = m adds to it.
-    Generated on the first switch to Newton for the system and layout.
-    newton(h) sets the weights u_jlm = h R_jl L_jm, and every entry of
-    M - I whose J_f entry does not depend on the state, once per run; step
-    forms the others from J_f at the stages (_stage_sums), only at the
-    coordinates and powers they read, minus 1.0 on the diagonal, then factors
-    (_factor_lines) and solves (_solve_lines).
-    """
-    n, s, r = sys.dim, len(R), len(R[0])
-    L, R = L and [_floats(row) for row in L], [_floats(row) for row in R]
-    jac, varying, fixed = _jacobian(sys)
-    terms = lambda j: [(l, m) for l in range(r) for m in (range(r) if L else (j,))]  # the (l, m) stage j adds to
-
-    def sums(ps, a):
-        at = lambda j: [(f"u{j}_{l}_{m}", [a + _entry(n, l, m, p) for p in ps]) for l, m in terms(j)]
-        return _stage_sums([jac[p] for p in ps], L, n, s, "z", at) + _minus_identity(n, r, ps, a)
-
-    outer = [f"u{j}_{l}_{m} = h * {R[j][l]!r}" + (f" * {L[j][m]!r}" if L else "") for j in range(s) for l, m in terms(j)]
-    outer += sums(fixed, "e")
-    inner = [f"{', '.join(f'{a}{k}' for k in range(m))}, = {a}" for a, m in (("y", n), ("z", r * n), ("f", r * n))]
-    inner += [f"a{_entry(n, l, m, p)} = e{_entry(n, l, m, p)}" for l in range(r) for m in range(r) for p in fixed]
-    inner += sums(varying, "a") + _factor_lines(r * n) + _solve_lines(r * n)
-    inner += [f"return ({', '.join(f'z{k} - r{k}' for k in range(r * n))},)"]
-    body = outer + ["def step(y, z, f, res):"] + ["    " + line for line in inner] + ["return step"]
-    return _generate(["def newton(h):"] + ["    " + line for line in body], "newton", r * n, s)
-
-
-@lru_cache(maxsize=64)
 def _energy(sys: HamiltonianSystem) -> Callable:
     """H as a plain-float function of the state, returning a 1-tuple."""
     return _scalar_function([sys.H], sys.dim)
@@ -587,10 +585,11 @@ def midpoint_tableau() -> ButcherTableau:
 # steps
 
 
+@lru_cache(maxsize=64)
 def _rule_layout(nodes) -> tuple:
-    """(L, R, b) for _run of a rule's float nodes: the chord, L = c and R = b."""
+    """(L, R, b, max|c_j|) of a rule's float nodes, once per nodes: _run's chord, L = c and R = b."""
     c, b = _hex(c for c, _ in nodes), _hex(b for _, b in nodes)
-    return tuple((x,) for x in c), tuple((x,) for x in b), b
+    return tuple((x,) for x in c), tuple((x,) for x in b), b, max(abs(cj) for cj, _ in nodes)
 
 
 def _resolve_stepper(sys, method) -> Callable:
@@ -598,7 +597,7 @@ def _resolve_stepper(sys, method) -> Callable:
     if isinstance(method, str):
         if method == "avf":
             # Gauss with s nodes integrates the degree deg H - 1 chord exactly
-            return _run(sys, *_rule_layout(_gauss_rule(max(1, math.ceil(sys.H.degree() / 2))).float_nodes))
+            return _run(sys, *_rule_layout(_gauss_rule(max(1, math.ceil(sys.H.degree() / 2))).float_nodes)[:3])
         if method == "midpoint":
             return _resolve_stepper(sys, midpoint_tableau())
         raise ValueError(f"unknown method {method!r}; use 'avf', 'midpoint', or a tableau")
@@ -606,9 +605,9 @@ def _resolve_stepper(sys, method) -> Callable:
 
     if isinstance(method, ButcherTableau):
         if method.rule is not None:
-            nodes = method.rule.float_nodes
+            L, R, b, scale = _rule_layout(method.rule.float_nodes)
             # scale = max|c_j| makes the residual the stage system's max over stages
-            return partial(_run(sys, *_rule_layout(nodes)), scale=max(abs(cj) for cj, _ in nodes))
+            return partial(_run(sys, L, R, b), scale=scale)
         return _run(sys, None, tuple(zip(*map(_hex, method.A))), _hex(method.b))
     if isinstance(method, QuadRule):
         raise TypeError("pass avf_tableau(rule), not the rule itself")

@@ -632,7 +632,8 @@ def test_no_command_loads_numpy(tmp_path):
 
 # Runs in a fresh interpreter: the package import registers every layer in sys.modules and
 # executes none, then one command runs.  A layer not executed yet is still LazyLoader's
-# placeholder module; executing it makes it a plain module.
+# placeholder module; executing it makes it a plain module.  No command loads dataclasses, whose
+# import pulls in inspect, ast and dis.
 _LOADED_SCRIPT = """
 import contextlib, io, json, sys, types
 import avfrk
@@ -645,7 +646,7 @@ package = executed()
 from avfrk.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([registered, package, code, executed(), "mpmath" in sys.modules, "numpy" in sys.modules]))
+print(json.dumps([registered, package, code, executed(), "mpmath" in sys.modules, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 _RUN = ["--y0", "0.5,0.1"]
@@ -688,11 +689,11 @@ def test_command_loads_only_what_it_runs(quartic_file, tmp_path, argv, modules, 
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    registered, package, code, loaded, has_mpmath, has_numpy = json.loads(res.stdout)
+    registered, package, code, loaded, has_mpmath, has_numpy, has_dataclasses = json.loads(res.stdout)
     assert registered == [f"avfrk.{m}" for m in sorted(avfrk._EXPORTS)]
     assert package == [] and code == 0
     assert loaded == [f"avfrk.{m}" for m in modules.split()]
-    assert has_mpmath == mpmath and not has_numpy
+    assert has_mpmath == mpmath and not has_numpy and not has_dataclasses
 
 
 def test_every_public_name_resolves():

@@ -17,7 +17,6 @@ from avfrk.integrators import (
     SolverError,
     StepStats,
     _factor_lines,
-    _newton,
     _resolve_stepper,
     _rule_layout,
     _run,
@@ -366,9 +365,9 @@ def _fresh_system(seed, half_dim=1, degree=4):
 
 
 class TestGeneratedChord:
-    """The chord map and Newton step are generated per system and float
-    node set; they must do the float operations of the per-node loop, the
-    Newton step with the reference elimination."""
+    """The chord loop is generated per system and float node set; its map
+    and its Newton step must do the float operations of the per-node loop,
+    the Newton step with the reference elimination."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -385,48 +384,62 @@ class TestGeneratedChord:
         sys_ = _perturbed_well(rng, half_dim, degree)
         rule = _rule(s, zeta)
         y = [size * rng.uniform(-1, 1) for _ in range(sys_.dim)]
-        z = [yk + size * rng.uniform(-0.1, 0.1) for yk in y]
         phi, newton = _node_loop(sys_, rule, y, h)
         nodes = rule.float_nodes
         # one sweep after the predictor ends at phi(phi(y)); the new state would be phi of it
         cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="fixed-point")
         states, stats = [tuple(y)], []
-        L, R, b = _rule_layout(nodes)
+        L, R, b, _ = _rule_layout(nodes)
         failure = _run(sys_, L, R, b)(tuple(y), h, 1, cfg, states, stats)
         x = phi(phi(y))
         if failure is None:
             assert _bits(states[-1]) == _bits(phi(x))
         else:
             assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
+        # one Newton iteration after the predictor: the loop moves from z = phi(y) by the
+        # Newton step on the matrix at z, formed from the stage values of its map pass there
+        cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="newton")
+        states, stats = [tuple(y)], []
+        failure = _run(sys_, L, R, b)(tuple(y), h, 1, cfg, states, stats)
+        z = phi(y)
         fz = phi(z)
-        step = _newton(sys_, L, R)(h)(tuple(y), tuple(z), tuple(fz), 0.5)
-        assert _bits(step) == _bits(reference_newton_step(newton(z), z, fz, 0.5))
+        res = max(abs(a - c) for a, c in zip(fz, z))
+        if failure is None:
+            assert res <= cfg.tolerance and _bits(states[-1]) == _bits(fz)
+            return
+        try:
+            step = reference_newton_step(newton(z), z, fz, res)
+        except SolverError as e:
+            assert failure[0] == "singular" and str(failure[4]) == str(e) and _bits(failure[3]) == _bits(z)
+        else:
+            assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(step) and failure[5] == res
 
     def test_avf_and_tableau_share_one_chord_map(self):
-        # "avf" and the tableau of its rule are one chord layout; the same A, b, c without the
-        # rule are the identity layout; each generates its Newton step on its first Newton step
+        # "avf" and the tableau of its rule are one chord layout, one loop for every strategy, its
+        # Newton step included; the same A, b, c without the rule are the identity layout
         sys_ = _fresh_system(11)
         tab = avf_tableau(quad_rule(2, 0))
-        runs, newtons = _run.cache_info().misses, _newton.cache_info().misses
-        for strategy in ["fixed-point", "newton"]:
+        runs = _run.cache_info().misses
+        for strategy in ["fixed-point", "newton", "fixed-point+newton"]:
             cfg = SolverConfig(strategy=strategy)
             integrate(sys_, "avf", [0.3, 0.2], 0.05, 5, cfg)
             integrate(sys_, tab, [0.3, 0.2], 0.05, 5, cfg)
             assert _run.cache_info().misses == runs + 1
-            assert _newton.cache_info().misses == newtons + (strategy == "newton")
-        for strategy in ["fixed-point", "newton"]:
+        for strategy in ["fixed-point", "newton", "fixed-point+newton"]:
             integrate(sys_, ButcherTableau(tab.A, tab.b, tab.c), [0.3, 0.2], 0.05, 5, SolverConfig(strategy=strategy))
             assert _run.cache_info().misses == runs + 2
-            assert _newton.cache_info().misses == newtons + 1 + (strategy == "newton")
 
-    def test_newton_matrix_generated_only_for_newton(self):
-        sys_ = _fresh_system(12)
-        before = _newton.cache_info()
-        run = integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="fixed-point"))
-        assert sum(st.newton_iterations for st in run.solver_stats) == 0
-        assert _newton.cache_info() == before
-        integrate(sys_, "avf", [0.3, 0.2], 0.05, 20, SolverConfig(strategy="newton"))
-        assert _newton.cache_info().misses == before.misses + 1
+    def test_newton_run_generates_nothing_more(self, monkeypatch):
+        # the loop a fixed-point run generates takes Newton steps too: a later Newton run of the
+        # same system generates nothing, and a first Newton run generates that one loop only
+        _run.cache_clear()
+        sys_, other = _fresh_system(12), _fresh_system(14)
+        fixed, newton = SolverConfig(strategy="fixed-point"), SolverConfig(strategy="newton")
+        run = lambda system, cfg: lambda: integrate(system, "avf", [0.3, 0.2], 0.05, 20, cfg).solver_stats
+        assert list(_generated(monkeypatch, run(sys_, fixed))) == ["chord"]
+        assert _generated(monkeypatch, run(sys_, newton)) == {}
+        assert list(_generated(monkeypatch, run(other, newton))) == ["chord"]
+        assert all(st.newton_iterations for st in run(sys_, newton)())
 
     def test_results_survive_eviction(self):
         size = _run.cache_info().maxsize
@@ -446,10 +459,9 @@ class TestGeneratedChord:
         with caplog.at_level(logging.DEBUG, logger="avfrk"):
             integrate(sys_, "avf", [0.2, 0.1, 0.3, 0.1], 0.05, 2, SolverConfig(strategy="newton"))
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
-        assert len(got) == 2
+        assert len(got) == 1
         assert got[0].startswith("generated chord: dim 4, 3 nodes, ")
-        assert got[1].startswith("generated newton: dim 4, 3 nodes, ")
-        assert all(m.endswith(" source lines") for m in got)
+        assert got[0].endswith(" source lines")
         assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("avfrk").handlers)
 
 
@@ -467,9 +479,9 @@ def _generated(monkeypatch, call) -> dict:
     return out
 
 
-def _chains(polys, nv) -> set:
-    """The names q{k}_e, 2 <= e <= the largest exponent of variable k in polys, of one power chain each."""
-    return {f"q{k}_{e}" for k in range(nv) for e in range(2, 1 + max(x[k] for p in polys for x in p.terms))}
+def _chains(polys, nv, q="q") -> set:
+    """The names {q}{k}_e, 2 <= e <= the largest exponent of variable k in polys, of one power chain each."""
+    return {f"{q}{k}_{e}" for k in range(nv) for e in range(2, 1 + max(x[k] for p in polys for x in p.terms))}
 
 
 def _exact_terms(p, x) -> list:
@@ -489,24 +501,39 @@ class TestPowerChains:
     def test_each_power_formed_once_per_stage(self, monkeypatch, method):
         sys_ = _fresh_system(31, half_dim=2, degree=6)
         n, f = sys_.dim, sys_.vector_field()
-        jac = [f[k].partial(c) for k in range(n) for c in range(n)]
         if method == "stages":
             method = random_A_tableau(random.Random(31), _rule(2, F(0)))
         s = 2 if method != "avf" else 3  # avf steps on the 3-node Gauss rule of a degree-6 H
         _run.cache_clear()
-        _newton.cache_clear()
         integrators._energy.cache_clear()
         cfg = SolverConfig(strategy="newton")
         src = _generated(monkeypatch, lambda: integrate(sys_, method, [0.2, 0.1, 0.3, 0.1], 0.05, 2, cfg).energies)
         loop = "chord" if method == "avf" else "stages"
-        assert sorted(src) == sorted([loop, "newton", "evaluate"])
-        # the map visits every stage once, the update adds in its pass and evaluates nothing,
-        # and the step start forms the powers of the state once for f and J_f there
-        for name, polys, times in ((loop, f, s + 1), ("newton", jac, s), ("evaluate", [sys_.H], 1)):
+        assert sorted(src) == sorted([loop, "evaluate"])
+        # the step start forms the powers of the state once for f and J_f there, the map those
+        # of every stage once under the stage's own names, and the update and the Newton matrix
+        # read them and form none
+        stages = set().union(*(_chains(f, n, f"q{j}_") for j in range(s)))
+        for name, chains in ((loop, _chains(f, n) | stages), ("evaluate", _chains([sys_.H], n))):
             lines = src[name]
             assert not any("**" in line for line in lines), name
             assigned = [line.split(" = ")[0].strip() for line in lines if line.lstrip().startswith("q")]
-            assert {q: assigned.count(q) for q in assigned} == {q: times for q in _chains(polys, n)}, name
+            assert {q: assigned.count(q) for q in assigned} == {q: 1 for q in chains}, name
+
+    @pytest.mark.parametrize("method", ["avf", "stages"])
+    def test_one_factor_and_one_solve_block(self, monkeypatch, method):
+        # the step-start matrix and the Newton matrix share the loop's one factorization and
+        # its one solve, and the loop calls no generated function of its own
+        sys_ = _fresh_system(32, half_dim=2, degree=4)
+        if method == "stages":
+            method = random_A_tableau(random.Random(32), _rule(3, F(0)))
+        _run.cache_clear()
+        run = lambda: integrate(sys_, method, [0.2, 0.1, 0.3, 0.1], 0.05, 2, SolverConfig(strategy="newton"))
+        (name, lines), = _generated(monkeypatch, run).items()
+        assert name == ("chord" if method == "avf" else "stages")
+        assert sum("zero pivot in column 0" in line for line in lines) == 1
+        assert sum(line.strip() == "r0 = f0 - z0" for line in lines) == 1
+        assert sum(line.lstrip().startswith("def ") for line in lines) == 1
 
     def test_minus_one_is_a_negation(self):
         p = MultiPoly(2, {(1, 1): F(-1), (0, 3): F(1), (0, 0): F(-1), (2, 0): F(-1, 2)})
@@ -798,7 +825,6 @@ class TestGeneratedSweeps:
 
     def test_stage_loop_generated_once_per_tableau(self, caplog):
         _run.cache_clear()
-        _newton.cache_clear()
         tableaux = [
             ButcherTableau([[0.25, -0.04], [0.54, 0.25]], [0.5, 0.5], [0.21, 0.79]),
             ButcherTableau([[0.2, 0.1], [0.3, 0.4]], [0.5, 0.5], [0.3, 0.7]),
@@ -811,8 +837,8 @@ class TestGeneratedSweeps:
                     integrate(QUARTIC, tab, [0.5, 0.1], 0.05, 5, SolverConfig(strategy=strategy))
                 got = [r.getMessage() for r in caplog.records if r.name == "avfrk.integrators"]
                 logged.append([m.rsplit(", ", 1)[0] for m in got])
-        # the loop on the first run of each tableau, its Newton step on the first Newton run, no chord
-        assert logged == [["generated stages: dim 4, 2 nodes"], [], ["generated newton: dim 4, 2 nodes"], []] * 2
+        # the loop on the first run of each tableau, Newton steps included, and no chord
+        assert logged == [["generated stages: dim 4, 2 nodes"], [], [], []] * 2
 
 
 # H = p^2/2 - q^4 from (1, 0.5) at h = 0.1 runs away; no step after step 5 converges
@@ -975,6 +1001,16 @@ class TestSolverFailure:
         cfg = SolverConfig()
         with pytest.raises(Exception):
             cfg.tolerance = 1e-10
+
+    def test_config_value_semantics(self):
+        # keyword or positional, equal and hashed by its three fields, printed as it is built
+        cfg = SolverConfig(max_iterations=7, strategy="newton")
+        assert cfg == SolverConfig(1e-14, 7, "newton") and cfg != SolverConfig(max_iterations=7)
+        assert hash(cfg) == hash((1e-14, 7, "newton")) and len({cfg, SolverConfig(1e-14, 7, "newton")}) == 1
+        assert cfg != (1e-14, 7, "newton")
+        assert repr(cfg) == "SolverConfig(tolerance=1e-14, max_iterations=7, strategy='newton')"
+        with pytest.raises(AttributeError):
+            del cfg.strategy
 
 
 class TestMethodResolution:
