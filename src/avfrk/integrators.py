@@ -36,6 +36,16 @@ the first iteration after the predictor.  StepStats.iterations counts the
 map evaluations after the predictor, StepStats.newton_iterations the
 iterations that re-formed the matrix at the iterate.
 
+A Newton or fixed-point move depends on the iterate alone, so an iterate
+that repeats exactly repeats for good, and every residual after it was
+already above the tolerance.  Each step keeps one checkpoint iterate,
+saved on Brent's schedule (at the first such move and whenever the
+iteration count reaches twice the one it was saved at), and fails at the
+first iterate equal to it: SolverError reason "cycle", with the period.
+A step that neither converges nor repeats runs cfg.max_iterations
+iterations, reason "max-iterations".  A converging step never repeats,
+so the checkpoint changes no state and no StepStats.
+
 The new state is y + h sum_j b_j f(Y_j) at the stages of the iterate that
 passed the stop, so a converged step evaluates nothing more: on the chord
 that sum is phi(z) itself, the map value the stop just read, and with
@@ -152,14 +162,19 @@ class SolverError(RuntimeError):
     """Implicit solve failed to converge.
 
     Carries the index of the failed step, counted from 0 in the call that
-    took it, its last iterate (a tuple of floats) and its residual.
+    took it, its last iterate (a tuple of floats), its residual, the reason
+    ("cycle", "max-iterations", "singular", "non-finite value", "non-finite
+    iterate" or "non-finite state") and, for a cycle, the period with which
+    the iterate repeats (None otherwise).
     """
 
-    def __init__(self, message, iterate=None, residual=None, step_index=None):
+    def __init__(self, message, iterate=None, residual=None, step_index=None, reason=None, period=None):
         super().__init__(message)
         self.iterate = iterate
         self.residual = residual
         self.step_index = step_index
+        self.reason = reason
+        self.period = period
 
 
 class StepStats(NamedTuple):
@@ -208,10 +223,12 @@ def _generate(lines: list, name: str, dim: int, nodes: int) -> Callable:
     """Execute generated source and return its function `name`.
 
     The source sees math.isfinite as isfinite, math.inf as inf and math.nan
-    as nan (the reprs of non-finite literals), SolverError and StepStats.
+    as nan (the reprs of non-finite literals), SolverError, StepStats and
+    tuple.__new__ as _new, which builds a StepStats without the NamedTuple's
+    Python-level __new__.
     """
     namespace = dict(isfinite=math.isfinite, inf=math.inf, nan=math.nan)
-    namespace.update(SolverError=SolverError, StepStats=StepStats)
+    namespace.update(SolverError=SolverError, StepStats=StepStats, _new=tuple.__new__)
     exec("\n".join(lines) + "\n", namespace)
     logger.debug("generated %s: dim %d, %d nodes, %d source lines", name, dim, nodes, len(lines))
     return namespace[name]
@@ -298,7 +315,7 @@ def {name}(y, h, n_steps, cfg, states, stats, scale=1.0):
         if not ({finite}):
             return "non-finite", k, 0, ({z},), None, inf
         res = prev_res = inf
-        newton_iterations = 0
+        newton_iterations = mark = 0
         newton = use_newton
         try:
             for it in range(max_iterations + 1):
@@ -311,9 +328,11 @@ def {name}(y, h, n_steps, cfg, states, stats, scale=1.0):
                     if res <= tol:
                         break
                     if newton:
+{cycle}
 {newton}
                         newton_iterations += 1
                     elif not simplified:
+{cycle}
 {advance}
                         continue
                 elif simplified:
@@ -330,13 +349,13 @@ def {name}(y, h, n_steps, cfg, states, stats, scale=1.0):
                     prev_res = res
 {solve}
             else:
-                return "exhausted", k, it, ({z},), None, res
+                return "max-iterations", k, it, ({z},), None, res
         except SolverError as e:
             return "singular", k, it, e.iterate, e, e.residual
 {update}
         y = ({ys},)
         states.append(y)
-        stats.append(StepStats(it, newton_iterations, res))"""
+        stats.append(_new(StepStats, (it, newton_iterations, res)))"""
 
 
 def _run_source(name: str, n: int, d: int, setup: list, start: list, step_start: list, newton: list, phi: list, update) -> list:
@@ -344,25 +363,34 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, step_start:
 
     The loop appends each new state and its StepStats; it returns None, or
     for the first failed step k (status, k, it, iterate, detail, residual),
-    status "non-finite" (a map value at the iterate), "exhausted",
-    "singular" with the SolverError of a singular matrix as detail, or
-    "non-finite state" (the update, with the converged map value f).  The
-    state is held in y0..y{d-1}, unpacked from y before setup, which runs
-    once per run.  Each step sets z{j*d+k} = y{k} for the n / d copies of
-    the state, then start sets f to the map at z, the predictor, every value
-    of which must be finite.  Iteration it >= 1 sets f to the map at z by
+    status "non-finite" (a map value at the iterate), "cycle" with the
+    period as detail, "max-iterations", "singular" with the SolverError of
+    a singular matrix as detail, or "non-finite state" (the update, with
+    the converged map value f).  The state is held in y0..y{d-1}, unpacked
+    from y before setup, which runs once per run.  Each step sets
+    z{j*d+k} = y{k} for the n / d copies of the state, then start sets f to
+    the map at z, the predictor, every value of which must be finite.  Iteration it >= 1 sets f to the map at z by
     phi, and res = scale * max|f - z|, spelled out as max() computes it: a
     later value replaces the first only when greater.  Every iteration that
-    does not stop ends in a move, so an exhausted step returns the iterate
-    after its last one.  A move is z = f, or z = z - dx with a dx = f - z
-    (_solve_lines, inlined once) on the factors of the locals a{i}_{j},
-    factored (_factor_lines, inlined once) right after step_start forms the
-    step-start matrix for the default strategy's first move, or newton the
-    Newton matrix at z from phi's stage values.  That strategy's later
-    moves reuse the step-start factors while two more at the observed rate
-    theta = res / prev_res would reach the tolerance, res * theta * theta
-    <= tol (theta is 0 after the first); every move after the one that sees
-    it fail, and from the first iteration for "newton", is a Newton step.
+    does not stop ends in a move, so a step that runs out of iterations
+    returns the iterate after its last one.  A move is z = f, or
+    z = z - dx with a dx = f - z (_solve_lines, inlined once) on the
+    factors of the locals a{i}_{j}, factored (_factor_lines, inlined once)
+    right after step_start forms the step-start matrix for the default
+    strategy's first move, or newton the Newton matrix at z from phi's
+    stage values.  That strategy's later moves reuse the step-start factors
+    while two more at the observed rate theta = res / prev_res would reach
+    the tolerance, res * theta * theta <= tol (theta is 0 after the first);
+    every move after the one that sees it fail, and from the first
+    iteration for "newton", is a Newton step.  Before each Newton or
+    fixed-point move, a function of z alone, the iterate is compared with
+    the checkpoint c0..c{n-1}, saved at the first such iteration and again
+    at each iteration that reaches twice the one it was saved at, mark
+    (Brent's cycle detection); an equal iterate repeats
+    with period it - mark, as every iterate and residual after it would, so
+    the step fails at once as a cycle, with that iterate and residual.  A
+    converging step never repeats an iterate, and a simplified move needs
+    no check: repeating residuals give theta >= 1, and the switch follows.
     At convergence update, lines that read phi's pass at the iterate z that
     passed the stop, sets y0..y{d-1}, and y is packed from them once they
     are all finite; update None takes the state from f itself, finite
@@ -379,6 +407,9 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, step_start:
     for k in range(1, n):
         largest += [f"t = abs(f{k} - z{k})", "if t > m:", "    m = t"]
     advance = [f"z{k} = f{k}" for k in range(n)]
+    cycle = [f"if mark and {' and '.join(f'z{k} == c{k}' for k in range(n))}:"]
+    cycle += [f'    return "cycle", k, it, ({z},), it - mark, res', "if it >= mark + mark:"]
+    cycle += [f"    {', '.join(f'c{k}' for k in range(n))} = {z}", "    mark = it"]
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
@@ -392,6 +423,7 @@ def _run_source(name: str, n: int, d: int, setup: list, start: list, step_start:
         phi=block(phi, 20),
         finite=" and ".join(f"isfinite(f{k})" for k in range(n)),
         largest=block(largest, 20),
+        cycle=block(cycle, 24),
         newton=block(newton, 24),
         step_start=block(step_start, 20),
         factor=block(_factor_lines(n), 20),
@@ -634,11 +666,11 @@ def _checked_start(sys: HamiltonianSystem, y, h) -> tuple:
 def _steps(sys, method, y0, h, n_steps, cfg) -> tuple:
     """(h, states, stats) of n_steps steps from y0, h as a float.
 
-    A step k that fails raises SolverError with step_index k and a message
-    that starts with "step k: ": a non-finite field value at a finite
-    iterate, a non-finite iterate, a singular Newton matrix, no convergence
-    in cfg.max_iterations iterations, or a non-finite state after the
-    update of a converged step.
+    A step k that fails raises SolverError with step_index k, its reason
+    and a message that starts with "step k: ": a non-finite field value at
+    a finite iterate, a non-finite iterate, a singular Newton matrix, an
+    iterate that repeats, no convergence in cfg.max_iterations iterations,
+    or a non-finite state after the update of a converged step.
     """
     y, h = _checked_start(sys, y0, h)
     cfg = cfg or SolverConfig()
@@ -647,18 +679,27 @@ def _steps(sys, method, y0, h, n_steps, cfg) -> tuple:
     if failure is None:
         return h, states, stats
     status, k, it, x, detail, res = failure
+    numbers = f"residual {res:.3e}, tolerance {cfg.tolerance:.3e}"
+    period = cause = None
     if status == "singular":
-        message = str(detail)
+        message, cause = str(detail), detail
     elif status == "non-finite":
-        message = f"non-finite {'field value' if all(map(math.isfinite, x)) else 'iterate'} at iteration {it}"
+        finite = all(map(math.isfinite, x))
+        status = "non-finite value" if finite else "non-finite iterate"
+        message = f"non-finite {'field value' if finite else 'iterate'} at iteration {it}"
     elif status == "non-finite state":
         message = "non-finite state after the update"
-    else:
+    elif status == "cycle":
+        period, ulp = detail, math.ulp(max(map(abs, x)))
         message = (
-            f"no convergence after {cfg.max_iterations} iterations "
-            f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})"
+            f"no convergence: the iterate repeats with period {period} at iteration {it} "
+            f"({numbers}, ulp of the iterate {ulp:.3e})"
         )
-    raise SolverError(f"step {k}: {message}", iterate=x, residual=res, step_index=k) from detail
+    else:
+        message = f"no convergence after {cfg.max_iterations} iterations ({numbers})"
+    raise SolverError(
+        f"step {k}: {message}", iterate=x, residual=res, step_index=k, reason=status, period=period
+    ) from cause
 
 
 def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = None):

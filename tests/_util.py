@@ -350,7 +350,8 @@ def reference_newton_step(matrix, x, fx, res) -> list:
                 p = i
         a[k], a[p], r[k], r[p] = a[p], a[k], r[p], r[k]
         if not a[k][k]:
-            raise SolverError(f"Newton matrix is singular: zero pivot in column {k}", iterate=tuple(x), residual=res)
+            message = f"Newton matrix is singular: zero pivot in column {k}"
+            raise SolverError(message, iterate=tuple(x), residual=res, reason="singular")
         for i in range(k + 1, n):
             l = a[i][k] / a[k][k]
             for j in range(k + 1, n):
@@ -364,7 +365,7 @@ def reference_newton_step(matrix, x, fx, res) -> list:
     return list(map(sub, x, r))
 
 
-def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: float = 1.0):
+def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: float = 1.0, cycles: bool = True):
     """The solve of one step, in the float operations of the generated run loop.
 
     Solve x = phi(x) until scale * max|phi(x) - x| <= cfg.tolerance.
@@ -380,22 +381,41 @@ def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: fl
     of phi, the predictor included, ends the solve with SolverError, naming
     a non-finite field value at a finite x and a non-finite iterate
     otherwise; so does a singular matrix, the step-start one at the
-    predictor with residual inf.  Returns (x, phi(x), StepStats) at the
-    iterate x that passed the stop.
+    predictor with residual inf.  With cycles, every Newton or fixed-point
+    iterate that does not pass the stop is compared with a checkpoint,
+    saved at the first such iteration and again whenever the iteration
+    reaches twice the iteration it was saved at (Brent); an equal iterate
+    ends the solve with SolverError, reason "cycle", at once.  Without
+    cycles the solve runs to cfg.max_iterations.  Returns (x, phi(x),
+    StepStats) at the iterate x that passed the stop.
     """
     use_newton = cfg.strategy == "newton"
     simplified = cfg.strategy == "fixed-point+newton"
     prev_res = res = math.inf
-    newton_iters = 0
+    newton_iters = mark = 0
     for it in range(cfg.max_iterations + 1):
         fx = phi(x)
         if not all(map(math.isfinite, fx)):
-            what = "field value" if all(map(math.isfinite, x)) else "iterate"
-            raise SolverError(f"non-finite {what} at iteration {it}", iterate=tuple(x), residual=math.inf)
+            what, reason = ("field value", "value") if all(map(math.isfinite, x)) else ("iterate", "iterate")
+            message = f"non-finite {what} at iteration {it}"
+            raise SolverError(message, iterate=tuple(x), residual=math.inf, reason=f"non-finite {reason}")
         if it:
             res = scale * max(map(abs, map(sub, fx, x)))
             if res <= cfg.tolerance:
                 return x, fx, StepStats(it, newton_iters, res)
+            if cycles and (use_newton or not simplified):
+                if mark and tuple(x) == checkpoint:
+                    ulp = math.ulp(max(map(abs, x)))
+                    raise SolverError(
+                        f"no convergence: the iterate repeats with period {it - mark} at iteration {it} "
+                        f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e}, ulp of the iterate {ulp:.3e})",
+                        iterate=tuple(x),
+                        residual=res,
+                        reason="cycle",
+                        period=it - mark,
+                    )
+                if it >= 2 * mark:
+                    checkpoint, mark = tuple(x), it
         if use_newton and it:
             x = reference_newton_step(newton(x), x, fx, res)
             newton_iters += 1
@@ -410,6 +430,7 @@ def reference_implicit_solve(x, phi, newton, start, cfg: SolverConfig, scale: fl
         f"(residual {res:.3e}, tolerance {cfg.tolerance:.3e})",
         iterate=tuple(x),
         residual=res,
+        reason="max-iterations",
     )
 
 
@@ -422,7 +443,8 @@ def reference_update(state, solution, stats: StepStats) -> tuple:
     generated run loop's does.
     """
     if not all(map(math.isfinite, state)):
-        raise SolverError("non-finite state after the update", iterate=tuple(solution), residual=stats.residual)
+        message = "non-finite state after the update"
+        raise SolverError(message, iterate=tuple(solution), residual=stats.residual, reason="non-finite state")
     return tuple(state), stats
 
 

@@ -468,6 +468,28 @@ class TestIntegrate:
         assert code == 5
         assert "solver failed at step 0: no convergence" in err
 
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            # rounding noise at |y| ~ 438: the Newton iterate stops moving, 1 ulp from its map value
+            ("0.1", "solver failed at step 6: no convergence: the iterate repeats with period 1 at iteration 49"),
+            # real non-convergence: the iterate wanders for all its 100 iterations
+            ("0.5", "solver failed at step 0: no convergence after 100 iterations (residual 2.903e+01"),
+        ],
+    )
+    def test_runaway_names_how_the_solve_failed(self, capsys, tmp_path, h, message):
+        # H = p^2/2 - q^4 from (1, 0.5)
+        runaway = {
+            "half_dim": 1,
+            "terms": [{"exponents": [0, 2], "coeff": "1/2"}, {"exponents": [4, 0], "coeff": "-1"}],
+        }
+        path = tmp_path / "runaway.json"
+        path.write_text(json.dumps(runaway))
+        code = main(["integrate", str(path), "--y0", "1.0,0.5", "--h", h, "--steps", "20"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert message in captured.err
+
     def test_singular_newton_is_solver_failure(self, capsys, tmp_path):
         # H = (p^2 - q^2)/2 at h = 2: the sweep stalls and h/2 J_f - I is singular
         saddle = {

@@ -157,7 +157,10 @@ class TestIntegrate:
         assert len(e) == 4
         assert abs(e[0] - 0.5) < 1e-15
         st = run.solver_stats[0]
-        assert isinstance(st, StepStats)
+        # the loop builds each StepStats with tuple.__new__: the NamedTuple all the same
+        assert type(st) is StepStats and st._fields == ("iterations", "newton_iterations", "residual")
+        assert st == (st.iterations, st.newton_iterations, st.residual) == StepStats(*st)
+        assert repr(st) == f"StepStats(iterations={st.iterations}, newton_iterations=0, residual={st.residual!r})"
         assert st.iterations >= 1
         assert st.residual <= 1e-14
 
@@ -395,7 +398,7 @@ class TestGeneratedChord:
         if failure is None:
             assert _bits(states[-1]) == _bits(phi(x))
         else:
-            assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(x)
+            assert failure[0] == "max-iterations" and _bits(failure[3]) == _bits(x)
         # one Newton iteration after the predictor: the loop moves from z = phi(y) by the
         # Newton step on the matrix at z, formed from the stage values of its map pass there
         cfg = SolverConfig(tolerance=5e-324, max_iterations=1, strategy="newton")
@@ -412,7 +415,7 @@ class TestGeneratedChord:
         except SolverError as e:
             assert failure[0] == "singular" and str(failure[4]) == str(e) and _bits(failure[3]) == _bits(z)
         else:
-            assert failure[0] == "exhausted" and _bits(failure[3]) == _bits(step) and failure[5] == res
+            assert failure[0] == "max-iterations" and _bits(failure[3]) == _bits(step) and failure[5] == res
 
     def test_avf_and_tableau_share_one_chord_map(self):
         # "avf" and the tableau of its rule are one chord layout, one loop for every strategy, its
@@ -655,16 +658,16 @@ def _outcome(sys_, method, y0, h, n, cfg):
     try:
         run = integrate(sys_, method, y0, h, n, cfg)
     except SolverError as e:
-        return str(e), e.step_index, float.hex(e.residual), tuple(map(float.hex, e.iterate))
+        return str(e), e.step_index, float.hex(e.residual), tuple(map(float.hex, e.iterate)), e.reason, e.period
     states = [tuple(map(float.hex, y)) for y in run.states]
     return states, [(st.iterations, st.newton_iterations, float.hex(st.residual)) for st in run.solver_stats]
 
 
-def _interpreted_stage_step(sys_, tab, y, h, cfg):
-    """One step of the s*d stage system by the interpreted solve: (state, StepStats)."""
+def _stage_maps(sys_, tab, y, h):
+    """_interpreted_maps of the s*d stage system."""
     n, s = sys_.dim, tab.s
-    A = [[float(x) for x in row] for row in tab.A]
-    b = [float(x) for x in tab.b]
+    A = [[integrators._float(x) for x in row] for row in tab.A]
+    b = [integrators._float(x) for x in tab.b]
     f, jac = _scalar_field(sys_)
 
     def at_stages(g, x):
@@ -694,15 +697,17 @@ def _interpreted_stage_step(sys_, tab, y, h, cfg):
         ]
 
     W = [[h * a for a in row] for row in A]
-    x, sol, stats = reference_implicit_solve(y * s, phi, newton, _start_matrix(sys_, W, y), cfg)
-    return reference_update(update(b, at_stages(f, x)), sol, stats)
+    finish = lambda x, sol, stats: reference_update(update(b, at_stages(f, x)), sol, stats)
+    return y * s, phi, newton, _start_matrix(sys_, W, y), 1.0, finish
 
 
-def _interpreted_step(sys_, method, y, h, cfg):
-    """One step by the interpreted solve on the interpreted maps: (state, StepStats).
+def _interpreted_maps(sys_, method, y, h):
+    """The interpreted maps of one step from y: (start iterate, phi, Newton matrix, step-start matrix, scale, finish).
 
     Rank-one methods solve on the chord with the per-node loops of
     _node_loop, the residual scaled by max|c_j| for a tableau.
+    finish(x, phi(x), stats) is the step's (state, StepStats) at the
+    iterate x that passed the stop.
     """
     if method == "midpoint":
         method = midpoint_tableau()
@@ -711,22 +716,27 @@ def _interpreted_step(sys_, method, y, h, cfg):
     elif method.rule is not None:
         rule, scale = method.rule, max(abs(float(c)) for c in method.c)
     else:
-        return _interpreted_stage_step(sys_, method, y, h, cfg)
+        return _stage_maps(sys_, method, y, h)
     phi, newton = _node_loop(sys_, rule, y, h)
     W = [[h * float(sum(F(c) * F(b) for c, b in rule.float_nodes))]]
-    _, z, stats = reference_implicit_solve(y, phi, newton, _start_matrix(sys_, W, y), cfg, scale)
-    return reference_update(z, z, stats)
+    return y, phi, newton, _start_matrix(sys_, W, y), scale, lambda x, z, stats: reference_update(z, z, stats)
 
 
-def _reference_outcome(sys_, method, y0, h, n, cfg):
+def _interpreted_step(sys_, method, y, h, cfg, cycles=True):
+    """One step by the interpreted solve on the interpreted maps: (state, StepStats)."""
+    x, phi, newton, start, scale, finish = _interpreted_maps(sys_, method, y, h)
+    return finish(*reference_implicit_solve(x, phi, newton, start, cfg, scale, cycles))
+
+
+def _reference_outcome(sys_, method, y0, h, n, cfg, cycles=True):
     """_outcome of n steps, each taken by _interpreted_step."""
     y = tuple(map(float, y0))
     states, stats = [y], []
     for k in range(n):
         try:
-            y, st = _interpreted_step(sys_, method, y, h, cfg)
+            y, st = _interpreted_step(sys_, method, y, h, cfg, cycles)
         except SolverError as e:
-            return f"step {k}: {e}", k, float.hex(e.residual), tuple(map(float.hex, e.iterate))
+            return f"step {k}: {e}", k, float.hex(e.residual), tuple(map(float.hex, e.iterate)), e.reason, e.period
         states.append(y)
         stats.append(st)
     return [tuple(map(float.hex, y)) for y in states], [
@@ -900,12 +910,87 @@ class TestWholeRun:
             integrate(RUNAWAY, method, [1.0, 0.5], 0.1, 20)
         err = exc_info.value
         assert err.step_index == k
-        assert str(err).startswith(f"step {k}: no convergence after 100 iterations (residual ")
+        assert str(err).startswith(f"step {k}: no convergence: the iterate repeats with period 1 at iteration ")
         assert tuple(map(float.hex, err.iterate)) == iterate
         assert float.hex(err.residual) == residual
         assert _outcome(RUNAWAY, method, [1.0, 0.5], 0.1, 20, SolverConfig()) == _reference_outcome(
             RUNAWAY, method, [1.0, 0.5], 0.1, 20, SolverConfig()
         )
+
+
+# the quartic, the double well and a coupled quartic with two degrees of freedom
+COUPLED = HamiltonianSystem(
+    2, MultiPoly(4, {(0, 0, 2, 0): F(1, 2), (0, 0, 0, 2): F(1, 2), (4, 0, 0, 0): F(1, 4), (0, 4, 0, 0): F(1, 4), (2, 2, 0, 0): F(1, 2)})
+)
+# the trapezoidal rule (Lobatto IIIA, two stages): no rank-one rule, so the identity layout
+TRAPEZOID = ButcherTableau([[0, 0], [F(1, 2), F(1, 2)]], [F(1, 2), F(1, 2)], [0, 1])
+
+
+class TestCycleStop:
+    """A Newton or fixed-point iterate that repeats ends its step at once;
+    the verdict is the one the full max_iterations would reach."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sys_=st.sampled_from([QUARTIC, DOUBLE_WELL, COUPLED]),
+        amplitude=st.floats(1.0, 100.0),
+        hA=st.floats(0.01, 0.8),
+        sign=st.sampled_from([1.0, -1.0]),
+        phase=st.floats(0.0, 2 * math.pi),
+        strategy=st.sampled_from(["fixed-point+newton", "fixed-point", "newton"]),
+        method=st.sampled_from(["avf", (2, F(0)), "trapezoid"]),
+    )
+    def test_verdict_of_the_full_solve(self, sys_, amplitude, hA, sign, phase, strategy, method):
+        method = TRAPEZOID if method == "trapezoid" else avf_tableau(_rule(*method)) if method != "avf" else method
+        half = sys_.half_dim
+        # q = A cos(theta), p on the quartic scale A^2 / sqrt(2 half_dim), as the large-step benchmark draws
+        y0 = [amplitude * math.cos(phase)] * half + [amplitude**2 / math.sqrt(2 * half) * math.sin(phase)] * half
+        h, cfg = sign * hA / amplitude, SolverConfig(strategy=strategy)
+        got = _outcome(sys_, method, y0, h, 20, cfg)
+        assert got == _reference_outcome(sys_, method, y0, h, 20, cfg)
+        full = _reference_outcome(sys_, method, y0, h, 20, cfg, cycles=False)
+        if got[-2] != "cycle":
+            assert got == full
+            return
+        k, period = got[1], got[-1]
+        assert full[1] == k and full[-2] == "max-iterations"
+        # from the iterate at detection, period more moves of the oracle come back to it, bit for bit
+        y = integrate(sys_, method, y0, h, k, cfg).states[-1] if k else tuple(y0)
+        _, phi, newton, _, scale, _ = _interpreted_maps(sys_, method, y, h)
+        x = list(map(float.fromhex, got[3]))
+        for _ in range(period):
+            fx = phi(x)
+            x = fx if strategy == "fixed-point" else reference_newton_step(newton(x), x, fx, 0.0)
+        assert tuple(map(float.hex, x)) == got[3]
+        assert float.hex(scale * max(abs(a - b) for a, b in zip(phi(x), x))) == got[2]
+
+    @pytest.mark.parametrize(
+        "sys_, method, y0, h, strategy, k, reason, period, message",
+        [
+            (RUNAWAY, "avf", [1.0, 0.5], 0.1, "fixed-point+newton", 6, "cycle", 1,
+             "no convergence: the iterate repeats with period 1 at iteration 49 (residual 5.684e-14, "
+             "tolerance 1.000e-14, ulp of the iterate 5.684e-14)"),
+            (QUARTIC, "avf", [100.0, 0.0], 0.02, "fixed-point", 0, "cycle", 4,
+             "no convergence: the iterate repeats with period 4 at iteration 8 (residual "),
+            (RUNAWAY, "avf", [1.0, 0.5], 0.5, "fixed-point+newton", 0, "max-iterations", None,
+             "no convergence after 100 iterations (residual 2.903e+01, tolerance 1.000e-14)"),
+            (SADDLE, "avf", [1.0, 0.0], 2.0, "newton", 0, "singular", None, "Newton matrix is singular"),
+            (QUARTIC, "avf", [1e120, 0.0], 0.1, "fixed-point+newton", 0, "non-finite value", None,
+             "non-finite field value at iteration 0"),
+            (SADDLE, "avf", [1e300, 0.0], 1.9999999999999998, "newton", 0, "non-finite iterate", None,
+             "non-finite iterate at iteration "),
+            (QUARTIC, ButcherTableau([[F(1, 2)]], [10**400], [F(1, 2)]), [0.5, 0.1], 0.1, "fixed-point+newton", 0,
+             "non-finite state", None, "non-finite state after the update"),
+        ],
+    )
+    def test_reason(self, sys_, method, y0, h, strategy, k, reason, period, message):
+        cfg = SolverConfig(strategy=strategy)
+        with pytest.raises(SolverError) as exc_info:
+            integrate(sys_, method, y0, h, 20, cfg)
+        err = exc_info.value
+        assert (err.step_index, err.reason, err.period) == (k, reason, period)
+        assert str(err).startswith(f"step {k}: {message}")
+        assert _outcome(sys_, method, y0, h, 20, cfg) == _reference_outcome(sys_, method, y0, h, 20, cfg)
 
 
 class TestSolverFailure:
