@@ -444,8 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.precision < 10:
-        return _fail("--precision must be at least 10", EXIT_INPUT)
+    if args.precision < 15:  # quad_rule's bound, checked before any work
+        return _fail("--precision must be at least 15", EXIT_INPUT)
     try:
         return args.func(args)
     except RuntimeError as e:

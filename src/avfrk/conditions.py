@@ -41,6 +41,7 @@ from .quadrature import (
     UniPoly,
     _decimal,
     _exact_fraction,
+    _int_poly,
     _legendre_ints,
     _moment_form,
     _moment_rows,
@@ -209,7 +210,6 @@ def _eliminate(rows, ncols):
     columns not yet reached followed by the free columns met so far, which
     the pivot rows carry into the null vectors.  Returns (pivots, null, d):
     null holds one integer vector per free column f, over d != 0 with x_f = 1.
-    Rational rows are scaled to integers first (_int_rows).
     """
     A = [list(row) for row in rows if any(row)]
     pivots, free = [], []
@@ -244,11 +244,6 @@ def _eliminate(rows, ncols):
     return pivots, null, prev
 
 
-def _int_rows(rows):
-    """Each rational row scaled to integers by its common denominator, for _eliminate."""
-    return [_scaled(row)[0] for row in rows]
-
-
 def _primitive(rows):
     """Each integer row divided by its content, the gcd of its entries, which Bareiss minors would carry."""
     return [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
@@ -274,13 +269,13 @@ def _null_form(vecs, n):
     return out[::-1], prev
 
 
-def _solve_fraction(rows, rhs):
-    """Exact solution x of the square system rows @ x = rhs, or None if singular."""
+def _solve(rows, rhs):
+    """(x, d) with x / d the exact solution of the square integer system rows @ x = rhs, d != 0, or None if singular."""
     n = len(rows)
-    pivots, null, d = _eliminate(_primitive(_int_rows([*r, -v] for r, v in zip(rows, rhs))), n + 1)
+    pivots, null, d = _eliminate(_primitive([[*r, -v] for r, v in zip(rows, rhs)]), n + 1)
     if pivots != list(range(n)):
         return None
-    return [Fraction(x, d) for x in null[0][:n]]
+    return null[0][:n], d
 
 
 def _integrated_rows(rule, qs, odd):
@@ -318,53 +313,56 @@ def build_p_tilde(rule: QuadRule) -> UniPoly:
     s = rule.s
     if s < 2:
         raise ValueError("need s >= 2")
-    return _legendre_sum(_p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True)))
+    vz, dv = _p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True))
+    return _legendre_sum([Fraction(x, dv) for x in vz])
 
 
 def _p_tilde(rule, high, d):
-    """build_p_tilde's coordinates v over P_1..P_s, as Fractions.
+    """build_p_tilde's coordinates v = vz / dv over P_1..P_s as (vz, dv), in lowest terms with dv > 0.
 
     high holds the moment rows of F_{s+1}..F_{2s-2} over d, and gamma =
     d <F_(s+r), P_l'>_D, l = 1..s, applies the P_l' coefficient columns to
     them.  v_1 = 1, and v solves gamma v = 0 and sum(v) = 0; both are
-    checked on v.
+    checked on v, in integers: vz is the primitive solution with vz_1 = dv.
     """
     s, zx = rule.s, rule.zeta_exact
     if zx == -1:
-        return [Fraction(0)] * (s - 2) + [Fraction(-1), Fraction(1)]
+        return [0] * (s - 2) + [-1, 1], 1
     dP = list(zip(*_legendre_columns(s, True)))
     gamma = [[sum(map(mul, a, h)) for a in dP] for h in high] + [[1] * s]
-    vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
-    if vbar is None:
+    solution = _solve([row[1:] for row in gamma], [-row[0] for row in gamma])
+    if solution is None:
         raise KernelStructureError(
             f"reduced basis system is singular at s={s}, zeta={zx}; "
             f"matrix rows {gamma}, the F rows over {d}"
         )
-    v = [Fraction(1)] + vbar
-    vz, dv = _scaled(v)
+    x, dn = solution
+    (vz,), dv = _reduced([[dn, *x]], dn)
     for r, row in enumerate(gamma[:-1], start=1):
         if ip := sum(map(mul, row, vz)):
             raise KernelStructureError(f"orthogonality against F_{s + r} failed: {Fraction(ip, d * dv)}")
     if sum(vz) != 0:
         raise KernelStructureError("coefficients do not sum to zero")
-    return v
+    return vz, dv
 
 
 def _right_coords(rule, kind, high, d):
-    """The right family B_1..B_s as its coordinates over P_1..P_s: the columns of C.
+    """The right family B_1..B_s as its coordinates over P_1..P_s: (cols, dc), the columns of C times dc > 0.
 
     C is the identity (B_l = P_l) except in the odd case, where the last
-    slot holds p~ (from high, as in _p_tilde); at zeta = 0 that polynomial
-    has degree 2, so slot 2 holds P_s to keep the family spanning (for
-    s = 2 the plain pair already spans, and p~ is not formed).
+    slot holds p~ (from high, as in _p_tilde) and dc is its denominator; at
+    zeta = 0 that polynomial has degree 2, so slot 2 holds P_s to keep the
+    family spanning (for s = 2 the plain pair already spans, and p~ is not
+    formed).
     """
-    s, one, zero = rule.s, Fraction(1), Fraction(0)
-    cols = [[one if k == l else zero for k in range(s)] for l in range(s)]
-    if kind == "odd" and (s > 2 or rule.zeta_exact != 0):
+    s = rule.s
+    pz, dc = _p_tilde(rule, high, d) if kind == "odd" and (s > 2 or rule.zeta_exact != 0) else (None, 1)
+    cols = [[dc * (k == l) for k in range(s)] for l in range(s)]
+    if pz is not None:
         if rule.zeta_exact == 0:
             cols[1] = cols[s - 1]
-        cols[-1] = _p_tilde(rule, high, d)
-    return cols
+        cols[-1] = pz
+    return cols, dc
 
 
 def _legendre_sum(v):
@@ -383,21 +381,22 @@ class MOperator:
     Fractions.  The operator is held as ip_tables = (lip, rip), the
     (m-1) x s integer inner-product tables over one common denominator d > 0:
     row (p, q) is (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d.
-    The right family is held as coords, its Legendre coordinates: coords[l]
-    is column l of C, B_(l+1) = sum_k C_kl P_k, as Fractions.  right_family
-    (the B_l as UniPolys), scaled_rows, one (ints, d) pair per row with
-    gcd(d, *ints) = 1, and matrix_exact are formed on each access.
+    The right family is held as its Legendre coordinates C, B_(l+1) =
+    sum_k C_kl P_k, in integers: _C = (cols, dc) with cols[l] column l of
+    C times dc > 0 (_right_coords).  _coords (C's columns as Fractions),
+    right_family (the B_l as UniPolys), scaled_rows, one (ints, d) pair per
+    row with gcd(d, *ints) = 1, and matrix_exact are formed on each access.
     """
 
-    __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "ip_tables", "_coords", "_den")
+    __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "ip_tables", "_C", "_den")
 
-    def __init__(self, rule, m, basis_kind, rows, w_exact, coords, ip_tables, den):
+    def __init__(self, rule, m, basis_kind, rows, w_exact, C, ip_tables, den):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "basis_kind", basis_kind)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "w_exact", tuple(w_exact))
-        object.__setattr__(self, "_coords", tuple(map(tuple, coords)))
+        object.__setattr__(self, "_C", (tuple(map(tuple, C[0])), C[1]))
         object.__setattr__(self, "ip_tables", tuple(tuple(map(tuple, t)) for t in ip_tables))
         object.__setattr__(self, "_den", den)
 
@@ -409,6 +408,11 @@ class MOperator:
             f"MOperator(s={self.rule.s}, m={self.m}, {self.basis_kind}, "
             f"{len(self.rows)}x{self.rule.s ** 2})"
         )
+
+    @property
+    def _coords(self) -> tuple:
+        cols, dc = self._C
+        return tuple(tuple(Fraction(x, dc) for x in col) for col in cols)
 
     @property
     def right_family(self) -> tuple:
@@ -476,7 +480,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         raise ValueError(f"m must be {2 * s} or {2 * s - 1} for s = {s}")
     # h[q-1][j] = dh <integ_q, x^j>_D for the integrated polynomials G_q or F_q
     h, dh = _integrated_rows(rule, range(1, m), kind == "odd")
-    coords = _right_coords(rule, kind, h[s:], dh)
+    C = _right_coords(rule, kind, h[s:], dh)
     rows = [(p, q) for p in range(1, m - 1) for q in range(p + 1, m)]
     # lip[p-1][k] = <left_p, P_k>_D and rip[p-1][l] = <integ_p, B_(l+1)'>_D,
     # as integers over the common denominators dl and dr
@@ -485,9 +489,9 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
     lip, dl = _reduced([[sum(map(mul, a, row)) for a in left[:s]] for row in hl], dm)
     lip += [[0] * s for _ in range(n_left, m - 1)]
     # the coefficient columns D C of the B_l' over one denominator dc, D those of the P_l'
-    cz, dc = _scaled([x for col in coords for x in col])
+    cols, dc = C
     D = _legendre_columns(s, True)
-    DC = [[sum(map(mul, row, cz[l * s : (l + 1) * s])) for row in D] for l in range(s)]
+    DC = [[sum(map(mul, row, col)) for row in D] for col in cols]
     rip, dr = _reduced([[sum(map(mul, a, col)) for col in DC] for a in h], dh * dc)
     # c b^T = (1/4) u (x) w with u = (1, 1, 0, ...) and w = (1, 0, ...): c = (P_0 + P_1)/2 and B_1' = 2
     for (p, q), x in zip(rows, _pair_minors(rows, [sum(r[:2]) for r in lip], [r[0] for r in rip])):
@@ -499,7 +503,7 @@ def build_M(rule: QuadRule, m: int) -> MOperator:
         "build_M: s %d, m %d, %s, %d rows, %.3f ms",
         s, m, kind, len(rows), 1e3 * (perf_counter() - start),
     )
-    return MOperator(rule, m, kind, rows, w_exact, coords, (lip, rip), dl * dr)
+    return MOperator(rule, m, kind, rows, w_exact, C, (lip, rip), dl * dr)
 
 
 def _pair_minors(rows, lu, rw):
@@ -508,8 +512,9 @@ def _pair_minors(rows, lu, rw):
 
 
 def _reduced(table, d):
-    """(table / g, d / g) for the integer rows over d, with g = gcd(d, *entries)."""
+    """(table / g, d / g) for the integer rows over d != 0, with g = +-gcd(d, *entries) signed so that d / g > 0."""
     g = gcd(d, *[x for row in table for x in row])
+    g = g if d > 0 else -g
     return [[x // g for x in row] for row in table], d // g
 
 
@@ -526,16 +531,18 @@ class KernelElement:
     U(c) b^T V(C); v0 is the dependent constant-slot coefficient -sum(v).
     structured marks an element of the closed-form factor table.  Given
     ints = (vector, d) in place of coords, the element holds vec(alpha) as
-    integers over d and forms coords on first access.
+    integers over d and forms coords on first access; given factors =
+    ((uz, du), (vz, dv)) in place of u and v, it holds them as integers
+    over du and dv and forms u and v on first access.
     """
 
-    __slots__ = ("_coords", "_ints", "u", "v", "structured")
+    __slots__ = ("_coords", "_ints", "_factors", "_uv", "structured")
 
-    def __init__(self, coords, u=None, v=None, structured=False, ints=None):
+    def __init__(self, coords, u=None, v=None, structured=False, ints=None, factors=None):
         object.__setattr__(self, "_coords", None if ints else tuple(coords))
         object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "u", None if u is None else tuple(u))
-        object.__setattr__(self, "v", None if v is None else tuple(v))
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_uv", None if factors else tuple(None if x is None else tuple(x) for x in (u, v)))
         object.__setattr__(self, "structured", structured)
 
     def __setattr__(self, *a):
@@ -547,6 +554,20 @@ class KernelElement:
             ints, den = self._ints
             object.__setattr__(self, "_coords", tuple(Fraction(x, den) for x in ints))
         return self._coords
+
+    @property
+    def u(self):
+        return self._factor_coords()[0]
+
+    @property
+    def v(self):
+        return self._factor_coords()[1]
+
+    def _factor_coords(self) -> tuple:
+        """(u, v), formed from factors on first access."""
+        if self._uv is None:
+            object.__setattr__(self, "_uv", tuple(tuple(Fraction(x, d) for x in ints) for ints, d in self._factors))
+        return self._uv
 
     @property
     def v0(self):
@@ -607,11 +628,14 @@ def _condforv(rule):
     condition pair for v_{s-r}.  Its coefficients t_l = <G_(s+r), P_l'>_D +
     <P_(s+r-1), P_l>_D are integers over one denominator, from the moment
     rows of G_(s+r) and P_(s+r-1) (_integrated_rows, _moment_rows) and the
-    Legendre coefficient columns; the denominator cancels in each step, and
-    v stays rational.  Returns the (u, v) pairs for the two elements beyond
-    (1-c) b^T.
+    Legendre coefficient columns; the denominator cancels in each step.  v
+    is held as integers over one denominator dv, which step r multiplies by
+    z_den t_(s-r) before dividing out the common content.  Returns the
+    (u, v) pairs for the two elements beyond (1-c) b^T, each factor as
+    (ints, d) in lowest terms with d > 0.
     """
     s, zx = rule.s, rule.zeta_exact
+    zn, zd = zx.numerator, zx.denominator
     rs = range(1, s - 1)
     hg, dg = _integrated_rows(rule, range(s + 1, 2 * s - 1), False)
     hp, dp = _moment_rows([_legendre_ints(s + r - 1) for r in rs], rule, s)
@@ -619,7 +643,7 @@ def _condforv(rule):
     dP, Pc = (list(zip(*_legendre_columns(s, derivative))) for derivative in (True, False))
     G = [[dp * sum(map(mul, row, col)) for col in dP] for row in hg]
     P = [[dg * sum(map(mul, row, col)) for col in Pc] for row in hp]
-    v = {s: Fraction(1)}
+    v, dv = [0] * s + [1], 1  # v_l = v[l] / dv
     for r in rs:
         lo = s - r
         # t_l for l = lo..s, the second term for l < s
@@ -627,61 +651,51 @@ def _condforv(rule):
         t = [a + b for a, b in zip(gt, pt + [0])]
         if t[0] == 0:
             raise KernelStructureError(f"zero pivot while solving for v_{lo}")
-        known = -zx * pt[-1] + sum(v[l] * tl for l, tl in enumerate(t[1:], start=lo + 1))
-        v[lo] = -known / t[0]
-    vvec = [v.get(l, Fraction(0)) for l in range(1, s + 1)]
-    v2 = [Fraction(0)] + vvec[1:]
+        # v_lo = (zeta pt_s - sum_(l > lo) v_l t_l) / t_lo, over dv z_den t_lo
+        known = zd * sum(map(mul, v[lo + 1 :], t[1:]))
+        v = [x * zd * t[0] for x in v]
+        v[lo] = zn * pt[-1] * dv - known
+        (v,), dv = _reduced([v], dv * zd * t[0])
+    # over dv: v2 = (0, v_2, ..., v_s), v0 = -sum(v2) and v3 = (v0, v_2, ..., v_s)
+    v2 = [0] + v[2:]
     v0 = -sum(v2)
     if v0 == 0:
         raise KernelStructureError("degenerate normalization: candidate v0 = 0")
-    v3 = [v0] + vvec[1:]
-    u2 = [Fraction(1), Fraction(0)]
-    u3 = [Fraction(0), Fraction(1)]
-    for k in range(3, s):
-        u2.append(v2[k - 2] / v0)
-        u3.append(v3[k - 2] / v0)
-    u2.append((v2[s - 2] - zx) / v0)
-    u3.append((v3[s - 2] - zx) / v0)
-    return (u2, v2), (u3, v3)
+    v3 = [v0] + v[2:]
+    # u = (e, w_1, ..., w_(s-3), w_(s-2) - zeta) / v0 for w = v2 and v3, over z_den v0
+    pairs = []
+    for e, w in (([1, 0], v2), ([0, 1], v3)):
+        u = [zd * v0 * x for x in e] + [zd * x for x in w[1 : s - 2]] + [zd * w[s - 2] - zn * dv]
+        (u,), du = _reduced([u], zd * v0)
+        (w,), dw = _reduced([w], dv)
+        pairs.append(((u, du), (w, dw)))
+    return pairs
 
 
 def _structural_factor_table(rule, kind):
-    """Closed-form (u, v) factor pairs for ker M, case by case."""
+    """Closed-form (u, v) factor pairs for ker M, case by case, each factor as (ints, d) in lowest terms."""
     s, zx = rule.s, rule.zeta_exact
-    one, zero = Fraction(1), Fraction(0)
-    n1 = (([one, -one] + [zero] * (s - 2))[:s], [one] + [zero] * (s - 1))
+    unit = lambda k: ([int(i == k) for i in range(s)], 1)
+    n1 = ((([1, -1] + [0] * (s - 2))[:s], 1), unit(0))
     if kind == "even":
         return [n1]
     if s == 2:
-        return [
-            n1,
-            ([one, zero], [Fraction(zx), one]),
-            ([zero, one], [one, -one]),
-        ]
+        return [n1, (unit(0), ([zx.numerator, zx.denominator], zx.denominator)), (unit(1), ([1, -1], 1))]
     if zx == -1:
-        tail = [zero] * (s - 2) + [-one, one]
-        out = [n1]
-        for i in range(1, s + 1):
-            u = [zero] * s
-            u[i - 1] = one
-            out.append((u, list(tail)))
-        return out
+        tail = ([0] * (s - 2) + [-1, 1], 1)
+        return [n1] + [(unit(i), tail) for i in range(s)]
     if zx == 0:
-        u2 = [one, zero, -one] + [zero] * (s - 3)
-        v2 = [zero, one] + [zero] * (s - 2)
-        u3 = [zero, one, -one] + [zero] * (s - 3)
-        v3 = [one, -one] + [zero] * (s - 2)
-        return [n1, (u2, v2), (u3, v3)]
-    p2, p3 = _condforv(rule)
-    return [n1, p2, p3]
+        rest = [0] * (s - 3)
+        return [n1, (([1, 0, -1, *rest], 1), unit(1)), (([0, 1, -1, *rest], 1), ([1, -1, 0, *rest], 1))]
+    return [n1, *_condforv(rule)]
 
 
 def _factor_polys(u, v):
-    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', from integer Legendre columns."""
+    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', from integer Legendre columns (_int_poly)."""
     (uz, du), (vz, dv) = _scaled(u), _scaled(v)
-    U = [Fraction(sum(map(mul, row, uz)), du) for row in _legendre_columns(len(u), False)]
-    V = [Fraction(sum(map(mul, row, vz)), dv) for row in _legendre_columns(len(v), True)]
-    return UniPoly(U), UniPoly(V)
+    U = [sum(map(mul, row, uz)) for row in _legendre_columns(len(u), False)]
+    V = [sum(map(mul, row, vz)) for row in _legendre_columns(len(v), True)]
+    return _int_poly(U, du), _int_poly(V, dv)
 
 
 @lru_cache(maxsize=None)
@@ -697,19 +711,19 @@ def _det(D):
 
 
 def _right_inverse(C):
-    """(T, dt) with T / dt = C^-1, reduced (_reduced) and dt > 0, for the columns C of _right_coords; None if singular.
+    """(T, dt) with T / dt = C^-1, reduced (_reduced) and dt > 0, for C = (cols, dc) of _right_coords; None if singular.
 
     C is the identity outside the columns J that _right_coords fills, p~ in
     slot s and P_s in slot 2 at zeta = 0.  With D = C[J, J], at most 2 x 2,
-    and B = C[~J, J], C^-1 = [[I, -B D^-1], [0, D^-1]].  With the columns J
-    scaled to integers over dc, Bz = dc B and Dz = dc D, this is
+    and B = C[~J, J], C^-1 = [[I, -B D^-1], [0, D^-1]].  With C's columns
+    integers over dc, Bz = dc B and Dz = dc D, this is
     T = [[det I, -Bz adj], [0, dc adj]] over det for det = det Dz and its
     adjugate adj.
     """
-    s = len(C)
-    J = [l for l, col in enumerate(C) if col[l] != 1 or any(col[:l]) or any(col[l + 1 :])]
-    ints, dc = _scaled([x for l in J for x in C[l]])
-    cols = [ints[i * s : (i + 1) * s] for i in range(len(J))]
+    cols, dc = C
+    s = len(cols)
+    J = [l for l, col in enumerate(cols) if any(x != dc * (k == l) for k, x in enumerate(col))]
+    cols = [cols[l] for l in J]
     Dz = [[col[k] for col in cols] for k in J]
     det = _det(Dz)
     if det == 0:
@@ -743,15 +757,14 @@ def _structured_basis(M, nullity, marks=None):
     s = rule.s
     table = _structural_factor_table(rule, M.basis_kind)
     marks.append(perf_counter())
-    if len(table) != nullity or (inverse := _right_inverse(M._coords)) is None:
+    if len(table) != nullity or (inverse := _right_inverse(M._C)) is None:
         return None
     T, dt = inverse
     lip, rip = M.ip_tables
     vecs = []
-    for u, v in table:
+    for (uz, du), (vz, dv) in table:
         # in integers: u = uz / du and w = wz / (dt dv); row (p, q) applied to
         # u (x) w is a multiple of lu_p rw_q - lu_q rw_p with lu = lip uz, rw = rip wz
-        (uz, du), (vz, dv) = _scaled(u), _scaled(v)
         wz = [sum(map(mul, row, vz)) for row in T]
         lu = [sum(map(mul, row, uz)) for row in lip]
         rw = [sum(map(mul, row, wz)) for row in rip]
@@ -763,7 +776,7 @@ def _structured_basis(M, nullity, marks=None):
     marks.append(perf_counter())
     if len(rows) != nullity:
         return None
-    elements = [KernelElement(None, u, v, True, ints=vec) for (u, v), vec in zip(table, vecs)]
+    elements = [KernelElement(None, structured=True, ints=vec, factors=pair) for pair, vec in zip(table, vecs)]
     return KernelBasis(elements, rows, den, True)
 
 
@@ -789,9 +802,8 @@ def _exact_factors(M, alpha):
     row, p = a[k0], a[k0][l0]
     if any(x * p != ak[l0] * y for ak in a for x, y in zip(ak, row)):
         return None
-    cz, dc = _scaled([x for col in M._coords for x in col])
-    C = [cz[l * s : (l + 1) * s] for l in range(s)]
-    return [Fraction(ak[l0], d) for ak in a], [Fraction(sum(map(mul, c, row)), dc * p) for c in zip(*C)]
+    cols, dc = M._C
+    return [Fraction(ak[l0], d) for ak in a], [Fraction(sum(map(mul, c, row)), dc * p) for c in zip(*cols)]
 
 
 def _kernel_ranks(M):
@@ -875,7 +887,7 @@ def _rowsum_element(M, basis):
     A higher-dimensional intersection raises KernelStructureError.
     """
     s = M.rule.s
-    r, _ = _scaled([2 * sum(c[::2]) for c in M._coords])
+    r = _primitive([[2 * sum(col[::2]) for col in M._C[0]]])[0]
     S = [[sum(map(mul, a[k * s : (k + 1) * s], r)) for a in basis._rows] for k in range(s)]
     _, null, d = _eliminate(S, len(basis._rows))
     if not null:
@@ -910,11 +922,18 @@ _DEFAULT_BETAS = (Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), Fraction
 
 
 def _proportional(f, g):
-    """Whether factor pairs f and g give the same u (x) v up to one nonzero rational scalar."""
-    x = [a * b for a in f[0] for b in f[1]]
-    y = [a * b for a in g[0] for b in g[1]]
-    i = next(i for i, b in enumerate(y) if b)
-    return x[i] != 0 and all(a * y[i] == b * x[i] for a, b in zip(x, y))
+    """Whether factor pairs f and g give the same u (x) v up to one nonzero rational scalar.
+
+    With g's factors nonzero, that is so exactly when each factor of f is a
+    nonzero multiple of g's: the 2x2 minors through g's first nonzero entry
+    vanish, s of them per factor.
+    """
+
+    def parallel(x, y):
+        i = next(i for i, b in enumerate(y) if b)
+        return x[i] != 0 and all(a * y[i] == b * x[i] for a, b in zip(x, y))
+
+    return parallel(f[0], g[0]) and parallel(f[1], g[1])
 
 
 def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
@@ -932,7 +951,7 @@ def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
     if A is not None:
         return _on_nodes(_bush_rows, A, rule, m)
     # every inner product of a row has degree below m: <1, x^q>_D, <G_p', x>_D, <x, (Ac)^(q-1)>_D
-    return [(name, Fraction(r[0, 0], r.d)) for name, r in _bush_rows(*_moment_form(rule, m), m)]
+    return [(name, Fraction(r.get((0, 0), 0), r.d)) for name, r in _bush_rows(*_moment_form(rule, m), m)]
 
 
 def _bush_rows(A, ip, m):
@@ -955,7 +974,7 @@ def _ray_residual(rule, cond, degree, U, Vd):
     """
     body, *args = cond
     r = body(*_moment_form(rule, 2 * rule.s + 1, (U, Vd)), *args)
-    poly = UniPoly([Fraction(r[0, j], r.d) for j in range(1 + max((j for _, j in r), default=-1))])
+    poly = UniPoly([Fraction(r.get((0, j), 0), r.d) for j in range(1 + max((j for _, j in r), default=-1))])
     if poly.degree > degree:
         raise KernelStructureError(f"the ray residual has degree {poly.degree} in beta, above {degree}")
     return poly
@@ -1021,10 +1040,9 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
     factors = _exact_factors(M, alpha)
     if factors is None:
         raise KernelStructureError("row-sum kernel element is not rank one")
-    one, zero = Fraction(1), Fraction(0)
     G2 = g_poly(2)
     if s == 2:
-        closed = ([one, zx], [zero, Fraction(1, 6)])  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
+        closed = ([1, zx], [0, Fraction(1, 6)])  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
         if zx != 0:
             cond = _triple_bush, G2, G2, _ONE
             k, expected, name = 2, zx**3 / 81, "triple-bush P=Q=G_2, R=1"
@@ -1032,16 +1050,16 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
             cond = _asym_bush, 2
             k, expected, name = 2, Fraction(-1, 36), "asym-bush q=2"
     elif zx == 0:
-        closed = ([one, zero, -one] + [zero] * (s - 3), [zero, one] + [zero] * (s - 2))
+        closed = ([1, 0, -1] + [0] * (s - 3), [0, 1] + [0] * (s - 2))
         cond = _asym_bush, s
         k, expected = s, Fraction((-1) ** (s - 1) * 6**s, gamma_lead(s) ** 2)
         name = f"asym-bush q={s}"
     elif zx == -1:
-        v = [zero] * s
-        v[0] = Fraction((-1) ** s)
+        v = [0] * s
+        v[0] = (-1) ** s
         v[s - 2] -= 1
-        v[s - 1] = one
-        closed = ([Fraction(2), Fraction(-2)] + [zero] * (s - 2), v)
+        v[s - 1] = 1
+        closed = ([2, -2] + [0] * (s - 2), v)
         P = _MONOMIAL_X * G2
         cond = _triple_bush, P, P, _ONE
         k, expected, name = 2, Fraction(-4, 9), "triple-bush P=Q=x G_2, R=1"

@@ -11,17 +11,17 @@ coefficients.  The discrete inner product sum_i b_i u(c_i) v(c_i) of two
 such polynomials is rational too: each rule holds its exact moments
 mu_k = sum_i b_i c_i^k as integers over one denominator, from the
 recurrence of the node polynomial, and discrete_ip_exact is the bilinear
-form sum u_i v_j mu_(i+j).  Roots are isolated by exact integer Sturm
-counts when the rule is built.  The nodes and weights are formed on first
-access by one exact routine, _rounded_rule, which rounds each of them
-correctly to a given number of bits: each node by Newton's iteration in
-integers from the middle of its Sturm bracket, confirmed by the signs of
-the integer rho; then one loop halves that bracket by the same signs until
-its ends round to one node and an exact enclosure of the weight at them
-rounds to one weight.  QuadRule.float_nodes holds them at 53 bits,
+form sum u_i v_j mu_(i+j).  Exact integer Sturm counts count the roots
+when the rule is built; Sturm bisection isolates them on first access to
+the nodes.  The nodes and weights are then formed by one exact routine,
+_rounded_rule, which rounds each of them correctly to a given number of
+bits: each node by Newton's iteration in integers from the middle of its
+Sturm bracket, confirmed by the signs of the integer rho; then one loop
+halves that bracket by the same signs until its ends round to one node
+and an exact enclosure of the weight at them rounds to one weight.  QuadRule.float_nodes holds them at 53 bits,
 for the float stepper; QuadRule.c and QuadRule.b hold them as exact dyadic
 Fractions at the bits of the working precision.  The exact certificate
-reads only the exact core and never forms a node.
+reads only the exact core and never isolates a root.
 
 Every number outside the float stepper is an exact rational, and the rule
 is computed in integers only.  A node vector g(c) has one representation
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log, log10
@@ -100,13 +99,14 @@ def _exact_fraction(x) -> Fraction:
 class UniPoly:
     """Univariate polynomial, ascending exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ray")
 
     def __init__(self, coeffs: Sequence):
         cs = [_exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ray", None)  # its _RayPoly, formed on first use
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
@@ -527,27 +527,28 @@ def _rounded_rule(s: int, z: Fraction, brackets, bits: int) -> tuple:
 class QuadRule:
     """Quadrature rule: stages s, parameter zeta, abscissae c and weights b.
 
-    The rule is built on its exact core: zeta_exact, the Sturm-certified
-    root brackets, the order, the exact moments and in_unit_interval.  The
-    nodes c and weights b, exact dyadic Fractions correctly rounded to the
-    bits of precision_digits + 15 digits, are formed and cached on first
-    access, so the exact certificate never computes them.  float_nodes
-    holds the nodes and weights correctly rounded to floats by the same
-    routine.
+    The rule is built on its exact core: zeta_exact, the order, the exact
+    moments and in_unit_interval; its s roots are counted by Sturm, not
+    isolated.  The first read of c, b or float_nodes isolates them in
+    rational Sturm brackets (_brackets, cached), so the exact certificate
+    never isolates a root.  c and b are exact dyadic Fractions correctly
+    rounded to the bits of precision_digits + 15 digits, and float_nodes
+    the nodes and weights correctly rounded to floats by the same routine;
+    each is formed on first access and cached.
     """
 
     __slots__ = (
         "s", "zeta_exact", "order", "precision_digits", "in_unit_interval",
-        "_brackets", "_nodes", "_floats", "_mu",
+        "_isolated", "_nodes", "_floats", "_mu",
     )
 
-    def __init__(self, *, s, zeta_exact, brackets, order, precision_digits, in_unit_interval):
+    def __init__(self, *, s, zeta_exact, order, precision_digits, in_unit_interval):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "zeta_exact", zeta_exact)
-        object.__setattr__(self, "_brackets", tuple(brackets))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "precision_digits", precision_digits)
         object.__setattr__(self, "in_unit_interval", in_unit_interval)
+        object.__setattr__(self, "_isolated", None)
         object.__setattr__(self, "_nodes", None)
         object.__setattr__(self, "_floats", None)
         L = lcm(*range(1, s + 1))
@@ -561,11 +562,17 @@ class QuadRule:
         return f"QuadRule(s={self.s}, zeta={zeta}, order={self.order})"
 
     @property
+    def _brackets(self) -> tuple:
+        """The disjoint Sturm brackets (lo, hi] of the roots in ascending order, isolated on first read."""
+        if self._isolated is None:
+            object.__setattr__(self, "_isolated", tuple(_isolate_roots(self.s, self.zeta_exact, *_WINDOW)))
+        return self._isolated
+
+    @property
     def float_nodes(self) -> tuple:
         """((c_j, b_j), ...) in ascending c, each correctly rounded to a float."""
         if self._floats is None:
-            pairs = _rounded_rule(self.s, self.zeta_exact, self._brackets, 53)
-            object.__setattr__(self, "_floats", tuple((float(c), float(b)) for c, b in pairs))
+            object.__setattr__(self, "_floats", tuple((float(c), float(b)) for c, b in self._round(53)))
         return self._floats
 
     @property
@@ -580,14 +587,20 @@ class QuadRule:
 
     def _rounded_nodes(self) -> tuple:
         """Round the nodes and weights to the bits of precision_digits + 15 digits and cache them as (c, b)."""
-        start = perf_counter()
-        bits = _prec_bits(self.precision_digits + 15)
-        object.__setattr__(self, "_nodes", tuple(zip(*_rounded_rule(self.s, self.zeta_exact, self._brackets, bits))))
-        _log.debug(
-            "rounded nodes: s %d, zeta %s, %d bits, %.3f ms",
-            self.s, self.zeta_exact, bits, 1e3 * (perf_counter() - start),
-        )
+        object.__setattr__(self, "_nodes", tuple(zip(*self._round(_prec_bits(self.precision_digits + 15)))))
         return self._nodes
+
+    def _round(self, bits: int) -> tuple:
+        """_rounded_rule at bits, with the roots isolated first if they are not yet; logs one DEBUG record."""
+        start = perf_counter()
+        brackets = self._brackets
+        isolated = perf_counter()
+        pairs = _rounded_rule(self.s, self.zeta_exact, brackets, bits)
+        _log.debug(
+            "rounded nodes: s %d, zeta %s, %d bits, isolation %.3f ms, %.3f ms",
+            self.s, self.zeta_exact, bits, 1e3 * (isolated - start), 1e3 * (perf_counter() - start),
+        )
+        return pairs
 
     def node_poly(self) -> UniPoly:
         """Monic node polynomial rho_s = prod (x - c_i), exact coefficients."""
@@ -642,33 +655,36 @@ class QuadRule:
 def quad_rule(s: int, zeta, precision_digits: int = 50) -> QuadRule:
     """Construct the s-stage rule with abscissae at the zeros of P_s - zeta*P_{s-1}.
 
-    Construction is exact: integer Sturm counts isolate the roots in
-    rational brackets and decide in_unit_interval, and the order and the
-    moments follow from s and zeta.  Raises QuadratureError when s distinct
-    real roots cannot be found inside the admissible window (complex or
-    runaway roots); no later access raises it.  The nodes c and the weights
-    2/(s rho'(c_i) P_{s-1}(c_i)) are formed on first access, each the exact
-    value correctly rounded to the bits of precision_digits + 15 digits.
+    Construction is exact and isolates no root: integer Sturm counts at the
+    ends of the window count the real roots, which are all simple; counts at
+    0 and 1 decide in_unit_interval; the order and the moments follow from s
+    and zeta.  Raises QuadratureError when the window does not hold s real
+    roots (complex or runaway roots), with the message the count gives, and
+    ValueError, naming the bound, for precision_digits below 15; no later
+    access raises either.  The first access to the nodes isolates the roots
+    and forms the nodes c and the weights 2/(s rho'(c_i) P_{s-1}(c_i)), each
+    the exact value correctly rounded to the bits of precision_digits + 15
+    digits (QuadRule).
     """
     if s < 1:
         raise ValueError("s must be positive")
     if precision_digits < 15:
-        raise ValueError("precision_digits too small")
+        raise ValueError(f"precision_digits must be at least 15, got {precision_digits}")
     z = _exact_fraction(zeta)
     lo, hi = _WINDOW
-    brackets = _isolate_roots(s, z, lo, hi)
-    if len(brackets) != s:
+    # V(lo) - V(hi) counts the roots in (lo, hi], V(0) - V(1) those in (0, 1];
+    # a root at 0 is the one more in [0, 1]
+    vlo, at0, at1, vhi = (_sturm_values(s, z, x) for x in (lo, Fraction(0), Fraction(1), hi))
+    roots = _sign_changes(vlo) - _sign_changes(vhi)
+    if roots != s:
         raise QuadratureError(
-            f"P_{s} - zeta*P_{s-1} with zeta={z} has {len(brackets)} real roots "
+            f"P_{s} - zeta*P_{s-1} with zeta={z} has {roots} real roots "
             f"in {float(lo), float(hi)}; need {s} distinct real roots"
         )
-    # V(0) - V(1) counts the roots in (0, 1]; a root at 0 is the one more in [0, 1]
-    at0, at1 = _sturm_values(s, z, Fraction(0)), _sturm_values(s, z, Fraction(1))
     in_unit = _sign_changes(at0) - _sign_changes(at1) + (at0[0] == 0) == s
     return QuadRule(
         s=s,
         zeta_exact=z,
-        brackets=brackets,
         order=2 * s if z == 0 else 2 * s - 1,
         precision_digits=precision_digits,
         in_unit_interval=in_unit,
@@ -725,41 +741,72 @@ def _node_form(rule: QuadRule) -> tuple:
     return at, lambda f, g: (at(f) * g).dot(w)
 
 
-class _RayPoly(defaultdict):
-    """A node vector g(c) over the true nodes, {(i, j): n} for sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
+class _RayPoly(dict):
+    """A node vector g(c) over the true nodes: {(i, j): n} for sum n x^i beta^j / d, a plain dict of integers over d > 0.
+
+    + and - take a _RayPoly, a UniPoly or a rational; * takes a _RayPoly or
+    a UniPoly, and multiplies by a rational (an int or a Fraction) on the
+    numerators and d alone.  A UniPoly is converted once (_ray_poly).
+    """
+
+    __slots__ = ("d",)
 
     def __init__(self, d, terms=()):
-        super().__init__(int, terms)
+        super().__init__(terms)
         self.d = d
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = _ray_poly(other)
-        out = _RayPoly(lcm(self.d, other.d))
-        for p in (self, other):
-            for key, n in p.items():
-                out[key] += out.d // p.d * n
+        d = lcm(self.d, other.d)
+        f, g = d // self.d, sign * (d // other.d)
+        out = _RayPoly(d, {key: f * n for key, n in self.items()})
+        for key, n in other.items():
+            out[key] = out.get(key, 0) + g * n
         return out
 
     def __sub__(self, other):
-        return self + other * -1
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _RayPoly(self.d, {key: other * n for key, n in self.items()})
+        if isinstance(other, Fraction):
+            x = other.numerator
+            return _RayPoly(self.d * other.denominator, {key: x * n for key, n in self.items()})
         other = _ray_poly(other)
         out = _RayPoly(self.d * other.d)
+        get = out.get
         for (i, j), x in self.items():
             for (k, l), y in other.items():
-                out[i + k, j + l] += x * y
+                key = i + k, j + l
+                out[key] = get(key, 0) + x * y
         return out
 
     __rmul__ = __mul__
 
 
 def _ray_poly(x) -> _RayPoly:
-    """x, a _RayPoly, UniPoly or rational, as a _RayPoly."""
+    """x, a _RayPoly, UniPoly or rational, as a _RayPoly; a UniPoly's is formed once and kept on it."""
     if isinstance(x, _RayPoly):
         return x
-    ints, d = _scaled(x.coeffs if isinstance(x, UniPoly) else [Fraction(x)])
-    return _RayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
+    if isinstance(x, UniPoly):
+        if x._ray is None:
+            ints, d = _scaled(x.coeffs)
+            object.__setattr__(x, "_ray", _RayPoly(d, {(i, 0): n for i, n in enumerate(ints)}))
+        return x._ray
+    x = Fraction(x)
+    return _RayPoly(x.denominator, {(0, 0): x.numerator})
+
+
+def _int_poly(ints, d: int) -> UniPoly:
+    """The UniPoly sum_i ints_i x^i / d for integers over d > 0, its _RayPoly formed from them at once."""
+    g = gcd(d, *ints)
+    ints, d = [x // g for x in ints], d // g
+    while ints and not ints[-1]:
+        ints.pop()
+    p = UniPoly([Fraction(x, d) for x in ints])
+    object.__setattr__(p, "_ray", _RayPoly(d, {(i, 0): x for i, x in enumerate(ints)}))
+    return p
 
 
 def _moment_form(rule: QuadRule, n: int, ray=None) -> tuple:
@@ -780,16 +827,16 @@ def _moment_form(rule: QuadRule, n: int, ray=None) -> tuple:
         if top >= len(mu[0]):
             mu = rule._moment_ints(2 * top + 1)
         ints, dm = mu
-        sums = defaultdict(int)
+        sums = {}
         for (i, j), v in h.items():
-            sums[j] += ints[i] * v
+            sums[j] = sums.get(j, 0) + ints[i] * v
         g = gcd(h.d * dm, *sums.values())
-        return _RayPoly(h.d * dm // g, (((shift, j), v // g) for j, v in sums.items()))
+        return _RayPoly(h.d * dm // g, {(shift, j): v // g for j, v in sums.items()})
 
     ip = lambda f, g: moment_sum(_ray_poly(f) * g)
     if ray is None:
         return lambda g: moment_sum(_ray_poly(g), 1), ip
-    bU, V = _RayPoly(1, [((0, 1), 1)]) * ray[0], _ray_poly(ray[1])
+    bU, V = _RayPoly(1, {(0, 1): 1}) * ray[0], _ray_poly(ray[1])
     return lambda g: moment_sum(_ray_poly(g), 1) + bU * ip(V, g), ip
 
 

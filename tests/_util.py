@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from operator import mul, sub
 
@@ -11,6 +12,22 @@ from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
 from avfrk.integrators import SolverConfig, SolverError, StepStats
 from avfrk.quadrature import UniPoly, _scaled
 from avfrk.trees import ButcherTableau
+
+
+def int_rows(rows):
+    """Each rational row scaled to integers by its common denominator, for conditions._eliminate."""
+    return [_scaled(row)[0] for row in rows]
+
+
+def solve_fraction(rows, rhs):
+    """Exact solution x of the square rational system rows @ x = rhs, or None if singular."""
+    from avfrk.conditions import _eliminate, _primitive
+
+    n = len(rows)
+    pivots, null, d = _eliminate(_primitive(int_rows([*r, -v] for r, v in zip(rows, rhs))), n + 1)
+    if pivots != list(range(n)):
+        return None
+    return [Fraction(x, d) for x in null[0][:n]]
 
 
 def rational_point(rng: random.Random, n: int, span: int = 6) -> tuple:
@@ -486,7 +503,7 @@ def reference_discrete_ip_table(us, vs, rule) -> list:
 
 def reference_build_p_tilde(rule) -> UniPoly:
     """Degree-s substitute for the final right-basis slot."""
-    from avfrk.conditions import KernelStructureError, _solve_fraction
+    from avfrk.conditions import KernelStructureError
     from avfrk.quadrature import f_poly, legendre
 
     s, zx = rule.s, rule.zeta_exact
@@ -497,7 +514,7 @@ def reference_build_p_tilde(rule) -> UniPoly:
     high = [f_poly(s + i, s, zx) for i in range(1, s - 1)]
     gamma = reference_discrete_ip_table(high, [legendre(j).derivative() for j in range(1, s + 1)], rule)
     gamma.append([Fraction(1)] * s)
-    vbar = _solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
+    vbar = solve_fraction([row[1:] for row in gamma], [-row[0] for row in gamma])
     if vbar is None:
         raise KernelStructureError(
             f"reduced basis system is singular at s={s}, zeta={zx}; "
@@ -606,7 +623,7 @@ def _eliminate(rows, ncols):
     columns not yet reached followed by the free columns met so far, which
     the pivot rows carry into the null vectors.  Returns (pivots, null)
     where null holds one Fraction vector per free column f, with x_f = 1.
-    Rational rows are scaled to integers first (_int_rows).
+    Rational rows are scaled to integers first (int_rows).
     """
     A = [list(row) for row in rows if any(row)]
     pivots, free = [], []
@@ -652,12 +669,12 @@ def reference_rowsum_element(M, basis):
     the basis' coordinate vectors, and its element has alpha r = 0 over Q.
     A higher-dimensional intersection raises KernelStructureError.
     """
-    from avfrk.conditions import KernelStructureError, _int_rows
+    from avfrk.conditions import KernelStructureError
 
     s = M.rule.s
     r = [B(Fraction(1)) - B(Fraction(0)) for B in M.right_family]
     S = [[sum(a[k * s + l] * r[l] for l in range(s)) for a in basis.coords] for k in range(s)]
-    _, null = _eliminate(_int_rows(S), len(basis.coords))
+    _, null = _eliminate(int_rows(S), len(basis.coords))
     if not null:
         return None
     if len(null) != 1:
@@ -675,7 +692,7 @@ def reference_ray_residual(rule, cond, degree, U, Vd):
     residual has degree <= degree in beta; its values at beta = 0..degree
     give the coefficients.
     """
-    from avfrk.conditions import _MONOMIAL_X, _ONE, _solve_fraction
+    from avfrk.conditions import _MONOMIAL_X, _ONE
     from avfrk.quadrature import discrete_ip_exact
 
     body, *args = cond
@@ -683,7 +700,63 @@ def reference_ray_residual(rule, cond, degree, U, Vd):
     at = lambda beta: body(lambda g: _MONOMIAL_X * ip(_ONE, g) + U * (beta * ip(Vd, g)), ip, *args)
     nodes = [Fraction(k) for k in range(degree + 1)]
     vandermonde = [[x**k for k in range(degree + 1)] for x in nodes]
-    return UniPoly(_solve_fraction(vandermonde, [at(x) for x in nodes]))
+    return UniPoly(solve_fraction(vandermonde, [at(x) for x in nodes]))
+
+
+# quadrature._RayPoly as it was before it became a plain dict of integers, with its
+# products by a scalar special-cased and each UniPoly converted once: a defaultdict
+# whose every operand, a scalar too, goes through _scaled; the reference for its algebra
+
+
+class ReferenceRayPoly(defaultdict):
+    """A node vector g(c) over the true nodes, {(i, j): n} for sum n x^i beta^j / d; + - * also take a rational or a UniPoly."""
+
+    def __init__(self, d, terms=()):
+        super().__init__(int, terms)
+        self.d = d
+
+    def __add__(self, other):
+        other = reference_ray_poly(other)
+        out = ReferenceRayPoly(math.lcm(self.d, other.d))
+        for p in (self, other):
+            for key, n in p.items():
+                out[key] += out.d // p.d * n
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        other = reference_ray_poly(other)
+        out = ReferenceRayPoly(self.d * other.d)
+        for (i, j), x in self.items():
+            for (k, l), y in other.items():
+                out[i + k, j + l] += x * y
+        return out
+
+    __rmul__ = __mul__
+
+
+def reference_ray_poly(x) -> ReferenceRayPoly:
+    """x, a ReferenceRayPoly, UniPoly or rational, as a ReferenceRayPoly."""
+    if isinstance(x, ReferenceRayPoly):
+        return x
+    ints, d = _scaled(x.coeffs if isinstance(x, UniPoly) else [Fraction(x)])
+    return ReferenceRayPoly(d, (((i, 0), n) for i, n in enumerate(ints)))
+
+
+def reference_moment_sum(rule, h, shift=0) -> dict:
+    """x^shift sum_k h_k mu_k for a ray polynomial h, as {(shift, j): Fraction}, over reference_moments."""
+    mu = reference_moments(rule, 1 + max((i for i, _ in h), default=0))
+    sums = {}
+    for (i, j), n in h.items():
+        sums[shift, j] = sums.get((shift, j), 0) + mu[i] * Fraction(n, h.d)
+    return sums
+
+
+def ray_terms(p) -> dict:
+    """A ray polynomial as {(i, j): Fraction} without its zero terms, whatever its type and denominator."""
+    return {key: Fraction(n, p.d) for key, n in p.items() if n}
 
 
 # conditions._right_inverse and quadrature._isolate_roots as they were before C^-1 had
@@ -698,11 +771,11 @@ def reference_right_inverse(C):
     Column j of T is the null vector of free column s + j of [C | -I]; dt,
     the last Bareiss pivot over the content, may be negative.
     """
-    from avfrk.conditions import _eliminate, _int_rows, _reduced
+    from avfrk.conditions import _eliminate, _reduced
 
     s = len(C)
     CI = [[*row, *(-int(i == j) for j in range(s))] for i, row in enumerate(zip(*C))]
-    pivots, null, d = _eliminate(_int_rows(CI), 2 * s)
+    pivots, null, d = _eliminate(int_rows(CI), 2 * s)
     if pivots != list(range(s)):
         return None
     return _reduced([[x[l] for x in null] for l in range(s)], d)

@@ -220,6 +220,29 @@ class TestConditions:
         assert captured.err.startswith("error:") and "tableau entry" in captured.err
 
 
+class TestPrecisionBound:
+    """--precision below 15, the bound of every rule, is an input error named before any work."""
+
+    @pytest.mark.parametrize("precision", [9, 12, 14, 15])
+    @pytest.mark.parametrize("command", ["quad", "rank", "integrate"])
+    def test_bound(self, capsys, monkeypatch, quartic_file, command, precision):
+        argv = {
+            "quad": ["quad", "--s", "3"],
+            "rank": ["rank", "--s", "3", "--zeta", "1/2"],
+            "integrate": [
+                "integrate", quartic_file, "--y0", "0.5,0.1", "--h", "0.05", "--steps", "5", "--method", "rk", "--s", "3",
+            ],
+        }[command]
+        if precision < 15:
+            monkeypatch.setattr(quadrature, "quad_rule", lambda *a, **k: pytest.fail("a rule was built"))
+        code = main(argv + ["--precision", str(precision)])
+        out, err = capsys.readouterr()
+        if precision < 15:
+            assert (code, out, err) == (2, "", "error: --precision must be at least 15\n")
+        else:
+            assert (code, err) == (0, "") and json.loads(out)
+
+
 class TestRank:
     def test_even_two_stage(self, capsys):
         code, doc = run_json(capsys, ["rank", "--s", "2"])

@@ -15,7 +15,6 @@ from avfrk.conditions import (
     KernelStructureError,
     _eliminate,
     _exact_factors,
-    _int_rows,
     _right_inverse,
     _structured_basis,
     asym_bush_residual,
@@ -47,6 +46,7 @@ from _util import (
     avf_matrix,
     factor_matrix,
     fraction_rref,
+    int_rows,
     kernel_ray_residual,
     mat_sum,
     max_entry,
@@ -400,10 +400,16 @@ class TestPTilde:
     def test_checks_fire(self, monkeypatch, s, zeta, shift, match):
         # a singular Gamma system, and a solution off the orthogonality or the zero sum
         # (s = 2 has no F rows to be orthogonal to), are refused in build_p_tilde and build_M
-        real = conditions._solve_fraction
-        solve = lambda rows, rhs: None if shift is None else [x + shift for x in real(rows, rhs)]
+        real = conditions._solve
+
+        def solve(rows, rhs):  # each unknown x / d moved by shift
+            if shift is None:
+                return None
+            x, d = real(rows, rhs)
+            return [v + shift * d for v in x], d
+
         rule = quad_rule(s, zeta)
-        monkeypatch.setattr(conditions, "_solve_fraction", solve)
+        monkeypatch.setattr(conditions, "_solve", solve)
         with pytest.raises(KernelStructureError, match=match):
             build_p_tilde(rule)
         with pytest.raises(KernelStructureError, match=match):
@@ -595,7 +601,7 @@ class TestBuildM:
             M = build_M(quad_rule(s, zeta), m)
             derivs = [B.derivative().coeffs for B in M.right_family]
             cols = [[d[i] if i < len(d) else 0 for d in derivs] for i in range(s)]
-            assert len(_eliminate(_int_rows(cols), s)[0]) == s
+            assert len(_eliminate(int_rows(cols), s)[0]) == s
 
     @pytest.mark.parametrize("s, zeta", [(3, Fraction(0)), (5, Fraction(-1)), (16, Fraction(1, 2))])
     def test_rows_independent_of_held_moments(self, s, zeta):
@@ -709,13 +715,13 @@ class TestEliminate:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_rref(self, case):
         rows, ncols = case
-        assert eliminated(_int_rows(rows), ncols) == fraction_rref(rows, ncols)
+        assert eliminated(int_rows(rows), ncols) == fraction_rref(rows, ncols)
 
     @given(full_rank_matrices())
     @settings(max_examples=100, deadline=None)
     def test_full_rank(self, case):
         rows, ncols = case
-        pivots, null = eliminated(_int_rows(rows), ncols)
+        pivots, null = eliminated(int_rows(rows), ncols)
         assert len(pivots) == len(rows)
         assert (pivots, null) == fraction_rref(rows, ncols)
 
@@ -733,8 +739,9 @@ class TestRightInverse:
     def test_equal_to_elimination(self, s):
         for zeta in ZETAS7:
             for m in [2 * s - 1] + [2 * s] * (zeta == 0):
-                C = build_M(quad_rule(s, zeta, 15), m)._coords
-                T, dt = _right_inverse(C)
+                M = build_M(quad_rule(s, zeta, 15), m)
+                C = M._coords
+                T, dt = _right_inverse(M._C)
                 assert dt > 0
                 # C T = dt I exactly, with C's columns as Fractions
                 for i in range(s):
@@ -753,21 +760,25 @@ class TestRightInverse:
     def test_singular_block(self):
         one, zero = Fraction(1), Fraction(0)
         unit = lambda s, k: [one if i == k else zero for i in range(s)]
+        # _right_inverse takes the columns as integers over one denominator
+        ints = lambda C: (lambda flat, d: ([flat[i : i + len(C)] for i in range(0, len(flat), len(C))], d))(
+            *_scaled([x for col in C for x in col])
+        )
         # one column whose diagonal entry vanishes: D = [[0]]
         C = [unit(4, l) for l in range(4)]
         C[3] = [one, Fraction(2), Fraction(-3), zero]
-        assert _right_inverse(C) is None and reference_right_inverse(C) is None
+        assert _right_inverse(ints(C)) is None and reference_right_inverse(C) is None
         # two columns: D = [[0, 0], [1, 1]] in slots 2 and s
         C = [unit(4, l) for l in range(4)]
         C[1], C[3] = unit(4, 3), [Fraction(1, 2), zero, Fraction(5), one]
-        assert _right_inverse(C) is None and reference_right_inverse(C) is None
+        assert _right_inverse(ints(C)) is None and reference_right_inverse(C) is None
         # and the same two columns with D = [[0, 3], [1, 1]] invertible
         C[3] = [Fraction(1, 2), Fraction(3), Fraction(5), one]
-        T, dt = _right_inverse(C)
+        T, dt = _right_inverse(ints(C))
         assert [[Fraction(x, dt) for x in row] for row in T] == [
             [Fraction(x, d0) for x in row] for T0, d0 in [reference_right_inverse(C)] for row in T0
         ]
-        assert _right_inverse([unit(3, l) for l in range(3)]) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+        assert _right_inverse(ints([unit(3, l) for l in range(3)])) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
 
 
 class TestExpectedRank:
@@ -866,7 +877,7 @@ class TestRankKernel:
         _, basis = rank_kernel(M)
         for el in basis.elements:
             alpha = [el.coords[k * s : (k + 1) * s] for k in range(s)]
-            assert len(_eliminate(_int_rows(alpha), s)[0]) == 1
+            assert len(_eliminate(int_rows(alpha), s)[0]) == 1
 
     def test_factor_polys_reproduce_matrix(self):
         # coords = u (x) w with V = sum w_l B_l', for the V of factor_polys
@@ -913,7 +924,8 @@ class TestRankKernel:
     )
     def test_unstructured_fallback(self, monkeypatch, caplog, wrong):
         # a factor table that is no basis of the kernel leaves Bareiss' raw null space
-        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: wrong)
+        # the table holds each factor as integers over a denominator
+        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [((u, 1), (v, 1)) for u, v in wrong])
         M = build_M(quad_rule(3, Fraction(1, 2)), 5)
         with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
             rank, basis = rank_kernel(M)
@@ -974,7 +986,7 @@ class TestRankKernel:
         lip, rip = M.ip_tables
         lip = [list(row) for row in lip]
         lip[i][j] += 1
-        bad = conditions.MOperator(M.rule, M.m, M.basis_kind, M.rows, M.w_exact, M._coords, (lip, rip), M._den)
+        bad = conditions.MOperator(M.rule, M.m, M.basis_kind, M.rows, M.w_exact, M._C, (lip, rip), M._den)
         with pytest.raises(KernelStructureError, match=r"diag\(1/\(2k\+1\)\)"):
             rank_kernel(bad)
 
@@ -1006,7 +1018,7 @@ class TestRankKernel:
     def test_logged_parts(self, monkeypatch, caplog, wrong):
         # the time of _kernel_ranks, the factor table, the annihilation check and the _null_form, then the call's
         if wrong:  # a table that fails the check: its parts read 0
-            monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [([1, 0, 0], [0, 0, 1])] * 3)
+            monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [(([1, 0, 0], 1), ([0, 0, 1], 1))] * 3)
         M = build_M(quad_rule(3, Fraction(1, 2)), 5)
         with caplog.at_level(logging.DEBUG, logger="avfrk.conditions"):
             rank_kernel(M)
@@ -1065,7 +1077,7 @@ class TestKernelElement:
         N = kernel_rowsum(M)
         assert N._ints is None and N.coords == tuple(reference_rowsum_element(M, rank_kernel(M)[1]))
         assert all(type(x) is Fraction for x in N.coords)
-        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [([1, -1, 0], [1, 0, 0])] * 3)
+        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [(([1, -1, 0], 1), ([1, 0, 0], 1))] * 3)
         _, basis = rank_kernel(M)
         assert not basis.structured
         assert all(el._ints is None for el in basis.elements)
@@ -1253,7 +1265,7 @@ class TestRayResidual:
         def refuse(*a):
             raise AssertionError("a linear system was solved")
 
-        monkeypatch.setattr(conditions, "_solve_fraction", refuse)
+        monkeypatch.setattr(conditions, "_solve", refuse)
         assert conditions._ray_residual(case[0], (counted, *args), *case[2:]) == want
         assert len(runs) == 1
 

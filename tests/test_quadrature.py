@@ -15,6 +15,8 @@ from avfrk.quadrature import (
     QuadratureError,
     QuadRule,
     UniPoly,
+    _RayPoly,
+    _moment_form,
     _exact_fraction,
     _isolate_roots,
     _rounded_node,
@@ -33,9 +35,19 @@ from avfrk.quadrature import (
     r_poly,
 )
 from avfrk import quadrature
-from avfrk.conditions import build_M, rank_kernel, uniqueness_sweep
+from avfrk.conditions import build_M, bush_residuals, rank_kernel, uniqueness_sweep
 from avfrk.integrators import avf_tableau
-from _util import random_unipoly, reference_moments, reference_rule_core, refuse_nodes
+from avfrk.trees import conditions_up_to, energy_condition_residual
+from _util import (
+    ReferenceRayPoly,
+    random_unipoly,
+    ray_terms,
+    reference_moment_sum,
+    reference_moments,
+    reference_ray_poly,
+    reference_rule_core,
+    refuse_nodes,
+)
 
 ZETA_GRID = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 MOMENT_ZETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -245,6 +257,12 @@ class TestQuadRule:
         with pytest.raises((QuadratureError, ValueError)):
             quad_rule(0, 0)
 
+    @pytest.mark.parametrize("precision", [9, 12, 14])
+    def test_precision_bound_named(self, precision):
+        with pytest.raises(ValueError, match=f"precision_digits must be at least 15, got {precision}"):
+            quad_rule(3, 0, precision)
+        assert quad_rule(3, 0, 15).precision_digits == 15
+
     def test_node_poly_vanishes_on_nodes(self):
         rule = quad_rule(3, Fraction(1, 2))
         rho = rule.node_poly()
@@ -290,16 +308,38 @@ class TestLazyNodes:
             uniqueness_sweep(rule, 5)
             uniqueness_sweep(quad_rule(4, Fraction(-1)), 7)
             tab = avf_tableau(rule)
-            assert rule.float_nodes
-            # neither the exact certificate, nor a rank-one tableau before its entries are
-            # read, nor the float nodes log
+            # neither the exact certificate nor a rank-one tableau before its entries are read logs
             assert not [r for r in caplog.records if r.name == "avfrk.quadrature"]
+            assert rule.float_nodes and rule.float_nodes
             tab.A
             avf_tableau(rule).c
         got = [r.getMessage() for r in caplog.records if r.name == "avfrk.quadrature"]
-        assert len(got) == 1
-        assert got[0].startswith("rounded nodes: s 3, zeta 1/2, 219 bits, ")
-        assert got[0].endswith(" ms") and float(got[0].split(", ")[-1][:-3]) >= 0
+        # the first float_nodes read isolates the roots and rounds at 53 bits, the first c
+        # rounds at 219 bits on the same brackets; each record gives the isolation on its own
+        assert len(got) == 2
+        assert got[0].startswith("rounded nodes: s 3, zeta 1/2, 53 bits, isolation ")
+        assert got[1].startswith("rounded nodes: s 3, zeta 1/2, 219 bits, isolation ")
+        for message in got:
+            isolation, total = (float(part.split()[-2]) for part in message.split(", ")[-2:])
+            assert message.endswith(" ms") and 0 <= isolation <= total
+
+    @pytest.mark.parametrize("s,zeta", [(3, Fraction(1, 2)), (4, Fraction(-1)), (4, Fraction(0)), (5, Fraction(2, 3))])
+    def test_certificate_isolates_no_root(self, s, zeta):
+        # the operator, its kernel, the sweep, the bush rows and the tree-class residuals of the
+        # rule's own tableau read the exact core only: no root is isolated and no node formed
+        rule = quad_rule(s, zeta)
+        for m in [2 * s - 1] + [2 * s] * (zeta == 0):
+            rank_kernel(build_M(rule, m))
+            uniqueness_sweep(rule, m)
+            bush_residuals(rule, m)
+        tab = avf_tableau(rule)
+        for ft in conditions_up_to(rule.order, rule.order):
+            energy_condition_residual(ft, tab)
+        assert (rule._isolated, rule._nodes, rule._floats) == (None, None, None)
+        # and what is read afterwards is a fresh rule's
+        fresh = quad_rule(s, zeta)
+        assert rule._brackets == fresh._brackets == tuple(_isolate_roots(s, zeta, *_WINDOW))
+        assert (rule.c, rule.b, rule.float_nodes) == (fresh.c, fresh.b, fresh.float_nodes)
 
     def test_nodes_are_read_only(self):
         rule = quad_rule(2, 0)
@@ -573,6 +613,65 @@ class TestRootIsolation:
             else:
                 rule = quad_rule(s, zeta)
                 assert (list(rule._brackets), rule.in_unit_interval) == want
+
+
+_ray_terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 3)), st.integers(-60, 60), max_size=8)
+_ray_dens = st.integers(1, 40)
+
+
+@st.composite
+def _ray_operands(draw):
+    """(new, reference): one operand of the ray algebra in each representation: a ray polynomial, a UniPoly or a scalar."""
+    kind = draw(st.sampled_from(["ray", "unipoly", "int", "fraction"]))
+    if kind == "ray":
+        d, terms = draw(_ray_dens), draw(_ray_terms)
+        return _RayPoly(d, terms), ReferenceRayPoly(d, terms)
+    if kind == "unipoly":
+        coeffs = draw(st.lists(st.fractions(max_denominator=30).filter(lambda x: abs(x) < 100), max_size=5))
+        return UniPoly(coeffs), UniPoly(coeffs)
+    x = draw(st.integers(-50, 50)) if kind == "int" else draw(st.fractions(max_denominator=30))
+    return x, x
+
+
+class TestRayPoly:
+    """The plain-dict ray algebra against the defaultdict one it replaced (ReferenceRayPoly)."""
+
+    @given(_ray_dens, _ray_terms, _ray_operands(), st.sampled_from(["+", "-", "*", "r*"]))
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_reference(self, d, terms, other, op):
+        new, ref = _RayPoly(d, terms), ReferenceRayPoly(d, terms)
+        apply = {
+            "+": lambda a, b: a + b,
+            "-": lambda a, b: a - b,
+            "*": lambda a, b: a * b,
+            "r*": lambda a, b: b * a,  # a scalar or UniPoly on the left
+        }[op]
+        got, want = apply(new, other[0]), apply(ref, other[1])
+        assert type(got) is _RayPoly and type(got.d) is int and got.d > 0
+        assert all(type(n) is int for n in got.values())
+        assert ray_terms(got) == ray_terms(want)
+
+    @given(st.sampled_from([(2, Fraction(0)), (3, Fraction(1, 2)), (4, Fraction(-1)), (5, Fraction(2, 3))]),
+           _ray_dens, _ray_terms, _ray_dens, _ray_terms, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_moment_sum_matches_reference(self, case, df, f, dg, g, ray):
+        # A(g) = x <1, g>_D and ip(f, g) = <f, g>_D, on and off a kernel ray, over the
+        # moments of the Fraction remainder recurrence
+        rule = quad_rule(*case)
+        U, V = (UniPoly([1, -2]), UniPoly([Fraction(1, 3), 2])) if ray else (None, None)
+        A, ip = _moment_form(rule, 2 * rule.s + 1, (U, V) if ray else None)
+        f, g = _RayPoly(df, f), _RayPoly(dg, g)
+        fr, gr = ReferenceRayPoly(df, f), ReferenceRayPoly(dg, g)
+        want_ip = {k: x for k, x in reference_moment_sum(rule, fr * gr).items() if x}
+        assert ray_terms(ip(f, g)) == want_ip
+        want_A = ReferenceRayPoly(1)
+        for key, x in reference_moment_sum(rule, gr, 1).items():
+            want_A += ReferenceRayPoly(x.denominator, {key: x.numerator})
+        if ray:
+            beta_U = ReferenceRayPoly(1, {(0, 1): 1}) * U
+            for key, x in reference_moment_sum(rule, reference_ray_poly(V) * gr).items():
+                want_A += beta_U * ReferenceRayPoly(x.denominator, {key: x.numerator})
+        assert ray_terms(A(g)) == ray_terms(want_A)
 
 
 class TestFloatNodes:
