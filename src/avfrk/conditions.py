@@ -47,7 +47,6 @@ from .quadrature import (
     _moment_rows,
     _node_form,
     _rho_ints,
-    _scaled,
     _scaled_matrix,
     g_poly,
     gamma_lead,
@@ -209,7 +208,7 @@ def _eliminate(rows, ncols):
     columns hold d on the diagonal and 0 elsewhere, so each row keeps the
     columns not yet reached followed by the free columns met so far, which
     the pivot rows carry into the null vectors.  Returns (pivots, null, d):
-    null holds one integer vector per free column f, over d != 0 with x_f = 1.
+    null holds one integer vector per free column f, over d > 0 with x_f = 1.
     """
     A = [list(row) for row in rows if any(row)]
     pivots, free = [], []
@@ -234,14 +233,15 @@ def _eliminate(rows, ncols):
         A[r + 1 :] = [row for row in A[r + 1 :] if any(row)]
         prev = piv
         pivots.append(c)
+    sign = -1 if prev < 0 else 1
     null = []
     for j, f in enumerate(free):
         x = [0] * ncols
-        x[f] = prev
+        x[f] = sign * prev
         for row, c in zip(A, pivots):
-            x[c] = -row[j]
+            x[c] = -sign * row[j]
         null.append(x)
-    return pivots, null, prev
+    return pivots, null, sign * prev
 
 
 def _primitive(rows):
@@ -254,7 +254,7 @@ def _null_form(vecs, n):
 
     That is the reduced row-echelon form of vecs with the columns reversed,
     unique for the row space (fraction-free Gauss-Jordan as in _eliminate),
-    as integer rows over one d != 0.  Fewer rows than vecs: vecs dependent.
+    as integer rows over one d > 0.  Fewer rows than vecs: vecs dependent.
     """
     rows, out, prev = [list(v) for v in vecs], [], 1
     for f in reversed(range(n)):
@@ -266,7 +266,7 @@ def _null_form(vecs, n):
         clear = lambda row: [(piv * x - row[f] * y) // prev for x, y in zip(row, top)]
         rows, out = [clear(row) for row in rows], [clear(row) for row in out] + [top]
         prev = piv
-    return out[::-1], prev
+    return (out[::-1], prev) if prev > 0 else ([[-x for x in row] for row in out[::-1]], -prev)
 
 
 def _solve(rows, rhs):
@@ -314,7 +314,7 @@ def build_p_tilde(rule: QuadRule) -> UniPoly:
     if s < 2:
         raise ValueError("need s >= 2")
     vz, dv = _p_tilde(rule, *_integrated_rows(rule, range(s + 1, 2 * s - 1), True))
-    return _legendre_sum([Fraction(x, dv) for x in vz])
+    return _legendre_sum([0, *vz], dv)
 
 
 def _p_tilde(rule, high, d):
@@ -365,9 +365,9 @@ def _right_coords(rule, kind, high, d):
     return cols, dc
 
 
-def _legendre_sum(v):
-    """sum v_l P_l over l = 1..len(v), a UniPoly."""
-    return sum((legendre(l) * x for l, x in enumerate(v, start=1) if x), UniPoly([0]))
+def _legendre_sum(ints, d, derivative=False):
+    """sum ints_k P_k / d over k = 0..len(ints)-1, or sum ints_k P_(k+1)' / d, a UniPoly from integer Legendre columns."""
+    return _int_poly([sum(map(mul, row, ints)) for row in _legendre_columns(len(ints), derivative)], d)
 
 
 class MOperator:
@@ -383,9 +383,9 @@ class MOperator:
     row (p, q) is (lip[p-1] (x) rip[q-1] - lip[q-1] (x) rip[p-1]) / d.
     The right family is held as its Legendre coordinates C, B_(l+1) =
     sum_k C_kl P_k, in integers: _C = (cols, dc) with cols[l] column l of
-    C times dc > 0 (_right_coords).  _coords (C's columns as Fractions),
-    right_family (the B_l as UniPolys), scaled_rows, one (ints, d) pair per
-    row with gcd(d, *ints) = 1, and matrix_exact are formed on each access.
+    C times dc > 0 (_right_coords).  right_family (the B_l as UniPolys),
+    scaled_rows, one (ints, d) pair per row with gcd(d, *ints) = 1, and
+    matrix_exact are formed on each access.
     """
 
     __slots__ = ("rule", "m", "basis_kind", "rows", "w_exact", "ip_tables", "_C", "_den")
@@ -410,13 +410,9 @@ class MOperator:
         )
 
     @property
-    def _coords(self) -> tuple:
-        cols, dc = self._C
-        return tuple(tuple(Fraction(x, dc) for x in col) for col in cols)
-
-    @property
     def right_family(self) -> tuple:
-        return tuple(map(_legendre_sum, self._coords))
+        cols, dc = self._C
+        return tuple(_legendre_sum([0, *col], dc) for col in cols)
 
     @property
     def scaled_rows(self) -> tuple:
@@ -525,24 +521,23 @@ def _reduced(table, d):
 class KernelElement:
     """A kernel direction, optionally with rank-one factor coordinates.
 
-    coords is the exact operator coordinate vector vec(alpha) of the
-    direction.  u holds exact coefficients over P_0..P_{s-1} for the left
-    factor and v over P_1'..P_s' for the right one, so the direction is
-    U(c) b^T V(C); v0 is the dependent constant-slot coefficient -sum(v).
-    structured marks an element of the closed-form factor table.  Given
-    ints = (vector, d) in place of coords, the element holds vec(alpha) as
-    integers over d and forms coords on first access; given factors =
-    ((uz, du), (vz, dv)) in place of u and v, it holds them as integers
-    over du and dv and forms u and v on first access.
+    ints = (vector, d) holds the exact operator coordinate vector vec(alpha)
+    of the direction as integers over d > 0, and coords forms it as
+    Fractions on first access.  factors = ((uz, du), (vz, dv)), or None
+    where the direction is not rank one, holds the factor coordinates as
+    integers over du, dv > 0: u over P_0..P_{s-1} for the left factor and v
+    over P_1'..P_s' for the right one, so the direction is U(c) b^T V(C).
+    u, v and v0, the dependent constant-slot coefficient -sum(v), are
+    Fractions formed on each access, or None.  structured marks an element
+    of the closed-form factor table.
     """
 
-    __slots__ = ("_coords", "_ints", "_factors", "_uv", "structured")
+    __slots__ = ("_coords", "_ints", "_factors", "structured")
 
-    def __init__(self, coords, u=None, v=None, structured=False, ints=None, factors=None):
-        object.__setattr__(self, "_coords", None if ints else tuple(coords))
+    def __init__(self, ints, factors=None, structured=False):
+        object.__setattr__(self, "_coords", None)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_uv", None if factors else tuple(None if x is None else tuple(x) for x in (u, v)))
         object.__setattr__(self, "structured", structured)
 
     def __setattr__(self, *a):
@@ -555,36 +550,32 @@ class KernelElement:
             object.__setattr__(self, "_coords", tuple(Fraction(x, den) for x in ints))
         return self._coords
 
+    def _factor(self, i):
+        """Factor i (0: u, 1: v) as a tuple of Fractions, or None."""
+        if self._factors is None:
+            return None
+        ints, d = self._factors[i]
+        return tuple(Fraction(x, d) for x in ints)
+
     @property
     def u(self):
-        return self._factor_coords()[0]
+        return self._factor(0)
 
     @property
     def v(self):
-        return self._factor_coords()[1]
-
-    def _factor_coords(self) -> tuple:
-        """(u, v), formed from factors on first access."""
-        if self._uv is None:
-            object.__setattr__(self, "_uv", tuple(tuple(Fraction(x, d) for x in ints) for ints, d in self._factors))
-        return self._uv
+        return self._factor(1)
 
     @property
     def v0(self):
-        if self.v is None:
-            return None
-        return -sum(self.v)
+        return None if self._factors is None else Fraction(-sum(self._factors[1][0]), self._factors[1][1])
 
     def factor_polys(self):
         """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', or None."""
-        if self.u is None or self.v is None:
-            return None
-        return _factor_polys(self.u, self.v)
+        return None if self._factors is None else _factor_polys(*self._factors)
 
     def __repr__(self):
         tag = "structured" if self.structured else "raw"
-        n = len(self._coords if self._ints is None else self._ints[0])
-        return f"KernelElement({tag}, s={isqrt(n)})"
+        return f"KernelElement({tag}, s={isqrt(len(self._ints[0]))})"
 
 
 class KernelBasis:
@@ -691,11 +682,8 @@ def _structural_factor_table(rule, kind):
 
 
 def _factor_polys(u, v):
-    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', from integer Legendre columns (_int_poly)."""
-    (uz, du), (vz, dv) = _scaled(u), _scaled(v)
-    U = [sum(map(mul, row, uz)) for row in _legendre_columns(len(u), False)]
-    V = [sum(map(mul, row, vz)) for row in _legendre_columns(len(v), True)]
-    return _int_poly(U, du), _int_poly(V, dv)
+    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l' for factors u = (uz, du) and v = (vz, dv), integers over du, dv > 0."""
+    return _legendre_sum(*u), _legendre_sum(*v, True)
 
 
 @lru_cache(maxsize=None)
@@ -776,21 +764,23 @@ def _structured_basis(M, nullity, marks=None):
     marks.append(perf_counter())
     if len(rows) != nullity:
         return None
-    elements = [KernelElement(None, structured=True, ints=vec, factors=pair) for pair, vec in zip(table, vecs)]
+    elements = [KernelElement(vec, pair, True) for pair, vec in zip(table, vecs)]
     return KernelBasis(elements, rows, den, True)
 
 
 def _exact_factors(M, alpha):
     """Exact (u, v) with sum alpha_{k,l} P_{k-1}(c) b^T B_l'(C) = U(c) b^T V(C), or None.
 
-    alpha = (ints, d) holds vec(alpha) as integers over d.  None means alpha
-    is not rank one.
+    alpha = (ints, d) holds vec(alpha) as integers over d > 0.  None means
+    alpha is not rank one.  Each factor comes as (ints, d) in lowest terms
+    with d > 0.
 
     With a the integer s x s matrix of ints, alpha is u (x) w exactly when
     every 2x2 minor through a nonzero pivot a_pq vanishes:
-    a_kl a_pq = a_kq a_pl.  u is read off column q and w = a_p / a_pq off
-    row p.  w is over the right family's derivatives B_l', so V = sum w_l B_l'
-    has the coordinates v = C w over P_1'..P_s'.
+    a_kl a_pq = a_kq a_pl.  u = a_q / d is read off column q and
+    w = a_p / a_pq off row p.  w is over the right family's derivatives
+    B_l', so V = sum w_l B_l' has the coordinates v = C w over P_1'..P_s':
+    the integers cols a_p over dc a_pq for C = (cols, dc).
     """
     s = M.rule.s
     ints, d = alpha
@@ -803,7 +793,9 @@ def _exact_factors(M, alpha):
     if any(x * p != ak[l0] * y for ak in a for x, y in zip(ak, row)):
         return None
     cols, dc = M._C
-    return [Fraction(ak[l0], d) for ak in a], [Fraction(sum(map(mul, c, row)), dc * p) for c in zip(*cols)]
+    (u,), du = _reduced([[ak[l0] for ak in a]], d)
+    (v,), dv = _reduced([[sum(map(mul, c, row)) for c in zip(*cols)]], dc * p)
+    return (u, du), (v, dv)
 
 
 def _kernel_ranks(M):
@@ -848,10 +840,7 @@ def rank_kernel(M: MOperator):
     marks += marks[-1:] * (5 - len(marks))
     if basis is None:
         _, null, d = _eliminate([row for row, _ in M.scaled_rows], s * s)
-        elements = [
-            KernelElement([Fraction(x, d) for x in row], *(_exact_factors(M, (row, d)) or (None, None)))
-            for row in null
-        ]
+        elements = [KernelElement((row, d), _exact_factors(M, (row, d))) for row in null]
         basis = KernelBasis(elements, null, d, False)
     _log.debug(
         "rank_kernel: s %d, m %d, rank %d, nullity %d, k %d, r %d, structured %s, "
@@ -874,7 +863,7 @@ def expected_rank(s: int, m: int, zeta):
 
 
 def _rowsum_element(M, basis):
-    """Exact coordinates vec(alpha) = ints / d of the zero-row-sum direction of ker M as (ints, d), or None.
+    """Exact coordinates vec(alpha) = ints / d of the zero-row-sum direction of ker M as (ints, d), d > 0, or None.
 
     The direction is X alpha Yb^T with X_ik = P_{k-1}(c_i) and
     Yb_jl = b_j B_l'(c_j).  Its row sums are X (alpha r) with
@@ -908,10 +897,7 @@ def kernel_rowsum(M: MOperator):
     stage.
     """
     alpha = _rowsum_element(M, rank_kernel(M)[1])
-    if alpha is None:
-        return None
-    ints, d = alpha
-    return KernelElement([Fraction(x, d) for x in ints], *(_exact_factors(M, alpha) or (None, None)))
+    return None if alpha is None else KernelElement(alpha, _exact_factors(M, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -924,16 +910,17 @@ _DEFAULT_BETAS = (Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), Fraction
 def _proportional(f, g):
     """Whether factor pairs f and g give the same u (x) v up to one nonzero rational scalar.
 
-    With g's factors nonzero, that is so exactly when each factor of f is a
-    nonzero multiple of g's: the 2x2 minors through g's first nonzero entry
-    vanish, s of them per factor.
+    Each factor is (ints, d), and its denominator is one more scalar.  With
+    g's factors nonzero, the test holds exactly when each factor of f is a
+    nonzero multiple of g's: the 2x2 minors of the integers through g's
+    first nonzero entry vanish, s of them per factor.
     """
 
     def parallel(x, y):
         i = next(i for i, b in enumerate(y) if b)
         return x[i] != 0 and all(a * y[i] == b * x[i] for a, b in zip(x, y))
 
-    return parallel(f[0], g[0]) and parallel(f[1], g[1])
+    return all(parallel(x, y) for (x, _), (y, _) in zip(f, g))
 
 
 def bush_residuals(rule: QuadRule, m: int, A=None) -> list:
@@ -1042,7 +1029,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         raise KernelStructureError("row-sum kernel element is not rank one")
     G2 = g_poly(2)
     if s == 2:
-        closed = ([1, zx], [0, Fraction(1, 6)])  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
+        closed = ([zx.denominator, zx.numerator], zx.denominator), ([0, 1], 6)  # ((zeta-1) - 2 zeta c) b^T (I - 2C)
         if zx != 0:
             cond = _triple_bush, G2, G2, _ONE
             k, expected, name = 2, zx**3 / 81, "triple-bush P=Q=G_2, R=1"
@@ -1050,28 +1037,24 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
             cond = _asym_bush, 2
             k, expected, name = 2, Fraction(-1, 36), "asym-bush q=2"
     elif zx == 0:
-        closed = ([1, 0, -1] + [0] * (s - 3), [0, 1] + [0] * (s - 2))
+        closed = ([1, 0, -1] + [0] * (s - 3), 1), ([0, 1] + [0] * (s - 2), 1)
         cond = _asym_bush, s
         k, expected = s, Fraction((-1) ** (s - 1) * 6**s, gamma_lead(s) ** 2)
         name = f"asym-bush q={s}"
     elif zx == -1:
-        v = [0] * s
-        v[0] = (-1) ** s
-        v[s - 2] -= 1
-        v[s - 1] = 1
-        closed = ([2, -2] + [0] * (s - 2), v)
+        closed = ([2, -2] + [0] * (s - 2), 1), ([(-1) ** s] + [0] * (s - 3) + [-1, 1], 1)  # s >= 3
         P = _MONOMIAL_X * G2
         cond = _triple_bush, P, P, _ONE
         k, expected, name = 2, Fraction(-4, 9), "triple-bush P=Q=x G_2, R=1"
     else:
         closed = None
-        u, v = factors
+        (u, du), (v, dv) = factors
         p = 1 if abs(u[0]) >= abs(u[1]) else 2
         if u[p - 1] == 0:
             raise KernelStructureError("both leading factor coefficients vanish")
         Gp = g_poly(p)
         cond = _triple_bush, Gp, Gp, _MONOMIAL_X
-        k, expected = 2, (u[p - 1] * v[s - 1] * (1 + zx)) ** 2 / (2 * p - 1) ** 2
+        k, expected = 2, (Fraction(u[p - 1] * v[s - 1], du * dv) * (1 + zx)) ** 2 / (2 * p - 1) ** 2
         name = f"triple-bush P=Q=G_{p}, R=x"
     if closed is not None:
         if not _proportional(factors, closed):

@@ -269,16 +269,24 @@ def line_average(f: Sequence[MultiPoly], y0: Sequence, y1: Sequence) -> Rational
     return RationalVec(out)
 
 
+def _json_int(x, field: str) -> int:
+    """x if it is an int and not a bool, else ValueError naming field."""
+    if type(x) is not int:
+        raise ValueError(f"{field}: {x!r} is not a JSON integer")
+    return x
+
+
 def hamiltonian_from_json(doc: Mapping) -> HamiltonianSystem:
     """Build a HamiltonianSystem from the JSON schema.
 
     {"half_dim": d, "terms": [{"exponents": [e1..e2d], "coeff": "num/den"}]}
-    Coefficients may be integers or "num/den" strings.
+    half_dim and the exponents must be JSON integers (no float or bool);
+    coefficients may be integers or "num/den" strings.
     """
-    d = int(doc["half_dim"])
+    d = _json_int(doc["half_dim"], "half_dim")
     terms = {}
     for entry in doc["terms"]:
-        exps = tuple(int(e) for e in entry["exponents"])
+        exps = tuple(_json_int(e, "exponents") for e in entry["exponents"])
         if len(exps) != 2 * d:
             raise ValueError("exponent tuple must have length 2*half_dim")
         coeff = _rat(entry["coeff"])

@@ -416,31 +416,38 @@ def _newton_bracket(side, rho: list, slope: list, lo, hi, x: Fraction, rising: b
     """(a, b) with a < r < b, or a = b = r, for the root r in (lo, hi] that side locates.
 
     From the rational start x, Newton's iteration on the integer coefficients
-    of rho and of its derivative (slope) runs on the grid 2^-f, _GUARD_BITS
-    finer than the bits-wide grid at x, and bisects where a step would leave
-    the bracket that the signs of rho keep (rho < 0 left of the root when
-    rising).  Two side tests then confirm r within two units of its result
-    m, or meet r exactly there.  Where they do not, (lo, hi] widened to the
-    2^-f grid is returned.
+    of rho and of its derivative (slope) ends on the grid 2^-top, _GUARD_BITS
+    finer than the bits-wide grid at x.  It runs on the grids 2^-(top >> k),
+    k = coarse..0: the first has 16 to 31 bits, and it moves to the next,
+    twice as fine, when its step shrinks to one unit.  It bisects where a
+    step would leave the bracket that the signs of rho keep (rho < 0 left of
+    the root when rising).  Two side tests on 2^-top then confirm r within
+    two units of its result m, or meet r exactly there.  Where they do not,
+    (lo, hi] widened to 2^-top is returned.
     """
-    f = bits + _GUARD_BITS - (_floor_log2(abs(x.numerator), x.denominator) + 1 if x else 0)
+    top = bits + _GUARD_BITS - (_floor_log2(abs(x.numerator), x.denominator) + 1 if x else 0)
+    coarse = max(top.bit_length() - 5, 0)
+    f = top >> coarse
     m = (x.numerator << f) // x.denominator
+    a, b = (lo.numerator << f) // lo.denominator, (hi.numerator << f) // hi.denominator + 1
+    for k in range(coarse, -1, -1):
+        g = top >> k
+        m, a, b, f = m << g - f, a << g - f, b << g - f, g
+        for _ in range(f + 8):
+            v = _dyadic_horner(rho, m, f)
+            if not v:
+                break
+            if (v > 0) == rising:
+                b = m
+            else:
+                a = m
+            dv = _dyadic_horner(slope, m, f)  # 2^(f (n - 1)) rho'(m / 2^f): v / dv is the step in units of 2^-f
+            nxt = m - (2 * v + dv) // (2 * dv) if dv else a
+            if abs(nxt - m) <= 1:
+                m = nxt
+                break
+            m = nxt if a < nxt < b else (a + b) // 2
     low, high = (lo.numerator << f) // lo.denominator, (hi.numerator << f) // hi.denominator + 1
-    a, b = low, high
-    for _ in range(f + 8):
-        v = _dyadic_horner(rho, m, f)
-        if not v:
-            break
-        if (v > 0) == rising:
-            b = m
-        else:
-            a = m
-        dv = _dyadic_horner(slope, m, f)  # 2^(f (n - 1)) rho'(m / 2^f): v / dv is the step in units of 2^-f
-        nxt = m - (2 * v + dv) // (2 * dv) if dv else a
-        if abs(nxt - m) <= 1:
-            m = nxt
-            break
-        m = nxt if a < nxt < b else (a + b) // 2
     below, above = side(Fraction(m - 2, 1 << f)), side(Fraction(m + 2, 1 << f))
     if not below * above:
         t = Fraction(m - 2 if below == 0 else m + 2, 1 << f)

@@ -7,10 +7,10 @@ from operator import mul, sub
 
 from mpmath import mp
 
-from avfrk.conditions import _factor_polys, double_bush_residual
+from avfrk.conditions import double_bush_residual
 from avfrk.hamiltonian import HamiltonianSystem, MultiPoly
 from avfrk.integrators import SolverConfig, SolverError, StepStats
-from avfrk.quadrature import UniPoly, _scaled
+from avfrk.quadrature import UniPoly, _scaled, legendre
 from avfrk.trees import ButcherTableau
 
 
@@ -131,9 +131,36 @@ def avf_matrix(rule):
     return outer_matrix(rule, UniPoly([0, 1]), UniPoly([1]))
 
 
+def reference_factor_polys(u, v):
+    """(U, V) with U = sum u_k P_{k-1} and V = sum v_l P_l', in Fraction UniPoly arithmetic."""
+    U = sum((uk * legendre(k) for k, uk in enumerate(u)), UniPoly([]))
+    return U, sum((vl * legendre(l).derivative() for l, vl in enumerate(v, start=1)), UniPoly([]))
+
+
+def reference_factors(M, coords):
+    """(u, v) with vec(alpha) = coords equal to u (x) w and v = C w, as tuples of Fractions, or None.
+
+    The Fraction reference for conditions._exact_factors: u is column l0 and
+    w row k0 of the s x s matrix alpha over its first nonzero entry
+    alpha_(k0, l0), C the right family's Legendre coordinates.  None: alpha
+    is zero or not rank one.
+    """
+    s = M.rule.s
+    a = [coords[k * s : (k + 1) * s] for k in range(s)]
+    piv = next(((k, l) for k in range(s) for l in range(s) if a[k][l]), None)
+    if piv is None:
+        return None
+    k0, l0 = piv
+    u, w = [row[l0] for row in a], [x / a[k0][l0] for x in a[k0]]
+    if any(x != uk * wl for row, uk in zip(a, u) for x, wl in zip(row, w)):
+        return None
+    cols, dc = M._C
+    return tuple(u), tuple(sum(Fraction(col[k], dc) * wl for col, wl in zip(cols, w)) for k in range(s))
+
+
 def factor_matrix(rule, u, v):
     """U(c) b^T V(C), rows of Fractions, from exact factor coordinates (u, v)."""
-    return outer_matrix(rule, *_factor_polys(u, v))
+    return outer_matrix(rule, *reference_factor_polys(u, v))
 
 
 def kernel_ray_residual(M, u, v):

@@ -376,6 +376,28 @@ class TestUniqueness:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("command", ["integrate", "order"])
+    @pytest.mark.parametrize(
+        "field,doc",
+        [
+            ("half_dim", {**QUARTIC_DOC, "half_dim": 1.9}),
+            ("half_dim", {**QUARTIC_DOC, "half_dim": 1.5}),
+            ("half_dim", {**QUARTIC_DOC, "half_dim": True}),
+            ("exponents", {"half_dim": 1, "terms": [{"exponents": [0, 2.7], "coeff": "1/2"}, {"exponents": [4, 0], "coeff": "1/4"}]}),
+            ("exponents", {"half_dim": 1, "terms": [{"exponents": [0, 2.5], "coeff": "1/2"}]}),
+        ],
+    )
+    def test_non_integer_fields_exit_2(self, capsys, tmp_path, command, field, doc):
+        # a float or bool half_dim or exponent is an input error, not truncated by int()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--y0", "1.0,0.5"]
+        argv += ["--h", "0.05", "--steps", "10"] if command == "integrate" else ["--t-end", "1", "--hs", "0.1,0.05,0.025"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{field}: " in captured.err and "is not a JSON integer" in captured.err
+
     def test_drift_report(self, capsys, quartic_file):
         code, doc = run_json(
             capsys,

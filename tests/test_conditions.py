@@ -57,6 +57,8 @@ from _util import (
     reference_build_p_tilde,
     reference_double_bush_poly_residual,
     reference_double_bush_residual,
+    reference_factor_polys,
+    reference_factors,
     reference_ray_residual,
     reference_right_inverse,
     reference_rowsum_element,
@@ -732,6 +734,12 @@ class TestEliminate:
         assert eliminated([r for r, _ in M.scaled_rows], s * s) == fraction_rref(M.matrix_exact, s * s)
 
 
+def right_columns(M):
+    """The right family's Legendre coordinates C, the operator's integer columns over dc, as Fractions."""
+    cols, dc = M._C
+    return [[Fraction(x, dc) for x in col] for col in cols]
+
+
 class TestRightInverse:
     """C^-1 in closed form against one elimination of [C | -I]."""
 
@@ -740,7 +748,7 @@ class TestRightInverse:
         for zeta in ZETAS7:
             for m in [2 * s - 1] + [2 * s] * (zeta == 0):
                 M = build_M(quad_rule(s, zeta, 15), m)
-                C = M._coords
+                C = right_columns(M)
                 T, dt = _right_inverse(M._C)
                 assert dt > 0
                 # C T = dt I exactly, with C's columns as Fractions
@@ -753,7 +761,7 @@ class TestRightInverse:
         # p~ in slot s, and P_s in slot 2 at zeta = 0 (s > 2): at most two columns differ from I
         for s in (2, 3, 5):
             for zeta in ZETAS7:
-                C = build_M(quad_rule(s, zeta), 2 * s - 1)._coords
+                C = right_columns(build_M(quad_rule(s, zeta), 2 * s - 1))
                 J = [l for l in range(s) if list(C[l]) != [int(k == l) for k in range(s)]]
                 assert J == ([] if s == 2 and zeta == 0 else [1, s - 1] if zeta == 0 else [s - 1]), (s, zeta)
 
@@ -937,8 +945,7 @@ class TestRankKernel:
         assert all(not el.structured for el in basis.elements)
         assert tuple(el.coords for el in basis.elements) == basis.coords
         pivots, null, d = _eliminate([r for r, _ in M.scaled_rows], 9)
-        coords = [[Fraction(x, d) for x in vec] for vec in null]
-        raw = [KernelElement(a, *(_exact_factors(M, (vec, d)) or (None, None))) for a, vec in zip(coords, null)]
+        raw = [KernelElement((vec, d), _exact_factors(M, (vec, d))) for vec in null]
         assert kernel_key(rank, basis) == kernel_key(len(pivots), KernelBasis(raw, null, d, False))
         assert kernel_rowsum(M) is not None
 
@@ -1007,9 +1014,12 @@ class TestRankKernel:
         _, basis = rank_kernel(M)
         assert basis.structured
         for el in basis.elements:
-            u, v = _exact_factors(M, _scaled(el.coords))
-            assert [a * b for a in u for b in v] == [a * b for a in el.u for b in el.v]
+            (uz, du), (vz, dv) = _exact_factors(M, _scaled(el.coords))
+            assert du > 0 and dv > 0
+            assert [Fraction(a * b, du * dv) for a in uz for b in vz] == [a * b for a in el.u for b in el.v]
+            assert (tuple(Fraction(x, du) for x in uz), tuple(Fraction(x, dv) for x in vz)) == reference_factors(M, el.coords)
         two = [a + b for a, b in zip(basis.elements[0].coords, basis.elements[1].coords)]
+        assert reference_factors(M, two) is None
         assert _exact_factors(M, _scaled(two)) is None  # a sum of two independent rank-one elements
         assert _exact_factors(M, ([0] * (s * s), 1)) is None
 
@@ -1046,7 +1056,7 @@ class TestRankKernel:
 
 
 class TestKernelElement:
-    """Structured elements hold integers over one denominator and form coords on first access."""
+    """Elements hold integers over positive denominators and form their Fractions on access."""
 
     def test_coords_formed_once_on_access(self):
         _, basis = rank_kernel(build_M(quad_rule(4, Fraction(1, 2)), 7))
@@ -1056,11 +1066,12 @@ class TestKernelElement:
             coords = el.coords
             assert coords is el.coords
             assert coords == tuple(Fraction(x, den) for x in ints)
-            assert KernelElement(coords, el.u, el.v, True).coords == coords
+            (uz, du), (vz, dv) = el._factors
+            assert (el.u, el.v) == (tuple(Fraction(x, du) for x in uz), tuple(Fraction(x, dv) for x in vz))
 
     def test_immutable(self):
         _, basis = rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
-        for el in (basis.elements[0], KernelElement([Fraction(1)])):
+        for el in (basis.elements[0], KernelElement(([1], 1))):
             for name in ("coords", "_coords", "_ints", "u", "structured"):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(el, name, None)
@@ -1069,19 +1080,51 @@ class TestKernelElement:
         _, basis = rank_kernel(build_M(quad_rule(3, Fraction(1, 2)), 5))
         el = basis.elements[1]
         assert repr(el) == "KernelElement(structured, s=3)" and el._coords is None
-        assert repr(KernelElement([Fraction(0)] * 9)) == "KernelElement(raw, s=3)"
+        assert repr(KernelElement(([0] * 9, 1))) == "KernelElement(raw, s=3)"
 
-    def test_fraction_coordinates(self, monkeypatch):
-        # kernel_rowsum builds its element from Fractions, as does the unstructured fallback
-        M = build_M(quad_rule(3, Fraction(1, 2)), 5)
-        N = kernel_rowsum(M)
-        assert N._ints is None and N.coords == tuple(reference_rowsum_element(M, rank_kernel(M)[1]))
-        assert all(type(x) is Fraction for x in N.coords)
-        monkeypatch.setattr(conditions, "_structural_factor_table", lambda rule, kind: [(([1, -1, 0], 1), ([1, 0, 0], 1))] * 3)
-        _, basis = rank_kernel(M)
-        assert not basis.structured
-        assert all(el._ints is None for el in basis.elements)
-        assert tuple(el.coords for el in basis.elements) == basis.coords
+    @staticmethod
+    def integers(el):
+        """el holds its coordinates and factors as integers over positive denominators."""
+        for ints, d in [el._ints, *(el._factors or ())]:
+            assert d > 0 and all(type(x) is int for x in ints)
+
+    def check(self, M, el, coords):
+        """el holds integers, and its accessors equal the Fraction references for the direction coords."""
+        self.integers(el)
+        assert el.coords == tuple(coords)
+        ref = reference_factors(M, coords)
+        if ref is None:
+            assert el._factors is None and el.u is el.v is el.v0 is el.factor_polys() is None
+            return
+        u, v = ref
+        assert (el.u, el.v, el.v0) == (u, v, -sum(v))
+        assert el.factor_polys() == reference_factor_polys(u, v)
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_integer_path(self, monkeypatch, s, fallback):
+        # the closed-form basis, the unstructured fallback and kernel_rowsum all hold integer elements
+        if fallback:
+            monkeypatch.setattr(conditions, "_structured_basis", lambda *a: None)
+        for zeta in ZETAS7:
+            for m in [2 * s - 1] + [2 * s] * (zeta == 0):
+                M = build_M(quad_rule(s, zeta), m)
+                _, basis = rank_kernel(M)
+                assert basis.structured is not fallback
+                null = fraction_rref(M.matrix_exact, s * s)[1]
+                assert len(null) == len(basis.elements)
+                for el, vec in zip(basis.elements, null):
+                    # a fallback element is a raw null vector, by plain Gauss-Jordan over Fractions;
+                    # a closed-form one holds its table's factors, not those read off its coords
+                    if fallback:
+                        self.check(M, el, vec)
+                    else:
+                        self.integers(el)
+                N = kernel_rowsum(M)
+                alpha = reference_rowsum_element(M, basis)
+                assert (N is None) is (alpha is None) is (m == 2 * s)
+                if N is not None:
+                    self.check(M, N, alpha)
 
 
 class TestKernelRowsum:
@@ -1127,7 +1170,7 @@ class TestKernelRowsum:
             alpha = reference_rowsum_element(M, rank_kernel(M)[1])
             N = kernel_rowsum(M)
             assert N.coords == tuple(alpha)
-            assert (list(N.u), list(N.v)) == _exact_factors(M, _scaled(alpha))
+            assert (N.u, N.v) == reference_factors(M, alpha)
 
 
 class TestPerturbedResiduals:
@@ -1393,14 +1436,14 @@ class TestUniquenessSweep:
         real = conditions._exact_factors
 
         def scaled(M, alpha):
-            u, v = real(M, alpha)
-            return [-3 * x for x in u], [x / 7 for x in v]
+            (uz, du), (vz, dv) = real(M, alpha)
+            return ([-3 * x for x in uz], du), (vz, 7 * dv)
 
         # a rational multiple of the computed direction passes ...
         monkeypatch.setattr(conditions, "_exact_factors", scaled)
         assert uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)["residual_fit"]["match"]
         # ... another rank-one direction does not
-        other = lambda M, alpha: ([1] + [0] * (s - 1), [0] * (s - 1) + [1])
+        other = lambda M, alpha: (([1] + [0] * (s - 1), 1), ([0] * (s - 1) + [1], 1))
         monkeypatch.setattr(conditions, "_exact_factors", other)
         with pytest.raises(KernelStructureError, match="closed form"):
             uniqueness_sweep(quad_rule(s, zeta), 2 * s - 1)

@@ -252,6 +252,19 @@ class TestJsonIngestion:
             )
 
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None])
+    def test_half_dim_must_be_an_integer(self, bad):
+        # int() would truncate 1.9 and accept True as 1
+        with pytest.raises(ValueError, match=r"^half_dim: .* is not a JSON integer$"):
+            hamiltonian_from_json({**self.DOC, "half_dim": bad})
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, "2"])
+    def test_exponents_must_be_integers(self, bad):
+        doc = {"half_dim": 1, "terms": [{"exponents": [0, bad], "coeff": "1/2"}]}
+        with pytest.raises(ValueError, match=r"^exponents: .* is not a JSON integer$"):
+            hamiltonian_from_json(doc)
+
+
 def test_rational_vec_roundtrip():
     v = RationalVec([Fraction(1, 2), 3])
     assert len(v) == 2
