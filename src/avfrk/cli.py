@@ -3,11 +3,11 @@
 Subcommands: quad, tableau, conditions, rank, uniqueness, integrate, order.
 Exit codes are stable across commands: 0 success or match, 2 input error,
 3 expectation mismatch, 4 certificate structure failure, 5 solver failure.
-Every value a command prints is an exact rational, printed to precision-5
-significant digits of its value at the working precision (quadrature's
-_decimal).  Each command imports the modules its own work needs when it
-runs: integrate and order load no condition algebra, and rank and
-uniqueness no stepping.
+Every value a command prints is an exact rational; a printed value is its
+exact value, rounded half up to precision-5 significant digits
+(quadrature's _decimal).  Each command imports the modules its own work
+needs when it runs: integrate and order load no condition algebra, and
+rank and uniqueness no stepping.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ def _parse_fraction(name: str, text: str) -> Fraction:
 
 
 def _dec(x, args) -> str:
-    """The exact x to max(precision - 5, 5) significant digits of its value at precision + 10 digits."""
-    from .quadrature import _decimal, _prec_bits
+    """The exact x rounded half up to max(precision - 5, 5) significant digits."""
+    from .quadrature import _decimal
 
-    return _decimal(x, max(args.precision - 5, 5), _prec_bits(args.precision + 10))
+    return _decimal(x, max(args.precision - 5, 5))
 
 
 def _json(doc: dict) -> str:
@@ -140,7 +140,7 @@ def _load_tableau(path: str, rule):
         raise ValueError("tableau b and c must have length s")
     try:
         return ButcherTableau(A, b, c), "b" in doc or "c" in doc
-    except ValueError as e:  # the shapes are checked: an entry that is no finite rational
+    except (TypeError, ValueError) as e:  # the shapes are checked: an entry that is no finite rational
         raise ValueError(f"tableau entry {e}") from None
 
 

@@ -613,17 +613,17 @@ class KernelBasis:
 
 
 def _condforv(rule):
-    """Back-substituted factor coordinates for the interior-parameter kernel.
+    """Factor coordinates for the interior-parameter kernel, from one triangular system.
 
-    Starting from v_s = 1, each step r = 1..s-2 solves the (p, s+r)
-    condition pair for v_{s-r}.  Its coefficients t_l = <G_(s+r), P_l'>_D +
-    <P_(s+r-1), P_l>_D are integers over one denominator, from the moment
-    rows of G_(s+r) and P_(s+r-1) (_integrated_rows, _moment_rows) and the
-    Legendre coefficient columns; the denominator cancels in each step.  v
-    is held as integers over one denominator dv, which step r multiplies by
-    z_den t_(s-r) before dividing out the common content.  Returns the
-    (u, v) pairs for the two elements beyond (1-c) b^T, each factor as
-    (ints, d) in lowest terms with d > 0.
+    With v_1 = 0 and v_s = 1, condition pair (p, s+r), r = 1..s-2, reads
+    sum_(l >= s-r) t_l v_l = zeta <P_(s+r-1), P_(s-1)>_D, with coefficients
+    t_l = <G_(s+r), P_l'>_D + <P_(s+r-1), P_l>_D (the second term for l < s)
+    that are integers over one denominator, from the moment rows of G_(s+r)
+    and P_(s+r-1) (_integrated_rows, _moment_rows) and the Legendre
+    coefficient columns; the denominator cancels.  Times z_den, the system in
+    v_2..v_(s-1) is solved exactly by _solve.  Returns the (u, v) pairs for
+    the two elements beyond (1-c) b^T, each factor as (ints, d) in lowest
+    terms with d > 0.
     """
     s, zx = rule.s, rule.zeta_exact
     zn, zd = zx.numerator, zx.denominator
@@ -634,19 +634,12 @@ def _condforv(rule):
     dP, Pc = (list(zip(*_legendre_columns(s, derivative))) for derivative in (True, False))
     G = [[dp * sum(map(mul, row, col)) for col in dP] for row in hg]
     P = [[dg * sum(map(mul, row, col)) for col in Pc] for row in hp]
-    v, dv = [0] * s + [1], 1  # v_l = v[l] / dv
-    for r in rs:
-        lo = s - r
-        # t_l for l = lo..s, the second term for l < s
-        gt, pt = G[r - 1][lo - 1 :], P[r - 1][lo:]
-        t = [a + b for a, b in zip(gt, pt + [0])]
-        if t[0] == 0:
-            raise KernelStructureError(f"zero pivot while solving for v_{lo}")
-        # v_lo = (zeta pt_s - sum_(l > lo) v_l t_l) / t_lo, over dv z_den t_lo
-        known = zd * sum(map(mul, v[lo + 1 :], t[1:]))
-        v = [x * zd * t[0] for x in v]
-        v[lo] = zn * pt[-1] * dv - known
-        (v,), dv = _reduced([v], dv * zd * t[0])
+    rows = [[zd * (G[r - 1][l - 1] + P[r - 1][l]) if l >= s - r else 0 for l in range(2, s)] for r in rs]
+    solution = _solve(rows, [zn * P[r - 1][s - 1] - zd * G[r - 1][s - 1] for r in rs])
+    if solution is None:
+        raise KernelStructureError(f"the system for v_2..v_{s - 1} is singular at s={s}, zeta={zx}")
+    x, d = solution
+    (v,), dv = _reduced([[0, 0, *x, d]], d)  # v_l = v[l] / dv
     # over dv: v2 = (0, v_2, ..., v_s), v0 = -sum(v2) and v3 = (v0, v_2, ..., v_s)
     v2 = [0] + v[2:]
     v0 = -sum(v2)
@@ -1077,7 +1070,7 @@ def uniqueness_sweep(rule: QuadRule, m: int, betas=None):
         # a nonzero beta, or a nonzero residual, must not print as a float zero either
         if fb is None or fb == 0 or (fr == 0 and r != 0):
             way = "overflows" if fb is None else "underflows"
-            raise ValueError(f"beta = {_decimal(b, 8, 53)}: it or its residual {way} a float")
+            raise ValueError(f"beta = {_decimal(b, 8)}: it or its residual {way} a float")
         report["betas"].append(fb)
         report["residuals"].append(fr)
     report["residual_fit"] = {

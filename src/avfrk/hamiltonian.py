@@ -14,6 +14,8 @@ Variable ordering is fixed as (q_1..q_d, p_1..p_d) so that
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -30,13 +32,21 @@ ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
 
 
 def _rat(x) -> Fraction:
+    """x, a Fraction, an int (not a bool) or a "num/den" string, as an exact Fraction; else TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)  # accepts "num/den"
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _exponent(e) -> int:
+    """e as an int if it is an integer (operator.index) and not a bool, else TypeError."""
+    if isinstance(e, bool):
+        raise TypeError(f"not an integer exponent: {e!r}")
+    return index(e)
 
 
 class RationalVec(tuple):
@@ -50,7 +60,8 @@ class MultiPoly:
     """Multivariate polynomial, dense exponent tuples, Fraction coefficients.
 
     terms maps exponent tuples (one entry per variable) to nonzero rational
-    coefficients.  Instances are immutable.
+    coefficients.  An exponent must be an integer (operator.index) and not a
+    bool, else TypeError.  Instances are immutable.
     """
 
     __slots__ = ("num_vars", "terms", "_degree")
@@ -61,7 +72,7 @@ class MultiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != num_vars:
                 raise ValueError("exponent tuple length mismatch")
             if any(e < 0 for e in exps):
@@ -219,53 +230,28 @@ class HamiltonianSystem:
         return evaluate(self.H, y)
 
 
-def _segment_power(y0: Fraction, d: Fraction, e: int) -> list:
-    """Coefficients in xi of (y0 + xi*d)^e, binomial expansion."""
-    coeffs = [Fraction(0)] * (e + 1)
-    binom = 1
-    for k in range(e + 1):
-        coeffs[k] = Fraction(binom) * y0 ** (e - k) * d**k
-        binom = binom * (e - k) // (k + 1)
-    return coeffs
-
-
 def line_average(f: Sequence[MultiPoly], y0: Sequence, y1: Sequence) -> RationalVec:
     """Exact integral_0^1 f((1-xi) y0 + xi y1) dxi componentwise.
 
-    Substitutes the affine segment, expands each component as a univariate
-    polynomial in xi and integrates termwise, so the result is an exact
-    rational vector for rational endpoints.
+    Each term of a component is its coefficient times one factor
+    y0_j + xi (y1_j - y0_j) per unit of exponent, a product of UniPoly
+    factors in xi; their sum is integrated over [0, 1], so the result is an
+    exact rational vector for rational endpoints.
     """
-    n = len(f)
-    if n == 0:
+    from .quadrature import UniPoly  # here, so that importing this module loads no other layer
+
+    if len(f) == 0:
         raise ValueError("empty vector field")
-    nv = f[0].num_vars
-    if len(y0) != nv or len(y1) != nv:
+    if len(y0) != f[0].num_vars or len(y1) != f[0].num_vars:
         raise ValueError("endpoint dimension mismatch")
-    a = [_rat(v) for v in y0]
-    diff = [_rat(v) - _rat(u) for u, v in zip(y0, y1)]
+    chord = [UniPoly([_rat(u), _rat(v) - _rat(u)]) for u, v in zip(y0, y1)]
     out = []
     for comp in f:
-        # xi-polynomial accumulator for this component
-        acc = [Fraction(0)]
-        for exps, coeff in comp.terms.items():
-            term = [coeff]
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                factor = _segment_power(a[j], diff[j], e)
-                new = [Fraction(0)] * (len(term) + len(factor) - 1)
-                for i1, c1 in enumerate(term):
-                    if c1 == 0:
-                        continue
-                    for i2, c2 in enumerate(factor):
-                        new[i1 + i2] += c1 * c2
-                term = new
-            if len(term) > len(acc):
-                acc.extend([Fraction(0)] * (len(term) - len(acc)))
-            for k, c in enumerate(term):
-                acc[k] += c
-        out.append(sum((c / (k + 1) for k, c in enumerate(acc)), Fraction(0)))
+        terms = (
+            prod([x for x, e in zip(chord, exps) for _ in range(e)], start=UniPoly([coeff]))
+            for exps, coeff in comp.terms.items()
+        )
+        out.append(sum(terms, UniPoly([])).integral()(1))
     return RationalVec(out)
 
 

@@ -494,7 +494,11 @@ def _run(sys: HamiltonianSystem, L, R: tuple, b: tuple) -> Callable:
     set once per run (with L None only stage m adds, u_jlm = h R_jl), at the
     coordinates and powers phi's pass just formed at z (_stage_sums with
     form False), minus 1.0 on the diagonal; its entries c{..} that do not
-    depend on the state are set once per run.
+    depend on the state are set once per run.  "avf" and avf_tableau share
+    the loop but not the stop: _resolve_stepper runs a rule's tableau (and
+    "midpoint") with scale = max|c_j|, the stage residual, and "avf" with
+    scale 1, the endpoint residual, so their iterations, and their states
+    within the tolerance, can differ.
     """
     n, s, r, f = sys.dim, len(R), len(R[0]), sys.vector_field()
     Lf, Rf = L and [_floats(row) for row in L], [_floats(row) for row in R]
@@ -707,8 +711,10 @@ def avf_step(sys: HamiltonianSystem, y, h: float, cfg: SolverConfig | None = Non
 
     Returns the new state as a tuple of floats.  The chord average is taken
     by the Gauss rule of ceil(deg H / 2) nodes, which is exact for it.  For
-    quadratic H that is the one-node rule, so this coincides with the
-    implicit midpoint step.
+    quadratic H that is the one-node rule, so this is the implicit midpoint
+    method, but not bit for bit "midpoint"'s step: the stop reads the
+    endpoint residual here and the stage residual there (_resolve_stepper),
+    so the two can stop after different iterations.
     """
     return _steps(sys, "avf", y, h, 1, cfg)[1][-1]
 

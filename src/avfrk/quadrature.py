@@ -30,8 +30,8 @@ _NodeVector, integers over one denominator, with discrete_ip its exact
 sum; over the true nodes a _RayPoly, g as a polynomial in x (and in the
 beta of a kernel ray) over one denominator, with _moment_form giving the
 rule's c b^T and inner product on the moments.  One printer, _decimal,
-writes a rational as the decimal digits of its value rounded to a number
-of bits.
+writes a rational as its exact value correctly rounded to a number of
+decimal digits, ties half up.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import json
 import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, log, log10
+from math import comb, floor, gcd, lcm, log10
 from operator import mul
 from time import perf_counter
 from typing import Sequence
@@ -78,11 +78,11 @@ class QuadratureError(ValueError):
 def _exact_fraction(x) -> Fraction:
     """x, an int, Fraction, float, decimal or "num/den" string, or mpf (its _mpf_ man * 2^exp), as an exact Fraction.
 
-    A value that is no finite rational raises ValueError, any other type TypeError.
+    A value that is no finite rational raises ValueError, any other type, bool included, TypeError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -302,20 +302,16 @@ def _isolate_roots(s: int, z: Fraction, lo: Fraction, hi: Fraction) -> list:
 _GUARD_BITS = 64
 
 
-def _half_even(num: int, den: int, prec: int) -> tuple:
-    """(m, e) with m 2^e = num/den > 0 rounded to prec significant bits, half to even."""
-    e = num.bit_length() - den.bit_length() - prec - 2
-    q, r = divmod(num << max(-e, 0), den << max(e, 0))  # q has prec + 2 or prec + 3 bits
-    shift = q.bit_length() - prec
-    q, low, half = q >> shift, q & ((1 << shift) - 1), 1 << shift - 1
-    return q + (low > half or low == half and bool(r or q & 1)), e + shift
-
-
 def _rounded(num: int, den: int, bits: int) -> Fraction:
     """num / den rounded to bits significant bits, half to even, as a Fraction."""
     if not num:
         return Fraction(0)
-    m, e = _half_even(abs(num), abs(den), bits)
+    n, d = abs(num), abs(den)
+    e = n.bit_length() - d.bit_length() - bits - 2
+    q, r = divmod(n << max(-e, 0), d << max(e, 0))  # q has bits + 2 or bits + 3 bits
+    shift = q.bit_length() - bits
+    q, low, half = q >> shift, q & ((1 << shift) - 1), 1 << shift - 1
+    m, e = q + (low > half or low == half and bool(r or q & 1)), e + shift
     x = Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
     return x if (num < 0) == (den < 0) else -x
 
@@ -331,43 +327,30 @@ def _prec_bits(digits: int) -> int:
     return max(1, round((digits + 1) * 3.3219280948873626))
 
 
-def _decimal(x, digits: int, bits: int) -> str:
-    """x to digits significant digits, as mpmath's nstr prints mpf(x.numerator) / x.denominator at bits.
+def _decimal(x, digits: int) -> str:
+    """The exact rational x correctly rounded to digits significant digits, ties half up (away from zero).
 
-    The value printed is x's numerator rounded to bits, divided by x's
-    denominator and rounded again, each half to even (a dyadic x of at most
-    bits bits prints as itself).  Its decimal digits are truncated to
-    digits + 3, then rounded half up on the first dropped digit, and laid
-    out in fixed point for exponents between min(-(digits // 3), -5) and
-    digits, else with an exponent.  A value beyond 2^+-3500 is first divided
-    by an exact power of ten, which keeps every integer printed short, and
-    prints its exact digits so rounded.  There nstr divides by a power of
-    ten rounded to its working bits and can misprint a decimal tie: for
-    638035 * 10^1578 at 70 bits, 6.38034999...e1583, this prints
-    6.3803e+1583 and nstr 6.3804e+1583.  Below 2^3500 the digits are
-    nstr's, truncated as its to_digits_exp truncates them.
+    The decimal exponent is estimated from bit lengths and corrected by
+    exact comparison, so no integer longer than digits digits is written
+    out.  The digits are laid out in fixed point for exponents strictly
+    between min(-(digits // 3), -5) and digits, else with an exponent;
+    trailing zeros are dropped.
     """
     x = Fraction(x)
     if not x:
         return "0.0"
-    m, e = _half_even(abs(x.numerator), 1, bits)
-    m, e = _half_even(m << max(e, 0), x.denominator << max(-e, 0), bits)
-    num, den = m << max(e, 0), 1 << max(-e, 0)
-    top = e + m.bit_length()  # floor(log2 of the value) + 1
-    shift = int(top * log10(2)) if abs(top) > 3500 else 0
-    if shift > 0:
-        den *= 10**shift
-    else:
-        num *= 10**-shift
-    # mpmath's to_digits_exp at digits + 3, truncating: num / den = v / 10^shift; it truncates
-    # twice, to fixprec bits and to fixdps digits, and beyond 2^+-3500 once, to v's own digits
-    bitprec = int((digits + 3) * log(10, 2)) + 10
-    fixprec = max(bitprec - _floor_log2(num, den) - 1, 0)
-    fixdps = int(fixprec / log(10, 2) + 0.5)
-    text = str(num * 10**fixdps // den if shift else (num << fixprec) // den * 10**fixdps >> fixprec)
-    exp = len(text) - fixdps - 1 + shift
-    # mpmath's to_str: round half up on the first dropped digit, then lay out
-    q = int(text[:digits]) + (len(text) > digits and text[digits] >= "5")
+    num, den = abs(x.numerator), x.denominator
+    exp = floor((num.bit_length() - den.bit_length()) * log10(2))  # within 1 of floor(log10 |x|)
+    while True:
+        k = exp - digits + 1  # |x| / 10^k has digits digits before the point
+        q, r = divmod(num * 10 ** max(-k, 0), scale := den * 10 ** max(k, 0))
+        if q >= 10**digits:
+            exp += 1
+        elif q < 10 ** (digits - 1):
+            exp -= 1
+        else:
+            break
+    q += 2 * r >= scale
     if q == 10**digits:
         q, exp = q // 10, exp + 1
     text = str(q)
@@ -565,7 +548,7 @@ class QuadRule:
         raise AttributeError("QuadRule is immutable")
 
     def __repr__(self):
-        zeta = _decimal(self.zeta_exact, 8, _prec_bits(self.precision_digits + 15))
+        zeta = _decimal(self.zeta_exact, 8)
         return f"QuadRule(s={self.s}, zeta={zeta}, order={self.order})"
 
     @property
@@ -647,13 +630,13 @@ class QuadRule:
         return [x // g for x in ints], d // g
 
     def to_json(self) -> str:
-        d, bits = self.precision_digits, _prec_bits(self.precision_digits + 15)
+        d = self.precision_digits
         return json.dumps(
             {
                 "s": self.s,
-                "zeta": _decimal(self.zeta_exact, d, bits),
-                "c": [_decimal(ci, d, bits) for ci in self.c],
-                "b": [_decimal(bi, d, bits) for bi in self.b],
+                "zeta": _decimal(self.zeta_exact, d),
+                "c": [_decimal(ci, d) for ci in self.c],
+                "b": [_decimal(bi, d) for bi in self.b],
                 "order": self.order,
             }
         )

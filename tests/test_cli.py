@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
 
 import avfrk
 from avfrk import conditions, quadrature
@@ -203,6 +202,8 @@ class TestConditions:
             pytest.param(float("inf"), id="Infinity"),
             pytest.param(float("-inf"), id="-Infinity"),
             pytest.param("<1e400>", id="1e400"),
+            # JSON true and false are no rationals, not 1 and 0
+            True, False,
         ],
     )
     def test_undefined_or_non_finite_entry(self, capsys, tmp_path, field, entry):
@@ -397,6 +398,20 @@ class TestIntegrate:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"{field}: " in captured.err and "is not a JSON integer" in captured.err
+
+    @pytest.mark.parametrize("command", ["integrate", "order"])
+    @pytest.mark.parametrize("coeff", [True, False])
+    def test_boolean_coefficient_exits_2(self, capsys, tmp_path, command, coeff):
+        # a JSON true coefficient is no rational: exit 2, not the term with coefficient 1
+        doc = {"half_dim": 1, "terms": [{"exponents": [0, 2], "coeff": coeff}, {"exponents": [2, 0], "coeff": "1/2"}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--y0", "1.0,0.5"]
+        argv += ["--h", "0.05", "--steps", "10"] if command == "integrate" else ["--t-end", "1", "--hs", "0.1,0.05,0.025"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: not an exact rational: {coeff}\n"
 
     def test_drift_report(self, capsys, quartic_file):
         code, doc = run_json(
@@ -773,30 +788,28 @@ def test_every_public_name_resolves():
         avfrk.no_such_name
 
 
-def _nstr(x: Fraction, precision: int) -> str:
-    with mp.workdps(precision + 10):
-        return mp.nstr(mp.mpf(x.numerator) / x.denominator, max(precision - 5, 5))
+def _half_up(x: Fraction, precision: int) -> str:
+    """What _dec prints, from the decimal module: x / 1 rounded half up to max(precision - 5, 5) digits.
 
-
-def _printed(x: Fraction, precision: int) -> str:
-    """What _dec prints: nstr's text below 2^+-3500, beyond it the exact digits of nstr's mpf.
-
-    Beyond 2^+-3500 nstr divides by a power of ten rounded to its working
-    bits and can misprint a decimal tie; there the mpf is written exactly by
-    the decimal module, truncated to one digit past max(precision - 5, 5)
-    and rounded half up on that digit, in exponent form.
+    decimal's division is correctly rounded in its context, so the digits
+    are those of the exact value; the layout is fixed point for exponents
+    strictly between min(-(digits // 3), -5) and digits, else d.ddde+-X,
+    trailing zeros dropped.
     """
-    with mp.workdps(precision + 10):
-        sign, man, exp, bc = (mp.mpf(x.numerator) / x.denominator)._mpf_
-    if not man or abs(exp + bc) <= 3500:
-        return _nstr(x, precision)
     digits = max(precision - 5, 5)
-    v = decimal.Decimal((man << max(exp, 0)) * 5 ** max(-exp, 0))  # the mpf times 10^-min(exp, 0)
-    v = decimal.Context(prec=decimal.MAX_PREC).scaleb(v, min(exp, 0))
-    v = decimal.Context(prec=digits + 1, rounding=decimal.ROUND_DOWN).plus(v)
-    v = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP).plus(v)
-    text = "".join(map(str, v.as_tuple().digits)).rstrip("0") or "0"
-    return f"{'-' * sign}{text[0]}.{text[1:] or '0'}e{v.adjusted():+d}"
+    ctx = decimal.Context(
+        prec=digits, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    v = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    if not v:
+        return "0.0"
+    exp, text = v.adjusted(), "".join(map(str, v.as_tuple().digits)).rstrip("0")
+    sign = "-" * v.is_signed()
+    if min(-(digits // 3), -5) < exp < digits:
+        if exp < 0:
+            return f"{sign}0.{'0' * (-exp - 1)}{text}"
+        return f"{sign}{text.ljust(exp + 1, '0')[: exp + 1]}.{text[exp + 1 :] or '0'}"
+    return f"{sign}{text[0]}.{text[1:] or '0'}e{exp:+d}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -810,26 +823,26 @@ def _printed(x: Fraction, precision: int) -> str:
 @example(num=-999999999, den=1, shift=-3, precision=10)  # rounds up to the next power of ten
 @example(num=1, den=8, shift=-6, precision=20)  # fixed point just above the exponent form
 @example(num=0, den=1, shift=0, precision=50)
-@example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500: scaled by an exact power of ten first
+@example(num=3, den=1, shift=-1055, precision=10)  # below 2^-3500
 @example(num=1, den=1, shift=-20000, precision=15)
 @example(num=-7, den=3, shift=20000, precision=80)
-# the mpf is 6.38034999...e1583 at 70 bits, which nstr prints as 6.3804e+1583
+# a decimal tie, 6.38035e1583, which rounds half up
 @example(num=638035, den=1, shift=1578, precision=10)
-# the mpf is 4.01875000...029e1284: digits truncated twice, as below 2^3500, read 4.0187
+# a decimal tie, 4.01875e1284, which rounds half up
 @example(num=1286, den=32, shift=1283, precision=10)
-def test_exact_decimal_matches_nstr(num, den, shift, precision):
-    # a Fraction prints as mp.nstr prints its mpf at precision + 10, beyond 2^+-3500 as the
-    # exact digits of that mpf
+def test_exact_decimal_matches_decimal_half_up(num, den, shift, precision):
+    # a Fraction prints as the decimal module rounds its exact value half up
     x = Fraction(num, den) * Fraction(10) ** shift
-    assert _dec(x, argparse.Namespace(precision=precision)) == _printed(x, precision)
+    assert _dec(x, argparse.Namespace(precision=precision)) == _half_up(x, precision)
 
 
 def test_exact_decimal_of_a_tie_beyond_2_3500():
-    # beyond 2^3500 a decimal tie prints its mpf's own digits, on either side of the tie
+    # a decimal tie far beyond a float's range rounds half up, as one near 1 does
     args = argparse.Namespace(precision=10)
     below, above = Fraction(638035) * 10**1578, Fraction(1286, 32) * 10**1283
-    assert _dec(below, args) == _printed(below, 10) == "6.3803e+1583" != _nstr(below, 10)
-    assert _dec(above, args) == _printed(above, 10) == "4.0188e+1284"
+    assert _dec(below, args) == _half_up(below, 10) == "6.3804e+1583"
+    assert _dec(above, args) == _half_up(above, 10) == "4.0188e+1284"
+    assert _dec(-below / 10**3166, args) == "-6.3804e-1583"
 
 
 @settings(max_examples=300, deadline=None)
@@ -842,23 +855,27 @@ def test_exact_decimal_of_a_tie_beyond_2_3500():
     negative=st.booleans(),
 )
 @example(lead=2345, offset=0, scale=6, shift=0, precision=10, negative=False)  # 0.123455
-def test_exact_decimal_matches_nstr_near_ties(lead, offset, scale, shift, precision, negative):
-    # within 10^-6 of a last-digit unit of a tie, where nstr rounds a binary value
+def test_exact_decimal_near_ties_matches_decimal_half_up(lead, offset, scale, shift, precision, negative):
+    # within 10^-6 of a last-digit unit of a tie, and on it
     digits = max(precision - 5, 5)
     lead = 10 ** (digits - 1) + lead % (9 * 10 ** (digits - 1))  # digits digits, then the tie
     x = (lead + Fraction(1, 2) + Fraction(offset, 10**scale)) * Fraction(10) ** (shift - digits)
     x = -x if negative else x
-    assert _dec(x, argparse.Namespace(precision=precision)) == _nstr(x, precision)
+    assert _dec(x, argparse.Namespace(precision=precision)) == _half_up(x, precision)
 
 
-def test_exact_decimal_ties_round_as_nstr():
+def test_exact_decimal_ties_round_half_up(capsys):
     args = argparse.Namespace(precision=10)
-    # the mpf of 0.123455 lies below the tie; exact rounding half away from zero gave 0.12346
-    assert _dec(Fraction(123455, 10**6), args) == "0.12345" == _nstr(Fraction(123455, 10**6), 10)
-    assert _dec(Fraction(-123455, 10**6), args) == "-0.12345"
-    # an exact binary tie rounds half up
-    assert _dec(Fraction(1, 256), args) == "0.0039063" == _nstr(Fraction(1, 256), 10)
+    # a decimal tie rounds half up, away from zero
+    assert _dec(Fraction(123455, 10**6), args) == "0.12346"
+    assert _dec(Fraction(-123455, 10**6), args) == "-0.12346"
+    # an exact binary tie too
+    assert _dec(Fraction(1, 256), args) == "0.0039063"
     assert _dec(Fraction(123454999, 10**9), args) == "0.12345"
+    assert quadrature._decimal(Fraction(-10161, 10240), 10) == "-0.9922851563"
+    # the command line prints the tie of its exact zeta half up
+    assert main(["quad", "--s", "2", "--zeta", "0.12345678905", "--precision", "15"]) == 0
+    assert json.loads(capsys.readouterr().out)["zeta"] == "0.1234567891"
 
 
 def test_unknown_subcommand():

@@ -265,6 +265,36 @@ class TestJsonIngestion:
             hamiltonian_from_json(doc)
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_boolean_rationals_rejected(bad):
+    # a bool is an int to Python, but no exact rational: JSON true must not read as 1
+    for build in (
+        lambda: hamiltonian_from_json({"half_dim": 1, "terms": [{"exponents": [0, 2], "coeff": bad}]}),
+        lambda: MultiPoly(2, {(0, 2): bad}),
+        lambda: MultiPoly.constant(2, bad),
+        lambda: RationalVec([1, bad]),
+        lambda: evaluate(H_CUBIC, (bad, 1)),
+        lambda: line_average(HamiltonianSystem(1, H_CUBIC).vector_field(), (0, 0), (1, bad)),
+    ):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "2", Fraction(2)])
+def test_multipoly_exponents_must_be_integers(bad):
+    # int() would read 1.5 as 1 and True as 1; operator.index takes only integers
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(bad, 2): 1})
+
+
+def test_multipoly_takes_integer_like_exponents():
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert MultiPoly(2, {(Two(), 1): 1}) == MultiPoly(2, {(2, 1): 1})
+
+
 def test_rational_vec_roundtrip():
     v = RationalVec([Fraction(1, 2), 3])
     assert len(v) == 2

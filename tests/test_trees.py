@@ -248,6 +248,16 @@ class TestRkWeight:
         with pytest.raises(ValueError, match="not a finite rational"):
             ButcherTableau([[0, 0], [0, 0]], [0.5, entry], [0, 1])
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_entry_rejected(self, entry):
+        # a bool is an int to Python, but no tableau entry: True must not read as 1
+        with pytest.raises(TypeError, match="exact rational"):
+            ButcherTableau([[entry, 0], [0.5, "0.25"]], [0.5, 0.5], [0, 1])
+        with pytest.raises(TypeError, match="exact rational"):
+            ButcherTableau([[0, 0], [0, 0]], [0.5, 0.5], [entry, 1])
+        with pytest.raises(TypeError, match="exact rational"):
+            quad_rule(2, entry)
+
 
 class TestMemo:
     """rk_weight's memo on the tableau gives the plain recursion's values exactly."""
